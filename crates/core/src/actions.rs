@@ -106,40 +106,52 @@ fn apply_one(
             Ok(())
         }
         CAction::Copy(caps) => {
-            let resolved = resolve_caplist(rt, mem, vals, caps)?;
             let (src, dst) = endpoints(site, dir);
-            for cap in resolved {
+            for_each_cap(rt, mem, vals, caps, |rt, cap| {
                 record_action(rt);
                 require_owned(rt, src, cap)?;
                 if let Some((_, p)) = dst {
                     rt.grant(p, cap);
                 }
-            }
-            Ok(())
+                Ok(())
+            })
         }
         CAction::Transfer(caps) => {
-            let resolved = resolve_caplist(rt, mem, vals, caps)?;
             let (src, dst) = endpoints(site, dir);
-            for cap in resolved {
+            for_each_cap(rt, mem, vals, caps, |rt, cap| {
                 record_action(rt);
                 require_owned(rt, src, cap)?;
                 // Transfer revokes the capability from ALL principals so no
                 // copies survive (§3.3), then grants the destination. WRITE
                 // caps with a single holder take the one-splice fast path.
                 rt.transfer_cap(cap, dst.map(|(_, p)| p));
-            }
-            Ok(())
+                Ok(())
+            })
         }
-        CAction::Check(caps) => {
-            let resolved = resolve_caplist(rt, mem, vals, caps)?;
-            // All checks are pre: the caller must own the capability.
-            for cap in resolved {
-                record_action(rt);
-                require_owned(rt, site.caller, cap)?;
-            }
-            Ok(())
-        }
+        // All checks are pre: the caller must own the capability.
+        CAction::Check(caps) => for_each_cap(rt, mem, vals, caps, |rt, cap| {
+            record_action(rt);
+            require_owned(rt, site.caller, cap)
+        }),
     }
+}
+
+/// Resolves `caps` completely, then runs `f` on each capability in
+/// order. The caplist resolves into the runtime's reusable buffer, so
+/// the handoff allocates nothing.
+fn for_each_cap(
+    rt: &mut Runtime,
+    mem: &AddressSpace,
+    vals: CallValues<'_>,
+    caps: &CCapList,
+    mut f: impl FnMut(&mut Runtime, RawCap) -> Result<(), Violation>,
+) -> Result<(), Violation> {
+    let mut resolved = std::mem::take(&mut rt.caps_scratch);
+    resolved.clear();
+    let r = resolve_caplist(rt, mem, vals, caps, &mut resolved)
+        .and_then(|()| resolved.iter().try_for_each(|&cap| f(rt, cap.into())));
+    rt.caps_scratch = resolved;
+    r
 }
 
 fn record_action(rt: &mut Runtime) {
@@ -178,45 +190,42 @@ fn require_owned(rt: &Runtime, ctx: PrincipalCtx, cap: RawCap) -> Result<(), Vio
     })
 }
 
-/// Resolves a compiled caplist to concrete capabilities: evaluates
-/// expressions and expands capability iterators. REF types and iterator
-/// names were interned at compile time, so no string work happens here.
+/// Resolves a compiled caplist to concrete capabilities, appended to
+/// `out`: evaluates expressions and expands capability iterators. REF
+/// types and iterator names were interned at compile time, so no string
+/// work happens here.
 fn resolve_caplist(
-    rt: &mut Runtime,
+    rt: &Runtime,
     mem: &AddressSpace,
     vals: CallValues<'_>,
     caps: &CCapList,
-) -> Result<Vec<RawCap>, Violation> {
+    out: &mut Vec<EmittedCap>,
+) -> Result<(), Violation> {
     match caps {
         CCapList::Inline { kind, ptr, size } => {
             let addr = eval_compiled(ptr, vals, rt)? as u64;
-            let cap = match kind {
+            out.push(match kind {
                 CCapKind::Write => {
-                    let sz = match size {
+                    let size = match size {
                         CSize::Expr(e) => eval_compiled(e, vals, rt)? as u64,
                         CSize::Sizeof(s) => *s,
                         CSize::Unresolved(why) => {
                             return Err(Violation::BadExpression { why: why.clone() })
                         }
                     };
-                    RawCap::write(addr, sz)
+                    EmittedCap::Write { addr, size }
                 }
-                CCapKind::Call => RawCap::call(addr),
-                CCapKind::Ref(t) => RawCap::reference(*t, addr),
-            };
-            Ok(vec![cap])
+                CCapKind::Call => EmittedCap::Call { target: addr },
+                CCapKind::Ref(t) => EmittedCap::Ref {
+                    rtype: *t,
+                    value: addr,
+                },
+            });
+            Ok(())
         }
         CCapList::Iter { func, arg } => {
             let v = eval_compiled(arg, vals, rt)? as u64;
-            let emitted = rt.run_iterator_id(*func, mem, v)?;
-            Ok(emitted
-                .into_iter()
-                .map(|e| match e {
-                    EmittedCap::Write { addr, size } => RawCap::write(addr, size),
-                    EmittedCap::Call { target } => RawCap::call(target),
-                    EmittedCap::Ref { rtype, value } => RawCap::reference(rtype, value),
-                })
-                .collect())
+            rt.core().run_iterator_id(*func, mem, v, out)
         }
     }
 }

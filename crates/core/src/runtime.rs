@@ -69,7 +69,7 @@ use std::sync::{Arc, Mutex, OnceLock, RwLock};
 
 use lxfi_machine::{AddressSpace, Word};
 
-use crate::caps::{CapSet, CapType, RawCap, RefTypeId};
+use crate::caps::{CapSet, CapType, RawCap, RefTypeId, WriteTable};
 use crate::epoch_cache::DEFAULT_WAYS;
 use crate::handle::{check_write_in, GuardState};
 use crate::principal::{ModuleId, ModuleInfo, PrincipalId, PrincipalKind};
@@ -120,6 +120,16 @@ pub enum EmittedCap {
         /// Referred value.
         value: Word,
     },
+}
+
+impl From<EmittedCap> for RawCap {
+    fn from(e: EmittedCap) -> Self {
+        match e {
+            EmittedCap::Write { addr, size } => RawCap::write(addr, size),
+            EmittedCap::Call { target } => RawCap::call(target),
+            EmittedCap::Ref { rtype, value } => RawCap::reference(rtype, value),
+        }
+    }
 }
 
 /// A capability iterator: walks a data structure in simulated memory and
@@ -288,53 +298,62 @@ impl Sharding {
     }
 
     /// Replaces `p`'s index coverage over `[addr, addr+size)` with the
-    /// given residual ranges (a revocation survivor set, pre-clipped by
-    /// the caller to the window). Each shard's remove-and-restore runs
-    /// under a **single** hold of that shard's lock, so a concurrent
-    /// indirect-call lookup can never observe the transient no-coverage
-    /// state between the removal and the reinstatement — the index may
-    /// transiently over-approximate a writer (conservative), never
-    /// under-approximate one.
-    fn replace(&self, p: PrincipalId, addr: Word, size: u64, residuals: &[(Word, Word)]) {
+    /// coverage `p`'s post-revocation WRITE table `survivors` still has
+    /// there. Each shard's remove-and-restore runs under a **single**
+    /// hold of that shard's lock, so a concurrent indirect-call lookup
+    /// can never observe the transient no-coverage state between the
+    /// removal and the reinstatement — the index may transiently
+    /// over-approximate a writer (conservative), never under-approximate
+    /// one.
+    fn replace(&self, p: PrincipalId, addr: Word, size: u64, survivors: &WriteTable) {
         self.for_segments(addr, size, |sh, lo, hi| {
             sh.remove_split(&self.interner, p, lo, hi);
-            for &(rlo, rhi) in residuals {
-                let clo = rlo.max(lo);
-                let chi = rhi.min(hi);
-                if clo < chi {
-                    sh.add_split(&self.interner, p, clo, chi);
-                }
-            }
+            self.reinstate(sh, p, lo, hi, survivors);
         });
     }
 
     /// The single-holder transfer splice: swaps `src`'s coverage of
-    /// `[addr, addr+size)` for `dst`'s, reinstating `src`'s residual
-    /// coverage, with each shard's whole substitution under **one** hold
-    /// of that shard's lock. A racing lookup sees either the old holder
-    /// or the new one (plus residuals) — never a transiently uncovered
-    /// range.
+    /// `[addr, addr+size)` for `dst`'s, reinstating what `src`'s
+    /// post-revocation table `survivors` still covers, with each shard's
+    /// whole substitution under **one** hold of that shard's lock. A
+    /// racing lookup sees either the old holder or the new one (plus
+    /// survivors) — never a transiently uncovered range.
     fn substitute(
         &self,
         src: PrincipalId,
         dst: Option<PrincipalId>,
         addr: Word,
         size: u64,
-        residuals: &[(Word, Word)],
+        survivors: &WriteTable,
     ) {
         self.for_segments(addr, size, |sh, lo, hi| {
             sh.remove_split(&self.interner, src, lo, hi);
-            for &(rlo, rhi) in residuals {
-                let clo = rlo.max(lo);
-                let chi = rhi.min(hi);
-                if clo < chi {
-                    sh.add_split(&self.interner, src, clo, chi);
-                }
-            }
+            self.reinstate(sh, src, lo, hi, survivors);
             if let Some(d) = dst {
                 sh.add_split(&self.interner, d, lo, hi);
             }
         });
+    }
+
+    /// Re-adds, within the shard segment `[lo, hi)`, the coverage of
+    /// `p`'s grants in `survivors` (the index stores merged coverage, so
+    /// revoking one of two overlapping grants must not erase the other).
+    /// Walks the table in place: a revocation rarely overlaps many grants.
+    fn reinstate(
+        &self,
+        sh: &mut IndexShard,
+        p: PrincipalId,
+        lo: Word,
+        hi: Word,
+        survivors: &WriteTable,
+    ) {
+        for (a, s) in survivors.iter_overlapping(lo, hi - lo) {
+            let clo = a.max(lo);
+            let chi = a.saturating_add(s).min(hi);
+            if clo < chi {
+                sh.add_split(&self.interner, p, clo, chi);
+            }
+        }
     }
 
     fn overlaps(&self, addr: Word, len: u64) -> bool {
@@ -347,24 +366,51 @@ impl Sharding {
         self.for_segments(addr, len, |sh, lo, hi| {
             // Shard lock first, interner second (leaf) — the splice order.
             let interner = self.interner.lock().expect("interner lock");
-            sh.collect_writers(&interner, lo, hi, out);
-        });
-    }
-
-    /// Principals present in the shards overlapping `[addr, addr+len)` —
-    /// the kfree hint (a superset of the range's actual writers).
-    fn present_over(&self, addr: Word, len: u64) -> Vec<PrincipalId> {
-        let mut out = Vec::new();
-        self.for_segments(addr, len, |sh, _lo, _hi| {
-            for p in sh.present_principals() {
-                if !out.contains(&p) {
-                    out.push(p);
+            for w in sh.writers(&interner, lo, hi) {
+                if !out.contains(&w) {
+                    out.push(w);
                 }
             }
         });
-        out.sort_unstable();
-        out
     }
+
+    /// Who holds WRITE coverage of `[addr, addr+len)`, when at most one
+    /// principal does (the transfer fast-path test, without collecting).
+    fn holders(&self, addr: Word, len: u64) -> Holders {
+        let mut found = Holders::None;
+        self.for_segments(addr, len, |sh, lo, hi| {
+            let interner = self.interner.lock().expect("interner lock");
+            for w in sh.writers(&interner, lo, hi) {
+                found = match found {
+                    Holders::None => Holders::One(w),
+                    Holders::One(h) if h == w => Holders::One(h),
+                    _ => Holders::Many,
+                };
+            }
+        });
+        found
+    }
+
+    /// The lowest-numbered principal at or above `from` present in the
+    /// shards overlapping `[addr, addr+len)` — one step of the kfree
+    /// hint (a superset of the range's actual writers).
+    fn next_present(&self, addr: Word, len: u64, from: usize) -> Option<PrincipalId> {
+        let mut next: Option<PrincipalId> = None;
+        self.for_segments(addr, len, |sh, _lo, _hi| {
+            if let Some(p) = sh.next_present(from) {
+                next = Some(next.map_or(p, |q| q.min(p)));
+            }
+        });
+        next
+    }
+}
+
+/// The WRITE holders of a range, up to the first two distinct ones.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Holders {
+    None,
+    One(PrincipalId),
+    Many,
 }
 
 /// Result of a `kfree`-style sweep
@@ -811,19 +857,10 @@ impl RuntimeCore {
         // *before* the splice: a drain that observes the post-splice
         // index must also observe this bump (see `StripedWriterMap`).
         self.writer_map.note_revoked(addr, size);
-        let end = addr.saturating_add(size);
-        // Clip the survivors to the removed window: coverage outside it
-        // never left. Small: a revocation rarely overlaps many grants.
-        let residuals: Vec<(Word, Word)> = caps
-            .write
-            .iter_overlapping(addr, size)
-            .map(|(a, s)| (a.max(addr), (a.saturating_add(s)).min(end)))
-            .filter(|&(lo, hi)| lo < hi)
-            .collect();
         self.sharding
             .read()
             .expect("sharding lock")
-            .replace(p, addr, size, &residuals);
+            .replace(p, addr, size, &caps.write);
     }
 
     /// Revokes a capability from **every** principal in the system —
@@ -857,8 +894,8 @@ impl RuntimeCore {
     /// `(fast_path_taken, epoch_bumps)`.
     ///
     /// Equivalence with the sweep: holding the exact grant implies
-    /// overlapping index coverage, so a principal absent from
-    /// `collect_writers` cannot hold `cap` — revoking from the one
+    /// overlapping index coverage, so a principal the index does not
+    /// list over the range cannot hold `cap` — revoking from the one
     /// indexed holder revokes everything the full walk would have. A
     /// grant racing in after the holder scan survives either path (the
     /// sweep visits principals one at a time and can equally miss it);
@@ -868,18 +905,25 @@ impl RuntimeCore {
     /// conservative index-before-table order as [`RuntimeCore::grant`]).
     pub fn transfer_write(&self, cap: RawCap, dst: Option<PrincipalId>) -> (bool, u64) {
         debug_assert_eq!(cap.ctype, CapType::Write);
-        let mut holders = Vec::new();
-        self.collect_writers(cap.addr, cap.size, &mut holders);
-        if holders.len() > 1 {
-            let bumps = self.revoke_everywhere(cap);
-            if let Some(d) = dst {
-                self.grant(d, cap);
+        let holder = match self
+            .sharding
+            .read()
+            .expect("sharding lock")
+            .holders(cap.addr, cap.size)
+        {
+            Holders::Many => {
+                let bumps = self.revoke_everywhere(cap);
+                if let Some(d) = dst {
+                    self.grant(d, cap);
+                }
+                return (false, bumps);
             }
-            return (false, bumps);
-        }
+            Holders::One(h) => Some(h),
+            Holders::None => None,
+        };
         let mut bumps = 0;
         let mut dst_indexed = false;
-        if let Some(&h) = holders.first() {
+        if let Some(h) = holder {
             let removed = {
                 let mut caps = self.slot(h).caps.lock().expect("caps lock");
                 let removed = caps.revoke(cap);
@@ -889,17 +933,13 @@ impl RuntimeCore {
                     // original grant marked them and `clear_zeroed`
                     // keeps covered granules — so no re-mark is needed.
                     self.writer_map.note_revoked(cap.addr, cap.size);
-                    let end = cap.addr.saturating_add(cap.size);
-                    let residuals: Vec<(Word, Word)> = caps
-                        .write
-                        .iter_overlapping(cap.addr, cap.size)
-                        .map(|(a, s)| (a.max(cap.addr), (a.saturating_add(s)).min(end)))
-                        .filter(|&(lo, hi)| lo < hi)
-                        .collect();
-                    self.sharding
-                        .read()
-                        .expect("sharding lock")
-                        .substitute(h, dst, cap.addr, cap.size, &residuals);
+                    self.sharding.read().expect("sharding lock").substitute(
+                        h,
+                        dst,
+                        cap.addr,
+                        cap.size,
+                        &caps.write,
+                    );
                     dst_indexed = true;
                 }
                 removed
@@ -928,17 +968,14 @@ impl RuntimeCore {
     /// the hint against the full walk (see `Runtime`).
     pub fn revoke_write_overlapping_everywhere(&self, addr: Word, size: u64) -> KfreeSweep {
         let total = self.principal_count() as u64;
-        let hint = self
-            .sharding
-            .read()
-            .expect("sharding lock")
-            .present_over(addr, size);
-        let mut sweep = KfreeSweep {
-            epoch_bumps: 0,
-            visited: hint.len() as u64,
-            skipped: total.saturating_sub(hint.len() as u64),
-        };
-        for &p in &hint {
+        let mut sweep = KfreeSweep::default();
+        // Walk the hint in principal order, one step at a time: visiting
+        // `p` only changes `p`'s own presence, so the walk sees exactly
+        // the principals a snapshot taken up front would have held.
+        let mut from = 0;
+        while let Some(p) = self.next_present(addr, size, from) {
+            from = p.0 as usize + 1;
+            sweep.visited += 1;
             let span = {
                 let mut caps = self.slot(p).caps.lock().expect("caps lock");
                 let (_, span) = caps.write.revoke_overlapping_span(addr, size);
@@ -954,7 +991,16 @@ impl RuntimeCore {
                 sweep.epoch_bumps += self.bump_write_epochs(p);
             }
         }
+        sweep.skipped = total.saturating_sub(sweep.visited);
         sweep
+    }
+
+    /// One step of the kfree presence hint (see [`Sharding::next_present`]).
+    fn next_present(&self, addr: Word, len: u64, from: usize) -> Option<PrincipalId> {
+        self.sharding
+            .read()
+            .expect("sharding lock")
+            .next_present(addr, len, from)
     }
 
     /// Revokes all of **one** principal's WRITE coverage overlapping
@@ -1102,10 +1148,13 @@ impl RuntimeCore {
 
     /// The kfree presence hint for a range (diagnostics/tests).
     pub fn present_over(&self, addr: Word, len: u64) -> Vec<PrincipalId> {
-        self.sharding
-            .read()
-            .expect("sharding lock")
-            .present_over(addr, len)
+        let mut out = Vec::new();
+        let mut from = 0;
+        while let Some(p) = self.next_present(addr, len, from) {
+            from = p.0 as usize + 1;
+            out.push(p);
+        }
+        out
     }
 
     /// `lxfi_check_indcall(pptr, ahash)` (§4.1): validates a kernel
@@ -1272,25 +1321,25 @@ impl RuntimeCore {
     }
 
     /// Runs a registered iterator by interned id (the enforcement path —
-    /// no name lookup). The iterator function is cloned out of the
+    /// no name lookup), appending what it emits to `out` (the caller's
+    /// reusable buffer). The iterator function is cloned out of the
     /// registry (an `Arc` bump) so no lock is held while it walks memory.
     pub fn run_iterator_id(
         &self,
         id: IteratorId,
         mem: &AddressSpace,
         arg: Word,
-    ) -> Result<Vec<EmittedCap>, Violation> {
+        out: &mut Vec<EmittedCap>,
+    ) -> Result<(), Violation> {
         let f = self.names.read().expect("names lock").iterators[id.0 as usize]
             .clone()
             .ok_or_else(|| Violation::UnknownIterator {
                 name: self.iterator_name(id),
             })?;
-        let mut out = Vec::new();
-        f(mem, arg, &mut out).map_err(|why| Violation::IteratorFailed {
+        f(mem, arg, out).map_err(|why| Violation::IteratorFailed {
             name: self.iterator_name(id),
             why,
-        })?;
-        Ok(out)
+        })
     }
 
     /// Runs a registered iterator by name (registration-time / test API;
@@ -1311,7 +1360,9 @@ impl RuntimeCore {
             .ok_or_else(|| Violation::UnknownIterator {
                 name: name.to_string(),
             })?;
-        self.run_iterator_id(id, mem, arg)
+        let mut out = Vec::new();
+        self.run_iterator_id(id, mem, arg, &mut out)?;
+        Ok(out)
     }
 
     /// Number of registered iterators (annotation census, §8.2).
@@ -1492,6 +1543,15 @@ impl RuntimeCore {
         interner.check_consistency(&refs);
     }
 
+    /// Runs `f` on the writer index's shared interner (the interner
+    /// equivalence test drains its call log here).
+    #[cfg(test)]
+    pub(crate) fn with_interner<R>(&self, f: impl FnOnce(&mut SetInterner) -> R) -> R {
+        let sharding = self.sharding.read().expect("sharding lock");
+        let mut interner = sharding.interner.lock().expect("interner lock");
+        f(&mut interner)
+    }
+
     // -------------------------------------------------------------- stats
 
     /// Folds a handle's (or any) stats into the core's global stats.
@@ -1515,14 +1575,22 @@ impl RuntimeCore {
 /// The single-threaded LXFI runtime facade: the historical `&mut self`
 /// API over an [`Arc<RuntimeCore>`], with one guard lane (shadow stack,
 /// kernel-stack window, private epoch cache) per registered
-/// [`ThreadId`] and a plain [`GuardStats`] field benches read and reset
-/// directly. [`Runtime::share`] exposes the core for spawning
-/// [`crate::GuardHandle`]s on real threads.
+/// [`ThreadId`] — a dense vector indexed by the id, since the kernel
+/// hands thread ids out from consecutive stack slots — and a plain
+/// [`GuardStats`] field benches read and reset directly. The
+/// population gauges (live writer sets, principals) are not mirrored
+/// here; read them from the core ([`RuntimeCore::index_set_count`],
+/// [`RuntimeCore::principal_gauges`]). [`Runtime::share`] exposes the
+/// core for spawning [`crate::GuardHandle`]s on real threads.
 pub struct Runtime {
     core: Arc<RuntimeCore>,
-    lanes: HashMap<ThreadId, GuardState<DEFAULT_WAYS>>,
+    /// Guard lanes by `ThreadId.0`; `None` for ids never registered.
+    lanes: Vec<Option<GuardState<DEFAULT_WAYS>>>,
     /// Reusable writer buffer for the indirect-call slow path.
     scratch: Vec<PrincipalId>,
+    /// Reusable buffer annotation actions resolve a caplist into, so a
+    /// capability handoff allocates nothing.
+    pub(crate) caps_scratch: Vec<EmittedCap>,
     /// Guard counters (public: benches read and reset them).
     pub stats: GuardStats,
     /// Deterministic guard costs.
@@ -1576,8 +1644,9 @@ impl Runtime {
     pub fn from_core(core: Arc<RuntimeCore>) -> Self {
         Runtime {
             core,
-            lanes: HashMap::new(),
+            lanes: Vec::new(),
             scratch: Vec::new(),
+            caps_scratch: Vec::new(),
             stats: GuardStats::new(),
             costs: GuardCosts::default(),
             writer_fastpath: true,
@@ -1600,18 +1669,13 @@ impl Runtime {
     /// See [`RuntimeCore::set_shard_boundaries`].
     pub fn set_shard_boundaries(&mut self, boundaries: Vec<Word>) {
         self.core.set_shard_boundaries(boundaries);
-        self.update_writer_set_gauges();
     }
 
     // ------------------------------------------------------------ modules
 
     /// Registers a module, creating its shared and global principals.
     pub fn register_module(&mut self, name: &str) -> ModuleId {
-        let mid = self.core.register_module(name);
-        let (live, retired) = self.core.principal_gauges();
-        self.stats.principals_live = live;
-        self.stats.principals_retired = retired;
-        mid
+        self.core.register_module(name)
     }
 
     /// Number of registered modules.
@@ -1641,11 +1705,7 @@ impl Runtime {
 
     /// See [`RuntimeCore::principal_for_name`].
     pub fn principal_for_name(&mut self, module: ModuleId, name: Word) -> PrincipalId {
-        let p = self.core.principal_for_name(module, name);
-        let (live, retired) = self.core.principal_gauges();
-        self.stats.principals_live = live;
-        self.stats.principals_retired = retired;
-        p
+        self.core.principal_for_name(module, name)
     }
 
     /// See [`RuntimeCore::princ_alias`].
@@ -1673,9 +1733,6 @@ impl Runtime {
     /// See [`RuntimeCore::grant`].
     pub fn grant(&mut self, p: PrincipalId, cap: RawCap) {
         self.core.grant(p, cap);
-        if cap.ctype == CapType::Write {
-            self.update_writer_set_gauges();
-        }
     }
 
     /// See [`RuntimeCore::revoke`]; epoch bumps are accounted into this
@@ -1683,9 +1740,6 @@ impl Runtime {
     pub fn revoke(&mut self, p: PrincipalId, cap: RawCap) -> bool {
         let (removed, bumps) = self.core.revoke(p, cap);
         self.stats.epoch_bumps += bumps;
-        if removed && cap.ctype == CapType::Write {
-            self.update_writer_set_gauges();
-        }
         removed
     }
 
@@ -1694,40 +1748,23 @@ impl Runtime {
         self.core.write_epoch(p)
     }
 
-    /// Refreshes the writer-set GC gauges in [`GuardStats`] from the
-    /// reverse index's interners (called after every index mutation),
-    /// and the principal-population gauges from the registry.
-    fn update_writer_set_gauges(&mut self) {
-        self.stats.writer_sets_live = self.core.index_set_count() as u64;
-        self.stats.writer_sets_ever = self.core.index_sets_ever_interned();
-        let (live, retired) = self.core.principal_gauges();
-        self.stats.principals_live = live;
-        self.stats.principals_retired = retired;
-    }
-
     /// See [`RuntimeCore::retire_module`]; epoch bumps are accounted into
-    /// this facade's [`GuardStats`] and the gauges refreshed.
+    /// this facade's [`GuardStats`].
     pub fn retire_module(&mut self, mid: ModuleId) -> RetireSweep {
         let sweep = self.core.retire_module(mid);
         self.stats.epoch_bumps += sweep.epoch_bumps;
-        self.update_writer_set_gauges();
         sweep
     }
 
     /// See [`RuntimeCore::ensure_tombstone`].
     pub fn ensure_tombstone(&mut self) -> PrincipalId {
-        let t = self.core.ensure_tombstone();
-        self.update_writer_set_gauges();
-        t
+        self.core.ensure_tombstone()
     }
 
     /// See [`RuntimeCore::revoke_everywhere`].
     pub fn revoke_everywhere(&mut self, cap: RawCap) {
         let bumps = self.core.revoke_everywhere(cap);
         self.stats.epoch_bumps += bumps;
-        if bumps > 0 {
-            self.update_writer_set_gauges();
-        }
     }
 
     /// Moves `cap` from whoever holds it to `dst` (annotation `transfer`
@@ -1749,7 +1786,6 @@ impl Runtime {
             } else {
                 self.stats.transfer_slow += 1;
             }
-            self.update_writer_set_gauges();
         } else {
             self.stats.transfer_slow += 1;
             let bumps = self.core.revoke_everywhere(cap);
@@ -1769,9 +1805,6 @@ impl Runtime {
         self.stats.epoch_bumps += sweep.epoch_bumps;
         self.stats.kfree_hint_visited += sweep.visited;
         self.stats.kfree_hint_skipped += sweep.skipped;
-        if sweep.epoch_bumps > 0 {
-            self.update_writer_set_gauges();
-        }
         #[cfg(debug_assertions)]
         if size > 0 && self.core.kfree_cross_check_enabled() {
             for i in 0..self.core.principal_count() {
@@ -1788,9 +1821,6 @@ impl Runtime {
     pub fn revoke_write_overlapping(&mut self, p: PrincipalId, addr: Word, size: u64) {
         let bumps = self.core.revoke_write_overlapping(p, addr, size);
         self.stats.epoch_bumps += bumps;
-        if bumps > 0 {
-            self.update_writer_set_gauges();
-        }
     }
 
     /// Ownership test (§3.1 hierarchy semantics).
@@ -1817,7 +1847,11 @@ impl Runtime {
     pub fn register_thread(&mut self, t: ThreadId, stack_base: Word, stack_len: u64) {
         let mut lane = GuardState::new();
         lane.kstack = Some((stack_base, stack_len));
-        self.lanes.insert(t, lane);
+        let i = t.0 as usize;
+        if i >= self.lanes.len() {
+            self.lanes.resize_with(i + 1, || None);
+        }
+        self.lanes[i] = Some(lane);
     }
 
     /// The thread's shadow stack.
@@ -1826,12 +1860,15 @@ impl Runtime {
     ///
     /// Panics if the thread was never registered.
     pub fn thread(&mut self, t: ThreadId) -> &mut ShadowStack {
-        &mut self.lanes.get_mut(&t).expect("thread registered").shadow
+        let lane = self.lanes.get_mut(t.0 as usize).and_then(Option::as_mut);
+        &mut lane.expect("thread registered").shadow
     }
 
     /// The current principal context of a thread.
     pub fn current(&self, t: ThreadId) -> PrincipalCtx {
-        self.lanes.get(&t).and_then(|l| l.shadow.current())
+        self.lanes
+            .get(t.0 as usize)
+            .and_then(|l| l.as_ref()?.shadow.current())
     }
 
     /// Wrapper entry: records the FunctionEntry guard, saves context on
@@ -1866,7 +1903,7 @@ impl Runtime {
     /// core's atomic counter, a revocation affecting *other* principals
     /// does not evict it.
     pub fn check_write(&mut self, t: ThreadId, addr: Word, len: u64) -> Result<(), Violation> {
-        let Some(lane) = self.lanes.get_mut(&t) else {
+        let Some(lane) = self.lanes.get_mut(t.0 as usize).and_then(Option::as_mut) else {
             // Unregistered thread: kernel context, trusted (and charged).
             self.stats.record(GuardKind::MemWrite, self.costs.mem_write);
             return Ok(());
@@ -2093,16 +2130,6 @@ impl Runtime {
         self.core.register_iterator(name, f)
     }
 
-    /// See [`RuntimeCore::run_iterator_id`].
-    pub fn run_iterator_id(
-        &self,
-        id: IteratorId,
-        mem: &AddressSpace,
-        arg: Word,
-    ) -> Result<Vec<EmittedCap>, Violation> {
-        self.core.run_iterator_id(id, mem, arg)
-    }
-
     /// See [`RuntimeCore::run_iterator`].
     pub fn run_iterator(
         &self,
@@ -2252,7 +2279,6 @@ mod tests {
         let (live, retired) = rt.core().principal_gauges();
         assert_eq!(retired, 3);
         assert_eq!(live as usize, rt.core().principal_count() - 3);
-        assert_eq!(rt.stats.principals_retired, 3);
 
         // Retiring again is a no-op (idempotent quarantine).
         let again = rt.retire_module(m);

@@ -103,6 +103,11 @@ impl Default for GuardCosts {
 /// `GuardStats` written without synchronization on the guard hot path;
 /// [`GuardStats::merge`] folds per-thread counters into the shared
 /// core's global stats when a handle flushes or retires.
+///
+/// Everything here is a counter. Population levels (live and
+/// ever-interned writer sets, live and retired principals) are read
+/// from their owner on demand: `RuntimeCore::index_set_count`,
+/// `index_sets_ever_interned` and `principal_gauges`.
 #[derive(Debug, Default, Clone)]
 pub struct GuardStats {
     counts: [u64; 5],
@@ -120,22 +125,6 @@ pub struct GuardStats {
     /// bump wholesale-invalidates one principal's cached intervals, so
     /// this counts how much cached state revocation traffic destroyed.
     pub epoch_bumps: u64,
-    /// Gauge: interned writer sets currently referenced by the reverse
-    /// writer index (updated by the runtime after every index mutation).
-    pub writer_sets_live: u64,
-    /// Gauge: writer-set allocations ever performed by the index's
-    /// interner, including slot reuses after GC. `ever` growing while
-    /// `live` stays flat is the set-GC working.
-    pub writer_sets_ever: u64,
-    /// Gauge: principals registered and not retired. Together with
-    /// `principals_retired` this is the leak meter module churn is
-    /// gated on: load → crash → reclaim cycles must return it to the
-    /// pre-load level.
-    pub principals_live: u64,
-    /// Gauge: principals retired by module quarantine or unload.
-    /// Monotonic (retirement is permanent), which makes it the logical
-    /// clock for the principal gauge pair in [`GuardStats::merge`].
-    pub principals_retired: u64,
     /// Principals a `kfree`-style sweep
     /// (`revoke_write_overlapping_everywhere`) actually visited, driven
     /// by the per-shard principal-presence hint.
@@ -244,24 +233,6 @@ impl GuardStats {
         self.write_cache_hits += other.write_cache_hits;
         self.write_cache_misses += other.write_cache_misses;
         self.epoch_bumps += other.epoch_bumps;
-        // Gauges are levels, not counters: take the pair from the newer
-        // snapshot, using the monotonic `ever` allocation counter as the
-        // logical clock (`live` may legitimately shrink after GC, so a
-        // plain max would pin it at a stale high-water mark).
-        if other.writer_sets_ever >= self.writer_sets_ever {
-            self.writer_sets_ever = other.writer_sets_ever;
-            self.writer_sets_live = other.writer_sets_live;
-        }
-        // Same discipline for the principal gauge pair, clocked by the
-        // monotonic retirement counter (ties broken toward the larger
-        // live count: between retirements, registration only grows it).
-        if other.principals_retired > self.principals_retired
-            || (other.principals_retired == self.principals_retired
-                && other.principals_live >= self.principals_live)
-        {
-            self.principals_retired = other.principals_retired;
-            self.principals_live = other.principals_live;
-        }
         self.kfree_hint_visited += other.kfree_hint_visited;
         self.kfree_hint_skipped += other.kfree_hint_skipped;
         self.transfer_fast += other.transfer_fast;
@@ -327,23 +298,20 @@ mod tests {
     }
 
     #[test]
-    fn merge_folds_counters_and_keeps_gauges_fresh() {
+    fn merge_folds_counters() {
         let mut a = GuardStats::new();
         a.record(GuardKind::MemWrite, 51);
         a.write_cache_hits = 10;
-        a.writer_sets_live = 3;
         let mut b = GuardStats::new();
         b.record(GuardKind::MemWrite, 51);
         b.record_indcall_module(ModuleId(1), 86);
         b.write_cache_hits = 5;
         b.epoch_bumps = 2;
-        b.writer_sets_live = 7;
         a.merge(&b);
         assert_eq!(a.count(GuardKind::MemWrite), 2);
         assert_eq!(a.write_cache_hits, 15);
         assert_eq!(a.epoch_bumps, 2);
         assert_eq!(a.indcall_for_module(ModuleId(1)), (1, 86));
-        assert_eq!(a.writer_sets_live, 7, "gauge takes the fresher level");
     }
 
     #[test]

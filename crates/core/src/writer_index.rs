@@ -31,13 +31,16 @@
 //! operation (which keeps a revocation's remove-and-reinstate atomic
 //! per shard — see `Sharding::replace`), while the shared-interner
 //! mutex is taken only for the id/refcount phase (interning the new
-//! sets, moving refcounts, computing presence deltas); the interval
+//! sets, moving refcounts, applying presence deltas); the interval
 //! memmove then runs under the shard lock alone. Splices in different
 //! shards therefore overlap except for their brief interner sections,
 //! and the lock order is strictly shard → interner (the interner is a
-//! leaf — nothing acquires a shard while holding it). A
-//! default-constructed index has a single shard covering the whole
-//! address space (the pre-sharding behavior).
+//! leaf — nothing acquires a shard while holding it). Each shard owns
+//! the replacement buffer its splices plan into, and the interner
+//! looks candidate sets up by slice, so a splice that produces no new
+//! writer set allocates nothing. A default-constructed index has a
+//! single shard covering the whole address space (the pre-sharding
+//! behavior).
 //!
 //! Intervals never span a shard boundary: a grant crossing one is split
 //! at the boundary, so two touching same-set intervals can exist across
@@ -98,17 +101,6 @@ use lxfi_machine::Word;
 use crate::caps::WriteTable;
 use crate::principal::PrincipalId;
 
-/// The output of a splice's id/refcount phase: the coalesced replacement
-/// segments (sets already acquired) plus the presence-map deltas, ready
-/// to apply to the interval vectors without touching the interner.
-struct SplicePlan {
-    lo: usize,
-    hi: usize,
-    merged: Vec<(Word, Word, WriterSetId)>,
-    inc: Vec<PrincipalId>,
-    dec: Vec<PrincipalId>,
-}
-
 /// Interned id of a sorted, deduplicated set of writer principals.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct WriterSetId(pub u32);
@@ -128,10 +120,35 @@ pub(crate) struct SetInterner {
     /// Number of interval entries (across all shards) holding each id.
     refs: Vec<u32>,
     ids: HashMap<Vec<PrincipalId>, WriterSetId>,
-    /// Recycled slots (freed sets) available for reuse.
+    /// Recycled slots (freed sets) available for reuse. A freed slot
+    /// keeps its (cleared) buffer, so reusing it copies in place.
     free: Vec<u32>,
     /// Monotonic count of slot allocations (including reuses).
     ever: u64,
+    /// Candidate buffer [`with`](SetInterner::with) and
+    /// [`without`](SetInterner::without) build the next set in, so a
+    /// lookup that finds an existing set allocates nothing.
+    cand: Vec<PrincipalId>,
+    /// Every set operation and its answer, replayed by the equivalence
+    /// test against an allocating reference interner.
+    #[cfg(test)]
+    log: Vec<InternCall>,
+}
+
+/// One recorded interner call (test builds only).
+#[cfg(test)]
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum InternCall {
+    /// `singleton(p) = id`.
+    Singleton(PrincipalId, WriterSetId),
+    /// `with(sid, p) = id`.
+    With(WriterSetId, PrincipalId, WriterSetId),
+    /// `without(sid, p) = id`.
+    Without(WriterSetId, PrincipalId, WriterSetId),
+    /// `acquire(id)`.
+    Acquire(WriterSetId),
+    /// `release(id)`.
+    Release(WriterSetId),
 }
 
 impl SetInterner {
@@ -142,32 +159,44 @@ impl SetInterner {
             ids: HashMap::new(),
             free: Vec::new(),
             ever: 0,
+            cand: Vec::new(),
+            #[cfg(test)]
+            log: Vec::new(),
         };
-        it.intern(Vec::new()); // id 0 = the empty set
+        it.intern(&[]); // id 0 = the empty set
         it
     }
 
-    /// Interns a sorted, deduplicated principal set. A newly allocated
-    /// slot starts at refcount 0; the caller must [`acquire`] it when an
-    /// interval entry takes the id (splice does this).
+    /// Interns a sorted, deduplicated principal set, looked up by slice:
+    /// only a set not already live allocates (its id-map key). A newly
+    /// allocated slot starts at refcount 0; the caller must [`acquire`]
+    /// it when an interval entry takes the id (splice does this).
     ///
     /// [`acquire`]: SetInterner::acquire
-    fn intern(&mut self, set: Vec<PrincipalId>) -> WriterSetId {
+    fn intern(&mut self, set: &[PrincipalId]) -> WriterSetId {
         debug_assert!(set.windows(2).all(|w| w[0] < w[1]), "sorted + dedup'd");
-        if let Some(&id) = self.ids.get(&set) {
+        if let Some(&id) = self.ids.get(set) {
             return id;
         }
         self.ever += 1;
         let id = if let Some(slot) = self.free.pop() {
             debug_assert_eq!(self.refs[slot as usize], 0, "recycled slot is dead");
-            self.sets[slot as usize] = set.clone();
+            self.sets[slot as usize].extend_from_slice(set);
             WriterSetId(slot)
         } else {
-            self.sets.push(set.clone());
+            self.sets.push(set.to_vec());
             self.refs.push(0);
             WriterSetId((self.sets.len() - 1) as u32)
         };
-        self.ids.insert(set, id);
+        self.ids.insert(set.to_vec(), id);
+        id
+    }
+
+    /// Interns the set in the candidate buffer.
+    fn intern_cand(&mut self) -> WriterSetId {
+        let cand = std::mem::take(&mut self.cand);
+        let id = self.intern(&cand);
+        self.cand = cand;
         id
     }
 
@@ -177,6 +206,8 @@ impl SetInterner {
 
     /// One more interval entry references `id`.
     fn acquire(&mut self, id: WriterSetId) {
+        #[cfg(test)]
+        self.log.push(InternCall::Acquire(id));
         if id != EMPTY_WRITERS {
             self.refs[id.0 as usize] += 1;
         }
@@ -184,49 +215,61 @@ impl SetInterner {
 
     /// One interval entry dropped `id`; frees the set when unreferenced.
     fn release(&mut self, id: WriterSetId) {
+        #[cfg(test)]
+        self.log.push(InternCall::Release(id));
         if id == EMPTY_WRITERS {
             return;
         }
         let i = id.0 as usize;
         self.refs[i] -= 1;
         if self.refs[i] == 0 {
-            let set = std::mem::take(&mut self.sets[i]);
-            self.ids.remove(&set);
+            self.ids.remove(self.sets[i].as_slice());
+            self.sets[i].clear();
             self.free.push(id.0);
         }
     }
 
     /// The set `sid ∪ {p}`.
     fn with(&mut self, sid: WriterSetId, p: PrincipalId) -> WriterSetId {
-        let cur = self.get(sid);
-        match cur.binary_search(&p) {
+        let cur = &self.sets[sid.0 as usize];
+        let id = match cur.binary_search(&p) {
             Ok(_) => sid,
             Err(pos) => {
-                let mut v = cur.to_vec();
-                v.insert(pos, p);
-                self.intern(v)
+                self.cand.clear();
+                self.cand.extend_from_slice(&cur[..pos]);
+                self.cand.push(p);
+                self.cand.extend_from_slice(&cur[pos..]);
+                self.intern_cand()
             }
-        }
+        };
+        #[cfg(test)]
+        self.log.push(InternCall::With(sid, p, id));
+        id
     }
 
     /// The set `sid ∖ {p}`.
     fn without(&mut self, sid: WriterSetId, p: PrincipalId) -> WriterSetId {
-        let cur = self.get(sid);
-        match cur.binary_search(&p) {
+        let cur = &self.sets[sid.0 as usize];
+        let id = match cur.binary_search(&p) {
             Err(_) => sid,
+            Ok(_) if cur.len() == 1 => EMPTY_WRITERS,
             Ok(pos) => {
-                if cur.len() == 1 {
-                    return EMPTY_WRITERS;
-                }
-                let mut v = cur.to_vec();
-                v.remove(pos);
-                self.intern(v)
+                self.cand.clear();
+                self.cand.extend_from_slice(&cur[..pos]);
+                self.cand.extend_from_slice(&cur[pos + 1..]);
+                self.intern_cand()
             }
-        }
+        };
+        #[cfg(test)]
+        self.log.push(InternCall::Without(sid, p, id));
+        id
     }
 
     fn singleton(&mut self, p: PrincipalId) -> WriterSetId {
-        self.intern(vec![p])
+        let id = self.intern(&[p]);
+        #[cfg(test)]
+        self.log.push(InternCall::Singleton(p, id));
+        id
     }
 
     /// Live distinct sets (including the pinned empty set).
@@ -310,6 +353,10 @@ pub(crate) struct IndexShard {
     /// per-splice maintenance is two array ops per set member; the slots
     /// of principals never seen in this shard simply stay zero.
     present: Vec<u32>,
+    /// The coalesced replacement segments of the splice in progress,
+    /// reused across splices under the shard lock (sets already interned
+    /// by the plan phase).
+    repl: Vec<(Word, Word, WriterSetId)>,
 }
 
 impl IndexShard {
@@ -340,102 +387,74 @@ impl IndexShard {
         (lo, hi.max(lo))
     }
 
-    /// Completes the id/refcount phase of a splice: coalesces `repl`,
-    /// acquires the new segments' sets, releases the replaced entries'
-    /// sets (new acquired before old release, so a set that survives the
-    /// splice is never transiently freed), and records the presence-map
-    /// deltas. Everything that needs the interner happens here; the
-    /// returned plan is applied by [`IndexShard::apply_splice`] with no
-    /// interner access at all.
-    fn plan_splice(
-        &self,
-        interner: &mut SetInterner,
-        lo: usize,
-        hi: usize,
-        repl: Vec<(Word, Word, WriterSetId)>,
-    ) -> SplicePlan {
-        let mut merged: Vec<(Word, Word, WriterSetId)> = Vec::with_capacity(repl.len());
-        for seg in repl {
-            debug_assert!(seg.0 < seg.1, "non-empty segment");
-            if let Some(last) = merged.last_mut() {
-                if last.1 == seg.0 && last.2 == seg.2 {
-                    last.1 = seg.1;
-                    continue;
-                }
+    /// Appends a segment to the replacement buffer, coalescing it into
+    /// the previous one when they touch and share a set.
+    fn push_seg(&mut self, seg: (Word, Word, WriterSetId)) {
+        debug_assert!(seg.0 < seg.1, "non-empty segment");
+        if let Some(last) = self.repl.last_mut() {
+            if last.1 == seg.0 && last.2 == seg.2 {
+                last.1 = seg.1;
+                return;
             }
-            merged.push(seg);
         }
-        let mut inc = Vec::new();
-        let mut dec = Vec::new();
-        for seg in &merged {
-            interner.acquire(seg.2);
-            inc.extend_from_slice(interner.get(seg.2));
+        self.repl.push(seg);
+    }
+
+    /// Completes the id/refcount phase of a splice replacing entries
+    /// `lo..hi` with the planned `repl`: acquires the new segments' sets,
+    /// releases the replaced entries' sets (new acquired before old
+    /// release, so a set that survives the splice is never transiently
+    /// freed), and applies the presence-map deltas. Everything that
+    /// needs the interner happens here; [`IndexShard::apply_splice`]
+    /// then runs with no interner access at all.
+    fn plan_splice(&mut self, interner: &mut SetInterner, lo: usize, hi: usize) {
+        for i in 0..self.repl.len() {
+            let sid = self.repl[i].2;
+            interner.acquire(sid);
+            for &w in interner.get(sid) {
+                self.present_inc(w);
+            }
         }
         for j in lo..hi {
             // Presence decrements read the set before releasing it (a
             // release can free the slot).
-            dec.extend_from_slice(interner.get(self.sets[j]));
-            interner.release(self.sets[j]);
-        }
-        SplicePlan {
-            lo,
-            hi,
-            merged,
-            inc,
-            dec,
+            let sid = self.sets[j];
+            for &w in interner.get(sid) {
+                self.present_dec(w);
+            }
+            interner.release(sid);
         }
     }
 
-    /// Applies a planned splice: presence-map deltas plus the interval
-    /// memmove. Pure shard-local state — runs under the shard lock alone,
-    /// never the interner's.
-    fn apply_splice(&mut self, plan: SplicePlan) {
-        for &w in &plan.inc {
-            self.present_inc(w);
-        }
-        for &w in &plan.dec {
-            self.present_dec(w);
-        }
-        self.starts
-            .splice(plan.lo..plan.hi, plan.merged.iter().map(|s| s.0));
-        self.ends
-            .splice(plan.lo..plan.hi, plan.merged.iter().map(|s| s.1));
-        self.sets
-            .splice(plan.lo..plan.hi, plan.merged.iter().map(|s| s.2));
+    /// Applies a planned splice: the interval memmove. Pure shard-local
+    /// state — runs under the shard lock alone, never the interner's.
+    fn apply_splice(&mut self, lo: usize, hi: usize) {
+        let repl = &self.repl;
+        self.starts.splice(lo..hi, repl.iter().map(|s| s.0));
+        self.ends.splice(lo..hi, repl.iter().map(|s| s.1));
+        self.sets.splice(lo..hi, repl.iter().map(|s| s.2));
     }
 
-    /// Replaces entries `lo..hi` with `repl` (single-threaded owner path:
-    /// both phases back to back).
-    fn splice(
-        &mut self,
-        interner: &mut SetInterner,
-        lo: usize,
-        hi: usize,
-        repl: Vec<(Word, Word, WriterSetId)>,
-    ) {
-        let plan = self.plan_splice(interner, lo, hi, repl);
-        self.apply_splice(plan);
-    }
-
-    /// Builds the replacement list for unioning `p` into `[addr, e)`
-    /// (pre-clipped): the id phase of [`IndexShard::add`], reading shard
-    /// state and interning the new sets but mutating no intervals.
+    /// Plans the replacement for unioning `p` into `[addr, e)`
+    /// (pre-clipped) into `repl`: the id phase of [`IndexShard::add`],
+    /// reading shard state and interning the new sets but mutating no
+    /// intervals. Returns the replaced entry range.
     fn plan_add(
-        &self,
+        &mut self,
         interner: &mut SetInterner,
         p: PrincipalId,
         addr: Word,
         e: Word,
-    ) -> (usize, usize, Vec<(Word, Word, WriterSetId)>) {
+    ) -> (usize, usize) {
         let (wlo, whi) = self.window(addr, e);
         let mut lo = wlo;
         let mut hi = whi;
-        let mut out = Vec::new();
+        self.repl.clear();
         // Pull a touching left neighbor into the splice so a coalescible
         // boundary merges instead of fragmenting.
         if wlo > 0 && self.ends[wlo - 1] == addr {
             lo = wlo - 1;
-            out.push((self.starts[lo], self.ends[lo], self.sets[lo]));
+            self.push_seg((self.starts[lo], self.ends[lo], self.sets[lo]));
         }
         let mut cursor = addr;
         for j in wlo..whi {
@@ -443,35 +462,36 @@ impl IndexShard {
             let ov_lo = s.max(addr);
             let ov_hi = en.min(e);
             if s < ov_lo {
-                out.push((s, ov_lo, sid));
+                self.push_seg((s, ov_lo, sid));
             }
             if cursor < ov_lo {
                 let single = interner.singleton(p);
-                out.push((cursor, ov_lo, single));
+                self.push_seg((cursor, ov_lo, single));
             }
             let merged = interner.with(sid, p);
-            out.push((ov_lo, ov_hi, merged));
+            self.push_seg((ov_lo, ov_hi, merged));
             if en > ov_hi {
-                out.push((ov_hi, en, sid));
+                self.push_seg((ov_hi, en, sid));
             }
             cursor = ov_hi;
         }
         if cursor < e {
             let single = interner.singleton(p);
-            out.push((cursor, e, single));
+            self.push_seg((cursor, e, single));
         }
         if whi < self.starts.len() && self.starts[whi] == e {
-            out.push((self.starts[whi], self.ends[whi], self.sets[whi]));
+            self.push_seg((self.starts[whi], self.ends[whi], self.sets[whi]));
             hi = whi + 1;
         }
-        (lo, hi, out)
+        (lo, hi)
     }
 
     /// Unions `p` into `[addr, e)` within this shard (the caller has
     /// already clipped the range to the shard's bounds). Idempotent.
     pub(crate) fn add(&mut self, interner: &mut SetInterner, p: PrincipalId, addr: Word, e: Word) {
-        let (lo, hi, out) = self.plan_add(interner, p, addr, e);
-        self.splice(interner, lo, hi, out);
+        let (lo, hi) = self.plan_add(interner, p, addr, e);
+        self.plan_splice(interner, lo, hi);
+        self.apply_splice(lo, hi);
     }
 
     /// Concurrent-path `add`: the shard lock is held by the caller for
@@ -485,51 +505,52 @@ impl IndexShard {
         addr: Word,
         e: Word,
     ) {
-        let plan = {
+        let (lo, hi) = {
             let mut it = interner.lock().expect("interner lock");
-            let (lo, hi, out) = self.plan_add(&mut it, p, addr, e);
-            self.plan_splice(&mut it, lo, hi, out)
+            let (lo, hi) = self.plan_add(&mut it, p, addr, e);
+            self.plan_splice(&mut it, lo, hi);
+            (lo, hi)
         };
-        self.apply_splice(plan);
+        self.apply_splice(lo, hi);
     }
 
-    /// Builds the replacement list for removing `p` from `[addr, e)`
-    /// (pre-clipped): the id phase of [`IndexShard::remove`].
+    /// Plans the replacement for removing `p` from `[addr, e)`
+    /// (pre-clipped) into `repl`: the id phase of [`IndexShard::remove`].
     fn plan_remove(
-        &self,
+        &mut self,
         interner: &mut SetInterner,
         p: PrincipalId,
         addr: Word,
         e: Word,
-    ) -> (usize, usize, Vec<(Word, Word, WriterSetId)>) {
+    ) -> (usize, usize) {
         let (wlo, whi) = self.window(addr, e);
         let mut lo = wlo;
         let mut hi = whi;
-        let mut out = Vec::new();
+        self.repl.clear();
         if wlo > 0 && self.ends[wlo - 1] == addr {
             lo = wlo - 1;
-            out.push((self.starts[lo], self.ends[lo], self.sets[lo]));
+            self.push_seg((self.starts[lo], self.ends[lo], self.sets[lo]));
         }
         for j in wlo..whi {
             let (s, en, sid) = (self.starts[j], self.ends[j], self.sets[j]);
             let ov_lo = s.max(addr);
             let ov_hi = en.min(e);
             if s < ov_lo {
-                out.push((s, ov_lo, sid));
+                self.push_seg((s, ov_lo, sid));
             }
             let shrunk = interner.without(sid, p);
             if shrunk != EMPTY_WRITERS {
-                out.push((ov_lo, ov_hi, shrunk));
+                self.push_seg((ov_lo, ov_hi, shrunk));
             }
             if en > ov_hi {
-                out.push((ov_hi, en, sid));
+                self.push_seg((ov_hi, en, sid));
             }
         }
         if whi < self.starts.len() && self.starts[whi] == e {
-            out.push((self.starts[whi], self.ends[whi], self.sets[whi]));
+            self.push_seg((self.starts[whi], self.ends[whi], self.sets[whi]));
             hi = whi + 1;
         }
-        (lo, hi, out)
+        (lo, hi)
     }
 
     /// Removes `p` from the writer sets of `[addr, e)` within this shard
@@ -542,8 +563,9 @@ impl IndexShard {
         addr: Word,
         e: Word,
     ) {
-        let (lo, hi, out) = self.plan_remove(interner, p, addr, e);
-        self.splice(interner, lo, hi, out);
+        let (lo, hi) = self.plan_remove(interner, p, addr, e);
+        self.plan_splice(interner, lo, hi);
+        self.apply_splice(lo, hi);
     }
 
     /// Concurrent-path `remove`: same locking discipline as
@@ -555,12 +577,13 @@ impl IndexShard {
         addr: Word,
         e: Word,
     ) {
-        let plan = {
+        let (lo, hi) = {
             let mut it = interner.lock().expect("interner lock");
-            let (lo, hi, out) = self.plan_remove(&mut it, p, addr, e);
-            self.plan_splice(&mut it, lo, hi, out)
+            let (lo, hi) = self.plan_remove(&mut it, p, addr, e);
+            self.plan_splice(&mut it, lo, hi);
+            (lo, hi)
         };
-        self.apply_splice(plan);
+        self.apply_splice(lo, hi);
     }
 
     /// True if any writer interval overlaps `[a, e)` (pre-clipped).
@@ -569,24 +592,18 @@ impl IndexShard {
         lo < hi
     }
 
-    /// Pushes the writers of `[a, e)` onto `out`, skipping principals
-    /// already present there (writer sets are tiny, so the containment
-    /// scan is a few compares).
-    pub(crate) fn collect_writers(
-        &self,
-        interner: &SetInterner,
+    /// The writers of `[a, e)` (pre-clipped), interval by interval: a
+    /// principal in several overlapping intervals repeats.
+    pub(crate) fn writers<'a>(
+        &'a self,
+        interner: &'a SetInterner,
         a: Word,
         e: Word,
-        out: &mut Vec<PrincipalId>,
-    ) {
+    ) -> impl Iterator<Item = PrincipalId> + 'a {
         let (lo, hi) = self.window(a, e);
-        for j in lo..hi {
-            for &w in interner.get(self.sets[j]) {
-                if !out.contains(&w) {
-                    out.push(w);
-                }
-            }
-        }
+        self.sets[lo..hi]
+            .iter()
+            .flat_map(move |&sid| interner.get(sid).iter().copied())
     }
 
     /// Principals with at least one interval in this shard — the kfree
@@ -597,6 +614,15 @@ impl IndexShard {
             .enumerate()
             .filter(|(_, &c)| c > 0)
             .map(|(i, _)| PrincipalId(i as u32))
+    }
+
+    /// The lowest-numbered principal at or above `from` with at least
+    /// one interval in this shard: the kfree sweep walks the presence
+    /// hint with this instead of collecting it.
+    pub(crate) fn next_present(&self, from: usize) -> Option<PrincipalId> {
+        let rest = self.present.get(from..)?;
+        let i = rest.iter().position(|&c| c > 0)?;
+        Some(PrincipalId((from + i) as u32))
     }
 
     /// Live intervals in this shard.
@@ -1338,6 +1364,205 @@ mod tests {
             let mut got = writers(&ix, probe, 8);
             got.sort();
             assert_eq!(got, lin.writers_of(probe, 8), "probe {probe:#x}");
+        }
+    }
+
+    // ------------------------------------------- interner equivalence
+
+    mod interner_equivalence {
+        //! The slice-lookup interner against the interner it replaced,
+        //! which built every candidate set in a fresh `Vec` before the
+        //! lookup. Random grant / revoke / transfer / kfree sequences
+        //! drive the runtime core's index through `add`, `remove`,
+        //! `replace` and `substitute` splices; every interner call they
+        //! make is replayed on the reference, and after each operation
+        //! set ids, slot contents, refcounts, the free list and the
+        //! `ever` counter must agree exactly.
+
+        use std::collections::HashMap;
+
+        use proptest::prelude::*;
+
+        use super::super::{InternCall, SetInterner, WriterSetId, EMPTY_WRITERS};
+        use crate::caps::RawCap;
+        use crate::principal::PrincipalId;
+        use crate::runtime::RuntimeCore;
+
+        /// The allocating reference interner.
+        struct AllocatingInterner {
+            sets: Vec<Vec<PrincipalId>>,
+            refs: Vec<u32>,
+            ids: HashMap<Vec<PrincipalId>, WriterSetId>,
+            free: Vec<u32>,
+            ever: u64,
+        }
+
+        impl AllocatingInterner {
+            fn new() -> Self {
+                let mut it = AllocatingInterner {
+                    sets: Vec::new(),
+                    refs: Vec::new(),
+                    ids: HashMap::new(),
+                    free: Vec::new(),
+                    ever: 0,
+                };
+                it.intern(Vec::new());
+                it
+            }
+
+            fn intern(&mut self, set: Vec<PrincipalId>) -> WriterSetId {
+                if let Some(&id) = self.ids.get(&set) {
+                    return id;
+                }
+                self.ever += 1;
+                let id = if let Some(slot) = self.free.pop() {
+                    self.sets[slot as usize] = set.clone();
+                    WriterSetId(slot)
+                } else {
+                    self.sets.push(set.clone());
+                    self.refs.push(0);
+                    WriterSetId((self.sets.len() - 1) as u32)
+                };
+                self.ids.insert(set, id);
+                id
+            }
+
+            fn with(&mut self, sid: WriterSetId, p: PrincipalId) -> WriterSetId {
+                let cur = &self.sets[sid.0 as usize];
+                match cur.binary_search(&p) {
+                    Ok(_) => sid,
+                    Err(pos) => {
+                        let mut v = cur.to_vec();
+                        v.insert(pos, p);
+                        self.intern(v)
+                    }
+                }
+            }
+
+            fn without(&mut self, sid: WriterSetId, p: PrincipalId) -> WriterSetId {
+                let cur = &self.sets[sid.0 as usize];
+                match cur.binary_search(&p) {
+                    Err(_) => sid,
+                    Ok(_) if cur.len() == 1 => EMPTY_WRITERS,
+                    Ok(pos) => {
+                        let mut v = cur.to_vec();
+                        v.remove(pos);
+                        self.intern(v)
+                    }
+                }
+            }
+
+            fn acquire(&mut self, id: WriterSetId) {
+                if id != EMPTY_WRITERS {
+                    self.refs[id.0 as usize] += 1;
+                }
+            }
+
+            fn release(&mut self, id: WriterSetId) {
+                if id == EMPTY_WRITERS {
+                    return;
+                }
+                let i = id.0 as usize;
+                self.refs[i] -= 1;
+                if self.refs[i] == 0 {
+                    let set = std::mem::take(&mut self.sets[i]);
+                    self.ids.remove(&set);
+                    self.free.push(id.0);
+                }
+            }
+
+            /// Replays one recorded call; the answers must match.
+            fn replay(&mut self, call: InternCall) {
+                match call {
+                    InternCall::Singleton(p, id) => {
+                        assert_eq!(self.intern(vec![p]), id, "{call:?}")
+                    }
+                    InternCall::With(sid, p, id) => assert_eq!(self.with(sid, p), id, "{call:?}"),
+                    InternCall::Without(sid, p, id) => {
+                        assert_eq!(self.without(sid, p), id, "{call:?}")
+                    }
+                    InternCall::Acquire(id) => self.acquire(id),
+                    InternCall::Release(id) => self.release(id),
+                }
+            }
+
+            fn assert_same(&self, it: &SetInterner) {
+                assert_eq!(self.sets, it.sets, "slot contents");
+                assert_eq!(self.refs, it.refs, "refcounts");
+                assert_eq!(self.free, it.free, "free slots");
+                assert_eq!(self.ever, it.ever, "ever counter");
+                assert_eq!(self.ids, it.ids, "id map");
+            }
+        }
+
+        const NPRINC: usize = 5;
+
+        #[derive(Debug, Clone)]
+        enum Op {
+            Grant(usize, u64, u64),
+            Revoke(usize, u64, u64),
+            Transfer(u64, u64, Option<usize>),
+            Kfree(u64, u64),
+        }
+
+        fn arb_op() -> impl Strategy<Value = Op> {
+            // Aligned slots and a few sizes, so exact revokes and
+            // transfers hit held grants and overlaps split intervals.
+            let princ = 0usize..NPRINC;
+            let addr = (0u64..48).prop_map(|k| 0x1000 + k * 0x40);
+            let size = prop_oneof![Just(0x40u64), Just(0x80), Just(0x100), 1u64..0x200];
+            let dst = proptest::option::of(0usize..NPRINC);
+            prop_oneof![
+                (princ.clone(), addr.clone(), size.clone())
+                    .prop_map(|(p, a, s)| Op::Grant(p, a, s)),
+                (princ, addr.clone(), size.clone()).prop_map(|(p, a, s)| Op::Revoke(p, a, s)),
+                (addr.clone(), size.clone(), dst).prop_map(|(a, s, d)| Op::Transfer(a, s, d)),
+                (addr, size).prop_map(|(a, s)| Op::Kfree(a, s)),
+            ]
+        }
+
+        fn run(ops: &[Op], boundaries: Vec<u64>) {
+            let core = RuntimeCore::with_shard_boundaries(boundaries);
+            let m = core.register_module("eq");
+            let ps: Vec<PrincipalId> = (0..NPRINC)
+                .map(|i| core.principal_for_name(m, 0x9000 + i as u64 * 8))
+                .collect();
+            let mut model = AllocatingInterner::new();
+            core.with_interner(|it| model.assert_same(it));
+            for op in ops {
+                match *op {
+                    Op::Grant(p, a, s) => core.grant(ps[p], RawCap::write(a, s)),
+                    Op::Revoke(p, a, s) => {
+                        core.revoke(ps[p], RawCap::write(a, s));
+                    }
+                    Op::Transfer(a, s, d) => {
+                        core.transfer_write(RawCap::write(a, s), d.map(|i| ps[i]));
+                    }
+                    Op::Kfree(a, s) => {
+                        core.revoke_write_overlapping_everywhere(a, s);
+                    }
+                }
+                core.with_interner(|it| {
+                    for call in it.log.drain(..) {
+                        model.replay(call);
+                    }
+                    model.assert_same(it);
+                });
+                core.check_index_invariants();
+            }
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(96))]
+
+            #[test]
+            fn slice_lookup_interner_matches_allocating_reference(
+                ops in proptest::collection::vec(arb_op(), 1..60),
+                sharded: bool,
+            ) {
+                let boundaries = if sharded { vec![0x1400, 0x1800] } else { Vec::new() };
+                run(&ops, boundaries);
+            }
         }
     }
 }

@@ -4,8 +4,9 @@
 //! This facade crate re-exports the workspace: the KIR machine substrate,
 //! the annotation language, the LXFI runtime, the compile-time rewriter,
 //! the simulated Linux kernel, the ten annotated modules, and the CVE
-//! exploit reproductions. See `DESIGN.md` for the system inventory and
-//! `EXPERIMENTS.md` for the paper-vs-measured record.
+//! exploit reproductions. See `ARCHITECTURE.md` for the system
+//! inventory and `README.md` for how each of the paper's tables and
+//! figures is regenerated.
 
 pub use lxfi_annotations as annotations;
 pub use lxfi_core as core;
