@@ -5,6 +5,7 @@
 //! + guard-cache refactor against the paper's masked-slot linear scan.
 
 use std::hint::black_box;
+use std::sync::atomic::{fence, Ordering};
 use std::time::Instant;
 
 use lxfi_core::{
@@ -334,16 +335,27 @@ pub struct RevokeHeavyLatency {
     pub epoch_bumps: u64,
 }
 
-/// Per-call timing overhead of an `Instant::now()/elapsed()` pair,
-/// measured so the per-store numbers can subtract it.
-fn timer_overhead_ns() -> f64 {
-    let reps = 100_000u64;
-    let mut acc = std::time::Duration::ZERO;
-    for _ in 0..reps {
-        let t0 = Instant::now();
-        acc += t0.elapsed();
-    }
-    acc.as_nanos() as f64 / reps as f64
+/// Times one guarded store, net of the clock's own cost. The fence drains
+/// the stores still buffered from whatever ran before (the untimed churn);
+/// an empty `Instant` window taken right before warms the clock read and
+/// is subtracted, so a host-speed change between phases cancels instead
+/// of landing on a ~10 ns quantity.
+fn timed_store_ns(rt: &mut Runtime, t: ThreadId, addr: u64) -> f64 {
+    fence(Ordering::SeqCst);
+    let e0 = Instant::now();
+    let empty = e0.elapsed();
+    let t0 = Instant::now();
+    rt.check_write(t, black_box(addr), 8).unwrap();
+    let window = t0.elapsed();
+    window.as_nanos() as f64 - empty.as_nanos() as f64
+}
+
+/// Median over `iters` per-call samples. The median rather than the mean,
+/// so a preempted or interrupted sample cannot move a phase.
+fn median_per_call(iters: u64, mut step: impl FnMut(u64) -> f64) -> f64 {
+    let mut samples: Vec<f64> = (0..iters.max(1)).map(&mut step).collect();
+    samples.sort_by(f64::total_cmp);
+    samples[samples.len() / 2].max(0.0)
 }
 
 /// Builds the churn runtime: one module, `principals` instances each
@@ -386,50 +398,22 @@ pub fn churn_unrelated(rt: &mut Runtime, ps: &[lxfi_core::PrincipalId], i: u64) 
 }
 
 /// Runs the three phases of the revoke-heavy workload. Store latencies
-/// are timed per call (the interleaved churn must not pollute them)
-/// with the timer overhead subtracted.
+/// are timed per call (the interleaved churn must not pollute them), net
+/// of an empty clock window, and reported as the per-phase median.
 pub fn revoke_heavy_comparison(principals: usize, iters: u64) -> RevokeHeavyLatency {
     let (mut rt, t, ps) = revoke_heavy_runtime(principals);
-    let overhead = timer_overhead_ns();
     let addr = ARENA; // shared-owned; instance 0 reaches it via fallback
-
-    // Minimum over three per-call batches, overhead subtracted — the
-    // same preemption robustness as `time_ns`, per phase.
-    fn min_batches(
-        iters: u64,
-        overhead: f64,
-        mut step: impl FnMut(u64) -> std::time::Duration,
-    ) -> f64 {
-        let batch = (iters / 3).max(1);
-        let mut best = f64::INFINITY;
-        let mut i = 0u64;
-        for _ in 0..3 {
-            let mut acc = std::time::Duration::ZERO;
-            for _ in 0..batch {
-                acc += step(i);
-                i += 1;
-            }
-            best = best.min(acc.as_nanos() as f64 / batch as f64);
-        }
-        (best - overhead).max(0.0)
-    }
 
     // Steady state: guarded stores, no churn.
     rt.check_write(t, addr, 8).unwrap(); // prime the cache
-    let steady_ns = min_batches(iters, overhead, |_| {
-        let t0 = Instant::now();
-        rt.check_write(t, black_box(addr), 8).unwrap();
-        t0.elapsed()
-    });
+    let steady_ns = median_per_call(iters, |_| timed_store_ns(&mut rt, t, addr));
 
     // Churn: an unrelated instance's grant revoked and re-granted
     // between every pair of guarded stores (untimed).
     rt.stats.reset();
-    let post_revoke_ns = min_batches(iters, overhead, |i| {
+    let post_revoke_ns = median_per_call(iters, |i| {
         churn_unrelated(&mut rt, &ps, i);
-        let t0 = Instant::now();
-        rt.check_write(t, black_box(addr), 8).unwrap();
-        t0.elapsed()
+        timed_store_ns(&mut rt, t, addr)
     });
     let cache_hits = rt.stats.write_cache_hits;
     let cache_misses = rt.stats.write_cache_misses;
@@ -439,11 +423,7 @@ pub fn revoke_heavy_comparison(principals: usize, iters: u64) -> RevokeHeavyLate
     // Uncached probe: what every post-revoke store cost before the
     // epoch cache (instance-table miss + shared-table search).
     rt.guard_cache_enabled = false;
-    let uncached_ns = min_batches(iters, overhead, |_| {
-        let t0 = Instant::now();
-        rt.check_write(t, black_box(addr), 8).unwrap();
-        t0.elapsed()
-    });
+    let uncached_ns = median_per_call(iters, |_| timed_store_ns(&mut rt, t, addr));
 
     RevokeHeavyLatency {
         principals,
