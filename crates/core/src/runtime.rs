@@ -905,12 +905,15 @@ impl RuntimeCore {
     /// conservative index-before-table order as [`RuntimeCore::grant`]).
     pub fn transfer_write(&self, cap: RawCap, dst: Option<PrincipalId>) -> (bool, u64) {
         debug_assert_eq!(cap.ctype, CapType::Write);
-        let holder = match self
+        // Bound first so the sharding read guard drops here: the slow
+        // path below re-takes it and takes caps mutexes, which must not
+        // nest inside it (caps → sharding is the documented order).
+        let holders = self
             .sharding
             .read()
             .expect("sharding lock")
-            .holders(cap.addr, cap.size)
-        {
+            .holders(cap.addr, cap.size);
+        let holder = match holders {
             Holders::Many => {
                 let bumps = self.revoke_everywhere(cap);
                 if let Some(d) = dst {
@@ -1843,7 +1846,9 @@ impl Runtime {
     /// Registers a kernel thread and its stack range (the module receives
     /// implicit WRITE access to the current kernel stack, §3.2). Each
     /// thread gets its own guard lane: shadow stack plus a private
-    /// epoch-validated write-guard cache.
+    /// epoch-validated write-guard cache. Lanes are indexed by `t.0`, so
+    /// the lane vector grows to the largest id registered: ids are meant
+    /// to be dense (the kernel numbers them by stack slot).
     pub fn register_thread(&mut self, t: ThreadId, stack_base: Word, stack_len: u64) {
         let mut lane = GuardState::new();
         lane.kstack = Some((stack_base, stack_len));
