@@ -4,12 +4,12 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use lxfi_core::runtime::FnMeta;
-use lxfi_core::{RawCap, Runtime, ThreadId};
+use lxfi_core::{GuardHandle, RawCap};
 
 fn benches(c: &mut Criterion) {
-    let mut rt = Runtime::new();
+    let mut rt: GuardHandle = GuardHandle::new(Default::default());
     let m = rt.register_module("bench");
-    rt.register_thread(ThreadId(0), 0xffff_9000_0000_0000, 0x2000);
+    rt.set_kernel_stack(0xffff_9000_0000_0000, 0x2000);
     let p = rt.principal_for_name(m, 0x9000);
     rt.grant(p, RawCap::write(0x5000, 4096));
     rt.grant(p, RawCap::call(0xf000));
@@ -21,11 +21,10 @@ fn benches(c: &mut Criterion) {
             module: Some(m),
         },
     );
-    let t = ThreadId(0);
-    rt.thread(t).set_current(Some((m, p)));
+    rt.set_current(Some((m, p)));
 
     c.bench_function("guard_mem_write", |b| {
-        b.iter(|| rt.check_write(t, std::hint::black_box(0x5100), 8).unwrap())
+        b.iter(|| rt.check_write(std::hint::black_box(0x5100), 8).unwrap())
     });
 
     // Fast path: a slot no module can write.
@@ -46,8 +45,8 @@ fn benches(c: &mut Criterion) {
 
     c.bench_function("wrapper_entry_exit", |b| {
         b.iter(|| {
-            let tok = rt.wrapper_enter(t, Some((m, p)));
-            rt.wrapper_exit(t, tok).unwrap();
+            let tok = rt.wrapper_enter(Some((m, p)));
+            rt.wrapper_exit(tok).unwrap();
         })
     });
 
@@ -111,16 +110,16 @@ fn write_table_benches(c: &mut Criterion) {
     group.finish();
 
     let mut group = c.benchmark_group("guard_write_512_grants");
-    let (mut rt, t) = bench_guard_runtime(GRANTS);
+    let mut rt = bench_guard_runtime(GRANTS);
     group.bench_function("repeated_store_cache_hit", |b| {
-        b.iter(|| rt.check_write(t, std::hint::black_box(ARENA), 8).unwrap())
+        b.iter(|| rt.check_write(std::hint::black_box(ARENA), 8).unwrap())
     });
     let mut i = 0u64;
     group.bench_function("rotating_store_cache_miss", |b| {
         b.iter(|| {
             let a = rotating_hit_probe(i, GRANTS);
             i += 1;
-            rt.check_write(t, std::hint::black_box(a), 8).unwrap()
+            rt.check_write(std::hint::black_box(a), 8).unwrap()
         })
     });
     group.finish();
@@ -130,16 +129,16 @@ fn write_table_benches(c: &mut Criterion) {
     // of the measured loop here; the table harness separates them).
     let mut group = c.benchmark_group("guard_write_revoke_churn_64");
     use lxfi_bench::guards::{churn_unrelated, revoke_heavy_runtime};
-    let (mut rt, t, ps) = revoke_heavy_runtime(64);
+    let (mut rt, ps) = revoke_heavy_runtime(64);
     group.bench_function("steady_store", |b| {
-        b.iter(|| rt.check_write(t, std::hint::black_box(ARENA), 8).unwrap())
+        b.iter(|| rt.check_write(std::hint::black_box(ARENA), 8).unwrap())
     });
     let mut i = 0u64;
     group.bench_function("unrelated_revoke_plus_store", |b| {
         b.iter(|| {
             churn_unrelated(&mut rt, &ps, i);
             i += 1;
-            rt.check_write(t, std::hint::black_box(ARENA), 8).unwrap()
+            rt.check_write(std::hint::black_box(ARENA), 8).unwrap()
         })
     });
     group.finish();

@@ -6,7 +6,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use lxfi_bench::writer_index::{bench_writer_indexes, rotating_slot_probe, SLOT_BASE};
 use lxfi_core::runtime::FnMeta;
-use lxfi_core::{RawCap, Runtime, ThreadId};
+use lxfi_core::{GuardHandle, RawCap};
 
 fn lookup_benches(c: &mut Criterion) {
     for n in [8usize, 64, 512] {
@@ -37,9 +37,8 @@ fn lookup_benches(c: &mut Criterion) {
 /// writable by two principals that both hold CALL for the target, so
 /// `check_indcall` runs the whole writer-set + capability check.
 fn indcall_slow_path_bench(c: &mut Criterion) {
-    let mut rt = Runtime::new();
+    let mut rt: GuardHandle = GuardHandle::new(Default::default());
     let m = rt.register_module("bench");
-    rt.register_thread(ThreadId(0), 0xffff_9000_0000_0000, 0x2000);
     let slot = SLOT_BASE;
     let target = 0xf000u64;
     for i in 0..512u64 {

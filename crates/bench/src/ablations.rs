@@ -17,7 +17,7 @@
 use std::hint::black_box;
 use std::time::Instant;
 
-use lxfi_core::{GuardHandle, GuardKind, RawCap, Replacement, Runtime};
+use lxfi_core::{GuardHandle, GuardKind, RawCap, Replacement, RuntimeCore};
 use lxfi_kernel::{IsolationMode, Kernel};
 use lxfi_rewriter::{rewrite_module, RewriteOptions};
 
@@ -149,13 +149,13 @@ pub struct WaysAblationRow {
 /// rotation (descriptor-then-payload-then-state style), `stores` stores
 /// total. Returns `(hit_rate, ns_per_store)`.
 fn run_ways<const W: usize>(objects: usize, stores: u64, policy: Replacement) -> (f64, f64) {
-    let mut rt = Runtime::new();
+    let rt = RuntimeCore::new();
     let m = rt.register_module("ways");
     let p = rt.principal_for_name(m, 0x9000);
     for k in 0..objects as u64 {
         rt.grant(p, RawCap::write(WAYS_ARENA + k * WAYS_OBJ_STRIDE, 0x200));
     }
-    let mut h: GuardHandle<W> = GuardHandle::new(rt.share());
+    let mut h: GuardHandle<W> = GuardHandle::new(std::sync::Arc::new(rt));
     h.set_cache_policy(policy);
     h.set_current(Some((m, p)));
     let addr = |i: u64| {

@@ -320,7 +320,7 @@ fn main() {
 
     let cache = guards::guard_cache_comparison(512, 200_000);
     println!(
-        "\nFull write guard (Runtime::check_write, 512 grants): repeated\n\
+        "\nFull write guard (GuardHandle::check_write, 512 grants): repeated\n\
          stores into one object {:.1} ns (cache hit rate {:.1}%), stores\n\
          rotating across grants {:.1} ns.",
         cache.repeated_ns,

@@ -8,9 +8,7 @@ use std::hint::black_box;
 use std::sync::atomic::{fence, Ordering};
 use std::time::Instant;
 
-use lxfi_core::{
-    GuardKind, LinearWriteTable, RawCap, Runtime, ThreadId, WriteTable, ALL_GUARD_KINDS,
-};
+use lxfi_core::{GuardHandle, GuardKind, LinearWriteTable, RawCap, WriteTable, ALL_GUARD_KINDS};
 use lxfi_kernel::IsolationMode;
 
 use crate::netperf::boot_e1000;
@@ -162,20 +160,19 @@ pub fn bench_tables(grants: usize) -> (LinearWriteTable, WriteTable) {
     (linear, interval)
 }
 
-/// A runtime whose current principal holds the benchmark arena's
+/// A guard handle whose current principal holds the benchmark arena's
 /// grants, ready for `check_write` timing.
-pub fn bench_guard_runtime(grants: usize) -> (Runtime, ThreadId) {
+pub fn bench_guard_runtime(grants: usize) -> GuardHandle {
     assert!(grants > 0, "benchmark arena needs at least one grant");
-    let mut rt = Runtime::new();
+    let mut rt: GuardHandle = GuardHandle::new(Default::default());
     let m = rt.register_module("bench");
-    let t = ThreadId(0);
-    rt.register_thread(t, 0xffff_9000_0000_0000, 0x2000);
+    rt.set_kernel_stack(0xffff_9000_0000_0000, 0x2000);
     let p = rt.principal_for_name(m, 0x9000);
     for i in 0..grants as u64 {
         rt.grant(p, RawCap::write(ARENA + i * STRIDE, 8));
     }
-    rt.thread(t).set_current(Some((m, p)));
-    (rt, t)
+    rt.set_current(Some((m, p)));
+    rt
 }
 
 /// Measured hit/miss latency of one WRITE-table structure.
@@ -251,7 +248,7 @@ pub fn write_table_comparison(grants: usize, iters: u64) -> Vec<WriteTableLatenc
     rows
 }
 
-/// Measured latency of the full write guard ([`Runtime::check_write`])
+/// Measured latency of the full write guard ([`GuardHandle::check_write`])
 /// over the same arena, isolating what the one-entry last-grant-hit
 /// cache buys.
 #[derive(Debug, Clone)]
@@ -269,11 +266,11 @@ pub struct GuardCacheLatency {
 /// Times `check_write` with the guard cache hot (repeated probes into
 /// one grant) and cold (probes rotating across `grants` grants).
 pub fn guard_cache_comparison(grants: usize, iters: u64) -> GuardCacheLatency {
-    let (mut rt, t) = bench_guard_runtime(grants);
+    let mut rt = bench_guard_runtime(grants);
 
     rt.stats.reset();
     let repeated_ns = time_ns(iters, || {
-        rt.check_write(t, black_box(ARENA), 8).unwrap();
+        rt.check_write(black_box(ARENA), 8).unwrap();
     });
     let hit_rate =
         rt.stats.write_cache_hits as f64 / rt.stats.count(GuardKind::MemWrite).max(1) as f64;
@@ -282,7 +279,7 @@ pub fn guard_cache_comparison(grants: usize, iters: u64) -> GuardCacheLatency {
     let rotating_ns = time_ns(iters, || {
         let a = rotating_hit_probe(i, grants);
         i += 1;
-        rt.check_write(t, black_box(a), 8).unwrap();
+        rt.check_write(black_box(a), 8).unwrap();
     });
     GuardCacheLatency {
         repeated_ns,
@@ -340,12 +337,12 @@ pub struct RevokeHeavyLatency {
 /// an empty `Instant` window taken right before warms the clock read and
 /// is subtracted, so a host-speed change between phases cancels instead
 /// of landing on a ~10 ns quantity.
-fn timed_store_ns(rt: &mut Runtime, t: ThreadId, addr: u64) -> f64 {
+fn timed_store_ns(rt: &mut GuardHandle, addr: u64) -> f64 {
     fence(Ordering::SeqCst);
     let e0 = Instant::now();
     let empty = e0.elapsed();
     let t0 = Instant::now();
-    rt.check_write(t, black_box(addr), 8).unwrap();
+    rt.check_write(black_box(addr), 8).unwrap();
     let window = t0.elapsed();
     window.as_nanos() as f64 - empty.as_nanos() as f64
 }
@@ -358,17 +355,16 @@ fn median_per_call(iters: u64, mut step: impl FnMut(u64) -> f64) -> f64 {
     samples[samples.len() / 2].max(0.0)
 }
 
-/// Builds the churn runtime: one module, `principals` instances each
-/// holding a private arena grant, and [`SHARED_GRANTS`] disjoint grants
-/// on the shared principal. Instance 0 is the measured writer; its
+/// Builds the churn world, a handle over a fresh core: one module,
+/// `principals` instances each holding a private arena grant, and
+/// [`SHARED_GRANTS`] disjoint grants on the shared principal. Instance 0 is the measured writer; its
 /// stores land in shared-owned memory (instance table misses, shared
 /// table covers — the §3.1 fallback).
-pub fn revoke_heavy_runtime(principals: usize) -> (Runtime, ThreadId, Vec<lxfi_core::PrincipalId>) {
+pub fn revoke_heavy_runtime(principals: usize) -> (GuardHandle, Vec<lxfi_core::PrincipalId>) {
     assert!(principals >= 2, "churn needs an unrelated principal");
-    let mut rt = Runtime::new();
+    let mut rt: GuardHandle = GuardHandle::new(Default::default());
     let m = rt.register_module("bench");
-    let t = ThreadId(0);
-    rt.register_thread(t, 0xffff_9000_0000_0000, 0x2000);
+    rt.set_kernel_stack(0xffff_9000_0000_0000, 0x2000);
     let shared = rt.shared_principal(m);
     for i in 0..SHARED_GRANTS as u64 {
         rt.grant(shared, RawCap::write(ARENA + i * STRIDE, 8));
@@ -382,15 +378,15 @@ pub fn revoke_heavy_runtime(principals: usize) -> (Runtime, ThreadId, Vec<lxfi_c
             RawCap::write(CHURN_ARENA + i as u64 * CHURN_STRIDE, 0x100),
         );
     }
-    rt.thread(t).set_current(Some((m, ps[0])));
-    (rt, t, ps)
+    rt.set_current(Some((m, ps[0])));
+    (rt, ps)
 }
 
 /// The unrelated-churn step of the revoke-heavy workload: the `i`-th
 /// rotated victim instance (never instance 0, the measured writer) has
 /// its private arena grant revoked and re-granted. Shared by the table
 /// harness and the criterion bench so both measure the same churn.
-pub fn churn_unrelated(rt: &mut Runtime, ps: &[lxfi_core::PrincipalId], i: u64) {
+pub fn churn_unrelated(rt: &mut GuardHandle, ps: &[lxfi_core::PrincipalId], i: u64) {
     let victim = 1 + (i as usize % (ps.len() - 1));
     let cap = RawCap::write(CHURN_ARENA + victim as u64 * CHURN_STRIDE, 0x100);
     rt.revoke(ps[victim], cap);
@@ -401,19 +397,19 @@ pub fn churn_unrelated(rt: &mut Runtime, ps: &[lxfi_core::PrincipalId], i: u64) 
 /// are timed per call (the interleaved churn must not pollute them), net
 /// of an empty clock window, and reported as the per-phase median.
 pub fn revoke_heavy_comparison(principals: usize, iters: u64) -> RevokeHeavyLatency {
-    let (mut rt, t, ps) = revoke_heavy_runtime(principals);
+    let (mut rt, ps) = revoke_heavy_runtime(principals);
     let addr = ARENA; // shared-owned; instance 0 reaches it via fallback
 
     // Steady state: guarded stores, no churn.
-    rt.check_write(t, addr, 8).unwrap(); // prime the cache
-    let steady_ns = median_per_call(iters, |_| timed_store_ns(&mut rt, t, addr));
+    rt.check_write(addr, 8).unwrap(); // prime the cache
+    let steady_ns = median_per_call(iters, |_| timed_store_ns(&mut rt, addr));
 
     // Churn: an unrelated instance's grant revoked and re-granted
     // between every pair of guarded stores (untimed).
     rt.stats.reset();
     let post_revoke_ns = median_per_call(iters, |i| {
         churn_unrelated(&mut rt, &ps, i);
-        timed_store_ns(&mut rt, t, addr)
+        timed_store_ns(&mut rt, addr)
     });
     let cache_hits = rt.stats.write_cache_hits;
     let cache_misses = rt.stats.write_cache_misses;
@@ -423,7 +419,7 @@ pub fn revoke_heavy_comparison(principals: usize, iters: u64) -> RevokeHeavyLate
     // Uncached probe: what every post-revoke store cost before the
     // epoch cache (instance-table miss + shared-table search).
     rt.guard_cache_enabled = false;
-    let uncached_ns = median_per_call(iters, |_| timed_store_ns(&mut rt, t, addr));
+    let uncached_ns = median_per_call(iters, |_| timed_store_ns(&mut rt, addr));
 
     RevokeHeavyLatency {
         principals,

@@ -3,9 +3,9 @@
 //!
 //! `netperf_mt` proved the guard layer scales by driving bare
 //! `GuardHandle`s; this workload proves the whole *kernel* does. Each
-//! worker OS thread owns a [`KernelCpu`] over one shared `KernelCore`
-//! and pushes packets down the full LXFI TX path: `net_send_packet` →
-//! slab skb allocation → the rewritten `dev_queue_xmit` kernel thunk
+//! worker OS thread owns a [`lxfi_kernel::KernelCpu`] over one shared
+//! `KernelCore` and pushes packets down the full LXFI TX path:
+//! `net_send_packet` → slab skb allocation → the rewritten `dev_queue_xmit` kernel thunk
 //! (interpreted, `GuardIndCall` on the module-written ops slot) → the
 //! **interpreted, rewritten `e1000_xmit`** running as the per-device
 //! principal (guarded ring-descriptor/stats stores, skb capability

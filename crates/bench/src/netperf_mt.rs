@@ -31,7 +31,7 @@ use std::sync::{Arc, Barrier};
 use std::thread;
 use std::time::Instant;
 
-use lxfi_core::{GuardHandle, ModuleId, PrincipalId, RawCap, Runtime, RuntimeCore};
+use lxfi_core::{GuardHandle, ModuleId, PrincipalId, RawCap, RuntimeCore};
 
 /// Base address of the per-worker TX arenas.
 pub const MT_ARENA_BASE: u64 = 0x5000_0000;
@@ -67,7 +67,7 @@ pub fn build_world(threads: usize) -> MtWorld {
     let boundaries: Vec<u64> = (0..=threads as u64)
         .map(|t| MT_ARENA_BASE + t * MT_ARENA_STRIDE)
         .collect();
-    let mut rt = Runtime::with_shard_boundaries(boundaries);
+    let rt = RuntimeCore::with_shard_boundaries(boundaries);
     let m = rt.register_module("e1000-mt");
     let workers: Vec<PrincipalId> = (0..threads)
         .map(|t| {
@@ -82,7 +82,7 @@ pub fn build_world(threads: usize) -> MtWorld {
         })
         .collect();
     MtWorld {
-        core: rt.share(),
+        core: Arc::new(rt),
         module: m,
         workers,
     }

@@ -6,12 +6,67 @@
 //! there means a fuel-accounting bug, not just a perf difference.
 
 use lxfi_bench::{dm, netperf, sound};
-use lxfi_kernel::{Backend, IsolationMode};
+use lxfi_core::ALL_GUARD_KINDS;
+use lxfi_kernel::{Backend, IsolationMode, Kernel};
 
 const MODES: [IsolationMode; 2] = [IsolationMode::Stock, IsolationMode::Lxfi];
 
+/// The LXFI netperf sequence's guard metering (boot included), pinned to
+/// the values the per-thread runtime facade produced before it was
+/// folded into `GuardHandle`: every count and cycle charge must survive
+/// that move unchanged, under both backends.
+const LXFI_NETPERF_METERING: [(&str, u64); 21] = [
+    ("total_cycles", 44116),
+    ("AnnotationAction count", 55),
+    ("AnnotationAction cycles", 6820),
+    ("FunctionEntry count", 35),
+    ("FunctionEntry cycles", 560),
+    ("FunctionExit count", 35),
+    ("FunctionExit cycles", 490),
+    ("MemWrite count", 485),
+    ("MemWrite cycles", 24735),
+    ("KernelIndCall count", 6),
+    ("KernelIndCall cycles", 472),
+    ("write_cache_hits", 446),
+    ("write_cache_misses", 39),
+    ("epoch_bumps", 48),
+    ("kfree_hint_visited", 8),
+    ("kfree_hint_skipped", 40),
+    ("transfer_fast", 42),
+    ("transfer_slow", 0),
+    ("note_zeroed_fast_skips", 1),
+    ("zero_notes_deferred", 19),
+    ("zero_notes_stale", 0),
+];
+
+/// `total_cycles` plus every `GuardStats` counter of CPU 0, labelled.
+fn guard_metering(k: &Kernel) -> Vec<(String, u64)> {
+    let s = &k.rt.stats;
+    let mut v = vec![("total_cycles".to_string(), k.total_cycles())];
+    for kind in ALL_GUARD_KINDS {
+        v.push((format!("{kind:?} count"), s.count(kind)));
+        v.push((format!("{kind:?} cycles"), s.cycles(kind)));
+    }
+    for (name, n) in [
+        ("write_cache_hits", s.write_cache_hits),
+        ("write_cache_misses", s.write_cache_misses),
+        ("epoch_bumps", s.epoch_bumps),
+        ("kfree_hint_visited", s.kfree_hint_visited),
+        ("kfree_hint_skipped", s.kfree_hint_skipped),
+        ("transfer_fast", s.transfer_fast),
+        ("transfer_slow", s.transfer_slow),
+        ("note_zeroed_fast_skips", s.note_zeroed_fast_skips),
+        ("zero_notes_deferred", s.zero_notes_deferred),
+        ("zero_notes_stale", s.zero_notes_stale),
+    ] {
+        v.push((name.to_string(), n));
+    }
+    v
+}
+
 /// netperf: packet TX + RX deliver identical skb handles, rx counts,
-/// device counters, and simulated cycles under both backends.
+/// device counters, and simulated cycles under both backends; under LXFI
+/// the guard metering also matches [`LXFI_NETPERF_METERING`] exactly.
 #[test]
 fn netperf_matrix() {
     for mode in MODES {
@@ -25,6 +80,13 @@ fn netperf_matrix() {
             log.push(k.enter(|k| k.net_deliver_rx(dev, 8)).unwrap());
             log.push(k.enter(|k| k.net_send_packet(dev, 1448)).unwrap());
             assert!(k.panic_reason().is_none(), "{mode:?}/{backend:?} panicked");
+            if mode == IsolationMode::Lxfi {
+                let want: Vec<(String, u64)> = LXFI_NETPERF_METERING
+                    .iter()
+                    .map(|&(name, n)| (name.to_string(), n))
+                    .collect();
+                assert_eq!(guard_metering(&k), want, "{backend:?} guard metering");
+            }
             obs.push((log, k.total_cycles()));
         }
         assert_eq!(

@@ -21,8 +21,9 @@ use crate::caps::RawCap;
 use crate::compiled::{
     compile_annotations, eval_compiled, CAction, CCapKind, CCapList, CSize, CallValues, CompiledAnn,
 };
+use crate::handle::GuardHandle;
 use crate::iface::{FnDecl, TypeLayouts};
-use crate::runtime::{EmittedCap, Runtime};
+use crate::runtime::{EmittedCap, RuntimeCore};
 use crate::shadow::PrincipalCtx;
 use crate::stats::GuardKind;
 use crate::Violation;
@@ -59,7 +60,7 @@ pub struct CallSite<'a> {
 /// test) is compiled on the fly — same semantics, registration-time
 /// cost paid per call.
 pub fn apply_actions(
-    rt: &mut Runtime,
+    rt: &mut GuardHandle,
     mem: &AddressSpace,
     layouts: &TypeLayouts,
     site: &CallSite<'_>,
@@ -91,7 +92,7 @@ pub fn apply_actions(
 }
 
 fn apply_one(
-    rt: &mut Runtime,
+    rt: &mut GuardHandle,
     mem: &AddressSpace,
     site: &CallSite<'_>,
     dir: Dir,
@@ -137,14 +138,14 @@ fn apply_one(
 }
 
 /// Resolves `caps` completely, then runs `f` on each capability in
-/// order. The caplist resolves into the runtime's reusable buffer, so
+/// order. The caplist resolves into the handle's reusable buffer, so
 /// the handoff allocates nothing.
 fn for_each_cap(
-    rt: &mut Runtime,
+    rt: &mut GuardHandle,
     mem: &AddressSpace,
     vals: CallValues<'_>,
     caps: &CCapList,
-    mut f: impl FnMut(&mut Runtime, RawCap) -> Result<(), Violation>,
+    mut f: impl FnMut(&mut GuardHandle, RawCap) -> Result<(), Violation>,
 ) -> Result<(), Violation> {
     let mut resolved = std::mem::take(&mut rt.caps_scratch);
     resolved.clear();
@@ -154,7 +155,7 @@ fn for_each_cap(
     r
 }
 
-fn record_action(rt: &mut Runtime) {
+fn record_action(rt: &mut GuardHandle) {
     let c = rt.costs.annotation_action;
     rt.stats.record(GuardKind::AnnotationAction, c);
 }
@@ -167,7 +168,7 @@ fn endpoints(site: &CallSite<'_>, dir: Dir) -> (PrincipalCtx, PrincipalCtx) {
     }
 }
 
-fn require_owned(rt: &Runtime, ctx: PrincipalCtx, cap: RawCap) -> Result<(), Violation> {
+fn require_owned(rt: &RuntimeCore, ctx: PrincipalCtx, cap: RawCap) -> Result<(), Violation> {
     if rt.ctx_owns(ctx, cap) {
         return Ok(());
     }
@@ -195,7 +196,7 @@ fn require_owned(rt: &Runtime, ctx: PrincipalCtx, cap: RawCap) -> Result<(), Vio
 /// types and iterator names were interned at compile time, so no string
 /// work happens here.
 fn resolve_caplist(
-    rt: &Runtime,
+    rt: &RuntimeCore,
     mem: &AddressSpace,
     vals: CallValues<'_>,
     caps: &CCapList,
@@ -225,7 +226,7 @@ fn resolve_caplist(
         }
         CCapList::Iter { func, arg } => {
             let v = eval_compiled(arg, vals, rt)? as u64;
-            rt.core().run_iterator_id(*func, mem, v, out)
+            rt.run_iterator_id(*func, mem, v, out)
         }
     }
 }
@@ -235,13 +236,12 @@ mod tests {
     use super::*;
     use crate::iface::Param;
     use crate::principal::ModuleId;
-    use crate::runtime::ThreadId;
     use lxfi_annotations::parse_fn_annotations;
 
-    fn setup() -> (Runtime, AddressSpace, TypeLayouts, ModuleId) {
-        let mut rt = Runtime::new();
+    fn setup() -> (GuardHandle, AddressSpace, TypeLayouts, ModuleId) {
+        let mut rt: GuardHandle = GuardHandle::new(Default::default());
         let m = rt.register_module("e1000");
-        rt.register_thread(ThreadId(0), 0xffff_9000_0000_0000, 0x4000);
+        rt.set_kernel_stack(0xffff_9000_0000_0000, 0x4000);
         let mem = AddressSpace::new();
         mem.map_range(0x5000, 0x2000);
         let mut layouts = TypeLayouts::new();

@@ -9,7 +9,7 @@
 //!
 //! - parameter idents → argument positions ([`CExpr::Param`]);
 //! - kernel-constant idents → [`ConstId`] slots interned in the
-//!   [`Runtime`] (definable after compilation — a slot left undefined
+//!   [`RuntimeCore`] (definable after compilation — a slot left undefined
 //!   reproduces the unknown-identifier error at evaluation time);
 //! - iterator names → [`IteratorId`] slots (same late-binding rule);
 //! - `ref(type-name)` → [`RefTypeId`];
@@ -26,7 +26,7 @@ use lxfi_machine::Word;
 
 use crate::caps::RefTypeId;
 use crate::iface::{Param, TypeLayouts};
-use crate::runtime::{ConstId, IteratorId, Runtime};
+use crate::runtime::{ConstId, IteratorId, RuntimeCore};
 use crate::Violation;
 
 /// A compiled expression: idents resolved to argument positions or
@@ -131,7 +131,7 @@ pub struct CompiledAnn {
     pub post: Vec<CAction>,
 }
 
-fn compile_expr(e: &Expr, params: &[Param], rt: &mut Runtime) -> CExpr {
+fn compile_expr(e: &Expr, params: &[Param], rt: &RuntimeCore) -> CExpr {
     match e {
         Expr::Int(v) => CExpr::Int(*v),
         Expr::Return => CExpr::Return,
@@ -163,7 +163,7 @@ fn compile_caplist(
     caps: &CapList,
     params: &[Param],
     layouts: &TypeLayouts,
-    rt: &mut Runtime,
+    rt: &RuntimeCore,
 ) -> CCapList {
     match caps {
         CapList::Inline { ctype, ptr, size } => {
@@ -195,7 +195,7 @@ fn compile_action(
     a: &Action,
     params: &[Param],
     layouts: &TypeLayouts,
-    rt: &mut Runtime,
+    rt: &RuntimeCore,
 ) -> CAction {
     match a {
         Action::Copy(c) => CAction::Copy(compile_caplist(c, params, layouts, rt)),
@@ -217,7 +217,7 @@ pub fn compile_annotations(
     ann: &FnAnnotations,
     params: &[Param],
     layouts: &TypeLayouts,
-    rt: &mut Runtime,
+    rt: &RuntimeCore,
 ) -> CompiledAnn {
     let principal = ann.principal.as_ref().map(|p| match p {
         PrincipalExpr::Shared => CPrincipal::Shared,
@@ -254,7 +254,7 @@ pub struct CallValues<'a> {
 /// Evaluates a compiled expression; booleans are 0/1. Semantics mirror
 /// `lxfi_annotations::eval_expr` (wrapping signed arithmetic,
 /// short-circuit `&&`/`||`, checked division).
-pub fn eval_compiled(e: &CExpr, vals: CallValues<'_>, rt: &Runtime) -> Result<i64, Violation> {
+pub fn eval_compiled(e: &CExpr, vals: CallValues<'_>, rt: &RuntimeCore) -> Result<i64, Violation> {
     Ok(match e {
         CExpr::Int(v) => *v,
         CExpr::Return => vals.ret.ok_or_else(|| Violation::BadExpression {
@@ -321,11 +321,11 @@ mod tests {
 
     #[test]
     fn idents_resolve_params_before_consts() {
-        let mut rt = Runtime::new();
+        let rt = RuntimeCore::new();
         rt.define_const("len", 999); // shadowed by the parameter below
         let ann = parse_fn_annotations("pre(if (len > 32) check(write, skb, len))").unwrap();
         let params = vec![Param::ptr("skb", "sk_buff"), Param::scalar("len")];
-        let c = compile_annotations(&ann, &params, &TypeLayouts::new(), &mut rt);
+        let c = compile_annotations(&ann, &params, &TypeLayouts::new(), &rt);
         let CAction::If(cond, _) = &c.pre[0] else {
             panic!("expected if");
         };
@@ -338,11 +338,11 @@ mod tests {
 
     #[test]
     fn consts_may_be_defined_after_compilation() {
-        let mut rt = Runtime::new();
+        let rt = RuntimeCore::new();
         let ann = parse_fn_annotations("post(if (return == -NETDEV_BUSY) transfer(write, p, 8))")
             .unwrap();
         let params = vec![Param::ptr("p", "sk_buff")];
-        let c = compile_annotations(&ann, &params, &TypeLayouts::new(), &mut rt);
+        let c = compile_annotations(&ann, &params, &TypeLayouts::new(), &rt);
         let CAction::If(cond, _) = &c.post[0] else {
             panic!("expected if");
         };
@@ -360,12 +360,12 @@ mod tests {
 
     #[test]
     fn sizeof_defaults_resolve_at_compile_time() {
-        let mut rt = Runtime::new();
+        let rt = RuntimeCore::new();
         let mut layouts = TypeLayouts::new();
         layouts.define("spinlock_t", 8);
         let ann = parse_fn_annotations("pre(check(write, lock))").unwrap();
         let params = vec![Param::ptr("lock", "spinlock_t")];
-        let c = compile_annotations(&ann, &params, &layouts, &mut rt);
+        let c = compile_annotations(&ann, &params, &layouts, &rt);
         let CAction::Check(CCapList::Inline { size, .. }) = &c.pre[0] else {
             panic!("expected inline check");
         };
@@ -374,7 +374,7 @@ mod tests {
 
     #[test]
     fn return_in_pre_is_an_error() {
-        let rt = Runtime::new();
+        let rt = RuntimeCore::new();
         let vals = CallValues {
             args: &[],
             ret: None,

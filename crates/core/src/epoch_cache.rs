@@ -1,6 +1,6 @@
 //! Epoch-validated per-principal write-guard cache.
 //!
-//! The write guard ([`crate::Runtime::check_write`]) runs on every
+//! The write guard ([`crate::GuardHandle::check_write`]) runs on every
 //! un-elided module store, and module code overwhelmingly issues *runs*
 //! of stores into the same few objects (packet payloads, private
 //! structs, ring descriptors). The original cache was a single global

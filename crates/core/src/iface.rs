@@ -75,7 +75,7 @@ impl FnDecl {
     /// [`crate::compiled`]). Call once at registration, after type
     /// layouts are known; constants and iterators referenced by the
     /// annotations may still be registered later.
-    pub fn compile(&mut self, rt: &mut crate::runtime::Runtime, layouts: &TypeLayouts) {
+    pub fn compile(&mut self, rt: &crate::runtime::RuntimeCore, layouts: &TypeLayouts) {
         self.compiled = Some(Arc::new(crate::compiled::compile_annotations(
             &self.ann,
             &self.params,

@@ -35,7 +35,9 @@
 //! - the annotation-action engine executed at wrapper boundaries
 //!   ([`actions`]);
 //! - guard statistics for the Figure 13 cost breakdown ([`stats`]);
-//! - the [`Runtime`] façade ([`runtime`]) used by the simulated kernel.
+//! - the shared [`RuntimeCore`] ([`runtime`]) and the per-thread
+//!   [`GuardHandle`] ([`handle`]) every guard runs through — one per
+//!   simulated kernel CPU.
 
 pub mod actions;
 pub mod caps;
@@ -56,9 +58,7 @@ pub use epoch_cache::{EpochCache, Replacement, WriteGuardCache, DEFAULT_WAYS};
 pub use handle::GuardHandle;
 pub use iface::{FnDecl, Param, TypeLayouts};
 pub use principal::{ModuleId, PrincipalId, PrincipalKind};
-pub use runtime::{
-    ConstId, IteratorFn, IteratorId, KfreeSweep, RetireSweep, Runtime, RuntimeCore, ThreadId,
-};
+pub use runtime::{ConstId, IteratorFn, IteratorId, KfreeSweep, RetireSweep, RuntimeCore};
 pub use stats::{GuardCosts, GuardKind, GuardStats, ALL_GUARD_KINDS};
 pub use writer_index::{LinearWriterIndex, WriterIndex, WriterSetId};
 

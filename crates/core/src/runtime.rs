@@ -4,7 +4,7 @@
 //!
 //! # Concurrency architecture
 //!
-//! Since the thread-safe refactor the runtime is split in two:
+//! The runtime is split in two:
 //!
 //! - [`RuntimeCore`] is the **shared world**: principal/module metadata
 //!   behind an `RwLock`, per-principal capability tables each behind
@@ -15,19 +15,14 @@
 //!   interned-ID tables (REF types, iterators, constants, the function
 //!   registry) behind an `RwLock`. Everything takes `&self`; the type is
 //!   `Send + Sync` and meant to live in an `Arc`.
-//! - [`crate::GuardHandle`] is the **per-thread view**: it owns its own
-//!   shadow stack, kernel-stack window, epoch-validated write-guard
-//!   cache, and `GuardStats`, so concurrent guarded stores from
-//!   different threads hit their private caches without any shared
-//!   write. Only grant/revoke traffic takes locks (the affected
+//! - [`crate::GuardHandle`] is the **per-thread view**, and the only one:
+//!   each simulated kernel CPU and each benchmark worker owns one. It
+//!   holds its own shadow stack, kernel-stack window, epoch-validated
+//!   write-guard cache, and `GuardStats`, so concurrent guarded stores
+//!   from different threads hit their private caches without any shared
+//!   write. It `Deref`s to the core, so shared operations need no
+//!   forwarding; only grant/revoke traffic takes locks (the affected
 //!   principal's table mutex plus the affected shards).
-//!
-//! [`Runtime`] is the single-threaded facade the simulated kernel and
-//! the benches drive: the old `&mut self` API, one guard lane (shadow
-//! stack + cache) per registered [`ThreadId`], and a plain
-//! [`GuardStats`] field — all delegating to an `Arc<RuntimeCore>` that
-//! [`Runtime::share`] exposes for spawning [`crate::GuardHandle`]s on
-//! other threads.
 //!
 //! # Locking and soundness discipline
 //!
@@ -70,20 +65,14 @@ use std::sync::{Arc, Mutex, OnceLock, RwLock};
 use lxfi_machine::{AddressSpace, Word};
 
 use crate::caps::{CapSet, CapType, RawCap, RefTypeId, WriteTable};
-use crate::epoch_cache::DEFAULT_WAYS;
-use crate::handle::{check_write_in, GuardState};
 use crate::principal::{ModuleId, ModuleInfo, PrincipalId, PrincipalKind};
-use crate::shadow::{PrincipalCtx, ShadowStack};
-use crate::stats::{GuardCosts, GuardKind, GuardStats};
+use crate::shadow::PrincipalCtx;
+use crate::stats::GuardStats;
 use crate::writer_index::{
     for_each_segment, normalize_boundaries, shard_hi, shard_lo, IndexShard, SetInterner,
 };
 use crate::writer_set::{StripedWriterMap, ZeroNoteToken};
 use crate::Violation;
-
-/// Identifies a kernel thread.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct ThreadId(pub u32);
 
 /// Identifies a registered capability iterator. Interned at registration
 /// so the enforcement path never hashes iterator names.
@@ -97,7 +86,7 @@ pub struct IteratorId(pub u32);
 pub struct ConstId(pub u32);
 
 /// A capability emitted by a programmer-supplied capability iterator
-/// (§3.3). REF types are pre-interned via [`Runtime::ref_type`], so
+/// (§3.3). REF types are pre-interned via [`RuntimeCore::ref_type`], so
 /// emitting capabilities involves no string work.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EmittedCap {
@@ -451,12 +440,11 @@ pub struct RuntimeCore {
     /// Striped by the same region boundaries as the writer index (fixed
     /// at construction: a later `set_shard_boundaries` re-shards the
     /// index only — stripe layout is a perf detail, not semantics).
-    writer_map: StripedWriterMap,
+    pub(crate) writer_map: StripedWriterMap,
     names: RwLock<Names>,
     fns: RwLock<HashMap<Word, FnMeta>>,
     /// Merged per-thread handle stats (handles flush here on drop or via
-    /// `GuardHandle::flush_stats`); the single-threaded facade keeps its
-    /// own `GuardStats` field instead.
+    /// [`crate::GuardHandle::flush_stats`]).
     stats: Mutex<GuardStats>,
     /// Whether debug builds cross-check the kfree presence hint with a
     /// full principal walk after each sweep. Only sound while one
@@ -968,7 +956,8 @@ impl RuntimeCore {
     /// have no outstanding capabilities). The per-shard principal-presence
     /// hint bounds the sweep to the freed region's writers instead of
     /// walking every principal's table; callers in debug builds assert
-    /// the hint against the full walk (see `Runtime`).
+    /// the hint against the full walk (see
+    /// [`crate::GuardHandle::revoke_write_overlapping_everywhere`]).
     pub fn revoke_write_overlapping_everywhere(&self, addr: Word, size: u64) -> KfreeSweep {
         let total = self.principal_count() as u64;
         let mut sweep = KfreeSweep::default();
@@ -1149,6 +1138,26 @@ impl RuntimeCore {
             .overlaps(addr, len)
     }
 
+    /// Principals (from any module) holding WRITE coverage of any byte of
+    /// the 8-byte slot at `addr`, sorted (diagnostics; the enforcement
+    /// path reuses a scratch buffer instead).
+    pub fn writers_of(&self, addr: Word) -> Vec<PrincipalId> {
+        let mut v = Vec::new();
+        self.collect_writers(addr, 8, &mut v);
+        v.sort_unstable();
+        v
+    }
+
+    /// The retired global traversal: every principal's WRITE table probed
+    /// for overlap with the slot. Kept as the in-tree reference the
+    /// reverse index is property-tested and benchmarked against.
+    pub fn writers_of_linear(&self, addr: Word) -> Vec<PrincipalId> {
+        (0..self.principal_count())
+            .map(|i| PrincipalId(i as u32))
+            .filter(|&p| self.write_overlaps(p, addr, 8))
+            .collect()
+    }
+
     /// The kfree presence hint for a range (diagnostics/tests).
     pub fn present_over(&self, addr: Word, len: u64) -> Vec<PrincipalId> {
         let mut out = Vec::new();
@@ -1158,64 +1167,6 @@ impl RuntimeCore {
             out.push(p);
         }
         out
-    }
-
-    /// `lxfi_check_indcall(pptr, ahash)` (§4.1): validates a kernel
-    /// indirect call through the function-pointer slot at `slot` whose
-    /// declared pointer type hashes to `sig_hash`. `target` is the value
-    /// currently stored in the slot. `scratch` is the caller's reusable
-    /// writer buffer (handles and the facade keep one so the steady
-    /// state allocates nothing).
-    ///
-    /// Fast path: if the writer-set bitmap proves no module was ever
-    /// granted WRITE over the slot, the call is kernel-authored and needs
-    /// no capability check.
-    pub fn check_indcall(
-        &self,
-        env: &mut crate::handle::GuardEnv<'_>,
-        slot: Word,
-        target: Word,
-        sig_hash: u64,
-    ) -> Result<(), Violation> {
-        if env.fastpath && !self.writer_map.maybe_written(slot) {
-            let c = env.costs.ind_call_fast;
-            env.stats.record(GuardKind::KernelIndCall, c);
-            return Ok(());
-        }
-        // Past the bitmap: the reverse-index lookup runs, so the
-        // slow-path cost applies even when it finds no writers (a benign
-        // bitmap false positive, §5).
-        let c = env.costs.ind_call_slow;
-        env.stats.record(GuardKind::KernelIndCall, c);
-        // First check (§4.1): every writer principal must hold a CALL
-        // capability for the target. This is what rejects user-space
-        // targets and un-imported kernel functions like `detach_pid`.
-        env.scratch.clear();
-        self.collect_writers(slot, 8, env.scratch);
-        for &w in env.scratch.iter() {
-            let module = self.principal_module(w);
-            env.stats.record_indcall_module(module, c);
-            if !self.owns(w, RawCap::call(target)) {
-                return Err(Violation::IndCallUnauthorized {
-                    slot,
-                    target,
-                    writer: w,
-                });
-            }
-        }
-        if env.scratch.is_empty() {
-            return Ok(());
-        }
-        // Second check (§4.1): the annotations of the stored function and
-        // of the function-pointer type must match, so a module cannot
-        // launder a function through a differently-annotated slot.
-        let fn_hash = self
-            .function_ahash(target)
-            .ok_or(Violation::NotAFunction { target })?;
-        if fn_hash != sig_hash {
-            return Err(Violation::AnnotationMismatch { sig_hash, fn_hash });
-        }
-        Ok(())
     }
 
     // ------------------------------------------------------ writer tracking
@@ -1573,620 +1524,22 @@ impl RuntimeCore {
     }
 }
 
-// ---------------------------------------------------------------- facade
-
-/// The single-threaded LXFI runtime facade: the historical `&mut self`
-/// API over an [`Arc<RuntimeCore>`], with one guard lane (shadow stack,
-/// kernel-stack window, private epoch cache) per registered
-/// [`ThreadId`] — a dense vector indexed by the id, since the kernel
-/// hands thread ids out from consecutive stack slots — and a plain
-/// [`GuardStats`] field benches read and reset directly. The
-/// population gauges (live writer sets, principals) are not mirrored
-/// here; read them from the core ([`RuntimeCore::index_set_count`],
-/// [`RuntimeCore::principal_gauges`]). [`Runtime::share`] exposes the
-/// core for spawning [`crate::GuardHandle`]s on real threads.
-pub struct Runtime {
-    core: Arc<RuntimeCore>,
-    /// Guard lanes by `ThreadId.0`; `None` for ids never registered.
-    lanes: Vec<Option<GuardState<DEFAULT_WAYS>>>,
-    /// Reusable writer buffer for the indirect-call slow path.
-    scratch: Vec<PrincipalId>,
-    /// Reusable buffer annotation actions resolve a caplist into, so a
-    /// capability handoff allocates nothing.
-    pub(crate) caps_scratch: Vec<EmittedCap>,
-    /// Guard counters (public: benches read and reset them).
-    pub stats: GuardStats,
-    /// Deterministic guard costs.
-    pub costs: GuardCosts,
-    /// Ablation switch: when false, every kernel indirect call takes the
-    /// full capability-check slow path even when the writer-set bitmap
-    /// proves the slot clean. Used to quantify how much the writer-set
-    /// optimization (§5) saves; always true in normal operation.
-    pub writer_fastpath: bool,
-    /// Ablation/test switch: when false, [`Runtime::check_write`] skips
-    /// the epoch-validated guard cache entirely and always probes the
-    /// interval tables. The epoch-cache property test drives a cached
-    /// and an uncached runtime through identical traffic and asserts
-    /// identical decisions; benches use it to price the uncached probe.
-    pub guard_cache_enabled: bool,
-    /// Deferred zero-notes: ranges the caller has zeroed whose bitmap
-    /// clear is postponed until a quiescent point ([`Runtime::writer_clean`],
-    /// [`Runtime::mark_written`], buffer overflow, or an explicit
-    /// [`Runtime::flush_zero_notes`]). Each entry carries the generation
-    /// token that proves the clear is still equivalent to an immediate
-    /// [`RuntimeCore::note_zeroed`]; stale tokens are dropped, never
-    /// applied. Entries are deduplicated by exact `(addr, len)` so the
-    /// steady-state allocator pattern (same buffer freed and reused)
-    /// keeps one fresh token per range.
-    zero_notes: Vec<(Word, u64, ZeroNoteToken)>,
-}
-
-/// Deferred zero-notes per facade before a forced drain.
-const ZERO_NOTE_BUFFER: usize = 32;
-
-impl Default for Runtime {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Runtime {
-    /// Creates an empty runtime over a fresh single-shard core.
-    pub fn new() -> Self {
-        Self::with_shard_boundaries(Vec::new())
-    }
-
-    /// Creates an empty runtime whose core is sharded at the given split
-    /// points from the start (the simulated kernel passes its layout's
-    /// region bases here at boot).
-    pub fn with_shard_boundaries(boundaries: Vec<Word>) -> Self {
-        Self::from_core(Arc::new(RuntimeCore::with_shard_boundaries(boundaries)))
-    }
-
-    /// Wraps an existing shared core in a facade.
-    pub fn from_core(core: Arc<RuntimeCore>) -> Self {
-        Runtime {
-            core,
-            lanes: Vec::new(),
-            scratch: Vec::new(),
-            caps_scratch: Vec::new(),
-            stats: GuardStats::new(),
-            costs: GuardCosts::default(),
-            writer_fastpath: true,
-            guard_cache_enabled: true,
-            zero_notes: Vec::new(),
-        }
-    }
-
-    /// The shared core, for spawning [`crate::GuardHandle`]s on other
-    /// threads.
-    pub fn share(&self) -> Arc<RuntimeCore> {
-        Arc::clone(&self.core)
-    }
-
-    /// A borrowed view of the shared core.
-    pub fn core(&self) -> &RuntimeCore {
-        &self.core
-    }
-
-    /// See [`RuntimeCore::set_shard_boundaries`].
-    pub fn set_shard_boundaries(&mut self, boundaries: Vec<Word>) {
-        self.core.set_shard_boundaries(boundaries);
-    }
-
-    // ------------------------------------------------------------ modules
-
-    /// Registers a module, creating its shared and global principals.
-    pub fn register_module(&mut self, name: &str) -> ModuleId {
-        self.core.register_module(name)
-    }
-
-    /// Number of registered modules.
-    pub fn module_count(&self) -> usize {
-        self.core.module_count()
-    }
-
-    /// The module's shared principal.
-    pub fn shared_principal(&self, id: ModuleId) -> PrincipalId {
-        self.core.shared_principal(id)
-    }
-
-    /// The module's global principal.
-    pub fn global_principal(&self, id: ModuleId) -> PrincipalId {
-        self.core.global_principal(id)
-    }
-
-    /// The kind of a principal.
-    pub fn principal_kind(&self, p: PrincipalId) -> PrincipalKind {
-        self.core.principal_kind(p)
-    }
-
-    /// The module a principal belongs to.
-    pub fn principal_module(&self, p: PrincipalId) -> ModuleId {
-        self.core.principal_module(p)
-    }
-
-    /// See [`RuntimeCore::principal_for_name`].
-    pub fn principal_for_name(&mut self, module: ModuleId, name: Word) -> PrincipalId {
-        self.core.principal_for_name(module, name)
-    }
-
-    /// See [`RuntimeCore::princ_alias`].
-    pub fn princ_alias(
-        &mut self,
-        module: ModuleId,
-        existing_name: Word,
-        new_name: Word,
-    ) -> Result<(), Violation> {
-        self.core.princ_alias(module, existing_name, new_name)
-    }
-
-    // ------------------------------------------------------- capabilities
-
-    /// Interns a REF type name.
-    pub fn ref_type(&mut self, name: &str) -> RefTypeId {
-        self.core.ref_type(name)
-    }
-
-    /// The name of an interned REF type.
-    pub fn ref_type_name(&self, id: RefTypeId) -> String {
-        self.core.ref_type_name(id)
-    }
-
-    /// See [`RuntimeCore::grant`].
-    pub fn grant(&mut self, p: PrincipalId, cap: RawCap) {
-        self.core.grant(p, cap);
-    }
-
-    /// See [`RuntimeCore::revoke`]; epoch bumps are accounted into this
-    /// facade's [`GuardStats`].
-    pub fn revoke(&mut self, p: PrincipalId, cap: RawCap) -> bool {
-        let (removed, bumps) = self.core.revoke(p, cap);
-        self.stats.epoch_bumps += bumps;
-        removed
-    }
-
-    /// The current write-guard epoch of a principal (diagnostics/tests).
-    pub fn write_epoch(&self, p: PrincipalId) -> u64 {
-        self.core.write_epoch(p)
-    }
-
-    /// See [`RuntimeCore::retire_module`]; epoch bumps are accounted into
-    /// this facade's [`GuardStats`].
-    pub fn retire_module(&mut self, mid: ModuleId) -> RetireSweep {
-        let sweep = self.core.retire_module(mid);
-        self.stats.epoch_bumps += sweep.epoch_bumps;
-        sweep
-    }
-
-    /// See [`RuntimeCore::ensure_tombstone`].
-    pub fn ensure_tombstone(&mut self) -> PrincipalId {
-        self.core.ensure_tombstone()
-    }
-
-    /// See [`RuntimeCore::revoke_everywhere`].
-    pub fn revoke_everywhere(&mut self, cap: RawCap) {
-        let bumps = self.core.revoke_everywhere(cap);
-        self.stats.epoch_bumps += bumps;
-    }
-
-    /// Moves `cap` from whoever holds it to `dst` (annotation `transfer`
-    /// semantics: revoke everywhere, then grant to the destination).
-    ///
-    /// WRITE capabilities take [`RuntimeCore::transfer_write`], which
-    /// splices the single holder's index coverage to the destination in
-    /// one shard pass when the reverse index shows at most one holder —
-    /// the common per-packet case (counted in
-    /// [`GuardStats::transfer_fast`]). Multi-holder WRITE caps and every
-    /// non-WRITE cap fall back to the full revoke-then-grant sweep
-    /// (counted in [`GuardStats::transfer_slow`]).
-    pub fn transfer_cap(&mut self, cap: RawCap, dst: Option<PrincipalId>) {
-        if cap.ctype == CapType::Write {
-            let (fast, bumps) = self.core.transfer_write(cap, dst);
-            self.stats.epoch_bumps += bumps;
-            if fast {
-                self.stats.transfer_fast += 1;
-            } else {
-                self.stats.transfer_slow += 1;
-            }
-        } else {
-            self.stats.transfer_slow += 1;
-            let bumps = self.core.revoke_everywhere(cap);
-            self.stats.epoch_bumps += bumps;
-            if let Some(d) = dst {
-                self.core.grant(d, cap);
-            }
-        }
-    }
-
-    /// See [`RuntimeCore::revoke_write_overlapping_everywhere`]. In debug
-    /// builds the per-shard presence hint is asserted against the full
-    /// walk: after the sweep no principal — hinted or not — may retain
-    /// an overlapping grant.
-    pub fn revoke_write_overlapping_everywhere(&mut self, addr: Word, size: u64) {
-        let sweep = self.core.revoke_write_overlapping_everywhere(addr, size);
-        self.stats.epoch_bumps += sweep.epoch_bumps;
-        self.stats.kfree_hint_visited += sweep.visited;
-        self.stats.kfree_hint_skipped += sweep.skipped;
-        #[cfg(debug_assertions)]
-        if size > 0 && self.core.kfree_cross_check_enabled() {
-            for i in 0..self.core.principal_count() {
-                debug_assert!(
-                    !self.core.write_overlaps(PrincipalId(i as u32), addr, size),
-                    "kfree hint missed principal {i}: a grant overlapping \
-                     [{addr:#x}, +{size}) survived the sweep"
-                );
-            }
-        }
-    }
-
-    /// See [`RuntimeCore::revoke_write_overlapping`].
-    pub fn revoke_write_overlapping(&mut self, p: PrincipalId, addr: Word, size: u64) {
-        let bumps = self.core.revoke_write_overlapping(p, addr, size);
-        self.stats.epoch_bumps += bumps;
-    }
-
-    /// Ownership test (§3.1 hierarchy semantics).
-    pub fn owns(&self, p: PrincipalId, cap: RawCap) -> bool {
-        self.core.owns(p, cap)
-    }
-
-    /// Ownership test for an optional principal context.
-    pub fn ctx_owns(&self, ctx: PrincipalCtx, cap: RawCap) -> bool {
-        self.core.ctx_owns(ctx, cap)
-    }
-
-    /// Number of capabilities a principal holds directly (diagnostics).
-    pub fn cap_count(&self, p: PrincipalId) -> usize {
-        self.core.cap_count(p)
-    }
-
-    // ------------------------------------------------------------ threads
-
-    /// Registers a kernel thread and its stack range (the module receives
-    /// implicit WRITE access to the current kernel stack, §3.2). Each
-    /// thread gets its own guard lane: shadow stack plus a private
-    /// epoch-validated write-guard cache. Lanes are indexed by `t.0`, so
-    /// the lane vector grows to the largest id registered: ids are meant
-    /// to be dense (the kernel numbers them by stack slot).
-    pub fn register_thread(&mut self, t: ThreadId, stack_base: Word, stack_len: u64) {
-        let mut lane = GuardState::new();
-        lane.kstack = Some((stack_base, stack_len));
-        let i = t.0 as usize;
-        if i >= self.lanes.len() {
-            self.lanes.resize_with(i + 1, || None);
-        }
-        self.lanes[i] = Some(lane);
-    }
-
-    /// The thread's shadow stack.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the thread was never registered.
-    pub fn thread(&mut self, t: ThreadId) -> &mut ShadowStack {
-        let lane = self.lanes.get_mut(t.0 as usize).and_then(Option::as_mut);
-        &mut lane.expect("thread registered").shadow
-    }
-
-    /// The current principal context of a thread.
-    pub fn current(&self, t: ThreadId) -> PrincipalCtx {
-        self.lanes
-            .get(t.0 as usize)
-            .and_then(|l| l.as_ref()?.shadow.current())
-    }
-
-    /// Wrapper entry: records the FunctionEntry guard, saves context on
-    /// the shadow stack, switches to `new`.
-    pub fn wrapper_enter(&mut self, t: ThreadId, new: PrincipalCtx) -> Word {
-        let c = self.costs.function_entry;
-        self.stats.record(GuardKind::FunctionEntry, c);
-        self.thread(t).push(new)
-    }
-
-    /// Wrapper exit: records the FunctionExit guard, validates the return
-    /// token, restores the saved context.
-    pub fn wrapper_exit(&mut self, t: ThreadId, token: Word) -> Result<(), Violation> {
-        let c = self.costs.function_exit;
-        self.stats.record(GuardKind::FunctionExit, c);
-        self.thread(t).pop(token)
-    }
-
-    // ------------------------------------------------------------- guards
-
-    /// Memory-write guard (§4.2): the current principal must hold WRITE
-    /// coverage of `[addr, addr+len)`, or the write must fall inside the
-    /// current thread's kernel stack.
-    ///
-    /// This is the implementation behind `Env::guard_write`, executed for
-    /// every un-elided module store. The thread's private epoch-validated
-    /// cache is consulted before the table walk: module code
-    /// overwhelmingly issues runs of stores into the same few objects
-    /// (packet payloads, private structs), so a recently established
-    /// covering interval usually answers the next check in a few
-    /// compares — and because validity is an epoch compare against the
-    /// core's atomic counter, a revocation affecting *other* principals
-    /// does not evict it.
-    pub fn check_write(&mut self, t: ThreadId, addr: Word, len: u64) -> Result<(), Violation> {
-        let Some(lane) = self.lanes.get_mut(t.0 as usize).and_then(Option::as_mut) else {
-            // Unregistered thread: kernel context, trusted (and charged).
-            self.stats.record(GuardKind::MemWrite, self.costs.mem_write);
-            return Ok(());
-        };
-        check_write_in(
-            &self.core,
-            lane,
-            &mut self.stats,
-            &self.costs,
-            self.guard_cache_enabled,
-            addr,
-            len,
-        )
-    }
-
-    /// Module-level CALL guard: the current principal must hold a CALL
-    /// capability for `target`.
-    pub fn check_call(&mut self, t: ThreadId, target: Word) -> Result<(), Violation> {
-        let ctx = self.current(t);
-        let Some((_m, p)) = ctx else {
-            return Ok(());
-        };
-        if self.core.owns(p, RawCap::call(target)) {
-            Ok(())
-        } else {
-            Err(Violation::MissingCall {
-                principal: p,
-                target,
-            })
-        }
-    }
-
-    /// See [`RuntimeCore::check_indcall`].
-    pub fn check_indcall(
-        &mut self,
-        slot: Word,
-        target: Word,
-        sig_hash: u64,
-    ) -> Result<(), Violation> {
-        let mut env = crate::handle::GuardEnv {
-            stats: &mut self.stats,
-            costs: &self.costs,
-            fastpath: self.writer_fastpath,
-            scratch: &mut self.scratch,
-        };
-        self.core.check_indcall(&mut env, slot, target, sig_hash)
-    }
-
-    // ---------------------------------------------------------- functions
-
-    /// Registers a function address with its annotation hash.
-    pub fn register_function(&mut self, addr: Word, meta: FnMeta) {
-        self.core.register_function(addr, meta);
-    }
-
-    /// Looks up a registered function (cloned out of the registry).
-    pub fn function_at(&self, addr: Word) -> Option<FnMeta> {
-        self.core.function_at(addr)
-    }
-
-    /// The annotation hash of a registered function (hot path, no clone).
-    pub fn function_ahash(&self, addr: Word) -> Option<u64> {
-        self.core.function_ahash(addr)
-    }
-
-    /// Principals (from any module) holding WRITE coverage of any byte of
-    /// the 8-byte slot at `addr`, sorted (diagnostics; the enforcement
-    /// path reuses a scratch buffer instead).
-    pub fn writers_of(&self, addr: Word) -> Vec<PrincipalId> {
-        let mut v = Vec::new();
-        self.core.collect_writers(addr, 8, &mut v);
-        v.sort_unstable();
-        v
-    }
-
-    /// The retired global traversal: every principal's WRITE table probed
-    /// for overlap with the slot. Kept as the in-tree reference the
-    /// reverse index is property-tested and benchmarked against.
-    pub fn writers_of_linear(&self, addr: Word) -> Vec<PrincipalId> {
-        (0..self.core.principal_count())
-            .map(|i| PrincipalId(i as u32))
-            .filter(|&p| self.core.write_overlaps(p, addr, 8))
-            .collect()
-    }
-
-    // --------------------------------------------------- index diagnostics
-
-    /// Panics unless the writer index's structural invariants hold.
-    #[doc(hidden)]
-    pub fn check_index_invariants(&self) {
-        self.core.check_index_invariants();
-    }
-
-    /// Number of writer-index shards.
-    pub fn index_shard_count(&self) -> usize {
-        self.core.index_shard_count()
-    }
-
-    /// The configured shard split points.
-    pub fn index_boundaries(&self) -> Vec<Word> {
-        self.core.index_boundaries()
-    }
-
-    /// Live intervals across all shards.
-    pub fn index_interval_count(&self) -> usize {
-        self.core.index_interval_count()
-    }
-
-    /// Live interned writer sets, including the pinned empty set (one
-    /// interner is shared by every shard).
-    pub fn index_set_count(&self) -> usize {
-        self.core.index_set_count()
-    }
-
-    /// Writer-set slot allocations ever performed.
-    pub fn index_sets_ever_interned(&self) -> u64 {
-        self.core.index_sets_ever_interned()
-    }
-
-    /// Interner slot capacity (high-water mark of simultaneously live
-    /// sets in the shared interner).
-    pub fn index_set_slot_capacity(&self) -> usize {
-        self.core.index_set_slot_capacity()
-    }
-
-    /// Currently recycled (free) slots in the shared interner.
-    pub fn index_free_set_slots(&self) -> usize {
-        self.core.index_free_set_slots()
-    }
-
-    // ------------------------------------------------------ writer tracking
-
-    /// Records that `[addr, addr+len)` was zeroed, clearing writer-set
-    /// bits where no live WRITE grant still covers them.
-    ///
-    /// Hot-path shape: if the range's stripes hold no marked granules at
-    /// all the call returns after two atomic loads and touches no lock
-    /// (counted in [`GuardStats::note_zeroed_fast_skips`]). Otherwise a
-    /// generation token for the range is captured and the actual bitmap
-    /// clear is *deferred* into a small per-facade buffer drained at
-    /// quiescent points — so a free-heavy burst pays one stripe write
-    /// lock per drained range instead of one per free. Ranges spanning
-    /// a stripe boundary take the immediate path.
-    pub fn note_zeroed(&mut self, addr: Word, len: u64) {
-        if !self.core.writer_map.maybe_marked_over(addr, len) {
-            self.stats.note_zeroed_fast_skips += 1;
-            return;
-        }
-        match self.core.zero_note_token(addr, len) {
-            Some(token) => {
-                self.stats.zero_notes_deferred += 1;
-                if let Some(slot) = self
-                    .zero_notes
-                    .iter_mut()
-                    .find(|(a, l, _)| *a == addr && *l == len)
-                {
-                    // Same range re-zeroed: keep only the freshest token.
-                    slot.2 = token;
-                } else {
-                    self.zero_notes.push((addr, len, token));
-                    if self.zero_notes.len() >= ZERO_NOTE_BUFFER {
-                        self.drain_zero_notes();
-                    }
-                }
-            }
-            None => {
-                self.core.note_zeroed(addr, len);
-            }
-        }
-    }
-
-    /// Applies every buffered zero-note whose generation token is still
-    /// valid; stale tokens (a mark or revoke touched the stripe since
-    /// enqueue) are discarded and counted, never applied.
-    fn drain_zero_notes(&mut self) {
-        for (addr, len, token) in self.zero_notes.drain(..) {
-            if self.core.drain_zero_note(addr, len, token).is_none() {
-                self.stats.zero_notes_stale += 1;
-            }
-        }
-    }
-
-    /// Drains the deferred zero-note buffer now (quiescent point). The
-    /// kernel calls this at natural batch boundaries; tests call it
-    /// before asserting on bitmap state.
-    pub fn flush_zero_notes(&mut self) {
-        self.drain_zero_notes();
-    }
-
-    /// See [`RuntimeCore::mark_written`]. Pending zero-notes are drained
-    /// first so a deferred clear can never race ahead of this mark.
-    pub fn mark_written(&mut self, addr: Word, len: u64) {
-        self.drain_zero_notes();
-        self.core.mark_written(addr, len);
-    }
-
-    /// True if the writer-set fast path would skip checks for `addr`.
-    /// Drains pending zero-notes first so the answer reflects every
-    /// zeroing the caller has already reported.
-    pub fn writer_clean(&mut self, addr: Word) -> bool {
-        self.drain_zero_notes();
-        self.core.writer_clean(addr)
-    }
-
-    /// Writer-set granules currently marked across all stripes (gauge).
-    pub fn marked_granules(&self) -> u64 {
-        self.core.marked_granules()
-    }
-
-    // ---------------------------------------------------------- iterators
-
-    /// See [`RuntimeCore::iterator_id`].
-    pub fn iterator_id(&mut self, name: &str) -> IteratorId {
-        self.core.iterator_id(name)
-    }
-
-    /// The name an iterator id was interned under (diagnostics).
-    pub fn iterator_name(&self, id: IteratorId) -> String {
-        self.core.iterator_name(id)
-    }
-
-    /// See [`RuntimeCore::register_iterator`].
-    pub fn register_iterator(&mut self, name: &str, f: IteratorFn) -> IteratorId {
-        self.core.register_iterator(name, f)
-    }
-
-    /// See [`RuntimeCore::run_iterator`].
-    pub fn run_iterator(
-        &self,
-        name: &str,
-        mem: &AddressSpace,
-        arg: Word,
-    ) -> Result<Vec<EmittedCap>, Violation> {
-        self.core.run_iterator(name, mem, arg)
-    }
-
-    /// Number of registered iterators (annotation census, §8.2).
-    pub fn iterator_count(&self) -> usize {
-        self.core.iterator_count()
-    }
-
-    // ------------------------------------------------------------- consts
-
-    /// See [`RuntimeCore::const_id`].
-    pub fn const_id(&mut self, name: &str) -> ConstId {
-        self.core.const_id(name)
-    }
-
-    /// The value of an interned constant, if defined.
-    pub fn const_value(&self, id: ConstId) -> Option<i64> {
-        self.core.const_value(id)
-    }
-
-    /// The name a constant id was interned under (diagnostics).
-    pub fn const_name(&self, id: ConstId) -> String {
-        self.core.const_name(id)
-    }
-
-    /// Defines a named kernel constant usable in annotation expressions.
-    pub fn define_const(&mut self, name: &str, value: i64) {
-        self.core.define_const(name, value);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stats::GuardKind;
+    use crate::GuardHandle;
 
-    fn rt_with_module() -> (Runtime, ModuleId) {
-        let mut rt = Runtime::new();
+    fn rt_with_module() -> (GuardHandle, ModuleId) {
+        let mut rt: GuardHandle = GuardHandle::new(Arc::default());
         let m = rt.register_module("econet");
-        rt.register_thread(ThreadId(0), 0xffff_9000_0000_0000, 0x4000);
+        rt.set_kernel_stack(0xffff_9000_0000_0000, 0x4000);
         (rt, m)
     }
 
     #[test]
     fn shared_caps_visible_to_instances() {
-        let (mut rt, m) = rt_with_module();
+        let (rt, m) = rt_with_module();
         let shared = rt.shared_principal(m);
         rt.grant(shared, RawCap::call(0xf000));
         let inst = rt.principal_for_name(m, 0x9000);
@@ -2196,7 +1549,7 @@ mod tests {
 
     #[test]
     fn instance_caps_isolated_from_each_other() {
-        let (mut rt, m) = rt_with_module();
+        let (rt, m) = rt_with_module();
         let a = rt.principal_for_name(m, 0x9000);
         let b = rt.principal_for_name(m, 0xa000);
         rt.grant(a, RawCap::write(0x5000, 64));
@@ -2209,7 +1562,7 @@ mod tests {
 
     #[test]
     fn global_principal_unions_all_instances() {
-        let (mut rt, m) = rt_with_module();
+        let (rt, m) = rt_with_module();
         let a = rt.principal_for_name(m, 0x9000);
         rt.grant(a, RawCap::write(0x5000, 64));
         let g = rt.global_principal(m);
@@ -2219,7 +1572,7 @@ mod tests {
 
     #[test]
     fn global_of_other_module_sees_nothing() {
-        let (mut rt, m) = rt_with_module();
+        let (rt, m) = rt_with_module();
         let m2 = rt.register_module("rds");
         let a = rt.principal_for_name(m, 0x9000);
         rt.grant(a, RawCap::write(0x5000, 64));
@@ -2229,7 +1582,7 @@ mod tests {
 
     #[test]
     fn names_are_stable_and_aliasable() {
-        let (mut rt, m) = rt_with_module();
+        let (rt, m) = rt_with_module();
         let a = rt.principal_for_name(m, 0x9000);
         let a2 = rt.principal_for_name(m, 0x9000);
         assert_eq!(a, a2);
@@ -2262,7 +1615,7 @@ mod tests {
         // tombstone, which holds no CALL capability, so the indirect
         // call is refused instead of falling through the empty-writer
         // fast exit (the unsound outcome naive revocation would give).
-        let ts = rt.core().tombstone().expect("tombstone created");
+        let ts = rt.tombstone().expect("tombstone created");
         assert_eq!(rt.writers_of(slot), vec![ts]);
         let err = rt.check_indcall(slot, 0xf000, 0).unwrap_err();
         assert_eq!(
@@ -2277,13 +1630,13 @@ mod tests {
 
         // Retired principals hold nothing and read as retired.
         for p in [inst, rt.shared_principal(m), rt.global_principal(m)] {
-            assert!(rt.core().is_retired(p));
+            assert!(rt.is_retired(p));
             assert_eq!(rt.cap_count(p), 0);
         }
-        assert!(!rt.core().is_retired(ts), "the tombstone is immortal");
-        let (live, retired) = rt.core().principal_gauges();
+        assert!(!rt.is_retired(ts), "the tombstone is immortal");
+        let (live, retired) = rt.principal_gauges();
         assert_eq!(retired, 3);
-        assert_eq!(live as usize, rt.core().principal_count() - 3);
+        assert_eq!(live as usize, rt.principal_count() - 3);
 
         // Retiring again is a no-op (idempotent quarantine).
         let again = rt.retire_module(m);
@@ -2298,7 +1651,7 @@ mod tests {
         let inst = rt.principal_for_name(m, 0x9000);
         rt.grant(inst, RawCap::write(slot, 8));
         rt.retire_module(m);
-        let ts = rt.core().tombstone().unwrap();
+        let ts = rt.tombstone().unwrap();
         assert_eq!(rt.writers_of(slot), vec![ts]);
 
         // Freeing the memory (kfree sweep) removes the tombstone's
@@ -2325,21 +1678,20 @@ mod tests {
     #[test]
     fn check_write_in_kernel_context_is_free() {
         let (mut rt, _m) = rt_with_module();
-        rt.check_write(ThreadId(0), 0x1234, 8).unwrap();
+        rt.check_write(0x1234, 8).unwrap();
     }
 
     #[test]
     fn check_write_module_requires_capability() {
         let (mut rt, m) = rt_with_module();
         let p = rt.principal_for_name(m, 0x9000);
-        let t = ThreadId(0);
-        rt.thread(t).set_current(Some((m, p)));
-        let err = rt.check_write(t, 0x5000, 8).unwrap_err();
+        rt.set_current(Some((m, p)));
+        let err = rt.check_write(0x5000, 8).unwrap_err();
         assert!(matches!(err, Violation::MissingWrite { .. }));
         rt.grant(p, RawCap::write(0x5000, 64));
-        rt.check_write(t, 0x5000, 8).unwrap();
-        rt.check_write(t, 0x5038, 8).unwrap();
-        assert!(rt.check_write(t, 0x5040, 8).is_err());
+        rt.check_write(0x5000, 8).unwrap();
+        rt.check_write(0x5038, 8).unwrap();
+        assert!(rt.check_write(0x5040, 8).is_err());
     }
 
     #[test]
@@ -2349,16 +1701,15 @@ mod tests {
         let b = rt.principal_for_name(m, 0xa000);
         rt.grant(a, RawCap::write(0x5000, 64));
         rt.grant(b, RawCap::write(0x6000, 64));
-        let t = ThreadId(0);
-        rt.thread(t).set_current(Some((m, a)));
-        rt.check_write(t, 0x5000, 8).unwrap(); // prime a's cache
+        rt.set_current(Some((m, a)));
+        rt.check_write(0x5000, 8).unwrap(); // prime a's cache
         rt.stats.reset();
         // Revoking b's (unrelated) capability must not bump a's epoch…
         let epoch_before = rt.write_epoch(a);
         rt.revoke(b, RawCap::write(0x6000, 64));
         assert_eq!(rt.write_epoch(a), epoch_before);
         // …so a's next store still hits the cache.
-        rt.check_write(t, 0x5008, 8).unwrap();
+        rt.check_write(0x5008, 8).unwrap();
         assert_eq!(rt.stats.write_cache_hits, 1);
         assert_eq!(rt.stats.write_cache_misses, 0);
     }
@@ -2367,14 +1718,13 @@ mod tests {
     fn own_revoke_invalidates_guard_cache() {
         let (mut rt, m) = rt_with_module();
         let a = rt.principal_for_name(m, 0x9000);
-        let t = ThreadId(0);
-        rt.thread(t).set_current(Some((m, a)));
+        rt.set_current(Some((m, a)));
         rt.grant(a, RawCap::write(0x5000, 64));
-        rt.check_write(t, 0x5000, 8).unwrap();
+        rt.check_write(0x5000, 8).unwrap();
         rt.revoke(a, RawCap::write(0x5000, 64));
         // The cached interval is stale; the epoch bump must force the
         // table probe, which now denies.
-        assert!(rt.check_write(t, 0x5000, 8).is_err());
+        assert!(rt.check_write(0x5000, 8).is_err());
     }
 
     #[test]
@@ -2385,12 +1735,11 @@ mod tests {
         let shared = rt.shared_principal(m);
         let a = rt.principal_for_name(m, 0x9000);
         rt.grant(shared, RawCap::write(0x5000, 64));
-        let t = ThreadId(0);
-        rt.thread(t).set_current(Some((m, a)));
-        rt.check_write(t, 0x5000, 8).unwrap(); // cached under a, via shared
+        rt.set_current(Some((m, a)));
+        rt.check_write(0x5000, 8).unwrap(); // cached under a, via shared
         rt.revoke(shared, RawCap::write(0x5000, 64));
         assert!(
-            rt.check_write(t, 0x5000, 8).is_err(),
+            rt.check_write(0x5000, 8).is_err(),
             "stale shared-derived interval must not survive the revoke"
         );
     }
@@ -2401,11 +1750,10 @@ mod tests {
         let a = rt.principal_for_name(m, 0x9000);
         let cap = RawCap::write(0x5000, 64);
         rt.grant(a, cap);
-        let t = ThreadId(0);
-        rt.thread(t).set_current(Some((m, a)));
-        rt.check_write(t, 0x5000, 8).unwrap();
+        rt.set_current(Some((m, a)));
+        rt.check_write(0x5000, 8).unwrap();
         rt.revoke_everywhere(cap);
-        assert!(rt.check_write(t, 0x5000, 8).is_err());
+        assert!(rt.check_write(0x5000, 8).is_err());
     }
 
     #[test]
@@ -2437,14 +1785,13 @@ mod tests {
         let (mut rt, m) = rt_with_module();
         rt.guard_cache_enabled = false;
         let a = rt.principal_for_name(m, 0x9000);
-        let t = ThreadId(0);
-        rt.thread(t).set_current(Some((m, a)));
+        rt.set_current(Some((m, a)));
         rt.grant(a, RawCap::write(0x5000, 64));
-        rt.check_write(t, 0x5000, 8).unwrap();
-        rt.check_write(t, 0x5000, 8).unwrap();
+        rt.check_write(0x5000, 8).unwrap();
+        rt.check_write(0x5000, 8).unwrap();
         assert_eq!(rt.stats.write_cache_hits, 0, "cache bypassed");
         assert_eq!(rt.stats.write_cache_misses, 0);
-        assert!(rt.check_write(t, 0x6000, 8).is_err());
+        assert!(rt.check_write(0x6000, 8).is_err());
     }
 
     #[test]
@@ -2471,7 +1818,8 @@ mod tests {
         // Three principals in three different shards; freeing a region
         // in shard 1 must visit only the principal present there, and
         // the debug assertion cross-checks the full walk.
-        let mut rt = Runtime::with_shard_boundaries(vec![0x2000, 0x4000]);
+        let core = RuntimeCore::with_shard_boundaries(vec![0x2000, 0x4000]);
+        let mut rt: GuardHandle = GuardHandle::new(Arc::new(core));
         let m = rt.register_module("kfree");
         let a = rt.principal_for_name(m, 0x9000); // shard 0
         let b = rt.principal_for_name(m, 0xa000); // shard 1
@@ -2494,10 +1842,9 @@ mod tests {
     fn kernel_stack_writes_always_allowed() {
         let (mut rt, m) = rt_with_module();
         let p = rt.principal_for_name(m, 0x9000);
-        let t = ThreadId(0);
-        rt.thread(t).set_current(Some((m, p)));
-        rt.check_write(t, 0xffff_9000_0000_0100, 16).unwrap();
-        assert!(rt.check_write(t, 0xffff_9000_0000_4000, 8).is_err());
+        rt.set_current(Some((m, p)));
+        rt.check_write(0xffff_9000_0000_0100, 16).unwrap();
+        assert!(rt.check_write(0xffff_9000_0000_4000, 8).is_err());
     }
 
     #[test]
@@ -2586,18 +1933,17 @@ mod tests {
     fn wrapper_tokens_validate() {
         let (mut rt, m) = rt_with_module();
         let p = rt.principal_for_name(m, 0x9000);
-        let t = ThreadId(0);
-        let tok = rt.wrapper_enter(t, Some((m, p)));
-        assert_eq!(rt.current(t), Some((m, p)));
-        rt.wrapper_exit(t, tok).unwrap();
-        assert_eq!(rt.current(t), None);
+        let tok = rt.wrapper_enter(Some((m, p)));
+        assert_eq!(rt.current(), Some((m, p)));
+        rt.wrapper_exit(tok).unwrap();
+        assert_eq!(rt.current(), None);
         assert_eq!(rt.stats.count(GuardKind::FunctionEntry), 1);
         assert_eq!(rt.stats.count(GuardKind::FunctionExit), 1);
     }
 
     #[test]
     fn ref_types_intern_stably() {
-        let mut rt = Runtime::new();
+        let rt = RuntimeCore::new();
         let a = rt.ref_type("struct pci_dev");
         let b = rt.ref_type("struct pci_dev");
         let c = rt.ref_type("io_port");

@@ -26,8 +26,8 @@
 //! Since the thread-safe runtime landed, the shard is also the unit of
 //! **lock granularity**: the shared `RuntimeCore` wraps every shard
 //! (its intervals plus its principal-presence map) in its own lock.
-//! Mutations are **phase-split** ([`IndexShard::add_split`] /
-//! [`IndexShard::remove_split`]): the shard lock is held for the whole
+//! Mutations are **phase-split** (`IndexShard::add_split` /
+//! `IndexShard::remove_split`): the shard lock is held for the whole
 //! operation (which keeps a revocation's remove-and-reinstate atomic
 //! per shard — see `Sharding::replace`), while the shared-interner
 //! mutex is taken only for the id/refcount phase (interning the new
@@ -750,8 +750,8 @@ pub(crate) fn for_each_segment(
 /// The reverse writer index: address-region shards of disjoint sorted
 /// intervals over one shared refcounted set interner. See the module
 /// docs for the sharding, GC, and presence disciplines. This is the
-/// single-threaded facade; the concurrent runtime core holds the same
-/// [`IndexShard`]s behind per-shard locks.
+/// single-threaded form; the concurrent runtime core holds the same
+/// `IndexShard`s behind per-shard locks.
 #[derive(Debug)]
 pub struct WriterIndex {
     /// Sorted, distinct, non-zero shard split points; shard `i` covers

@@ -23,20 +23,22 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Barrier};
 use std::thread;
 
-use lxfi_core::{GuardHandle, ModuleId, PrincipalId, RawCap, Runtime, RuntimeCore};
+use lxfi_core::{GuardHandle, ModuleId, PrincipalId, RawCap, RuntimeCore};
 
 /// Builds a sharded world: one module, `writers` instance principals
 /// each owning a private object, plus a churn arena in its own shard.
 fn world(writers: usize) -> (Arc<RuntimeCore>, ModuleId, Vec<PrincipalId>) {
-    let mut rt = Runtime::with_shard_boundaries(vec![0x10_0000, 0x20_0000, 0x30_0000]);
-    let m = rt.register_module("mt");
+    let core = Arc::new(RuntimeCore::with_shard_boundaries(vec![
+        0x10_0000, 0x20_0000, 0x30_0000,
+    ]));
+    let m = core.register_module("mt");
     let ps: Vec<PrincipalId> = (0..writers)
-        .map(|i| rt.principal_for_name(m, 0x9000 + i as u64 * 8))
+        .map(|i| core.principal_for_name(m, 0x9000 + i as u64 * 8))
         .collect();
     for (i, &p) in ps.iter().enumerate() {
-        rt.grant(p, RawCap::write(obj(i), 0x100));
+        core.grant(p, RawCap::write(obj(i), 0x100));
     }
-    (rt.share(), m, ps)
+    (core, m, ps)
 }
 
 /// The `i`-th writer's private object (all in the second shard).
@@ -142,15 +144,14 @@ fn racing_revokes_never_authorize_stale_writes() {
 fn shared_revoke_invalidates_every_threads_instance_cache() {
     const ROUNDS: usize = 100;
     const THREADS: usize = 4;
-    let mut rt = Runtime::with_shard_boundaries(vec![0x10_0000]);
-    let m = rt.register_module("mt");
-    let shared = rt.shared_principal(m);
+    let core = Arc::new(RuntimeCore::with_shard_boundaries(vec![0x10_0000]));
+    let m = core.register_module("mt");
+    let shared = core.shared_principal(m);
     let cap = RawCap::write(0x10_0000, 0x1000);
-    rt.grant(shared, cap);
+    core.grant(shared, cap);
     let ps: Vec<PrincipalId> = (0..THREADS)
-        .map(|i| rt.principal_for_name(m, 0x9000 + i as u64 * 8))
+        .map(|i| core.principal_for_name(m, 0x9000 + i as u64 * 8))
         .collect();
-    let core = rt.share();
     let barrier = Arc::new(Barrier::new(THREADS + 1));
 
     let workers: Vec<_> = ps
@@ -206,12 +207,13 @@ fn shared_revoke_invalidates_every_threads_instance_cache() {
 fn concurrent_churn_preserves_index_table_agreement() {
     const THREADS: usize = 4;
     const OPS: u64 = 2_000;
-    let mut rt = Runtime::with_shard_boundaries(vec![0x10_0000, 0x20_0000, 0x30_0000]);
-    let m = rt.register_module("mt");
+    let core = Arc::new(RuntimeCore::with_shard_boundaries(vec![
+        0x10_0000, 0x20_0000, 0x30_0000,
+    ]));
+    let m = core.register_module("mt");
     let ps: Vec<PrincipalId> = (0..THREADS)
-        .map(|i| rt.principal_for_name(m, 0x9000 + i as u64 * 8))
+        .map(|i| core.principal_for_name(m, 0x9000 + i as u64 * 8))
         .collect();
-    let core = rt.share();
     let total_denied = Arc::new(AtomicU64::new(0));
 
     let workers: Vec<_> = (0..THREADS)
@@ -258,11 +260,10 @@ fn concurrent_churn_preserves_index_table_agreement() {
     core.check_index_invariants();
     // Quiesced: the sharded index and the per-principal tables must
     // agree byte-for-byte on writer membership.
-    let rt2 = Runtime::from_core(core);
     for probe in (0x10_0000u64..0x10_0000 + THREADS as u64 * 0x4000).step_by(0x80) {
         assert_eq!(
-            rt2.writers_of(probe),
-            rt2.writers_of_linear(probe),
+            core.writers_of(probe),
+            core.writers_of_linear(probe),
             "index/table divergence at {probe:#x}"
         );
     }
@@ -277,17 +278,18 @@ fn concurrent_churn_preserves_index_table_agreement() {
 #[test]
 fn indcall_never_misses_a_surviving_writer_during_revoke() {
     const ROUNDS: u64 = 30_000;
-    let mut rt = Runtime::with_shard_boundaries(vec![0x10_0000, 0x20_0000]);
-    let m = rt.register_module("mt");
-    let p = rt.principal_for_name(m, 0x9000);
+    let core = Arc::new(RuntimeCore::with_shard_boundaries(vec![
+        0x10_0000, 0x20_0000,
+    ]));
+    let m = core.register_module("mt");
+    let p = core.principal_for_name(m, 0x9000);
     let slot = 0x10_0800u64;
     // Two overlapping grants both covering the slot; the churn revokes
     // and re-grants only the second, so the first always survives.
     let keep = RawCap::write(0x10_0000, 0x1000);
     let churned = RawCap::write(0x10_0400, 0x1000);
-    rt.grant(p, keep);
-    rt.grant(p, churned);
-    let core = rt.share();
+    core.grant(p, keep);
+    core.grant(p, churned);
     let stop = Arc::new(AtomicBool::new(false));
 
     let churner = {

@@ -21,7 +21,7 @@
 use std::sync::{Arc, Barrier};
 use std::thread;
 
-use lxfi_core::{GuardHandle, RawCap, Runtime, RuntimeCore};
+use lxfi_core::{GuardHandle, RawCap, RuntimeCore};
 
 /// Phased fast-path check: warm the source's guard cache, transfer on
 /// another thread, and require the very next guard to deny — across
@@ -29,13 +29,14 @@ use lxfi_core::{GuardHandle, RawCap, Runtime, RuntimeCore};
 #[test]
 fn transfer_invalidates_hot_source_caches() {
     const ROUNDS: usize = 100;
-    let mut rt = Runtime::with_shard_boundaries(vec![0x10_0000, 0x20_0000]);
-    let m = rt.register_module("xfer");
-    let a = rt.principal_for_name(m, 0x9000);
-    let b = rt.principal_for_name(m, 0x9008);
+    let core = Arc::new(RuntimeCore::with_shard_boundaries(vec![
+        0x10_0000, 0x20_0000,
+    ]));
+    let m = core.register_module("xfer");
+    let a = core.principal_for_name(m, 0x9000);
+    let b = core.principal_for_name(m, 0x9008);
     let cap = RawCap::write(0x10_0000, 0x100);
-    rt.grant(a, cap);
-    let core = rt.share();
+    core.grant(a, cap);
 
     let barrier = Arc::new(Barrier::new(2));
     let mover = {
@@ -92,12 +93,13 @@ fn transfer_invalidates_hot_source_caches() {
 #[test]
 fn transfer_racing_revoke_converges() {
     const ROUNDS: usize = 200;
-    let mut rt = Runtime::with_shard_boundaries(vec![0x10_0000, 0x20_0000]);
-    let m = rt.register_module("race");
-    let a = rt.principal_for_name(m, 0x9000);
-    let b = rt.principal_for_name(m, 0x9008);
+    let core = Arc::new(RuntimeCore::with_shard_boundaries(vec![
+        0x10_0000, 0x20_0000,
+    ]));
+    let m = core.register_module("race");
+    let a = core.principal_for_name(m, 0x9000);
+    let b = core.principal_for_name(m, 0x9008);
     let cap = RawCap::write(0x10_0000, 0x100);
-    let core = rt.share();
 
     let barrier = Arc::new(Barrier::new(3));
     let xfer = {

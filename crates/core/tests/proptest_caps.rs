@@ -10,7 +10,7 @@
 use proptest::prelude::*;
 
 use lxfi_core::caps::CapSet;
-use lxfi_core::{LinearWriteTable, ModuleId, PrincipalId, RawCap, Runtime, ThreadId, WriteTable};
+use lxfi_core::{GuardHandle, LinearWriteTable, ModuleId, PrincipalId, RawCap, WriteTable};
 
 // ------------------------------------------------- WriteTable vs oracle
 
@@ -256,9 +256,8 @@ proptest! {
     /// - transfer-style revocation leaves no copies anywhere.
     #[test]
     fn principal_hierarchy_invariants(ops in proptest::collection::vec(arb_pop(), 1..60)) {
-        let mut rt = Runtime::new();
+        let mut rt: GuardHandle = GuardHandle::new(Default::default());
         let m = rt.register_module("m");
-        rt.register_thread(ThreadId(0), 0xffff_9000_0000_0000, 0x4000);
         let insts: Vec<PrincipalId> =
             (0..3).map(|i| rt.principal_for_name(m, 0x9000 + i * 0x100)).collect();
         // Mirror state: per-instance call sets + shared set.
@@ -307,7 +306,7 @@ proptest! {
         grants in proptest::collection::vec((0x30_0000u64..0x30_2000, 1u64..512), 1..20),
         zeroes in proptest::collection::vec((0x30_0000u64..0x30_2000, 1u64..512), 0..10),
     ) {
-        let mut rt = Runtime::new();
+        let mut rt: GuardHandle = GuardHandle::new(Default::default());
         let m = rt.register_module("m");
         let p = rt.principal_for_name(m, 0x9000);
         for &(a, s) in &grants {
@@ -351,31 +350,27 @@ proptest! {
     /// token mismatch is detected.
     #[test]
     fn shadow_stack_balanced_nesting(depths in proptest::collection::vec(0u32..4, 1..12)) {
-        let mut rt = Runtime::new();
+        let mut rt: GuardHandle = GuardHandle::new(Default::default());
         let m = rt.register_module("m");
-        rt.register_thread(ThreadId(0), 0xffff_9000_0000_0000, 0x4000);
-        let t = ThreadId(0);
         let mut tokens = Vec::new();
         for &d in &depths {
             let p = rt.principal_for_name(m, 0x9000 + d as u64 * 8);
-            tokens.push(rt.wrapper_enter(t, Some((m, p))));
+            tokens.push(rt.wrapper_enter(Some((m, p))));
         }
         for tok in tokens.into_iter().rev() {
-            rt.wrapper_exit(t, tok).unwrap();
+            rt.wrapper_exit(tok).unwrap();
         }
-        prop_assert_eq!(rt.current(t), None);
+        prop_assert_eq!(rt.current(), None);
     }
 
     /// Exiting with the wrong token is always a violation.
     #[test]
     fn shadow_stack_detects_wrong_token(delta in 1u64..1000) {
-        let mut rt = Runtime::new();
+        let mut rt: GuardHandle = GuardHandle::new(Default::default());
         let m = rt.register_module("m");
-        rt.register_thread(ThreadId(0), 0xffff_9000_0000_0000, 0x4000);
         let p = rt.principal_for_name(m, 0x9000);
-        let t = ThreadId(0);
-        let tok = rt.wrapper_enter(t, Some((m, p)));
-        prop_assert!(rt.wrapper_exit(t, tok.wrapping_add(delta)).is_err());
+        let tok = rt.wrapper_enter(Some((m, p)));
+        prop_assert!(rt.wrapper_exit(tok.wrapping_add(delta)).is_err());
     }
 }
 

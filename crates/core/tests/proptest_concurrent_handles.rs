@@ -7,8 +7,9 @@
 //! so the property exercises exactly the state a worker thread would
 //! carry between operations of other threads — any missing epoch bump
 //! or mis-stamped cache fill shows up as a handle answering from stale
-//! state. The facade `Runtime` is interleaved as a third guard surface
-//! (its lanes are the same mechanism the simulated kernel uses).
+//! state. One extra handle, with a kernel-stack window like a simulated
+//! kernel CPU's, performs the mutations through its metered entry points
+//! and is checked like the others.
 //!
 //! Sequences include revocations from the shared principal (hierarchy
 //! invalidation through every handle), and ranges whose end arithmetic
@@ -16,12 +17,14 @@
 
 use proptest::prelude::*;
 
-use lxfi_core::{GuardHandle, ModuleId, PrincipalId, RawCap, Runtime, ThreadId};
+use std::sync::Arc;
+
+use lxfi_core::{GuardHandle, ModuleId, RawCap, RuntimeCore};
 
 /// Principal slots: slot 0 is the module's shared principal, slots
 /// 1..NSLOTS are instances.
 const NSLOTS: usize = 5;
-/// Guard handles driven concurrently (plus the facade's own lane).
+/// Guard handles driven concurrently (plus the mutating kernel handle).
 const NHANDLES: usize = 3;
 
 const STACK_BASE: u64 = 0xffff_9000_0000_0000;
@@ -38,7 +41,7 @@ enum Op {
 
 fn arb_op() -> impl Strategy<Value = Op> {
     let slot = 0usize..NSLOTS;
-    let handle = 0usize..NHANDLES + 1; // NHANDLES = the facade lane
+    let handle = 0usize..NHANDLES + 1; // NHANDLES = the kernel handle
     let addr = 0x10_0000u64..0x10_2000;
     let size = prop_oneof![1u64..64, 64u64..2000, Just(8192u64)];
     let len = prop_oneof![1u64..16, Just(64u64), Just(4096u64)];
@@ -127,74 +130,59 @@ fn boundaries() -> Vec<u64> {
 }
 
 fn check_sequence(ops: &[Op]) {
-    let mut rt = Runtime::with_shard_boundaries(boundaries());
-    let m = rt.register_module("pt");
-    rt.register_thread(ThreadId(0), STACK_BASE, 0x2000);
-    let mut slots = vec![rt.shared_principal(m)];
+    let core = Arc::new(RuntimeCore::with_shard_boundaries(boundaries()));
+    let m = core.register_module("pt");
+    let mut slots = vec![core.shared_principal(m)];
     for i in 1..NSLOTS {
-        slots.push(rt.principal_for_name(m, 0x9000 + i as u64 * 8));
+        slots.push(core.principal_for_name(m, 0x9000 + i as u64 * 8));
     }
-    let mut handles: Vec<GuardHandle> = (0..NHANDLES)
-        .map(|_| GuardHandle::new(rt.share()))
+    // Handle NHANDLES is the kernel's: it owns a stack window and runs
+    // every mutation, metered into its own stats.
+    let mut handles: Vec<GuardHandle> = (0..=NHANDLES)
+        .map(|_| GuardHandle::new(Arc::clone(&core)))
         .collect();
+    handles[NHANDLES].set_kernel_stack(STACK_BASE, 0x2000);
     let mut naive = Naive::new();
 
-    let check_on = |rt: &mut Runtime,
-                    handles: &mut Vec<GuardHandle>,
-                    slots: &[PrincipalId],
-                    h: usize,
-                    slot: usize,
-                    a: u64,
-                    l: u64|
-     -> bool {
-        if h == NHANDLES {
-            // The facade's own lane (what the simulated kernel drives).
-            let t = ThreadId(0);
-            rt.thread(t).set_current(Some((ModuleId(0), slots[slot])));
-            let ok = rt.check_write(t, a, l).is_ok();
-            rt.thread(t).set_current(None);
-            ok
-        } else {
-            let hd = &mut handles[h];
-            hd.set_current(Some((ModuleId(0), slots[slot])));
-            let ok = hd.check_write(a, l).is_ok();
-            hd.set_current(None);
-            ok
-        }
+    let check_on = |hd: &mut GuardHandle, slot: usize, a: u64, l: u64| -> bool {
+        hd.set_current(Some((ModuleId(0), slots[slot])));
+        let ok = hd.check_write(a, l).is_ok();
+        hd.set_current(None);
+        ok
     };
 
     for (step, op) in ops.iter().enumerate() {
         match *op {
             Op::Grant(pi, a, s) => {
-                rt.grant(slots[pi], RawCap::write(a, s));
+                core.grant(slots[pi], RawCap::write(a, s));
                 naive.grant(pi, a, s);
             }
             Op::Revoke(pi, a, s) => {
-                rt.revoke(slots[pi], RawCap::write(a, s));
+                handles[NHANDLES].revoke(slots[pi], RawCap::write(a, s));
                 naive.revoke(pi, a, s);
             }
             Op::Transfer(a, s) => {
-                rt.revoke_everywhere(RawCap::write(a, s));
+                handles[NHANDLES].revoke_everywhere(RawCap::write(a, s));
                 for pi in 0..NSLOTS {
                     naive.revoke(pi, a, s);
                 }
             }
             Op::RevokeOverlapping(a, s) => {
-                rt.revoke_write_overlapping_everywhere(a, s);
+                handles[NHANDLES].revoke_write_overlapping_everywhere(a, s);
                 for pi in 0..NSLOTS {
                     naive.revoke_overlapping(pi, a, s);
                 }
             }
             Op::Check(h, pi, a, l) => {
                 let want = naive.allows(pi, a, l);
-                let got = check_on(&mut rt, &mut handles, &slots, h, pi, a, l);
+                let got = check_on(&mut handles[h], pi, a, l);
                 assert_eq!(
                     got, want,
                     "step {step}: handle {h} check(slot {pi}, {a:#x}, {l})"
                 );
             }
         }
-        rt.check_index_invariants();
+        core.check_index_invariants();
     }
 
     // Final sweep: every handle, every slot, at every op boundary — the
@@ -211,9 +199,9 @@ fn check_sequence(ops: &[Op]) {
     }
     for probe in probes {
         for pi in 0..NSLOTS {
-            for h in 0..=NHANDLES {
+            for (h, hd) in handles.iter_mut().enumerate() {
                 let want = naive.allows(pi, probe, 8);
-                let got = check_on(&mut rt, &mut handles, &slots, h, pi, probe, 8);
+                let got = check_on(hd, pi, probe, 8);
                 assert_eq!(got, want, "sweep: handle {h} slot {pi} at {probe:#x}");
             }
         }
@@ -223,8 +211,9 @@ fn check_sequence(ops: &[Op]) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Every handle (and the facade lane) agrees with the naive model
-    /// under random interleavings of guard checks and core mutations.
+    /// Every handle (the mutating kernel handle included) agrees with
+    /// the naive model under random interleavings of guard checks and
+    /// core mutations.
     #[test]
     fn handles_agree_with_oracle(
         ops in proptest::collection::vec(arb_op(), 1..45),

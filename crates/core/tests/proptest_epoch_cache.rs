@@ -1,7 +1,8 @@
 //! Property tests for the epoch-validated write-guard cache.
 //!
-//! Two [`Runtime`]s — one with the cache enabled (the default), one with
-//! `guard_cache_enabled = false` — are driven through identical random
+//! Two [`GuardHandle`]s, each over its own core — one with the cache
+//! enabled (the default), one with `guard_cache_enabled = false` — are
+//! driven through identical random
 //! grant / revoke / transfer / check interleavings and must produce
 //! **identical allow/deny decisions** at every guarded write. A naive
 //! model (per-principal `Vec<(addr, size)>` with the §3.1
@@ -17,7 +18,7 @@
 
 use proptest::prelude::*;
 
-use lxfi_core::{PrincipalId, RawCap, Runtime, ThreadId};
+use lxfi_core::{GuardHandle, PrincipalId, RawCap};
 
 /// Principal slots: slot 0 is the module's shared principal, slots
 /// 1..NSLOTS are instances.
@@ -121,11 +122,12 @@ impl Naive {
     }
 }
 
-/// A runtime with the shared principal in slot 0 and instances after.
-fn runtime_with_slots() -> (Runtime, Vec<PrincipalId>) {
-    let mut rt = Runtime::new();
+/// A handle over a fresh core with the shared principal in slot 0 and
+/// instances after.
+fn runtime_with_slots() -> (GuardHandle, Vec<PrincipalId>) {
+    let mut rt: GuardHandle = GuardHandle::new(Default::default());
     let m = rt.register_module("pt");
-    rt.register_thread(ThreadId(0), STACK_BASE, 0x2000);
+    rt.set_kernel_stack(STACK_BASE, 0x2000);
     let mut slots = vec![rt.shared_principal(m)];
     for i in 1..NSLOTS {
         slots.push(rt.principal_for_name(m, 0x9000 + i as u64 * 8));
@@ -133,13 +135,12 @@ fn runtime_with_slots() -> (Runtime, Vec<PrincipalId>) {
     (rt, slots)
 }
 
-/// Runs `check_write` for `slot` on one runtime.
-fn check_on(rt: &mut Runtime, slots: &[PrincipalId], slot: usize, a: u64, l: u64) -> bool {
+/// Runs `check_write` for `slot` on one handle.
+fn check_on(rt: &mut GuardHandle, slots: &[PrincipalId], slot: usize, a: u64, l: u64) -> bool {
     let m = lxfi_core::ModuleId(0);
-    let t = ThreadId(0);
-    rt.thread(t).set_current(Some((m, slots[slot])));
-    let ok = rt.check_write(t, a, l).is_ok();
-    rt.thread(t).set_current(None);
+    rt.set_current(Some((m, slots[slot])));
+    let ok = rt.check_write(a, l).is_ok();
+    rt.set_current(None);
     ok
 }
 

@@ -4,9 +4,10 @@
 //! grant/revoke/transfer sequences and must agree on `writers_of` at
 //! every probe:
 //!
-//! 1. the live [`Runtime`] (whose `WriterIndex` is maintained
-//!    incrementally on every capability mutation),
-//! 2. the retired global principal walk (`Runtime::writers_of_linear` /
+//! 1. the live `RuntimeCore` (whose writer index is maintained
+//!    incrementally on every capability mutation, here driven through a
+//!    [`GuardHandle`]),
+//! 2. the retired global principal walk (`RuntimeCore::writers_of_linear` /
 //!    [`LinearWriterIndex`]),
 //! 3. a naive model: one `Vec<(addr, size)>` of granted ranges per
 //!    principal, probed longhand with the documented saturating
@@ -27,7 +28,7 @@
 
 use proptest::prelude::*;
 
-use lxfi_core::{LinearWriterIndex, PrincipalId, RawCap, Runtime};
+use lxfi_core::{GuardHandle, LinearWriterIndex, PrincipalId, RawCap};
 
 const NPRINC: usize = 5;
 
@@ -114,8 +115,8 @@ impl Naive {
 }
 
 /// A runtime with `NPRINC` instance principals to mutate.
-fn runtime_with_principals() -> (Runtime, Vec<PrincipalId>) {
-    let mut rt = Runtime::new();
+fn runtime_with_principals() -> (GuardHandle, Vec<PrincipalId>) {
+    let rt: GuardHandle = GuardHandle::new(Default::default());
     let m = rt.register_module("pt");
     let princs: Vec<PrincipalId> = (0..NPRINC)
         .map(|i| rt.principal_for_name(m, 0x9000 + i as u64 * 8))

@@ -5,12 +5,12 @@
 //! keeps growing. Before the GC landed, `set_count` grew without bound
 //! in exactly this workload (ROADMAP "writer-set spill discipline").
 
-use lxfi_core::{RawCap, Runtime};
+use lxfi_core::{RawCap, RuntimeCore};
 
 const NPRINC: u64 = 16;
 const ROUNDS: u64 = 4000;
 
-fn churn(rt: &mut Runtime, sharded: bool) {
+fn churn(rt: &RuntimeCore, sharded: bool) {
     let m = rt.register_module("gc");
     if sharded {
         rt.set_shard_boundaries(vec![0x50_0400, 0x50_0800, 0x50_0c00]);
@@ -40,7 +40,7 @@ fn churn(rt: &mut Runtime, sharded: bool) {
     rt.check_index_invariants();
 }
 
-fn assert_bounded(rt: &Runtime) {
+fn assert_bounded(rt: &RuntimeCore) {
     assert!(
         rt.index_sets_ever_interned() > 2 * ROUNDS,
         "churn should intern new combinations every round: only {}",
@@ -62,14 +62,14 @@ fn assert_bounded(rt: &Runtime) {
 
 #[test]
 fn interned_sets_stay_bounded_under_churn() {
-    let mut rt = Runtime::new();
-    churn(&mut rt, false);
+    let rt = RuntimeCore::new();
+    churn(&rt, false);
     assert_bounded(&rt);
 }
 
 #[test]
 fn interned_sets_stay_bounded_under_churn_sharded() {
-    let mut rt = Runtime::new();
-    churn(&mut rt, true);
+    let rt = RuntimeCore::new();
+    churn(&rt, true);
     assert_bounded(&rt);
 }

@@ -257,11 +257,10 @@ pub fn register(k: &mut KernelCpu) {
         vec![],
         "",
         Arc::new(|k, _args| {
-            let t = k.current_thread();
-            match k.rt.current(t) {
+            match k.rt.current() {
                 Some((mid, _p)) => {
                     let g = k.rt.global_principal(mid);
-                    k.rt.thread(t).set_current(Some((mid, g)));
+                    k.rt.set_current(Some((mid, g)));
                     Ok(0)
                 }
                 None if k.executing_stock_module() => Ok(0), // compiled out

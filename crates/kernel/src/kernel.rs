@@ -13,12 +13,12 @@
 //!   process table and subsystem states (net/pci/socket/sound/dm)
 //!   behind `Mutex`es. It is `Send + Sync` and lives in an `Arc`.
 //! - [`KernelCpu`] is **one simulated CPU**: it owns what is genuinely
-//!   per-CPU — the per-thread guard lanes of its [`Runtime`] facade
-//!   (shadow stack, private epoch cache, stats), a kernel-stack window
-//!   and stack pointer, the interpreter's module execution stack, and
-//!   the fuel/cycle accounting. It implements [`Env`], so real
-//!   rewritten module code interprets concurrently on N OS threads,
-//!   one `KernelCpu` each (see `Kernel::new_cpu`).
+//!   per-CPU — its [`GuardHandle`] (shadow stack, kernel-stack window,
+//!   private epoch cache, stats), its stack pointer, the interpreter's
+//!   module execution stack, and the fuel/cycle accounting. It
+//!   implements [`Env`], so real rewritten module code interprets
+//!   concurrently on N OS threads, one `KernelCpu` each (see
+//!   `Kernel::new_cpu`).
 //! - [`Kernel`] is the thin single-threaded facade the existing tests,
 //!   examples, and exploit scenarios drive: CPU 0 plus the shared core,
 //!   `Deref`ing to [`KernelCpu`] so the historical API is unchanged.
@@ -73,7 +73,7 @@ use lxfi_core::actions::{apply_actions, CallSite, Dir};
 use lxfi_core::iface::{FnDecl, Param, TypeLayouts};
 use lxfi_core::runtime::FnMeta;
 use lxfi_core::shadow::PrincipalCtx;
-use lxfi_core::{PrincipalId, RawCap, Runtime, RuntimeCore, ThreadId, Violation};
+use lxfi_core::{GuardHandle, PrincipalId, RawCap, RuntimeCore, Violation};
 use lxfi_machine::program::ImportKind;
 use lxfi_machine::{
     run_compiled, run_function, verify_soundness, AddressSpace, Backend, CompileStats,
@@ -102,6 +102,11 @@ pub enum IsolationMode {
 /// Index of a loaded module.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LoadedModuleId(pub usize);
+
+/// Identifies a simulated kernel thread: its stack slot. Each
+/// [`KernelCpu`] is pinned to one thread for its lifetime.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct ThreadId(pub u32);
 
 /// A module ready to load: program, interface annotations, capability
 /// iterators, and an optional init function.
@@ -509,18 +514,19 @@ impl KernelCore {
 }
 
 /// One simulated CPU: an [`Env`] implementation over the shared
-/// [`KernelCore`]. Owns the per-CPU state (guard lanes via its
-/// [`Runtime`] facade, kernel stack window, module execution stack,
-/// fuel and cycle accounting); everything else delegates to the core.
+/// [`KernelCore`]. Owns the per-CPU state (its [`GuardHandle`], stack
+/// pointer, module execution stack, fuel and cycle accounting);
+/// everything else delegates to the core.
 /// `Send`, so workloads move CPUs onto OS threads.
 pub struct KernelCpu {
     core: Arc<KernelCore>,
     /// Simulated physical memory (shared with every other CPU).
     pub mem: Arc<AddressSpace>,
-    /// This CPU's runtime facade over the shared `RuntimeCore`: guard
-    /// lanes (shadow stack + private epoch cache) for the simulated
-    /// threads this CPU runs, plus this CPU's guard stats and costs.
-    pub rt: Runtime,
+    /// This CPU's guard handle over the shared `RuntimeCore`: the shadow
+    /// stack and kernel-stack window of the one thread this CPU runs, a
+    /// private epoch cache, and this CPU's guard stats and costs.
+    /// `Deref`s to the core for grants, ownership tests and diagnostics.
+    pub rt: GuardHandle,
     /// Global isolation mode (modules default to it).
     pub mode: IsolationMode,
 
@@ -617,8 +623,7 @@ impl Kernel {
 
         let unannotated_decl = {
             let mut d = FnDecl::new("<unannotated>", Vec::new(), Default::default());
-            let mut rt = Runtime::from_core(Arc::clone(&rtc));
-            d.compile(&mut rt, &layouts);
+            d.compile(&rtc, &layouts);
             Arc::new(d)
         };
 
@@ -685,8 +690,8 @@ impl KernelCpu {
     /// Creates a CPU over a shared core, allocating its kernel thread.
     pub fn new(core: Arc<KernelCore>) -> Self {
         let (thread, stack_base) = core.alloc_thread();
-        let mut rt = Runtime::from_core(core.runtime_core());
-        rt.register_thread(thread, stack_base, STACK_SIZE);
+        let mut rt = GuardHandle::new(core.runtime_core());
+        rt.set_kernel_stack(stack_base, STACK_SIZE);
         KernelCpu {
             mem: Arc::clone(&core.mem),
             rt,
@@ -717,7 +722,7 @@ impl KernelCpu {
     /// guard against the same capability world through handles from
     /// [`KernelCpu::guard_handle`].
     pub fn runtime_core(&self) -> Arc<RuntimeCore> {
-        self.rt.share()
+        Arc::clone(self.rt.core())
     }
 
     /// Hands out a fresh per-thread guard handle over this kernel's
@@ -725,18 +730,8 @@ impl KernelCpu {
     /// stats, suitable for moving to another OS thread. Full kernel
     /// execution contexts (interpreting module code) come from
     /// [`Kernel::new_cpu`] instead.
-    pub fn guard_handle(&self) -> lxfi_core::GuardHandle {
-        lxfi_core::GuardHandle::new(self.rt.share())
-    }
-
-    /// Creates an additional simulated kernel thread *on this CPU* with
-    /// its own stack and guard lane; returns its id. (Distinct from
-    /// [`Kernel::new_cpu`], which creates an independently schedulable
-    /// execution context.)
-    pub fn spawn_thread(&mut self) -> ThreadId {
-        let (t, base) = self.core.alloc_thread();
-        self.rt.register_thread(t, base, STACK_SIZE);
-        t
+    pub fn guard_handle(&self) -> GuardHandle {
+        GuardHandle::new(self.runtime_core())
     }
 
     /// `set_tid_address(2)`: records the user pointer `do_exit` will zero
@@ -848,7 +843,7 @@ impl KernelCpu {
                 parse_fn_annotations(src)
                     .unwrap_or_else(|e| panic!("bad annotation on {name}: {e}")),
             );
-            d.compile(&mut self.rt, &self.core.layouts);
+            d.compile(&self.rt, &self.core.layouts);
             Arc::new(d)
         });
         let ahash = decl
@@ -888,7 +883,7 @@ impl KernelCpu {
             params,
             parse_fn_annotations(ann).unwrap_or_else(|e| panic!("bad annotation on {name}: {e}")),
         );
-        decl.compile(&mut self.rt, &self.core.layouts);
+        decl.compile(&self.rt, &self.core.layouts);
         // Decide under the write lock: a concurrent define_sig (or a
         // loading module merging the same name) must never let a
         // conflicting declaration silently replace an existing one
@@ -1367,11 +1362,10 @@ impl KernelCpu {
     /// principal is saved on the shadow stack and restored afterwards
     /// (§3.1).
     pub fn interrupt<R>(&mut self, handler: impl FnOnce(&mut Self) -> R) -> R {
-        let t = self.current_thread();
-        let tok = self.rt.thread(t).interrupt_enter();
+        let tok = self.rt.shadow().interrupt_enter();
         let r = handler(self);
         self.rt
-            .thread(t)
+            .shadow()
             .interrupt_exit(tok)
             .expect("interrupt tokens are runtime-managed");
         r
@@ -1482,7 +1476,7 @@ impl KernelCpu {
     /// Runs the zero-note flush first (the same family of deferred work
     /// this layer extends), then dispatches every pending call whose
     /// slot is bound to this CPU. A faulting bottom half is classified
-    /// and contained right here ([`KernelCpu::contain_trap`]) and the
+    /// and contained right here (`KernelCpu::contain_trap`) and the
     /// drain continues with the next call; only a kernel panic stops it.
     /// Returns the number of calls dispatched.
     pub fn deferred_drain(&mut self) -> usize {
@@ -1546,7 +1540,7 @@ impl KernelCpu {
         // define_sig cannot interleave between check and insert.
         for (name, d) in &spec.iface.sig_decls {
             let mut compiled = d.clone();
-            compiled.compile(&mut self.rt, &self.core.layouts);
+            compiled.compile(&self.rt, &self.core.layouts);
             let mut sig_decls = self.core.sig_decls.write().expect("sig lock");
             if let Some(prev) = sig_decls.get(name) {
                 if prev.ann.canonical() != d.ann.canonical() {
@@ -1577,7 +1571,7 @@ impl KernelCpu {
         let decls: HashMap<FuncId, Arc<FnDecl>> = decls
             .into_iter()
             .map(|(fid, mut d)| {
-                d.compile(&mut self.rt, &self.core.layouts);
+                d.compile(&self.rt, &self.core.layouts);
                 (fid, Arc::new(d))
             })
             .collect();
@@ -2093,8 +2087,7 @@ impl KernelCpu {
                     .cloned()
                     .unwrap_or_else(|| Arc::clone(&self.core.unannotated_decl));
                 let callee_p = self.select_principal(mid, &decl, args)?;
-                let t = self.current_thread();
-                let token = self.rt.wrapper_enter(t, Some((mid, callee_p)));
+                let token = self.rt.wrapper_enter(Some((mid, callee_p)));
                 let result = (|| -> Result<Word, Trap> {
                     let site = CallSite {
                         decl: &decl,
@@ -2124,7 +2117,7 @@ impl KernelCpu {
                 // Always rebalance the shadow stack; on the success path
                 // this validates the return token (control-flow integrity
                 // on returns, §5).
-                let exit = self.rt.wrapper_exit(t, token);
+                let exit = self.rt.wrapper_exit(token);
                 match result {
                     Ok(v) => {
                         exit?;
@@ -2227,8 +2220,7 @@ impl KernelCpu {
     /// REF or WRITE capability naming check responsibility rests with the
     /// preceding `lxfi_check` in module code.
     pub fn princ_alias_current(&mut self, existing: Word, new_name: Word) -> Result<(), Trap> {
-        let t = self.current_thread();
-        let Some((mid, _p)) = self.rt.current(t) else {
+        let Some((mid, _p)) = self.rt.current() else {
             if self.executing_stock_module() {
                 // Stock builds compile LXFI runtime calls out; treat the
                 // call as the no-op it would be.
@@ -2373,18 +2365,17 @@ impl Env for KernelCpu {
     }
 
     fn guard_write(&mut self, addr: Word, len: Word) -> Result<(), Trap> {
-        let t = self.current_thread();
         if self.fault_inject.is_some() {
             use crate::fault_inject::FaultSite;
             if self.fault_fires(FaultSite::RogueStore) {
                 // Aim the store at protected kernel data instead: the
                 // *real* guard machinery raises (and attributes) the
                 // violation, exactly as for a genuine rogue store.
-                self.rt.check_write(t, KDATA_BASE, 8)?;
+                self.rt.check_write(KDATA_BASE, 8)?;
             }
             if self.fault_fires(FaultSite::GuardWrite) {
                 // Synthesize a guard failure for the real access.
-                if let Some((_, p)) = self.rt.current(t) {
+                if let Some((_, p)) = self.rt.current() {
                     return Err(Trap::from(Violation::MissingWrite {
                         principal: p,
                         addr,
@@ -2393,7 +2384,7 @@ impl Env for KernelCpu {
                 }
             }
         }
-        self.rt.check_write(t, addr, len)?;
+        self.rt.check_write(addr, len)?;
         Ok(())
     }
 
@@ -2426,10 +2417,9 @@ impl Env for KernelCpu {
                 imp(self, args)
             }
             IsolationMode::Lxfi => {
-                let t = self.current_thread();
                 // CALL capability for the export's wrapper (granted at
                 // module init from the symbol table, §4.2).
-                self.rt.check_call(t, target)?;
+                self.rt.check_call(target)?;
                 // Success path is allocation-free: the declaration is an
                 // Arc clone; the export name is only cloned on error.
                 let decl = export.decl.clone().ok_or_else(|| {
@@ -2437,7 +2427,7 @@ impl Env for KernelCpu {
                         name: export.name.clone(),
                     })
                 })?;
-                let caller = self.rt.current(t);
+                let caller = self.rt.current();
                 let imp = Arc::clone(&export.imp);
                 if export.runtime_call {
                     // Runtime entry point: stays in the caller's principal
@@ -2467,7 +2457,7 @@ impl Env for KernelCpu {
                     )?;
                     return Ok(ret);
                 }
-                let token = self.rt.wrapper_enter(t, None); // kernel context
+                let token = self.rt.wrapper_enter(None); // kernel context
                 let result = (|| -> Result<Word, Trap> {
                     let site = CallSite {
                         decl: &decl,
@@ -2494,7 +2484,7 @@ impl Env for KernelCpu {
                     )?;
                     Ok(ret)
                 })();
-                let exit = self.rt.wrapper_exit(t, token);
+                let exit = self.rt.wrapper_exit(token);
                 match result {
                     Ok(v) => {
                         exit?;
@@ -2515,9 +2505,8 @@ impl Env for KernelCpu {
         match m.mode {
             IsolationMode::Stock => self.dispatch_checked_pointer(target, args),
             IsolationMode::Lxfi => {
-                let t = self.current_thread();
                 // The module may only call targets it holds CALL for.
-                self.rt.check_call(t, target)?;
+                self.rt.check_call(target)?;
                 // Annotation match between the call site's pointer type
                 // and the invoked function (§4.1, module side). Hash-only
                 // lookup: no FnMeta clone on the call hot path.
@@ -2532,7 +2521,7 @@ impl Env for KernelCpu {
                         fn_hash,
                     }));
                 }
-                let caller = self.rt.current(t);
+                let caller = self.rt.current();
                 let resolved = self.core.module_of_fn(target);
                 if resolved.is_some() {
                     self.invoke_resolved(resolved, target, args, Some(caller))
@@ -2544,7 +2533,7 @@ impl Env for KernelCpu {
                         })
                     })?;
                     let imp = Arc::clone(&export.imp);
-                    let token = self.rt.wrapper_enter(t, None);
+                    let token = self.rt.wrapper_enter(None);
                     let result = (|| -> Result<Word, Trap> {
                         let site = CallSite {
                             decl: &decl,
@@ -2577,7 +2566,7 @@ impl Env for KernelCpu {
                         )?;
                         Ok(ret)
                     })();
-                    let exit = self.rt.wrapper_exit(t, token);
+                    let exit = self.rt.wrapper_exit(token);
                     match result {
                         Ok(v) => {
                             exit?;

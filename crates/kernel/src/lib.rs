@@ -51,7 +51,7 @@ pub use exports::{Export, NativeFn};
 pub use fault_inject::{FaultPlan, FaultRule, FaultSite};
 pub use kernel::{
     IsolationMode, Kernel, KernelCore, KernelCpu, KernelError, LoadedModuleId, ModuleFault,
-    ModuleSpec, UserFn,
+    ModuleSpec, ThreadId, UserFn,
 };
 pub use layout::*;
 pub use lxfi_machine::{Backend, CompileStats};

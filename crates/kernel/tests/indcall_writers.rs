@@ -35,7 +35,7 @@ struct World {
 }
 
 /// Boots a kernel with three LXFI modules whose WRITE grants overlap one
-/// function-pointer slot with different extents (the real `Runtime::grant`
+/// function-pointer slot with different extents (the real `RuntimeCore::grant`
 /// path, so the writer bitmap and the reverse index both see them):
 ///
 /// ```text

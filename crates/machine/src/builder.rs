@@ -184,7 +184,7 @@ impl ProgramBuilder {
 }
 
 /// Assembles one function body. Emission methods append instructions;
-/// labels are patched at [`FunctionBuilder::finish`].
+/// labels are patched when the function is finished.
 pub struct FunctionBuilder {
     insts: Vec<Inst>,
     labels: Vec<Option<usize>>,

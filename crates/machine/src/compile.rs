@@ -3,10 +3,10 @@
 //! The interpreter in [`crate::interp`] decodes operands and charges fuel
 //! on every instruction. This module removes both at module load time:
 //! [`CompiledProgram::compile`] splits every function into basic blocks
-//! and lowers each block to a pre-resolved step list ([`BlockBody`])
+//! and lowers each block to a pre-resolved step list (`BlockBody`)
 //! that [`run_compiled`] threads through directly —
 //!
-//! - operands are resolved to [`Src`] (register index or immediate, the
+//! - operands are resolved to `Src` (register index or immediate, the
 //!   `i64 → u64` cast and `off as u64` folded in),
 //! - fuel is charged once per block from a precomputed block cost, with
 //!   the unearned suffix refunded (`Env::refund`) whenever the block
@@ -31,7 +31,7 @@
 //!
 //! A function that fails the (conservative) compile-time validation —
 //! missing terminator, out-of-range register or jump target — is kept as
-//! [`CompiledFunc::Fallback`] and routed through the interpreter at run
+//! `CompiledFunc::Fallback` and routed through the interpreter at run
 //! time, preserving its behaviour exactly.
 
 use std::sync::Arc;

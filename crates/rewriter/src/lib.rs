@@ -13,7 +13,7 @@
 //!   offsets are elided — the optimization behind MD5's 2% overhead,
 //!   §8.3), and compute the module's initial capability grants from its
 //!   import table (§4.2).
-//! - [`propagate`]: propagate annotations from function-pointer types to
+//! - [`propagate`](mod@propagate): propagate annotations from function-pointer types to
 //!   the module functions assigned to them, verifying that a function
 //!   reached from several sources gets *exactly the same* annotation
 //!   (§4.2).

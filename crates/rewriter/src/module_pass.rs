@@ -41,8 +41,8 @@ pub struct RewriteOptions {
     /// Merging is strictly *more* restrictive (the principal must own the
     /// whole spanned range), never less.
     pub merge_write_guards: bool,
-    /// Hoist loop-invariant write guards to the loop header (see
-    /// [`crate::hoist`]), turning a per-iteration table probe into a
+    /// Hoist loop-invariant write guards to the loop header (see the
+    /// crate's `hoist` pass), turning a per-iteration table probe into a
     /// per-entry one. The hoisted program must re-pass the soundness
     /// verifier or the whole hoist is reverted.
     pub hoist_loop_guards: bool,

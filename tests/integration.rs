@@ -69,15 +69,14 @@ fn interrupts_preserve_module_principal() {
     let addr = k.module_fn_addr(id, "work").unwrap();
     // Simulate: enter the wrapper manually, interrupt, then verify the
     // interrupt ran in kernel context and the module context returned.
-    let t = k.current_thread();
     let mid = k.runtime_module(id).unwrap();
     let shared = k.rt.shared_principal(mid);
-    let tok = k.rt.wrapper_enter(t, Some((mid, shared)));
-    assert_eq!(k.rt.current(t), Some((mid, shared)));
-    let observed = k.interrupt(|k| k.rt.current(k.current_thread()));
+    let tok = k.rt.wrapper_enter(Some((mid, shared)));
+    assert_eq!(k.rt.current(), Some((mid, shared)));
+    let observed = k.interrupt(|k| k.rt.current());
     assert_eq!(observed, None, "interrupt handler runs as kernel");
-    assert_eq!(k.rt.current(t), Some((mid, shared)), "principal restored");
-    k.rt.wrapper_exit(t, tok).unwrap();
+    assert_eq!(k.rt.current(), Some((mid, shared)), "principal restored");
+    k.rt.wrapper_exit(tok).unwrap();
     // And the real call path still works.
     k.enter(|k| k.invoke_module_function(addr, &[], None))
         .unwrap();
