@@ -214,6 +214,21 @@ fn resolve_sig_hashes(
         .collect()
 }
 
+/// The load-time checks LXFI runs on a rewritten program before either
+/// backend may execute it: prove every reachable store and kernel
+/// indirect call guard-dominated, then propagate the interface
+/// annotations (which enforces the same-annotation rule). Returns the
+/// propagated declarations.
+fn prove_module(
+    name: &str,
+    program: &Program,
+    iface: &InterfaceSpec,
+) -> Result<HashMap<FuncId, FnDecl>, KernelError> {
+    verify_soundness(program, SoundnessPolicy::module())
+        .map_err(|e| KernelError::Fail(format!("soundness {name}: {}", e[0])))?;
+    propagate(program, iface).map_err(|e| KernelError::Fail(format!("propagate {name}: {e}")))
+}
+
 /// A fault attributed to one module and contained there: the structured
 /// record the supervisor and tests consume instead of string-matching a
 /// panic message. Appended to the kernel-wide fault log (see
@@ -294,6 +309,33 @@ struct ModuleTable {
     free_slots: Vec<usize>,
 }
 
+/// One module image: a source program, the rewriter's output for it and
+/// that output's compiled form. The rewriter is untrusted, so reusing an
+/// image skips only the rewrite and the compile; every load still runs
+/// the structural check, the soundness proof, `propagate` and the sig
+/// check on the exact program it installs.
+struct ModuleImage {
+    source: Program,
+    program: Arc<Program>,
+    init_grants: Vec<InitGrant>,
+    /// `None` under [`Backend::Interp`].
+    compiled: Option<Arc<CompiledProgram>>,
+}
+
+/// The per-kernel module-image table: one image per module name, kept
+/// across unload and quarantine, so a supervisor restart of an unchanged
+/// module rewrites and compiles nothing. An LXFI load reuses the image
+/// only when its program is structurally equal to the stored source
+/// (the cached init grants come from that source's import table), and
+/// stores an image only once it passed the proof, `propagate` and the
+/// sig check.
+#[derive(Default)]
+struct ModuleImages {
+    by_name: HashMap<String, ModuleImage>,
+    hits: u64,
+    misses: u64,
+}
+
 /// The shared, `Send + Sync` half of the simulated kernel. See the
 /// module docs for the state split and locking rules. Construct via
 /// [`Kernel::boot`]; hand out execution contexts with
@@ -332,8 +374,9 @@ pub struct KernelCore {
     /// plus a linear name scan.
     thunks: std::sync::OnceLock<(Arc<LoadedModule>, HashMap<String, FuncId>)>,
     /// Serializes whole module load/unload transactions (loads are rare;
-    /// dispatch only takes the registries' read locks).
-    load_lock: Mutex<()>,
+    /// dispatch only takes the registries' read locks), and guards the
+    /// module-image table the loads share.
+    load_lock: Mutex<ModuleImages>,
 
     slab: ShardedSlab,
     procs: Mutex<ProcessTable>,
@@ -432,6 +475,59 @@ impl KernelCore {
             }
         }
         total
+    }
+
+    /// Module-image table counters `(hits, misses)`: LXFI loads that
+    /// reused a stored rewrite and compile, and loads that ran them.
+    pub fn module_image_stats(&self) -> (u64, u64) {
+        let images = self.load_lock.lock().expect("load lock");
+        (images.hits, images.misses)
+    }
+
+    /// The program lowered for this kernel's backend: `None` under
+    /// [`Backend::Interp`].
+    fn compile(&self, program: &Arc<Program>) -> Option<Arc<CompiledProgram>> {
+        (self.backend == Backend::Compiled)
+            .then(|| Arc::new(CompiledProgram::compile(Arc::clone(program))))
+    }
+
+    /// The interface declarations a loading module adds to the sig
+    /// registry, checked exact-match on collision (§4.2): a conflict
+    /// rejects the whole load. A declaration structurally equal to the
+    /// registered one is skipped without printing either canonically.
+    fn new_sig_decls<'a>(
+        &self,
+        decls: &'a HashMap<String, FnDecl>,
+    ) -> Result<Vec<(&'a String, &'a FnDecl)>, KernelError> {
+        let sig_decls = self.sig_decls.read().expect("sig lock");
+        let mut new = Vec::new();
+        for (name, d) in decls {
+            match sig_decls.get(name) {
+                None => new.push((name, d)),
+                Some(prev) if prev.ann == d.ann => {}
+                Some(prev) if prev.ann.canonical() == d.ann.canonical() => {}
+                Some(_) => {
+                    return Err(KernelError::Fail(format!(
+                        "sig `{name}` conflicts with an existing declaration"
+                    )))
+                }
+            }
+        }
+        Ok(new)
+    }
+
+    /// Compiles and registers the declarations [`Self::new_sig_decls`]
+    /// admitted.
+    fn insert_sig_decls(&self, decls: Vec<(&String, &FnDecl)>) {
+        if decls.is_empty() {
+            return;
+        }
+        let mut sig_decls = self.sig_decls.write().expect("sig lock");
+        for (name, d) in decls {
+            let mut compiled = d.clone();
+            compiled.compile(&self.rtc, &self.layouts);
+            sig_decls.insert(name.clone(), Arc::new(compiled));
+        }
     }
 
     /// Allocates a simulated kernel thread: maps its stack, grants
@@ -641,7 +737,7 @@ impl Kernel {
             rewrite_opts,
             modules: RwLock::new(ModuleTable::default()),
             thunks: std::sync::OnceLock::new(),
-            load_lock: Mutex::new(()),
+            load_lock: Mutex::new(ModuleImages::default()),
             slab: ShardedSlab::new(),
             procs: Mutex::new(procs),
             panic: Mutex::new(None),
@@ -884,10 +980,12 @@ impl KernelCpu {
             parse_fn_annotations(ann).unwrap_or_else(|e| panic!("bad annotation on {name}: {e}")),
         );
         decl.compile(&self.rt, &self.core.layouts);
-        // Decide under the write lock: a concurrent define_sig (or a
-        // loading module merging the same name) must never let a
-        // conflicting declaration silently replace an existing one
-        // (§4.2 exact-match-on-collision).
+        // Decide under the load lock: a concurrent define_sig or module
+        // load must never let a conflicting declaration silently replace
+        // an existing one (§4.2 exact-match-on-collision), and a load
+        // relies on the registry not changing between its check and its
+        // insert.
+        let _load = self.core.load_lock.lock().expect("load lock");
         {
             let mut sig_decls = self.core.sig_decls.write().expect("sig lock");
             if let Some(prev) = sig_decls.get(name) {
@@ -1522,51 +1620,74 @@ impl KernelCpu {
     /// concurrently against the registries' read locks and observes the
     /// module only after its commit point (name + function addresses
     /// inserted together).
+    ///
+    /// Every check that can reject the load runs before its first side
+    /// effect, so a rejected load leaves no principal, function
+    /// registration, sig declaration or module image behind. An LXFI
+    /// load rewrites and compiles only when the kernel holds no image of
+    /// a structurally equal program under this name; the soundness
+    /// proof, `propagate` and the sig check run on every load.
     pub fn load_module_with_mode(
         &mut self,
         spec: ModuleSpec,
         mode: IsolationMode,
     ) -> Result<LoadedModuleId, KernelError> {
         let core = Arc::clone(&self.core);
-        let load_guard = core.load_lock.lock().expect("load lock");
+        let mut images = core.load_lock.lock().expect("load lock");
+        let ModuleSpec {
+            name,
+            program: source,
+            iface,
+            iterators,
+            init_fn,
+        } = spec;
 
-        lxfi_machine::verify_program(&spec.program)
-            .map_err(|e| KernelError::Fail(format!("verify {}: {}", spec.name, e[0])))?;
+        lxfi_machine::verify_program(&source)
+            .map_err(|e| KernelError::Fail(format!("verify {name}: {}", e[0])))?;
+        let import_addrs = self.resolve_imports(&name, &source)?;
 
-        // Merge the module's interface declarations into the kernel's sig
-        // registry (exact-match on collision, §4.2). The compile happens
-        // optimistically outside the lock; the collision decision and the
-        // insert happen together under the write lock so a concurrent
-        // define_sig cannot interleave between check and insert.
-        for (name, d) in &spec.iface.sig_decls {
-            let mut compiled = d.clone();
-            compiled.compile(&self.rt, &self.core.layouts);
-            let mut sig_decls = self.core.sig_decls.write().expect("sig lock");
-            if let Some(prev) = sig_decls.get(name) {
-                if prev.ann.canonical() != d.ann.canonical() {
-                    return Err(KernelError::Fail(format!(
-                        "sig `{name}` conflicts with an existing declaration"
-                    )));
-                }
-            } else {
-                sig_decls.insert(name.clone(), Arc::new(compiled));
-            }
-        }
-
-        let (program, decls, init_grants) = match mode {
+        let (program, compiled, decls, fresh) = match mode {
             IsolationMode::Lxfi => {
-                let rw = rewrite_module(&spec.program, self.core.rewrite_opts);
-                // Don't trust the rewriter: prove on the *output* that
-                // every reachable store is guard-dominated before the
-                // program can reach either execution backend.
-                verify_soundness(&rw.program, SoundnessPolicy::module())
-                    .map_err(|e| KernelError::Fail(format!("soundness {}: {}", spec.name, e[0])))?;
-                let decls = propagate(&rw.program, &spec.iface)
-                    .map_err(|e| KernelError::Fail(format!("propagate {}: {e}", spec.name)))?;
-                (rw.program, decls, rw.init_grants)
+                if images
+                    .by_name
+                    .get(&name)
+                    .is_some_and(|img| img.source == source)
+                {
+                    images.hits += 1;
+                    let img = &images.by_name[&name];
+                    let decls = prove_module(&name, &img.program, &iface)?;
+                    (Arc::clone(&img.program), img.compiled.clone(), decls, None)
+                } else {
+                    images.misses += 1;
+                    let rw = rewrite_module(&source, core.rewrite_opts);
+                    let program = Arc::new(rw.program);
+                    let decls = prove_module(&name, &program, &iface)?;
+                    let compiled = core.compile(&program);
+                    let img = ModuleImage {
+                        source,
+                        program: Arc::clone(&program),
+                        init_grants: rw.init_grants,
+                        compiled: compiled.clone(),
+                    };
+                    (program, compiled, decls, Some(img))
+                }
             }
-            IsolationMode::Stock => (spec.program.clone(), HashMap::new(), Vec::new()),
+            IsolationMode::Stock => {
+                let program = Arc::new(source);
+                let compiled = core.compile(&program);
+                (program, compiled, HashMap::new(), None)
+            }
         };
+        let new_sigs = core.new_sig_decls(&iface.sig_decls)?;
+
+        // Every check passed; side effects start here. Loads and
+        // define_sig are serialized by the load lock, so the sig check
+        // above still holds at the insert.
+        if let Some(img) = fresh {
+            images.by_name.insert(name.clone(), img);
+        }
+        let sigs_inserted = !new_sigs.is_empty();
+        core.insert_sig_decls(new_sigs);
         // Compile the module declarations' enforcement IR once, at load.
         let decls: HashMap<FuncId, Arc<FnDecl>> = decls
             .into_iter()
@@ -1591,7 +1712,7 @@ impl KernelCpu {
             self.scrub_window(midx, window);
         }
         let mid = match mode {
-            IsolationMode::Lxfi => Some(self.rt.register_module(&spec.name)),
+            IsolationMode::Lxfi => Some(self.rt.register_module(&name)),
             IsolationMode::Stock => None,
         };
 
@@ -1628,7 +1749,7 @@ impl KernelCpu {
             self.rt.register_function(
                 addr,
                 FnMeta {
-                    name: format!("{}::{}", spec.name, program.funcs[i].name),
+                    name: format!("{}::{}", name, program.funcs[i].name),
                     ahash: decls
                         .get(&fid)
                         .map(|d| d.ahash)
@@ -1636,31 +1757,6 @@ impl KernelCpu {
                     module: mid,
                 },
             );
-        }
-
-        // Resolve imports.
-        let mut import_addrs = Vec::new();
-        for imp in &program.imports {
-            let addr = match imp.kind {
-                ImportKind::Func => self.export_addr(&imp.name).ok_or_else(|| {
-                    KernelError::Fail(format!("{}: unresolved import {}", spec.name, imp.name))
-                })?,
-                ImportKind::Data => {
-                    self.core
-                        .kdata
-                        .read()
-                        .expect("kdata lock")
-                        .get(&imp.name)
-                        .ok_or_else(|| {
-                            KernelError::Fail(format!(
-                                "{}: unresolved data import {}",
-                                spec.name, imp.name
-                            ))
-                        })?
-                        .0
-                }
-            };
-            import_addrs.push(addr);
         }
 
         // Initial capability grants to the shared principal (§3.2, §4.2).
@@ -1681,7 +1777,8 @@ impl KernelCpu {
             for base in stacks {
                 self.rt.grant(shared, RawCap::write(base, STACK_SIZE));
             }
-            for g in &init_grants {
+            // The LXFI branch above stored or reused this name's image.
+            for g in &images.by_name[&name].init_grants {
                 match g {
                     InitGrant::Call { name } => {
                         let addr = self.export_addr(name).expect("resolved above");
@@ -1707,8 +1804,8 @@ impl KernelCpu {
             }
         }
 
-        for (name, f) in spec.iterators {
-            self.rt.register_iterator(&name, f);
+        for (iter_name, f) in iterators {
+            self.rt.register_iterator(&iter_name, f);
         }
 
         // Resolve the module's per-SigId annotation hashes BEFORE the
@@ -1734,11 +1831,8 @@ impl KernelCpu {
                 tab.fn_addrs
                     .insert(fn_base + i as u64 * FN_SPACING, (midx, FuncId(i as u32)));
             }
-            let program = Arc::new(program);
-            let compiled = (self.core.backend == Backend::Compiled)
-                .then(|| Arc::new(CompiledProgram::compile(Arc::clone(&program))));
             let module = Arc::new(LoadedModule {
-                name: spec.name.clone(),
+                name: name.clone(),
                 mode,
                 slot: midx,
                 mid,
@@ -1757,15 +1851,17 @@ impl KernelCpu {
             } else {
                 tab.modules.push(module);
             }
-            tab.by_name.insert(spec.name.clone(), midx);
+            tab.by_name.insert(name, midx);
         }
-        // The merged sig declarations may concern earlier modules' call
+        // Declarations this load added may concern earlier modules' call
         // sites too; refresh every module's per-SigId hash array (before
         // module_init runs and can take indirect calls).
-        self.core.refresh_sig_hashes();
+        if sigs_inserted {
+            self.core.refresh_sig_hashes();
+        }
 
-        drop(load_guard);
-        if let Some(init) = &spec.init_fn {
+        drop(images);
+        if let Some(init) = &init_fn {
             let m = self.core.modules.read().expect("modules lock").modules[midx].clone();
             let fid = m
                 .program
@@ -1775,6 +1871,25 @@ impl KernelCpu {
             self.enter(|k| k.invoke_module_function(addr, &[], None))?;
         }
         Ok(LoadedModuleId(midx))
+    }
+
+    /// Resolves a module's imports to export and kernel-data addresses,
+    /// failing on the first unresolved one.
+    fn resolve_imports(&self, module: &str, program: &Program) -> Result<Vec<Word>, KernelError> {
+        let kdata = self.core.kdata.read().expect("kdata lock");
+        program
+            .imports
+            .iter()
+            .map(|imp| {
+                let (addr, what) = match imp.kind {
+                    ImportKind::Func => (self.export_addr(&imp.name), "import"),
+                    ImportKind::Data => (kdata.get(&imp.name).map(|&(a, _)| a), "data import"),
+                };
+                addr.ok_or_else(|| {
+                    KernelError::Fail(format!("{module}: unresolved {what} {}", imp.name))
+                })
+            })
+            .collect()
     }
 
     /// Unloads a module: its name is freed, its function addresses stop
@@ -1887,8 +2002,7 @@ impl KernelCpu {
                     .insert(fn_base + i as u64 * FN_SPACING, (midx, FuncId(i as u32)));
             }
             let program = Arc::new(program);
-            let compiled = (self.core.backend == Backend::Compiled)
-                .then(|| Arc::new(CompiledProgram::compile(Arc::clone(&program))));
+            let compiled = self.core.compile(&program);
             tab.modules.push(Arc::new(LoadedModule {
                 name: "<kernel-thunks>".into(),
                 mode: IsolationMode::Stock, // kernel code is trusted

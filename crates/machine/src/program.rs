@@ -34,7 +34,7 @@ pub enum ImportKind {
 }
 
 /// An entry in the module's symbol table of imports.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Import {
     /// Kernel symbol name, e.g. `"kmalloc"`.
     pub name: String,
@@ -43,7 +43,7 @@ pub struct Import {
 }
 
 /// A module global variable (lives in the module's `.data`/`.bss`/rodata).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GlobalDef {
     /// Name, for diagnostics and disassembly.
     pub name: String,
@@ -58,7 +58,7 @@ pub struct GlobalDef {
 }
 
 /// A declared function-pointer type.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SigDecl {
     /// Type name, e.g. `"ndo_start_xmit"`.
     pub name: String,
@@ -67,7 +67,7 @@ pub struct SigDecl {
 }
 
 /// A KIR function.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Function {
     /// Function name (unique within the program).
     pub name: String,
@@ -107,7 +107,7 @@ pub struct FnReloc {
 }
 
 /// A complete KIR program (one kernel module, or a core-kernel thunk set).
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Program {
     /// Program name (module name).
     pub name: String,
