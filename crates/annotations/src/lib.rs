@@ -31,17 +31,18 @@
 //! - a recursive-descent parser ([`parse`]),
 //! - a stable 64-bit annotation hash ([`hash`]) — the `ahash` compared by
 //!   `lxfi_check_indcall` to ensure a module cannot launder a function
-//!   through a differently-annotated pointer type (§4.1),
-//! - expression evaluation over call arguments and return values ([`eval`]).
+//!   through a differently-annotated pointer type (§4.1).
+//!
+//! Expressions are evaluated by the runtime, not here: `lxfi-core`
+//! compiles each annotation against its function's parameters once and
+//! evaluates the compiled form at every call.
 
 pub mod ast;
-pub mod eval;
 pub mod hash;
 pub mod parse;
 
 pub use ast::{
     Action, Annotation, BinExprOp, CapList, CapTypeExpr, Expr, FnAnnotations, PrincipalExpr,
 };
-pub use eval::{eval_expr, EvalCtx, EvalError};
 pub use hash::annotation_hash;
 pub use parse::{parse_annotation_list, parse_fn_annotations, ParseError};

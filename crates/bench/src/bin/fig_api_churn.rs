@@ -1,6 +1,6 @@
 //! Regenerates Figure 10: growth and per-release churn of kernel APIs,
 //! 2.6.21 through 2.6.39 (synthetic series calibrated to the paper's
-//! anchors — see DESIGN.md's substitution table).
+//! anchors, listed in `lxfi_bench::api_churn`).
 
 use lxfi_bench::{api_churn, render_table};
 

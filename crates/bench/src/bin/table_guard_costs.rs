@@ -8,11 +8,13 @@
 //! chaos workload (supervised crash/recover churn: recovery counts,
 //! healthy-path isolation overhead, and post-churn leak gauges).
 //!
-//! `--json` emits the measurements as a flat JSON object (stable keys;
-//! `*_ns` latencies, `*_rate` fractions, `*_cycles` deterministic
-//! simulated cycles, `*_mops` M stores/s, and raw guard counters) for
-//! the CI perf gate (`perf_gate`) and the workflow artifact; the human
-//! tables are suppressed in that mode.
+//! Every workload runs once into one measured list of `(key, value)`
+//! pairs; both outputs render from it. `--json` emits the list as a
+//! flat JSON object (stable keys; `*_ns` latencies, `*_rate` fractions,
+//! `*_cycles` deterministic simulated cycles, `*_mops` M stores/s, and
+//! raw guard counters) for the CI perf gate (`perf_gate`) and the
+//! workflow artifact; without it, Figure 13 prints first and the
+//! comparison tables follow.
 
 use lxfi_bench::{
     chaos, dm, guards, kernel_mt, netperf, netperf_mt, render_table, server, sound,
@@ -23,48 +25,35 @@ use lxfi_kernel::{Backend, IsolationMode};
 /// Measured values, as `(key, value)` pairs with stable names.
 fn measurements(iters: u64) -> Vec<(String, f64)> {
     let mut out = Vec::new();
+    let mut put = |key: &str, value: f64| out.push((key.to_string(), value));
     let tables = guards::write_table_comparison(512, iters);
-    out.push(("linear_hit_ns".into(), tables[0].hit_ns));
-    out.push(("linear_miss_ns".into(), tables[0].miss_ns));
-    out.push(("interval_hit_ns".into(), tables[1].hit_ns));
-    out.push(("interval_miss_ns".into(), tables[1].miss_ns));
+    put("linear_hit_ns", tables[0].hit_ns);
+    put("linear_miss_ns", tables[0].miss_ns);
+    put("interval_hit_ns", tables[1].hit_ns);
+    put("interval_miss_ns", tables[1].miss_ns);
     let cache = guards::guard_cache_comparison(512, iters);
-    out.push(("guard_repeated_ns".into(), cache.repeated_ns));
-    out.push(("guard_rotating_ns".into(), cache.rotating_ns));
+    put("guard_repeated_ns", cache.repeated_ns);
+    put("guard_rotating_ns", cache.rotating_ns);
     for row in writer_index::writer_lookup_rows(iters) {
-        out.push((
-            format!("writer_linear_{}_ns", row.principals),
-            row.linear_ns,
-        ));
-        out.push((format!("writer_index_{}_ns", row.principals), row.index_ns));
+        let n = row.principals;
+        put(&format!("writer_linear_{n}_ns"), row.linear_ns);
+        put(&format!("writer_index_{n}_ns"), row.index_ns);
     }
     // Revoke-heavy churn: per-call store latencies, the cache hit rate
     // the epoch design guarantees, and the raw counters behind it.
     for row in guards::revoke_heavy_rows(iters / 4) {
-        let n = row.principals;
-        out.push((format!("revoke_heavy_{n}_steady_ns"), row.steady_ns));
-        out.push((
-            format!("revoke_heavy_{n}_post_revoke_ns"),
-            row.post_revoke_ns,
-        ));
-        out.push((format!("revoke_heavy_{n}_uncached_ns"), row.uncached_ns));
-        out.push((format!("revoke_heavy_{n}_hit_rate"), row.hit_rate));
-        out.push((
-            format!("revoke_heavy_{n}_cache_hits"),
-            row.cache_hits as f64,
-        ));
-        out.push((
-            format!("revoke_heavy_{n}_cache_misses"),
-            row.cache_misses as f64,
-        ));
-        out.push((
-            format!("revoke_heavy_{n}_epoch_bumps"),
-            row.epoch_bumps as f64,
-        ));
+        let k = |what: &str| format!("revoke_heavy_{}_{what}", row.principals);
+        put(&k("steady_ns"), row.steady_ns);
+        put(&k("post_revoke_ns"), row.post_revoke_ns);
+        put(&k("uncached_ns"), row.uncached_ns);
+        put(&k("hit_rate"), row.hit_rate);
+        put(&k("cache_hits"), row.cache_hits as f64);
+        put(&k("cache_misses"), row.cache_misses as f64);
+        put(&k("epoch_bumps"), row.epoch_bumps as f64);
     }
     // Grant/revoke splice latency vs shard count, 512 principals.
     for row in writer_index::splice_rows(iters / 10) {
-        out.push((format!("splice_512p_{}shard_ns", row.shards), row.churn_ns));
+        put(&format!("splice_512p_{}shard_ns", row.shards), row.churn_ns);
     }
     // Multi-threaded netperf TX: scaling (1t vs 4t uncontended) and the
     // contention pair at 2 threads (CI's smoke thread count). The gate
@@ -72,187 +61,156 @@ fn measurements(iters: u64) -> Vec<(String, f64)> {
     let cpus = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
-    out.push(("mt_cpus".into(), cpus as f64));
+    put("mt_cpus", cpus as f64);
     let pkts = (iters / 2).max(10_000);
     let m1 = netperf_mt::run_netperf_mt(1, pkts, false);
-    out.push(("mt_store_1t_ns".into(), m1.store_ns));
-    out.push(("mt_aggregate_1t_mops".into(), m1.aggregate_mops));
+    put("mt_store_1t_ns", m1.store_ns);
+    put("mt_aggregate_1t_mops", m1.aggregate_mops);
     let m4 = netperf_mt::run_netperf_mt(4, pkts, false);
-    out.push(("mt_store_4t_ns".into(), m4.store_ns));
-    out.push(("mt_aggregate_4t_mops".into(), m4.aggregate_mops));
+    put("mt_store_4t_ns", m4.store_ns);
+    put("mt_aggregate_4t_mops", m4.aggregate_mops);
     let m2u = netperf_mt::run_netperf_mt(2, pkts, false);
     let m2c = netperf_mt::run_netperf_mt(2, pkts, true);
-    out.push(("mt_store_2t_uncontended_ns".into(), m2u.store_ns));
-    out.push(("mt_store_2t_contended_ns".into(), m2c.store_ns));
-    out.push(("mt_aggregate_2t_mops".into(), m2u.aggregate_mops));
-    out.push(("mt_contended_2t_hit_rate".into(), m2c.hit_rate));
-    out.push(("mt_contended_2t_churn_ops".into(), m2c.churn_ops as f64));
+    put("mt_store_2t_uncontended_ns", m2u.store_ns);
+    put("mt_store_2t_contended_ns", m2c.store_ns);
+    put("mt_aggregate_2t_mops", m2u.aggregate_mops);
+    put("mt_contended_2t_hit_rate", m2c.hit_rate);
+    put("mt_contended_2t_churn_ops", m2c.churn_ops as f64);
     // Multi-threaded *kernel* workload: real interpreted e1000 TX on N
     // KernelCpus over one shared KernelCore, against grant/revoke +
     // module-load churn. Scaling pair (1t vs 4t uncontended) plus the
     // contention pair at 2 CPUs (CI's smoke thread count).
     let pkts = (iters / 40).max(2_000);
     let km1 = kernel_mt::run_kernel_mt(1, pkts, false);
-    out.push(("kmt_pkt_1t_ns".into(), km1.pkt_ns));
-    out.push(("kmt_aggregate_1t_kpps".into(), km1.aggregate_kpps));
+    put("kmt_pkt_1t_ns", km1.pkt_ns);
+    put("kmt_aggregate_1t_kpps", km1.aggregate_kpps);
     let km4 = kernel_mt::run_kernel_mt(4, pkts, false);
-    out.push(("kmt_pkt_4t_ns".into(), km4.pkt_ns));
-    out.push(("kmt_aggregate_4t_kpps".into(), km4.aggregate_kpps));
+    put("kmt_pkt_4t_ns", km4.pkt_ns);
+    put("kmt_aggregate_4t_kpps", km4.aggregate_kpps);
     let km2u = kernel_mt::run_kernel_mt(2, pkts, false);
     let km2c = kernel_mt::run_kernel_mt(2, pkts, true);
-    out.push(("kmt_pkt_2t_uncontended_ns".into(), km2u.pkt_ns));
-    out.push(("kmt_pkt_2t_contended_ns".into(), km2c.pkt_ns));
-    out.push(("kmt_aggregate_2t_kpps".into(), km2u.aggregate_kpps));
-    out.push(("kmt_contended_2t_hit_rate".into(), km2c.hit_rate));
-    out.push(("kmt_contended_2t_churn_ops".into(), km2c.churn_ops as f64));
-    out.push(("kmt_contended_2t_loads".into(), km2c.churn_loads as f64));
+    put("kmt_pkt_2t_uncontended_ns", km2u.pkt_ns);
+    put("kmt_pkt_2t_contended_ns", km2c.pkt_ns);
+    put("kmt_aggregate_2t_kpps", km2u.aggregate_kpps);
+    put("kmt_contended_2t_hit_rate", km2c.hit_rate);
+    put("kmt_contended_2t_churn_ops", km2c.churn_ops as f64);
+    put("kmt_contended_2t_loads", km2c.churn_loads as f64);
     // Data-plane counters from the uncontended 2-CPU run: per-CPU slab
     // magazine hit rate, single-holder grant-transfer fast/slow split,
     // and the note_zeroed clean-stripe fast skips. All deterministic
     // enough to gate on as floors (LIFO reuse keeps the hit rate high;
     // every TX packet's skb transfer has one holder).
-    out.push(("kmt_magazine_hit_rate".into(), km2u.magazine_hit_rate));
-    out.push(("kmt_transfer_fast".into(), km2u.transfer_fast as f64));
-    out.push(("kmt_transfer_slow".into(), km2u.transfer_slow as f64));
-    out.push((
-        "kmt_note_zeroed_fast_skips".into(),
-        km2u.note_zeroed_fast_skips as f64,
-    ));
-    // Sound playback period: deterministic simulated cycles, so the
-    // stock/LXFI ratio is machine-independent.
+    put("kmt_magazine_hit_rate", km2u.magazine_hit_rate);
+    put("kmt_transfer_fast", km2u.transfer_fast as f64);
+    put("kmt_transfer_slow", km2u.transfer_slow as f64);
+    let skips = km2u.note_zeroed_fast_skips;
+    put("kmt_note_zeroed_fast_skips", skips as f64);
+    // Sound playback and capture periods (capture is the receive-side
+    // path through the deferred-call mux) and the device-mapper request
+    // round: deterministic simulated cycles, so the stock/LXFI ratios
+    // are machine-independent.
     let pb = sound::playback_comparison(200);
-    out.push(("sound_stock_period_cycles".into(), pb.stock));
-    out.push(("sound_lxfi_period_cycles".into(), pb.lxfi));
-    // Sound *capture* period: the receive-side path through the
-    // deferred-call mux (same machinery as NAPI polls); deterministic
-    // cycles like playback.
+    put("sound_stock_period_cycles", pb.stock);
+    put("sound_lxfi_period_cycles", pb.lxfi);
     let cp = sound::capture_comparison(200);
-    out.push(("sound_capture_stock_cycles".into(), cp.stock));
-    out.push(("sound_capture_lxfi_cycles".into(), cp.lxfi));
-    // Device-mapper request round: also deterministic simulated cycles.
+    put("sound_capture_stock_cycles", cp.stock);
+    put("sound_capture_lxfi_cycles", cp.lxfi);
     let dmr = dm::dm_comparison(100);
-    out.push(("dm_stock_round_cycles".into(), dmr.stock));
-    out.push(("dm_lxfi_round_cycles".into(), dmr.lxfi));
+    put("dm_stock_round_cycles", dmr.stock);
+    put("dm_lxfi_round_cycles", dmr.lxfi);
     // End-to-end request server (async I/O plane): wire → RX ring →
     // NAPI poll via the deferred-call mux → socket recvmsg → TX reply.
     // Latencies are cycle-derived (deterministic on every host), so
     // the gate holds both the LXFI/stock ratio and the tail bound.
     let srv = server::run_server(IsolationMode::Lxfi, Backend::Interp, 256);
     let srv_stock = server::run_server(IsolationMode::Stock, Backend::Interp, 256);
-    out.push(("server_p50_ns".into(), srv.p50_ns));
-    out.push(("server_p99_ns".into(), srv.p99_ns));
-    out.push(("server_stock_p50_ns".into(), srv_stock.p50_ns));
-    out.push(("server_stock_p99_ns".into(), srv_stock.p99_ns));
-    out.push(("server_rx_pkts".into(), srv.rx_pkts as f64));
-    out.push(("server_tx_replies".into(), srv.tx_replies as f64));
-    out.push((
-        "server_dropped".into(),
-        (srv.dropped + srv_stock.dropped) as f64,
-    ));
-    out.push(("deferred_dispatched".into(), srv.deferred_dispatched as f64));
+    put("server_p50_ns", srv.p50_ns);
+    put("server_p99_ns", srv.p99_ns);
+    put("server_stock_p50_ns", srv_stock.p50_ns);
+    put("server_stock_p99_ns", srv_stock.p99_ns);
+    put("server_rx_pkts", srv.rx_pkts as f64);
+    put("server_tx_replies", srv.tx_replies as f64);
+    put("server_dropped", (srv.dropped + srv_stock.dropped) as f64);
+    put("deferred_dispatched", srv.deferred_dispatched as f64);
     // Execution-backend comparison: wall-clock time per operation under
     // the interpreter vs the compiled backend on the same workloads
     // (simulated cycles are backend-invariant by design — host time is
     // what compilation buys). The gate checks the compiled/interp ratio,
     // which is hostname-tolerant like every other ratio row.
-    let pkts = (iters / 40).max(2_000);
     for (key, backend) in [
         ("netperf_pkt_interp_ns", Backend::Interp),
         ("netperf_pkt_compiled_ns", Backend::Compiled),
     ] {
         let ns = netperf::measure_packet_wall_ns(IsolationMode::Lxfi, backend, 1448, pkts);
-        out.push((key.into(), ns));
+        put(key, ns);
     }
     let kmc = kernel_mt::run_kernel_mt_backend(1, pkts, false, Backend::Compiled);
-    out.push(("kmt_pkt_1t_compiled_ns".into(), kmc.pkt_ns));
+    put("kmt_pkt_1t_compiled_ns", kmc.pkt_ns);
     for (key, backend) in [
         ("sound_period_interp_ns", Backend::Interp),
         ("sound_period_compiled_ns", Backend::Compiled),
     ] {
         let ns = sound::measure_playback_wall_ns(IsolationMode::Lxfi, backend, pkts.min(4_000));
-        out.push((key.into(), ns));
+        put(key, ns);
     }
     // Compiled-program counters (deterministic): every module function
     // must compile — a fallback would silently re-route hot paths back
     // through the interpreter.
     let (k, _dev) = netperf::boot_e1000_backend(IsolationMode::Lxfi, Backend::Compiled);
     let cs = k.core().compile_stats();
-    out.push(("compiled_funcs".into(), cs.funcs_compiled as f64));
-    out.push(("compiled_blocks".into(), cs.blocks_compiled as f64));
-    out.push((
-        "compiled_fused_guard_sites".into(),
-        cs.fused_guard_sites as f64,
-    ));
-    out.push(("compiled_fallback_funcs".into(), cs.fallback_funcs as f64));
+    put("compiled_funcs", cs.funcs_compiled as f64);
+    put("compiled_blocks", cs.blocks_compiled as f64);
+    put("compiled_fused_guard_sites", cs.fused_guard_sites as f64);
+    put("compiled_fallback_funcs", cs.fallback_funcs as f64);
     // Guard-soundness verifier counters (deterministic): every shipped
     // module (plus the kernel thunks and the canary mutants) re-audited;
     // the gate holds rejects at zero, canary detection at 100%, and the
     // hoisting pass's site count and dynamic-guard saving above floor.
     let rows = soundness_audit::audit_modules(Default::default());
-    out.push((
-        "soundness_modules_proven".into(),
-        rows.iter().filter(|r| r.ok()).count() as f64,
-    ));
-    out.push((
-        "soundness_rejects".into(),
-        rows.iter().filter(|r| !r.ok()).count() as f64
-            + if soundness_audit::audit_kernel_thunks().ok() {
-                0.0
-            } else {
-                1.0
-            },
-    ));
+    let proven = rows.iter().filter(|r| r.ok()).count();
+    let thunks_rejected = !soundness_audit::audit_kernel_thunks().ok();
+    put("soundness_modules_proven", proven as f64);
+    let rejects = rows.len() - proven + usize::from(thunks_rejected);
+    put("soundness_rejects", rejects as f64);
     let (canaries, caught) = soundness_audit::canary_outcome();
-    out.push(("soundness_canaries_caught".into(), caught as f64));
-    out.push((
-        "soundness_canaries_missed".into(),
-        (canaries - caught) as f64,
-    ));
+    put("soundness_canaries_caught", caught as f64);
+    put("soundness_canaries_missed", (canaries - caught) as f64);
     let hc = guards::hoist_comparison(200, 256);
-    out.push(("rewrite_guards_hoisted".into(), hc.sites_hoisted as f64));
-    out.push(("netperf_memw_per_pkt_hoisted".into(), hc.hoisted_per_pkt));
-    out.push((
-        "netperf_memw_per_pkt_unhoisted".into(),
-        hc.unhoisted_per_pkt,
-    ));
+    put("rewrite_guards_hoisted", hc.sites_hoisted as f64);
+    put("netperf_memw_per_pkt_hoisted", hc.hoisted_per_pkt);
+    put("netperf_memw_per_pkt_unhoisted", hc.unhoisted_per_pkt);
     let ch = chaos::run_chaos(120);
-    out.push(("chaos_recoveries".into(), ch.recoveries as f64));
-    out.push(("chaos_faults".into(), ch.faults as f64));
-    out.push((
-        "chaos_crash_loop_detected".into(),
+    put("chaos_recoveries", ch.recoveries as f64);
+    put("chaos_faults", ch.faults as f64);
+    put(
+        "chaos_crash_loop_detected",
         ch.crash_loop_detected as u64 as f64,
-    ));
-    out.push((
-        "chaos_recovery_ticks_max".into(),
-        ch.recovery_ticks_max as f64,
-    ));
-    out.push((
-        "chaos_healthy_pkt_cycles_baseline".into(),
+    );
+    put("chaos_recovery_ticks_max", ch.recovery_ticks_max as f64);
+    put(
+        "chaos_healthy_pkt_cycles_baseline",
         ch.healthy_pkt_cycles_baseline,
-    ));
-    out.push((
-        "chaos_healthy_pkt_cycles_chaos".into(),
+    );
+    put(
+        "chaos_healthy_pkt_cycles_chaos",
         ch.healthy_pkt_cycles_chaos,
-    ));
-    out.push(("chaos_overhead_ratio".into(), ch.overhead_ratio()));
-    out.push(("chaos_leak_principals".into(), ch.leak_principals as f64));
-    out.push(("chaos_leak_slab".into(), ch.leak_slab as f64));
-    out.push(("chaos_leak_writer_sets".into(), ch.leak_writer_sets as f64));
-    out.push(("chaos_leak_intervals".into(), ch.leak_intervals as f64));
-    out.push(("chaos_panics".into(), ch.panics as f64));
+    );
+    put("chaos_overhead_ratio", ch.overhead_ratio());
+    put("chaos_leak_principals", ch.leak_principals as f64);
+    put("chaos_leak_slab", ch.leak_slab as f64);
+    put("chaos_leak_writer_sets", ch.leak_writer_sets as f64);
+    put("chaos_leak_intervals", ch.leak_intervals as f64);
+    put("chaos_panics", ch.panics as f64);
     let rx = chaos::run_rx_chaos(10);
-    out.push(("rx_chaos_recoveries".into(), rx.recoveries as f64));
-    out.push(("rx_chaos_faults".into(), rx.faults as f64));
-    out.push(("rx_chaos_injected".into(), rx.injected as f64));
-    out.push(("rx_chaos_delivered".into(), rx.delivered as f64));
-    out.push(("rx_chaos_leak_principals".into(), rx.leak_principals as f64));
-    out.push(("rx_chaos_leak_slab".into(), rx.leak_slab as f64));
-    out.push((
-        "rx_chaos_leak_writer_sets".into(),
-        rx.leak_writer_sets as f64,
-    ));
-    out.push(("rx_chaos_leak_intervals".into(), rx.leak_intervals as f64));
-    out.push(("rx_chaos_panics".into(), rx.panics as f64));
+    put("rx_chaos_recoveries", rx.recoveries as f64);
+    put("rx_chaos_faults", rx.faults as f64);
+    put("rx_chaos_injected", rx.injected as f64);
+    put("rx_chaos_delivered", rx.delivered as f64);
+    put("rx_chaos_leak_principals", rx.leak_principals as f64);
+    put("rx_chaos_leak_slab", rx.leak_slab as f64);
+    put("rx_chaos_leak_writer_sets", rx.leak_writer_sets as f64);
+    put("rx_chaos_leak_intervals", rx.leak_intervals as f64);
+    put("rx_chaos_panics", rx.panics as f64);
     out
 }
 
@@ -265,12 +223,7 @@ fn emit_json(measured: &[(String, f64)]) {
     println!("}}");
 }
 
-fn main() {
-    if std::env::args().any(|a| a == "--json") {
-        emit_json(&measurements(200_000));
-        return;
-    }
-
+fn print_figure13() {
     println!("Figure 13: LXFI guards on the UDP_STREAM TX path\n");
     let rows: Vec<Vec<String>> = guards::figure13(500)
         .into_iter()
@@ -301,236 +254,188 @@ fn main() {
          ind-call e1000 3.1×86=267. Annotation actions and write checks\n\
          dominate, and writer-set tracking removes ~2/3 of ind-call work."
     );
+}
+
+/// One comparison table over the measured list: the cell in row `r`,
+/// column `(header, key)` is the value of `key` with `{}` replaced by
+/// `r`.
+fn keyed_table(v: &dyn Fn(&str) -> f64, first: &str, rows: &[&str], cols: &[(&str, &str)]) {
+    let headers: Vec<&str> = std::iter::once(first)
+        .chain(cols.iter().map(|c| c.0))
+        .collect();
+    let cells: Vec<Vec<String>> = rows
+        .iter()
+        .map(|r| {
+            let values = cols
+                .iter()
+                .map(|c| format!("{:.1}", v(&c.1.replace("{}", r))));
+            std::iter::once(r.to_string()).chain(values).collect()
+        })
+        .collect();
+    println!("{}", render_table(&headers, &cells));
+}
+
+/// Prints the comparison tables, reading every figure from the
+/// measured list.
+fn print_tables(measured: &[(String, f64)]) {
+    let v = |key: &str| match measured.iter().find(|(k, _)| k == key) {
+        Some(&(_, value)) => value,
+        None => panic!("{key} was not measured"),
+    };
+    let pct = |key: &str| v(key) * 100.0;
 
     println!("\nWRITE-table lookup latency (host ns, 512 grants):\n");
-    let rows: Vec<Vec<String>> = guards::write_table_comparison(512, 200_000)
-        .into_iter()
-        .map(|r| {
-            vec![
-                r.structure.to_string(),
-                format!("{:.1}", r.hit_ns),
-                format!("{:.1}", r.miss_ns),
-            ]
-        })
-        .collect();
-    println!(
-        "{}",
-        render_table(&["Structure", "Hit ns", "Miss ns"], &rows)
-    );
-
-    let cache = guards::guard_cache_comparison(512, 200_000);
+    let cols = [("Hit ns", "{}_hit_ns"), ("Miss ns", "{}_miss_ns")];
+    keyed_table(&v, "Structure", &["linear", "interval"], &cols);
     println!(
         "\nFull write guard (GuardHandle::check_write, 512 grants): repeated\n\
-         stores into one object {:.1} ns (cache hit rate {:.1}%), stores\n\
-         rotating across grants {:.1} ns.",
-        cache.repeated_ns,
-        cache.hit_rate * 100.0,
-        cache.rotating_ns
+         stores into one object {:.1} ns, stores rotating across grants\n\
+         {:.1} ns.",
+        v("guard_repeated_ns"),
+        v("guard_rotating_ns")
     );
 
-    println!("\nRevoke-heavy write guard (per-store host ns; an unrelated\ninstance's grant revoked+re-granted between stores):\n");
-    let rows: Vec<Vec<String>> = guards::revoke_heavy_rows(50_000)
-        .into_iter()
-        .map(|r| {
-            vec![
-                format!("{}", r.principals),
-                format!("{:.1}", r.steady_ns),
-                format!("{:.1}", r.post_revoke_ns),
-                format!("{:.1}", r.uncached_ns),
-                format!("{:.1}%", r.hit_rate * 100.0),
-                format!("{}", r.epoch_bumps),
-            ]
-        })
-        .collect();
     println!(
-        "{}",
-        render_table(
-            &[
-                "Principals",
-                "Steady ns",
-                "Post-revoke ns",
-                "Uncached ns",
-                "Hit rate",
-                "Epoch bumps"
-            ],
-            &rows
-        )
+        "\nRevoke-heavy write guard (per-store host ns; an unrelated\n\
+         instance's grant revoked+re-granted between stores):\n"
     );
-    println!(
-        "\nThe epoch cache keeps the post-revoke store at cached cost (the\n\
-         churned instances' epochs bump, the writer's does not); before,\n\
-         every revoke cleared the global one-entry cache and the next\n\
-         store paid the uncached interval probe."
-    );
+    let cols = [
+        ("Steady ns", "revoke_heavy_{}_steady_ns"),
+        ("Post-revoke ns", "revoke_heavy_{}_post_revoke_ns"),
+        ("Uncached ns", "revoke_heavy_{}_uncached_ns"),
+        ("Hit rate", "revoke_heavy_{}_hit_rate"),
+        ("Epoch bumps", "revoke_heavy_{}_epoch_bumps"),
+    ];
+    keyed_table(&v, "Principals", &["8", "64", "512"], &cols);
+
+    println!("\nInd-call slow path: writers_of(slot) latency (host ns):\n");
+    let cols = [
+        ("Linear walk ns", "writer_linear_{}_ns"),
+        ("Reverse index ns", "writer_index_{}_ns"),
+    ];
+    keyed_table(&v, "Principals", &["8", "64", "512"], &cols);
 
     println!(
         "\nGrant/revoke splice latency vs writer-index shards (512\nprincipals, 2048 intervals):\n"
     );
-    let rows: Vec<Vec<String>> = writer_index::splice_rows(20_000)
-        .into_iter()
-        .map(|r| vec![format!("{}", r.shards), format!("{:.1}", r.churn_ns)])
-        .collect();
-    println!("{}", render_table(&["Shards", "Churn ns"], &rows));
+    let cols = [("Churn ns", "splice_512p_{}shard_ns")];
+    keyed_table(&v, "Shards", &["1", "4", "16"], &cols);
 
-    println!("\nInd-call slow path: writers_of(slot) latency (host ns):\n");
-    let rows: Vec<Vec<String>> = writer_index::writer_lookup_rows(200_000)
-        .into_iter()
-        .map(|r| {
-            vec![
-                format!("{}", r.principals),
-                format!("{:.1}", r.linear_ns),
-                format!("{:.1}", r.index_ns),
-                format!("{:.1}x", r.linear_ns / r.index_ns.max(0.001)),
-            ]
-        })
-        .collect();
     println!(
-        "{}",
-        render_table(
-            &[
-                "Principals",
-                "Linear walk ns",
-                "Reverse index ns",
-                "Speedup"
-            ],
-            &rows
-        )
+        "\nMulti-threaded TX, idle (guard path: store ns, Mstores/s; kernel\n\
+         path on KernelCpus: packet ns, Kpkt/s; {:.0} host CPUs):\n",
+        v("mt_cpus")
     );
+    let cols = [
+        ("Store ns", "mt_store_{}_ns"),
+        ("Mstores/s", "mt_aggregate_{}_mops"),
+        ("Pkt ns", "kmt_pkt_{}_ns"),
+        ("Kpkt/s", "kmt_aggregate_{}_kpps"),
+    ];
+    keyed_table(&v, "Threads", &["1t", "4t"], &cols);
     println!(
-        "\nEvery slot has two writers; the walk pays O(principals) per\n\
-         lookup (plus a Vec allocation), the reverse index pays one\n\
-         window search over interned writer sets."
-    );
-
-    println!("\nMulti-threaded netperf TX (2 workers, churn on/off):\n");
-    let m2u = netperf_mt::run_netperf_mt(2, 50_000, false);
-    let m2c = netperf_mt::run_netperf_mt(2, 50_000, true);
-    let rows: Vec<Vec<String>> = [&m2u, &m2c]
-        .iter()
-        .map(|m| {
-            vec![
-                if m.contended { "churn" } else { "idle" }.to_string(),
-                format!("{:.1}", m.store_ns),
-                format!("{:.2}", m.aggregate_mops),
-                format!("{:.1}%", m.hit_rate * 100.0),
-            ]
-        })
-        .collect();
-    println!(
-        "{}",
-        render_table(
-            &["Churn", "Store ns", "Aggregate Mstores/s", "Hit rate"],
-            &rows
-        )
-    );
-    println!("(full 1/2/4/8-thread sweep: `cargo run --bin netperf_mt`)");
-
-    println!("\nMulti-threaded kernel workload (2 KernelCpus, churn on/off):\n");
-    let km2u = kernel_mt::run_kernel_mt(2, 2_000, false);
-    let km2c = kernel_mt::run_kernel_mt(2, 2_000, true);
-    let rows: Vec<Vec<String>> = [&km2u, &km2c]
-        .iter()
-        .map(|m| {
-            vec![
-                if m.contended { "churn" } else { "idle" }.to_string(),
-                format!("{:.0}", m.pkt_ns),
-                format!("{:.1}", m.aggregate_kpps),
-                format!("{:.1}%", m.hit_rate * 100.0),
-                format!("{}", m.churn_loads),
-            ]
-        })
-        .collect();
-    println!(
-        "{}",
-        render_table(
-            &["Churn", "Pkt ns", "Aggregate Kpkt/s", "Hit rate", "Loads"],
-            &rows
-        )
-    );
-    println!("(full 1/2/4-CPU sweep: `cargo run --bin kernel_mt`)");
-    println!(
-        "\nData plane (idle run): magazine hit rate {:.1}%, grant\n\
-         transfers fast/slow {}/{}, note_zeroed clean-stripe skips {}.",
-        km2u.magazine_hit_rate * 100.0,
-        km2u.transfer_fast,
-        km2u.transfer_slow,
-        km2u.note_zeroed_fast_skips
+        "\nTwo threads, idle vs churn: guard store {:.1} vs {:.1} ns (churned\n\
+         hit rate {:.1}%), kernel packet {:.0} vs {:.0} ns (hit rate {:.1}%,\n\
+         {:.0} module loads). Data plane (idle kernel run): magazine hit\n\
+         rate {:.1}%, grant transfers fast/slow {:.0}/{:.0}, note_zeroed\n\
+         clean-stripe skips {:.0}. (Full sweeps: `--bin netperf_mt`,\n\
+         `--bin kernel_mt`.)",
+        v("mt_store_2t_uncontended_ns"),
+        v("mt_store_2t_contended_ns"),
+        pct("mt_contended_2t_hit_rate"),
+        v("kmt_pkt_2t_uncontended_ns"),
+        v("kmt_pkt_2t_contended_ns"),
+        pct("kmt_contended_2t_hit_rate"),
+        v("kmt_contended_2t_loads"),
+        pct("kmt_magazine_hit_rate"),
+        v("kmt_transfer_fast"),
+        v("kmt_transfer_slow"),
+        v("kmt_note_zeroed_fast_skips")
     );
 
-    let pb = sound::playback_comparison(200);
+    println!("\nExecution backends (LXFI mode, wall-clock ns per operation):\n");
+    let cols = [
+        ("Interp ns", "{}_interp_ns"),
+        ("Compiled ns", "{}_compiled_ns"),
+    ];
+    keyed_table(&v, "Workload", &["netperf_pkt", "sound_period"], &cols);
     println!(
-        "\nSound playback period (deterministic cycles): stock {:.0},\n\
-         LXFI {:.0} ({:.1}x) — a tiny operation, so fixed crossing costs\n\
-         dominate.",
-        pb.stock, pb.lxfi, pb.overhead
-    );
-    let dmr = dm::dm_comparison(100);
-    println!(
-        "\nDevice-mapper request round (deterministic cycles): stock {:.0},\n\
-         LXFI {:.0} ({:.1}x) — crypt write + crypt read + snapshot COW\n\
-         write over a {}-byte payload.",
-        dmr.stock,
-        dmr.lxfi,
-        dmr.overhead,
-        dm::DM_REQ_BYTES
+        "\nKernel TX on one CPU: {:.0} ns interpreted, {:.0} ns compiled.\n\
+         Compiled e1000 kernel: {:.0} funcs / {:.0} blocks, {:.0} fused\n\
+         guard sites, {:.0} interpreter fallbacks.",
+        v("kmt_pkt_1t_ns"),
+        v("kmt_pkt_1t_compiled_ns"),
+        v("compiled_funcs"),
+        v("compiled_blocks"),
+        v("compiled_fused_guard_sites"),
+        v("compiled_fallback_funcs")
     );
 
-    let srv = server::run_server(IsolationMode::Lxfi, Backend::Interp, 256);
-    let srv_stock = server::run_server(IsolationMode::Stock, Backend::Interp, 256);
+    println!(
+        "\nDeterministic cycles, stock vs LXFI: sound playback period\n\
+         {:.0} vs {:.0}, capture period {:.0} vs {:.0}, device-mapper\n\
+         request round ({}-byte crypt write + read + snapshot COW write)\n\
+         {:.0} vs {:.0}.",
+        v("sound_stock_period_cycles"),
+        v("sound_lxfi_period_cycles"),
+        v("sound_capture_stock_cycles"),
+        v("sound_capture_lxfi_cycles"),
+        dm::DM_REQ_BYTES,
+        v("dm_stock_round_cycles"),
+        v("dm_lxfi_round_cycles")
+    );
     println!(
         "\nRequest server (async I/O plane, cycle-derived ns): LXFI p50\n\
-         {:.0} / p99 {:.0}, stock p50 {:.0} / p99 {:.0}; {} requests\n\
-         received, {} replies, {} dropped, {} deferred dispatches.\n\
-         (`cargo run -p lxfi-bench --bin server` for the histogram.)",
-        srv.p50_ns,
-        srv.p99_ns,
-        srv_stock.p50_ns,
-        srv_stock.p99_ns,
-        srv.rx_pkts,
-        srv.tx_replies,
-        srv.dropped + srv_stock.dropped,
-        srv.deferred_dispatched
+         {:.0} / p99 {:.0}, stock p50 {:.0} / p99 {:.0}; {:.0} requests\n\
+         received, {:.0} replies, {:.0} dropped, {:.0} deferred dispatches.",
+        v("server_p50_ns"),
+        v("server_p99_ns"),
+        v("server_stock_p50_ns"),
+        v("server_stock_p99_ns"),
+        v("server_rx_pkts"),
+        v("server_tx_replies"),
+        v("server_dropped"),
+        v("deferred_dispatched")
+    );
+    println!(
+        "\nGuard soundness: {:.0} modules proven, {:.0} rejects, {:.0}\n\
+         canary mutants caught, {:.0} missed. Loop-invariant hoisting\n\
+         ({:.0} static sites): {:.1} mem-write guards per 256B TX packet\n\
+         hoisted vs {:.1} unhoisted.",
+        v("soundness_modules_proven"),
+        v("soundness_rejects"),
+        v("soundness_canaries_caught"),
+        v("soundness_canaries_missed"),
+        v("rewrite_guards_hoisted"),
+        v("netperf_memw_per_pkt_hoisted"),
+        v("netperf_memw_per_pkt_unhoisted")
     );
 
-    println!("\nExecution backends (LXFI mode, wall-clock per operation):\n");
-    let np_i = netperf::measure_packet_wall_ns(IsolationMode::Lxfi, Backend::Interp, 1448, 4_000);
-    let np_c = netperf::measure_packet_wall_ns(IsolationMode::Lxfi, Backend::Compiled, 1448, 4_000);
-    let sp_i = sound::measure_playback_wall_ns(IsolationMode::Lxfi, Backend::Interp, 2_000);
-    let sp_c = sound::measure_playback_wall_ns(IsolationMode::Lxfi, Backend::Compiled, 2_000);
-    let rows = vec![
-        vec![
-            "netperf TX 1448B (pkt ns)".to_string(),
-            format!("{np_i:.0}"),
-            format!("{np_c:.0}"),
-            format!("{:.2}x", np_i / np_c),
-        ],
-        vec![
-            "sound playback (period ns)".to_string(),
-            format!("{sp_i:.0}"),
-            format!("{sp_c:.0}"),
-            format!("{:.2}x", sp_i / sp_c),
-        ],
+    println!("\nChaos (supervised crash/recover under fault injection):\n");
+    let cols = [
+        ("Recoveries", "{}_recoveries"),
+        ("Faults", "{}_faults"),
+        ("Panics", "{}_panics"),
+        ("Leaked principals", "{}_leak_principals"),
+        ("Slab", "{}_leak_slab"),
+        ("Writer sets", "{}_leak_writer_sets"),
+        ("Intervals", "{}_leak_intervals"),
     ];
+    keyed_table(&v, "Workload", &["chaos", "rx_chaos"], &cols);
     println!(
-        "{}",
-        render_table(&["Workload", "Interp ns", "Compiled ns", "Speedup"], &rows)
+        "\nTX chaos healthy path {:.2}x its no-chaos cycles, recovery within\n\
+         {:.0} ticks. Re-emit as JSON with `--json` (the CI perf gate\n\
+         consumes it; see bench/baseline.json).",
+        v("chaos_overhead_ratio"),
+        v("chaos_recovery_ticks_max")
     );
-    let (k, _dev) = netperf::boot_e1000_backend(IsolationMode::Lxfi, Backend::Compiled);
-    let cs = k.core().compile_stats();
-    println!(
-        "\nCompiled e1000 kernel: {} funcs / {} blocks, {} fused guard\n\
-         sites, {} interpreter fallbacks.",
-        cs.funcs_compiled, cs.blocks_compiled, cs.fused_guard_sites, cs.fallback_funcs
-    );
+}
 
-    let hc = guards::hoist_comparison(200, 256);
-    println!(
-        "\nLoop-invariant guard hoisting ({} static sites hoisted,\n\
-         verifier-gated): {:.1} mem-write guards per 256B TX packet\n\
-         hoisted vs {:.1} unhoisted. Full soundness audit:\n\
-         `cargo run -p lxfi-bench --bin verify_guards`. Re-emit as JSON\n\
-         with `--json` (the CI perf gate consumes it; see\n\
-         bench/baseline.json).",
-        hc.sites_hoisted, hc.hoisted_per_pkt, hc.unhoisted_per_pkt
-    );
+fn main() {
+    if std::env::args().any(|a| a == "--json") {
+        emit_json(&measurements(200_000));
+        return;
+    }
+    print_figure13();
+    print_tables(&measurements(200_000));
 }

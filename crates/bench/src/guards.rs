@@ -186,7 +186,9 @@ pub struct WriteTableLatency {
     pub miss_ns: f64,
 }
 
-fn time_ns(iters: u64, mut f: impl FnMut()) -> f64 {
+/// Host ns per call of `f`, the best batch mean of three over `iters`
+/// calls.
+pub(crate) fn time_ns(iters: u64, mut f: impl FnMut()) -> f64 {
     // Minimum over three batches: a latency estimate robust to the
     // scheduler descheduling one batch on a shared CI runner (a single
     // preemption inflates a mean arbitrarily, and the perf gate's

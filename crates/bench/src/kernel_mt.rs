@@ -278,12 +278,8 @@ struct DataPlaneCounters {
 /// The thread counts the human table reports.
 pub const KMT_THREAD_COUNTS: [usize; 3] = [1, 2, 4];
 
-/// One uncontended and one contended row per thread count.
-pub fn kmt_rows(packets_per_cpu: u64) -> Vec<KernelMtMeasurement> {
-    kmt_rows_backend(packets_per_cpu, Backend::Interp)
-}
-
-/// [`kmt_rows`] with an explicit execution backend.
+/// One uncontended and one contended row per thread count, on the
+/// given execution backend.
 pub fn kmt_rows_backend(packets_per_cpu: u64, backend: Backend) -> Vec<KernelMtMeasurement> {
     let mut rows = Vec::new();
     for &t in &KMT_THREAD_COUNTS {

@@ -10,9 +10,10 @@
 //! the reverse index's O(log intervals + 2) stays flat.
 
 use std::hint::black_box;
-use std::time::Instant;
 
 use lxfi_core::{LinearWriterIndex, PrincipalId, WriterIndex};
+
+use crate::guards::time_ns;
 
 /// Base address of the probed function-pointer slots.
 pub const SLOT_BASE: u64 = 0x40_0000;
@@ -63,23 +64,6 @@ pub struct WriterLookupLatency {
     pub linear_ns: f64,
     /// ns per lookup via the reverse index (allocation-free iteration).
     pub index_ns: f64,
-}
-
-fn time_ns(iters: u64, mut f: impl FnMut()) -> f64 {
-    // Minimum over three batches: a latency estimate robust to the
-    // scheduler descheduling one batch on a shared CI runner (a single
-    // preemption inflates a mean arbitrarily, and the perf gate's
-    // tightest rows sit at tens of ns).
-    let batch = (iters / 3).max(1);
-    let mut best = f64::INFINITY;
-    for _ in 0..3 {
-        let t = Instant::now();
-        for _ in 0..batch {
-            f();
-        }
-        best = best.min(t.elapsed().as_nanos() as f64 / batch as f64);
-    }
-    best
 }
 
 /// Times `writers_of` on both structures with rotating slot probes.

@@ -251,9 +251,10 @@ pub struct CallValues<'a> {
     pub ret: Option<Word>,
 }
 
-/// Evaluates a compiled expression; booleans are 0/1. Semantics mirror
-/// `lxfi_annotations::eval_expr` (wrapping signed arithmetic,
-/// short-circuit `&&`/`||`, checked division).
+/// Evaluates a compiled expression; booleans are 0/1. Arithmetic is
+/// signed and wrapping (an upper-half kernel pointer reads negative, so
+/// success checks use `!= 0`, not `> 0`), `&&`/`||` short-circuit, and
+/// division by zero is a violation.
 pub fn eval_compiled(e: &CExpr, vals: CallValues<'_>, rt: &RuntimeCore) -> Result<i64, Violation> {
     Ok(match e {
         CExpr::Int(v) => *v,
@@ -370,6 +371,83 @@ mod tests {
             panic!("expected inline check");
         };
         assert!(matches!(size, CSize::Sizeof(8)));
+    }
+
+    /// Compiles the condition of `src`'s first `if` action.
+    fn cond(src: &str, params: &[Param], rt: &RuntimeCore) -> CExpr {
+        let ann = parse_fn_annotations(src).unwrap();
+        let c = compile_annotations(&ann, params, &TypeLayouts::new(), rt);
+        match c.pre.into_iter().chain(c.post).next() {
+            Some(CAction::If(cond, _)) => cond,
+            _ => panic!("expected if"),
+        }
+    }
+
+    fn eval(
+        e: &CExpr,
+        args: &[Word],
+        ret: Option<Word>,
+        rt: &RuntimeCore,
+    ) -> Result<i64, Violation> {
+        eval_compiled(e, CallValues { args, ret }, rt)
+    }
+
+    #[test]
+    fn named_constants_with_unary_minus() {
+        let rt = RuntimeCore::new();
+        rt.define_const("NETDEV_BUSY", 16);
+        let params = [Param::ptr("p", "sk_buff")];
+        let e = cond(
+            "post(if (return == -NETDEV_BUSY) transfer(write, p, 8))",
+            &params,
+            &rt,
+        );
+        assert_eq!(eval(&e, &[0], Some((-16i64) as u64), &rt).unwrap(), 1);
+        assert_eq!(eval(&e, &[0], Some(0), &rt).unwrap(), 0);
+    }
+
+    #[test]
+    fn short_circuit_avoids_errors() {
+        // `return` in a pre action errors; `0 && return` and
+        // `1 || return` must never evaluate it.
+        let rt = RuntimeCore::new();
+        for (src, want) in [
+            ("pre(if (0 && return) check(write, p, 8))", 0),
+            ("pre(if (1 || return) check(write, p, 8))", 1),
+        ] {
+            let e = cond(src, &[Param::ptr("p", "sk_buff")], &rt);
+            assert_eq!(eval(&e, &[0], None, &rt).unwrap(), want, "{src}");
+        }
+        let e = cond(
+            "pre(if (1 && return) check(write, p, 8))",
+            &[Param::ptr("p", "sk_buff")],
+            &rt,
+        );
+        assert!(matches!(
+            eval(&e, &[0], None, &rt),
+            Err(Violation::BadExpression { .. })
+        ));
+    }
+
+    #[test]
+    fn kernel_pointer_is_negative_as_signed() {
+        // Kernel addresses are in the upper half; annotations must use
+        // `!= 0` (not `> 0`) for success checks. Document by test.
+        let rt = RuntimeCore::new();
+        let params = [Param::ptr("p", "sk_buff")];
+        let e = cond("pre(if (p < 0) check(write, p, 8))", &params, &rt);
+        assert_eq!(eval(&e, &[0xffff_8000_0000_0000], None, &rt).unwrap(), 1);
+    }
+
+    #[test]
+    fn arithmetic_and_division() {
+        let rt = RuntimeCore::new();
+        let params = [Param::scalar("n")];
+        let e = cond("pre(if (n / 2 == 3) check(write, n, 8))", &params, &rt);
+        assert_eq!(eval(&e, &[7], None, &rt).unwrap(), 1);
+        let z = cond("pre(if (7 / n) check(write, n, 8))", &params, &rt);
+        let err = eval(&z, &[0], None, &rt).unwrap_err();
+        assert!(matches!(err, Violation::BadExpression { .. }), "{err:?}");
     }
 
     #[test]

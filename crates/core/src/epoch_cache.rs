@@ -56,9 +56,6 @@ use crate::principal::PrincipalId;
 /// WAYS ablation in `lxfi-bench`).
 pub const DEFAULT_WAYS: usize = 4;
 
-/// Backwards-compatible alias for the pre-parameterized constant.
-pub const WAYS: usize = DEFAULT_WAYS;
-
 /// Replacement policy for a full cache set.
 ///
 /// Round-robin is optimal while the rotation fits the ways but falls
@@ -239,11 +236,6 @@ impl<const W: usize> EpochCache<W> {
             end: interval.1,
         };
         set.len = set.len.max(slot + 1);
-    }
-
-    /// Number of principals with an allocated cache set (diagnostics).
-    pub fn principal_sets(&self) -> usize {
-        self.sets.len()
     }
 }
 

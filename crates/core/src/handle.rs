@@ -82,11 +82,6 @@ pub struct GuardHandle<const W: usize = DEFAULT_WAYS> {
     /// asserts identical decisions; benches use it to price the uncached
     /// probe.
     pub guard_cache_enabled: bool,
-    /// Ablation switch: when false, every kernel indirect call takes the
-    /// full capability-check slow path even when the writer-set bitmap
-    /// proves the slot clean. Used to quantify how much the writer-set
-    /// optimization (§5) saves; always true in normal operation.
-    pub writer_fastpath: bool,
 }
 
 impl<const W: usize> Deref for GuardHandle<W> {
@@ -111,7 +106,6 @@ impl<const W: usize> GuardHandle<W> {
             stats: GuardStats::new(),
             costs: GuardCosts::default(),
             guard_cache_enabled: true,
-            writer_fastpath: true,
         }
     }
 
@@ -254,7 +248,7 @@ impl<const W: usize> GuardHandle<W> {
         target: Word,
         sig_hash: u64,
     ) -> Result<(), Violation> {
-        if self.writer_fastpath && !self.core.writer_map.maybe_written(slot) {
+        if !self.core.writer_map.maybe_written(slot) {
             let c = self.costs.ind_call_fast;
             self.stats.record(GuardKind::KernelIndCall, c);
             return Ok(());

@@ -534,11 +534,6 @@ impl RuntimeCore {
         id
     }
 
-    /// Number of registered modules.
-    pub fn module_count(&self) -> usize {
-        self.meta.read().expect("meta lock").modules.len()
-    }
-
     /// Number of registered principals.
     pub fn principal_count(&self) -> usize {
         self.meta.read().expect("meta lock").principals.len()
@@ -559,11 +554,6 @@ impl RuntimeCore {
     /// The module's global principal.
     pub fn global_principal(&self, id: ModuleId) -> PrincipalId {
         self.meta.read().expect("meta lock").modules[id.0 as usize].global
-    }
-
-    /// The kind of a principal.
-    pub fn principal_kind(&self, p: PrincipalId) -> PrincipalKind {
-        self.meta.read().expect("meta lock").principals[p.0 as usize].kind
     }
 
     /// Every non-retired principal of a module: shared and global first,
@@ -1296,41 +1286,6 @@ impl RuntimeCore {
         })
     }
 
-    /// Runs a registered iterator by name (registration-time / test API;
-    /// enforcement goes through [`RuntimeCore::run_iterator_id`]).
-    pub fn run_iterator(
-        &self,
-        name: &str,
-        mem: &AddressSpace,
-        arg: Word,
-    ) -> Result<Vec<EmittedCap>, Violation> {
-        let id = self
-            .names
-            .read()
-            .expect("names lock")
-            .iterator_ids
-            .get(name)
-            .copied()
-            .ok_or_else(|| Violation::UnknownIterator {
-                name: name.to_string(),
-            })?;
-        let mut out = Vec::new();
-        self.run_iterator_id(id, mem, arg, &mut out)?;
-        Ok(out)
-    }
-
-    /// Number of registered iterators (annotation census, §8.2).
-    /// Interned-but-unregistered slots do not count.
-    pub fn iterator_count(&self) -> usize {
-        self.names
-            .read()
-            .expect("names lock")
-            .iterators
-            .iter()
-            .filter(|f| f.is_some())
-            .count()
-    }
-
     // ------------------------------------------------------------- consts
 
     /// Interns a constant name, reserving an undefined slot if the
@@ -1400,15 +1355,6 @@ impl RuntimeCore {
         self.sharding.read().expect("sharding lock").shards.len()
     }
 
-    /// The configured shard split points.
-    pub fn index_boundaries(&self) -> Vec<Word> {
-        self.sharding
-            .read()
-            .expect("sharding lock")
-            .boundaries
-            .clone()
-    }
-
     /// Live intervals across all shards (diagnostics).
     pub fn index_interval_count(&self) -> usize {
         let sharding = self.sharding.read().expect("sharding lock");
@@ -1417,23 +1363,6 @@ impl RuntimeCore {
             .iter()
             .map(|s| s.lock().expect("shard lock").interval_count())
             .sum()
-    }
-
-    /// Snapshot of every live interval as `(start, end, writers)` in
-    /// address order (diagnostics; pairs with
-    /// [`index_interval_count`](Self::index_interval_count) when a leak
-    /// gauge drifts and the offending range needs naming).
-    pub fn index_intervals_snapshot(&self) -> Vec<(Word, Word, Vec<PrincipalId>)> {
-        let sharding = self.sharding.read().expect("sharding lock");
-        let interner = sharding.interner.lock().expect("interner lock");
-        let mut out = Vec::new();
-        for s in &sharding.shards {
-            let s = s.lock().expect("shard lock");
-            for (a, b, w) in s.intervals(&interner) {
-                out.push((a, b, w.to_vec()));
-            }
-        }
-        out
     }
 
     /// Live interned writer sets, including the pinned empty set.
@@ -1457,17 +1386,6 @@ impl RuntimeCore {
         let sharding = self.sharding.read().expect("sharding lock");
         let cap = sharding.interner.lock().expect("interner lock").capacity();
         cap
-    }
-
-    /// Currently recycled (free) interner slots.
-    pub fn index_free_set_slots(&self) -> usize {
-        let sharding = self.sharding.read().expect("sharding lock");
-        let free = sharding
-            .interner
-            .lock()
-            .expect("interner lock")
-            .free_slots();
-        free
     }
 
     /// Panics unless every shard's structural invariants hold and the

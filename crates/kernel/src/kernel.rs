@@ -843,11 +843,6 @@ impl KernelCpu {
             .expect("task mapped");
     }
 
-    /// The current thread id (the thread this CPU is pinned to).
-    pub fn current_thread(&self) -> ThreadId {
-        self.thread
-    }
-
     // ----------------------------------------------- shared-state access
 
     /// Struct layouts for `sizeof(*ptr)` defaults.
@@ -1161,11 +1156,6 @@ impl KernelCpu {
     pub fn faults_since(&self, from: usize) -> Vec<ModuleFault> {
         let log = self.core.faults.lock().expect("faults lock");
         log.get(from..).unwrap_or(&[]).to_vec()
-    }
-
-    /// Clears the fault log (tests probing multiple fault sequences).
-    pub fn clear_faults(&mut self) {
-        self.core.faults.lock().expect("faults lock").clear();
     }
 
     /// Whether a module registry slot currently holds a live (not torn
@@ -2072,11 +2062,6 @@ impl KernelCpu {
             .map(|g| m.global_addrs[g.0 as usize])
     }
 
-    /// The isolation mode a module was loaded with.
-    pub fn module_mode(&self, id: LoadedModuleId) -> IsolationMode {
-        self.module_arc(id).mode
-    }
-
     /// The name a module was loaded under.
     pub fn module_name(&self, id: LoadedModuleId) -> String {
         self.module_arc(id).name.clone()
@@ -2412,12 +2397,7 @@ impl KernelCpu {
         }))
     }
 
-    // -------------------------------------------------------------- fuel
-
-    /// Caps interpreted-instruction budget (tests against runaway loops).
-    pub fn set_fuel(&mut self, fuel: u64) {
-        self.fuel = fuel;
-    }
+    // ------------------------------------------------------------ cycles
 
     /// Total deterministic cost so far on **this CPU**: interpreted
     /// cycles plus this CPU's guard cycles (the quantity the netperf

@@ -64,13 +64,6 @@ pub fn slab_shard_base(i: u64) -> Word {
     HEAP_BASE + i * SLAB_SHARD_SPAN
 }
 
-/// The slab heap shard an address belongs to (callers guarantee the
-/// address is inside the heap region).
-pub fn slab_shard_of(addr: Word) -> usize {
-    debug_assert!((HEAP_BASE..KDATA_BASE).contains(&addr));
-    ((addr - HEAP_BASE) / SLAB_SHARD_SPAN) as usize
-}
-
 /// Shard split points for the runtime's reverse writer index: one shard
 /// per address region (user space, heap, kernel data, kernel statics,
 /// stacks, module area, exports), plus a shard per module window for the

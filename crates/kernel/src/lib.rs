@@ -2,7 +2,7 @@
 //!
 //! The paper evaluates LXFI inside Linux 2.6.36 on real hardware; this
 //! crate provides the closest synthetic equivalent that exercises the same
-//! code paths (see DESIGN.md §2 for the substitution table):
+//! code paths:
 //!
 //! - a 64-bit address space with user/kernel split and per-thread kernel
 //!   stacks ([`layout`]);

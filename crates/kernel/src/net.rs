@@ -577,21 +577,12 @@ impl KernelCpu {
     /// Simulates `count` received frames end-to-end: wires them onto
     /// the device's RX ring (asserting the interrupt) and immediately
     /// flushes the resulting polls — the synchronous convenience the
-    /// TX-style workloads use. Returns packets delivered.
-    ///
-    /// Devices without a bound RX ring (NAPI registered outside the PCI
-    /// probe path) fall back to one direct poll dispatch with `count`
-    /// as the budget, preserving the legacy caller-driven contract.
+    /// TX-style workloads use. Returns packets delivered. A device with
+    /// no RX ring bound (one `pci_probe_all` did not bind) traps like
+    /// [`KernelCpu::net_rx_wire`].
     pub fn net_deliver_rx(&mut self, dev: Word, count: u64) -> Result<u64, Trap> {
-        if self.net().rx_ring(dev).is_some() {
-            self.net_rx_wire(dev, count)?;
-            return self.net_rx_flush(dev);
-        }
-        let slot = self
-            .net()
-            .poll_slot(dev)
-            .ok_or_else(|| Trap::BadRef("no NAPI registration".into()))?;
-        self.interrupt(|k| k.indirect_call(slot, "napi_poll", &[dev, count]))
+        self.net_rx_wire(dev, count)?;
+        self.net_rx_flush(dev)
     }
 
     /// Drains and frees packets queued by `netif_rx` (the protocol layer

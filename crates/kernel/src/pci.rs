@@ -173,11 +173,4 @@ impl KernelCpu {
         }
         Ok(ok)
     }
-
-    /// Reads a device's enable count (test observable).
-    pub fn pci_enabled_count(&self, dev: Word) -> u64 {
-        self.mem
-            .read_word((dev as i64 + pci_dev::ENABLED) as u64)
-            .unwrap_or(0)
-    }
 }

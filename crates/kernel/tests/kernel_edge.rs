@@ -170,3 +170,16 @@ fn allocation_churn_leaves_no_capabilities_or_leaks() {
         "kfree's transfer stripped every granted WRITE capability"
     );
 }
+
+#[test]
+fn rx_delivery_to_an_unbound_device_traps() {
+    // Only `pci_probe_all` binds RX rings; delivering to any other
+    // device is a bad reference, not a direct poll dispatch.
+    let mut k = Kernel::boot(IsolationMode::Lxfi);
+    let dev = k.kstatic_alloc(64);
+    let err = k.net_deliver_rx(dev, 1).unwrap_err();
+    assert!(
+        matches!(&err, Trap::BadRef(why) if why == "no RX ring bound"),
+        "{err:?}"
+    );
+}
