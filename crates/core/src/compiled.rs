@@ -460,4 +460,39 @@ mod tests {
         let err = eval_compiled(&CExpr::Return, vals, &rt).unwrap_err();
         assert!(matches!(err, Violation::BadExpression { .. }));
     }
+
+    #[test]
+    fn params_resolve_by_name() {
+        let rt = RuntimeCore::new();
+        let params = [Param::ptr("skb", "sk_buff"), Param::scalar("len")];
+        let e = cond("pre(if (len > 32) check(write, skb, len))", &params, &rt);
+        let skb = 0xffff_8000_0000_1000;
+        assert_eq!(eval(&e, &[skb, 64], None, &rt).unwrap(), 1);
+        assert_eq!(eval(&e, &[skb, 16], None, &rt).unwrap(), 0);
+        let e = cond("pre(if (skb == 4096) check(write, skb, len))", &params, &rt);
+        assert_eq!(eval(&e, &[4096, 0], None, &rt).unwrap(), 1);
+    }
+
+    #[test]
+    fn return_in_post_only() {
+        let rt = RuntimeCore::new();
+        let params = [Param::ptr("p", "sk_buff")];
+        let e = cond("pre(if (return < 0) check(write, p, 8))", &params, &rt);
+        let err = eval(&e, &[0], None, &rt).unwrap_err();
+        assert!(matches!(err, Violation::BadExpression { .. }), "{err:?}");
+        let e = cond("post(if (return < 0) transfer(write, p, 8))", &params, &rt);
+        assert_eq!(eval(&e, &[0], Some((-5i64) as u64), &rt).unwrap(), 1);
+        assert_eq!(eval(&e, &[0], Some(5), &rt).unwrap(), 0);
+    }
+
+    #[test]
+    fn unknown_ident_is_an_error() {
+        let rt = RuntimeCore::new();
+        let params = [Param::ptr("p", "sk_buff")];
+        let e = cond("pre(if (mystery) check(write, p, 8))", &params, &rt);
+        match eval(&e, &[0], None, &rt) {
+            Err(Violation::BadExpression { why }) => assert!(why.contains("mystery"), "{why}"),
+            other => panic!("expected an unknown-identifier error, got {other:?}"),
+        }
+    }
 }
