@@ -12,13 +12,13 @@
 //!    cache remembers `WAYS` covering intervals per principal; the
 //!    ablation sweeps 1/2/4/8 ways against store streams rotating over
 //!    1–8 distinct objects (the netperf TX path touches four per
-//!    packet: descriptor, payload, queue state, stats), to justify the
-//!    default of 4.
+//!    packet: descriptor, payload, queue state, stats) under the
+//!    cache's victim-entry replacement, to justify the default of 4.
 
 use std::hint::black_box;
 use std::time::Instant;
 
-use lxfi_core::{GuardHandle, GuardKind, RawCap, Replacement, RuntimeCore};
+use lxfi_core::{GuardHandle, GuardKind, RawCap, RuntimeCore};
 use lxfi_kernel::{IsolationMode, Kernel};
 use lxfi_rewriter::{rewrite_module, RewriteOptions};
 
@@ -131,15 +131,13 @@ pub const WAYS_ARENA: u64 = 0x60_0000;
 /// Byte stride between the rotated objects.
 pub const WAYS_OBJ_STRIDE: u64 = 0x1000;
 
-/// One `(ways, objects, policy)` cell of the associativity ablation.
+/// One `(ways, objects)` cell of the associativity ablation.
 #[derive(Debug, Clone, Copy)]
 pub struct WaysAblationRow {
     /// Cache associativity (covering intervals per principal).
     pub ways: usize,
     /// Distinct objects the store stream rotates across per packet.
     pub objects: usize,
-    /// Replacement policy under test.
-    pub policy: Replacement,
     /// Write-guard cache hit rate over the stream (deterministic).
     pub hit_rate: f64,
     /// Measured per-store latency (host ns).
@@ -150,7 +148,7 @@ pub struct WaysAblationRow {
 /// stream: each "packet" touches `objects` distinct granted objects in
 /// rotation (descriptor-then-payload-then-state style), `stores` stores
 /// total. Returns `(hit_rate, ns_per_store)`.
-fn run_ways<const W: usize>(objects: usize, stores: u64, policy: Replacement) -> (f64, f64) {
+fn run_ways<const W: usize>(objects: usize, stores: u64) -> (f64, f64) {
     let rt = RuntimeCore::new();
     let m = rt.register_module("ways");
     let p = rt.principal_for_name(m, 0x9000);
@@ -158,7 +156,6 @@ fn run_ways<const W: usize>(objects: usize, stores: u64, policy: Replacement) ->
         rt.grant(p, RawCap::write(WAYS_ARENA + k * WAYS_OBJ_STRIDE, 0x200));
     }
     let mut h: GuardHandle<W> = GuardHandle::new(std::sync::Arc::new(rt));
-    h.set_cache_policy(policy);
     h.set_current(Some((m, p)));
     let addr = |i: u64| {
         let k = i % objects as u64;
@@ -177,37 +174,32 @@ fn run_ways<const W: usize>(objects: usize, stores: u64, policy: Replacement) ->
     (h.stats.write_cache_hit_rate(), ns)
 }
 
-fn run_ways_dyn(ways: usize, objects: usize, stores: u64, policy: Replacement) -> (f64, f64) {
+fn run_ways_dyn(ways: usize, objects: usize, stores: u64) -> (f64, f64) {
     match ways {
-        1 => run_ways::<1>(objects, stores, policy),
-        2 => run_ways::<2>(objects, stores, policy),
-        4 => run_ways::<4>(objects, stores, policy),
-        _ => run_ways::<8>(objects, stores, policy),
+        1 => run_ways::<1>(objects, stores),
+        2 => run_ways::<2>(objects, stores),
+        4 => run_ways::<4>(objects, stores),
+        _ => run_ways::<8>(objects, stores),
     }
 }
 
-/// The full `ways × objects × policy` grid. Round-robin replacement
-/// against a cyclic stream is the worst case: `objects ≤ ways` hits
-/// ~100%, `objects > ways` collapses to ~0% — the cliff the table in
-/// the README uses to justify the default of 4. The victim-entry rows
-/// show the policy that softens the cliff: conflict misses churn only
-/// the victim way, so `W-1` residents keep hitting when the rotation is
-/// one-or-two objects too wide — which is why victim replacement is the
-/// default.
+/// The full `ways × objects` grid. A cyclic stream is the worst case
+/// for a small cache: `objects ≤ ways` hits ~100%, and past that the
+/// victim-entry replacement churns only the victim way, so `W-1`
+/// residents keep hitting when the rotation is one or two objects too
+/// wide — the table in the README uses the grid to justify the default
+/// of 4.
 pub fn epoch_ways_ablation(stores: u64) -> Vec<WaysAblationRow> {
     let mut rows = Vec::new();
-    for &policy in &[Replacement::RoundRobin, Replacement::Victim] {
-        for &objects in &[1usize, 2, 4, 6, 8] {
-            for &ways in &[1usize, 2, 4, 8] {
-                let (hit_rate, store_ns) = run_ways_dyn(ways, objects, stores, policy);
-                rows.push(WaysAblationRow {
-                    ways,
-                    objects,
-                    policy,
-                    hit_rate,
-                    store_ns,
-                });
-            }
+    for &objects in &[1usize, 2, 4, 6, 8] {
+        for &ways in &[1usize, 2, 4, 8] {
+            let (hit_rate, store_ns) = run_ways_dyn(ways, objects, stores);
+            rows.push(WaysAblationRow {
+                ways,
+                objects,
+                hit_rate,
+                store_ns,
+            });
         }
     }
     rows
@@ -220,26 +212,17 @@ mod tests {
     #[test]
     fn ways_ablation_shows_the_associativity_cliff() {
         let rows = epoch_ways_ablation(4_000);
-        let cell = |w: usize, o: usize, p: Replacement| {
+        let vi = |w: usize, o: usize| {
             rows.iter()
-                .find(|r| r.ways == w && r.objects == o && r.policy == p)
+                .find(|r| r.ways == w && r.objects == o)
                 .unwrap()
                 .hit_rate
         };
-        let rr = |w, o| cell(w, o, Replacement::RoundRobin);
-        let vi = |w, o| cell(w, o, Replacement::Victim);
-        // Enough ways for the rotation: everything hits, either policy.
-        assert!(rr(4, 4) > 0.99, "4 objects fit 4 ways: {}", rr(4, 4));
-        assert!(rr(8, 6) > 0.99);
-        assert!(rr(1, 1) > 0.99);
+        // Enough ways for the rotation: everything hits.
         assert!(vi(4, 4) > 0.99);
         assert!(vi(1, 1) > 0.99);
-        // One object too many + round-robin replacement: collapse.
-        assert!(rr(4, 6) < 0.05, "6 objects thrash 4 ways: {}", rr(4, 6));
-        assert!(rr(1, 2) < 0.05);
-        assert!(rr(2, 4) < 0.05);
-        // The victim policy softens exactly that cliff: W-1 residents
-        // keep hitting while conflict misses churn the victim way.
+        // Past the ways, W-1 residents keep hitting while conflict
+        // misses churn the victim way.
         assert!(vi(4, 6) > 0.4, "victim softens the cliff: {}", vi(4, 6));
         assert!(
             vi(4, 8) > 0.3,
@@ -247,12 +230,6 @@ mod tests {
             vi(4, 8)
         );
         assert!(vi(2, 4) > 0.2);
-        assert!(
-            vi(4, 6) > rr(4, 6) + 0.3,
-            "policy beats rotation past the cliff: {} vs {}",
-            vi(4, 6),
-            rr(4, 6)
-        );
         // The default covers the netperf TX pattern (4 objects/packet).
         assert!(vi(4, 2) > 0.99);
     }

@@ -54,13 +54,12 @@ fn main() {
          binary rewriters like XFI cannot perform (§8.3).\n"
     );
 
-    println!("Ablation 3: epoch-cache associativity x replacement policy\n");
+    println!("Ablation 3: epoch-cache associativity (victim-entry replacement)\n");
     let rows = ablations::epoch_ways_ablation(200_000);
     let table: Vec<Vec<String>> = rows
         .iter()
         .map(|r| {
             vec![
-                format!("{:?}", r.policy),
                 r.ways.to_string(),
                 r.objects.to_string(),
                 format!("{:.1}%", r.hit_rate * 100.0),
@@ -70,21 +69,17 @@ fn main() {
         .collect();
     println!(
         "{}",
-        render_table(
-            &["Policy", "Ways", "Objects", "Hit rate", "Store ns"],
-            &table
-        )
+        render_table(&["Ways", "Objects", "Hit rate", "Store ns"], &table)
     );
     println!(
-        "\nRound-robin replacement against a cyclic store stream is the\n\
-         worst case: hit rate is ~100% while the rotated objects fit the\n\
-         ways and collapses one object past them. The victim-entry rows\n\
-         show why it is the default: conflict misses churn only the\n\
-         victim way, so a rotation one-or-two objects past the ways\n\
-         still hits on the W-1 residents (e.g. 4 ways / 6 objects:\n\
-         ~0% round-robin vs ~50% victim). The netperf TX path touches\n\
-         four objects per packet (descriptor, payload, queue state,\n\
-         stats), which is what sizes the default at 4; the 8-way rows\n\
-         price the headroom a wider cache would buy."
+        "\nA cyclic store stream is the worst case for a small cache: the\n\
+         hit rate is ~100% while the rotated objects fit the ways. Past\n\
+         them, conflict misses churn only the victim way, so a rotation\n\
+         one or two objects too wide still hits on the W-1 residents\n\
+         (4 ways / 6 objects: ~50%; plain round-robin replacement fell to\n\
+         ~0% there). The netperf TX path touches four objects per packet\n\
+         (descriptor, payload, queue state, stats), which is what sizes\n\
+         the default at 4; the 8-way rows price the headroom a wider\n\
+         cache would buy."
     );
 }

@@ -17,7 +17,7 @@
 //! comparison tables follow.
 
 use lxfi_bench::{
-    chaos, dm, guards, kernel_mt, netperf, netperf_mt, render_table, server, sound,
+    chaos, dm, guards, kernel_mt, loc, netperf, netperf_mt, render_table, server, sound,
     soundness_audit, writer_index,
 };
 use lxfi_kernel::{Backend, IsolationMode};
@@ -157,7 +157,7 @@ fn measurements(iters: u64) -> Vec<(String, f64)> {
     // must compile — a fallback would silently re-route hot paths back
     // through the interpreter.
     let (k, _dev) = netperf::boot_e1000_backend(IsolationMode::Lxfi, Backend::Compiled);
-    let cs = k.core().compile_stats();
+    let cs = k.compile_stats();
     put("compiled_funcs", cs.funcs_compiled as f64);
     put("compiled_blocks", cs.blocks_compiled as f64);
     put("compiled_fused_guard_sites", cs.fused_guard_sites as f64);
@@ -211,6 +211,12 @@ fn measurements(iters: u64) -> Vec<(String, f64)> {
     put("rx_chaos_leak_writer_sets", rx.leak_writer_sets as f64);
     put("rx_chaos_leak_intervals", rx.leak_intervals as f64);
     put("rx_chaos_panics", rx.panics as f64);
+    // Code lines in the trusted base (Figure 7's last row), so every
+    // run's artifact tracks its size.
+    let trusted = loc::figure7()
+        .pop()
+        .expect("Figure 7 ends with the trusted-base row");
+    put("trusted_base_lines", trusted.lines as f64);
     out
 }
 

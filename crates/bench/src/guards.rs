@@ -8,9 +8,10 @@ use std::hint::black_box;
 use std::sync::atomic::{fence, Ordering};
 use std::time::Instant;
 
-use lxfi_core::{GuardHandle, GuardKind, LinearWriteTable, RawCap, WriteTable, ALL_GUARD_KINDS};
+use lxfi_core::{GuardHandle, GuardKind, RawCap, Violation, WriteTable, ALL_GUARD_KINDS};
 use lxfi_kernel::IsolationMode;
 
+use crate::baselines::{uncached_check_write, LinearWriteTable};
 use crate::netperf::boot_e1000;
 
 /// One Figure 13 row.
@@ -320,9 +321,9 @@ pub struct RevokeHeavyLatency {
     /// ns per guarded store with an unrelated revoke+grant between every
     /// pair of stores (churn excluded from the timing).
     pub post_revoke_ns: f64,
-    /// ns per guarded store with the cache disabled: the full
-    /// instance-miss + shared-hit interval probe every store pays when
-    /// its cache entry is gone.
+    /// ns per guarded store without the cache
+    /// ([`uncached_check_write`]): the full instance-miss + shared-hit
+    /// interval probe every store pays when its cache entry is gone.
     pub uncached_ns: f64,
     /// Cache hit rate over the churn phase (1.0 = no store degraded).
     pub hit_rate: f64,
@@ -339,12 +340,12 @@ pub struct RevokeHeavyLatency {
 /// an empty `Instant` window taken right before warms the clock read and
 /// is subtracted, so a host-speed change between phases cancels instead
 /// of landing on a ~10 ns quantity.
-fn timed_store_ns(rt: &mut GuardHandle, addr: u64) -> f64 {
+fn timed_store_ns(store: impl FnOnce() -> Result<(), Violation>) -> f64 {
     fence(Ordering::SeqCst);
     let e0 = Instant::now();
     let empty = e0.elapsed();
     let t0 = Instant::now();
-    rt.check_write(black_box(addr), 8).unwrap();
+    store().unwrap();
     let window = t0.elapsed();
     window.as_nanos() as f64 - empty.as_nanos() as f64
 }
@@ -357,6 +358,9 @@ fn median_per_call(iters: u64, mut step: impl FnMut(u64) -> f64) -> f64 {
     samples[samples.len() / 2].max(0.0)
 }
 
+/// The kernel-stack window of the revoke-heavy handle.
+const CHURN_KSTACK: (u64, u64) = (0xffff_9000_0000_0000, 0x2000);
+
 /// Builds the churn world, a handle over a fresh core: one module,
 /// `principals` instances each holding a private arena grant, and
 /// [`SHARED_GRANTS`] disjoint grants on the shared principal. Instance 0 is the measured writer; its
@@ -366,7 +370,7 @@ pub fn revoke_heavy_runtime(principals: usize) -> (GuardHandle, Vec<lxfi_core::P
     assert!(principals >= 2, "churn needs an unrelated principal");
     let mut rt: GuardHandle = GuardHandle::new(Default::default());
     let m = rt.register_module("bench");
-    rt.set_kernel_stack(0xffff_9000_0000_0000, 0x2000);
+    rt.set_kernel_stack(CHURN_KSTACK.0, CHURN_KSTACK.1);
     let shared = rt.shared_principal(m);
     for i in 0..SHARED_GRANTS as u64 {
         rt.grant(shared, RawCap::write(ARENA + i * STRIDE, 8));
@@ -404,14 +408,16 @@ pub fn revoke_heavy_comparison(principals: usize, iters: u64) -> RevokeHeavyLate
 
     // Steady state: guarded stores, no churn.
     rt.check_write(addr, 8).unwrap(); // prime the cache
-    let steady_ns = median_per_call(iters, |_| timed_store_ns(&mut rt, addr));
+    let steady_ns = median_per_call(iters, |_| {
+        timed_store_ns(|| rt.check_write(black_box(addr), 8))
+    });
 
     // Churn: an unrelated instance's grant revoked and re-granted
     // between every pair of guarded stores (untimed).
     rt.stats.reset();
     let post_revoke_ns = median_per_call(iters, |i| {
         churn_unrelated(&mut rt, &ps, i);
-        timed_store_ns(&mut rt, addr)
+        timed_store_ns(|| rt.check_write(black_box(addr), 8))
     });
     let cache_hits = rt.stats.write_cache_hits;
     let cache_misses = rt.stats.write_cache_misses;
@@ -420,8 +426,9 @@ pub fn revoke_heavy_comparison(principals: usize, iters: u64) -> RevokeHeavyLate
 
     // Uncached probe: what every post-revoke store cost before the
     // epoch cache (instance-table miss + shared-table search).
-    rt.guard_cache_enabled = false;
-    let uncached_ns = median_per_call(iters, |_| timed_store_ns(&mut rt, addr));
+    let uncached_ns = median_per_call(iters, |_| {
+        timed_store_ns(|| uncached_check_write(&mut rt, CHURN_KSTACK, black_box(addr), 8))
+    });
 
     RevokeHeavyLatency {
         principals,

@@ -14,6 +14,7 @@
 
 pub mod ablations;
 pub mod api_churn;
+pub mod baselines;
 pub mod census;
 pub mod chaos;
 pub mod dm;

@@ -11,8 +11,9 @@
 
 use std::hint::black_box;
 
-use lxfi_core::{LinearWriterIndex, PrincipalId, WriterIndex};
+use lxfi_core::{PrincipalId, WriterIndex};
 
+use crate::baselines::LinearWriterIndex;
 use crate::guards::time_ns;
 
 /// Base address of the probed function-pointer slots.

@@ -18,9 +18,9 @@
 //! the disjoint grants kernel modules hold in practice).
 //!
 //! The paper's original structure — ranges replicated into 4 KiB-masked
-//! hash slots, each slot scanned linearly (§5) — is retained as
-//! [`LinearWriteTable`], the measured baseline for the guard
-//! microbenchmarks in `lxfi-bench`.
+//! hash slots, each slot scanned linearly (§5) — is the measured
+//! baseline in `lxfi-bench`'s `baselines` module, outside the trusted
+//! runtime.
 //!
 //! # Overflow discipline
 //!
@@ -31,7 +31,7 @@
 //! queries whose end would overflow return `false`. No path panics in
 //! debug builds for ranges near `Word::MAX`.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 
 use lxfi_machine::Word;
 
@@ -344,158 +344,6 @@ impl WriteTable {
     }
 }
 
-// --------------------------------------------------------------- baseline
-
-const SLOT_SHIFT: u32 = 12;
-
-/// The paper's original WRITE table (§5): ranges hashed under
-/// 12-bit-masked keys, one replica per 4 KiB slot the range overlaps,
-/// each slot scanned linearly.
-///
-/// Superseded by the interval-indexed [`WriteTable`] on the guard hot
-/// path; kept as the measured baseline for `lxfi-bench`'s guard
-/// microbenchmarks (Figure 11/13 companions) so the speedup is a
-/// reproducible number rather than a claim. Overflow discipline matches
-/// [`WriteTable`] (saturating ends).
-#[derive(Debug, Default, Clone)]
-pub struct LinearWriteTable {
-    slots: HashMap<u64, Vec<(Word, u64)>>,
-    /// Number of live (addr, size) grants — slot entries are replicas.
-    entries: usize,
-}
-
-impl LinearWriteTable {
-    /// Creates an empty table.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    fn slot_range(addr: Word, size: u64) -> std::ops::RangeInclusive<u64> {
-        let first = addr >> SLOT_SHIFT;
-        let last = if size == 0 {
-            first
-        } else {
-            (addr.saturating_add(size - 1)) >> SLOT_SHIFT
-        };
-        first..=last
-    }
-
-    /// Grants `[addr, addr+size)`; same clamping and zero-size semantics
-    /// as [`WriteTable::grant`].
-    pub fn grant(&mut self, addr: Word, size: u64) {
-        let size = clamp_size(addr, size);
-        if size == 0 {
-            return;
-        }
-        if self.owns_exact(addr, size) {
-            return;
-        }
-        for s in Self::slot_range(addr, size) {
-            self.slots.entry(s).or_default().push((addr, size));
-        }
-        self.entries += 1;
-    }
-
-    /// Revokes the exact capability `(addr, size)`; returns whether it
-    /// was present.
-    pub fn revoke(&mut self, addr: Word, size: u64) -> bool {
-        let size = clamp_size(addr, size);
-        if size == 0 || !self.owns_exact(addr, size) {
-            return false;
-        }
-        for s in Self::slot_range(addr, size) {
-            if let Some(v) = self.slots.get_mut(&s) {
-                v.retain(|&(a, l)| !(a == addr && l == size));
-                if v.is_empty() {
-                    self.slots.remove(&s);
-                }
-            }
-        }
-        self.entries -= 1;
-        true
-    }
-
-    /// Revokes every capability intersecting `[addr, addr+size)`;
-    /// returns the number removed.
-    pub fn revoke_overlapping(&mut self, addr: Word, size: u64) -> usize {
-        if size == 0 {
-            return 0;
-        }
-        let end = addr.saturating_add(size);
-        let mut victims: HashSet<(Word, u64)> = HashSet::new();
-        for s in Self::slot_range(addr, size) {
-            if let Some(v) = self.slots.get(&s) {
-                for &(a, l) in v {
-                    if a < end && addr < a + l {
-                        victims.insert((a, l));
-                    }
-                }
-            }
-        }
-        for &(a, l) in &victims {
-            self.revoke(a, l);
-        }
-        victims.len()
-    }
-
-    /// True if the exact capability `(addr, size)` is present.
-    pub fn owns_exact(&self, addr: Word, size: u64) -> bool {
-        let size = clamp_size(addr, size);
-        if size == 0 {
-            return false;
-        }
-        self.slots
-            .get(&(addr >> SLOT_SHIFT))
-            .is_some_and(|v| v.iter().any(|&(a, l)| a == addr && l == size))
-    }
-
-    /// True if any capability intersects `[addr, addr+len)`.
-    pub fn overlaps(&self, addr: Word, len: u64) -> bool {
-        if len == 0 {
-            return false;
-        }
-        let end = addr.saturating_add(len);
-        Self::slot_range(addr, len).any(|s| {
-            self.slots
-                .get(&s)
-                .is_some_and(|v| v.iter().any(|&(a, l)| a < end && addr < a + l))
-        })
-    }
-
-    /// True if some single capability covers all of `[addr, addr+len)`.
-    pub fn covers(&self, addr: Word, len: u64) -> bool {
-        if len == 0 {
-            return true;
-        }
-        let Some(end) = addr.checked_add(len) else {
-            return false;
-        };
-        self.slots
-            .get(&(addr >> SLOT_SHIFT))
-            .is_some_and(|v| v.iter().any(|&(a, l)| a <= addr && end <= a + l))
-    }
-
-    /// Number of live capabilities.
-    pub fn len(&self) -> usize {
-        self.entries
-    }
-
-    /// True when no capability is held.
-    pub fn is_empty(&self) -> bool {
-        self.entries == 0
-    }
-
-    /// Iterates over live `(addr, size)` grants (deduplicated).
-    pub fn iter(&self) -> impl Iterator<Item = (Word, u64)> + '_ {
-        let mut seen = HashSet::new();
-        self.slots
-            .values()
-            .flatten()
-            .copied()
-            .filter(move |e| seen.insert(*e))
-    }
-}
-
 /// All capabilities of one principal.
 #[derive(Debug, Default, Clone)]
 pub struct CapSet {
@@ -731,24 +579,5 @@ mod tests {
         t.grant(0x1800, 0x3000);
         let all: Vec<_> = t.iter().collect();
         assert_eq!(all, vec![(0x1000, 8), (0x1800, 0x3000)]);
-    }
-
-    #[test]
-    fn linear_baseline_agrees_on_basics() {
-        let mut t = LinearWriteTable::new();
-        t.grant(0x1800, 0x3000);
-        t.grant(0x1000, 64);
-        assert_eq!(t.len(), 2);
-        assert!(t.covers(0x2000, 8));
-        assert!(t.covers(0x1010, 8));
-        assert!(!t.covers(0x4800, 1));
-        assert!(t.overlaps(0x1030, 0x100));
-        assert_eq!(t.revoke_overlapping(0x1000, 0x40), 1);
-        assert!(t.revoke(0x1800, 0x3000));
-        assert!(t.is_empty());
-        // Overflow discipline matches the interval table.
-        t.grant(u64::MAX - 8, 16);
-        assert!(t.covers(u64::MAX - 8, 8));
-        assert!(!t.covers(u64::MAX - 4, 8));
     }
 }

@@ -42,8 +42,9 @@
 //!
 //! The associativity is a const parameter so `lxfi-bench`'s ablation
 //! can sweep 1/2/4/8 ways over the netperf store pattern; the runtime
-//! paths use [`WriteGuardCache`] (= [`DEFAULT_WAYS`]-way), which the
-//! ablation table in the README justifies.
+//! paths use [`DEFAULT_WAYS`] ways, which the ablation table in the
+//! README justifies. Replacement has one policy, the victim-entry
+//! scheme documented on [`EpochCache`].
 
 use lxfi_machine::Word;
 
@@ -55,30 +56,6 @@ use crate::principal::PrincipalId;
 /// with a >99% hit rate while keeping lookup a few compares (see the
 /// WAYS ablation in `lxfi-bench`).
 pub const DEFAULT_WAYS: usize = 4;
-
-/// Replacement policy for a full cache set.
-///
-/// Round-robin is optimal while the rotation fits the ways but falls
-/// off a cliff at `objects = ways + 1`: a cyclic stream always evicts
-/// the next-needed interval, so the hit rate collapses to ~0 (the WAYS
-/// ablation in `lxfi-bench` shows the cliff). The victim-entry scheme
-/// is scan-resistant: conflict misses replace only the **most recently
-/// inserted** way (the "victim" slot), protecting the resident
-/// intervals, so a rotation one-or-two objects too wide still hits on
-/// `W-1` of them. To stay adaptive across phase changes (a completely
-/// new working set), more than `2W` consecutive conflict misses without
-/// a single hit fall back to one round-robin step each, walking the
-/// stale residents out — the threshold is above `W` so a rotation up to
-/// `~3W` objects wide (hits on the `W-1` residents interleave the miss
-/// runs) never trips it. The ablation table justifies the default.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Replacement {
-    /// Evict ways in insertion order (the pre-redesign behavior).
-    RoundRobin,
-    /// Scan-resistant victim-entry replacement (the default).
-    #[default]
-    Victim,
-}
 
 /// One cached covering interval `[start, end)`.
 #[derive(Debug, Clone, Copy, Default)]
@@ -115,53 +92,23 @@ impl<const W: usize> Default for CacheSet<W> {
 
 /// The write-guard cache: one `CacheSet` per principal, grown lazily
 /// as principals first complete a guarded write.
-#[derive(Debug)]
+///
+/// A full set replaces scan-resistantly: a conflict miss replaces only
+/// the most recently inserted ("victim") way, so a rotation one or two
+/// objects wider than `W` still hits on the `W-1` residents (round-robin
+/// falls to ~0% there). More than `2W` conflict misses without a hit
+/// mean the working set moved, and each then takes one cursor step,
+/// walking the stale residents out; `2W` exceeds `W` so a rotation up to
+/// ~3W objects wide never trips it.
+#[derive(Debug, Default)]
 pub struct EpochCache<const W: usize> {
     sets: Vec<CacheSet<W>>,
-    policy: Replacement,
-}
-
-/// The runtime's write-guard cache ([`DEFAULT_WAYS`]-way).
-pub type WriteGuardCache = EpochCache<DEFAULT_WAYS>;
-
-impl<const W: usize> Default for EpochCache<W> {
-    fn default() -> Self {
-        EpochCache {
-            sets: Vec::new(),
-            policy: Replacement::default(),
-        }
-    }
 }
 
 impl<const W: usize> EpochCache<W> {
-    /// Creates an empty cache with the default replacement policy.
+    /// Creates an empty cache.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Creates an empty cache with an explicit replacement policy (the
-    /// WAYS/policy ablation sweeps both).
-    pub fn with_policy(policy: Replacement) -> Self {
-        EpochCache {
-            sets: Vec::new(),
-            policy,
-        }
-    }
-
-    /// The replacement policy in force.
-    pub fn policy(&self) -> Replacement {
-        self.policy
-    }
-
-    /// Switches the replacement policy (ablation hook; takes effect on
-    /// subsequent conflict misses).
-    pub fn set_policy(&mut self, policy: Replacement) {
-        self.policy = policy;
-    }
-
-    /// The cache's associativity.
-    pub const fn ways() -> usize {
-        W
     }
 
     /// True if a covering interval cached for `p` under the current
@@ -187,7 +134,7 @@ impl<const W: usize> EpochCache<W> {
     /// Records `interval` as a covering grant for `p` under `epoch`.
     /// If the set was filled under an older epoch it is reset first
     /// (the lazy half of epoch invalidation). Replacement within an
-    /// epoch follows [`Replacement`].
+    /// epoch is the victim-entry scheme of [`EpochCache`].
     pub fn insert(&mut self, p: PrincipalId, epoch: u64, interval: (Word, Word)) {
         let i = p.0 as usize;
         if i >= self.sets.len() {
@@ -201,34 +148,25 @@ impl<const W: usize> EpochCache<W> {
             set.epoch = epoch;
         }
         let slot = if (set.len as usize) < W {
-            // Fill empty ways first under either policy.
+            // Fill empty ways first.
             let s = set.len;
             set.cursor = (s + 1) % W as u8;
             s
         } else {
-            match self.policy {
-                Replacement::RoundRobin => {
-                    let s = set.cursor;
-                    set.cursor = (s + 1) % W as u8;
-                    s
-                }
-                Replacement::Victim => {
-                    set.misses_since_hit = set.misses_since_hit.saturating_add(1);
-                    // Clamp below the u8 saturation point so the
-                    // fallback stays reachable at any W.
-                    if set.misses_since_hit as usize > (2 * W).min(200) {
-                        // No hit in over 2W conflict misses: the working
-                        // set moved — walk the stale residents out.
-                        let s = set.cursor;
-                        set.cursor = (s + 1) % W as u8;
-                        s
-                    } else {
-                        // Scan resistance: replace only the victim slot
-                        // (the most recently inserted way), keeping the
-                        // W-1 resident intervals hot.
-                        (W - 1) as u8
-                    }
-                }
+            set.misses_since_hit = set.misses_since_hit.saturating_add(1);
+            // Clamp below the u8 saturation point so the fallback stays
+            // reachable at any W.
+            if set.misses_since_hit as usize > (2 * W).min(200) {
+                // No hit in over 2W conflict misses: the working set
+                // moved — walk the stale residents out.
+                let s = set.cursor;
+                set.cursor = (s + 1) % W as u8;
+                s
+            } else {
+                // Scan resistance: replace only the victim slot (the most
+                // recently inserted way), keeping the W-1 resident
+                // intervals hot.
+                (W - 1) as u8
             }
         };
         set.ways[slot as usize] = WayEntry {
@@ -248,14 +186,14 @@ mod tests {
 
     #[test]
     fn miss_when_empty_or_unknown_principal() {
-        let mut c = WriteGuardCache::new();
+        let mut c: EpochCache<DEFAULT_WAYS> = EpochCache::new();
         assert!(!c.lookup(P0, 0, 0x1000, 0x1008));
         assert!(!c.lookup(PrincipalId(99), 0, 0x1000, 0x1008));
     }
 
     #[test]
     fn hit_requires_coverage_and_epoch() {
-        let mut c = WriteGuardCache::new();
+        let mut c: EpochCache<DEFAULT_WAYS> = EpochCache::new();
         c.insert(P0, 3, (0x1000, 0x1100));
         assert!(c.lookup(P0, 3, 0x1000, 0x1008));
         assert!(c.lookup(P0, 3, 0x10f8, 0x1100), "tail bytes covered");
@@ -266,7 +204,7 @@ mod tests {
 
     #[test]
     fn insert_under_new_epoch_resets_the_set() {
-        let mut c = WriteGuardCache::new();
+        let mut c: EpochCache<DEFAULT_WAYS> = EpochCache::new();
         c.insert(P0, 1, (0x1000, 0x1100));
         c.insert(P0, 1, (0x2000, 0x2100));
         c.insert(P0, 2, (0x3000, 0x3100));
@@ -277,25 +215,24 @@ mod tests {
 
     #[test]
     fn associative_ways_hold_multiple_objects() {
-        let mut c: EpochCache<DEFAULT_WAYS> = EpochCache::with_policy(Replacement::RoundRobin);
+        let mut c: EpochCache<DEFAULT_WAYS> = EpochCache::new();
         for i in 0..DEFAULT_WAYS as u64 {
             c.insert(P0, 0, (0x1000 * (i + 1), 0x1000 * (i + 1) + 0x100));
         }
         for i in 0..DEFAULT_WAYS as u64 {
             assert!(c.lookup(P0, 0, 0x1000 * (i + 1), 0x1000 * (i + 1) + 8));
         }
-        // A fifth insert evicts round-robin (the oldest way).
+        // A fifth insert replaces the victim (most recently filled) way.
         c.insert(P0, 0, (0x9000, 0x9100));
-        assert!(!c.lookup(P0, 0, 0x1000, 0x1008), "way 0 evicted");
+        assert!(!c.lookup(P0, 0, 0x4000, 0x4008), "victim way replaced");
         assert!(c.lookup(P0, 0, 0x9000, 0x9008));
-        assert!(c.lookup(P0, 0, 0x2000, 0x2008), "younger ways survive");
+        assert!(c.lookup(P0, 0, 0x1000, 0x1008), "older ways survive");
     }
 
     #[test]
     fn victim_policy_protects_residents_from_scans() {
-        // Default policy: a conflict miss replaces the victim way only.
-        let mut c = WriteGuardCache::new();
-        assert_eq!(c.policy(), Replacement::Victim);
+        // A conflict miss replaces the victim way only.
+        let mut c: EpochCache<DEFAULT_WAYS> = EpochCache::new();
         for i in 0..DEFAULT_WAYS as u64 {
             c.insert(P0, 0, (0x1000 * (i + 1), 0x1000 * (i + 1) + 0x100));
         }
@@ -317,7 +254,7 @@ mod tests {
     fn victim_policy_adapts_to_a_phase_change() {
         // With no hits at all, consecutive conflict misses eventually
         // fall back to round-robin and walk the stale residents out.
-        let mut c = WriteGuardCache::new();
+        let mut c: EpochCache<DEFAULT_WAYS> = EpochCache::new();
         for i in 0..DEFAULT_WAYS as u64 {
             c.insert(P0, 0, (0x1000 * (i + 1), 0x1000 * (i + 1) + 0x100));
         }
@@ -341,7 +278,6 @@ mod tests {
     #[test]
     fn one_way_cache_holds_exactly_one_object() {
         let mut c: EpochCache<1> = EpochCache::new();
-        assert_eq!(EpochCache::<1>::ways(), 1);
         c.insert(P0, 0, (0x1000, 0x1100));
         assert!(c.lookup(P0, 0, 0x1000, 0x1008));
         c.insert(P0, 0, (0x2000, 0x2100));

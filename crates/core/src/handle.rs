@@ -75,13 +75,6 @@ pub struct GuardHandle<const W: usize = DEFAULT_WAYS> {
     pub stats: GuardStats,
     /// Deterministic guard costs (copied from the default at creation).
     pub costs: GuardCosts,
-    /// Ablation/test switch: when false, [`GuardHandle::check_write`]
-    /// skips the epoch-validated guard cache entirely and always probes
-    /// the interval tables. The epoch-cache property test drives a
-    /// cached and an uncached handle through identical traffic and
-    /// asserts identical decisions; benches use it to price the uncached
-    /// probe.
-    pub guard_cache_enabled: bool,
 }
 
 impl<const W: usize> Deref for GuardHandle<W> {
@@ -105,7 +98,6 @@ impl<const W: usize> GuardHandle<W> {
             zero_notes: Vec::new(),
             stats: GuardStats::new(),
             costs: GuardCosts::default(),
-            guard_cache_enabled: true,
         }
     }
 
@@ -118,12 +110,6 @@ impl<const W: usize> GuardHandle<W> {
     /// Sets this thread's kernel-stack window (always-writable, §3.2).
     pub fn set_kernel_stack(&mut self, base: Word, len: u64) {
         self.kstack = Some((base, len));
-    }
-
-    /// Switches the private write-guard cache's replacement policy
-    /// (the rotation-vs-policy ablation sweeps both).
-    pub fn set_cache_policy(&mut self, policy: crate::epoch_cache::Replacement) {
-        self.cache.set_policy(policy);
     }
 
     /// This thread's shadow stack.
@@ -188,26 +174,22 @@ impl<const W: usize> GuardHandle<W> {
                 return Ok(());
             }
         }
-        if self.guard_cache_enabled {
-            // An overflowing end never consults the cache (the probe below
-            // denies it), so it counts as neither hit nor miss.
-            if let Some(e) = end {
-                let epoch = self.core.write_epoch(p);
-                if self.cache.lookup(p, epoch, addr, e) {
-                    self.stats.write_cache_hits += 1;
-                    return Ok(());
-                }
-                self.stats.write_cache_misses += 1;
+        // An overflowing end never consults the cache (the probe below
+        // denies it), so it counts as neither hit nor miss.
+        if let Some(e) = end {
+            let epoch = self.core.write_epoch(p);
+            if self.cache.lookup(p, epoch, addr, e) {
+                self.stats.write_cache_hits += 1;
+                return Ok(());
             }
+            self.stats.write_cache_misses += 1;
         }
         // Epoch read BEFORE the table probe: a concurrent revoke removes
         // coverage first and bumps after, so a stamp taken here is never
         // newer than a bump that invalidates what the probe returns.
         let epoch = self.core.write_epoch(p);
         if let Some(interval) = self.core.write_covering(p, addr, len) {
-            if self.guard_cache_enabled {
-                self.cache.insert(p, epoch, interval);
-            }
+            self.cache.insert(p, epoch, interval);
             Ok(())
         } else {
             Err(Violation::MissingWrite {

@@ -15,7 +15,8 @@
 //!
 //! - per-principal capability tables ([`caps`]) — WRITE ranges in a
 //!   binary-searched interval index (the paper's masked-slot hash table
-//!   survives as the benchmarked baseline), CALL and REF sets;
+//!   is a benchmark baseline in `lxfi-bench`, outside this crate), CALL
+//!   and REF sets;
 //! - compiled annotations ([`compiled`]) — names resolved to dense ids at
 //!   registration so enforcement never hashes strings;
 //! - the principal registry with pointer-naming and `lxfi_princ_alias`
@@ -52,15 +53,15 @@ pub mod stats;
 pub mod writer_index;
 pub mod writer_set;
 
-pub use caps::{CapType, LinearWriteTable, RawCap, RefTypeId, WriteTable};
+pub use caps::{CapType, RawCap, RefTypeId, WriteTable};
 pub use compiled::CompiledAnn;
-pub use epoch_cache::{EpochCache, Replacement, WriteGuardCache, DEFAULT_WAYS};
+pub use epoch_cache::{EpochCache, DEFAULT_WAYS};
 pub use handle::GuardHandle;
 pub use iface::{FnDecl, Param, TypeLayouts};
 pub use principal::{ModuleId, PrincipalId, PrincipalKind};
 pub use runtime::{ConstId, IteratorFn, IteratorId, KfreeSweep, RetireSweep, RuntimeCore};
 pub use stats::{GuardCosts, GuardKind, GuardStats, ALL_GUARD_KINDS};
-pub use writer_index::{LinearWriterIndex, WriterIndex, WriterSetId};
+pub use writer_index::{WriterIndex, WriterSetId};
 
 use lxfi_machine::Word;
 

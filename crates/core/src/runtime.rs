@@ -1036,12 +1036,7 @@ impl RuntimeCore {
 
     /// The covering interval behind a successful WRITE ownership test,
     /// with the principal-hierarchy fallbacks of [`RuntimeCore::owns`].
-    pub(crate) fn write_covering(
-        &self,
-        p: PrincipalId,
-        addr: Word,
-        len: u64,
-    ) -> Option<(Word, Word)> {
+    pub fn write_covering(&self, p: PrincipalId, addr: Word, len: u64) -> Option<(Word, Word)> {
         let meta = self.meta.read().expect("meta lock");
         let pm = meta.principals[p.0 as usize];
         let probe = |q: PrincipalId| {
@@ -1136,16 +1131,6 @@ impl RuntimeCore {
         self.collect_writers(addr, 8, &mut v);
         v.sort_unstable();
         v
-    }
-
-    /// The retired global traversal: every principal's WRITE table probed
-    /// for overlap with the slot. Kept as the in-tree reference the
-    /// reverse index is property-tested and benchmarked against.
-    pub fn writers_of_linear(&self, addr: Word) -> Vec<PrincipalId> {
-        (0..self.principal_count())
-            .map(|i| PrincipalId(i as u32))
-            .filter(|&p| self.write_overlaps(p, addr, 8))
-            .collect()
     }
 
     /// The kfree presence hint for a range (diagnostics/tests).
@@ -1699,20 +1684,6 @@ mod tests {
     }
 
     #[test]
-    fn disabled_cache_still_decides_identically() {
-        let (mut rt, m) = rt_with_module();
-        rt.guard_cache_enabled = false;
-        let a = rt.principal_for_name(m, 0x9000);
-        rt.set_current(Some((m, a)));
-        rt.grant(a, RawCap::write(0x5000, 64));
-        rt.check_write(0x5000, 8).unwrap();
-        rt.check_write(0x5000, 8).unwrap();
-        assert_eq!(rt.stats.write_cache_hits, 0, "cache bypassed");
-        assert_eq!(rt.stats.write_cache_misses, 0);
-        assert!(rt.check_write(0x6000, 8).is_err());
-    }
-
-    #[test]
     fn sharded_runtime_answers_match_unsharded() {
         let (mut rt, m) = rt_with_module();
         let a = rt.principal_for_name(m, 0x9000);
@@ -1726,7 +1697,11 @@ mod tests {
         rt.check_index_invariants();
         assert_eq!(rt.index_shard_count(), 3);
         assert_eq!(rt.writers_of(0x5080), before_a);
-        assert_eq!(rt.writers_of(0x5080), rt.writers_of_linear(0x5080));
+        let walk: Vec<_> = (0..rt.principal_count() as u32)
+            .map(PrincipalId)
+            .filter(|&p| rt.write_overlaps(p, 0x5080, 8))
+            .collect();
+        assert_eq!(rt.writers_of(0x5080), walk);
         rt.revoke(b, RawCap::write(0x5080, 0x100));
         assert_eq!(rt.writers_of(0x5080), vec![a]);
     }

@@ -73,10 +73,9 @@
 //! principal's table; debug builds assert the hint against the full
 //! walk.
 //!
-//! The paper's traversal survives as [`LinearWriterIndex`] — per-principal
-//! [`WriteTable`]s probed one by one — mirroring the `LinearWriteTable`
-//! treatment of PR 1: the old structure stays in-tree as the measured
-//! baseline for `lxfi-bench` and as a property-test oracle.
+//! The paper's traversal — per-principal [`WriteTable`]s probed one by
+//! one — is the measured baseline in `lxfi-bench`'s `baselines` module,
+//! outside the trusted runtime.
 //!
 //! # Semantics
 //!
@@ -85,20 +84,21 @@
 //! a single grant to *cover* the whole slot; overlap is strictly more
 //! conservative — a principal that can corrupt even one byte of a
 //! function pointer is a writer — and is what both the index and the
-//! linear baseline implement.)
+//! baseline walk implement.)
 //!
 //! # Overflow discipline
 //!
 //! Identical to [`WriteTable`]: grant ends saturate at `Word::MAX`
 //! (exclusive), zero-length ranges grant/match nothing, and query ends
 //! saturate rather than wrap.
+//!
+//! [`WriteTable`]: crate::caps::WriteTable
 
 use std::collections::HashMap;
 use std::sync::Mutex as StdMutex;
 
 use lxfi_machine::Word;
 
-use crate::caps::WriteTable;
 use crate::principal::PrincipalId;
 
 /// Interned id of a sorted, deduplicated set of writer principals.
@@ -1018,65 +1018,6 @@ impl Iterator for WritersOver<'_> {
     }
 }
 
-// --------------------------------------------------------------- baseline
-
-/// The paper's writer lookup (§5): one WRITE table per principal, every
-/// table probed on every query. Superseded on the indirect-call slow
-/// path by [`WriterIndex`]; kept as the measured baseline for
-/// `lxfi-bench`'s `writer_index` benches and as a property-test oracle,
-/// mirroring the `LinearWriteTable` treatment of the WRITE-table
-/// refactor.
-#[derive(Debug, Default)]
-pub struct LinearWriterIndex {
-    tables: Vec<WriteTable>,
-}
-
-impl LinearWriterIndex {
-    /// Creates an empty baseline index.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    fn table_mut(&mut self, p: PrincipalId) -> &mut WriteTable {
-        let i = p.0 as usize;
-        if i >= self.tables.len() {
-            self.tables.resize_with(i + 1, WriteTable::new);
-        }
-        &mut self.tables[i]
-    }
-
-    /// Grants `[addr, addr+size)` to `p`.
-    pub fn grant(&mut self, p: PrincipalId, addr: Word, size: u64) {
-        self.table_mut(p).grant(addr, size);
-    }
-
-    /// Revokes the exact grant `(addr, size)` from `p`.
-    pub fn revoke(&mut self, p: PrincipalId, addr: Word, size: u64) -> bool {
-        self.table_mut(p).revoke(addr, size)
-    }
-
-    /// Revokes every grant of `p` intersecting `[addr, addr+size)`.
-    pub fn revoke_overlapping(&mut self, p: PrincipalId, addr: Word, size: u64) -> usize {
-        self.table_mut(p).revoke_overlapping(addr, size)
-    }
-
-    /// The global walk: every principal's table probed for overlap with
-    /// `[addr, addr+len)` — linear in principals, allocating per call.
-    pub fn writers_of(&self, addr: Word, len: u64) -> Vec<PrincipalId> {
-        self.tables
-            .iter()
-            .enumerate()
-            .filter(|(_, t)| t.overlaps(addr, len))
-            .map(|(i, _)| PrincipalId(i as u32))
-            .collect()
-    }
-
-    /// Number of principal slots (diagnostics).
-    pub fn principal_count(&self) -> usize {
-        self.tables.len()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1344,27 +1285,6 @@ mod tests {
         ix.remove(P0, u64::MAX - 0x180, u64::MAX);
         assert_eq!(ix.interval_count(), 0);
         ix.check_invariants();
-    }
-
-    #[test]
-    fn linear_baseline_agrees() {
-        let mut ix = WriterIndex::new();
-        let mut lin = LinearWriterIndex::new();
-        let ops: &[(PrincipalId, Word, u64)] = &[
-            (P0, 0x1000, 0x100),
-            (P1, 0x1080, 0x100),
-            (P2, 0x10f8, 0x10),
-            (P0, 0x3000, 0x40),
-        ];
-        for &(p, a, s) in ops {
-            ix.add(p, a, s);
-            lin.grant(p, a, s);
-        }
-        for probe in [0x1000u64, 0x1080, 0x10f8, 0x1100, 0x2000, 0x3000] {
-            let mut got = writers(&ix, probe, 8);
-            got.sort();
-            assert_eq!(got, lin.writers_of(probe, 8), "probe {probe:#x}");
-        }
     }
 
     // ------------------------------------------- interner equivalence

@@ -13,8 +13,8 @@
 //! writer index ([`crate::writer_index`]) for who actually holds WRITE
 //! coverage — set bits for granules nobody can write anymore are benign
 //! false positives. (The paper's slow path walked the global principal
-//! list instead; that traversal survives as the benchmarked
-//! `LinearWriterIndex` baseline.)
+//! list instead; that traversal is now only a benchmark baseline in
+//! `lxfi-bench`.)
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};

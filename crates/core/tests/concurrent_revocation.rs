@@ -46,6 +46,14 @@ fn obj(i: usize) -> u64 {
     0x10_0000 + i as u64 * 0x1000
 }
 
+/// The global principal walk: writers of the 8-byte slot at `addr`.
+fn linear_walk(core: &RuntimeCore, addr: u64) -> Vec<PrincipalId> {
+    (0..core.principal_count() as u32)
+        .map(PrincipalId)
+        .filter(|&p| core.write_overlaps(p, addr, 8))
+        .collect()
+}
+
 /// Phased revoke race: the writer's cache is hot when the churn thread
 /// revokes its exact coverage; the barrier makes the revoke
 /// happen-before the next batch of guards, which must all deny. Then
@@ -263,7 +271,7 @@ fn concurrent_churn_preserves_index_table_agreement() {
     for probe in (0x10_0000u64..0x10_0000 + THREADS as u64 * 0x4000).step_by(0x80) {
         assert_eq!(
             core.writers_of(probe),
-            core.writers_of_linear(probe),
+            linear_walk(&core, probe),
             "index/table divergence at {probe:#x}"
         );
     }

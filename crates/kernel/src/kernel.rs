@@ -612,7 +612,8 @@ impl KernelCore {
 /// One simulated CPU: an [`Env`] implementation over the shared
 /// [`KernelCore`]. Owns the per-CPU state (its [`GuardHandle`], stack
 /// pointer, module execution stack, fuel and cycle accounting);
-/// everything else delegates to the core.
+/// `Deref`s to the core for everything shared (`k.net()`, `k.slab()`,
+/// `k.runtime_core()`, ...).
 /// `Send`, so workloads move CPUs onto OS threads.
 pub struct KernelCpu {
     core: Arc<KernelCore>,
@@ -650,6 +651,13 @@ pub struct KernelCpu {
     fuel: u64,
     /// Cycles consumed by interpreted instructions (monotonic).
     pub cycles: u64,
+}
+
+impl std::ops::Deref for KernelCpu {
+    type Target = KernelCore;
+    fn deref(&self) -> &KernelCore {
+        &self.core
+    }
 }
 
 /// The simulated kernel: the single-threaded facade over the shared
@@ -768,11 +776,6 @@ impl Kernel {
         k
     }
 
-    /// The shared kernel core.
-    pub fn core(&self) -> Arc<KernelCore> {
-        Arc::clone(&self.cpu.core)
-    }
-
     /// Creates an additional simulated CPU over this kernel's shared
     /// core, pinned to a fresh kernel thread with its own stack, guard
     /// lane, and fuel budget. Move it to another OS thread to execute
@@ -811,25 +814,6 @@ impl KernelCpu {
         &self.core
     }
 
-    // ------------------------------------------------------------ threads
-
-    /// The shared runtime core backing this kernel's guards. Worker
-    /// threads outside the simulated kernel (benchmarks, stress tests)
-    /// guard against the same capability world through handles from
-    /// [`KernelCpu::guard_handle`].
-    pub fn runtime_core(&self) -> Arc<RuntimeCore> {
-        Arc::clone(self.rt.core())
-    }
-
-    /// Hands out a fresh per-thread guard handle over this kernel's
-    /// shared core: its own shadow stack, private epoch cache, and
-    /// stats, suitable for moving to another OS thread. Full kernel
-    /// execution contexts (interpreting module code) come from
-    /// [`Kernel::new_cpu`] instead.
-    pub fn guard_handle(&self) -> GuardHandle {
-        GuardHandle::new(self.runtime_core())
-    }
-
     /// `set_tid_address(2)`: records the user pointer `do_exit` will zero
     /// on process death — the CVE-2010-4258 primitive the Econet exploit
     /// aims.
@@ -845,16 +829,6 @@ impl KernelCpu {
 
     // ----------------------------------------------- shared-state access
 
-    /// Struct layouts for `sizeof(*ptr)` defaults.
-    pub fn layouts(&self) -> &TypeLayouts {
-        &self.core.layouts
-    }
-
-    /// The sharded slab allocator backing `kmalloc` (per-shard locking).
-    pub fn slab(&self) -> &ShardedSlab {
-        self.core.slab()
-    }
-
     /// Per-packet `kmalloc`: serves from this CPU's magazine, refilling
     /// from the CPU's preferred heap shard on a miss. Falls back to the
     /// same `None` contract as the direct allocator for bad sizes.
@@ -868,41 +842,6 @@ impl KernelCpu {
     /// returning it to the shard free list.
     pub fn kfree_cpu(&mut self, addr: Word, class: u64) {
         self.mags.release(&self.core.slab, addr, class);
-    }
-
-    /// Locks the process table (processes, credentials, pid hash).
-    pub fn procs(&self) -> MutexGuard<'_, ProcessTable> {
-        self.core.procs()
-    }
-
-    /// Locks the networking subsystem state.
-    pub fn net(&self) -> MutexGuard<'_, crate::net::NetState> {
-        self.core.net()
-    }
-
-    /// Locks the PCI subsystem state.
-    pub fn pci(&self) -> MutexGuard<'_, crate::pci::PciState> {
-        self.core.pci()
-    }
-
-    /// Locks the socket layer state.
-    pub fn sock(&self) -> MutexGuard<'_, crate::socket::SocketState> {
-        self.core.sock()
-    }
-
-    /// Locks the sound subsystem state.
-    pub fn snd(&self) -> MutexGuard<'_, crate::snd::SndState> {
-        self.core.snd()
-    }
-
-    /// Locks the device-mapper state.
-    pub fn dm(&self) -> MutexGuard<'_, crate::dm::DmState> {
-        self.core.dm()
-    }
-
-    /// Locks the deferred-call table (see [`crate::deferred`]).
-    pub fn deferred(&self) -> MutexGuard<'_, crate::deferred::DeferredState> {
-        self.core.deferred()
     }
 
     // ----------------------------------------------------------- exports
@@ -2236,38 +2175,22 @@ impl KernelCpu {
     ) -> Result<PrincipalId, Trap> {
         // Compiled declarations resolved the principal parameter to an
         // argument position at registration; no name comparison per call.
-        if let Some(c) = &decl.compiled {
-            use lxfi_core::compiled::CPrincipal;
-            return Ok(match &c.principal {
-                None | Some(CPrincipal::Shared) => self.rt.shared_principal(mid),
-                Some(CPrincipal::Global) => self.rt.global_principal(mid),
-                Some(CPrincipal::Arg(i)) => {
-                    let ptr = args.get(*i as usize).copied().unwrap_or(0);
-                    self.rt.principal_for_name(mid, ptr)
-                }
-                Some(CPrincipal::UnknownArg(name)) => {
-                    return Err(Trap::from(Violation::BadExpression {
-                        why: format!("principal({name}) is not a parameter of {}", decl.name),
-                    }))
-                }
-            });
-        }
-        use lxfi_annotations::PrincipalExpr;
-        Ok(match &decl.ann.principal {
-            None | Some(PrincipalExpr::Shared) => self.rt.shared_principal(mid),
-            Some(PrincipalExpr::Global) => self.rt.global_principal(mid),
-            Some(PrincipalExpr::Arg(name)) => {
-                let idx = decl
-                    .params
-                    .iter()
-                    .position(|p| &p.name == name)
-                    .ok_or_else(|| {
-                        Trap::from(Violation::BadExpression {
-                            why: format!("principal({name}) is not a parameter of {}", decl.name),
-                        })
-                    })?;
-                let ptr = args.get(idx).copied().unwrap_or(0);
+        use lxfi_core::compiled::CPrincipal;
+        let c = decl
+            .compiled
+            .as_ref()
+            .expect("module declarations are compiled at load, the unannotated one at boot");
+        Ok(match &c.principal {
+            None | Some(CPrincipal::Shared) => self.rt.shared_principal(mid),
+            Some(CPrincipal::Global) => self.rt.global_principal(mid),
+            Some(CPrincipal::Arg(i)) => {
+                let ptr = args.get(*i as usize).copied().unwrap_or(0);
                 self.rt.principal_for_name(mid, ptr)
+            }
+            Some(CPrincipal::UnknownArg(name)) => {
+                return Err(Trap::from(Violation::BadExpression {
+                    why: format!("principal({name}) is not a parameter of {}", decl.name),
+                }))
             }
         })
     }

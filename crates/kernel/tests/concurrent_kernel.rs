@@ -15,11 +15,19 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Barrier};
 use std::thread;
 
-use lxfi_core::RawCap;
+use lxfi_core::{PrincipalId, RawCap, RuntimeCore};
 use lxfi_kernel::{IsolationMode, Kernel, KernelCpu, ModuleSpec};
 use lxfi_machine::builder::regs::*;
 use lxfi_machine::{ProgramBuilder, Word};
 use lxfi_rewriter::InterfaceSpec;
+
+/// The global principal walk: writers of the 8-byte slot at `addr`.
+fn linear_walk(rt: &RuntimeCore, addr: Word) -> Vec<PrincipalId> {
+    (0..rt.principal_count() as u32)
+        .map(PrincipalId)
+        .filter(|&p| rt.write_overlaps(p, addr, 8))
+        .collect()
+}
 
 /// A worker module with a heap-churn loop and a global-fill loop:
 /// - `churn_mem(n)`: n rounds of kmalloc(96) → store → kfree (slab +
@@ -197,7 +205,7 @@ fn barrier_phased_syscall_vs_load_vs_revoke() {
     // the capability tables.
     assert_eq!(k.slab().live_count(), 0, "all churned allocations freed");
     k.rt.check_index_invariants();
-    assert_eq!(k.rt.writers_of(ga), k.rt.writers_of_linear(ga));
+    assert_eq!(k.rt.writers_of(ga), linear_walk(&k.rt, ga));
     // The workers kept their spares (revoker always re-grants).
     assert!(core.owns(core.shared_principal(mid_a), spare_a));
 }
@@ -285,7 +293,7 @@ fn run_workload(concurrent: bool) -> (Vec<u64>, Vec<Vec<lxfi_core::PrincipalId>>
     for addr in [ga, gb, heap_probe, stack_probe] {
         assert_eq!(
             k.rt.writers_of(addr),
-            k.rt.writers_of_linear(addr),
+            linear_walk(&k.rt, addr),
             "index/table agreement at {addr:#x}"
         );
     }
