@@ -82,18 +82,7 @@ pub fn register(k: &mut KernelCpu) {
             if ptr == 0 {
                 return Ok(0);
             }
-            // Two-phase free: the slot becomes allocatable only AFTER
-            // the capability sweep and zeroing, so a concurrent kmalloc
-            // on another CPU cannot be granted the recycled address and
-            // then have its fresh grant swept away.
-            let freed = k.slab().begin_free(ptr);
-            if let Some((_size, class)) = freed {
-                // No capability may outlive the allocation (§3.3): strip
-                // WRITE coverage from every principal, then mark the slot
-                // zeroed so the writer-set fast path recovers.
-                k.rt.revoke_write_overlapping_everywhere(ptr, class);
-                k.mem.zero_range(ptr, class)?;
-                k.rt.note_zeroed(ptr, class);
+            if let Some(class) = k.free_prologue(ptr)? {
                 k.kfree_cpu(ptr, class);
             }
             Ok(0)

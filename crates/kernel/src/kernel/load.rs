@@ -1,0 +1,564 @@
+//! Module load and unload: the proof every load runs, the per-kernel
+//! module-image table, the sig registry a load extends, the one commit
+//! point that publishes a module (the core kernel's dispatch thunks
+//! load through it too), window scrubbing at slot reuse, and the
+//! loaded-module accessors.
+
+use std::collections::HashMap;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Arc, RwLock};
+
+use lxfi_core::iface::FnDecl;
+use lxfi_core::runtime::FnMeta;
+use lxfi_core::RawCap;
+use lxfi_machine::program::ImportKind;
+use lxfi_machine::{
+    verify_soundness, Backend, CompiledProgram, FuncId, Program, SoundnessPolicy, Word,
+};
+use lxfi_rewriter::{propagate, rewrite_kernel_thunks, rewrite_module, InitGrant, InterfaceSpec};
+
+use super::{
+    IsolationMode, KernelCore, KernelCpu, KernelError, LoadedModule, LoadedModuleId, ModuleSpec,
+};
+use crate::layout::{MODULE_BASE, MODULE_FN_OFFSET, MODULE_STRIDE, STACK_SIZE};
+
+/// Resolves a program's per-`SigId` annotation hashes against the sig
+/// registry — the one definition shared by module load and the
+/// registry-growth refresh, so the load-time snapshot can never diverge
+/// from the refresh path.
+fn resolve_sig_hashes(
+    sig_decls: &HashMap<String, Arc<FnDecl>>,
+    program: &Program,
+    empty_ahash: u64,
+) -> Vec<u64> {
+    let ahash = |name: &String| sig_decls.get(name).map_or(empty_ahash, |d| d.ahash);
+    program.sigs.iter().map(|s| ahash(&s.name)).collect()
+}
+
+/// The load-time checks LXFI runs on a rewritten program before either
+/// backend may execute it: prove every reachable store and kernel
+/// indirect call guard-dominated, then propagate the interface
+/// annotations (which enforces the same-annotation rule). Returns the
+/// propagated declarations.
+fn prove_module(
+    name: &str,
+    program: &Program,
+    iface: &InterfaceSpec,
+) -> Result<HashMap<FuncId, FnDecl>, KernelError> {
+    verify_soundness(program, SoundnessPolicy::module())
+        .map_err(|e| KernelError::Fail(format!("soundness {name}: {}", e[0])))?;
+    propagate(program, iface).map_err(|e| KernelError::Fail(format!("propagate {name}: {e}")))
+}
+
+/// One module image: a source program, the rewriter's output for it and
+/// that output's compiled form. The rewriter is untrusted, so reusing an
+/// image skips only the rewrite and the compile; every load still runs
+/// the structural check, the soundness proof, `propagate` and the sig
+/// check on the exact program it installs.
+struct ModuleImage {
+    source: Program,
+    program: Arc<Program>,
+    init_grants: Vec<InitGrant>,
+    /// `None` under [`Backend::Interp`].
+    compiled: Option<Arc<CompiledProgram>>,
+}
+
+/// The per-kernel module-image table: one image per module name, kept
+/// across unload and quarantine, so a supervisor restart of an unchanged
+/// module rewrites and compiles nothing. An LXFI load reuses the image
+/// only when its program is structurally equal to the stored source
+/// (the cached init grants come from that source's import table), and
+/// stores an image only once it passed the proof, `propagate` and the
+/// sig check.
+#[derive(Default)]
+pub(super) struct ModuleImages {
+    by_name: HashMap<String, ModuleImage>,
+    hits: u64,
+    misses: u64,
+}
+
+impl KernelCore {
+    /// Module-image table counters `(hits, misses)`: LXFI loads that
+    /// reused a stored rewrite and compile, and loads that ran them.
+    pub fn module_image_stats(&self) -> (u64, u64) {
+        let images = self.load_lock.lock().expect("load lock");
+        (images.hits, images.misses)
+    }
+
+    /// The program lowered for this kernel's backend: `None` under
+    /// [`Backend::Interp`].
+    fn compile(&self, program: &Arc<Program>) -> Option<Arc<CompiledProgram>> {
+        (self.backend == Backend::Compiled)
+            .then(|| Arc::new(CompiledProgram::compile(Arc::clone(program))))
+    }
+
+    /// The interface declarations a loading module adds to the sig
+    /// registry, checked exact-match on collision (§4.2): a conflict
+    /// rejects the whole load. A declaration structurally equal to the
+    /// registered one is skipped without printing either canonically.
+    fn new_sig_decls<'a>(
+        &self,
+        decls: &'a HashMap<String, FnDecl>,
+    ) -> Result<Vec<(&'a String, &'a FnDecl)>, KernelError> {
+        let sig_decls = self.sig_decls.read().expect("sig lock");
+        let mut new = Vec::new();
+        for (name, d) in decls {
+            match sig_decls.get(name) {
+                None => new.push((name, d)),
+                Some(prev) if prev.ann == d.ann => {}
+                Some(prev) if prev.ann.canonical() == d.ann.canonical() => {}
+                Some(_) => {
+                    return Err(KernelError::Fail(format!(
+                        "sig `{name}` conflicts with an existing declaration"
+                    )))
+                }
+            }
+        }
+        Ok(new)
+    }
+
+    /// Compiles and registers the declarations [`Self::new_sig_decls`]
+    /// admitted.
+    fn insert_sig_decls(&self, decls: Vec<(&String, &FnDecl)>) {
+        if decls.is_empty() {
+            return;
+        }
+        let mut sig_decls = self.sig_decls.write().expect("sig lock");
+        for (name, d) in decls {
+            let mut compiled = d.clone();
+            compiled.compile(&self.rtc, &self.layouts);
+            sig_decls.insert(name.clone(), Arc::new(compiled));
+        }
+    }
+
+    /// The load's commit point: module vector, name index, and
+    /// function-address map change together under one write lock, so a
+    /// concurrent dispatch either sees the whole module or none of it.
+    /// A `reused` slot leaves the free list here.
+    fn publish(&self, m: &Arc<LoadedModule>, reused: bool) {
+        let mut tab = self.modules.write().expect("modules lock");
+        for f in m.funcs() {
+            tab.fn_addrs.insert(m.fn_addr(f), (m.slot, f));
+        }
+        tab.by_name.insert(m.name.clone(), m.slot);
+        if reused {
+            tab.free_slots.retain(|&s| s != m.slot);
+            tab.modules[m.slot] = Arc::clone(m);
+        } else {
+            debug_assert_eq!(tab.modules.len(), m.slot, "loads are serialized");
+            tab.modules.push(Arc::clone(m));
+        }
+    }
+
+    /// Re-resolves every loaded module's per-`SigId` annotation hashes
+    /// against the sig registry. Called whenever the registry gains an
+    /// entry, so the indirect-call guards stay array-indexed.
+    pub(super) fn refresh_sig_hashes(&self) {
+        let sig_decls = self.sig_decls.read().expect("sig lock");
+        let mods = self.modules.read().expect("modules lock");
+        for m in &mods.modules {
+            *m.sig_ahash.write().expect("sig_ahash lock") =
+                resolve_sig_hashes(&sig_decls, &m.program, self.empty_ahash);
+        }
+    }
+}
+
+impl KernelCpu {
+    /// Loads a module in the kernel's global mode.
+    pub fn load_module(&mut self, spec: ModuleSpec) -> Result<LoadedModuleId, KernelError> {
+        self.load_module_with_mode(spec, self.mode)
+    }
+
+    /// Loads a module with an explicit mode. Whole loads are serialized
+    /// by the core's load lock; dispatch on other CPUs proceeds
+    /// concurrently against the registries' read locks and observes the
+    /// module only after its commit point (name + function addresses
+    /// inserted together).
+    ///
+    /// Every check that can reject the load runs before its first side
+    /// effect, so a rejected load leaves no principal, function
+    /// registration, sig declaration or module image behind. An LXFI
+    /// load rewrites and compiles only when the kernel holds no image of
+    /// a structurally equal program under this name; the soundness
+    /// proof, `propagate` and the sig check run on every load.
+    pub fn load_module_with_mode(
+        &mut self,
+        spec: ModuleSpec,
+        mode: IsolationMode,
+    ) -> Result<LoadedModuleId, KernelError> {
+        let core = Arc::clone(&self.core);
+        let mut images = core.load_lock.lock().expect("load lock");
+        let ModuleSpec {
+            name,
+            program: source,
+            iface,
+            iterators,
+            init_fn,
+        } = spec;
+
+        lxfi_machine::verify_program(&source)
+            .map_err(|e| KernelError::Fail(format!("verify {name}: {}", e[0])))?;
+        let import_addrs = self.resolve_imports(&name, &source)?;
+
+        let (program, compiled, decls, fresh) = match mode {
+            IsolationMode::Lxfi => {
+                if images
+                    .by_name
+                    .get(&name)
+                    .is_some_and(|img| img.source == source)
+                {
+                    images.hits += 1;
+                    let img = &images.by_name[&name];
+                    let decls = prove_module(&name, &img.program, &iface)?;
+                    (Arc::clone(&img.program), img.compiled.clone(), decls, None)
+                } else {
+                    images.misses += 1;
+                    let rw = rewrite_module(&source, core.rewrite_opts);
+                    let program = Arc::new(rw.program);
+                    let decls = prove_module(&name, &program, &iface)?;
+                    let compiled = core.compile(&program);
+                    let img = ModuleImage {
+                        source,
+                        program: Arc::clone(&program),
+                        init_grants: rw.init_grants,
+                        compiled: compiled.clone(),
+                    };
+                    (program, compiled, decls, Some(img))
+                }
+            }
+            IsolationMode::Stock => {
+                let program = Arc::new(source);
+                let compiled = core.compile(&program);
+                (program, compiled, HashMap::new(), None)
+            }
+        };
+        let new_sigs = core.new_sig_decls(&iface.sig_decls)?;
+
+        // Every check passed; side effects start here. Loads and
+        // define_sig are serialized by the load lock, so the sig check
+        // above still holds at the insert.
+        if let Some(img) = fresh {
+            images.by_name.insert(name.clone(), img);
+        }
+        let sigs_inserted = !new_sigs.is_empty();
+        core.insert_sig_decls(new_sigs);
+        // Compile the module declarations' enforcement IR once, at load.
+        let decls: HashMap<FuncId, Arc<FnDecl>> = decls
+            .into_iter()
+            .map(|(fid, mut d)| {
+                d.compile(&self.rt, &core.layouts);
+                (fid, Arc::new(d))
+            })
+            .collect();
+
+        // Reuse the lowest torn-down slot if one is free (loads are
+        // serialized by the load lock, so peeking without popping is
+        // safe; the slot leaves the free list only at the commit point).
+        let (slot, reused) = {
+            let tab = core.modules.read().expect("modules lock");
+            match tab.free_slots.iter().copied().min() {
+                Some(s) => (s, true),
+                None => (tab.modules.len(), false),
+            }
+        };
+        let window = MODULE_BASE + slot as u64 * MODULE_STRIDE;
+        if reused {
+            self.scrub_window(slot, window);
+        }
+        let mid = match mode {
+            IsolationMode::Lxfi => Some(self.rt.register_module(&name)),
+            IsolationMode::Stock => None,
+        };
+
+        // Lay out globals in the module window; write init images.
+        let mut global_addrs = Vec::new();
+        let mut cursor = window;
+        for g in &program.globals {
+            cursor = (cursor + 63) & !63;
+            self.mem.map_range(cursor, g.size);
+            if let Some(init) = &g.init {
+                let n = init.len().min(g.size as usize);
+                self.mem
+                    .write_bytes(cursor, &init[..n])
+                    .expect("mapped above");
+            }
+            global_addrs.push(cursor);
+            cursor += g.size;
+        }
+
+        // The module is built here but dispatchable only from `publish`
+        // below. Its per-SigId annotation hashes are resolved now:
+        // a concurrent indirect call must find the array populated.
+        let sig_ahash = resolve_sig_hashes(
+            &core.sig_decls.read().expect("sig lock"),
+            &program,
+            core.empty_ahash,
+        );
+        let m = Arc::new(LoadedModule {
+            name,
+            slot,
+            mid,
+            program,
+            compiled,
+            global_addrs,
+            fn_base: window + MODULE_FN_OFFSET,
+            decls,
+            import_addrs,
+            sig_ahash: RwLock::new(sig_ahash),
+            active: AtomicUsize::new(0),
+            unloaded: AtomicBool::new(false),
+        });
+
+        // Apply static-initializer relocations (C ops-table initializers):
+        // performed by the trusted loader, so they work for read-only
+        // globals like `rds_proto_ops` too.
+        for r in &m.program.fn_relocs {
+            let addr = m.global_addrs[r.global.0 as usize] + r.offset;
+            self.mem
+                .write_word(addr, m.fn_addr(r.func))
+                .expect("reloc target mapped");
+        }
+        for f in m.funcs() {
+            self.rt.register_function(
+                m.fn_addr(f),
+                FnMeta {
+                    name: format!("{}::{}", m.name, m.program.funcs[f.0 as usize].name),
+                    ahash: m.decls.get(&f).map_or(core.empty_ahash, |d| d.ahash),
+                    module: mid,
+                },
+            );
+        }
+
+        // Initial capability grants to the shared principal (§3.2, §4.2).
+        if let Some(mid) = mid {
+            let shared = self.rt.shared_principal(mid);
+            // A module may call (and hand out pointers to) its own
+            // functions: "the module should be able to provide only
+            // pointers to functions that the module itself can invoke"
+            // (§2.2) — so it holds CALL capabilities for them.
+            for f in m.funcs() {
+                self.rt.grant(shared, RawCap::call(m.fn_addr(f)));
+            }
+            // Initial capability (2) of §3.2: WRITE to the kernel stacks,
+            // so modules can pass addresses of stack locals to kernel
+            // routines that fill them in.
+            let stacks: Vec<Word> = core.threads.lock().expect("threads lock").clone();
+            for base in stacks {
+                self.rt.grant(shared, RawCap::write(base, STACK_SIZE));
+            }
+            // The LXFI branch above stored or reused this name's image.
+            for g in &images.by_name[&m.name].init_grants {
+                match g {
+                    InitGrant::Call { name } => {
+                        let addr = self.export_addr(name).expect("resolved above");
+                        self.rt.grant(shared, RawCap::call(addr));
+                    }
+                    InitGrant::Write { name } => {
+                        let (addr, size) = core.kdata.read().expect("kdata lock")[name];
+                        self.rt.grant(shared, RawCap::write(addr, size));
+                    }
+                }
+            }
+            for (g, &addr) in m.program.globals.iter().zip(&m.global_addrs) {
+                if g.writable {
+                    // WRITE to .data/.bss; grant() also marks the
+                    // writer-set map for these sections (§5).
+                    self.rt.grant(shared, RawCap::write(addr, g.size));
+                } else {
+                    // Read-only sections stay unwritable — this alone
+                    // stops the stock RDS exploit (§8.1).
+                    self.rt.mark_written(addr, g.size);
+                }
+            }
+        }
+
+        for (iter_name, f) in iterators {
+            self.rt.register_iterator(&iter_name, f);
+        }
+
+        core.publish(&m, reused);
+        // Declarations this load added may concern earlier modules' call
+        // sites too; refresh every module's per-SigId hash array (before
+        // module_init runs and can take indirect calls).
+        if sigs_inserted {
+            core.refresh_sig_hashes();
+        }
+
+        drop(images);
+        if let Some(init) = &init_fn {
+            let fid = m
+                .program
+                .func_by_name(init)
+                .ok_or_else(|| KernelError::Fail(format!("no init function {init}")))?;
+            let addr = m.fn_addr(fid);
+            self.enter(|k| k.invoke_module_function(addr, &[], None))?;
+        }
+        Ok(LoadedModuleId(slot))
+    }
+
+    /// Resolves a module's imports to export and kernel-data addresses,
+    /// failing on the first unresolved one.
+    fn resolve_imports(&self, module: &str, program: &Program) -> Result<Vec<Word>, KernelError> {
+        let kdata = self.core.kdata.read().expect("kdata lock");
+        program
+            .imports
+            .iter()
+            .map(|imp| {
+                let (addr, what) = match imp.kind {
+                    ImportKind::Func => (self.export_addr(&imp.name), "import"),
+                    ImportKind::Data => (kdata.get(&imp.name).map(|&(a, _)| a), "data import"),
+                };
+                addr.ok_or_else(|| {
+                    KernelError::Fail(format!("{module}: unresolved {what} {}", imp.name))
+                })
+            })
+            .collect()
+    }
+
+    /// Unloads a module: its name is freed, its function addresses stop
+    /// resolving, its resources are reclaimed, and its principals retire
+    /// — their remaining WRITE coverage moves to the tombstone so slots
+    /// the module wrote stay poisoned (the quarantine teardown, minus
+    /// the fault record). Executions already in flight on other CPUs
+    /// finish on their cloned `Arc` (like a real kernel waiting out an
+    /// RCU grace period); the slot is scrubbed and reused by a later
+    /// load.
+    pub fn unload_module(&mut self, id: LoadedModuleId) -> Result<(), KernelError> {
+        let m = self
+            .module_at(id)
+            .ok_or_else(|| KernelError::Fail(format!("no module #{}", id.0)))?;
+        // Refuse a self-unload: this CPU waiting out its own execution
+        // would deadlock (the real kernel's "module busy").
+        if self.exec_stack.iter().any(|e| Arc::ptr_eq(e, &m)) {
+            return Err(KernelError::Fail(format!(
+                "{} is executing on this CPU",
+                m.name
+            )));
+        }
+        if !self.teardown_module(&m) {
+            return Err(KernelError::Fail(format!("{} already unloaded", m.name)));
+        }
+        Ok(())
+    }
+
+    /// Scrubs a dead module's window before a new tenant moves in: the
+    /// tombstone's (and anyone's) residual WRITE coverage over the
+    /// window is dropped — safe only now, because the new tenant
+    /// re-initializes every byte it will expose — the old globals are
+    /// zeroed, their writer-map marks cleared, and the old function
+    /// registrations removed. This is the deferred half of teardown:
+    /// tombstone coverage must poison a dead module's slots exactly
+    /// until the memory is legitimately reused.
+    fn scrub_window(&mut self, slot: usize, window: Word) {
+        let old = Arc::clone(&self.core.modules.read().expect("modules lock").modules[slot]);
+        debug_assert!(
+            old.unloaded.load(Ordering::Acquire),
+            "scrubbing a live slot"
+        );
+        self.rt
+            .revoke_write_overlapping_everywhere(window, MODULE_STRIDE);
+        for (g, &addr) in old.program.globals.iter().zip(&old.global_addrs) {
+            let _ = self.mem.zero_range(addr, g.size);
+            self.rt.note_zeroed(addr, g.size);
+        }
+        let rtc = self.core.runtime_core();
+        for f in old.funcs() {
+            rtc.unregister_function(old.fn_addr(f));
+        }
+    }
+
+    /// Loads the core kernel's KIR dispatch thunks, instrumented by the
+    /// kernel rewriter when LXFI is on (§4.1). Kernel code is trusted,
+    /// so the thunks load as a stock module through the ordinary load
+    /// path.
+    pub(super) fn load_kernel_thunks(&mut self) {
+        let thunks = crate::net::kernel_thunks();
+        let program = match self.mode {
+            IsolationMode::Lxfi => {
+                let rep = rewrite_kernel_thunks(&thunks);
+                assert!(
+                    rep.untraceable.is_empty(),
+                    "kernel thunks must be fully traceable: {:?}",
+                    rep.untraceable
+                );
+                // Thunks run trusted (Stock mode), so the inserted
+                // GuardIndCall is the only protection for the pointers
+                // they dereference: prove each call is guard-dominated.
+                verify_soundness(&rep.program, SoundnessPolicy::kernel_thunks())
+                    .expect("kernel thunks must be guard-sound");
+                rep.program
+            }
+            IsolationMode::Stock => thunks,
+        };
+        let spec = ModuleSpec {
+            name: "<kernel-thunks>".into(),
+            program,
+            iface: InterfaceSpec::new(),
+            iterators: Vec::new(),
+            init_fn: None,
+        };
+        let id = self
+            .load_module_with_mode(spec, IsolationMode::Stock)
+            .expect("kernel thunks load");
+        // Pre-resolve the per-packet thunk dispatch path: cache the
+        // module handle and its name → id map so run_kernel_thunk never
+        // takes the registry lock or scans names again.
+        let m = self.module_arc(id);
+        let by_name = m
+            .funcs()
+            .map(|f| (m.program.funcs[f.0 as usize].name.clone(), f))
+            .collect();
+        let _ = self.core.thunks.set((m, by_name));
+    }
+
+    /// Loaded-module lookup by name.
+    pub fn module_id(&self, name: &str) -> Option<LoadedModuleId> {
+        self.core
+            .modules
+            .read()
+            .expect("modules lock")
+            .by_name
+            .get(name)
+            .copied()
+            .map(LoadedModuleId)
+    }
+
+    /// The registry entry in slot `id`, live or torn down.
+    pub(super) fn module_at(&self, id: LoadedModuleId) -> Option<Arc<LoadedModule>> {
+        let tab = self.core.modules.read().expect("modules lock");
+        tab.modules.get(id.0).cloned()
+    }
+
+    fn module_arc(&self, id: LoadedModuleId) -> Arc<LoadedModule> {
+        self.module_at(id).expect("module id in range")
+    }
+
+    /// The runtime module id (principal namespace) of a loaded module.
+    pub fn runtime_module(&self, id: LoadedModuleId) -> Option<lxfi_core::ModuleId> {
+        self.module_arc(id).mid
+    }
+
+    /// Address of a module function by name.
+    pub fn module_fn_addr(&self, id: LoadedModuleId, func: &str) -> Option<Word> {
+        let m = self.module_arc(id);
+        m.program.func_by_name(func).map(|f| m.fn_addr(f))
+    }
+
+    /// Address of a module global by name.
+    pub fn module_global_addr(&self, id: LoadedModuleId, global: &str) -> Option<Word> {
+        let m = self.module_arc(id);
+        m.program
+            .global_by_name(global)
+            .map(|g| m.global_addrs[g.0 as usize])
+    }
+
+    /// The name a module was loaded under.
+    pub fn module_name(&self, id: LoadedModuleId) -> String {
+        self.module_arc(id).name.clone()
+    }
+
+    /// The program a module was loaded with (post-rewrite for LXFI).
+    pub fn module_program(&self, id: LoadedModuleId) -> Arc<Program> {
+        Arc::clone(&self.module_arc(id).program)
+    }
+}

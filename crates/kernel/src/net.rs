@@ -330,21 +330,13 @@ pub fn alloc_skb_raw(k: &mut KernelCpu, len: u64) -> Option<Word> {
 /// granted a recycled address mid-sweep.
 pub fn free_skb_raw(k: &mut KernelCpu, skb: Word) -> Result<(), Trap> {
     let data = k.mem.read_word((skb as i64 + sk_buff::DATA) as u64)?;
-    if data != 0 {
-        let freed = k.slab().begin_free(data);
-        if let Some((_s, class)) = freed {
-            k.rt.revoke_write_overlapping_everywhere(data, class);
-            k.mem.zero_range(data, class)?;
-            k.rt.note_zeroed(data, class);
-            k.kfree_cpu(data, class);
+    for addr in [data, skb] {
+        if addr == 0 {
+            continue;
         }
-    }
-    let freed = k.slab().begin_free(skb);
-    if let Some((_s, class)) = freed {
-        k.rt.revoke_write_overlapping_everywhere(skb, class);
-        k.mem.zero_range(skb, class)?;
-        k.rt.note_zeroed(skb, class);
-        k.kfree_cpu(skb, class);
+        if let Some(class) = k.free_prologue(addr)? {
+            k.kfree_cpu(addr, class);
+        }
     }
     Ok(())
 }

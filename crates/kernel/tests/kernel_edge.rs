@@ -1,9 +1,10 @@
 //! Edge-case tests: the qdisc dispatch thunk (Guideline 7), slab churn
-//! under capability tracking, and deep wrapper nesting.
+//! under capability tracking, deep wrapper nesting, and runtime entry
+//! points reached through a pointer.
 
 use lxfi_core::Violation;
 use lxfi_kernel::types::qdisc;
-use lxfi_kernel::{IsolationMode, Kernel, ModuleSpec};
+use lxfi_kernel::{Backend, IsolationMode, Kernel, KernelError, ModuleSpec};
 use lxfi_machine::builder::regs::*;
 use lxfi_machine::{ProgramBuilder, Trap};
 use lxfi_rewriter::InterfaceSpec;
@@ -182,4 +183,58 @@ fn rx_delivery_to_an_unbound_device_traps() {
         matches!(&err, Trap::BadRef(why) if why == "no RX ring bound"),
         "{err:?}"
     );
+}
+
+/// A module that calls the `lxfi_switch_global` runtime entry point
+/// directly, and through a pointer to it taken with `sym_addr`.
+fn switch_global_spec() -> ModuleSpec {
+    let mut pb = ProgramBuilder::new("switcher");
+    let switch = pb.import_func("lxfi_switch_global");
+    let sig = pb.sig("runtime_entry", 0);
+    pb.define("direct", 0, 0, move |f| {
+        f.call_extern(switch, &[], None);
+        f.ret(0i64);
+    });
+    pb.define("via_ptr", 0, 0, move |f| {
+        f.sym_addr(R1, switch);
+        f.call_ptr(R1, sig, &[], None);
+        f.ret(0i64);
+    });
+    ModuleSpec {
+        name: "switcher".into(),
+        program: pb.finish(),
+        iface: InterfaceSpec::new(),
+        iterators: vec![],
+        init_fn: None,
+    }
+}
+
+#[test]
+fn runtime_entry_points_are_direct_call_only() {
+    // §3.4: a module may switch to its global principal only through a
+    // direct call, which pins the checks that must precede it. Reached
+    // through a pointer, the entry point is denied and the module is
+    // quarantined; the kernel keeps running.
+    for backend in [Backend::Interp, Backend::Compiled] {
+        let mut k = Kernel::boot_with_backend(IsolationMode::Lxfi, backend);
+        let id = k.load_module(switch_global_spec()).unwrap();
+        let direct = k.module_fn_addr(id, "direct").unwrap();
+        let via_ptr = k.module_fn_addr(id, "via_ptr").unwrap();
+        k.enter(|k| k.invoke_module_function(direct, &[], None))
+            .unwrap_or_else(|e| panic!("{backend:?}: direct call failed: {e}"));
+        let err = k
+            .enter(|k| k.invoke_module_function(via_ptr, &[], None))
+            .unwrap_err();
+        let KernelError::ModuleFault(fault) = err else {
+            panic!("{backend:?}: expected a contained fault, got {err:?}");
+        };
+        assert_eq!(fault.module, "switcher");
+        assert!(
+            matches!(&fault.violation, Some(Violation::PrincipalDenied { why })
+                if why.contains("lxfi_switch_global")),
+            "{backend:?}: {fault:?}"
+        );
+        assert_eq!(k.panic_reason(), None, "{backend:?}");
+        assert!(!k.module_is_live(id), "{backend:?}: quarantined");
+    }
 }
