@@ -21,12 +21,14 @@ fn lookup_benches(c: &mut Criterion) {
                 linear.writers_of(std::hint::black_box(a), 8).len()
             })
         });
-        let mut i = 0u64;
+        let (mut i, mut buf) = (0u64, Vec::new());
         group.bench_function("reverse_index", |b| {
             b.iter(|| {
                 let a = rotating_slot_probe(i);
                 i += 1;
-                index.writers_over(std::hint::black_box(a), 8).count()
+                buf.clear();
+                index.collect_writers(std::hint::black_box(a), 8, &mut buf);
+                buf.len()
             })
         });
         group.finish();
@@ -72,12 +74,12 @@ fn splice_benches(c: &mut Criterion) {
     use lxfi_bench::writer_index::{bench_sharded_index, splice_churn_op, SPLICE_SHARD_COUNTS};
     let mut group = c.benchmark_group("splice_churn_512_principals");
     for &shards in &SPLICE_SHARD_COUNTS {
-        let mut ix = bench_sharded_index(512, shards);
+        let ix = bench_sharded_index(512, shards);
         let mut i = 0u64;
         let name = format!("{shards}_shards");
         group.bench_function(&name, |b| {
             b.iter(|| {
-                splice_churn_op(&mut ix, 512, i);
+                splice_churn_op(&ix, 512, i);
                 i += 1;
             })
         });

@@ -253,7 +253,7 @@ mod tests {
     #[test]
     fn linear_baseline_agrees() {
         let (p0, p1, p2) = (PrincipalId(0), PrincipalId(1), PrincipalId(2));
-        let mut ix = WriterIndex::new();
+        let ix = WriterIndex::new();
         let mut lin = LinearWriterIndex::new();
         let ops: &[(PrincipalId, Word, u64)] = &[
             (p0, 0x1000, 0x100),
@@ -266,7 +266,8 @@ mod tests {
             lin.grant(p, a, s);
         }
         for probe in [0x1000u64, 0x1080, 0x10f8, 0x1100, 0x2000, 0x3000] {
-            let mut got: Vec<_> = ix.writers_over(probe, 8).collect();
+            let mut got = Vec::new();
+            ix.collect_writers(probe, 8, &mut got);
             got.sort();
             assert_eq!(got, lin.writers_of(probe, 8), "probe {probe:#x}");
         }

@@ -164,6 +164,19 @@ mod tests {
         );
         let soundness = count_file(&workspace_root().join("crates/machine/src/soundness.rs"));
         assert_eq!(rows[3].lines, rows[2].lines + soundness + wrappers);
+        // README's trusted-base figure is the computed row, so it cannot
+        // drift silently.
+        let readme = std::fs::read_to_string(workspace_root().join("README.md")).expect("README");
+        let text = readme.split_whitespace().collect::<Vec<_>>().join(" ");
+        let (_, rest) = text
+            .split_once("puts the row at **")
+            .expect("README states the trusted-base row");
+        let figure = rest.split("**").next().unwrap_or_default();
+        assert_eq!(
+            figure.replace(',', "").parse::<usize>(),
+            Ok(rows[3].lines),
+            "README puts the row at {figure}"
+        );
     }
 
     #[test]

@@ -271,8 +271,11 @@ mod tests {
     fn world_shards_isolate_worker_arenas() {
         let w = build_world(4);
         // Each worker's grants live in its own shard; the kfree hint
-        // for one arena names only that worker.
-        assert_eq!(w.core.present_over(arena(2), 0x1000), vec![w.workers[2]]);
+        // for one arena names only that worker, so a sweep there visits
+        // exactly one principal and it is that worker.
+        let sweep = w.core.revoke_write_overlapping_everywhere(arena(2), 0x1000);
+        assert_eq!(sweep.visited, 1);
+        assert!(!w.core.write_overlaps(w.workers[2], arena(2), 0x1000));
         w.core.check_index_invariants();
     }
 }

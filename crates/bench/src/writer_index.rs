@@ -7,7 +7,10 @@
 //! ops-table shared by a driver pair). The slow-path question — "who
 //! can write this slot?" — has a two-element answer regardless of scale,
 //! so the linear walk's O(principals) probe cost is pure overhead and
-//! the reverse index's O(log intervals + 2) stays flat.
+//! the reverse index's O(log intervals + 2) stays flat. The index is the
+//! runtime's own [`WriterIndex`] (per-shard and interner locks
+//! included), queried the way `GuardHandle::check_indcall` queries it:
+//! `collect_writers` into a reused buffer.
 
 use std::hint::black_box;
 
@@ -39,7 +42,7 @@ pub fn rotating_slot_probe(i: u64) -> u64 {
 pub fn bench_writer_indexes(principals: usize) -> (LinearWriterIndex, WriterIndex) {
     assert!(principals >= 2, "slots need two distinct writers");
     let mut linear = LinearWriterIndex::new();
-    let mut index = WriterIndex::new();
+    let index = WriterIndex::new();
     let mut grant = |p: usize, addr: u64, size: u64| {
         linear.grant(PrincipalId(p as u32), addr, size);
         index.add(PrincipalId(p as u32), addr, size);
@@ -63,7 +66,7 @@ pub struct WriterLookupLatency {
     pub principals: usize,
     /// ns per lookup via the global principal walk (allocates a `Vec`).
     pub linear_ns: f64,
-    /// ns per lookup via the reverse index (allocation-free iteration).
+    /// ns per lookup via the reverse index (into a reused buffer).
     pub index_ns: f64,
 }
 
@@ -78,11 +81,13 @@ pub fn writer_lookup_comparison(principals: usize, iters: u64) -> WriterLookupLa
         i += 1;
         assert_eq!(linear.writers_of(black_box(a), 8).len(), 2);
     });
-    let mut i = 0u64;
+    let (mut i, mut buf) = (0u64, Vec::new());
     let index_ns = time_ns(iters, || {
         let a = rotating_slot_probe(i);
         i += 1;
-        assert_eq!(index.writers_over(black_box(a), 8).count(), 2);
+        buf.clear();
+        index.collect_writers(black_box(a), 8, &mut buf);
+        assert_eq!(buf.len(), 2);
     });
     WriterLookupLatency {
         principals,
@@ -125,7 +130,7 @@ pub fn bench_sharded_index(principals: usize, shards: usize) -> WriterIndex {
     let bounds: Vec<u64> = (1..shards as u64)
         .map(|k| CHURN_BASE + span * k / shards as u64)
         .collect();
-    let mut ix = WriterIndex::with_boundaries(bounds);
+    let ix = WriterIndex::with_boundaries(bounds);
     for g in 0..CHURN_GRANTS {
         let p = PrincipalId((g % principals) as u32);
         ix.add(p, CHURN_BASE + g as u64 * CHURN_GRANT_STRIDE, 0x80);
@@ -147,7 +152,7 @@ pub struct SpliceLatency {
 /// One churn op of the splice workload: the `i`-th rotated grant is
 /// removed and immediately re-added (two splices). Shared by the table
 /// harness and the criterion bench so both measure the same workload.
-pub fn splice_churn_op(ix: &mut WriterIndex, principals: usize, i: u64) {
+pub fn splice_churn_op(ix: &WriterIndex, principals: usize, i: u64) {
     let g = i.wrapping_mul(13) % CHURN_GRANTS as u64;
     let p = PrincipalId((g % principals as u64) as u32);
     let a = CHURN_BASE + g * CHURN_GRANT_STRIDE;
@@ -160,10 +165,10 @@ pub fn splice_churn_op(ix: &mut WriterIndex, principals: usize, i: u64) {
 /// cost is dominated by the shard's `Vec` tail memmove — the quantity
 /// sharding bounds.
 pub fn splice_comparison(principals: usize, shards: usize, iters: u64) -> SpliceLatency {
-    let mut ix = bench_sharded_index(principals, shards);
+    let ix = bench_sharded_index(principals, shards);
     let mut i = 0u64;
     let churn_ns = time_ns(iters, || {
-        splice_churn_op(&mut ix, principals, i);
+        splice_churn_op(&ix, principals, i);
         i += 1;
     });
     SpliceLatency {
@@ -186,20 +191,27 @@ pub fn splice_rows(iters: u64) -> Vec<SpliceLatency> {
 mod tests {
     use super::*;
 
+    /// The writers of the 8-byte slot at `probe`, sorted.
+    fn writers(ix: &WriterIndex, probe: u64) -> Vec<PrincipalId> {
+        let mut out = Vec::new();
+        ix.collect_writers(probe, 8, &mut out);
+        out.sort();
+        out
+    }
+
     #[test]
     fn structures_agree_on_the_workload() {
         for &n in &PRINCIPAL_COUNTS {
             let (linear, index) = bench_writer_indexes(n);
             for i in 0..SLOTS {
                 let probe = SLOT_BASE + i * SLOT_STRIDE;
-                let mut got: Vec<PrincipalId> = index.writers_over(probe, 8).collect();
-                got.sort();
+                let got = writers(&index, probe);
                 assert_eq!(got, linear.writers_of(probe, 8), "slot {i}, n={n}");
                 assert_eq!(got.len(), 2);
             }
             // Arena probes see exactly their owner.
             let arena = ARENA_BASE + (n as u64 / 2) * ARENA_STRIDE;
-            assert_eq!(index.writers_over(arena, 8).count(), 1);
+            assert_eq!(writers(&index, arena).len(), 1);
         }
     }
 
@@ -228,10 +240,7 @@ mod tests {
             for g in (0..CHURN_GRANTS as u64).step_by(37) {
                 let a = CHURN_BASE + g * CHURN_GRANT_STRIDE;
                 for probe in [a, a + 0x78, a + 0x80, a.wrapping_sub(8)] {
-                    let mut want: Vec<PrincipalId> = flat.writers_over(probe, 8).collect();
-                    want.sort();
-                    let mut got: Vec<PrincipalId> = sharded.writers_over(probe, 8).collect();
-                    got.sort();
+                    let (want, got) = (writers(&flat, probe), writers(&sharded, probe));
                     assert_eq!(got, want, "{s} shards, probe {probe:#x}");
                 }
             }

@@ -9,12 +9,12 @@
 //! - [`RuntimeCore`] is the **shared world**: principal/module metadata
 //!   behind an `RwLock`, per-principal capability tables each behind
 //!   their own mutex (lock-free to *index* via a chunked slot table),
-//!   per-principal write epochs as atomics, the reverse writer index as
-//!   an array of per-shard locks keyed by the address-region shard
-//!   boundaries, the writer-set bitmap behind an `RwLock`, and the
-//!   interned-ID tables (REF types, iterators, constants, the function
-//!   registry) behind an `RwLock`. Everything takes `&self`; the type is
-//!   `Send + Sync` and meant to live in an `Arc`.
+//!   per-principal write epochs as atomics, the reverse writer index
+//!   ([`WriterIndex`]: per-shard locks keyed by address-region
+//!   boundaries fixed at construction), the striped writer-set bitmap,
+//!   and the interned-ID tables (REF types, iterators, constants, the
+//!   function registry) behind an `RwLock`. Everything takes `&self`;
+//!   the type is `Send + Sync` and meant to live in an `Arc`.
 //! - [`crate::GuardHandle`] is the **per-thread view**, and the only one:
 //!   each simulated kernel CPU and each benchmark worker owns one. It
 //!   holds its own shadow stack, kernel-stack window, epoch-validated
@@ -27,18 +27,17 @@
 //! # Locking and soundness discipline
 //!
 //! Lock order (outer → inner): `meta` → per-principal `caps` mutex →
-//! `sharding` (read) → per-shard mutex → interner mutex. The interner is
-//! a strict leaf: shard splices are phase-split (see
-//! [`crate::writer_index`]), taking the interner only for the
-//! id/refcount phase while the memmove runs under the shard lock alone,
-//! and nothing acquires a shard while holding the interner. The
-//! writer-set bitmap is **striped** by address region
-//! ([`crate::writer_set::StripedWriterMap`]): each stripe has its own
-//! lock plus a lock-free marked-granule counter, so `maybe_written` /
-//! `note_zeroed` on a provably-clean stripe touch no lock, and dirty
-//! probes lock only their stripe. A stripe lock nests *inside*
-//! `sharding` (an immediate `note_zeroed` holds the sharding read lock
-//! while clearing; a grant's `mark` takes the stripe lock alone and
+//! per-shard mutex → interner mutex. The interner is a strict leaf:
+//! shard splices are phase-split (see [`crate::writer_index`]), taking
+//! the interner only for the id/refcount phase while the memmove runs
+//! under the shard lock alone, and nothing acquires a shard while
+//! holding the interner. The writer-set bitmap is **striped** by address
+//! region ([`crate::writer_set::StripedWriterMap`]): each stripe has its
+//! own lock plus a lock-free marked-granule counter, so `maybe_written`
+//! / `note_zeroed` on a provably-clean stripe touch no lock, and dirty
+//! probes lock only their stripe. A stripe lock sits *outside* the
+//! shard locks (an immediate `note_zeroed` or a zero-note drain holds
+//! it while probing the index; a grant's `mark` takes it alone and
 //! releases it before touching the index) — never the other way around.
 //! No path takes two `caps` mutexes at once; fallback probes (instance →
 //! shared, global → union) lock one table at a time.
@@ -64,13 +63,11 @@ use std::sync::{Arc, Mutex, OnceLock, RwLock};
 
 use lxfi_machine::{AddressSpace, Word};
 
-use crate::caps::{CapSet, CapType, RawCap, RefTypeId, WriteTable};
+use crate::caps::{CapSet, CapType, RawCap, RefTypeId};
 use crate::principal::{ModuleId, ModuleInfo, PrincipalId, PrincipalKind};
 use crate::shadow::PrincipalCtx;
 use crate::stats::GuardStats;
-use crate::writer_index::{
-    for_each_segment, normalize_boundaries, shard_hi, shard_lo, IndexShard, SetInterner,
-};
+use crate::writer_index::{Holders, WriterIndex};
 use crate::writer_set::{StripedWriterMap, ZeroNoteToken};
 use crate::Violation;
 
@@ -233,175 +230,6 @@ impl SlotTable {
     }
 }
 
-/// The sharded reverse writer index: split points plus one
-/// independently locked [`IndexShard`] per region, over one shared
-/// (mutexed) set interner. Grant/revoke splices and indirect-call
-/// lookups lock only the shards their address range touches, one at a
-/// time. Splices are **phase-split**: the interner mutex is taken only
-/// for the id/refcount phase of each splice, then released before the
-/// interval memmove runs under the shard lock alone — so mutations in
-/// different shards overlap except for their brief interner sections,
-/// and the lock order is strictly shard → interner (the interner is a
-/// leaf). Atomicity per shard comes from the shard lock, which the
-/// caller holds across a whole remove-and-reinstate
-/// ([`Sharding::replace`]) or holder substitution
-/// ([`Sharding::substitute`]); the interner-free queries (`overlaps`,
-/// the presence hint) only contend on the shards they touch, and the
-/// guard-store hot path touches none of this.
-struct Sharding {
-    boundaries: Vec<Word>,
-    shards: Vec<Mutex<IndexShard>>,
-    interner: Mutex<SetInterner>,
-    /// Allocation count carried from retired predecessors so the
-    /// `sets_ever` gauge stays monotonic across rebuilds.
-    ever_carried: u64,
-}
-
-impl Sharding {
-    fn new(boundaries: Vec<Word>, ever_carried: u64) -> Self {
-        let boundaries = normalize_boundaries(boundaries);
-        let shards = (0..=boundaries.len())
-            .map(|_| Mutex::new(IndexShard::new()))
-            .collect();
-        Sharding {
-            boundaries,
-            shards,
-            interner: Mutex::new(SetInterner::new()),
-            ever_carried,
-        }
-    }
-
-    /// Runs `f` on every shard segment of `[addr, addr+size)` (clamped),
-    /// locking one shard at a time. The clipping walk itself is shared
-    /// with the single-threaded index ([`for_each_segment`]).
-    fn for_segments(&self, addr: Word, size: u64, mut f: impl FnMut(&mut IndexShard, Word, Word)) {
-        for_each_segment(&self.boundaries, addr, size, |s, lo, hi| {
-            f(&mut self.shards[s].lock().expect("shard lock"), lo, hi)
-        });
-    }
-
-    fn add(&self, p: PrincipalId, addr: Word, size: u64) {
-        self.for_segments(addr, size, |sh, lo, hi| {
-            sh.add_split(&self.interner, p, lo, hi)
-        });
-    }
-
-    /// Replaces `p`'s index coverage over `[addr, addr+size)` with the
-    /// coverage `p`'s post-revocation WRITE table `survivors` still has
-    /// there. Each shard's remove-and-restore runs under a **single**
-    /// hold of that shard's lock, so a concurrent indirect-call lookup
-    /// can never observe the transient no-coverage state between the
-    /// removal and the reinstatement — the index may transiently
-    /// over-approximate a writer (conservative), never under-approximate
-    /// one.
-    fn replace(&self, p: PrincipalId, addr: Word, size: u64, survivors: &WriteTable) {
-        self.for_segments(addr, size, |sh, lo, hi| {
-            sh.remove_split(&self.interner, p, lo, hi);
-            self.reinstate(sh, p, lo, hi, survivors);
-        });
-    }
-
-    /// The single-holder transfer splice: swaps `src`'s coverage of
-    /// `[addr, addr+size)` for `dst`'s, reinstating what `src`'s
-    /// post-revocation table `survivors` still covers, with each shard's
-    /// whole substitution under **one** hold of that shard's lock. A
-    /// racing lookup sees either the old holder or the new one (plus
-    /// survivors) — never a transiently uncovered range.
-    fn substitute(
-        &self,
-        src: PrincipalId,
-        dst: Option<PrincipalId>,
-        addr: Word,
-        size: u64,
-        survivors: &WriteTable,
-    ) {
-        self.for_segments(addr, size, |sh, lo, hi| {
-            sh.remove_split(&self.interner, src, lo, hi);
-            self.reinstate(sh, src, lo, hi, survivors);
-            if let Some(d) = dst {
-                sh.add_split(&self.interner, d, lo, hi);
-            }
-        });
-    }
-
-    /// Re-adds, within the shard segment `[lo, hi)`, the coverage of
-    /// `p`'s grants in `survivors` (the index stores merged coverage, so
-    /// revoking one of two overlapping grants must not erase the other).
-    /// Walks the table in place: a revocation rarely overlaps many grants.
-    fn reinstate(
-        &self,
-        sh: &mut IndexShard,
-        p: PrincipalId,
-        lo: Word,
-        hi: Word,
-        survivors: &WriteTable,
-    ) {
-        for (a, s) in survivors.iter_overlapping(lo, hi - lo) {
-            let clo = a.max(lo);
-            let chi = a.saturating_add(s).min(hi);
-            if clo < chi {
-                sh.add_split(&self.interner, p, clo, chi);
-            }
-        }
-    }
-
-    fn overlaps(&self, addr: Word, len: u64) -> bool {
-        let mut hit = false;
-        self.for_segments(addr, len, |sh, lo, hi| hit |= sh.overlaps(lo, hi));
-        hit
-    }
-
-    fn collect_writers(&self, addr: Word, len: u64, out: &mut Vec<PrincipalId>) {
-        self.for_segments(addr, len, |sh, lo, hi| {
-            // Shard lock first, interner second (leaf) — the splice order.
-            let interner = self.interner.lock().expect("interner lock");
-            for w in sh.writers(&interner, lo, hi) {
-                if !out.contains(&w) {
-                    out.push(w);
-                }
-            }
-        });
-    }
-
-    /// Who holds WRITE coverage of `[addr, addr+len)`, when at most one
-    /// principal does (the transfer fast-path test, without collecting).
-    fn holders(&self, addr: Word, len: u64) -> Holders {
-        let mut found = Holders::None;
-        self.for_segments(addr, len, |sh, lo, hi| {
-            let interner = self.interner.lock().expect("interner lock");
-            for w in sh.writers(&interner, lo, hi) {
-                found = match found {
-                    Holders::None => Holders::One(w),
-                    Holders::One(h) if h == w => Holders::One(h),
-                    _ => Holders::Many,
-                };
-            }
-        });
-        found
-    }
-
-    /// The lowest-numbered principal at or above `from` present in the
-    /// shards overlapping `[addr, addr+len)` — one step of the kfree
-    /// hint (a superset of the range's actual writers).
-    fn next_present(&self, addr: Word, len: u64, from: usize) -> Option<PrincipalId> {
-        let mut next: Option<PrincipalId> = None;
-        self.for_segments(addr, len, |sh, _lo, _hi| {
-            if let Some(p) = sh.next_present(from) {
-                next = Some(next.map_or(p, |q| q.min(p)));
-            }
-        });
-        next
-    }
-}
-
-/// The WRITE holders of a range, up to the first two distinct ones.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Holders {
-    None,
-    One(PrincipalId),
-    Many,
-}
-
 /// Result of a `kfree`-style sweep
 /// ([`RuntimeCore::revoke_write_overlapping_everywhere`]).
 #[derive(Debug, Clone, Copy, Default)]
@@ -436,10 +264,9 @@ pub struct RetireSweep {
 pub struct RuntimeCore {
     meta: RwLock<Meta>,
     slots: SlotTable,
-    sharding: RwLock<Sharding>,
-    /// Striped by the same region boundaries as the writer index (fixed
-    /// at construction: a later `set_shard_boundaries` re-shards the
-    /// index only — stripe layout is a perf detail, not semantics).
+    /// The reverse writer index (§5), sharded once at construction.
+    pub(crate) index: WriterIndex,
+    /// Striped by the same region boundaries as the writer index.
     pub(crate) writer_map: StripedWriterMap,
     names: RwLock<Names>,
     fns: RwLock<HashMap<Word, FnMeta>>,
@@ -469,13 +296,15 @@ impl RuntimeCore {
     }
 
     /// Creates an empty core with the given writer-index shard split
-    /// points (the unit of both splice locality and lock granularity).
+    /// points (the unit of both splice locality and lock granularity),
+    /// fixed for the core's lifetime; the writer-set bitmap is striped
+    /// at the same points.
     pub fn with_shard_boundaries(boundaries: Vec<Word>) -> Self {
         RuntimeCore {
             meta: RwLock::new(Meta::default()),
             slots: SlotTable::new(),
             writer_map: StripedWriterMap::with_boundaries(&boundaries),
-            sharding: RwLock::new(Sharding::new(boundaries, 0)),
+            index: WriterIndex::with_boundaries(boundaries),
             names: RwLock::new(Names::default()),
             fns: RwLock::new(HashMap::new()),
             stats: Mutex::new(GuardStats::new()),
@@ -747,10 +576,7 @@ impl RuntimeCore {
             let mut caps = self.slot(p).caps.lock().expect("caps lock");
             // Index before table: an indirect call racing this grant may
             // see the writer early (conservative), never late.
-            self.sharding
-                .read()
-                .expect("sharding lock")
-                .add(p, cap.addr, cap.size);
+            self.index.add(p, cap.addr, cap.size);
             caps.grant(cap);
         } else {
             self.slot(p).caps.lock().expect("caps lock").grant(cap);
@@ -827,7 +653,7 @@ impl RuntimeCore {
     /// `p`'s caps mutex — `caps` is the post-removal table — which keeps
     /// the index in lockstep with the table for each principal; the
     /// removal and the reinstatement are applied per shard under one
-    /// hold of the shard's lock ([`Sharding::replace`]), so a racing
+    /// hold of the shard's lock (`WriterIndex::replace`), so a racing
     /// indirect-call lookup can never see the survivor's coverage
     /// transiently absent.
     fn unindex_write_locked(&self, p: PrincipalId, addr: Word, size: u64, caps: &CapSet) {
@@ -835,10 +661,7 @@ impl RuntimeCore {
         // *before* the splice: a drain that observes the post-splice
         // index must also observe this bump (see `StripedWriterMap`).
         self.writer_map.note_revoked(addr, size);
-        self.sharding
-            .read()
-            .expect("sharding lock")
-            .replace(p, addr, size, &caps.write);
+        self.index.replace(p, addr, size, &caps.write);
     }
 
     /// Revokes a capability from **every** principal in the system —
@@ -883,15 +706,7 @@ impl RuntimeCore {
     /// conservative index-before-table order as [`RuntimeCore::grant`]).
     pub fn transfer_write(&self, cap: RawCap, dst: Option<PrincipalId>) -> (bool, u64) {
         debug_assert_eq!(cap.ctype, CapType::Write);
-        // Bound first so the sharding read guard drops here: the slow
-        // path below re-takes it and takes caps mutexes, which must not
-        // nest inside it (caps → sharding is the documented order).
-        let holders = self
-            .sharding
-            .read()
-            .expect("sharding lock")
-            .holders(cap.addr, cap.size);
-        let holder = match holders {
+        let holder = match self.index.holders(cap.addr, cap.size) {
             Holders::Many => {
                 let bumps = self.revoke_everywhere(cap);
                 if let Some(d) = dst {
@@ -914,13 +729,8 @@ impl RuntimeCore {
                     // original grant marked them and `clear_zeroed`
                     // keeps covered granules — so no re-mark is needed.
                     self.writer_map.note_revoked(cap.addr, cap.size);
-                    self.sharding.read().expect("sharding lock").substitute(
-                        h,
-                        dst,
-                        cap.addr,
-                        cap.size,
-                        &caps.write,
-                    );
+                    self.index
+                        .substitute(h, dst, cap.addr, cap.size, &caps.write);
                     dst_indexed = true;
                 }
                 removed
@@ -955,7 +765,7 @@ impl RuntimeCore {
         // `p` only changes `p`'s own presence, so the walk sees exactly
         // the principals a snapshot taken up front would have held.
         let mut from = 0;
-        while let Some(p) = self.next_present(addr, size, from) {
+        while let Some(p) = self.index.next_present(addr, size, from) {
             from = p.0 as usize + 1;
             sweep.visited += 1;
             let span = {
@@ -975,14 +785,6 @@ impl RuntimeCore {
         }
         sweep.skipped = total.saturating_sub(sweep.visited);
         sweep
-    }
-
-    /// One step of the kfree presence hint (see [`Sharding::next_present`]).
-    fn next_present(&self, addr: Word, len: u64, from: usize) -> Option<PrincipalId> {
-        self.sharding
-            .read()
-            .expect("sharding lock")
-            .next_present(addr, len, from)
     }
 
     /// Revokes all of **one** principal's WRITE coverage overlapping
@@ -1109,18 +911,12 @@ impl RuntimeCore {
     /// of the paper's global principal-list traversal (§5). Appends the
     /// deduplicated writers to `out`.
     pub fn collect_writers(&self, addr: Word, len: u64, out: &mut Vec<PrincipalId>) {
-        self.sharding
-            .read()
-            .expect("sharding lock")
-            .collect_writers(addr, len, out);
+        self.index.collect_writers(addr, len, out);
     }
 
     /// True if any writer interval overlaps `[addr, addr+len)`.
     pub fn index_overlaps(&self, addr: Word, len: u64) -> bool {
-        self.sharding
-            .read()
-            .expect("sharding lock")
-            .overlaps(addr, len)
+        self.index.overlaps(addr, len)
     }
 
     /// Principals (from any module) holding WRITE coverage of any byte of
@@ -1131,17 +927,6 @@ impl RuntimeCore {
         self.collect_writers(addr, 8, &mut v);
         v.sort_unstable();
         v
-    }
-
-    /// The kfree presence hint for a range (diagnostics/tests).
-    pub fn present_over(&self, addr: Word, len: u64) -> Vec<PrincipalId> {
-        let mut out = Vec::new();
-        let mut from = 0;
-        while let Some(p) = self.next_present(addr, len, from) {
-            from = p.0 as usize + 1;
-            out.push(p);
-        }
-        out
     }
 
     // ------------------------------------------------------ writer tracking
@@ -1159,9 +944,8 @@ impl RuntimeCore {
         // of any byte in it (clearing would be a false negative). The
         // reverse index answers this in one window search instead of a
         // per-granule walk of every principal.
-        let sharding = self.sharding.read().expect("sharding lock");
         self.writer_map
-            .clear_zeroed(addr, len, |granule| sharding.overlaps(granule, 64));
+            .clear_zeroed(addr, len, |granule| self.index.overlaps(granule, 64));
         true
     }
 
@@ -1180,9 +964,8 @@ impl RuntimeCore {
         len: u64,
         token: ZeroNoteToken,
     ) -> Option<u64> {
-        let sharding = self.sharding.read().expect("sharding lock");
         self.writer_map
-            .try_drain_note(addr, len, token, |granule| sharding.overlaps(granule, 64))
+            .try_drain_note(addr, len, token, |granule| self.index.overlaps(granule, 64))
     }
 
     /// Direct writer-map marking (used when a module is loaded: its
@@ -1304,73 +1087,27 @@ impl RuntimeCore {
         self.names.write().expect("names lock").const_values[id.0 as usize] = Some(value);
     }
 
-    // ----------------------------------------------------- sharding admin
-
-    /// Reconfigures the reverse writer index's shard boundaries (address
-    /// split points — typically the kernel layout's region bases and
-    /// module windows) and rebuilds the index from every principal's
-    /// live WRITE grants. **Not** safe to run concurrently with
-    /// capability traffic; the simulated kernel does it once at boot,
-    /// before any module loads.
-    pub fn set_shard_boundaries(&self, boundaries: Vec<Word>) {
-        // Snapshot every principal's grants first: taking the sharding
-        // write lock while holding a caps mutex would invert the
-        // caps → sharding order the mutation paths use.
-        let n = self.principal_count();
-        let mut grants: Vec<(PrincipalId, Vec<(Word, u64)>)> = Vec::with_capacity(n);
-        for i in 0..n {
-            let p = PrincipalId(i as u32);
-            let caps = self.slot(p).caps.lock().expect("caps lock");
-            grants.push((p, caps.write.iter().collect()));
-        }
-        // The allocation gauge is documented monotonic; fold the retired
-        // index's count in so a rebuild never steps it backwards.
-        let prior = self.index_sets_ever_interned();
-        let fresh = Sharding::new(boundaries, prior);
-        for (p, gs) in grants {
-            for (a, s) in gs {
-                fresh.add(p, a, s);
-            }
-        }
-        *self.sharding.write().expect("sharding lock") = fresh;
-    }
-
-    /// Number of writer-index shards.
-    pub fn index_shard_count(&self) -> usize {
-        self.sharding.read().expect("sharding lock").shards.len()
-    }
+    // ------------------------------------------------ index diagnostics
 
     /// Live intervals across all shards (diagnostics).
     pub fn index_interval_count(&self) -> usize {
-        let sharding = self.sharding.read().expect("sharding lock");
-        sharding
-            .shards
-            .iter()
-            .map(|s| s.lock().expect("shard lock").interval_count())
-            .sum()
+        self.index.interval_count()
     }
 
     /// Live interned writer sets, including the pinned empty set.
     pub fn index_set_count(&self) -> usize {
-        let sharding = self.sharding.read().expect("sharding lock");
-        let live = sharding.interner.lock().expect("interner lock").live();
-        live
+        self.index.set_count()
     }
 
-    /// Writer-set slot allocations ever performed (monotonic across
-    /// rebuilds).
+    /// Writer-set slot allocations ever performed (monotonic).
     pub fn index_sets_ever_interned(&self) -> u64 {
-        let sharding = self.sharding.read().expect("sharding lock");
-        let ever = sharding.interner.lock().expect("interner lock").ever();
-        sharding.ever_carried + ever
+        self.index.sets_ever_interned()
     }
 
     /// Interner slot capacity (high-water mark of simultaneously live
     /// sets).
     pub fn index_set_slot_capacity(&self) -> usize {
-        let sharding = self.sharding.read().expect("sharding lock");
-        let cap = sharding.interner.lock().expect("interner lock").capacity();
-        cap
+        self.index.set_slot_capacity()
     }
 
     /// Panics unless every shard's structural invariants hold and the
@@ -1378,35 +1115,7 @@ impl RuntimeCore {
     /// (test/proptest hook).
     #[doc(hidden)]
     pub fn check_index_invariants(&self) {
-        let sharding = self.sharding.read().expect("sharding lock");
-        // Shards before interner, matching the splice lock order (the
-        // interner is a leaf — taking it first could deadlock against a
-        // concurrent phase-split mutation holding a shard).
-        let shards: Vec<_> = sharding
-            .shards
-            .iter()
-            .map(|s| s.lock().expect("shard lock"))
-            .collect();
-        let interner = sharding.interner.lock().expect("interner lock");
-        let mut refs = vec![0u32; interner.capacity()];
-        for (si, sh) in shards.iter().enumerate() {
-            sh.check_invariants(
-                &interner,
-                &mut refs,
-                shard_lo(&sharding.boundaries, si),
-                shard_hi(&sharding.boundaries, si),
-            );
-        }
-        interner.check_consistency(&refs);
-    }
-
-    /// Runs `f` on the writer index's shared interner (the interner
-    /// equivalence test drains its call log here).
-    #[cfg(test)]
-    pub(crate) fn with_interner<R>(&self, f: impl FnOnce(&mut SetInterner) -> R) -> R {
-        let sharding = self.sharding.read().expect("sharding lock");
-        let mut interner = sharding.interner.lock().expect("interner lock");
-        f(&mut interner)
+        self.index.check_invariants();
     }
 
     // -------------------------------------------------------------- stats
@@ -1685,25 +1394,42 @@ mod tests {
 
     #[test]
     fn sharded_runtime_answers_match_unsharded() {
-        let (mut rt, m) = rt_with_module();
-        let a = rt.principal_for_name(m, 0x9000);
-        let b = rt.principal_for_name(m, 0xa000);
-        rt.grant(a, RawCap::write(0x5000, 0x100));
-        rt.grant(b, RawCap::write(0x5080, 0x100));
-        let before_a = rt.writers_of(0x5080);
-        // Re-sharding rebuilds the index from live grants; answers and
-        // invariants must be unchanged.
-        rt.set_shard_boundaries(vec![0x5080, 0x5100]);
-        rt.check_index_invariants();
-        assert_eq!(rt.index_shard_count(), 3);
-        assert_eq!(rt.writers_of(0x5080), before_a);
-        let walk: Vec<_> = (0..rt.principal_count() as u32)
+        // The same grants on a flat core and on one sharded at the
+        // grants' split points: answers and invariants must agree.
+        let flat = RuntimeCore::new();
+        let sharded = RuntimeCore::with_shard_boundaries(vec![0x5080, 0x5100]);
+        assert_eq!(sharded.index.shard_count(), 3);
+        let mut ids = Vec::new();
+        for rt in [&flat, &sharded] {
+            let m = rt.register_module("econet");
+            let a = rt.principal_for_name(m, 0x9000);
+            let b = rt.principal_for_name(m, 0xa000);
+            rt.grant(a, RawCap::write(0x5000, 0x100));
+            rt.grant(b, RawCap::write(0x5080, 0x100));
+            rt.check_index_invariants();
+            ids.push((a, b));
+        }
+        let (a, b) = ids[0];
+        assert_eq!(ids[1], (a, b), "identical principal numbering");
+        for probe in [
+            0x4ff8, 0x5000, 0x507c, 0x5080, 0x50fc, 0x5100, 0x517c, 0x5180,
+        ] {
+            assert_eq!(
+                sharded.writers_of(probe),
+                flat.writers_of(probe),
+                "{probe:#x}"
+            );
+        }
+        let walk: Vec<_> = (0..sharded.principal_count() as u32)
             .map(PrincipalId)
-            .filter(|&p| rt.write_overlaps(p, 0x5080, 8))
+            .filter(|&p| sharded.write_overlaps(p, 0x5080, 8))
             .collect();
-        assert_eq!(rt.writers_of(0x5080), walk);
-        rt.revoke(b, RawCap::write(0x5080, 0x100));
-        assert_eq!(rt.writers_of(0x5080), vec![a]);
+        assert_eq!(sharded.writers_of(0x5080), walk);
+        for rt in [&flat, &sharded] {
+            rt.revoke(b, RawCap::write(0x5080, 0x100));
+            rt.check_index_invariants();
+            assert_eq!(rt.writers_of(0x5080), vec![a]);
+        }
     }
 
     #[test]

@@ -10,37 +10,34 @@
 //! lookup is a binary search plus a walk of the (small) writer set —
 //! O(log intervals + |writers|) instead of O(principals).
 //!
-//! # Sharding
+//! # Sharding and locking
 //!
-//! The interval map is **sharded by address region**: the caller hands
-//! [`WriterIndex::with_boundaries`] a sorted list of split points
-//! (module windows, slab zones — see the simulated kernel's
-//! `layout::shard_boundaries`), and every interval lives in the shard
-//! its addresses fall in. Queries resolve the shard with one small
-//! binary search over the boundary list (effectively O(1) for the ≤ a
-//! few dozen regions a kernel layout defines) before the O(log
-//! intervals-in-shard) window search, and — the actual point — the Vec
-//! splice a grant or revoke performs moves only the *shard's* tail, not
-//! the whole system's interval population.
+//! [`WriterIndex`] is **sharded by address region**: its constructor
+//! takes a list of split points (module windows, slab zones — see the
+//! simulated kernel's `layout::shard_boundaries`), fixed for the index's
+//! lifetime, and every interval lives in the shard its addresses fall
+//! in. Queries resolve the shard with one small binary search over the
+//! boundary list before the O(log intervals-in-shard) window search,
+//! and the Vec splice a grant or revoke performs moves only the
+//! *shard's* tail, not the whole system's interval population.
 //!
-//! Since the thread-safe runtime landed, the shard is also the unit of
-//! **lock granularity**: the shared `RuntimeCore` wraps every shard
-//! (its intervals plus its principal-presence map) in its own lock.
-//! Mutations are **phase-split** (`IndexShard::add_split` /
-//! `IndexShard::remove_split`): the shard lock is held for the whole
-//! operation (which keeps a revocation's remove-and-reinstate atomic
-//! per shard — see `Sharding::replace`), while the shared-interner
-//! mutex is taken only for the id/refcount phase (interning the new
-//! sets, moving refcounts, applying presence deltas); the interval
-//! memmove then runs under the shard lock alone. Splices in different
-//! shards therefore overlap except for their brief interner sections,
-//! and the lock order is strictly shard → interner (the interner is a
-//! leaf — nothing acquires a shard while holding it). Each shard owns
-//! the replacement buffer its splices plan into, and the interner
-//! looks candidate sets up by slice, so a splice that produces no new
-//! writer set allocates nothing. A default-constructed index has a
-//! single shard covering the whole address space (the pre-sharding
-//! behavior).
+//! The shard is also the unit of **lock granularity**: each shard (its
+//! intervals plus its principal-presence map) sits behind its own
+//! mutex, and every method takes `&self`. Mutations are
+//! **phase-split** (`IndexShard::add` / `IndexShard::remove`): the
+//! shard lock is held for the whole operation (which keeps a
+//! revocation's remove-and-reinstate atomic per shard — see
+//! `WriterIndex::replace`), while the shared-interner mutex is taken
+//! only for the id/refcount phase (interning the new sets, moving
+//! refcounts, applying presence deltas); the interval memmove then runs
+//! under the shard lock alone. Splices in different shards therefore
+//! overlap except for their brief interner sections, and the lock order
+//! is strictly shard → interner (the interner is a leaf — nothing
+//! acquires a shard while holding it). Each shard owns the replacement
+//! buffer its splices plan into, and the interner looks candidate sets
+//! up by slice, so a splice that produces no new writer set allocates
+//! nothing. [`WriterIndex::new`] makes a single shard covering the
+//! whole address space.
 //!
 //! Intervals never span a shard boundary: a grant crossing one is split
 //! at the boundary, so two touching same-set intervals can exist across
@@ -53,14 +50,13 @@
 //! the many intervals produced by overlapping grants from the same
 //! principals share one set allocation, and set identity is a `u32`
 //! compare (which is also what lets adjacent intervals coalesce). The
-//! interner is **shared across shards** (the concurrent core guards it
-//! with its own mutex, held for the duration of a splice): sharing is
-//! what keeps a set resident when its references repeat across shards,
-//! so churn in one shard never re-allocates another's combinations. Interned sets are refcounted by the interval entries
-//! referencing them (across all shards): when the last referencing
-//! interval is spliced away, the set is freed and its slot recycled, so
-//! a long-running grant/revoke churn interns new combinations forever
-//! without growing memory. [`set_count`](WriterIndex::set_count) gauges
+//! interner is **shared across shards**: sharing is what keeps a set
+//! resident when its references repeat across shards, so churn in one
+//! shard never re-allocates another's combinations. Interned sets are
+//! refcounted by the interval entries referencing them (across all
+//! shards): when the last referencing interval is spliced away, the set
+//! is freed and its slot recycled, so a long-running grant/revoke churn
+//! interns new combinations forever without growing memory. [`set_count`](WriterIndex::set_count) gauges
 //! live sets; [`sets_ever_interned`](WriterIndex::sets_ever_interned)
 //! counts allocations (including slot reuses) — `ever` growing while
 //! `live` stays flat is the GC working.
@@ -95,10 +91,11 @@
 //! [`WriteTable`]: crate::caps::WriteTable
 
 use std::collections::HashMap;
-use std::sync::Mutex as StdMutex;
+use std::sync::Mutex;
 
 use lxfi_machine::Word;
 
+use crate::caps::WriteTable;
 use crate::principal::PrincipalId;
 
 /// Interned id of a sorted, deduplicated set of writer principals.
@@ -152,7 +149,7 @@ pub(crate) enum InternCall {
 }
 
 impl SetInterner {
-    pub(crate) fn new() -> Self {
+    fn new() -> Self {
         let mut it = SetInterner {
             sets: Vec::new(),
             refs: Vec::new(),
@@ -200,7 +197,7 @@ impl SetInterner {
         id
     }
 
-    pub(crate) fn get(&self, id: WriterSetId) -> &[PrincipalId] {
+    fn get(&self, id: WriterSetId) -> &[PrincipalId] {
         &self.sets[id.0 as usize]
     }
 
@@ -273,29 +270,24 @@ impl SetInterner {
     }
 
     /// Live distinct sets (including the pinned empty set).
-    pub(crate) fn live(&self) -> usize {
+    fn live(&self) -> usize {
         self.ids.len()
     }
 
     /// Monotonic slot-allocation count (including reuses).
-    pub(crate) fn ever(&self) -> u64 {
+    fn ever(&self) -> u64 {
         self.ever
     }
 
     /// Slot capacity (high-water mark of simultaneously live sets).
-    pub(crate) fn capacity(&self) -> usize {
+    fn capacity(&self) -> usize {
         self.sets.len()
-    }
-
-    /// Currently recycled (free) slots.
-    pub(crate) fn free_slots(&self) -> usize {
-        self.free.len()
     }
 
     /// Panics unless the interner agrees with `refs` — the per-set
     /// interval reference counts an index walk accumulated — and its
     /// free-list/id-map bookkeeping is self-consistent.
-    pub(crate) fn check_consistency(&self, refs: &[u32]) {
+    fn check_consistency(&self, refs: &[u32]) {
         assert_eq!(refs.len(), self.sets.len());
         for (i, &rc) in refs.iter().enumerate() {
             assert_eq!(
@@ -323,24 +315,12 @@ impl SetInterner {
     }
 }
 
-/// Clamps a range so its exclusive end saturates at `Word::MAX`
-/// (the same discipline as `WriteTable`).
-#[inline]
-fn clamp_size(addr: Word, size: u64) -> u64 {
-    size.min(Word::MAX - addr)
-}
-
 /// One address-region shard: disjoint, sorted `[start, end)` intervals,
 /// each mapped to a non-empty interned writer set, plus a
 /// principal-presence map (interval refcount per principal — the kfree
 /// hint). Touching intervals with the same set are coalesced on every
-/// mutation.
-///
-/// The set interner is shared across shards and passed in by the owner
-/// (the single-threaded [`WriterIndex`] owns one directly; the
-/// concurrent runtime core guards one with its own mutex while each
-/// shard gets its own lock — the splice memmove, the expensive part, is
-/// what the per-shard locking bounds).
+/// mutation. The set interner is shared across shards and passed in by
+/// the owning [`WriterIndex`].
 #[derive(Debug, Default)]
 pub(crate) struct IndexShard {
     starts: Vec<Word>,
@@ -360,11 +340,6 @@ pub(crate) struct IndexShard {
 }
 
 impl IndexShard {
-    /// Creates an empty shard.
-    pub(crate) fn new() -> Self {
-        Self::default()
-    }
-
     #[inline]
     fn present_inc(&mut self, p: PrincipalId) {
         let i = p.0 as usize;
@@ -487,24 +462,12 @@ impl IndexShard {
     }
 
     /// Unions `p` into `[addr, e)` within this shard (the caller has
-    /// already clipped the range to the shard's bounds). Idempotent.
-    pub(crate) fn add(&mut self, interner: &mut SetInterner, p: PrincipalId, addr: Word, e: Word) {
-        let (lo, hi) = self.plan_add(interner, p, addr, e);
-        self.plan_splice(interner, lo, hi);
-        self.apply_splice(lo, hi);
-    }
-
-    /// Concurrent-path `add`: the shard lock is held by the caller for
-    /// the whole call; the shared interner mutex is taken only for the
-    /// id/refcount phase, and the memmove runs under the shard lock
-    /// alone. Lock order is shard → interner (the interner is a leaf).
-    pub(crate) fn add_split(
-        &mut self,
-        interner: &StdMutex<SetInterner>,
-        p: PrincipalId,
-        addr: Word,
-        e: Word,
-    ) {
+    /// already clipped the range to the shard's bounds and holds the
+    /// shard lock for the whole call). Idempotent. The shared interner
+    /// mutex is taken only for the id/refcount phase, and the memmove
+    /// runs under the shard lock alone: lock order is shard → interner
+    /// (the interner is a leaf).
+    fn add(&mut self, interner: &Mutex<SetInterner>, p: PrincipalId, addr: Word, e: Word) {
         let (lo, hi) = {
             let mut it = interner.lock().expect("interner lock");
             let (lo, hi) = self.plan_add(&mut it, p, addr, e);
@@ -555,28 +518,9 @@ impl IndexShard {
 
     /// Removes `p` from the writer sets of `[addr, e)` within this shard
     /// (pre-clipped); intervals whose set empties are dropped. A no-op
-    /// where `p` is not a writer.
-    pub(crate) fn remove(
-        &mut self,
-        interner: &mut SetInterner,
-        p: PrincipalId,
-        addr: Word,
-        e: Word,
-    ) {
-        let (lo, hi) = self.plan_remove(interner, p, addr, e);
-        self.plan_splice(interner, lo, hi);
-        self.apply_splice(lo, hi);
-    }
-
-    /// Concurrent-path `remove`: same locking discipline as
-    /// [`IndexShard::add_split`].
-    pub(crate) fn remove_split(
-        &mut self,
-        interner: &StdMutex<SetInterner>,
-        p: PrincipalId,
-        addr: Word,
-        e: Word,
-    ) {
+    /// where `p` is not a writer. Same locking discipline as
+    /// [`IndexShard::add`].
+    fn remove(&mut self, interner: &Mutex<SetInterner>, p: PrincipalId, addr: Word, e: Word) {
         let (lo, hi) = {
             let mut it = interner.lock().expect("interner lock");
             let (lo, hi) = self.plan_remove(&mut it, p, addr, e);
@@ -587,14 +531,14 @@ impl IndexShard {
     }
 
     /// True if any writer interval overlaps `[a, e)` (pre-clipped).
-    pub(crate) fn overlaps(&self, a: Word, e: Word) -> bool {
+    fn overlaps(&self, a: Word, e: Word) -> bool {
         let (lo, hi) = self.window(a, e);
         lo < hi
     }
 
     /// The writers of `[a, e)` (pre-clipped), interval by interval: a
     /// principal in several overlapping intervals repeats.
-    pub(crate) fn writers<'a>(
+    fn writers<'a>(
         &'a self,
         interner: &'a SetInterner,
         a: Word,
@@ -606,50 +550,25 @@ impl IndexShard {
             .flat_map(move |&sid| interner.get(sid).iter().copied())
     }
 
-    /// Principals with at least one interval in this shard — the kfree
-    /// presence hint.
-    pub(crate) fn present_principals(&self) -> impl Iterator<Item = PrincipalId> + '_ {
-        self.present
-            .iter()
-            .enumerate()
-            .filter(|(_, &c)| c > 0)
-            .map(|(i, _)| PrincipalId(i as u32))
-    }
-
     /// The lowest-numbered principal at or above `from` with at least
     /// one interval in this shard: the kfree sweep walks the presence
     /// hint with this instead of collecting it.
-    pub(crate) fn next_present(&self, from: usize) -> Option<PrincipalId> {
+    fn next_present(&self, from: usize) -> Option<PrincipalId> {
         let rest = self.present.get(from..)?;
         let i = rest.iter().position(|&c| c > 0)?;
         Some(PrincipalId((from + i) as u32))
     }
 
     /// Live intervals in this shard.
-    pub(crate) fn interval_count(&self) -> usize {
+    fn interval_count(&self) -> usize {
         self.starts.len()
-    }
-
-    /// Iterates `(start, end, writers)` in address order.
-    pub(crate) fn intervals<'a>(
-        &'a self,
-        interner: &'a SetInterner,
-    ) -> impl Iterator<Item = (Word, Word, &'a [PrincipalId])> + 'a {
-        (0..self.starts.len())
-            .map(move |i| (self.starts[i], self.ends[i], interner.get(self.sets[i])))
     }
 
     /// Panics unless the shard's structural invariants hold within the
     /// bounds `[slo, shi)`, accumulating this shard's per-set interval
     /// references into `refs` (the owner validates the total against
     /// the shared interner); see [`WriterIndex::check_invariants`].
-    pub(crate) fn check_invariants(
-        &self,
-        interner: &SetInterner,
-        refs: &mut Vec<u32>,
-        slo: Word,
-        shi: Word,
-    ) {
+    fn check_invariants(&self, interner: &SetInterner, refs: &mut Vec<u32>, slo: Word, shi: Word) {
         assert_eq!(self.starts.len(), self.ends.len());
         assert_eq!(self.starts.len(), self.sets.len());
         refs.resize(interner.capacity(), 0);
@@ -689,76 +608,28 @@ impl IndexShard {
     }
 }
 
-/// Resolves which shard of a boundary list holds `addr`.
-#[inline]
-pub(crate) fn shard_of(boundaries: &[Word], addr: Word) -> usize {
-    boundaries.partition_point(|&b| b <= addr)
-}
-
-/// Inclusive lower bound of shard `s`.
-#[inline]
-pub(crate) fn shard_lo(boundaries: &[Word], s: usize) -> Word {
-    if s == 0 {
-        0
-    } else {
-        boundaries[s - 1]
-    }
-}
-
-/// Exclusive upper bound of shard `s` (the top shard runs to MAX, which
-/// no saturated interval end can exceed).
-#[inline]
-pub(crate) fn shard_hi(boundaries: &[Word], s: usize) -> Word {
-    boundaries.get(s).copied().unwrap_or(Word::MAX)
-}
-
-/// Normalizes shard split points: deduplicated, sorted, zeros dropped.
-pub(crate) fn normalize_boundaries(mut boundaries: Vec<Word>) -> Vec<Word> {
-    boundaries.retain(|&b| b > 0);
-    boundaries.sort_unstable();
-    boundaries.dedup();
-    boundaries
-}
-
-/// Runs `f(shard, lo, hi)` over the shard segments of
-/// `[addr, addr+size)`, with the range's end clamped at `Word::MAX` and
-/// each non-empty segment clipped to its shard's bounds. The one place
-/// the boundary-clipping walk lives: both the single-threaded
-/// [`WriterIndex`] and the runtime core's locked shard array iterate
-/// through it, so their clamping semantics cannot drift apart.
-#[inline]
-pub(crate) fn for_each_segment(
-    boundaries: &[Word],
-    addr: Word,
-    size: u64,
-    mut f: impl FnMut(usize, Word, Word),
-) {
-    let size = clamp_size(addr, size);
-    if size == 0 {
-        return;
-    }
-    let e = addr + size;
-    let (first, last) = (shard_of(boundaries, addr), shard_of(boundaries, e - 1));
-    for s in first..=last {
-        let lo = addr.max(shard_lo(boundaries, s));
-        let hi = e.min(shard_hi(boundaries, s));
-        debug_assert!(lo < hi, "clipped segment non-empty");
-        f(s, lo, hi);
-    }
+/// The WRITE holders of a range, up to the first two distinct ones.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Holders {
+    None,
+    One(PrincipalId),
+    Many,
 }
 
 /// The reverse writer index: address-region shards of disjoint sorted
-/// intervals over one shared refcounted set interner. See the module
-/// docs for the sharding, GC, and presence disciplines. This is the
-/// single-threaded form; the concurrent runtime core holds the same
-/// `IndexShard`s behind per-shard locks.
+/// intervals, each behind its own mutex, over one shared refcounted set
+/// interner behind its own mutex. Every method takes `&self`; the shard
+/// split points are fixed at construction. Grant/revoke splices and
+/// writer lookups lock only the shards their address range touches, one
+/// at a time. See the module docs for the sharding, locking, GC and
+/// presence disciplines.
 #[derive(Debug)]
 pub struct WriterIndex {
     /// Sorted, distinct, non-zero shard split points; shard `i` covers
     /// `[boundaries[i-1], boundaries[i])` (first from 0, last to MAX).
     boundaries: Vec<Word>,
-    shards: Vec<IndexShard>,
-    interner: SetInterner,
+    shards: Vec<Mutex<IndexShard>>,
+    interner: Mutex<SetInterner>,
 }
 
 impl Default for WriterIndex {
@@ -776,19 +647,16 @@ impl WriterIndex {
     /// Creates an empty index sharded at the given split points
     /// (deduplicated, sorted; zeros dropped). `n` boundaries make
     /// `n + 1` shards.
-    pub fn with_boundaries(boundaries: Vec<Word>) -> Self {
-        let boundaries = normalize_boundaries(boundaries);
-        let shards = (0..=boundaries.len()).map(|_| IndexShard::new()).collect();
+    pub fn with_boundaries(mut boundaries: Vec<Word>) -> Self {
+        boundaries.retain(|&b| b > 0);
+        boundaries.sort_unstable();
+        boundaries.dedup();
+        let shards = (0..=boundaries.len()).map(|_| Mutex::default()).collect();
         WriterIndex {
             boundaries,
             shards,
-            interner: SetInterner::new(),
+            interner: Mutex::new(SetInterner::new()),
         }
-    }
-
-    /// The configured shard split points.
-    pub fn boundaries(&self) -> &[Word] {
-        &self.boundaries
     }
 
     /// Number of shards (`boundaries + 1`).
@@ -796,137 +664,191 @@ impl WriterIndex {
         self.shards.len()
     }
 
-    /// The shard holding `addr`.
-    #[inline]
-    fn shard_of(&self, addr: Word) -> usize {
-        shard_of(&self.boundaries, addr)
+    /// Shard `s`'s inclusive lower and exclusive upper bound (the top
+    /// shard runs to MAX, which no saturated interval end can exceed).
+    fn shard_bounds(&self, s: usize) -> (Word, Word) {
+        let lo = if s == 0 { 0 } else { self.boundaries[s - 1] };
+        (lo, self.boundaries.get(s).copied().unwrap_or(Word::MAX))
+    }
+
+    /// Runs `f(shard, lo, hi)` on every shard segment of
+    /// `[addr, addr+size)`, with the range's end clamped at `Word::MAX`
+    /// and each non-empty segment clipped to its shard's bounds, locking
+    /// one shard at a time.
+    fn for_segments(&self, addr: Word, size: u64, mut f: impl FnMut(&mut IndexShard, Word, Word)) {
+        let size = size.min(Word::MAX - addr);
+        if size == 0 {
+            return;
+        }
+        let e = addr + size;
+        let shard_of = |a: Word| self.boundaries.partition_point(|&b| b <= a);
+        for s in shard_of(addr)..=shard_of(e - 1) {
+            let (slo, shi) = self.shard_bounds(s);
+            let (lo, hi) = (addr.max(slo), e.min(shi));
+            debug_assert!(lo < hi, "clipped segment non-empty");
+            f(&mut self.shards[s].lock().expect("shard lock"), lo, hi);
+        }
     }
 
     /// Records that `p` was granted WRITE over `[addr, addr+size)`:
     /// existing intervals split at the grant's boundaries and union `p`
     /// in; uncovered gaps become `{p}` intervals. Idempotent. A grant
     /// crossing a shard boundary is split there.
-    pub fn add(&mut self, p: PrincipalId, addr: Word, size: u64) {
-        let (shards, interner) = (&mut self.shards, &mut self.interner);
-        for_each_segment(&self.boundaries, addr, size, |s, lo, hi| {
-            shards[s].add(interner, p, lo, hi)
-        });
+    pub fn add(&self, p: PrincipalId, addr: Word, size: u64) {
+        self.for_segments(addr, size, |sh, lo, hi| sh.add(&self.interner, p, lo, hi));
     }
 
     /// Removes `p` from the writer sets of `[addr, addr+size)`, splitting
     /// intervals at the boundaries; intervals whose set empties are
-    /// dropped. A no-op where `p` is not a writer.
-    ///
-    /// Callers revoking one grant must afterwards [`add`](Self::add) back
-    /// any of `p`'s *other* grants still overlapping the range — the
-    /// index stores merged coverage, not individual grants.
-    pub fn remove(&mut self, p: PrincipalId, addr: Word, size: u64) {
-        let (shards, interner) = (&mut self.shards, &mut self.interner);
-        for_each_segment(&self.boundaries, addr, size, |s, lo, hi| {
-            shards[s].remove(interner, p, lo, hi)
+    /// dropped. A no-op where `p` is not a writer. The index stores
+    /// merged coverage, not individual grants: revoking one of `p`'s
+    /// grants goes through `replace`, which reinstates the others.
+    pub fn remove(&self, p: PrincipalId, addr: Word, size: u64) {
+        self.for_segments(addr, size, |sh, lo, hi| {
+            sh.remove(&self.interner, p, lo, hi)
         });
+    }
+
+    /// Replaces `p`'s index coverage over `[addr, addr+size)` with the
+    /// coverage `p`'s post-revocation WRITE table `survivors` still has
+    /// there. Each shard's remove-and-restore runs under a **single**
+    /// hold of that shard's lock, so a concurrent indirect-call lookup
+    /// can never observe the transient no-coverage state between the
+    /// removal and the reinstatement — the index may transiently
+    /// over-approximate a writer (conservative), never under-approximate
+    /// one.
+    pub(crate) fn replace(&self, p: PrincipalId, addr: Word, size: u64, survivors: &WriteTable) {
+        self.for_segments(addr, size, |sh, lo, hi| {
+            sh.remove(&self.interner, p, lo, hi);
+            self.reinstate(sh, p, lo, hi, survivors);
+        });
+    }
+
+    /// The single-holder transfer splice: swaps `src`'s coverage of
+    /// `[addr, addr+size)` for `dst`'s, reinstating what `src`'s
+    /// post-revocation table `survivors` still covers, with each shard's
+    /// whole substitution under **one** hold of that shard's lock. A
+    /// racing lookup sees either the old holder or the new one (plus
+    /// survivors) — never a transiently uncovered range.
+    pub(crate) fn substitute(
+        &self,
+        src: PrincipalId,
+        dst: Option<PrincipalId>,
+        addr: Word,
+        size: u64,
+        survivors: &WriteTable,
+    ) {
+        self.for_segments(addr, size, |sh, lo, hi| {
+            sh.remove(&self.interner, src, lo, hi);
+            self.reinstate(sh, src, lo, hi, survivors);
+            if let Some(d) = dst {
+                sh.add(&self.interner, d, lo, hi);
+            }
+        });
+    }
+
+    /// Re-adds, within the shard segment `[lo, hi)`, the coverage of
+    /// `p`'s grants in `survivors` (the index stores merged coverage, so
+    /// revoking one of two overlapping grants must not erase the other).
+    /// Walks the table in place: a revocation rarely overlaps many grants.
+    fn reinstate(
+        &self,
+        sh: &mut IndexShard,
+        p: PrincipalId,
+        lo: Word,
+        hi: Word,
+        survivors: &WriteTable,
+    ) {
+        for (a, s) in survivors.iter_overlapping(lo, hi - lo) {
+            let clo = a.max(lo);
+            let chi = a.saturating_add(s).min(hi);
+            if clo < chi {
+                sh.add(&self.interner, p, clo, chi);
+            }
+        }
     }
 
     /// True if any writer interval overlaps `[addr, addr+len)` (query end
     /// saturates at `Word::MAX`).
     pub fn overlaps(&self, addr: Word, len: u64) -> bool {
         let mut hit = false;
-        for_each_segment(&self.boundaries, addr, len, |s, lo, hi| {
-            hit |= self.shards[s].overlaps(lo, hi)
-        });
+        self.for_segments(addr, len, |sh, lo, hi| hit |= sh.overlaps(lo, hi));
         hit
     }
 
-    /// Deduplicated writer principals of `[addr, addr+len)`, in interval
-    /// order across shards. Allocation-free: the iterator yields straight
-    /// out of the interned sets (the common case is a single covering
-    /// interval in a single shard).
-    pub fn writers_over(&self, addr: Word, len: u64) -> WritersOver<'_> {
-        if len == 0 {
-            return WritersOver {
-                index: self,
-                addr: 0,
-                end: 0,
-                s_first: 1,
-                s_last: 0,
-                s: 1,
-                win: (0, 0),
-                j: 0,
-                k: 0,
-            };
-        }
-        let e = addr.saturating_add(len);
-        let s_first = self.shard_of(addr);
-        let s_last = self.shard_of(e - 1);
-        let win = self.shards[s_first].window(addr, e);
-        WritersOver {
-            index: self,
-            addr,
-            end: e,
-            s_first,
-            s_last,
-            s: s_first,
-            win,
-            j: win.0,
-            k: 0,
-        }
-    }
-
-    /// Principals present (holding any coverage) in the shards that
-    /// overlap `[addr, addr+len)` — a superset of the principals whose
-    /// grants overlap the range itself. This is the kfree hint.
-    pub fn present_over(&self, addr: Word, len: u64) -> Vec<PrincipalId> {
-        let mut out = Vec::new();
-        for_each_segment(&self.boundaries, addr, len, |s, _lo, _hi| {
-            for p in self.shards[s].present_principals() {
-                if !out.contains(&p) {
-                    out.push(p);
+    /// Appends the deduplicated writer principals of `[addr, addr+len)`
+    /// to `out`, in interval order across shards. Allocation-free when
+    /// `out` has room: the indirect-call slow path reuses one buffer.
+    pub fn collect_writers(&self, addr: Word, len: u64, out: &mut Vec<PrincipalId>) {
+        self.for_segments(addr, len, |sh, lo, hi| {
+            // Shard lock first, interner second (leaf) — the splice order.
+            let interner = self.interner.lock().expect("interner lock");
+            for w in sh.writers(&interner, lo, hi) {
+                if !out.contains(&w) {
+                    out.push(w);
                 }
             }
         });
-        out.sort_unstable();
-        out
+    }
+
+    /// Who holds WRITE coverage of `[addr, addr+len)`, when at most one
+    /// principal does (the transfer fast-path test, without collecting).
+    pub(crate) fn holders(&self, addr: Word, len: u64) -> Holders {
+        let mut found = Holders::None;
+        self.for_segments(addr, len, |sh, lo, hi| {
+            let interner = self.interner.lock().expect("interner lock");
+            for w in sh.writers(&interner, lo, hi) {
+                found = match found {
+                    Holders::None => Holders::One(w),
+                    Holders::One(h) if h == w => Holders::One(h),
+                    _ => Holders::Many,
+                };
+            }
+        });
+        found
+    }
+
+    /// The lowest-numbered principal at or above `from` present in the
+    /// shards overlapping `[addr, addr+len)` — one step of the kfree
+    /// presence hint (a superset of the range's actual writers).
+    pub(crate) fn next_present(&self, addr: Word, len: u64, from: usize) -> Option<PrincipalId> {
+        let mut next: Option<PrincipalId> = None;
+        self.for_segments(addr, len, |sh, _lo, _hi| {
+            if let Some(p) = sh.next_present(from) {
+                next = Some(next.map_or(p, |q| q.min(p)));
+            }
+        });
+        next
     }
 
     /// Number of live intervals across all shards (diagnostics). A range
     /// spanning shard boundaries counts one interval per shard.
     pub fn interval_count(&self) -> usize {
-        self.shards.iter().map(|s| s.interval_count()).sum()
+        self.shards
+            .iter()
+            .map(|s| s.lock().expect("shard lock").interval_count())
+            .sum()
     }
 
     /// Number of distinct **live** interned writer sets, including the
     /// pinned empty set (diagnostics; unreferenced sets are freed and
     /// their slots recycled).
     pub fn set_count(&self) -> usize {
-        self.interner.live()
+        self.interner.lock().expect("interner lock").live()
     }
 
     /// Writer-set slot allocations ever performed, including reuses of
     /// recycled slots (monotonic; pairs with [`set_count`](Self::set_count)
     /// as the live-vs-interned GC gauge).
     pub fn sets_ever_interned(&self) -> u64 {
-        self.interner.ever()
+        self.interner.lock().expect("interner lock").ever()
     }
 
     /// Interner slot capacity: high-water mark of simultaneously live
     /// sets (freed slots are recycled, so this stays bounded under
     /// churn).
     pub fn set_slot_capacity(&self) -> usize {
-        self.interner.capacity()
-    }
-
-    /// Currently recycled (free) interner slots (diagnostics).
-    pub fn free_set_slots(&self) -> usize {
-        self.interner.free_slots()
-    }
-
-    /// Iterates `(start, end, writers)` over all intervals in address
-    /// order (diagnostics).
-    pub fn intervals(&self) -> impl Iterator<Item = (Word, Word, &[PrincipalId])> + '_ {
-        let interner = &self.interner;
-        self.shards
-            .iter()
-            .flat_map(move |sh| sh.intervals(interner))
+        self.interner.lock().expect("interner lock").capacity()
     }
 
     /// Panics unless the structural invariants hold: sorted disjoint
@@ -937,84 +859,28 @@ impl WriterIndex {
     /// presence map matching its interval membership. Test/proptest hook.
     #[doc(hidden)]
     pub fn check_invariants(&self) {
-        let mut refs = vec![0u32; self.interner.capacity()];
-        for (si, sh) in self.shards.iter().enumerate() {
-            sh.check_invariants(
-                &self.interner,
-                &mut refs,
-                shard_lo(&self.boundaries, si),
-                shard_hi(&self.boundaries, si),
-            );
+        // Shards before interner, matching the splice lock order (the
+        // interner is a leaf — taking it first could deadlock against a
+        // concurrent mutation holding a shard).
+        let shards: Vec<_> = self
+            .shards
+            .iter()
+            .map(|s| s.lock().expect("shard lock"))
+            .collect();
+        let interner = self.interner.lock().expect("interner lock");
+        let mut refs = vec![0u32; interner.capacity()];
+        for (si, sh) in shards.iter().enumerate() {
+            let (lo, hi) = self.shard_bounds(si);
+            sh.check_invariants(&interner, &mut refs, lo, hi);
         }
-        self.interner.check_consistency(&refs);
+        interner.check_consistency(&refs);
     }
-}
 
-/// Iterator over the deduplicated writers of a range; see
-/// [`WriterIndex::writers_over`].
-pub struct WritersOver<'a> {
-    index: &'a WriterIndex,
-    addr: Word,
-    end: Word,
-    s_first: usize,
-    s_last: usize,
-    s: usize,
-    win: (usize, usize),
-    j: usize,
-    k: usize,
-}
-
-impl WritersOver<'_> {
-    /// True if `w` was already yielded from an earlier overlapping
-    /// interval (possibly in an earlier shard). Ranges rarely span more
-    /// than one interval, so this almost never iterates.
-    fn already_yielded(&self, w: PrincipalId, sid: WriterSetId) -> bool {
-        for ss in self.s_first..=self.s {
-            let sh = &self.index.shards[ss];
-            let (wlo, whi) = if ss == self.s {
-                (self.win.0, self.j)
-            } else {
-                sh.window(self.addr, self.end)
-            };
-            for jj in wlo..whi {
-                let sj = sh.sets[jj];
-                if sj == sid || self.index.interner.get(sj).binary_search(&w).is_ok() {
-                    return true;
-                }
-            }
-        }
-        false
-    }
-}
-
-impl Iterator for WritersOver<'_> {
-    type Item = PrincipalId;
-
-    fn next(&mut self) -> Option<PrincipalId> {
-        loop {
-            if self.j >= self.win.1 {
-                if self.s >= self.s_last {
-                    return None;
-                }
-                self.s += 1;
-                self.win = self.index.shards[self.s].window(self.addr, self.end);
-                self.j = self.win.0;
-                self.k = 0;
-                continue;
-            }
-            let sh = &self.index.shards[self.s];
-            let sid = sh.sets[self.j];
-            let set = self.index.interner.get(sid);
-            while self.k < set.len() {
-                let w = set[self.k];
-                self.k += 1;
-                if !self.already_yielded(w, sid) {
-                    return Some(w);
-                }
-            }
-            self.j += 1;
-            self.k = 0;
-        }
+    /// Runs `f` on the shared interner (the interner equivalence test
+    /// drains its call log here).
+    #[cfg(test)]
+    pub(crate) fn with_interner<R>(&self, f: impl FnOnce(&mut SetInterner) -> R) -> R {
+        f(&mut self.interner.lock().expect("interner lock"))
     }
 }
 
@@ -1027,12 +893,24 @@ mod tests {
     const P2: PrincipalId = PrincipalId(2);
 
     fn writers(ix: &WriterIndex, addr: Word, len: u64) -> Vec<PrincipalId> {
-        ix.writers_over(addr, len).collect()
+        let mut out = Vec::new();
+        ix.collect_writers(addr, len, &mut out);
+        out
+    }
+
+    /// The kfree presence hint over a range, walked to the end.
+    fn present_over(ix: &WriterIndex, addr: Word, len: u64) -> Vec<PrincipalId> {
+        let (mut out, mut from) = (Vec::new(), 0);
+        while let Some(p) = ix.next_present(addr, len, from) {
+            from = p.0 as usize + 1;
+            out.push(p);
+        }
+        out
     }
 
     #[test]
     fn single_grant_single_writer() {
-        let mut ix = WriterIndex::new();
+        let ix = WriterIndex::new();
         ix.add(P0, 0x1000, 64);
         ix.check_invariants();
         assert_eq!(writers(&ix, 0x1000, 8), vec![P0]);
@@ -1046,7 +924,7 @@ mod tests {
 
     #[test]
     fn overlapping_grants_union_and_split() {
-        let mut ix = WriterIndex::new();
+        let ix = WriterIndex::new();
         ix.add(P0, 0x1000, 0x100);
         ix.add(P1, 0x1080, 0x100);
         ix.check_invariants();
@@ -1060,7 +938,7 @@ mod tests {
 
     #[test]
     fn remove_merges_back() {
-        let mut ix = WriterIndex::new();
+        let ix = WriterIndex::new();
         ix.add(P0, 0x1000, 0x100);
         ix.add(P1, 0x1080, 0x10);
         assert_eq!(ix.interval_count(), 3);
@@ -1072,7 +950,7 @@ mod tests {
 
     #[test]
     fn remove_creates_gap() {
-        let mut ix = WriterIndex::new();
+        let ix = WriterIndex::new();
         ix.add(P0, 0x1000, 0x30);
         ix.remove(P0, 0x1010, 0x10);
         ix.check_invariants();
@@ -1086,7 +964,7 @@ mod tests {
 
     #[test]
     fn idempotent_add_does_not_fragment() {
-        let mut ix = WriterIndex::new();
+        let ix = WriterIndex::new();
         ix.add(P0, 0x1000, 0x100);
         ix.add(P0, 0x1040, 0x10); // interior re-grant, same writer
         ix.check_invariants();
@@ -1095,7 +973,7 @@ mod tests {
 
     #[test]
     fn adjacent_same_set_coalesces() {
-        let mut ix = WriterIndex::new();
+        let ix = WriterIndex::new();
         ix.add(P0, 0x1000, 0x40);
         ix.add(P0, 0x1040, 0x40);
         ix.check_invariants();
@@ -1105,7 +983,7 @@ mod tests {
 
     #[test]
     fn three_writers_dedup_across_intervals() {
-        let mut ix = WriterIndex::new();
+        let ix = WriterIndex::new();
         ix.add(P0, 0x1000, 0x100);
         ix.add(P1, 0x1000, 0x80);
         ix.add(P2, 0x1040, 0x100);
@@ -1118,7 +996,7 @@ mod tests {
 
     #[test]
     fn near_max_saturates() {
-        let mut ix = WriterIndex::new();
+        let ix = WriterIndex::new();
         ix.add(P0, u64::MAX - 8, 16); // clamps to [MAX-8, MAX)
         ix.check_invariants();
         assert_eq!(writers(&ix, u64::MAX - 4, 8), vec![P0]);
@@ -1131,7 +1009,7 @@ mod tests {
 
     #[test]
     fn zero_len_probe_is_empty() {
-        let mut ix = WriterIndex::new();
+        let ix = WriterIndex::new();
         ix.add(P0, 0x1000, 64);
         assert!(writers(&ix, 0x1010, 0).is_empty());
         assert!(!ix.overlaps(0x1010, 0));
@@ -1139,7 +1017,7 @@ mod tests {
 
     #[test]
     fn set_interning_shares_ids_and_gcs_transients() {
-        let mut ix = WriterIndex::new();
+        let ix = WriterIndex::new();
         for i in 0..8u64 {
             ix.add(P0, 0x1000 + i * 0x100, 0x40);
             ix.add(P1, 0x1000 + i * 0x100, 0x40);
@@ -1163,7 +1041,7 @@ mod tests {
 
     #[test]
     fn removing_last_reference_frees_the_set() {
-        let mut ix = WriterIndex::new();
+        let ix = WriterIndex::new();
         ix.add(P0, 0x1000, 0x40);
         ix.add(P1, 0x1000, 0x40);
         assert_eq!(ix.set_count(), 2); // {}, {P0,P1}
@@ -1174,35 +1052,38 @@ mod tests {
         ix.check_invariants();
         assert_eq!(ix.set_count(), 1, "only the pinned empty set remains");
         assert_eq!(ix.interval_count(), 0);
-        assert!(ix.free_set_slots() > 0, "slots await recycling");
+        assert!(
+            ix.with_interner(|it| it.free.len()) > 0,
+            "slots await recycling"
+        );
     }
 
     #[test]
     fn presence_tracks_interval_membership() {
-        let mut ix = WriterIndex::new();
-        assert!(ix.present_over(0x1000, 0x100).is_empty());
+        let ix = WriterIndex::new();
+        assert!(present_over(&ix, 0x1000, 0x100).is_empty());
         ix.add(P0, 0x1000, 0x100);
         ix.add(P1, 0x1080, 0x10);
         ix.check_invariants();
         // Single shard: presence is shard-wide (a superset of the
         // range's writers).
-        assert_eq!(ix.present_over(0x1000, 8), vec![P0, P1]);
+        assert_eq!(present_over(&ix, 0x1000, 8), vec![P0, P1]);
         ix.remove(P1, 0x1080, 0x10);
-        assert_eq!(ix.present_over(0x1000, 8), vec![P0]);
+        assert_eq!(present_over(&ix, 0x1000, 8), vec![P0]);
         ix.remove(P0, 0x1000, 0x100);
-        assert!(ix.present_over(0x1000, 8).is_empty());
+        assert!(present_over(&ix, 0x1000, 8).is_empty());
     }
 
     #[test]
     fn presence_is_per_shard() {
-        let mut ix = WriterIndex::with_boundaries(vec![0x2000]);
+        let ix = WriterIndex::with_boundaries(vec![0x2000]);
         ix.add(P0, 0x1000, 0x100); // shard 0
         ix.add(P1, 0x3000, 0x100); // shard 1
         ix.check_invariants();
-        assert_eq!(ix.present_over(0x1000, 8), vec![P0]);
-        assert_eq!(ix.present_over(0x3000, 8), vec![P1]);
+        assert_eq!(present_over(&ix, 0x1000, 8), vec![P0]);
+        assert_eq!(present_over(&ix, 0x3000, 8), vec![P1]);
         // A range spanning the boundary unions both shards' presence.
-        assert_eq!(ix.present_over(0x1000, 0x3000), vec![P0, P1]);
+        assert_eq!(present_over(&ix, 0x1000, 0x3000), vec![P0, P1]);
     }
 
     // ------------------------------------------------------------ shards
@@ -1210,8 +1091,8 @@ mod tests {
     #[test]
     fn sharded_answers_match_unsharded() {
         let bounds = vec![0x1080, 0x1100, 0x2000];
-        let mut sharded = WriterIndex::with_boundaries(bounds);
-        let mut flat = WriterIndex::new();
+        let sharded = WriterIndex::with_boundaries(bounds);
+        let flat = WriterIndex::new();
         let ops: &[(PrincipalId, Word, u64)] = &[
             (P0, 0x1000, 0x100), // crosses 0x1080
             (P1, 0x1040, 0x200), // crosses 0x1080 and 0x1100
@@ -1253,7 +1134,7 @@ mod tests {
 
     #[test]
     fn boundary_crossing_grant_splits_per_shard() {
-        let mut ix = WriterIndex::with_boundaries(vec![0x1080]);
+        let ix = WriterIndex::with_boundaries(vec![0x1080]);
         assert_eq!(ix.shard_count(), 2);
         ix.add(P0, 0x1000, 0x100);
         ix.check_invariants();
@@ -1270,13 +1151,13 @@ mod tests {
     #[test]
     fn boundaries_normalize() {
         let ix = WriterIndex::with_boundaries(vec![0x2000, 0, 0x1000, 0x2000]);
-        assert_eq!(ix.boundaries(), &[0x1000, 0x2000]);
+        assert_eq!(ix.boundaries, &[0x1000, 0x2000]);
         assert_eq!(ix.shard_count(), 3);
     }
 
     #[test]
     fn near_max_sharded_saturates() {
-        let mut ix = WriterIndex::with_boundaries(vec![u64::MAX - 0x100]);
+        let ix = WriterIndex::with_boundaries(vec![u64::MAX - 0x100]);
         ix.add(P0, u64::MAX - 0x180, 0x1000); // clamps to [MAX-0x180, MAX)
         ix.check_invariants();
         assert_eq!(ix.interval_count(), 2, "split at the boundary");
@@ -1448,7 +1329,7 @@ mod tests {
                 .map(|i| core.principal_for_name(m, 0x9000 + i as u64 * 8))
                 .collect();
             let mut model = AllocatingInterner::new();
-            core.with_interner(|it| model.assert_same(it));
+            core.index.with_interner(|it| model.assert_same(it));
             for op in ops {
                 match *op {
                     Op::Grant(p, a, s) => core.grant(ps[p], RawCap::write(a, s)),
@@ -1462,7 +1343,7 @@ mod tests {
                         core.revoke_write_overlapping_everywhere(a, s);
                     }
                 }
-                core.with_interner(|it| {
+                core.index.with_interner(|it| {
                     for call in it.log.drain(..) {
                         model.replay(call);
                     }

@@ -24,10 +24,14 @@
 //! non-empty refcounted sets, full within-shard coalescing) are
 //! asserted after every operation.
 //!
-//! Every sequence additionally runs under **sharded** writer indexes —
-//! proptest-chosen boundaries inside the op universe plus fixed
-//! near-`MAX` boundaries — since shard-boundary splits must never change
-//! a `writers_of` answer.
+//! Every sequence additionally runs under **sharded** cores built with
+//! `RuntimeCore::with_shard_boundaries`, the shape the kernel runs (the
+//! writer-map stripes are split too) — proptest-chosen boundaries inside
+//! the op universe, a fixed list that is unsorted, duplicated, zero and
+//! not page-aligned, and fixed near-`MAX` boundaries — since
+//! shard-boundary splits must never change a `writers_of` answer.
+
+use std::sync::Arc;
 
 use proptest::prelude::*;
 
@@ -125,9 +129,11 @@ fn linear_walk(rt: &RuntimeCore, addr: u64) -> Vec<PrincipalId> {
         .collect()
 }
 
-/// A runtime with `NPRINC` instance principals to mutate.
-fn runtime_with_principals() -> (GuardHandle, Vec<PrincipalId>) {
-    let rt: GuardHandle = GuardHandle::new(Default::default());
+/// A runtime sharded at `boundaries`, with `NPRINC` instance principals
+/// to mutate.
+fn runtime_with_principals(boundaries: Vec<u64>) -> (GuardHandle, Vec<PrincipalId>) {
+    let rt: GuardHandle =
+        GuardHandle::new(Arc::new(RuntimeCore::with_shard_boundaries(boundaries)));
     let m = rt.register_module("pt");
     let princs: Vec<PrincipalId> = (0..NPRINC)
         .map(|i| rt.principal_for_name(m, 0x9000 + i as u64 * 8))
@@ -167,11 +173,10 @@ fn check_sequence(ops: &[Op]) {
     check_sequence_sharded(ops, Vec::new());
 }
 
-/// Like [`check_sequence`], but the runtime's writer index is sharded at
-/// the given boundaries first.
+/// Like [`check_sequence`], but the runtime is built sharded at the
+/// given boundaries.
 fn check_sequence_sharded(ops: &[Op], boundaries: Vec<u64>) {
-    let (mut rt, princs) = runtime_with_principals();
-    rt.set_shard_boundaries(boundaries);
+    let (mut rt, princs) = runtime_with_principals(boundaries);
     let mut naive = Naive::new(NPRINC);
 
     for op in ops {
@@ -243,13 +248,17 @@ proptest! {
     }
 
     /// Sharded at proptest-chosen boundaries inside (and around) the op
-    /// universe: boundary splits never change an answer.
+    /// universe, and at a fixed list the constructor must normalize
+    /// (unsorted, duplicated, zero, not page-aligned, so shard and
+    /// writer-map stripe boundaries differ): boundary splits never
+    /// change an answer.
     #[test]
     fn writer_index_matches_sharded(
         ops in proptest::collection::vec(arb_op(), 1..40),
         boundaries in proptest::collection::vec(0x10_0000u64..0x10_2100, 1..5),
     ) {
         check_sequence_sharded(&ops, boundaries);
+        check_sequence_sharded(&ops, vec![0x10_1234, 0, 0x10_0801, 0x10_1234, 0x10_0040]);
     }
 
     /// Sharded agreement where end arithmetic saturates: boundaries in

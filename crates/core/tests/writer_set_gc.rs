@@ -10,11 +10,8 @@ use lxfi_core::{RawCap, RuntimeCore};
 const NPRINC: u64 = 16;
 const ROUNDS: u64 = 4000;
 
-fn churn(rt: &RuntimeCore, sharded: bool) {
+fn churn(rt: &RuntimeCore) {
     let m = rt.register_module("gc");
-    if sharded {
-        rt.set_shard_boundaries(vec![0x50_0400, 0x50_0800, 0x50_0c00]);
-    }
     let ps: Vec<_> = (0..NPRINC)
         .map(|i| rt.principal_for_name(m, 0x9000 + i * 8))
         .collect();
@@ -63,13 +60,13 @@ fn assert_bounded(rt: &RuntimeCore) {
 #[test]
 fn interned_sets_stay_bounded_under_churn() {
     let rt = RuntimeCore::new();
-    churn(&rt, false);
+    churn(&rt);
     assert_bounded(&rt);
 }
 
 #[test]
 fn interned_sets_stay_bounded_under_churn_sharded() {
-    let rt = RuntimeCore::new();
-    churn(&rt, true);
+    let rt = RuntimeCore::with_shard_boundaries(vec![0x50_0400, 0x50_0800, 0x50_0c00]);
+    churn(&rt);
     assert_bounded(&rt);
 }

@@ -305,17 +305,16 @@ impl KernelCpu {
 
     /// Frees live slab objects whose WRITE coverage belongs only to the
     /// dying module's principals: the `kfree` prologue, then the slot
-    /// goes back to its shard rather than this CPU's magazine.
+    /// goes back to its shard rather than this CPU's magazine. The
+    /// writer index names each object's holders in one query.
     fn sweep_module_slab(&mut self, victims: &[PrincipalId]) {
         let rtc = self.core.runtime_core();
         let ts = rtc.tombstone();
         let objects = self.slab().live_objects();
+        let mut holders = Vec::new();
         for (addr, _size, class) in objects {
-            let holders: Vec<PrincipalId> = rtc
-                .present_over(addr, class)
-                .into_iter()
-                .filter(|&p| rtc.write_overlaps(p, addr, class))
-                .collect();
+            holders.clear();
+            rtc.collect_writers(addr, class, &mut holders);
             let dead_holds = holders.iter().any(|p| victims.contains(p));
             let live_holds = holders
                 .iter()
