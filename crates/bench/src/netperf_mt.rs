@@ -270,10 +270,12 @@ mod tests {
     #[test]
     fn world_shards_isolate_worker_arenas() {
         let w = build_world(4);
-        // Each worker's grants live in its own shard; the kfree hint
-        // for one arena names only that worker, so a sweep there visits
-        // exactly one principal and it is that worker.
-        let sweep = w.core.revoke_write_overlapping_everywhere(arena(2), 0x1000);
+        // Each worker's grants live in its own shard; the index names
+        // only that worker as a holder of one arena, so a sweep there
+        // visits exactly one principal and it is that worker.
+        let sweep = w
+            .core
+            .revoke_write_overlapping_everywhere(arena(2), 0x1000, &mut Vec::new());
         assert_eq!(sweep.visited, 1);
         assert!(!w.core.write_overlaps(w.workers[2], arena(2), 0x1000));
         w.core.check_index_invariants();

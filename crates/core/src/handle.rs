@@ -55,7 +55,8 @@ pub struct GuardHandle<const W: usize = DEFAULT_WAYS> {
     shadow: ShadowStack,
     kstack: Option<(Word, u64)>,
     cache: EpochCache<W>,
-    /// Reusable writer buffer for the indirect-call slow path.
+    /// Reusable writer buffer for the indirect-call slow path, the
+    /// kfree sweep and WRITE transfers.
     scratch: Vec<PrincipalId>,
     /// Reusable buffer annotation actions resolve a caplist into, so a
     /// capability handoff allocates nothing.
@@ -300,15 +301,16 @@ impl<const W: usize> GuardHandle<W> {
     /// semantics: revoke everywhere, then grant to the destination).
     ///
     /// WRITE capabilities take [`RuntimeCore::transfer_write`], which
-    /// splices the single holder's index coverage to the destination in
-    /// one shard pass when the reverse index shows at most one holder —
+    /// asks the reverse index for the range's holders: a single holder's
+    /// index coverage is spliced to the destination in one shard pass —
     /// the common per-packet case (counted in
-    /// [`GuardStats::transfer_fast`]). Multi-holder WRITE caps and every
-    /// non-WRITE cap fall back to the full revoke-then-grant sweep
-    /// (counted in [`GuardStats::transfer_slow`]).
+    /// [`GuardStats::transfer_fast`]) — and several holders each lose
+    /// `cap` before the grant. That multi-holder case and every
+    /// non-WRITE cap, which takes the full revoke-then-grant walk, count
+    /// in [`GuardStats::transfer_slow`].
     pub fn transfer_cap(&mut self, cap: RawCap, dst: Option<PrincipalId>) {
         if cap.ctype == CapType::Write {
-            let (fast, bumps) = self.core.transfer_write(cap, dst);
+            let (fast, bumps) = self.core.transfer_write(cap, dst, &mut self.scratch);
             self.stats.epoch_bumps += bumps;
             if fast {
                 self.stats.transfer_fast += 1;
@@ -326,11 +328,13 @@ impl<const W: usize> GuardHandle<W> {
     }
 
     /// See [`RuntimeCore::revoke_write_overlapping_everywhere`]. In debug
-    /// builds the per-shard presence hint is asserted against the full
-    /// walk: after the sweep no principal — hinted or not — may retain
-    /// an overlapping grant.
+    /// builds the holder collection is asserted against the full walk:
+    /// after the sweep no principal — collected or not — may retain an
+    /// overlapping grant.
     pub fn revoke_write_overlapping_everywhere(&mut self, addr: Word, size: u64) {
-        let sweep = self.core.revoke_write_overlapping_everywhere(addr, size);
+        let sweep = self
+            .core
+            .revoke_write_overlapping_everywhere(addr, size, &mut self.scratch);
         self.stats.epoch_bumps += sweep.epoch_bumps;
         self.stats.kfree_hint_visited += sweep.visited;
         self.stats.kfree_hint_skipped += sweep.skipped;
@@ -339,7 +343,7 @@ impl<const W: usize> GuardHandle<W> {
             for i in 0..self.core.principal_count() {
                 debug_assert!(
                     !self.core.write_overlaps(PrincipalId(i as u32), addr, size),
-                    "kfree hint missed principal {i}: a grant overlapping \
+                    "kfree sweep missed principal {i}: a grant overlapping \
                      [{addr:#x}, +{size}) survived the sweep"
                 );
             }

@@ -67,7 +67,7 @@ use crate::caps::{CapSet, CapType, RawCap, RefTypeId};
 use crate::principal::{ModuleId, ModuleInfo, PrincipalId, PrincipalKind};
 use crate::shadow::PrincipalCtx;
 use crate::stats::GuardStats;
-use crate::writer_index::{Holders, WriterIndex};
+use crate::writer_index::WriterIndex;
 use crate::writer_set::{StripedWriterMap, ZeroNoteToken};
 use crate::Violation;
 
@@ -236,9 +236,10 @@ impl SlotTable {
 pub struct KfreeSweep {
     /// Per-principal epoch bumps the sweep caused.
     pub epoch_bumps: u64,
-    /// Principals visited (present in the freed region's shards).
+    /// Principals visited: the freed range's WRITE holders.
     pub visited: u64,
-    /// Principals the presence hint let the sweep skip.
+    /// Principals the sweep skipped because they hold no WRITE coverage
+    /// of the range.
     pub skipped: u64,
 }
 
@@ -273,13 +274,13 @@ pub struct RuntimeCore {
     /// Merged per-thread handle stats (handles flush here on drop or via
     /// [`crate::GuardHandle::flush_stats`]).
     stats: Mutex<GuardStats>,
-    /// Whether debug builds cross-check the kfree presence hint with a
-    /// full principal walk after each sweep. Only sound while one
-    /// thread mutates capabilities: a concurrent grant landing between
-    /// the sweep and the walk (e.g. another CPU transfer-granting a
-    /// freshly reallocated slab object at the same address) is
-    /// indistinguishable from a hint miss. The multi-CPU kernel turns
-    /// this off when its second CPU comes up.
+    /// Whether debug builds cross-check each kfree sweep with a full
+    /// principal walk. Only sound while one thread mutates
+    /// capabilities: a concurrent grant landing between the sweep and
+    /// the walk (e.g. another CPU transfer-granting a freshly
+    /// reallocated slab object at the same address) is
+    /// indistinguishable from a holder the sweep missed. The multi-CPU
+    /// kernel turns this off when its second CPU comes up.
     kfree_cross_check: std::sync::atomic::AtomicBool,
 }
 
@@ -312,13 +313,13 @@ impl RuntimeCore {
         }
     }
 
-    /// Disables the debug-build kfree-hint cross-check (see the field
+    /// Disables the debug-build kfree-sweep cross-check (see the field
     /// docs): call before concurrent capability mutators start.
     pub fn disable_kfree_cross_check(&self) {
         self.kfree_cross_check.store(false, Ordering::Release);
     }
 
-    /// Whether the debug-build kfree-hint cross-check is active.
+    /// Whether the debug-build kfree-sweep cross-check is active.
     pub fn kfree_cross_check_enabled(&self) -> bool {
         self.kfree_cross_check.load(Ordering::Acquire)
     }
@@ -458,8 +459,8 @@ impl RuntimeCore {
     /// (tombstone holds no CALLs) instead of falling through the
     /// empty-writer-set fast exit and dispatching the planted pointer
     /// with kernel privilege. Tombstone coverage drains through the same
-    /// legitimate channels as any writer's: `kfree` sweeps, zeroing
-    /// (`note_zeroed`), and transfer-grants over reused memory.
+    /// legitimate channels as any writer's: `kfree` sweeps and
+    /// transfer-grants over reused memory.
     ///
     /// Lazy creation keeps principal numbering untouched for runtimes
     /// that never retire anything; callers that need deterministic ids
@@ -511,8 +512,8 @@ impl RuntimeCore {
     /// more (the kernel's quarantine path drains in-flight executions
     /// through its RCU grace period first). A `kfree` sweep racing the
     /// transfer can at worst leave the tombstone holding coverage over a
-    /// freed range — a conservative deny that the next sweep, zeroing,
-    /// or transfer-grant over that range clears.
+    /// freed range — a conservative deny that the next sweep or
+    /// transfer-grant over that range clears.
     pub fn retire_module(&self, mid: ModuleId) -> RetireSweep {
         let ts = self.ensure_tombstone();
         let mut sweep = RetireSweep::default();
@@ -686,40 +687,48 @@ impl RuntimeCore {
     }
 
     /// `transfer` semantics for a WRITE capability: revoke `cap` from
-    /// everyone, then grant it to `dst` (if any). When the reverse
-    /// writer index shows **at most one** holder over the range — the
-    /// per-packet skb case — the grant moves principal-to-principal
-    /// with one shard substitution splice and one epoch-bump set,
-    /// instead of walking every live principal's table
-    /// ([`RuntimeCore::revoke_everywhere`]). Returns
-    /// `(fast_path_taken, epoch_bumps)`.
+    /// everyone, then grant it to `dst` (if any). The reverse writer
+    /// index names the range's holders into `holders` (a caller-owned
+    /// buffer, cleared first), so only they are visited — never the
+    /// whole principal list. With **at most one** holder — the
+    /// per-packet skb case — the grant moves principal-to-principal with
+    /// one shard substitution splice and one epoch-bump set; with
+    /// several, `cap` is revoked from each in ascending id order and
+    /// then granted. Returns `(fast_path_taken, epoch_bumps)`.
     ///
-    /// Equivalence with the sweep: holding the exact grant implies
-    /// overlapping index coverage, so a principal the index does not
-    /// list over the range cannot hold `cap` — revoking from the one
-    /// indexed holder revokes everything the full walk would have. A
-    /// grant racing in after the holder scan survives either path (the
-    /// sweep visits principals one at a time and can equally miss it);
-    /// the substitution itself runs under the source's caps mutex with
-    /// each shard's remove-and-reinstate atomic per shard, and the
-    /// destination enters the index *before* its table grant (the same
-    /// conservative index-before-table order as [`RuntimeCore::grant`]).
-    pub fn transfer_write(&self, cap: RawCap, dst: Option<PrincipalId>) -> (bool, u64) {
+    /// Equivalence with [`RuntimeCore::revoke_everywhere`]: a principal
+    /// whose table holds `cap` is indexed over `cap`'s range ([`grant`]
+    /// indexes before its table insert, and a revocation unindexes under
+    /// the table's mutex), so the collected holders include everyone the
+    /// full walk would have revoked from. A grant racing in after the
+    /// collection survives either path (the walk visits principals one
+    /// at a time and can equally miss it); the substitution itself runs
+    /// under the source's caps mutex with each shard's
+    /// remove-and-reinstate atomic per shard, and the destination enters
+    /// the index *before* its table grant (the same conservative
+    /// index-before-table order as [`grant`]).
+    ///
+    /// [`grant`]: RuntimeCore::grant
+    pub fn transfer_write(
+        &self,
+        cap: RawCap,
+        dst: Option<PrincipalId>,
+        holders: &mut Vec<PrincipalId>,
+    ) -> (bool, u64) {
         debug_assert_eq!(cap.ctype, CapType::Write);
-        let holder = match self.index.holders(cap.addr, cap.size) {
-            Holders::Many => {
-                let bumps = self.revoke_everywhere(cap);
-                if let Some(d) = dst {
-                    self.grant(d, cap);
-                }
-                return (false, bumps);
-            }
-            Holders::One(h) => Some(h),
-            Holders::None => None,
-        };
+        self.collect_holders(cap.addr, cap.size, holders);
         let mut bumps = 0;
+        if holders.len() > 1 {
+            for &h in holders.iter() {
+                bumps += self.revoke(h, cap).1;
+            }
+            if let Some(d) = dst {
+                self.grant(d, cap);
+            }
+            return (false, bumps);
+        }
         let mut dst_indexed = false;
-        if let Some(h) = holder {
+        if let Some(&h) = holders.first() {
             let removed = {
                 let mut caps = self.slot(h).caps.lock().expect("caps lock");
                 let removed = caps.revoke(cap);
@@ -751,39 +760,39 @@ impl RuntimeCore {
         (true, bumps)
     }
 
+    /// Replaces `holders` with the WRITE holders of `[addr, addr+size)`
+    /// in ascending id order (the order a full principal walk visits).
+    fn collect_holders(&self, addr: Word, size: u64, holders: &mut Vec<PrincipalId>) {
+        holders.clear();
+        self.index.collect_writers(addr, size, holders);
+        holders.sort_unstable();
+    }
+
     /// Revokes all WRITE capabilities overlapping `[addr, addr+size)` from
     /// every principal that holds any (used by `kfree`: freed memory must
-    /// have no outstanding capabilities). The per-shard principal-presence
-    /// hint bounds the sweep to the freed region's writers instead of
-    /// walking every principal's table; callers in debug builds assert
-    /// the hint against the full walk (see
+    /// have no outstanding capabilities). The reverse writer index names
+    /// the range's holders into `holders` (a caller-owned buffer, cleared
+    /// first), and only they are visited, in ascending id order, instead
+    /// of every principal's table; callers in debug builds assert the
+    /// result against the full walk (see
     /// [`crate::GuardHandle::revoke_write_overlapping_everywhere`]).
-    pub fn revoke_write_overlapping_everywhere(&self, addr: Word, size: u64) -> KfreeSweep {
-        let total = self.principal_count() as u64;
-        let mut sweep = KfreeSweep::default();
-        // Walk the hint in principal order, one step at a time: visiting
-        // `p` only changes `p`'s own presence, so the walk sees exactly
-        // the principals a snapshot taken up front would have held.
-        let mut from = 0;
-        while let Some(p) = self.index.next_present(addr, size, from) {
-            from = p.0 as usize + 1;
-            sweep.visited += 1;
-            let span = {
-                let mut caps = self.slot(p).caps.lock().expect("caps lock");
-                let (_, span) = caps.write.revoke_overlapping_span(addr, size);
-                // A partially intersected grant is revoked whole, so the
-                // lost coverage can reach beyond [addr, addr+size):
-                // un-index the actual extent of what was removed.
-                if let Some((lo, hi)) = span {
-                    self.unindex_write_locked(p, lo, hi - lo, &caps);
-                }
-                span
-            };
-            if span.is_some() {
-                sweep.epoch_bumps += self.bump_write_epochs(p);
-            }
+    pub fn revoke_write_overlapping_everywhere(
+        &self,
+        addr: Word,
+        size: u64,
+        holders: &mut Vec<PrincipalId>,
+    ) -> KfreeSweep {
+        // Visiting a holder only removes that holder's own coverage, so
+        // the up-front collection is exactly the set to visit.
+        self.collect_holders(addr, size, holders);
+        let mut sweep = KfreeSweep {
+            visited: holders.len() as u64,
+            ..KfreeSweep::default()
+        };
+        for &p in holders.iter() {
+            sweep.epoch_bumps += self.revoke_write_overlapping(p, addr, size);
         }
-        sweep.skipped = total.saturating_sub(sweep.visited);
+        sweep.skipped = (self.principal_count() as u64).saturating_sub(sweep.visited);
         sweep
     }
 
@@ -798,6 +807,9 @@ impl RuntimeCore {
         let span = {
             let mut caps = self.slot(p).caps.lock().expect("caps lock");
             let (_, span) = caps.write.revoke_overlapping_span(addr, size);
+            // A partially intersected grant is revoked whole, so the
+            // lost coverage can reach beyond [addr, addr+size): un-index
+            // the actual extent of what was removed.
             if let Some((lo, hi)) = span {
                 self.unindex_write_locked(p, lo, hi - lo, &caps);
             }
@@ -861,7 +873,7 @@ impl RuntimeCore {
     }
 
     /// True if `p`'s own table has a grant overlapping the range (debug
-    /// hook for the kfree hint assertion).
+    /// hook for the kfree sweep's full-walk cross-check).
     pub fn write_overlaps(&self, p: PrincipalId, addr: Word, len: u64) -> bool {
         self.slot(p)
             .caps
@@ -978,11 +990,6 @@ impl RuntimeCore {
     /// True if the writer-set fast path would skip checks for `addr`.
     pub fn writer_clean(&self, addr: Word) -> bool {
         !self.writer_map.maybe_written(addr)
-    }
-
-    /// Gauge: total marked writer-map granules (lock-free stripe census).
-    pub fn marked_granules(&self) -> u64 {
-        self.writer_map.marked_granules()
     }
 
     // ---------------------------------------------------------- iterators
@@ -1285,6 +1292,27 @@ mod tests {
         rt.revoke_everywhere(cap);
         assert!(!rt.owns(a, cap));
         assert!(!rt.owns(b, cap));
+
+        // A transfer with several holders revokes `cap` from each one
+        // the index names; a bystander with a different, overlapping
+        // grant keeps it (and its cached guards).
+        let c = rt.principal_for_name(m, 0xb000);
+        let d = rt.principal_for_name(m, 0xc000);
+        let other = RawCap::write(0x4ff0, 0x20);
+        rt.grant(a, cap);
+        rt.grant(b, cap);
+        rt.grant(c, other);
+        let c_epoch = rt.write_epoch(c);
+        rt.stats.reset();
+        rt.transfer_cap(cap, Some(d));
+        assert!(!rt.owns(a, cap));
+        assert!(!rt.owns(b, cap));
+        assert!(rt.owns(c, other), "bystander keeps its own grant");
+        assert_eq!(rt.write_epoch(c), c_epoch, "bystander's epoch unmoved");
+        assert!(rt.owns(d, cap));
+        assert_eq!(rt.stats.transfer_slow, 1);
+        assert_eq!(rt.writers_of(0x5000), vec![c, d]);
+        rt.check_index_invariants();
     }
 
     #[test]
@@ -1434,26 +1462,33 @@ mod tests {
 
     #[test]
     fn kfree_hint_bounds_the_sweep_to_present_principals() {
-        // Three principals in three different shards; freeing a region
-        // in shard 1 must visit only the principal present there, and
-        // the debug assertion cross-checks the full walk.
+        // Three principals in three different shards, plus a bystander
+        // in b's shard whose grant misses the freed range: the sweep
+        // must visit only the range's holder, and the debug assertion
+        // cross-checks the full walk.
         let core = RuntimeCore::with_shard_boundaries(vec![0x2000, 0x4000]);
         let mut rt: GuardHandle = GuardHandle::new(Arc::new(core));
         let m = rt.register_module("kfree");
         let a = rt.principal_for_name(m, 0x9000); // shard 0
         let b = rt.principal_for_name(m, 0xa000); // shard 1
         let c = rt.principal_for_name(m, 0xb000); // shard 2
+        let d = rt.principal_for_name(m, 0xc000); // shard 1, bystander
         rt.grant(a, RawCap::write(0x1000, 0x100));
         rt.grant(b, RawCap::write(0x3000, 0x100));
         rt.grant(c, RawCap::write(0x5000, 0x100));
+        rt.grant(d, RawCap::write(0x3800, 0x100));
+        let d_epoch = rt.write_epoch(d);
         rt.stats.reset();
         rt.revoke_write_overlapping_everywhere(0x3000, 0x80);
         assert!(!rt.owns(b, RawCap::write(0x3000, 8)), "b's grant revoked");
         assert!(rt.owns(a, RawCap::write(0x1000, 8)), "a untouched");
         assert!(rt.owns(c, RawCap::write(0x5000, 8)), "c untouched");
+        assert!(rt.owns(d, RawCap::write(0x3800, 8)), "d untouched");
+        assert_eq!(rt.write_epoch(d), d_epoch, "d's epoch unmoved");
         assert_eq!(rt.stats.kfree_hint_visited, 1, "only b visited");
-        // a, c, and the module's shared+global principals were skipped.
-        assert_eq!(rt.stats.kfree_hint_skipped, 4);
+        // a, c, d, and the module's shared+global principals were
+        // skipped.
+        assert_eq!(rt.stats.kfree_hint_skipped, 5);
         rt.check_index_invariants();
     }
 

@@ -126,11 +126,12 @@ pub struct GuardStats {
     /// this counts how much cached state revocation traffic destroyed.
     pub epoch_bumps: u64,
     /// Principals a `kfree`-style sweep
-    /// (`revoke_write_overlapping_everywhere`) actually visited, driven
-    /// by the per-shard principal-presence hint.
+    /// (`revoke_write_overlapping_everywhere`) actually visited: the
+    /// freed range's holders, as the reverse writer index names them.
     pub kfree_hint_visited: u64,
-    /// Principals the presence hint let the sweep skip (the full walk
-    /// would have probed their tables for nothing).
+    /// Principals the sweep skipped because the index lists them as no
+    /// holder of the range (the full walk would have probed their
+    /// tables for nothing).
     pub kfree_hint_skipped: u64,
     /// `transfer` actions resolved by the single-holder fast path: the
     /// reverse writer index showed at most one holder, so the grant moved

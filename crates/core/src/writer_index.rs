@@ -8,7 +8,9 @@
 //! an **interned set** of the principals granted WRITE over it, is
 //! maintained incrementally on every WRITE grant and revocation, so the
 //! lookup is a binary search plus a walk of the (small) writer set —
-//! O(log intervals + |writers|) instead of O(principals).
+//! O(log intervals + |writers|) instead of O(principals). The `kfree`
+//! sweep and WRITE transfers ask the same question of the freed or
+//! transferred range.
 //!
 //! # Sharding and locking
 //!
@@ -21,16 +23,15 @@
 //! and the Vec splice a grant or revoke performs moves only the
 //! *shard's* tail, not the whole system's interval population.
 //!
-//! The shard is also the unit of **lock granularity**: each shard (its
-//! intervals plus its principal-presence map) sits behind its own
-//! mutex, and every method takes `&self`. Mutations are
+//! The shard is also the unit of **lock granularity**: each shard sits
+//! behind its own mutex, and every method takes `&self`. Mutations are
 //! **phase-split** (`IndexShard::add` / `IndexShard::remove`): the
 //! shard lock is held for the whole operation (which keeps a
 //! revocation's remove-and-reinstate atomic per shard — see
 //! `WriterIndex::replace`), while the shared-interner mutex is taken
 //! only for the id/refcount phase (interning the new sets, moving
-//! refcounts, applying presence deltas); the interval memmove then runs
-//! under the shard lock alone. Splices in different shards therefore
+//! refcounts); the interval memmove then runs under the shard lock
+//! alone. Splices in different shards therefore
 //! overlap except for their brief interner sections, and the lock order
 //! is strictly shard → interner (the interner is a leaf — nothing
 //! acquires a shard while holding it). Each shard owns the replacement
@@ -43,7 +44,7 @@
 //! at the boundary, so two touching same-set intervals can exist across
 //! a boundary (they coalesce freely *within* a shard).
 //!
-//! # Writer-set interning, GC, and presence
+//! # Writer-set interning and GC
 //!
 //! Writer sets are interned like the runtime's REF-type names: a sorted,
 //! deduplicated `Vec<PrincipalId>` maps to a dense [`WriterSetId`], so
@@ -60,14 +61,6 @@
 //! live sets; [`sets_ever_interned`](WriterIndex::sets_ever_interned)
 //! counts allocations (including slot reuses) — `ever` growing while
 //! `live` stays flat is the GC working.
-//!
-//! Each shard additionally maintains a **principal-presence map**: for
-//! every principal, the number of the shard's intervals whose writer set
-//! contains it. `kfree`-style sweeps (`revoke_write_overlapping_
-//! everywhere`) use it to visit only the principals actually holding
-//! grants in the freed region's shards instead of walking every
-//! principal's table; debug builds assert the hint against the full
-//! walk.
 //!
 //! The paper's traversal — per-principal [`WriteTable`]s probed one by
 //! one — is the measured baseline in `lxfi-bench`'s `baselines` module,
@@ -316,11 +309,9 @@ impl SetInterner {
 }
 
 /// One address-region shard: disjoint, sorted `[start, end)` intervals,
-/// each mapped to a non-empty interned writer set, plus a
-/// principal-presence map (interval refcount per principal — the kfree
-/// hint). Touching intervals with the same set are coalesced on every
-/// mutation. The set interner is shared across shards and passed in by
-/// the owning [`WriterIndex`].
+/// each mapped to a non-empty interned writer set. Touching intervals
+/// with the same set are coalesced on every mutation. The set interner
+/// is shared across shards and passed in by the owning [`WriterIndex`].
 #[derive(Debug, Default)]
 pub(crate) struct IndexShard {
     starts: Vec<Word>,
@@ -328,11 +319,6 @@ pub(crate) struct IndexShard {
     /// vector sorted too, which the window search relies on.
     ends: Vec<Word>,
     sets: Vec<WriterSetId>,
-    /// For each principal id, the number of this shard's intervals whose
-    /// writer set contains it (the kfree presence hint). Dense so the
-    /// per-splice maintenance is two array ops per set member; the slots
-    /// of principals never seen in this shard simply stay zero.
-    present: Vec<u32>,
     /// The coalesced replacement segments of the splice in progress,
     /// reused across splices under the shard lock (sets already interned
     /// by the plan phase).
@@ -340,20 +326,6 @@ pub(crate) struct IndexShard {
 }
 
 impl IndexShard {
-    #[inline]
-    fn present_inc(&mut self, p: PrincipalId) {
-        let i = p.0 as usize;
-        if i >= self.present.len() {
-            self.present.resize(i + 1, 0);
-        }
-        self.present[i] += 1;
-    }
-
-    #[inline]
-    fn present_dec(&mut self, p: PrincipalId) {
-        self.present[p.0 as usize] -= 1;
-    }
-
     /// Indices of the entries overlapping `[a, e)`: `lo..hi`.
     #[inline]
     fn window(&self, a: Word, e: Word) -> (usize, usize) {
@@ -379,24 +351,14 @@ impl IndexShard {
     /// `lo..hi` with the planned `repl`: acquires the new segments' sets,
     /// releases the replaced entries' sets (new acquired before old
     /// release, so a set that survives the splice is never transiently
-    /// freed), and applies the presence-map deltas. Everything that
-    /// needs the interner happens here; [`IndexShard::apply_splice`]
-    /// then runs with no interner access at all.
+    /// freed). Everything that needs the interner happens here;
+    /// [`IndexShard::apply_splice`] then runs with no interner access at
+    /// all.
     fn plan_splice(&mut self, interner: &mut SetInterner, lo: usize, hi: usize) {
-        for i in 0..self.repl.len() {
-            let sid = self.repl[i].2;
+        for &(_, _, sid) in &self.repl {
             interner.acquire(sid);
-            for &w in interner.get(sid) {
-                self.present_inc(w);
-            }
         }
-        for j in lo..hi {
-            // Presence decrements read the set before releasing it (a
-            // release can free the slot).
-            let sid = self.sets[j];
-            for &w in interner.get(sid) {
-                self.present_dec(w);
-            }
+        for &sid in &self.sets[lo..hi] {
             interner.release(sid);
         }
     }
@@ -550,15 +512,6 @@ impl IndexShard {
             .flat_map(move |&sid| interner.get(sid).iter().copied())
     }
 
-    /// The lowest-numbered principal at or above `from` with at least
-    /// one interval in this shard: the kfree sweep walks the presence
-    /// hint with this instead of collecting it.
-    fn next_present(&self, from: usize) -> Option<PrincipalId> {
-        let rest = self.present.get(from..)?;
-        let i = rest.iter().position(|&c| c > 0)?;
-        Some(PrincipalId((from + i) as u32))
-    }
-
     /// Live intervals in this shard.
     fn interval_count(&self) -> usize {
         self.starts.len()
@@ -572,7 +525,6 @@ impl IndexShard {
         assert_eq!(self.starts.len(), self.ends.len());
         assert_eq!(self.starts.len(), self.sets.len());
         refs.resize(interner.capacity(), 0);
-        let mut present: HashMap<PrincipalId, u32> = HashMap::new();
         for i in 0..self.starts.len() {
             assert!(self.starts[i] < self.ends[i], "interval {i} non-empty");
             assert!(
@@ -584,9 +536,6 @@ impl IndexShard {
             assert!(!set.is_empty());
             assert!(set.windows(2).all(|w| w[0] < w[1]), "set sorted");
             refs[self.sets[i].0 as usize] += 1;
-            for &w in set {
-                *present.entry(w).or_insert(0) += 1;
-            }
             if i + 1 < self.starts.len() {
                 assert!(self.ends[i] <= self.starts[i + 1], "disjoint + sorted");
                 assert!(
@@ -595,25 +544,7 @@ impl IndexShard {
                 );
             }
         }
-        for (i, &c) in self.present.iter().enumerate() {
-            let want = present.get(&PrincipalId(i as u32)).copied().unwrap_or(0);
-            assert_eq!(c, want, "presence count for principal {i}");
-        }
-        for (p, &c) in &present {
-            assert!(
-                (p.0 as usize) < self.present.len() && self.present[p.0 as usize] == c,
-                "presence entry for {p:?} recorded"
-            );
-        }
     }
-}
-
-/// The WRITE holders of a range, up to the first two distinct ones.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Holders {
-    None,
-    One(PrincipalId),
-    Many,
 }
 
 /// The reverse writer index: address-region shards of disjoint sorted
@@ -621,8 +552,8 @@ pub(crate) enum Holders {
 /// interner behind its own mutex. Every method takes `&self`; the shard
 /// split points are fixed at construction. Grant/revoke splices and
 /// writer lookups lock only the shards their address range touches, one
-/// at a time. See the module docs for the sharding, locking, GC and
-/// presence disciplines.
+/// at a time. See the module docs for the sharding, locking and GC
+/// disciplines.
 #[derive(Debug)]
 pub struct WriterIndex {
     /// Sorted, distinct, non-zero shard split points; shard `i` covers
@@ -791,36 +722,6 @@ impl WriterIndex {
         });
     }
 
-    /// Who holds WRITE coverage of `[addr, addr+len)`, when at most one
-    /// principal does (the transfer fast-path test, without collecting).
-    pub(crate) fn holders(&self, addr: Word, len: u64) -> Holders {
-        let mut found = Holders::None;
-        self.for_segments(addr, len, |sh, lo, hi| {
-            let interner = self.interner.lock().expect("interner lock");
-            for w in sh.writers(&interner, lo, hi) {
-                found = match found {
-                    Holders::None => Holders::One(w),
-                    Holders::One(h) if h == w => Holders::One(h),
-                    _ => Holders::Many,
-                };
-            }
-        });
-        found
-    }
-
-    /// The lowest-numbered principal at or above `from` present in the
-    /// shards overlapping `[addr, addr+len)` — one step of the kfree
-    /// presence hint (a superset of the range's actual writers).
-    pub(crate) fn next_present(&self, addr: Word, len: u64, from: usize) -> Option<PrincipalId> {
-        let mut next: Option<PrincipalId> = None;
-        self.for_segments(addr, len, |sh, _lo, _hi| {
-            if let Some(p) = sh.next_present(from) {
-                next = Some(next.map_or(p, |q| q.min(p)));
-            }
-        });
-        next
-    }
-
     /// Number of live intervals across all shards (diagnostics). A range
     /// spanning shard boundaries counts one interval per shard.
     pub fn interval_count(&self) -> usize {
@@ -854,9 +755,9 @@ impl WriterIndex {
     /// Panics unless the structural invariants hold: sorted disjoint
     /// non-empty intervals inside their shard's bounds, non-empty sorted
     /// writer sets, no coalescible (touching, equal-set) neighbors
-    /// within a shard, interner refcounts exactly matching the interval
-    /// entries referencing each set (across shards), and each shard's
-    /// presence map matching its interval membership. Test/proptest hook.
+    /// within a shard, and interner refcounts exactly matching the
+    /// interval entries referencing each set (across shards).
+    /// Test/proptest hook.
     #[doc(hidden)]
     pub fn check_invariants(&self) {
         // Shards before interner, matching the splice lock order (the
@@ -895,16 +796,6 @@ mod tests {
     fn writers(ix: &WriterIndex, addr: Word, len: u64) -> Vec<PrincipalId> {
         let mut out = Vec::new();
         ix.collect_writers(addr, len, &mut out);
-        out
-    }
-
-    /// The kfree presence hint over a range, walked to the end.
-    fn present_over(ix: &WriterIndex, addr: Word, len: u64) -> Vec<PrincipalId> {
-        let (mut out, mut from) = (Vec::new(), 0);
-        while let Some(p) = ix.next_present(addr, len, from) {
-            from = p.0 as usize + 1;
-            out.push(p);
-        }
         out
     }
 
@@ -1056,34 +947,6 @@ mod tests {
             ix.with_interner(|it| it.free.len()) > 0,
             "slots await recycling"
         );
-    }
-
-    #[test]
-    fn presence_tracks_interval_membership() {
-        let ix = WriterIndex::new();
-        assert!(present_over(&ix, 0x1000, 0x100).is_empty());
-        ix.add(P0, 0x1000, 0x100);
-        ix.add(P1, 0x1080, 0x10);
-        ix.check_invariants();
-        // Single shard: presence is shard-wide (a superset of the
-        // range's writers).
-        assert_eq!(present_over(&ix, 0x1000, 8), vec![P0, P1]);
-        ix.remove(P1, 0x1080, 0x10);
-        assert_eq!(present_over(&ix, 0x1000, 8), vec![P0]);
-        ix.remove(P0, 0x1000, 0x100);
-        assert!(present_over(&ix, 0x1000, 8).is_empty());
-    }
-
-    #[test]
-    fn presence_is_per_shard() {
-        let ix = WriterIndex::with_boundaries(vec![0x2000]);
-        ix.add(P0, 0x1000, 0x100); // shard 0
-        ix.add(P1, 0x3000, 0x100); // shard 1
-        ix.check_invariants();
-        assert_eq!(present_over(&ix, 0x1000, 8), vec![P0]);
-        assert_eq!(present_over(&ix, 0x3000, 8), vec![P1]);
-        // A range spanning the boundary unions both shards' presence.
-        assert_eq!(present_over(&ix, 0x1000, 0x3000), vec![P0, P1]);
     }
 
     // ------------------------------------------------------------ shards
@@ -1329,6 +1192,7 @@ mod tests {
                 .map(|i| core.principal_for_name(m, 0x9000 + i as u64 * 8))
                 .collect();
             let mut model = AllocatingInterner::new();
+            let mut holders = Vec::new();
             core.index.with_interner(|it| model.assert_same(it));
             for op in ops {
                 match *op {
@@ -1337,10 +1201,10 @@ mod tests {
                         core.revoke(ps[p], RawCap::write(a, s));
                     }
                     Op::Transfer(a, s, d) => {
-                        core.transfer_write(RawCap::write(a, s), d.map(|i| ps[i]));
+                        core.transfer_write(RawCap::write(a, s), d.map(|i| ps[i]), &mut holders);
                     }
                     Op::Kfree(a, s) => {
-                        core.revoke_write_overlapping_everywhere(a, s);
+                        core.revoke_write_overlapping_everywhere(a, s, &mut holders);
                     }
                 }
                 core.index.with_interner(|it| {

@@ -237,6 +237,7 @@ fn concurrent_churn_preserves_index_table_agreement() {
                 // linearized outcome per principal is deterministic).
                 let base = 0x10_0000 + ti as u64 * 0x4000;
                 let mut x = 0x9e37_79b9_u64.wrapping_mul(ti as u64 + 1);
+                let mut holders = Vec::new();
                 for _ in 0..OPS {
                     x = x
                         .wrapping_mul(6364136223846793005)
@@ -249,7 +250,7 @@ fn concurrent_churn_preserves_index_table_agreement() {
                             core.revoke(p, cap);
                         }
                         2 => {
-                            core.revoke_write_overlapping_everywhere(cap.addr, 0x40);
+                            core.revoke_write_overlapping_everywhere(cap.addr, 0x40, &mut holders);
                         }
                         _ => {
                             if h.check_write(cap.addr, 8).is_err() {

@@ -43,12 +43,12 @@ fn transfer_invalidates_hot_source_caches() {
         let core = Arc::clone(&core);
         let barrier = Arc::clone(&barrier);
         thread::spawn(move || {
-            let mut fast = 0u64;
+            let (mut fast, mut holders) = (0u64, Vec::new());
             for round in 0..ROUNDS {
                 barrier.wait(); // caches are hot
                 let (src, dst) = if round % 2 == 0 { (a, b) } else { (b, a) };
                 let _ = src;
-                let (was_fast, bumps) = core.transfer_write(cap, Some(dst));
+                let (was_fast, bumps) = core.transfer_write(cap, Some(dst), &mut holders);
                 assert!(bumps > 0, "moving a held grant must bump epochs");
                 fast += u64::from(was_fast);
                 barrier.wait(); // transfer is visible
@@ -106,9 +106,10 @@ fn transfer_racing_revoke_converges() {
         let core = Arc::clone(&core);
         let barrier = Arc::clone(&barrier);
         thread::spawn(move || {
+            let mut holders = Vec::new();
             for _ in 0..ROUNDS {
                 barrier.wait(); // setup done: a holds the grant
-                core.transfer_write(cap, Some(b));
+                core.transfer_write(cap, Some(b), &mut holders);
                 barrier.wait(); // both ops done
                 barrier.wait(); // assertions done
             }

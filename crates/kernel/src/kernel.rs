@@ -428,7 +428,7 @@ impl KernelCore {
             let mut th = self.threads.lock().expect("threads lock");
             let idx = th.len();
             if idx > 0 {
-                // Going SMP: the single-threaded kfree-hint debug
+                // Going SMP: the single-threaded kfree-sweep debug
                 // cross-check is no longer race-free (see RuntimeCore).
                 self.rtc.disable_kfree_cross_check();
             }
