@@ -37,7 +37,7 @@ fn lookup_benches(c: &mut Criterion) {
 
 /// The full guard at 512 principals: a runtime where the probed slot is
 /// writable by two principals that both hold CALL for the target, so
-/// `check_indcall` runs the whole writer-set + capability check.
+/// `check_indcall` runs the whole writer lookup + capability check.
 fn indcall_slow_path_bench(c: &mut Criterion) {
     let mut rt: GuardHandle = GuardHandle::new(Default::default());
     let m = rt.register_module("bench");

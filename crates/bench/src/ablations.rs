@@ -1,10 +1,11 @@
 //! Ablation studies for LXFI's main performance design choices:
 //!
-//! 1. **Writer-set tracking** (§5): without the fast path, every kernel
-//!    indirect call would pay the slow-path writer lookup; the OFF
-//!    figure prices the ON run's calls at that cost. The paper credits
-//!    the optimization with removing ~2/3 of indirect-call checks on
-//!    the UDP TX workload.
+//! 1. **Writer-set tracking** (§5): the fast path skips the capability
+//!    check when the reverse writer index shows no holder of WRITE over
+//!    the slot; without it every kernel indirect call would pay the
+//!    slow-path cost, and the OFF figure prices the ON run's calls at
+//!    that cost. The paper credits the optimization with removing ~2/3
+//!    of indirect-call checks on the UDP TX workload.
 //! 2. **Write-guard merging** (module pass): consecutive same-base
 //!    stores share one range guard; disabling it guards each store
 //!    individually.
@@ -38,9 +39,9 @@ pub struct WriterSetAblation {
 
 /// Measures kernel indirect-call guard cycles per TX packet with
 /// writer-set tracking, and prices the same calls without it. The fast
-/// path only skips a writer lookup that would find no writer, so turning
-/// it off changes no decision and no call count: every call would pay
-/// `ind_call_slow`.
+/// path is taken exactly when the index shows no holder of the slot, so
+/// turning it off changes no decision and no call count: every call
+/// would pay `ind_call_slow`.
 pub fn writer_set_ablation(n: u64) -> WriterSetAblation {
     let (mut k, dev) = boot_e1000(IsolationMode::Lxfi);
     for _ in 0..8 {

@@ -90,12 +90,12 @@ use Kind::*;
 /// - Kernel-path (`kmt_*`) rows mirror the guard-path `mt_*` ones with
 ///   proportional slack; the data-plane rows prove the hot path
 ///   lock-free in fact (magazines absorb kmalloc, the single-holder
-///   transfer splice and the `note_zeroed` pre-check fire).
+///   transfer splice fires).
 /// - Soundness, hoisting, chaos and server rows are deterministic
 ///   counters and gate exactly; the chaos healthy-path bound 1.43 is
 ///   the ≥0.7x-throughput criterion expressed in cycles.
 #[rustfmt::skip]
-const ROWS: [(&str, Kind); 69] = [
+const ROWS: [(&str, Kind); 68] = [
     ("write-table hit", Regress("interval_hit_ns", "linear_hit_ns")),
     ("write-table miss", Regress("interval_miss_ns", "linear_miss_ns")),
     ("write-guard cache (repeated/rotating)", Regress("guard_repeated_ns", "guard_rotating_ns")),
@@ -135,7 +135,6 @@ const ROWS: [(&str, Kind); 69] = [
     ("floor: kernel churn ops ≥1 (neg ≤ -1)", AtLeast("kmt_contended_2t_churn_ops", 1.0)),
     ("floor: magazine miss rate ≤10%", Miss("kmt_magazine_hit_rate", 0.10)),
     ("floor: transfer fast path ≥1 (neg ≤ -1)", AtLeast("kmt_transfer_fast", 1.0)),
-    ("floor: note_zeroed fast skips ≥1 (neg ≤ -1)", AtLeast("kmt_note_zeroed_fast_skips", 1.0)),
     ("floor: kernel 4cpu aggregate ≥1.3x 1cpu (ratio ≤0.77)", Scaling("kmt_aggregate_1t_kpps", "kmt_aggregate_4t_kpps", 0.77, "floor: kernel 4cpu")),
     ("floor: netperf compiled ≥1.05x faster (ratio ≤0.95)", RatioMax("netperf_pkt_compiled_ns", "netperf_pkt_interp_ns", 0.95)),
     ("floor: fused guard sites ≥1 (neg ≤ -1)", AtLeast("compiled_fused_guard_sites", 1.0)),
@@ -365,7 +364,7 @@ mod tests {
         let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../bench/baseline.json");
         let base = load(path).unwrap();
         let checks = evaluate((path, &base), (path, &base)).unwrap();
-        assert_eq!(checks.len(), 69);
+        assert_eq!(checks.len(), 68);
         for c in &checks {
             assert!(c.pass(), "{}: {} > {}", c.label, c.current, c.limit);
         }

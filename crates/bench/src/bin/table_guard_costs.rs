@@ -96,15 +96,12 @@ fn measurements(iters: u64) -> Vec<(String, f64)> {
     put("kmt_contended_2t_churn_ops", km2c.churn_ops as f64);
     put("kmt_contended_2t_loads", km2c.churn_loads as f64);
     // Data-plane counters from the uncontended 2-CPU run: per-CPU slab
-    // magazine hit rate, single-holder grant-transfer fast/slow split,
-    // and the note_zeroed clean-stripe fast skips. All deterministic
-    // enough to gate on as floors (LIFO reuse keeps the hit rate high;
+    // magazine hit rate and single-holder grant-transfer fast/slow
+    // split. Both deterministic enough to gate on as floors (LIFO reuse keeps the hit rate high;
     // every TX packet's skb transfer has one holder).
     put("kmt_magazine_hit_rate", km2u.magazine_hit_rate);
     put("kmt_transfer_fast", km2u.transfer_fast as f64);
     put("kmt_transfer_slow", km2u.transfer_slow as f64);
-    let skips = km2u.note_zeroed_fast_skips;
-    put("kmt_note_zeroed_fast_skips", skips as f64);
     // Sound playback and capture periods (capture is the receive-side
     // path through the deferred-call mux) and the device-mapper request
     // round: deterministic simulated cycles, so the stock/LXFI ratios
@@ -343,9 +340,8 @@ fn print_tables(measured: &[(String, f64)]) {
         "\nTwo threads, idle vs churn: guard store {:.1} vs {:.1} ns (churned\n\
          hit rate {:.1}%), kernel packet {:.0} vs {:.0} ns (hit rate {:.1}%,\n\
          {:.0} module loads). Data plane (idle kernel run): magazine hit\n\
-         rate {:.1}%, grant transfers fast/slow {:.0}/{:.0}, note_zeroed\n\
-         clean-stripe skips {:.0}. (Full sweeps: `--bin netperf_mt`,\n\
-         `--bin kernel_mt`.)",
+         rate {:.1}%, grant transfers fast/slow {:.0}/{:.0}. (Full\n\
+         sweeps: `--bin netperf_mt`, `--bin kernel_mt`.)",
         v("mt_store_2t_uncontended_ns"),
         v("mt_store_2t_contended_ns"),
         pct("mt_contended_2t_hit_rate"),
@@ -355,8 +351,7 @@ fn print_tables(measured: &[(String, f64)]) {
         v("kmt_contended_2t_loads"),
         pct("kmt_magazine_hit_rate"),
         v("kmt_transfer_fast"),
-        v("kmt_transfer_slow"),
-        v("kmt_note_zeroed_fast_skips")
+        v("kmt_transfer_slow")
     );
 
     println!("\nExecution backends (LXFI mode, wall-clock ns per operation):\n");

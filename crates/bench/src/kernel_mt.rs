@@ -9,9 +9,9 @@
 //! (interpreted, `GuardIndCall` on the module-written ops slot) → the
 //! **interpreted, rewritten `e1000_xmit`** running as the per-device
 //! principal (guarded ring-descriptor/stats stores, skb capability
-//! transfer in and out) → `kfree_skb` (capability sweep + writer-map
-//! zeroing). Every CPU drives its **own** e1000 device, so workers run
-//! as distinct instance principals whose grants live in their own
+//! transfer in and out) → `kfree_skb` (capability sweep + zeroing).
+//! Every CPU drives its **own** e1000 device, so workers run as
+//! distinct instance principals whose grants live in their own
 //! writer-index shards — the §3.1 multi-principal design exercised
 //! end-to-end in parallel.
 //!
@@ -100,9 +100,6 @@ pub struct KernelMtMeasurement {
     pub transfer_fast: u64,
     /// Grant transfers that fell back to the full revoke sweep.
     pub transfer_slow: u64,
-    /// `note_zeroed` calls answered by the lock-free clean-stripe
-    /// pre-check, summed over workers.
-    pub note_zeroed_fast_skips: u64,
     /// Grant/revoke pairs the churn CPU completed (0 uncontended).
     pub churn_ops: u64,
     /// Module load/unload cycles the churn CPU completed.
@@ -225,7 +222,6 @@ pub fn run_kernel_mt_backend(
                     mag_misses: cpu.mags.misses,
                     transfer_fast: cpu.rt.stats.transfer_fast,
                     transfer_slow: cpu.rt.stats.transfer_slow,
-                    note_zeroed_fast_skips: cpu.rt.stats.note_zeroed_fast_skips,
                 };
                 (median, elapsed, hits, misses, lockfree)
             })
@@ -259,7 +255,6 @@ pub fn run_kernel_mt_backend(
         magazine_hit_rate: mag_hits as f64 / (mag_hits + mag_misses).max(1) as f64,
         transfer_fast: results.iter().map(|r| r.4.transfer_fast).sum(),
         transfer_slow: results.iter().map(|r| r.4.transfer_slow).sum(),
-        note_zeroed_fast_skips: results.iter().map(|r| r.4.note_zeroed_fast_skips).sum(),
         churn_ops: churn_ops.load(Ordering::Relaxed),
         churn_loads: churn_loads.load(Ordering::Relaxed),
     }
@@ -272,7 +267,6 @@ struct DataPlaneCounters {
     mag_misses: u64,
     transfer_fast: u64,
     transfer_slow: u64,
-    note_zeroed_fast_skips: u64,
 }
 
 /// The thread counts the human table reports.
@@ -318,15 +312,13 @@ mod tests {
         );
         assert_eq!(m.churn_ops, 0);
         // The lock-free data plane did its job: allocations came out of
-        // the per-CPU magazines, skb grant transfers took the
-        // single-holder splice, and at least the first zero-note per
-        // worker was answered without a lock.
+        // the per-CPU magazines and skb grant transfers took the
+        // single-holder splice.
         assert!(
             m.magazine_hit_rate > 0.9,
             "steady-state allocs must hit the magazines: {m:?}"
         );
         assert!(m.transfer_fast > 0, "skb transfers must go fast: {m:?}");
-        assert!(m.note_zeroed_fast_skips > 0, "clean-stripe skip: {m:?}");
     }
 
     #[test]

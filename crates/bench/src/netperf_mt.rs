@@ -10,7 +10,12 @@
 //! lock-free private-cache hit** validated by one atomic epoch load.
 //!
 //! The *contended* variant adds a churn thread issuing grant/revoke
-//! traffic against the workers' spare grants: each revoke bumps the
+//! traffic against the workers' spare grants, paced by worker progress
+//! to one revoke + re-grant per [`CHURN_EVERY_PKTS`] worker packets
+//! (summed over workers), so the churn rate — and with it the
+//! contention the gate bounds — does not depend on how cheap a
+//! grant/revoke is; a churner that has caught up sleeps instead of
+//! competing with the workers for a CPU. Each revoke bumps the
 //! victim's epoch (plus the module-global principal's), wholesale-
 //! invalidating the victim's private cache, so its next stores pay the
 //! miss path — the table probe under the victim's capability mutex,
@@ -26,10 +31,10 @@
 //! refills churn causes. Aggregate throughput is total stores over the
 //! slowest worker's wall clock.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Barrier};
 use std::thread;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use lxfi_core::{GuardHandle, ModuleId, PrincipalId, RawCap, RuntimeCore};
 
@@ -41,6 +46,9 @@ pub const MT_ARENA_STRIDE: u64 = 0x10_0000;
 pub const RING_SLOTS: u64 = 256;
 /// Packets per timed batch (4 stores per packet).
 pub const BATCH_PKTS: u64 = 64;
+/// Worker packets (summed over workers) per churn revoke + re-grant in
+/// the contended run.
+pub const CHURN_EVERY_PKTS: u64 = 32;
 
 /// Offsets of a worker's four TX objects and its churn-target spare
 /// grant inside its arena.
@@ -125,7 +133,8 @@ pub struct MtMeasurement {
     pub aggregate_mops: f64,
     /// Write-guard cache hit rate merged over all workers.
     pub hit_rate: f64,
-    /// Grant/revoke pairs the churn thread completed (0 uncontended).
+    /// Grant/revoke pairs the churn thread completed (0 uncontended;
+    /// otherwise total worker packets / [`CHURN_EVERY_PKTS`]).
     pub churn_ops: u64,
     /// Epoch bumps the churn caused (2 per revoke: victim + global).
     pub epoch_bumps: u64,
@@ -133,51 +142,62 @@ pub struct MtMeasurement {
 
 /// Runs `threads` workers for `packets_per_thread` packets each,
 /// optionally against a churn thread revoking/re-granting worker
-/// spares round-robin.
+/// spares round-robin, one pair per [`CHURN_EVERY_PKTS`] worker packets.
 pub fn run_netperf_mt(threads: usize, packets_per_thread: u64, contended: bool) -> MtMeasurement {
     let world = build_world(threads);
     world.core.reset_global_stats();
     // Workers + main + (when contended) the churner, so churn ops land
     // inside the measured window rather than being absorbed by warmup.
     let start_barrier = Arc::new(Barrier::new(threads + 1 + usize::from(contended)));
-    let stop = Arc::new(AtomicBool::new(false));
+    // Worker packets completed, summed over workers (contended run
+    // only): the churner's quota so far is this / CHURN_EVERY_PKTS.
+    let progress = Arc::new(AtomicU64::new(0));
     let churn_ops = Arc::new(AtomicU64::new(0));
     let churn_bumps = Arc::new(AtomicU64::new(0));
+    let quota = threads as u64 * packets_per_thread / CHURN_EVERY_PKTS;
 
     let churner = if contended {
         let core = world.core.clone();
         let workers = world.workers.clone();
         let start_barrier = start_barrier.clone();
-        let stop = stop.clone();
+        let progress = progress.clone();
         let churn_ops = churn_ops.clone();
         let churn_bumps = churn_bumps.clone();
         Some(thread::spawn(move || {
             start_barrier.wait();
             let mut i = 0usize;
-            while !stop.load(Ordering::Relaxed) {
+            while (i as u64) < quota {
+                if i as u64 >= progress.load(Ordering::Acquire) / CHURN_EVERY_PKTS {
+                    // Caught up: sleep until a worker owes two batches
+                    // of quota (the timeout picks up the run's last few
+                    // ops), so a waiting churner takes no CPU from the
+                    // workers.
+                    thread::park_timeout(Duration::from_millis(1));
+                    continue;
+                }
                 let victim = workers[i % workers.len()];
                 let cap = RawCap::write(arena(i % workers.len()) + SPARE_OFF, 0x100);
                 let (_, bumps) = core.revoke(victim, cap);
                 core.grant(victim, cap);
-                churn_ops.fetch_add(1, Ordering::Relaxed);
+                churn_ops.fetch_add(1, Ordering::Release);
                 churn_bumps.fetch_add(bumps, Ordering::Relaxed);
                 i += 1;
-                // Pace the churn so it does not degenerate into a tight
-                // loop starving the workers (on a single-CPU host the
-                // scheduler already rations it heavily).
-                thread::yield_now();
             }
         }))
     } else {
         None
     };
 
+    let churn_thread = churner.as_ref().map(|c| c.thread().clone());
     let handles: Vec<_> = (0..threads)
         .map(|t| {
             let core = world.core.clone();
             let m = world.module;
             let p = world.workers[t];
             let start_barrier = start_barrier.clone();
+            let progress = progress.clone();
+            let churn_ops = churn_ops.clone();
+            let churn_thread = churn_thread.clone();
             thread::spawn(move || {
                 let mut h: GuardHandle = GuardHandle::new(core);
                 h.set_current(Some((m, p)));
@@ -197,6 +217,25 @@ pub fn run_netperf_mt(threads: usize, packets_per_thread: u64, contended: bool) 
                         i += 1;
                     }
                     batch_means.push(b0.elapsed().as_nanos() as f64 / (n * 4) as f64);
+                    if let Some(churner) = &churn_thread {
+                        // Outside the batch timer: report the batch; once
+                        // two batches of churn quota are owed, wake the
+                        // churner, and wait while more than that is owed,
+                        // so the churn lands among the measured stores
+                        // instead of after them.
+                        let done = progress.fetch_add(n, Ordering::AcqRel) + n;
+                        let slack = 2 * BATCH_PKTS / CHURN_EVERY_PKTS;
+                        let owed = || {
+                            (done / CHURN_EVERY_PKTS)
+                                .saturating_sub(churn_ops.load(Ordering::Acquire))
+                        };
+                        if owed() >= slack {
+                            churner.unpark();
+                        }
+                        while owed() > slack {
+                            thread::yield_now();
+                        }
+                    }
                 }
                 let elapsed = t0.elapsed().as_secs_f64();
                 batch_means.sort_by(|a, b| a.total_cmp(b));
@@ -209,7 +248,6 @@ pub fn run_netperf_mt(threads: usize, packets_per_thread: u64, contended: bool) 
 
     start_barrier.wait();
     let results: Vec<(f64, f64)> = handles.into_iter().map(|h| h.join().unwrap()).collect();
-    stop.store(true, Ordering::Relaxed);
     if let Some(c) = churner {
         c.join().unwrap();
     }
@@ -257,8 +295,9 @@ mod tests {
     fn contended_run_stays_correct_and_counts_churn() {
         let m = run_netperf_mt(2, 4_000, true);
         // tx_packet panics on any denied store, so completing the run
-        // IS the correctness assertion; the churn must have landed.
-        assert!(m.churn_ops > 0, "churn thread ran: {m:?}");
+        // IS the correctness assertion; the churn paced by worker
+        // progress lands exactly its quota.
+        assert_eq!(m.churn_ops, 2 * 4_000 / CHURN_EVERY_PKTS, "{m:?}");
         assert_eq!(
             m.epoch_bumps,
             2 * m.churn_ops,

@@ -15,7 +15,7 @@ const MODES: [IsolationMode; 2] = [IsolationMode::Stock, IsolationMode::Lxfi];
 /// the values the per-thread runtime facade produced before it was
 /// folded into `GuardHandle`: every count and cycle charge must survive
 /// that move unchanged, under both backends.
-const LXFI_NETPERF_METERING: [(&str, u64); 21] = [
+const LXFI_NETPERF_METERING: [(&str, u64); 18] = [
     ("total_cycles", 44116),
     ("AnnotationAction count", 55),
     ("AnnotationAction cycles", 6820),
@@ -34,9 +34,6 @@ const LXFI_NETPERF_METERING: [(&str, u64); 21] = [
     ("kfree_hint_skipped", 40),
     ("transfer_fast", 42),
     ("transfer_slow", 0),
-    ("note_zeroed_fast_skips", 1),
-    ("zero_notes_deferred", 19),
-    ("zero_notes_stale", 0),
 ];
 
 /// `total_cycles` plus every `GuardStats` counter of CPU 0, labelled.
@@ -55,9 +52,6 @@ fn guard_metering(k: &Kernel) -> Vec<(String, u64)> {
         ("kfree_hint_skipped", s.kfree_hint_skipped),
         ("transfer_fast", s.transfer_fast),
         ("transfer_slow", s.transfer_slow),
-        ("note_zeroed_fast_skips", s.note_zeroed_fast_skips),
-        ("zero_notes_deferred", s.zero_notes_deferred),
-        ("zero_notes_stale", s.zero_notes_stale),
     ] {
         v.push((name.to_string(), n));
     }

@@ -42,11 +42,7 @@ use crate::principal::{ModuleId, PrincipalId};
 use crate::runtime::{EmittedCap, RetireSweep, RuntimeCore};
 use crate::shadow::{PrincipalCtx, ShadowStack};
 use crate::stats::{GuardCosts, GuardKind, GuardStats};
-use crate::writer_set::ZeroNoteToken;
 use crate::Violation;
-
-/// Deferred zero-notes per handle before a forced drain.
-const ZERO_NOTE_BUFFER: usize = 32;
 
 /// A per-thread guard executor over a shared [`RuntimeCore`]. See the
 /// module docs; construct one per thread with [`GuardHandle::new`].
@@ -61,16 +57,6 @@ pub struct GuardHandle<const W: usize = DEFAULT_WAYS> {
     /// Reusable buffer annotation actions resolve a caplist into, so a
     /// capability handoff allocates nothing.
     pub(crate) caps_scratch: Vec<EmittedCap>,
-    /// Deferred zero-notes: ranges the caller has zeroed whose bitmap
-    /// clear is postponed until a quiescent point
-    /// ([`GuardHandle::writer_clean`], [`GuardHandle::mark_written`],
-    /// buffer overflow, or an explicit [`GuardHandle::flush_zero_notes`]).
-    /// Each entry carries the generation token that proves the clear is
-    /// still equivalent to an immediate [`RuntimeCore::note_zeroed`];
-    /// stale tokens are dropped, never applied. Entries are deduplicated
-    /// by exact `(addr, len)` so the steady-state allocator pattern (same
-    /// buffer freed and reused) keeps one fresh token per range.
-    zero_notes: Vec<(Word, u64, ZeroNoteToken)>,
     /// This thread's guard counters (merged into the core's global
     /// stats on [`GuardHandle::flush_stats`] or drop).
     pub stats: GuardStats,
@@ -96,7 +82,6 @@ impl<const W: usize> GuardHandle<W> {
             cache: EpochCache::new(),
             scratch: Vec::new(),
             caps_scratch: Vec::new(),
-            zero_notes: Vec::new(),
             stats: GuardStats::new(),
             costs: GuardCosts::default(),
         }
@@ -222,23 +207,33 @@ impl<const W: usize> GuardHandle<W> {
     /// declared pointer type hashes to `sig_hash`. `target` is the value
     /// currently stored in the slot.
     ///
-    /// Fast path: if the writer-set bitmap proves no module was ever
-    /// granted WRITE over the slot, the call is kernel-authored and needs
-    /// no capability check.
+    /// Fast path: if the reverse writer index shows no principal holding
+    /// WRITE over any byte of the 8-byte slot, the slot's value is
+    /// kernel-authored and the call needs no capability check (charged
+    /// `ind_call_fast`). Otherwise every holder is checked (charged
+    /// `ind_call_slow`).
+    ///
+    /// Soundness of the fast path: [`RuntimeCore::grant`] indexes a WRITE
+    /// capability *before* inserting it into the principal's table, so a
+    /// module can never store to the slot before the index lists it as a
+    /// holder; a revoke unindexes under the principal's caps mutex, after
+    /// the table removal, so the index never drops a holder that can
+    /// still store. A "no holder" answer is therefore never a false
+    /// negative — the same ordering the holder collection below relies
+    /// on. A retired module's coverage stays on record through the
+    /// tombstone ([`RuntimeCore::ensure_tombstone`]), which holds no CALL
+    /// capability.
     pub fn check_indcall(
         &mut self,
         slot: Word,
         target: Word,
         sig_hash: u64,
     ) -> Result<(), Violation> {
-        if !self.core.writer_map.maybe_written(slot) {
+        if !self.core.index_overlaps(slot, 8) {
             let c = self.costs.ind_call_fast;
             self.stats.record(GuardKind::KernelIndCall, c);
             return Ok(());
         }
-        // Past the bitmap: the reverse-index lookup runs, so the
-        // slow-path cost applies even when it finds no writers (a benign
-        // bitmap false positive, §5).
         let c = self.costs.ind_call_slow;
         self.stats.record(GuardKind::KernelIndCall, c);
         // First check (§4.1): every writer principal must hold a CALL
@@ -354,76 +349,6 @@ impl<const W: usize> GuardHandle<W> {
     pub fn revoke_write_overlapping(&mut self, p: PrincipalId, addr: Word, size: u64) {
         let bumps = self.core.revoke_write_overlapping(p, addr, size);
         self.stats.epoch_bumps += bumps;
-    }
-
-    // ------------------------------------------------------ writer tracking
-
-    /// Records that `[addr, addr+len)` was zeroed, clearing writer-set
-    /// bits where no live WRITE grant still covers them.
-    ///
-    /// Hot-path shape: if the range's stripes hold no marked granules at
-    /// all the call returns after two atomic loads and touches no lock
-    /// (counted in [`GuardStats::note_zeroed_fast_skips`]). Otherwise a
-    /// generation token for the range is captured and the actual bitmap
-    /// clear is *deferred* into this handle's small buffer, drained at
-    /// quiescent points — so a free-heavy burst pays one stripe write
-    /// lock per drained range instead of one per free. Ranges spanning
-    /// a stripe boundary take the immediate path.
-    pub fn note_zeroed(&mut self, addr: Word, len: u64) {
-        if !self.core.writer_map.maybe_marked_over(addr, len) {
-            self.stats.note_zeroed_fast_skips += 1;
-            return;
-        }
-        match self.core.zero_note_token(addr, len) {
-            Some(token) => {
-                self.stats.zero_notes_deferred += 1;
-                if let Some(slot) = self
-                    .zero_notes
-                    .iter_mut()
-                    .find(|(a, l, _)| *a == addr && *l == len)
-                {
-                    // Same range re-zeroed: keep only the freshest token.
-                    slot.2 = token;
-                } else {
-                    self.zero_notes.push((addr, len, token));
-                    if self.zero_notes.len() >= ZERO_NOTE_BUFFER {
-                        self.flush_zero_notes();
-                    }
-                }
-            }
-            None => {
-                self.core.note_zeroed(addr, len);
-            }
-        }
-    }
-
-    /// Drains the deferred zero-note buffer now (quiescent point): every
-    /// buffered note whose generation token is still valid is applied;
-    /// stale tokens (a mark or revoke touched the stripe since enqueue)
-    /// are discarded and counted, never applied. The kernel calls this
-    /// at natural batch boundaries; tests call it before asserting on
-    /// bitmap state.
-    pub fn flush_zero_notes(&mut self) {
-        for (addr, len, token) in self.zero_notes.drain(..) {
-            if self.core.drain_zero_note(addr, len, token).is_none() {
-                self.stats.zero_notes_stale += 1;
-            }
-        }
-    }
-
-    /// See [`RuntimeCore::mark_written`]. Pending zero-notes are drained
-    /// first so a deferred clear can never race ahead of this mark.
-    pub fn mark_written(&mut self, addr: Word, len: u64) {
-        self.flush_zero_notes();
-        self.core.mark_written(addr, len);
-    }
-
-    /// True if the writer-set fast path would skip checks for `addr`.
-    /// Drains pending zero-notes first so the answer reflects every
-    /// zeroing the caller has already reported.
-    pub fn writer_clean(&mut self, addr: Word) -> bool {
-        self.flush_zero_notes();
-        self.core.writer_clean(addr)
     }
 
     /// Merges this thread's stats into the core's global stats and

@@ -23,13 +23,12 @@
 //!   ([`principal`]);
 //! - per-thread shadow stacks saving return tokens and principal context
 //!   ([`shadow`]);
-//! - writer-set tracking that lets the kernel skip indirect-call checks
-//!   for function-pointer slots no module could have written
-//!   ([`writer_set`]), backed on the slow path by a reverse writer index
-//!   sharded by address region (addr range → interned, refcounted
-//!   writer-principal set, [`writer_index`]) so the lookup is sublinear
-//!   in the number of principals and grant/revoke splices are bounded by
-//!   the shard;
+//! - a reverse writer index sharded by address region (addr range →
+//!   interned, refcounted writer-principal set, [`writer_index`]): the
+//!   kernel's indirect-call guard asks it who holds WRITE over a
+//!   function-pointer slot, skipping the capability check when nobody
+//!   does, so the lookup is sublinear in the number of principals and
+//!   grant/revoke splices are bounded by the shard;
 //! - an epoch-validated per-principal write-guard cache ([`epoch_cache`])
 //!   so revocation invalidates precisely the principals whose coverage
 //!   shrank instead of the whole system's cached guard state;
@@ -51,7 +50,6 @@ pub mod runtime;
 pub mod shadow;
 pub mod stats;
 pub mod writer_index;
-pub mod writer_set;
 
 pub use caps::{CapType, RawCap, RefTypeId, WriteTable};
 pub use compiled::CompiledAnn;

@@ -1,6 +1,6 @@
 //! The LXFI runtime (§5): principals, capability operations,
-//! control-transfer interposition, writer-set-accelerated indirect-call
-//! checks, and guard accounting.
+//! control-transfer interposition, indirect-call checks answered by the
+//! reverse writer index, and guard accounting.
 //!
 //! # Concurrency architecture
 //!
@@ -11,9 +11,9 @@
 //!   their own mutex (lock-free to *index* via a chunked slot table),
 //!   per-principal write epochs as atomics, the reverse writer index
 //!   ([`WriterIndex`]: per-shard locks keyed by address-region
-//!   boundaries fixed at construction), the striped writer-set bitmap,
-//!   and the interned-ID tables (REF types, iterators, constants, the
-//!   function registry) behind an `RwLock`. Everything takes `&self`;
+//!   boundaries fixed at construction), and the interned-ID tables (REF
+//!   types, iterators, constants, the function registry) behind an
+//!   `RwLock`. Everything takes `&self`;
 //!   the type is `Send + Sync` and meant to live in an `Arc`.
 //! - [`crate::GuardHandle`] is the **per-thread view**, and the only one:
 //!   each simulated kernel CPU and each benchmark worker owns one. It
@@ -31,16 +31,9 @@
 //! shard splices are phase-split (see [`crate::writer_index`]), taking
 //! the interner only for the id/refcount phase while the memmove runs
 //! under the shard lock alone, and nothing acquires a shard while
-//! holding the interner. The writer-set bitmap is **striped** by address
-//! region ([`crate::writer_set::StripedWriterMap`]): each stripe has its
-//! own lock plus a lock-free marked-granule counter, so `maybe_written`
-//! / `note_zeroed` on a provably-clean stripe touch no lock, and dirty
-//! probes lock only their stripe. A stripe lock sits *outside* the
-//! shard locks (an immediate `note_zeroed` or a zero-note drain holds
-//! it while probing the index; a grant's `mark` takes it alone and
-//! releases it before touching the index) — never the other way around.
-//! No path takes two `caps` mutexes at once; fallback probes (instance →
-//! shared, global → union) lock one table at a time.
+//! holding the interner. No path takes two `caps` mutexes at once;
+//! fallback probes (instance → shared, global → union) lock one table
+//! at a time.
 //!
 //! The write-guard soundness invariant under races — *after a revoke
 //! returns, no stale cached grant can authorize a write* — follows from
@@ -68,7 +61,6 @@ use crate::principal::{ModuleId, ModuleInfo, PrincipalId, PrincipalKind};
 use crate::shadow::PrincipalCtx;
 use crate::stats::GuardStats;
 use crate::writer_index::WriterIndex;
-use crate::writer_set::{StripedWriterMap, ZeroNoteToken};
 use crate::Violation;
 
 /// Identifies a registered capability iterator. Interned at registration
@@ -267,8 +259,6 @@ pub struct RuntimeCore {
     slots: SlotTable,
     /// The reverse writer index (§5), sharded once at construction.
     pub(crate) index: WriterIndex,
-    /// Striped by the same region boundaries as the writer index.
-    pub(crate) writer_map: StripedWriterMap,
     names: RwLock<Names>,
     fns: RwLock<HashMap<Word, FnMeta>>,
     /// Merged per-thread handle stats (handles flush here on drop or via
@@ -298,13 +288,11 @@ impl RuntimeCore {
 
     /// Creates an empty core with the given writer-index shard split
     /// points (the unit of both splice locality and lock granularity),
-    /// fixed for the core's lifetime; the writer-set bitmap is striped
-    /// at the same points.
+    /// fixed for the core's lifetime.
     pub fn with_shard_boundaries(boundaries: Vec<Word>) -> Self {
         RuntimeCore {
             meta: RwLock::new(Meta::default()),
             slots: SlotTable::new(),
-            writer_map: StripedWriterMap::with_boundaries(&boundaries),
             index: WriterIndex::with_boundaries(boundaries),
             names: RwLock::new(Names::default()),
             fns: RwLock::new(HashMap::new()),
@@ -456,8 +444,8 @@ impl RuntimeCore {
     /// coverage here instead of dropping it, so a function-pointer slot
     /// the dead module poisoned keeps a writer on record — the
     /// indirect-call check then fails `IndCallUnauthorized` forever
-    /// (tombstone holds no CALLs) instead of falling through the
-    /// empty-writer-set fast exit and dispatching the planted pointer
+    /// (tombstone holds no CALLs) instead of taking the no-holder fast
+    /// exit and dispatching the planted pointer
     /// with kernel privilege. Tombstone coverage drains through the same
     /// legitimate channels as any writer's: `kfree` sweeps and
     /// transfer-grants over reused memory.
@@ -566,14 +554,13 @@ impl RuntimeCore {
 
     // ------------------------------------------------------- capabilities
 
-    /// Grants a capability to a principal. WRITE grants mark the
-    /// writer-set map and enter the reverse writer index (§5) under the
-    /// principal's table mutex, so the index never lags the table once
-    /// the call returns. Grants never bump write epochs: added authority
-    /// cannot invalidate a cached positive guard decision.
+    /// Grants a capability to a principal. WRITE grants enter the
+    /// reverse writer index (§5) under the principal's table mutex, so
+    /// the index never lags the table once the call returns. Grants
+    /// never bump write epochs: added authority cannot invalidate a
+    /// cached positive guard decision.
     pub fn grant(&self, p: PrincipalId, cap: RawCap) {
         if cap.ctype == CapType::Write {
-            self.writer_map.mark(cap.addr, cap.size);
             let mut caps = self.slot(p).caps.lock().expect("caps lock");
             // Index before table: an indirect call racing this grant may
             // see the writer early (conservative), never late.
@@ -658,10 +645,6 @@ impl RuntimeCore {
     /// indirect-call lookup can never see the survivor's coverage
     /// transiently absent.
     fn unindex_write_locked(&self, p: PrincipalId, addr: Word, size: u64, caps: &CapSet) {
-        // Invalidate deferred zero-notes overlapping the removed window
-        // *before* the splice: a drain that observes the post-splice
-        // index must also observe this bump (see `StripedWriterMap`).
-        self.writer_map.note_revoked(addr, size);
         self.index.replace(p, addr, size, &caps.write);
     }
 
@@ -733,11 +716,9 @@ impl RuntimeCore {
                 let mut caps = self.slot(h).caps.lock().expect("caps lock");
                 let removed = caps.revoke(cap);
                 if removed {
-                    // One splice: src out (residuals back), dst in. The
-                    // range's granules stay marked throughout — the
-                    // original grant marked them and `clear_zeroed`
-                    // keeps covered granules — so no re-mark is needed.
-                    self.writer_map.note_revoked(cap.addr, cap.size);
+                    // One splice: src out (residuals back), dst in, so
+                    // the range never shows fewer holders than the
+                    // tables do.
                     self.index
                         .substitute(h, dst, cap.addr, cap.size, &caps.write);
                     dst_indexed = true;
@@ -750,7 +731,7 @@ impl RuntimeCore {
         }
         if let Some(d) = dst {
             if dst_indexed {
-                // Already indexed (and marked) by the substitution: only
+                // Already indexed by the substitution: only
                 // the table grant remains. Index-before-table holds.
                 self.slot(d).caps.lock().expect("caps lock").grant(cap);
             } else {
@@ -939,57 +920,6 @@ impl RuntimeCore {
         self.collect_writers(addr, 8, &mut v);
         v.sort_unstable();
         v
-    }
-
-    // ------------------------------------------------------ writer tracking
-
-    /// Notes that `[addr, addr+len)` was zeroed (allocator or kernel
-    /// `memset`): writer-set bits clear unless a principal still holds
-    /// WRITE coverage. Returns `false` when the lock-free maybe-marked
-    /// pre-check proved every touched stripe clean and the call did no
-    /// locked work at all (the all-clean fast skip).
-    pub fn note_zeroed(&self, addr: Word, len: u64) -> bool {
-        if !self.writer_map.maybe_marked_over(addr, len) {
-            return false;
-        }
-        // A granule stays marked while any principal holds WRITE coverage
-        // of any byte in it (clearing would be a false negative). The
-        // reverse index answers this in one window search instead of a
-        // per-granule walk of every principal.
-        self.writer_map
-            .clear_zeroed(addr, len, |granule| self.index.overlaps(granule, 64));
-        true
-    }
-
-    /// Samples a deferral token for a zero-note over the range, if it
-    /// fits in one writer-map stripe (see
-    /// [`StripedWriterMap::defer_token`]). Lock-free.
-    pub(crate) fn zero_note_token(&self, addr: Word, len: u64) -> Option<ZeroNoteToken> {
-        self.writer_map.defer_token(addr, len)
-    }
-
-    /// Applies a deferred zero-note; `None` means it was dropped as
-    /// stale (bits conservatively stay set).
-    pub(crate) fn drain_zero_note(
-        &self,
-        addr: Word,
-        len: u64,
-        token: ZeroNoteToken,
-    ) -> Option<u64> {
-        self.writer_map
-            .try_drain_note(addr, len, token, |granule| self.index.overlaps(granule, 64))
-    }
-
-    /// Direct writer-map marking (used when a module is loaded: its
-    /// writable sections may contain function pointers the kernel will
-    /// invoke, §5).
-    pub fn mark_written(&self, addr: Word, len: u64) {
-        self.writer_map.mark(addr, len);
-    }
-
-    /// True if the writer-set fast path would skip checks for `addr`.
-    pub fn writer_clean(&self, addr: Word) -> bool {
-        !self.writer_map.maybe_written(addr)
     }
 
     // ---------------------------------------------------------- iterators
@@ -1568,19 +1498,25 @@ mod tests {
     }
 
     #[test]
-    fn note_zeroed_restores_fast_path() {
+    fn revoke_restores_fast_path() {
+        // The fast path means "no holder on record": a revoke returns the
+        // slot to it at once, with no zeroing in between.
         let (mut rt, m) = rt_with_module();
         let p = rt.principal_for_name(m, 0x9000);
         let cap = RawCap::write(0x7000, 64);
         rt.grant(p, cap);
-        assert!(!rt.writer_clean(0x7000));
-        // While the capability is held, zeroing must NOT clean the slot.
-        rt.note_zeroed(0x7000, 64);
-        assert!(!rt.writer_clean(0x7000));
+        assert!(matches!(
+            rt.check_indcall(0x7000, 0x1, 0),
+            Err(Violation::IndCallUnauthorized { .. })
+        ));
         rt.revoke(p, cap);
-        rt.note_zeroed(0x7000, 64);
-        assert!(rt.writer_clean(0x7000));
+        rt.stats.reset();
         rt.check_indcall(0x7000, 0x1, 0).unwrap();
+        assert_eq!(rt.stats.count(GuardKind::KernelIndCall), 1);
+        assert_eq!(
+            rt.stats.cycles(GuardKind::KernelIndCall),
+            rt.costs.ind_call_fast
+        );
     }
 
     #[test]

@@ -74,11 +74,12 @@ pub struct GuardCosts {
     pub function_exit: u64,
     /// Cost of a memory-write check.
     pub mem_write: u64,
-    /// Cost of an indirect-call check that the writer-set fast path
-    /// resolves (writer set empty).
+    /// Cost of an indirect-call check that the fast path resolves: the
+    /// reverse writer index shows no holder of WRITE over the slot.
     pub ind_call_fast: u64,
-    /// Cost of an indirect-call check that needs the full capability and
-    /// annotation-hash validation (86 ns in Figure 13's e1000 row).
+    /// Cost of an indirect-call check that finds a holder and runs the
+    /// full capability and annotation-hash validation (86 ns in Figure
+    /// 13's e1000 row).
     pub ind_call_slow: u64,
 }
 
@@ -141,17 +142,6 @@ pub struct GuardStats {
     /// `transfer` actions that fell back to the full
     /// `revoke_everywhere` sweep (multiple holders, or a non-WRITE cap).
     pub transfer_slow: u64,
-    /// `note_zeroed` calls whose range hit only provably-clean writer-map
-    /// stripes: the lock-free marked-granule pre-check answered and the
-    /// call touched no lock at all.
-    pub note_zeroed_fast_skips: u64,
-    /// `note_zeroed` calls deferred into the per-handle zero-note buffer
-    /// instead of clearing on the packet path.
-    pub zero_notes_deferred: u64,
-    /// Deferred zero-notes dropped as stale at drain time (a mark or a
-    /// coverage revocation touched the stripe after the note was taken;
-    /// the bits conservatively stay set).
-    pub zero_notes_stale: u64,
 }
 
 impl GuardStats {
@@ -238,9 +228,6 @@ impl GuardStats {
         self.kfree_hint_skipped += other.kfree_hint_skipped;
         self.transfer_fast += other.transfer_fast;
         self.transfer_slow += other.transfer_slow;
-        self.note_zeroed_fast_skips += other.note_zeroed_fast_skips;
-        self.zero_notes_deferred += other.zero_notes_deferred;
-        self.zero_notes_stale += other.zero_notes_stale;
     }
 
     /// Snapshot of `(kind, count, cycles)` rows.

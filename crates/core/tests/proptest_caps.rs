@@ -10,7 +10,7 @@
 use proptest::prelude::*;
 
 use lxfi_core::caps::CapSet;
-use lxfi_core::{GuardHandle, ModuleId, PrincipalId, RawCap, WriteTable};
+use lxfi_core::{GuardHandle, ModuleId, PrincipalId, RawCap, Violation, WriteTable};
 
 // ------------------------------------------------- WriteTable vs oracle
 
@@ -279,27 +279,42 @@ proptest! {
         }
     }
 
-    /// Writer-set tracking never reports "clean" for a granule some
-    /// principal can still write (no false negatives, §5).
+    /// The indirect-call guard never skips a slot some principal can
+    /// still write (no false negatives, §5), and skips every slot nobody
+    /// holds: after random WRITE grants and exact revokes, a call to a
+    /// target no principal may CALL is refused through every slot a held
+    /// grant covers and allowed through every other probed slot.
     #[test]
-    fn writer_map_no_false_negatives(
-        grants in proptest::collection::vec((0x30_0000u64..0x30_2000, 1u64..512), 1..20),
-        zeroes in proptest::collection::vec((0x30_0000u64..0x30_2000, 1u64..512), 0..10),
+    fn indcall_checks_every_held_slot(
+        grants in proptest::collection::vec((0u32..3, 0x30_0000u64..0x30_2000, 1u64..512), 1..20),
+        revokes in proptest::collection::vec(0usize..20, 0..12),
+        probes in proptest::collection::vec(0x2f_ff00u64..0x30_2300, 0..32),
     ) {
         let mut rt: GuardHandle = GuardHandle::new(Default::default());
         let m = rt.register_module("m");
-        let p = rt.principal_for_name(m, 0x9000);
-        for &(a, s) in &grants {
-            rt.grant(p, RawCap::write(a, s));
+        let ps: Vec<PrincipalId> =
+            (0..3).map(|i| rt.principal_for_name(m, 0x9000 + i * 0x100)).collect();
+        for &(i, a, s) in &grants {
+            rt.grant(ps[i as usize], RawCap::write(a, s));
         }
-        for &(a, s) in &zeroes {
-            rt.note_zeroed(a, s);
+        let mut held = grants.clone();
+        for &r in &revokes {
+            if let Some(&(i, a, s)) = grants.get(r) {
+                rt.revoke(ps[i as usize], RawCap::write(a, s));
+                held.retain(|&g| g != (i, a, s));
+            }
         }
-        // Any address still covered by a held capability must be dirty.
-        for &(a, s) in &grants {
-            if rt.owns(p, RawCap::write(a, s)) {
-                prop_assert!(!rt.writer_clean(a), "clean bit over live WRITE cap at {a:#x}");
-                prop_assert!(!rt.writer_clean(a + s - 1));
+        let target = 0xdead_0000;
+        let mut slots: Vec<u64> = held.iter().flat_map(|&(_, a, s)| [a, a + s - 1]).collect();
+        slots.extend(&probes);
+        for slot in slots {
+            let covered = held.iter().any(|&(_, a, s)| slot < a + s && a < slot + 8);
+            let verdict = rt.check_indcall(slot, target, 0);
+            if covered {
+                let refused = matches!(verdict, Err(Violation::IndCallUnauthorized { .. }));
+                prop_assert!(refused, "slot {slot:#x} under a held WRITE passed: {verdict:?}");
+            } else {
+                prop_assert_eq!(verdict, Ok(()), "unheld slot {:#x}", slot);
             }
         }
     }

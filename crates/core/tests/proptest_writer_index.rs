@@ -25,8 +25,8 @@
 //! asserted after every operation.
 //!
 //! Every sequence additionally runs under **sharded** cores built with
-//! `RuntimeCore::with_shard_boundaries`, the shape the kernel runs (the
-//! writer-map stripes are split too) — proptest-chosen boundaries inside
+//! `RuntimeCore::with_shard_boundaries`, the shape the kernel runs —
+//! proptest-chosen boundaries inside
 //! the op universe, a fixed list that is unsorted, duplicated, zero and
 //! not page-aligned, and fixed near-`MAX` boundaries — since
 //! shard-boundary splits must never change a `writers_of` answer.
@@ -249,9 +249,8 @@ proptest! {
 
     /// Sharded at proptest-chosen boundaries inside (and around) the op
     /// universe, and at a fixed list the constructor must normalize
-    /// (unsorted, duplicated, zero, not page-aligned, so shard and
-    /// writer-map stripe boundaries differ): boundary splits never
-    /// change an answer.
+    /// (unsorted, duplicated, zero, not page-aligned): boundary splits
+    /// never change an answer.
     #[test]
     fn writer_index_matches_sharded(
         ops in proptest::collection::vec(arb_op(), 1..40),

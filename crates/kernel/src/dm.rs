@@ -126,7 +126,6 @@ impl KernelCpu {
             .kmalloc_cpu(bio::SIZE)
             .ok_or_else(|| Trap::BadRef("bio alloc".into()))?;
         self.mem.zero_range(b, bio::SIZE)?;
-        self.rt.note_zeroed(b, bio::SIZE);
         let buf = self
             .kmalloc_cpu(len)
             .ok_or_else(|| Trap::BadRef("bio buf alloc".into()))?;

@@ -64,7 +64,6 @@ pub fn register(k: &mut KernelCpu) {
             match alloc {
                 Some(addr) => {
                     k.mem.zero_range(addr, size)?;
-                    k.rt.note_zeroed(addr, size);
                     Ok(addr)
                 }
                 None => Ok(0),
@@ -136,9 +135,6 @@ pub fn register(k: &mut KernelCpu) {
             charge(k, n)?;
             for i in 0..n {
                 k.mem.write(ptr + i, u64::from(val), Width::B1)?;
-            }
-            if val == 0 {
-                k.rt.note_zeroed(ptr, n);
             }
             Ok(0)
         }),

@@ -717,9 +717,10 @@ impl KernelCpu {
 
     /// The two-phase free prologue every free runs: claims the slot
     /// (`begin_free`), strips WRITE coverage of it from every principal
-    /// (no capability may outlive the allocation, §3.3), zeroes it and
-    /// notes it zeroed so the writer-set fast path recovers. Returns the
-    /// size class, or `None` if `addr` is not a live allocation. The
+    /// (no capability may outlive the allocation, §3.3) — which also
+    /// returns the slot to the indirect-call fast path — and zeroes it.
+    /// Returns the size class, or `None` if `addr` is not a live
+    /// allocation. The
     /// slot stays unallocatable until the caller releases it, so a
     /// concurrent `kmalloc` on another CPU cannot be granted the
     /// recycled address and then have its fresh grant swept away.
@@ -729,7 +730,6 @@ impl KernelCpu {
         };
         self.rt.revoke_write_overlapping_everywhere(addr, class);
         self.mem.zero_range(addr, class)?;
-        self.rt.note_zeroed(addr, class);
         Ok(Some(class))
     }
 

@@ -89,15 +89,13 @@ impl KernelCpu {
         Ok(Some(ret))
     }
 
-    /// Drains this CPU's pending deferred calls — the quiescent point.
-    /// Runs the zero-note flush first (the same family of deferred work
-    /// this layer extends), then dispatches every pending call whose
-    /// slot is bound to this CPU. A faulting bottom half is classified
-    /// and contained right here (`KernelCpu::contain_trap`) and the
-    /// drain continues with the next call; only a kernel panic stops it.
-    /// Returns the number of calls dispatched.
+    /// Drains this CPU's pending deferred calls — the quiescent point:
+    /// dispatches every pending call whose slot is bound to this CPU. A
+    /// faulting bottom half is classified and contained right here
+    /// (`KernelCpu::contain_trap`) and the drain continues with the next
+    /// call; only a kernel panic stops it. Returns the number of calls
+    /// dispatched.
     pub fn deferred_drain(&mut self) -> usize {
-        self.rt.flush_zero_notes();
         let mut n = 0usize;
         // Hard bound: a misbehaving poll callback that re-arms forever
         // must not livelock the quiescent point; leftover work stays

@@ -359,15 +359,12 @@ impl KernelCpu {
                     }
                 }
             }
+            // WRITE to .data/.bss only. Read-only sections get no grant
+            // and stay unwritable — this alone stops the stock RDS
+            // exploit (§8.1).
             for (g, &addr) in m.program.globals.iter().zip(&m.global_addrs) {
                 if g.writable {
-                    // WRITE to .data/.bss; grant() also marks the
-                    // writer-set map for these sections (§5).
                     self.rt.grant(shared, RawCap::write(addr, g.size));
-                } else {
-                    // Read-only sections stay unwritable — this alone
-                    // stops the stock RDS exploit (§8.1).
-                    self.rt.mark_written(addr, g.size);
                 }
             }
         }
@@ -445,10 +442,9 @@ impl KernelCpu {
     /// tombstone's (and anyone's) residual WRITE coverage over the
     /// window is dropped — safe only now, because the new tenant
     /// re-initializes every byte it will expose — the old globals are
-    /// zeroed, their writer-map marks cleared, and the old function
-    /// registrations removed. This is the deferred half of teardown:
-    /// tombstone coverage must poison a dead module's slots exactly
-    /// until the memory is legitimately reused.
+    /// zeroed, and the old function registrations removed. This is the
+    /// deferred half of teardown: tombstone coverage must poison a dead
+    /// module's slots exactly until the memory is legitimately reused.
     fn scrub_window(&mut self, slot: usize, window: Word) {
         let old = Arc::clone(&self.core.modules.read().expect("modules lock").modules[slot]);
         debug_assert!(
@@ -459,7 +455,6 @@ impl KernelCpu {
             .revoke_write_overlapping_everywhere(window, MODULE_STRIDE);
         for (g, &addr) in old.program.globals.iter().zip(&old.global_addrs) {
             let _ = self.mem.zero_range(addr, g.size);
-            self.rt.note_zeroed(addr, g.size);
         }
         let rtc = self.core.runtime_core();
         for f in old.funcs() {

@@ -14,10 +14,10 @@
 //!   selection from the `principal(...)` annotation, then the wrapper
 //!   around the module function.
 //! - **kernel indirect calls** ([`KernelCpu::indirect_call`] for native
-//!   code, `GuardIndCall` for rewritten kernel thunks): writer-set bitmap
-//!   check, then — on the slow path — the reverse writer index resolves
-//!   the slot's writer principals (sublinear in principals, §5), each of
-//!   which must hold CALL for the target, plus the annotation-hash match
+//!   code, `GuardIndCall` for rewritten kernel thunks): the reverse writer
+//!   index resolves the slot's writer principals (sublinear in
+//!   principals, §5); with none the call is kernel-authored, otherwise
+//!   each must hold CALL for the target, plus the annotation-hash match
 //!   — then dispatch.
 
 use std::sync::Arc;

@@ -49,10 +49,10 @@ pub const KSTATIC_BASE: Word = 0xffff_8a00_0000_0000;
 
 /// Number of slab heap shards: the kmalloc heap is carved into this many
 /// disjoint sub-regions, each backed by its own [`crate::slab::Slab`]
-/// behind its own lock, and each given its own writer-index shard and
-/// writer-map stripe. A CPU refills its magazines from "its" shard
-/// (`cpu % SLAB_SHARDS`), so per-packet alloc/free traffic on different
-/// CPUs touches disjoint locks end to end.
+/// behind its own lock, and each given its own writer-index shard. A CPU
+/// refills its magazines from "its" shard (`cpu % SLAB_SHARDS`), so
+/// per-packet alloc/free traffic on different CPUs touches disjoint
+/// locks end to end.
 pub const SLAB_SHARDS: u64 = 8;
 
 /// Byte span of one slab heap shard ([`HEAP_BASE`]..[`KDATA_BASE`] is
@@ -69,9 +69,8 @@ pub fn slab_shard_base(i: u64) -> Word {
 /// stacks, module area, exports), plus a shard per module window for the
 /// first [`SHARDED_MODULE_WINDOWS`] modules, plus one per slab heap
 /// shard — the regions whose capability traffic is independent, so
-/// grant/revoke splices in one never move another's intervals. The same
-/// split points stripe the runtime's writer-set bitmap, so per-CPU slab
-/// zeroing never contends on another CPU's stripe lock.
+/// grant/revoke splices in one never move another's intervals, and
+/// per-CPU slab frees never contend on another CPU's shard lock.
 pub fn shard_boundaries() -> Vec<Word> {
     let mut b = vec![
         HEAP_BASE,

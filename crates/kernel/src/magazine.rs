@@ -18,7 +18,7 @@
 //!
 //! - **Two-phase free.** An object enters a magazine only *after* its
 //!   capability sweep and zeroing completed (the kfree path runs
-//!   `begin_free` → revoke → zero → `note_zeroed` → [`Magazines::release`]).
+//!   `begin_free` → revoke → zero → [`Magazines::release`]).
 //!   A magazine slot is therefore always safe to hand out immediately.
 //! - **SLUB adjacency.** `reserve_batch` returns ascending addresses and
 //!   the magazine pushes them reversed, so back-to-back allocations of
@@ -243,7 +243,7 @@ impl Magazines {
 
     /// Accepts a freed slot into the magazine. The caller has already
     /// run the two-phase free prologue (`begin_free`, capability sweep,
-    /// zeroing, `note_zeroed`) — the slot is immediately reusable. On
+    /// zeroing) — the slot is immediately reusable. On
     /// overflow the *cold* bottom [`FLUSH_BATCH`] slots return to their
     /// owning shards' free lists; the hot top stays cached.
     pub fn release(&mut self, slab: &ShardedSlab, addr: Word, class: u64) {

@@ -314,7 +314,6 @@ pub fn alloc_skb_raw(k: &mut KernelCpu, len: u64) -> Option<Word> {
         0
     };
     k.mem.zero_range(skb, sk_buff::SIZE).ok()?;
-    k.rt.note_zeroed(skb, sk_buff::SIZE);
     k.mem
         .write_word((skb as i64 + sk_buff::DATA) as u64, data)
         .ok()?;

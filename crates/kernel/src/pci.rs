@@ -43,8 +43,8 @@ pub fn register(k: &mut KernelCpu) {
         Some("pre(check(call, probe))"),
         Arc::new(|k, args| {
             // The kernel stores the (capability-checked) probe pointer in
-            // its own memory; the slot is kernel-written, so later
-            // dispatches take the writer-set fast path.
+            // its own memory; no module holds WRITE over the slot, so
+            // later dispatches take the indirect-call fast path.
             let slot = k.kstatic_alloc(8);
             k.mem.write_word(slot, args[0])?;
             k.pci().driver_slots.push(slot);

@@ -119,7 +119,6 @@ impl KernelCpu {
             .kmalloc_cpu(shmid_kernel::SIZE)
             .ok_or_else(|| Trap::BadRef("shm alloc".into()))?;
         self.mem.zero_range(shp, shmid_kernel::SIZE)?;
-        self.rt.note_zeroed(shp, shmid_kernel::SIZE);
         // The kernel installs its legitimate shm handler.
         let handler = self
             .export_addr("shm_default_ops")

@@ -44,7 +44,7 @@ struct World {
 
 /// Boots a kernel with three LXFI modules whose WRITE grants overlap one
 /// function-pointer slot with different extents (the real `RuntimeCore::grant`
-/// path, so the writer bitmap and the reverse index both see them):
+/// path, so the reverse index sees them):
 ///
 /// ```text
 ///   alpha: [slot-16, slot+16)
