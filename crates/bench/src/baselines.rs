@@ -317,7 +317,7 @@ mod tests {
             &mut rt,
             [false, false, true, false, true, true, false, false],
         );
-        rt.revoke_everywhere(RawCap::write(0x2000, 0x100));
+        rt.revoke_everywhere(&[RawCap::write(0x2000, 0x100)]);
         check(
             &mut rt,
             [false, false, false, false, true, true, false, false],

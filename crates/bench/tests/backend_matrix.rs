@@ -15,7 +15,7 @@ const MODES: [IsolationMode; 2] = [IsolationMode::Stock, IsolationMode::Lxfi];
 /// the values the per-thread runtime facade produced before it was
 /// folded into `GuardHandle`: every count and cycle charge must survive
 /// that move unchanged, under both backends.
-const LXFI_NETPERF_METERING: [(&str, u64); 18] = [
+const LXFI_NETPERF_METERING: [(&str, u64); 17] = [
     ("total_cycles", 44116),
     ("AnnotationAction count", 55),
     ("AnnotationAction cycles", 6820),
@@ -31,7 +31,6 @@ const LXFI_NETPERF_METERING: [(&str, u64); 18] = [
     ("write_cache_misses", 39),
     ("epoch_bumps", 48),
     ("kfree_hint_visited", 8),
-    ("kfree_hint_skipped", 40),
     ("transfer_fast", 42),
     ("transfer_slow", 0),
 ];
@@ -49,7 +48,6 @@ fn guard_metering(k: &Kernel) -> Vec<(String, u64)> {
         ("write_cache_misses", s.write_cache_misses),
         ("epoch_bumps", s.epoch_bumps),
         ("kfree_hint_visited", s.kfree_hint_visited),
-        ("kfree_hint_skipped", s.kfree_hint_skipped),
         ("transfer_fast", s.transfer_fast),
         ("transfer_slow", s.transfer_slow),
     ] {

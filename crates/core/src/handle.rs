@@ -39,7 +39,7 @@ use lxfi_machine::Word;
 use crate::caps::{CapType, RawCap};
 use crate::epoch_cache::{EpochCache, DEFAULT_WAYS};
 use crate::principal::{ModuleId, PrincipalId};
-use crate::runtime::{EmittedCap, RetireSweep, RuntimeCore};
+use crate::runtime::{EmittedCap, RuntimeCore};
 use crate::shadow::{PrincipalCtx, ShadowStack};
 use crate::stats::{GuardCosts, GuardKind, GuardStats};
 use crate::Violation;
@@ -220,9 +220,9 @@ impl<const W: usize> GuardHandle<W> {
     /// the table removal, so the index never drops a holder that can
     /// still store. A "no holder" answer is therefore never a false
     /// negative — the same ordering the holder collection below relies
-    /// on. A retired module's coverage stays on record through the
-    /// tombstone ([`RuntimeCore::ensure_tombstone`]), which holds no CALL
-    /// capability.
+    /// on. A retired module's principals keep their WRITE grants on
+    /// record ([`RuntimeCore::retire_module`]) and hold no CALL
+    /// capability, so a slot a dead module wrote stays refused.
     pub fn check_indcall(
         &mut self,
         slot: Word,
@@ -280,16 +280,13 @@ impl<const W: usize> GuardHandle<W> {
 
     /// See [`RuntimeCore::retire_module`]; epoch bumps are accounted into
     /// this handle's [`GuardStats`].
-    pub fn retire_module(&mut self, mid: ModuleId) -> RetireSweep {
-        let sweep = self.core.retire_module(mid);
-        self.stats.epoch_bumps += sweep.epoch_bumps;
-        sweep
+    pub fn retire_module(&mut self, mid: ModuleId) {
+        self.stats.epoch_bumps += self.core.retire_module(mid);
     }
 
     /// See [`RuntimeCore::revoke_everywhere`].
-    pub fn revoke_everywhere(&mut self, cap: RawCap) {
-        let bumps = self.core.revoke_everywhere(cap);
-        self.stats.epoch_bumps += bumps;
+    pub fn revoke_everywhere(&mut self, caps: &[RawCap]) {
+        self.stats.epoch_bumps += self.core.revoke_everywhere(caps);
     }
 
     /// Moves `cap` from whoever holds it to `dst` (annotation `transfer`
@@ -314,8 +311,7 @@ impl<const W: usize> GuardHandle<W> {
             }
         } else {
             self.stats.transfer_slow += 1;
-            let bumps = self.core.revoke_everywhere(cap);
-            self.stats.epoch_bumps += bumps;
+            self.stats.epoch_bumps += self.core.revoke_everywhere(&[cap]);
             if let Some(d) = dst {
                 self.core.grant(d, cap);
             }
@@ -332,7 +328,6 @@ impl<const W: usize> GuardHandle<W> {
             .revoke_write_overlapping_everywhere(addr, size, &mut self.scratch);
         self.stats.epoch_bumps += sweep.epoch_bumps;
         self.stats.kfree_hint_visited += sweep.visited;
-        self.stats.kfree_hint_skipped += sweep.skipped;
         #[cfg(debug_assertions)]
         if size > 0 && self.core.kfree_cross_check_enabled() {
             for i in 0..self.core.principal_count() {

@@ -57,7 +57,7 @@ pub use epoch_cache::{EpochCache, DEFAULT_WAYS};
 pub use handle::GuardHandle;
 pub use iface::{FnDecl, Param, TypeLayouts};
 pub use principal::{ModuleId, PrincipalId, PrincipalKind};
-pub use runtime::{ConstId, IteratorFn, IteratorId, KfreeSweep, RetireSweep, RuntimeCore};
+pub use runtime::{ConstId, IteratorFn, IteratorId, KfreeSweep, RuntimeCore};
 pub use stats::{GuardCosts, GuardKind, GuardStats, ALL_GUARD_KINDS};
 pub use writer_index::{WriterIndex, WriterSetId};
 

@@ -130,10 +130,6 @@ pub struct GuardStats {
     /// (`revoke_write_overlapping_everywhere`) actually visited: the
     /// freed range's holders, as the reverse writer index names them.
     pub kfree_hint_visited: u64,
-    /// Principals the sweep skipped because the index lists them as no
-    /// holder of the range (the full walk would have probed their
-    /// tables for nothing).
-    pub kfree_hint_skipped: u64,
     /// `transfer` actions resolved by the single-holder fast path: the
     /// reverse writer index showed at most one holder, so the grant moved
     /// principal-to-principal with one shard splice and one epoch-bump
@@ -225,7 +221,6 @@ impl GuardStats {
         self.write_cache_misses += other.write_cache_misses;
         self.epoch_bumps += other.epoch_bumps;
         self.kfree_hint_visited += other.kfree_hint_visited;
-        self.kfree_hint_skipped += other.kfree_hint_skipped;
         self.transfer_fast += other.transfer_fast;
         self.transfer_slow += other.transfer_slow;
     }

@@ -121,7 +121,7 @@ fn transfer_racing_revoke_converges() {
         thread::spawn(move || {
             for _ in 0..ROUNDS {
                 barrier.wait();
-                core.revoke_everywhere(cap);
+                core.revoke_everywhere(&[cap]);
                 barrier.wait();
                 barrier.wait();
             }
@@ -145,7 +145,7 @@ fn transfer_racing_revoke_converges() {
         assert!(!indexed.contains(&a));
         core.check_index_invariants();
         // Reset for the next round.
-        core.revoke_everywhere(cap);
+        core.revoke_everywhere(&[cap]);
         barrier.wait();
     }
     xfer.join().expect("transfer thread");

@@ -259,7 +259,7 @@ proptest! {
                     shared.insert(t);
                 }
                 POp::RevokeEverywhere(t) => {
-                    rt.revoke_everywhere(RawCap::call(t));
+                    rt.revoke_everywhere(&[RawCap::call(t)]);
                     for o in own.iter_mut() { o.remove(&t); }
                     shared.remove(&t);
                 }

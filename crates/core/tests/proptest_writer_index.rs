@@ -190,7 +190,7 @@ fn check_sequence_sharded(ops: &[Op], boundaries: Vec<u64>) {
                 naive.revoke(pi, a, s);
             }
             Op::RevokeEverywhere(a, s) => {
-                rt.revoke_everywhere(RawCap::write(a, s));
+                rt.revoke_everywhere(&[RawCap::write(a, s)]);
                 for pi in 0..NPRINC {
                     naive.revoke(pi, a, s);
                 }

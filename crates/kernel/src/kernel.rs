@@ -268,8 +268,8 @@ struct ModuleTable {
     /// Slots of torn-down modules, reusable by the next load (lowest
     /// first). The dead `Arc` stays in `modules` until then so indices
     /// remain stable; the window is scrubbed at reuse, not teardown —
-    /// tombstone coverage must poison dead slots *until* the memory is
-    /// re-initialized by a new tenant.
+    /// the retired principals' WRITE records must poison dead slots
+    /// *until* the memory is re-initialized by a new tenant.
     free_slots: Vec<usize>,
 }
 
@@ -591,10 +591,6 @@ impl Kernel {
         // traffic, so grant/revoke splices stay bounded by the region
         // they touch — and so are the per-shard locks.
         let rtc = Arc::new(RuntimeCore::with_shard_boundaries(shard_boundaries()));
-        // The tombstone principal exists from boot, so principal
-        // numbering is deterministic whether or not a module ever
-        // faults (quarantine would otherwise create it lazily).
-        rtc.ensure_tombstone();
         let procs = ProcessTable::new(&mem, KSTATIC_BASE);
 
         let unannotated_decl = {

@@ -3,7 +3,7 @@
 //! principal belongs to one) **quarantines that module only** — name
 //! and function addresses unpublished, in-flight executions drained
 //! through the RCU grace period, resources reclaimed, principals retired
-//! with their WRITE coverage moved to the tombstone — and the kernel
+//! with their WRITE grants kept as past-writer records — and the kernel
 //! keeps serving every other module. A policy violation that cannot be
 //! attributed to any module is a violation of the kernel's *own*
 //! invariants and still escalates to a **kernel panic** shared by every
@@ -190,12 +190,12 @@ impl KernelCpu {
             return err;
         }
 
-        // A violation naming a retired principal (or the tombstone) is
-        // planted state from a module that is already dead and
-        // reclaimed: record the fault, keep the kernel running.
+        // A violation naming a retired principal is planted state from a
+        // module that is already dead and reclaimed: record the fault,
+        // keep the kernel running.
         if let Some(p) = culprit {
             let rtc = self.core.runtime_core();
-            if rtc.is_retired(p) || rtc.tombstone() == Some(p) {
+            if rtc.is_retired(p) {
                 let mid = rtc.principal_module(p);
                 return self.record_fault(ModuleFault {
                     id: None,
@@ -220,12 +220,15 @@ impl KernelCpu {
     }
 
     /// The live registry entry backed by runtime module `mid`, if any.
-    /// (After slot reuse a dead module's principals resolve to no entry;
-    /// the retired-principal branch of [`KernelCpu::contain_trap`]
-    /// handles them.)
+    /// A torn-down entry is skipped even before its slot is reused: a
+    /// dead module's principals are retired, and the retired-principal
+    /// branch of [`KernelCpu::contain_trap`] handles them.
     fn loaded_module_of(&self, mid: lxfi_core::ModuleId) -> Option<Arc<LoadedModule>> {
         let tab = self.core.modules.read().expect("modules lock");
-        tab.modules.iter().find(|m| m.mid == Some(mid)).cloned()
+        tab.modules
+            .iter()
+            .find(|m| m.mid == Some(mid) && !m.unloaded.load(Ordering::Acquire))
+            .cloned()
     }
 
     /// Appends a contained fault to the kernel-wide log.
@@ -240,11 +243,10 @@ impl KernelCpu {
     /// wait out the RCU grace period, then reclaim every resource the
     /// module pinned — CALL capabilities to its functions, the
     /// kernel-stack WRITE grants of §3.2, slab objects only its
-    /// principals could still free — and retire its principals, moving
-    /// their remaining WRITE coverage to the tombstone so slots the
-    /// module wrote stay poisoned (the window itself is scrubbed at
-    /// slot *reuse*, not here). Returns `false` if the module was
-    /// already torn down.
+    /// principals could still free — and retire its principals, whose
+    /// remaining WRITE grants stay on record so slots the module wrote
+    /// stay poisoned (the window itself is scrubbed at slot *reuse*, not
+    /// here). Returns `false` if the module was already torn down.
     pub(super) fn teardown_module(&mut self, m: &Arc<LoadedModule>) -> bool {
         let core = Arc::clone(&self.core);
         let _load = core.load_lock.lock().expect("load lock");
@@ -277,13 +279,13 @@ impl KernelCpu {
             return true; // stock module: no principals, nothing to reclaim
         };
         // CALL capabilities to the dead functions die everywhere (§3.3
-        // transfer semantics applied to the whole module).
-        for f in m.funcs() {
-            self.rt.revoke_everywhere(RawCap::call(m.fn_addr(f)));
-        }
+        // transfer semantics applied to the whole module), in one walk
+        // of the live principals.
+        let calls: Vec<RawCap> = m.funcs().map(|f| RawCap::call(m.fn_addr(f))).collect();
+        self.rt.revoke_everywhere(&calls);
         // Kernel-stack grants (§3.2 initial capability (2)) are
-        // *returned*, not tombstoned: stacks outlive the module and are
-        // legitimately rewritten by every later tenant.
+        // *returned*, not kept on record: stacks outlive the module and
+        // are legitimately rewritten by every later tenant.
         let rtc = self.core.runtime_core();
         let victims = rtc.module_principals(mid);
         let stacks: Vec<Word> = self.core.threads.lock().expect("threads lock").clone();
@@ -298,7 +300,7 @@ impl KernelCpu {
         // surviving owner still frees them through the normal path.
         self.sweep_module_slab(&victims);
         // Everything left (window globals, kernel slots it was granted)
-        // moves to the tombstone; the principals retire.
+        // stays on record as the retired principals' WRITE grants.
         self.rt.retire_module(mid);
         true
     }
@@ -309,7 +311,6 @@ impl KernelCpu {
     /// writer index names each object's holders in one query.
     fn sweep_module_slab(&mut self, victims: &[PrincipalId]) {
         let rtc = self.core.runtime_core();
-        let ts = rtc.tombstone();
         let objects = self.slab().live_objects();
         let mut holders = Vec::new();
         for (addr, _size, class) in objects {
@@ -318,7 +319,7 @@ impl KernelCpu {
             let dead_holds = holders.iter().any(|p| victims.contains(p));
             let live_holds = holders
                 .iter()
-                .any(|&p| !victims.contains(&p) && Some(p) != ts && !rtc.is_retired(p));
+                .any(|&p| !victims.contains(&p) && !rtc.is_retired(p));
             if !dead_holds || live_holds {
                 continue;
             }

@@ -414,8 +414,8 @@ impl KernelCpu {
 
     /// Unloads a module: its name is freed, its function addresses stop
     /// resolving, its resources are reclaimed, and its principals retire
-    /// — their remaining WRITE coverage moves to the tombstone so slots
-    /// the module wrote stay poisoned (the quarantine teardown, minus
+    /// — their remaining WRITE grants stay on record so slots the module
+    /// wrote stay poisoned (the quarantine teardown, minus
     /// the fault record). Executions already in flight on other CPUs
     /// finish on their cloned `Arc` (like a real kernel waiting out an
     /// RCU grace period); the slot is scrubbed and reused by a later
@@ -439,12 +439,12 @@ impl KernelCpu {
     }
 
     /// Scrubs a dead module's window before a new tenant moves in: the
-    /// tombstone's (and anyone's) residual WRITE coverage over the
-    /// window is dropped — safe only now, because the new tenant
+    /// retired principals' (and anyone's) residual WRITE coverage over
+    /// the window is dropped — safe only now, because the new tenant
     /// re-initializes every byte it will expose — the old globals are
     /// zeroed, and the old function registrations removed. This is the
-    /// deferred half of teardown: tombstone coverage must poison a dead
-    /// module's slots exactly until the memory is legitimately reused.
+    /// deferred half of teardown: a dead module's WRITE records must
+    /// poison its slots exactly until the memory is legitimately reused.
     fn scrub_window(&mut self, slot: usize, window: Word) {
         let old = Arc::clone(&self.core.modules.read().expect("modules lock").modules[slot]);
         debug_assert!(

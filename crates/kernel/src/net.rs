@@ -461,10 +461,10 @@ impl KernelCpu {
     /// inverse of probe-time registration): unpublishes the net_device
     /// from the device list, its NAPI registration, and its RX ring,
     /// then scrubs residual WRITE coverage over the device allocation —
-    /// the dead tenant's `alloc_etherdev` grant, parked on the
-    /// tombstone since quarantine. Tombstone poison lifts at legitimate
-    /// reuse, and "the operator unplugs the device" is exactly that
-    /// point. Returns whether the device was known.
+    /// the dead tenant's `alloc_etherdev` grant, kept on record by its
+    /// retired principals since quarantine. A dead module's poison lifts
+    /// at legitimate reuse, and "the operator unplugs the device" is
+    /// exactly that point. Returns whether the device was known.
     pub fn net_remove_dead_device(&mut self, dev: Word) -> bool {
         let (found, size) = {
             let mut net = self.net();

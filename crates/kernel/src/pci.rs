@@ -135,11 +135,11 @@ impl KernelCpu {
             }
             // Reset the device before offering it to a driver: residual
             // WRITE coverage over its BAR or config struct — a crashed
-            // previous tenant's grants, parked on the tombstone since
-            // its teardown — is scrubbed now that the hardware is being
-            // reused, mirroring `scrub_window`'s rule that tombstone
-            // poison lifts exactly at legitimate reuse. A no-op on
-            // first probe (nothing granted yet).
+            // previous tenant's grants, kept on record by its retired
+            // principals since teardown — is scrubbed now that the
+            // hardware is being reused, mirroring `scrub_window`'s rule
+            // that a dead module's poison lifts exactly at legitimate
+            // reuse. A no-op on first probe (nothing granted yet).
             let mmio = self
                 .mem
                 .read_word((dev as i64 + pci_dev::MMIO_BASE) as u64)

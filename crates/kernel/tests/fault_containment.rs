@@ -204,32 +204,35 @@ fn poisoned_fn_ptr_slot_stays_dead_forever() {
     call(&mut k, "m", "plant", &[slot, target]).unwrap();
     assert_eq!(k.mem.read_word(slot).unwrap(), target, "pointer planted");
 
-    // Crash the module. Its WRITE coverage of the slot moves to the
-    // tombstone principal, which holds CALL to nothing.
+    // Crash the module. Its principals retire and keep their WRITE
+    // coverage of the slot on record, but hold CALL to nothing.
     let fault = expect_fault(call(&mut k, "m", "violate", &[]));
     assert_eq!(fault.id, Some(id));
 
-    // The kernel now trips over the planted pointer: refused, and the
-    // refusal is a fault record blamed on dead code — not a panic, not
-    // a quarantine of anyone alive.
-    let r = k.enter(|k| k.indirect_call(slot, "poisoned_t", &[7]));
-    let fault = expect_fault(r);
-    assert_eq!(fault.id, None, "no live module to blame");
-    assert!(
-        matches!(fault.violation, Some(Violation::IndCallUnauthorized { slot: s, .. }) if s == slot),
-        "{:?}",
-        fault.violation
-    );
-    assert!(k.panic_reason().is_none());
-
-    // Even after a new tenant occupies the slot's window, the kstatic
-    // slot stays poisoned: the tombstone's coverage there is permanent.
-    let id2 = k.load_module(faulty_spec("m")).unwrap();
-    assert_eq!(id2, id);
-    let r = k.enter(|k| k.indirect_call(slot, "poisoned_t", &[7]));
-    let fault = expect_fault(r);
-    assert_eq!(fault.id, None);
-    assert!(k.panic_reason().is_none());
+    // The kernel now trips over the planted pointer: refused, naming the
+    // dead module's own retired principal, and the refusal is a fault
+    // record blamed on dead code — not a panic, not a quarantine of
+    // anyone alive. The same holds after a new tenant occupies the
+    // slot's window: the kstatic slot was never zeroed, so it stays
+    // poisoned.
+    for reload in [false, true] {
+        if reload {
+            assert_eq!(k.load_module(faulty_spec("m")).unwrap(), id);
+        }
+        let r = k.enter(|k| k.indirect_call(slot, "poisoned_t", &[7]));
+        let fault = expect_fault(r);
+        assert_eq!(fault.id, None, "no live module to blame");
+        let writer = match fault.violation {
+            Some(Violation::IndCallUnauthorized {
+                slot: s, writer, ..
+            }) if s == slot => writer,
+            v => panic!("{v:?}"),
+        };
+        assert!(core.is_retired(writer), "the writer on record is dead");
+        assert_eq!(core.principal_module(writer), mid, "the dead module's own");
+        assert_eq!(fault.module, "m");
+        assert!(k.panic_reason().is_none());
+    }
 }
 
 #[test]
@@ -274,8 +277,8 @@ fn gauges(k: &Kernel) -> (u64, u64, usize, usize) {
 fn hundred_crash_recover_cycles_leak_nothing() {
     let mut k = Kernel::boot(IsolationMode::Lxfi);
     // One cycle to reach steady state: the first crash leaves the
-    // tombstone covering the dead window until the slot is reused, and
-    // every later cycle ends in exactly that state.
+    // retired principals covering the dead window until the slot is
+    // reused, and every later cycle ends in exactly that state.
     crash_cycle(&mut k);
     let steady = gauges(&k);
     let (_, retired_per_cycle) = k.runtime_core().principal_gauges();
