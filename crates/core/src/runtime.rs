@@ -1077,26 +1077,24 @@ mod tests {
         assert!(matches!(err, Violation::PrincipalDenied { .. }));
     }
 
+    /// A retired principal is its own tombstone: its WRITE records stay
+    /// in its table and in the writer index after retirement.
     #[test]
-    fn retirement_keeps_write_records_until_drained() {
+    fn retirement_moves_write_coverage_to_tombstone() {
         let (mut rt, m) = rt_with_module();
-        let slots = [0x5000u64, 0x6000, 0x7000];
+        let slot = 0x5000u64;
         let inst = rt.principal_for_name(m, 0x9000);
-        for slot in slots {
-            rt.grant(inst, RawCap::write(slot, 8));
-        }
+        rt.grant(inst, RawCap::write(slot, 8));
         rt.grant(inst, RawCap::call(0xf000));
         let dead = [inst, rt.shared_principal(m), rt.global_principal(m)];
         let epochs = dead.map(|p| rt.write_epoch(p));
 
         rt.retire_module(m);
-        // The records stay: the dead instance is still each slot's
+        // The record stays: the dead instance is still the slot's
         // writer, in its table and in the index. Only the CALL is gone,
         // and every principal of the module bumped its epoch once.
-        for slot in slots {
-            assert_eq!(rt.writers_of(slot), vec![inst]);
-        }
-        assert_eq!(rt.cap_count(inst), slots.len());
+        assert_eq!(rt.writers_of(slot), vec![inst]);
+        assert_eq!(rt.cap_count(inst), 1);
         for (p, e) in dead.into_iter().zip(epochs) {
             assert!(rt.is_retired(p));
             assert_eq!(rt.write_epoch(p), e + 1);
@@ -1107,11 +1105,11 @@ mod tests {
 
         // A pointer the dead module planted is refused, naming the dead
         // instance, instead of falling through the no-writer fast exit.
-        let err = rt.check_indcall(slots[0], 0xf000, 0).unwrap_err();
+        let err = rt.check_indcall(slot, 0xf000, 0).unwrap_err();
         assert_eq!(
             err,
             Violation::IndCallUnauthorized {
-                slot: slots[0],
+                slot,
                 target: 0xf000,
                 writer: inst,
             }
@@ -1121,10 +1119,26 @@ mod tests {
         // Retiring again is a no-op (idempotent quarantine).
         rt.retire_module(m);
         assert_eq!(rt.write_epoch(inst), epochs[0] + 1);
+        assert_eq!(rt.writers_of(slot), vec![inst]);
+        rt.check_index_invariants();
+    }
 
-        // Each drain channel finds the retired holder through the index:
-        // a kfree sweep, a transfer to a new owner, and a WRITE
-        // `revoke_everywhere`.
+    /// The WRITE records a retired principal keeps drain like any
+    /// writer's: a kfree sweep, a transfer to a new owner, and a WRITE
+    /// `revoke_everywhere` each find the retired holder through the index.
+    #[test]
+    fn tombstone_coverage_drains_through_legitimate_channels() {
+        let (mut rt, m) = rt_with_module();
+        let slots = [0x5000u64, 0x6000, 0x7000];
+        let inst = rt.principal_for_name(m, 0x9000);
+        for slot in slots {
+            rt.grant(inst, RawCap::write(slot, 8));
+        }
+        rt.retire_module(m);
+        for slot in slots {
+            assert_eq!(rt.writers_of(slot), vec![inst]);
+        }
+
         let heir = rt.shared_principal(rt.register_module("heir"));
         rt.revoke_write_overlapping_everywhere(slots[0], 8);
         rt.transfer_cap(RawCap::write(slots[1], 8), Some(heir));
@@ -1132,6 +1146,9 @@ mod tests {
         assert!(rt.writers_of(slots[0]).is_empty());
         assert_eq!(rt.writers_of(slots[1]), vec![heir]);
         assert!(rt.writers_of(slots[2]).is_empty());
+        // Freeing the memory leaves the slot clean again, which is sound
+        // because the poisoned value is gone with the memory.
+        assert!(rt.check_indcall(slots[0], 0xf000, 0).is_ok());
         assert!(rt.check_indcall(slots[2], 0xf000, 0).is_ok());
         assert_eq!(rt.cap_count(inst), 0);
         rt.check_index_invariants();
