@@ -276,7 +276,7 @@ mod tests {
     /// The uncached probe is the baseline behind the perf gate's
     /// "post-revoke < uncached" floors, so it must decide every store
     /// exactly as the cached guard does, across grants, an instance
-    /// revoke, a shared `revoke_everywhere`, kernel-stack writes and
+    /// revoke, a shared transfer to nobody, kernel-stack writes and
     /// kernel context.
     #[test]
     fn uncached_probe_decides_like_check_write() {
@@ -317,7 +317,7 @@ mod tests {
             &mut rt,
             [false, false, true, false, true, true, false, false],
         );
-        rt.revoke_everywhere(&[RawCap::write(0x2000, 0x100)]);
+        rt.transfer_cap(RawCap::write(0x2000, 0x100), None);
         check(
             &mut rt,
             [false, false, false, false, true, true, false, false],

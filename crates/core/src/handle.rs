@@ -284,11 +284,6 @@ impl<const W: usize> GuardHandle<W> {
         self.stats.epoch_bumps += self.core.retire_module(mid);
     }
 
-    /// See [`RuntimeCore::revoke_everywhere`].
-    pub fn revoke_everywhere(&mut self, caps: &[RawCap]) {
-        self.stats.epoch_bumps += self.core.revoke_everywhere(caps);
-    }
-
     /// Moves `cap` from whoever holds it to `dst` (annotation `transfer`
     /// semantics: revoke everywhere, then grant to the destination).
     ///
@@ -311,7 +306,7 @@ impl<const W: usize> GuardHandle<W> {
             }
         } else {
             self.stats.transfer_slow += 1;
-            self.stats.epoch_bumps += self.core.revoke_everywhere(&[cap]);
+            self.core.revoke_everywhere(&[cap]);
             if let Some(d) = dst {
                 self.core.grant(d, cap);
             }

@@ -570,22 +570,18 @@ impl RuntimeCore {
         self.index.replace(p, addr, size, &caps.write);
     }
 
-    /// Revokes each of `caps` from **every** principal in the system —
-    /// `transfer` semantics (§3.3): no stale copies survive. A WRITE cap
-    /// is revoked from the range's holders as the reverse writer index
-    /// names them ([`RuntimeCore::transfer_write`] with no destination),
-    /// retired past writers included. CALL and REF caps are revoked in
-    /// one walk of the live principals; retired principals hold none.
-    /// Returns the total epoch bumps.
-    pub fn revoke_everywhere(&self, caps: &[RawCap]) -> u64 {
-        let mut bumps = 0;
-        let mut holders = Vec::new();
-        for &cap in caps.iter().filter(|c| c.ctype == CapType::Write) {
-            bumps += self.transfer_write(cap, None, &mut holders).1;
-        }
-        if caps.iter().all(|c| c.ctype == CapType::Write) {
-            return bumps;
-        }
+    /// Revokes each of `caps` — CALL or REF capabilities — from **every**
+    /// principal in the system, in one walk of the live principals:
+    /// `transfer` semantics (§3.3), no stale copies survive. Retired
+    /// principals hold neither kind and are skipped. Neither kind feeds
+    /// a write guard, so no epoch moves. A WRITE capability is revoked
+    /// from everyone by [`RuntimeCore::transfer_write`] with no
+    /// destination, which asks the reverse writer index for its holders.
+    pub fn revoke_everywhere(&self, caps: &[RawCap]) {
+        debug_assert!(
+            caps.iter().all(|c| c.ctype != CapType::Write),
+            "WRITE caps go through transfer_write"
+        );
         let meta = self.meta.read().expect("meta lock");
         for (i, pm) in meta.principals.iter().enumerate() {
             if pm.retired {
@@ -593,11 +589,10 @@ impl RuntimeCore {
             }
             let slot = self.slot(PrincipalId(i as u32));
             let mut table = slot.caps.lock().expect("caps lock");
-            for &cap in caps.iter().filter(|c| c.ctype != CapType::Write) {
+            for &cap in caps {
                 table.revoke(cap);
             }
         }
-        bumps
     }
 
     /// `transfer` semantics for a WRITE capability: revoke `cap` from
@@ -1077,8 +1072,8 @@ mod tests {
         assert!(matches!(err, Violation::PrincipalDenied { .. }));
     }
 
-    /// A retired principal is its own tombstone: its WRITE records stay
-    /// in its table and in the writer index after retirement.
+    /// A retired principal's WRITE records stay in its table and in the
+    /// writer index after retirement.
     #[test]
     fn retirement_moves_write_coverage_to_tombstone() {
         let (mut rt, m) = rt_with_module();
@@ -1124,8 +1119,8 @@ mod tests {
     }
 
     /// The WRITE records a retired principal keeps drain like any
-    /// writer's: a kfree sweep, a transfer to a new owner, and a WRITE
-    /// `revoke_everywhere` each find the retired holder through the index.
+    /// writer's: a kfree sweep, a transfer to a new owner, and a
+    /// transfer to nobody each find the retired holder through the index.
     #[test]
     fn tombstone_coverage_drains_through_legitimate_channels() {
         let (mut rt, m) = rt_with_module();
@@ -1142,7 +1137,7 @@ mod tests {
         let heir = rt.shared_principal(rt.register_module("heir"));
         rt.revoke_write_overlapping_everywhere(slots[0], 8);
         rt.transfer_cap(RawCap::write(slots[1], 8), Some(heir));
-        rt.revoke_everywhere(&[RawCap::write(slots[2], 8)]);
+        rt.transfer_cap(RawCap::write(slots[2], 8), None);
         assert!(rt.writers_of(slots[0]).is_empty());
         assert_eq!(rt.writers_of(slots[1]), vec![heir]);
         assert!(rt.writers_of(slots[2]).is_empty());
@@ -1162,7 +1157,7 @@ mod tests {
         let cap = RawCap::write(0x5000, 64);
         rt.grant(a, cap);
         rt.grant(b, cap);
-        rt.revoke_everywhere(&[cap]);
+        rt.transfer_cap(cap, None);
         assert!(!rt.owns(a, cap));
         assert!(!rt.owns(b, cap));
 
@@ -1265,7 +1260,7 @@ mod tests {
         rt.grant(a, cap);
         rt.set_current(Some((m, a)));
         rt.check_write(0x5000, 8).unwrap();
-        rt.revoke_everywhere(&[cap]);
+        rt.transfer_cap(cap, None);
         assert!(rt.check_write(0x5000, 8).is_err());
     }
 

@@ -133,10 +133,11 @@ pub struct GuardStats {
     /// `transfer` actions resolved by the single-holder fast path: the
     /// reverse writer index showed at most one holder, so the grant moved
     /// principal-to-principal with one shard splice and one epoch-bump
-    /// set instead of a `revoke_everywhere` sweep.
+    /// set instead of a revocation from each holder.
     pub transfer_fast: u64,
-    /// `transfer` actions that fell back to the full
-    /// `revoke_everywhere` sweep (multiple holders, or a non-WRITE cap).
+    /// `transfer` actions that revoked before granting: a WRITE cap with
+    /// several indexed holders (each loses it), or a non-WRITE cap
+    /// (`revoke_everywhere`).
     pub transfer_slow: u64,
 }
 

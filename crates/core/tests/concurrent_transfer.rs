@@ -11,7 +11,8 @@
 //!   was hot — the fast path must bump exactly the epochs the sweep
 //!   would have.
 //! - **Revoke/transfer races converge.** A transfer racing a concurrent
-//!   `revoke_everywhere` of the same capability may resolve either way,
+//!   transfer of the same capability to nobody (a revoke from every
+//!   holder) may resolve either way,
 //!   but never to a world where the source still holds the grant, and
 //!   always to a world where the reverse index, the linear walk, and the
 //!   capability tables agree exactly.
@@ -119,9 +120,10 @@ fn transfer_racing_revoke_converges() {
         let core = Arc::clone(&core);
         let barrier = Arc::clone(&barrier);
         thread::spawn(move || {
+            let mut holders = Vec::new();
             for _ in 0..ROUNDS {
                 barrier.wait();
-                core.revoke_everywhere(&[cap]);
+                core.transfer_write(cap, None, &mut holders);
                 barrier.wait();
                 barrier.wait();
             }
@@ -145,7 +147,7 @@ fn transfer_racing_revoke_converges() {
         assert!(!indexed.contains(&a));
         core.check_index_invariants();
         // Reset for the next round.
-        core.revoke_everywhere(&[cap]);
+        core.transfer_write(cap, None, &mut Vec::new());
         barrier.wait();
     }
     xfer.join().expect("transfer thread");

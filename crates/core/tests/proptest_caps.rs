@@ -236,7 +236,7 @@ proptest! {
     /// - transfer-style revocation leaves no copies anywhere.
     #[test]
     fn principal_hierarchy_invariants(ops in proptest::collection::vec(arb_pop(), 1..60)) {
-        let mut rt: GuardHandle = GuardHandle::new(Default::default());
+        let rt: GuardHandle = GuardHandle::new(Default::default());
         let m = rt.register_module("m");
         let insts: Vec<PrincipalId> =
             (0..3).map(|i| rt.principal_for_name(m, 0x9000 + i * 0x100)).collect();

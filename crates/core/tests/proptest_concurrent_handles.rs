@@ -162,7 +162,7 @@ fn check_sequence(ops: &[Op]) {
                 naive.revoke(pi, a, s);
             }
             Op::Transfer(a, s) => {
-                handles[NHANDLES].revoke_everywhere(&[RawCap::write(a, s)]);
+                handles[NHANDLES].transfer_cap(RawCap::write(a, s), None);
                 for pi in 0..NSLOTS {
                     naive.revoke(pi, a, s);
                 }

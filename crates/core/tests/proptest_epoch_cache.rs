@@ -11,7 +11,7 @@
 //!
 //! Sequences include revocations from the shared principal (which must
 //! invalidate every instance's cached intervals through the epoch
-//! hierarchy), `transfer`-style `revoke_everywhere`, `kfree`-style
+//! hierarchy), `transfer`s to nobody, `kfree`-style
 //! overlapping revocation, and ranges whose end arithmetic saturates
 //! near `Word::MAX` (where a cached interval end of exactly `MAX` meets
 //! overflowing check lengths).
@@ -191,7 +191,7 @@ fn check_sequence(ops: &[Op]) {
                 naive.revoke(pi, a, s);
             }
             Op::Transfer(a, s) => {
-                cached.revoke_everywhere(&[RawCap::write(a, s)]);
+                cached.transfer_cap(RawCap::write(a, s), None);
                 for pi in 0..NSLOTS {
                     naive.revoke(pi, a, s);
                 }

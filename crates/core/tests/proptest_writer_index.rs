@@ -17,7 +17,7 @@
 //! kind of model in `lxfi-bench`.)
 //!
 //! Sequences include exact revokes of still-overlapped grants (the
-//! residual-coverage reinstatement path), `revoke_everywhere` transfers,
+//! residual-coverage reinstatement path), transfers to nobody,
 //! `kfree`-style overlapping revocation, and ranges whose end arithmetic
 //! saturates near `Word::MAX`. The index's structural invariants
 //! (sorted disjoint intervals inside their shard bounds, interned
@@ -190,7 +190,7 @@ fn check_sequence_sharded(ops: &[Op], boundaries: Vec<u64>) {
                 naive.revoke(pi, a, s);
             }
             Op::RevokeEverywhere(a, s) => {
-                rt.revoke_everywhere(&[RawCap::write(a, s)]);
+                rt.transfer_cap(RawCap::write(a, s), None);
                 for pi in 0..NPRINC {
                     naive.revoke(pi, a, s);
                 }

@@ -158,9 +158,17 @@ impl KernelCpu {
         // in *kernel* context can still name a module principal — e.g.
         // an indirect call through a slot a module planted (§4.1); the
         // module that put the kernel in this position is the culprit.
+        // A retired culprit is skipped here: its module is already dead
+        // and reclaimed, and the retired-principal branch below records
+        // it. A culprit whose module is mid-teardown (entry unloaded,
+        // principals not yet retired) still goes to its entry, where the
+        // teardown is idempotent.
         let attributed = executing.filter(|m| m.mid.is_some()).or_else(|| {
-            let mid = self.rt.principal_module(culprit?);
-            self.loaded_module_of(mid)
+            let p = culprit?;
+            if self.rt.is_retired(p) {
+                return None;
+            }
+            self.loaded_module_of(self.rt.principal_module(p))
         });
 
         if let Some(m) = attributed {
@@ -219,16 +227,10 @@ impl KernelCpu {
         }
     }
 
-    /// The live registry entry backed by runtime module `mid`, if any.
-    /// A torn-down entry is skipped even before its slot is reused: a
-    /// dead module's principals are retired, and the retired-principal
-    /// branch of [`KernelCpu::contain_trap`] handles them.
+    /// The registry entry backed by runtime module `mid`, if any.
     fn loaded_module_of(&self, mid: lxfi_core::ModuleId) -> Option<Arc<LoadedModule>> {
         let tab = self.core.modules.read().expect("modules lock");
-        tab.modules
-            .iter()
-            .find(|m| m.mid == Some(mid) && !m.unloaded.load(Ordering::Acquire))
-            .cloned()
+        tab.modules.iter().find(|m| m.mid == Some(mid)).cloned()
     }
 
     /// Appends a contained fault to the kernel-wide log.

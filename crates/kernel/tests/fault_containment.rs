@@ -8,6 +8,7 @@
 //! leak nothing.
 
 use std::sync::Arc;
+use std::thread;
 
 use lxfi_core::{RawCap, Violation};
 use lxfi_kernel::{
@@ -30,7 +31,9 @@ const FORBIDDEN: i64 = 0x5000;
 /// - `violate()`: store to an unowned address (policy violation);
 /// - `badread()`: load from unmapped memory (machine fault);
 /// - `plant(slot, val)`: store `val` through `slot` (fn-ptr planting;
-///   needs an explicit WRITE grant over the slot).
+///   needs an explicit WRITE grant over the slot);
+/// - `spin(flag)`: set `state`, then loop until the word at `flag` is
+///   non-zero (holds a CPU inside the module).
 fn faulty_spec(name: &str) -> ModuleSpec {
     let mut pb = ProgramBuilder::new(name);
     let kmalloc = pb.import_func("kmalloc");
@@ -66,6 +69,17 @@ fn faulty_spec(name: &str) -> ModuleSpec {
     });
     pb.define("plant", 2, 0, |f| {
         f.store8(R1, R0, 0);
+        f.ret(0i64);
+    });
+    pb.define("spin", 1, 0, |f| {
+        let (top, done) = (f.label(), f.label());
+        f.global_addr(R1, state);
+        f.store8(1i64, R1, 0);
+        f.bind(top);
+        f.load8(R2, R0, 0);
+        f.br(lxfi_machine::Cond::Ne, R2, 0i64, done);
+        f.jmp(top);
+        f.bind(done);
         f.ret(0i64);
     });
 
@@ -233,6 +247,61 @@ fn poisoned_fn_ptr_slot_stays_dead_forever() {
         assert_eq!(fault.module, "m");
         assert!(k.panic_reason().is_none());
     }
+}
+
+#[test]
+fn violation_during_teardown_is_charged_to_the_dying_module() {
+    // CPU B sits inside `m`; CPU A quarantines `m` and waits out B in
+    // the grace period, so `m`'s entry is unpublished but its
+    // principals are not yet retired. CPU C then makes a kernel-context
+    // indirect call through a slot `m` holds WRITE over: the refusal
+    // names a live principal of the dying module and must be charged to
+    // it — a fault record, never a kernel panic.
+    let mut k = Kernel::boot(IsolationMode::Lxfi);
+    let id = k.load_module(faulty_spec("m")).unwrap();
+    let mid = k.runtime_module(id).unwrap();
+    let other = k.load_module(faulty_spec("other")).unwrap();
+    let core = k.runtime_core();
+    let writer = core.shared_principal(mid);
+    let slot = k.kstatic_alloc(8);
+    core.grant(writer, RawCap::write(slot, 8));
+    let target = k.module_fn_addr(other, "touch").unwrap();
+    k.mem.write_word(slot, target).unwrap();
+    let release = k.kstatic_alloc(8);
+    let entered = k.module_global_addr(id, "state").unwrap();
+    let spin = k.module_fn_addr(id, "spin").unwrap();
+    let violate = k.module_fn_addr(id, "violate").unwrap();
+
+    // Every CPU exists up front: `new_cpu` takes the load lock, which
+    // A's teardown holds through the grace period.
+    let (mut cpu_a, mut cpu_b, mut cpu_c) = (k.new_cpu(), k.new_cpu(), k.new_cpu());
+    let b =
+        thread::spawn(move || cpu_b.enter(|k| k.invoke_module_function(spin, &[release], None)));
+    while k.mem.read_word(entered).unwrap() == 0 {
+        thread::yield_now();
+    }
+    let a = thread::spawn(move || cpu_a.enter(|k| k.invoke_module_function(violate, &[], None)));
+    while k.module_is_live(id) {
+        thread::yield_now();
+    }
+    let c = thread::spawn(move || cpu_c.enter(|k| k.indirect_call(slot, "poisoned_t", &[7])));
+    while k.fault_count() < 2 && k.panic_reason().is_none() {
+        thread::yield_now();
+    }
+    assert!(!core.is_retired(writer), "C's trap landed mid-teardown");
+    k.mem.write_word(release, 1).unwrap();
+
+    assert_eq!(b.join().unwrap().unwrap(), 0, "B drains normally");
+    assert_eq!(expect_fault(a.join().unwrap()).id, Some(id));
+    let fault = expect_fault(c.join().unwrap());
+    assert_eq!(fault.id, Some(id), "charged to the dying module's entry");
+    assert_eq!(fault.module, "m");
+    assert!(matches!(
+        fault.violation,
+        Some(Violation::IndCallUnauthorized { writer: w, .. }) if w == writer
+    ));
+    assert!(k.panic_reason().is_none());
+    assert!(core.is_retired(writer), "the teardown still completes");
 }
 
 #[test]
