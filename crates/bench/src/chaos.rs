@@ -123,9 +123,10 @@ pub struct ChaosMeasurement {
     pub leak_principals: i64,
     /// Live slab-object drift (must be 0).
     pub leak_slab: i64,
-    /// Interned-writer-set drift (must be 0).
+    /// Drift in the number of principals holding a writer-index record
+    /// (must be 0).
     pub leak_writer_sets: i64,
-    /// Writer-index interval drift (must be 0).
+    /// Writer-index entry drift (must be 0).
     pub leak_intervals: i64,
     /// Whether the kernel-wide panic flag was ever set (must be 0).
     pub panics: u64,
@@ -279,8 +280,8 @@ pub fn run_chaos(target_recoveries: u64) -> ChaosMeasurement {
                         recoveries += 1;
                         // Leak gauges: sample at phase-equivalent points
                         // — flaky freshly restarted, hopeless already
-                        // dead — skipping early cycles so interned
-                        // writer sets reach their steady alphabet.
+                        // dead — skipping early cycles so the writer
+                        // index reaches its steady population.
                         if recoveries >= 8 && sup.state("hopeless") == Some(SupervisedState::Dead) {
                             let s = snapshot(&k);
                             first_snap.get_or_insert(s);
@@ -344,9 +345,10 @@ pub struct RxChaosMeasurement {
     pub leak_principals: i64,
     /// Live slab-object drift (must be 0).
     pub leak_slab: i64,
-    /// Interned-writer-set drift (must be 0).
+    /// Drift in the number of principals holding a writer-index record
+    /// (must be 0).
     pub leak_writer_sets: i64,
-    /// Writer-index interval drift (must be 0).
+    /// Writer-index entry drift (must be 0).
     pub leak_intervals: i64,
     /// Whether the kernel-wide panic flag was ever set (must be 0).
     pub panics: u64,
@@ -475,8 +477,8 @@ pub fn run_rx_chaos(target_recoveries: u64) -> RxChaosMeasurement {
                     quiet = 1;
                     // Leak gauges at phase-equivalent points: driver
                     // freshly re-probed, RX queue empty. Skip early
-                    // cycles so interned writer sets reach their
-                    // steady alphabet.
+                    // cycles so the writer index reaches its steady
+                    // population.
                     if recoveries >= 4 {
                         let s = snapshot(&k);
                         first_snap.get_or_insert(s);

@@ -7,10 +7,10 @@
 //! ops-table shared by a driver pair). The slow-path question — "who
 //! can write this slot?" — has a two-element answer regardless of scale,
 //! so the linear walk's O(principals) probe cost is pure overhead and
-//! the reverse index's O(log intervals + 2) stays flat. The index is the
-//! runtime's own [`WriterIndex`] (per-shard and interner locks
-//! included), queried the way `GuardHandle::check_indcall` queries it:
-//! `collect_writers` into a reused buffer.
+//! the reverse index's O(log entries + 2) stays flat. The index is the
+//! runtime's own [`WriterIndex`] (per-shard locks included), queried
+//! the way `GuardHandle::check_indcall` queries it: `collect_writers`
+//! into a reused buffer.
 
 use std::hint::black_box;
 
@@ -21,7 +21,7 @@ use crate::guards::time_ns;
 
 /// Base address of the probed function-pointer slots.
 pub const SLOT_BASE: u64 = 0x40_0000;
-/// One slot per 64-byte granule (so probes touch distinct intervals).
+/// One slot per 64-byte granule (so probes touch distinct entries).
 pub const SLOT_STRIDE: u64 = 64;
 /// Number of probed slots.
 pub const SLOTS: u64 = 64;
@@ -113,8 +113,8 @@ pub fn writer_lookup_rows(iters: u64) -> Vec<WriterLookupLatency> {
 pub const CHURN_BASE: u64 = 0x800_0000;
 /// Byte stride between churned grants.
 pub const CHURN_GRANT_STRIDE: u64 = 0x100;
-/// Grants (and therefore intervals) in the splice workload: enough that
-/// an unsharded revoke/grant memmoves a four-digit interval tail.
+/// Grants (and therefore index entries) in the splice workload: enough
+/// that an unsharded revoke/grant memmoves a four-digit entry tail.
 pub const CHURN_GRANTS: usize = 2048;
 
 /// Shard counts the splice comparison and the CI perf gate report.
@@ -122,7 +122,7 @@ pub const SPLICE_SHARD_COUNTS: [usize; 3] = [1, 4, 16];
 
 /// A [`WriterIndex`] with `shards` equal-width shards over the churn
 /// arena, populated with [`CHURN_GRANTS`] disjoint grants round-robined
-/// over `principals` principals — the interval population is identical
+/// over `principals` principals — the entry population is identical
 /// for every shard count; only the splice locality differs.
 pub fn bench_sharded_index(principals: usize, shards: usize) -> WriterIndex {
     assert!(principals >= 1 && shards >= 1);
@@ -131,11 +131,19 @@ pub fn bench_sharded_index(principals: usize, shards: usize) -> WriterIndex {
         .map(|k| CHURN_BASE + span * k / shards as u64)
         .collect();
     let ix = WriterIndex::with_boundaries(bounds);
-    for g in 0..CHURN_GRANTS {
-        let p = PrincipalId((g % principals) as u32);
-        ix.add(p, CHURN_BASE + g as u64 * CHURN_GRANT_STRIDE, 0x80);
+    for (p, a, s) in churn_grants(principals) {
+        ix.add(p, a, s);
     }
     ix
+}
+
+/// The [`CHURN_GRANTS`] `(holder, addr, size)` grants of
+/// [`bench_sharded_index`].
+pub fn churn_grants(principals: usize) -> impl Iterator<Item = (PrincipalId, u64, u64)> {
+    (0..CHURN_GRANTS).map(move |g| {
+        let p = PrincipalId((g % principals) as u32);
+        (p, CHURN_BASE + g as u64 * CHURN_GRANT_STRIDE, 0x80)
+    })
 }
 
 /// Measured grant/revoke splice latency at one shard count.
@@ -161,9 +169,9 @@ pub fn splice_churn_op(ix: &WriterIndex, principals: usize, i: u64) {
 }
 
 /// Times [`splice_churn_op`] rotating across the populated grants: each
-/// op removes one interval from its shard and splices it back, so the
-/// cost is dominated by the shard's `Vec` tail memmove — the quantity
-/// sharding bounds.
+/// op removes one entry from its shard and inserts it back, so the cost
+/// is dominated by the shard's `Vec` tail memmove and prefix-maximum
+/// rebuild — the quantities sharding bounds.
 pub fn splice_comparison(principals: usize, shards: usize, iters: u64) -> SpliceLatency {
     let ix = bench_sharded_index(principals, shards);
     let mut i = 0u64;
@@ -244,7 +252,7 @@ mod tests {
                     assert_eq!(got, want, "{s} shards, probe {probe:#x}");
                 }
             }
-            sharded.check_invariants();
+            sharded.check_invariants(&churn_grants(512).collect::<Vec<_>>());
         }
     }
 

@@ -124,7 +124,7 @@ fn apply_one(
                 require_owned(rt, src, cap)?;
                 // Transfer revokes the capability from ALL principals so no
                 // copies survive (§3.3), then grants the destination. WRITE
-                // caps with a single holder take the one-splice fast path.
+                // caps with a single holder take the fast path.
                 rt.transfer_cap(cap, dst.map(|(_, p)| p));
                 Ok(())
             })

@@ -10,12 +10,15 @@
 //! - `CALL(a)` — the principal may call or jump to address `a`.
 //!
 //! WRITE capabilities live in [`WriteTable`], a sorted interval index:
-//! grants are kept ordered by `(start, size)` alongside a running
-//! prefix-maximum of interval ends, so containment and overlap queries
-//! binary-search to the query point and walk left only while the prefix
-//! maximum proves an interval can still reach the query — O(log n + k)
-//! where k is the number of intervals overlapping the probe (k ≤ 1 for
-//! the disjoint grants kernel modules hold in practice).
+//! grants are kept ordered by start alongside a running prefix-maximum
+//! of interval ends, so containment and overlap queries binary-search to
+//! the query point and walk left only while the prefix maximum proves an
+//! interval can still reach the query — O(log n + k) where k is the
+//! number of intervals overlapping the probe (k ≤ 1 for the disjoint
+//! grants kernel modules hold in practice). The structure is
+//! [`IntervalTable`], generic over an entry tag: a `WriteTable` tags
+//! nothing, and the reverse writer index reuses it with each grant
+//! tagged by its holder.
 //!
 //! The paper's original structure — ranges replicated into 4 KiB-masked
 //! hash slots, each slot scanned linearly (§5) — is the measured
@@ -94,27 +97,47 @@ impl RawCap {
     }
 }
 
-/// WRITE-capability table: sorted intervals with a prefix-maximum end
-/// index (see the module docs for the query algorithm).
+/// A sorted interval table with a prefix-maximum end index (see the
+/// module docs for the query algorithm). Each entry is a range plus a
+/// tag, kept in `(start, tag, size)` order, and an entry is present at
+/// most once. [`WriteTable`] (tag `()`) is one principal's WRITE
+/// grants; the reverse writer index keeps one table per address shard,
+/// tagged with each grant's holder ([`crate::WriterIndex`]).
 ///
 /// # Zero-size semantics
 ///
-/// `grant(_, 0)` is a silent no-op — an empty range conveys no
-/// authority, so there is nothing to record — while `covers(_, 0)` and
-/// the other zero-length queries are *vacuously true/false* ("every
-/// byte of the empty range is covered"). The asymmetry is deliberate:
-/// a zero-length write is always permitted, but granting one must not
-/// create a revocable entry. `revoke(_, 0)` correspondingly returns
-/// `false`.
-#[derive(Debug, Default, Clone)]
-pub struct WriteTable {
-    /// Interval starts, sorted ascending (ties broken by size).
+/// Inserting a zero-size range is a silent no-op — an empty range
+/// conveys no authority, so there is nothing to record — while
+/// `covers(_, 0)` and the other zero-length queries are *vacuously
+/// true/false* ("every byte of the empty range is covered"). The
+/// asymmetry is deliberate: a zero-length write is always permitted,
+/// but granting one must not create a revocable entry. Removing a
+/// zero-size range correspondingly returns `false`.
+#[derive(Debug, Clone)]
+pub struct IntervalTable<T> {
+    /// Interval starts, sorted ascending (ties broken by tag, then size).
     starts: Vec<Word>,
     /// Interval sizes, parallel to `starts`. Pre-clamped so
     /// `starts[i] + sizes[i]` never overflows.
     sizes: Vec<u64>,
+    /// Entry tags, parallel to `starts`.
+    tags: Vec<T>,
     /// `prefix_max_end[i] = max(starts[j] + sizes[j] for j <= i)`.
     prefix_max_end: Vec<Word>,
+}
+
+/// WRITE-capability table: one principal's grants.
+pub type WriteTable = IntervalTable<()>;
+
+impl<T> Default for IntervalTable<T> {
+    fn default() -> Self {
+        IntervalTable {
+            starts: Vec::new(),
+            sizes: Vec::new(),
+            tags: Vec::new(),
+            prefix_max_end: Vec::new(),
+        }
+    }
 }
 
 /// Clamps a grant so its exclusive end saturates at `Word::MAX`.
@@ -123,26 +146,26 @@ fn clamp_size(addr: Word, size: u64) -> u64 {
     size.min(Word::MAX - addr)
 }
 
-impl WriteTable {
+impl<T: Copy + Ord> IntervalTable<T> {
     /// Creates an empty table.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Index of the first entry with `(start, size)` lexicographically
-    /// `>=` the key.
+    /// Where the entry `(addr, size, tag)` is (`Ok`) or would be
+    /// inserted (`Err`), with `size` already clamped.
     #[inline]
-    fn lower_bound(&self, addr: Word, size: u64) -> usize {
+    fn find(&self, addr: Word, size: u64, tag: T) -> Result<usize, usize> {
         let (mut lo, mut hi) = (0, self.starts.len());
         while lo < hi {
             let mid = lo + (hi - lo) / 2;
-            if (self.starts[mid], self.sizes[mid]) < (addr, size) {
-                lo = mid + 1;
-            } else {
-                hi = mid;
+            match (self.starts[mid], self.tags[mid], self.sizes[mid]).cmp(&(addr, tag, size)) {
+                std::cmp::Ordering::Less => lo = mid + 1,
+                std::cmp::Ordering::Equal => return Ok(mid),
+                std::cmp::Ordering::Greater => hi = mid,
             }
         }
-        lo
+        Err(lo)
     }
 
     /// Rebuilds `prefix_max_end` from index `from` to the end.
@@ -159,64 +182,87 @@ impl WriteTable {
         }
     }
 
-    /// Grants `[addr, addr+size)`. Duplicate grants are idempotent; a
-    /// range whose end would overflow saturates at `Word::MAX` (module
-    /// docs). Zero-size grants are no-ops.
-    pub fn grant(&mut self, addr: Word, size: u64) {
+    /// Corrects `prefix_max_end[from..]` after one entry was inserted at
+    /// `from - 1` or removed at `from` (with its maximum inserted or
+    /// removed alongside), stopping at the first maximum already right:
+    /// every stored maximum past `from` is still the running maximum of
+    /// the one before it and its own entry, so from there on nothing
+    /// changes.
+    fn fix_prefix(&mut self, from: usize) {
+        let mut run = if from == 0 {
+            0
+        } else {
+            self.prefix_max_end[from - 1]
+        };
+        for i in from..self.starts.len() {
+            run = run.max(self.starts[i] + self.sizes[i]);
+            if self.prefix_max_end[i] == run {
+                return;
+            }
+            self.prefix_max_end[i] = run;
+        }
+    }
+
+    /// Inserts `[addr, addr+size)` tagged `tag`. Duplicate entries are
+    /// idempotent; a range whose end would overflow saturates at
+    /// `Word::MAX` (module docs). Zero-size ranges are no-ops.
+    pub fn insert(&mut self, addr: Word, size: u64, tag: T) {
         let size = clamp_size(addr, size);
         if size == 0 {
             return;
         }
-        let i = self.lower_bound(addr, size);
-        if i < self.starts.len() && self.starts[i] == addr && self.sizes[i] == size {
-            return; // idempotent
+        if let Err(i) = self.find(addr, size, tag) {
+            let before = if i == 0 {
+                0
+            } else {
+                self.prefix_max_end[i - 1]
+            };
+            self.starts.insert(i, addr);
+            self.sizes.insert(i, size);
+            self.tags.insert(i, tag);
+            self.prefix_max_end.insert(i, before.max(addr + size));
+            self.fix_prefix(i + 1);
         }
-        self.starts.insert(i, addr);
-        self.sizes.insert(i, size);
-        self.rebuild_prefix(i);
     }
 
-    /// Revokes the exact capability `(addr, size)`; returns whether it
-    /// was present. Sizes are clamped the same way as in [`grant`], so a
-    /// saturated grant revokes with the size it was granted under.
+    /// Removes the exact entry `(addr, size, tag)`; returns whether it
+    /// was present. Sizes are clamped as in [`insert`], so a saturated
+    /// range is removed with the size it was inserted under.
     ///
-    /// [`grant`]: WriteTable::grant
-    pub fn revoke(&mut self, addr: Word, size: u64) -> bool {
+    /// [`insert`]: IntervalTable::insert
+    pub fn remove(&mut self, addr: Word, size: u64, tag: T) -> bool {
         let size = clamp_size(addr, size);
         if size == 0 {
             return false;
         }
-        let i = self.lower_bound(addr, size);
-        if i >= self.starts.len() || self.starts[i] != addr || self.sizes[i] != size {
+        let Ok(i) = self.find(addr, size, tag) else {
             return false;
-        }
+        };
         self.starts.remove(i);
         self.sizes.remove(i);
-        self.rebuild_prefix(i);
+        self.tags.remove(i);
+        self.prefix_max_end.remove(i);
+        self.fix_prefix(i);
         true
     }
 
-    /// Revokes every capability whose range intersects `[addr, addr+size)`.
-    /// Returns the number of capabilities removed. Used when freeing
-    /// memory must strip *all* residual access.
-    pub fn revoke_overlapping(&mut self, addr: Word, size: u64) -> usize {
-        self.revoke_overlapping_span(addr, size).0
+    /// True if the exact entry `(addr, size, tag)` is present.
+    pub fn contains(&self, addr: Word, size: u64, tag: T) -> bool {
+        let size = clamp_size(addr, size);
+        size != 0 && self.find(addr, size, tag).is_ok()
     }
 
-    /// Like [`revoke_overlapping`], but also reports the union extent
-    /// `(min start, max end)` of the removed capabilities — a whole grant
-    /// is revoked even when only partially intersected, so the extent can
-    /// reach beyond the revocation range. The reverse writer index uses
-    /// it to know how far a principal's coverage actually changed.
-    ///
-    /// [`revoke_overlapping`]: WriteTable::revoke_overlapping
-    pub fn revoke_overlapping_span(
+    /// Removes every entry whose range intersects `[addr, addr+size)` —
+    /// a partially intersected entry goes whole — calling
+    /// `removed(start, size, tag)` for each. Returns the number removed.
+    pub fn remove_overlapping(
         &mut self,
         addr: Word,
         size: u64,
-    ) -> (usize, Option<(Word, Word)>) {
+        mut removed: impl FnMut(Word, u64, T),
+    ) -> usize {
         if size == 0 {
-            return (0, None);
+            return 0;
         }
         let end = addr.saturating_add(size);
         let before = self.starts.len();
@@ -224,46 +270,34 @@ impl WriteTable {
         // partition point cannot intersect.
         let cut = self.starts.partition_point(|&a| a < end);
         let mut first_removed = cut;
-        let mut span: Option<(Word, Word)> = None;
         let mut w = 0;
         for i in 0..cut {
-            let iv_end = self.starts[i] + self.sizes[i];
-            if iv_end > addr {
+            if self.starts[i] + self.sizes[i] > addr {
                 first_removed = first_removed.min(i);
-                span = Some(match span {
-                    None => (self.starts[i], iv_end),
-                    Some((lo, hi)) => (lo.min(self.starts[i]), hi.max(iv_end)),
-                });
+                removed(self.starts[i], self.sizes[i], self.tags[i]);
                 continue; // overlapping: drop
             }
             if w != i {
                 self.starts[w] = self.starts[i];
                 self.sizes[w] = self.sizes[i];
+                self.tags[w] = self.tags[i];
             }
             w += 1;
         }
         if w != cut {
             self.starts.copy_within(cut.., w);
             self.sizes.copy_within(cut.., w);
+            self.tags.copy_within(cut.., w);
             let n = before - (cut - w);
             self.starts.truncate(n);
             self.sizes.truncate(n);
+            self.tags.truncate(n);
             self.rebuild_prefix(first_removed);
         }
-        (before - self.starts.len(), span)
+        before - self.starts.len()
     }
 
-    /// True if the exact capability `(addr, size)` is present.
-    pub fn owns_exact(&self, addr: Word, size: u64) -> bool {
-        let size = clamp_size(addr, size);
-        if size == 0 {
-            return false;
-        }
-        let i = self.lower_bound(addr, size);
-        i < self.starts.len() && self.starts[i] == addr && self.sizes[i] == size
-    }
-
-    /// True if any capability intersects `[addr, addr+len)`.
+    /// True if any entry intersects `[addr, addr+len)`.
     pub fn overlaps(&self, addr: Word, len: u64) -> bool {
         if len == 0 {
             return false;
@@ -282,12 +316,34 @@ impl WriteTable {
         false
     }
 
-    /// True if some single capability covers all of `[addr, addr+len)`.
+    /// Calls `f(start, size, tag)` for every entry intersecting
+    /// `[addr, addr+len)`: first the entries starting before `addr`,
+    /// right to left, then those starting inside the range, in key
+    /// order.
+    pub fn for_each_overlapping(&self, addr: Word, len: u64, mut f: impl FnMut(Word, u64, T)) {
+        if len == 0 {
+            return;
+        }
+        let end = addr.saturating_add(len);
+        let inside = self.starts.partition_point(|&a| a < addr);
+        let mut i = inside;
+        while i > 0 && self.prefix_max_end[i - 1] > addr {
+            i -= 1;
+            if self.starts[i] + self.sizes[i] > addr {
+                f(self.starts[i], self.sizes[i], self.tags[i]);
+            }
+        }
+        for i in inside..self.starts.partition_point(|&a| a < end) {
+            f(self.starts[i], self.sizes[i], self.tags[i]);
+        }
+    }
+
+    /// True if some single entry covers all of `[addr, addr+len)`.
     pub fn covers(&self, addr: Word, len: u64) -> bool {
         self.covering(addr, len).is_some() || len == 0
     }
 
-    /// The `(start, end)` of a single capability covering all of
+    /// The `(start, end)` of a single entry covering all of
     /// `[addr, addr+len)`, if one exists. The guard fast-path cache
     /// stores this interval so repeated writes into the same grant skip
     /// the search entirely.
@@ -311,36 +367,69 @@ impl WriteTable {
         None
     }
 
-    /// Number of live capabilities.
+    /// Number of entries.
     pub fn len(&self) -> usize {
         self.starts.len()
     }
 
-    /// True when no capability is held.
+    /// True when the table holds no entry.
     pub fn is_empty(&self) -> bool {
         self.starts.is_empty()
     }
 
-    /// Iterates over live `(addr, size)` grants in address order.
-    pub fn iter(&self) -> impl Iterator<Item = (Word, u64)> + '_ {
-        self.starts.iter().copied().zip(self.sizes.iter().copied())
+    /// Iterates over the `(start, size, tag)` entries in key order.
+    pub fn entries(&self) -> impl Iterator<Item = (Word, u64, T)> + '_ {
+        (0..self.starts.len()).map(|i| (self.starts[i], self.sizes[i], self.tags[i]))
     }
 
-    /// Iterates over the grants intersecting `[addr, addr+len)`, in
-    /// address order (used to reinstate residual writer-index coverage
-    /// after a revocation).
-    pub fn iter_overlapping(&self, addr: Word, len: u64) -> impl Iterator<Item = (Word, u64)> + '_ {
-        let end = if len == 0 {
-            addr
-        } else {
-            addr.saturating_add(len)
-        };
-        let cut = self.starts.partition_point(|&a| a < end);
-        self.starts[..cut]
-            .iter()
-            .copied()
-            .zip(self.sizes[..cut].iter().copied())
-            .filter(move |&(a, s)| len != 0 && a + s > addr)
+    /// Panics unless the entries are non-empty and strictly in key order
+    /// and every prefix maximum is exact. Test/proptest hook.
+    #[doc(hidden)]
+    pub fn check_invariants(&self) {
+        let mut run = 0;
+        for i in 0..self.starts.len() {
+            assert!(self.sizes[i] > 0, "entry {i} non-empty");
+            if i > 0 {
+                assert!(
+                    (self.starts[i - 1], self.tags[i - 1], self.sizes[i - 1])
+                        < (self.starts[i], self.tags[i], self.sizes[i]),
+                    "entry {i} in key order"
+                );
+            }
+            run = run.max(self.starts[i] + self.sizes[i]);
+            assert_eq!(self.prefix_max_end[i], run, "prefix maximum {i}");
+        }
+        assert_eq!(self.prefix_max_end.len(), self.starts.len());
+    }
+}
+
+impl WriteTable {
+    /// Grants `[addr, addr+size)` ([`IntervalTable::insert`]).
+    pub fn grant(&mut self, addr: Word, size: u64) {
+        self.insert(addr, size, ());
+    }
+
+    /// Revokes the exact capability `(addr, size)`; returns whether it
+    /// was present ([`IntervalTable::remove`]).
+    pub fn revoke(&mut self, addr: Word, size: u64) -> bool {
+        self.remove(addr, size, ())
+    }
+
+    /// Revokes every capability whose range intersects `[addr, addr+size)`.
+    /// Returns the number of capabilities removed. Used when freeing
+    /// memory must strip *all* residual access.
+    pub fn revoke_overlapping(&mut self, addr: Word, size: u64) -> usize {
+        self.remove_overlapping(addr, size, |_, _, ()| {})
+    }
+
+    /// True if the exact capability `(addr, size)` is present.
+    pub fn owns_exact(&self, addr: Word, size: u64) -> bool {
+        self.contains(addr, size, ())
+    }
+
+    /// Iterates over live `(addr, size)` grants in address order.
+    pub fn iter(&self) -> impl Iterator<Item = (Word, u64)> + '_ {
+        self.entries().map(|(a, s, ())| (a, s))
     }
 }
 

@@ -288,11 +288,10 @@ impl<const W: usize> GuardHandle<W> {
     /// semantics: revoke everywhere, then grant to the destination).
     ///
     /// WRITE capabilities take [`RuntimeCore::transfer_write`], which
-    /// asks the reverse index for the range's holders: a single holder's
-    /// index coverage is spliced to the destination in one shard pass —
-    /// the common per-packet case (counted in
-    /// [`GuardStats::transfer_fast`]) — and several holders each lose
-    /// `cap` before the grant. That multi-holder case and every
+    /// asks the reverse index for the range's holders and grants the
+    /// destination before revoking `cap` from each of them. At most one
+    /// holder is the common per-packet case (counted in
+    /// [`GuardStats::transfer_fast`]). The multi-holder case and every
     /// non-WRITE cap, which takes the full revoke-then-grant walk, count
     /// in [`GuardStats::transfer_slow`].
     pub fn transfer_cap(&mut self, cap: RawCap, dst: Option<PrincipalId>) {

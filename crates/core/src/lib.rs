@@ -14,21 +14,23 @@
 //! This crate implements the runtime half of the system (§5):
 //!
 //! - per-principal capability tables ([`caps`]) — WRITE ranges in a
-//!   binary-searched interval index (the paper's masked-slot hash table
-//!   is a benchmark baseline in `lxfi-bench`, outside this crate), CALL
-//!   and REF sets;
+//!   binary-searched interval table, generic over an entry tag (the
+//!   paper's masked-slot hash table is a benchmark baseline in
+//!   `lxfi-bench`, outside this crate), CALL and REF sets;
 //! - compiled annotations ([`compiled`]) — names resolved to dense ids at
 //!   registration so enforcement never hashes strings;
 //! - the principal registry with pointer-naming and `lxfi_princ_alias`
 //!   ([`principal`]);
 //! - per-thread shadow stacks saving return tokens and principal context
 //!   ([`shadow`]);
-//! - a reverse writer index sharded by address region (addr range →
-//!   interned, refcounted writer-principal set, [`writer_index`]): the
-//!   kernel's indirect-call guard asks it who holds WRITE over a
+//! - a reverse writer index sharded by address region
+//!   ([`writer_index`]): one `(addr, size, holder)` entry per WRITE
+//!   grant, in the same interval table tagged with the holder and kept
+//!   in lockstep with the per-principal tables. The kernel's
+//!   indirect-call guard asks it who holds WRITE over a
 //!   function-pointer slot, skipping the capability check when nobody
 //!   does, so the lookup is sublinear in the number of principals and
-//!   grant/revoke splices are bounded by the shard;
+//!   a grant's or revoke's index update is bounded by the shard;
 //! - an epoch-validated per-principal write-guard cache ([`epoch_cache`])
 //!   so revocation invalidates precisely the principals whose coverage
 //!   shrank instead of the whole system's cached guard state;
@@ -51,7 +53,7 @@ pub mod shadow;
 pub mod stats;
 pub mod writer_index;
 
-pub use caps::{CapType, RawCap, RefTypeId, WriteTable};
+pub use caps::{CapType, IntervalTable, RawCap, RefTypeId, WriteTable};
 pub use compiled::CompiledAnn;
 pub use epoch_cache::{EpochCache, DEFAULT_WAYS};
 pub use handle::GuardHandle;
@@ -59,7 +61,7 @@ pub use iface::{FnDecl, Param, TypeLayouts};
 pub use principal::{ModuleId, PrincipalId, PrincipalKind};
 pub use runtime::{ConstId, IteratorFn, IteratorId, KfreeSweep, RuntimeCore};
 pub use stats::{GuardCosts, GuardKind, GuardStats, ALL_GUARD_KINDS};
-pub use writer_index::{WriterIndex, WriterSetId};
+pub use writer_index::WriterIndex;
 
 use lxfi_machine::Word;
 

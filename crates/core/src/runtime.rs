@@ -27,13 +27,12 @@
 //! # Locking and soundness discipline
 //!
 //! Lock order (outer → inner): `meta` → per-principal `caps` mutex →
-//! per-shard mutex → interner mutex. The interner is a strict leaf:
-//! shard splices are phase-split (see [`crate::writer_index`]), taking
-//! the interner only for the id/refcount phase while the memmove runs
-//! under the shard lock alone, and nothing acquires a shard while
-//! holding the interner. No path takes two `caps` mutexes at once;
-//! fallback probes (instance → shared, global → union) lock one table
-//! at a time.
+//! per-shard mutex. A shard lock is a leaf: the writer index holds one
+//! at a time and calls out of none (see [`crate::writer_index`]). Every
+//! index update happens under the `caps` mutex of the principal whose
+//! grant it mirrors, so each principal's entries stay in lockstep with
+//! its WRITE table. No path takes two `caps` mutexes at once; fallback
+//! probes (instance → shared, global → union) lock one table at a time.
 //!
 //! The write-guard soundness invariant under races — *after a revoke
 //! returns, no stale cached grant can authorize a write* — follows from
@@ -138,7 +137,7 @@ struct PrincipalMeta {
     /// revocation walks, and are never current again. Their WRITE
     /// grants stay as past-writer records (see
     /// [`RuntimeCore::retire_module`]). Ids are stable — slots are not
-    /// reused — so a retired id in a writer set stays meaningful.
+    /// reused — so a retired id in a writer-index entry stays meaningful.
     retired: bool,
 }
 
@@ -267,7 +266,7 @@ impl RuntimeCore {
     }
 
     /// Creates an empty core with the given writer-index shard split
-    /// points (the unit of both splice locality and lock granularity),
+    /// points (the unit of both update locality and lock granularity),
     /// fixed for the core's lifetime.
     pub fn with_shard_boundaries(boundaries: Vec<Word>) -> Self {
         RuntimeCore {
@@ -495,8 +494,9 @@ impl RuntimeCore {
 
     /// Revokes a capability from one principal; returns whether it was
     /// held and how many write epochs were bumped. A successful WRITE
-    /// revocation removes table coverage (and fixes the writer index)
-    /// **before** bumping the epochs of exactly the principals whose
+    /// revocation removes the grant from the table and then its entry
+    /// from the writer index, under the table's mutex, **before**
+    /// bumping the epochs of exactly the principals whose
     /// observable coverage shrank; every other principal's guard cache
     /// survives untouched.
     pub fn revoke(&self, p: PrincipalId, cap: RawCap) -> (bool, u64) {
@@ -504,7 +504,7 @@ impl RuntimeCore {
             let mut caps = self.slot(p).caps.lock().expect("caps lock");
             let removed = caps.revoke(cap);
             if removed && cap.ctype == CapType::Write {
-                self.unindex_write_locked(p, cap.addr, cap.size, &caps);
+                self.index.remove(p, cap.addr, cap.size);
             }
             removed
         };
@@ -556,20 +556,6 @@ impl RuntimeCore {
         bumps
     }
 
-    /// Drops `p` from the writer index over `[addr, addr+size)` while
-    /// reinstating whatever coverage `p`'s *remaining* grants still have
-    /// there (the index stores merged coverage, so revoking one of two
-    /// overlapping grants must not erase the survivor). The caller holds
-    /// `p`'s caps mutex — `caps` is the post-removal table — which keeps
-    /// the index in lockstep with the table for each principal; the
-    /// removal and the reinstatement are applied per shard under one
-    /// hold of the shard's lock (`WriterIndex::replace`), so a racing
-    /// indirect-call lookup can never see the survivor's coverage
-    /// transiently absent.
-    fn unindex_write_locked(&self, p: PrincipalId, addr: Word, size: u64, caps: &CapSet) {
-        self.index.replace(p, addr, size, &caps.write);
-    }
-
     /// Revokes each of `caps` — CALL or REF capabilities — from **every**
     /// principal in the system, in one walk of the live principals:
     /// `transfer` semantics (§3.3), no stale copies survive. Retired
@@ -598,25 +584,26 @@ impl RuntimeCore {
     /// `transfer` semantics for a WRITE capability: revoke `cap` from
     /// everyone, then grant it to `dst` (if any). The reverse writer
     /// index names the range's holders into `holders` (a caller-owned
-    /// buffer, cleared first), so only they are visited — never the
-    /// whole principal list. With **at most one** holder — the
-    /// per-packet skb case — the grant moves principal-to-principal with
-    /// one shard substitution splice and one epoch-bump set; with
-    /// several, `cap` is revoked from each in ascending id order and
-    /// then granted. Returns `(fast_path_taken, epoch_bumps)`.
+    /// buffer, cleared first), so only they are visited, in ascending id
+    /// order — never the whole principal list. The fast path is the
+    /// per-packet skb case of **at most one** holder; several holders
+    /// take the slow path through the same steps. Returns
+    /// `(fast_path_taken, epoch_bumps)`.
+    ///
+    /// `dst` is granted, and so indexed, **before** any holder loses
+    /// `cap`: a racing indirect-call lookup may briefly see both the old
+    /// and the new holder (conservative), never neither. A holder that
+    /// is `dst` itself keeps its grant and its epochs: revoking it would
+    /// drop the entry it was just given, and its authority does not
+    /// shrink.
     ///
     /// Equivalence with a walk of every principal's table, retired ones
-    /// included: a principal whose table holds `cap` is indexed over
-    /// `cap`'s range ([`grant`] indexes before its table insert, and a
+    /// included: a principal whose table holds `cap` has `cap`'s entry in
+    /// the index ([`grant`] indexes before its table insert, and a
     /// revocation unindexes under the table's mutex), so the collected
     /// holders include everyone such a walk would revoke from. A grant
     /// racing in after the collection survives either way (a walk
-    /// visits principals one at a time and can equally miss it); the
-    /// substitution itself runs
-    /// under the source's caps mutex with each shard's
-    /// remove-and-reinstate atomic per shard, and the destination enters
-    /// the index *before* its table grant (the same conservative
-    /// index-before-table order as [`grant`]).
+    /// visits principals one at a time and can equally miss it).
     ///
     /// [`grant`]: RuntimeCore::grant
     pub fn transfer_write(
@@ -627,45 +614,15 @@ impl RuntimeCore {
     ) -> (bool, u64) {
         debug_assert_eq!(cap.ctype, CapType::Write);
         self.collect_holders(cap.addr, cap.size, holders);
-        let mut bumps = 0;
-        if holders.len() > 1 {
-            for &h in holders.iter() {
-                bumps += self.revoke(h, cap).1;
-            }
-            if let Some(d) = dst {
-                self.grant(d, cap);
-            }
-            return (false, bumps);
-        }
-        let mut dst_indexed = false;
-        if let Some(&h) = holders.first() {
-            let removed = {
-                let mut caps = self.slot(h).caps.lock().expect("caps lock");
-                let removed = caps.revoke(cap);
-                if removed {
-                    // One splice: src out (residuals back), dst in, so
-                    // the range never shows fewer holders than the
-                    // tables do.
-                    self.index
-                        .substitute(h, dst, cap.addr, cap.size, &caps.write);
-                    dst_indexed = true;
-                }
-                removed
-            };
-            if removed {
-                bumps = self.bump_write_epochs(h);
-            }
-        }
         if let Some(d) = dst {
-            if dst_indexed {
-                // Already indexed by the substitution: only
-                // the table grant remains. Index-before-table holds.
-                self.slot(d).caps.lock().expect("caps lock").grant(cap);
-            } else {
-                self.grant(d, cap);
-            }
+            self.grant(d, cap);
         }
-        (true, bumps)
+        let bumps = holders
+            .iter()
+            .filter(|&&h| Some(h) != dst)
+            .map(|&h| self.revoke(h, cap).1)
+            .sum();
+        (holders.len() <= 1, bumps)
     }
 
     /// Replaces `holders` with the WRITE holders of `[addr, addr+size)`
@@ -711,18 +668,10 @@ impl RuntimeCore {
     /// of a dead module's coverage as past-writer records: stacks outlive
     /// the module and must not stay poisoned. Returns the epoch bumps.
     pub fn revoke_write_overlapping(&self, p: PrincipalId, addr: Word, size: u64) -> u64 {
-        let span = {
-            let mut caps = self.slot(p).caps.lock().expect("caps lock");
-            let (_, span) = caps.write.revoke_overlapping_span(addr, size);
-            // A partially intersected grant is revoked whole, so the
-            // lost coverage can reach beyond [addr, addr+size): un-index
-            // the actual extent of what was removed.
-            if let Some((lo, hi)) = span {
-                self.unindex_write_locked(p, lo, hi - lo, &caps);
-            }
-            span
-        };
-        if span.is_some() {
+        let removed = (self.slot(p).caps.lock().expect("caps lock"))
+            .write
+            .remove_overlapping(addr, size, |a, s, ()| self.index.remove(p, a, s));
+        if removed > 0 {
             self.bump_write_epochs(p)
         } else {
             0
@@ -826,14 +775,14 @@ impl RuntimeCore {
 
     /// Principals (from any module) holding WRITE coverage of any byte of
     /// the 8-byte slot at `addr` — the indirect-call slow path, answered
-    /// by the reverse writer index in O(log intervals + writers) instead
-    /// of the paper's global principal-list traversal (§5). Appends the
-    /// deduplicated writers to `out`.
+    /// by the reverse writer index in O(log entries + overlapping
+    /// entries) instead of the paper's global principal-list traversal
+    /// (§5). Appends the deduplicated writers to `out`.
     pub fn collect_writers(&self, addr: Word, len: u64, out: &mut Vec<PrincipalId>) {
         self.index.collect_writers(addr, len, out);
     }
 
-    /// True if any writer interval overlaps `[addr, addr+len)`.
+    /// True if any writer-index entry overlaps `[addr, addr+len)`.
     pub fn index_overlaps(&self, addr: Word, len: u64) -> bool {
         self.index.overlaps(addr, len)
     }
@@ -952,33 +901,32 @@ impl RuntimeCore {
 
     // ------------------------------------------------ index diagnostics
 
-    /// Live intervals across all shards (diagnostics).
+    /// Writer-index entries across all shards (diagnostics): one per
+    /// WRITE grant and shard it touches.
     pub fn index_interval_count(&self) -> usize {
-        self.index.interval_count()
+        self.index.entry_count()
     }
 
-    /// Live interned writer sets, including the pinned empty set.
+    /// Distinct principals holding a WRITE record in the writer index,
+    /// retired ones included (diagnostics; the leak gauges read it).
     pub fn index_set_count(&self) -> usize {
-        self.index.set_count()
+        self.index.writer_count()
     }
 
-    /// Writer-set slot allocations ever performed (monotonic).
-    pub fn index_sets_ever_interned(&self) -> u64 {
-        self.index.sets_ever_interned()
-    }
-
-    /// Interner slot capacity (high-water mark of simultaneously live
-    /// sets).
-    pub fn index_set_slot_capacity(&self) -> usize {
-        self.index.set_slot_capacity()
-    }
-
-    /// Panics unless every shard's structural invariants hold and the
-    /// shared interner's refcounts match the interval references
-    /// (test/proptest hook).
+    /// Panics unless the writer index holds exactly the grants in every
+    /// principal's WRITE table, retired principals included, each in
+    /// every shard it touches (test/proptest hook; call it while no
+    /// thread mutates capabilities).
     #[doc(hidden)]
     pub fn check_index_invariants(&self) {
-        self.index.check_invariants();
+        let meta = self.meta.read().expect("meta lock");
+        let mut grants = Vec::new();
+        for i in 0..meta.principals.len() {
+            let p = PrincipalId(i as u32);
+            let caps = self.slot(p).caps.lock().expect("caps lock");
+            grants.extend(caps.write.iter().map(|(a, s)| (p, a, s)));
+        }
+        self.index.check_invariants(&grants);
     }
 
     // -------------------------------------------------------------- stats
@@ -1355,6 +1303,60 @@ mod tests {
         assert_eq!(rt.write_epoch(d), d_epoch, "d's epoch unmoved");
         assert_eq!(rt.stats.kfree_hint_visited, 1, "only b visited");
         rt.check_index_invariants();
+    }
+
+    /// One principal's two grants over the same bytes past a shard
+    /// boundary are two index entries: revoking either leaves the other
+    /// naming the principal as the slot's writer.
+    #[test]
+    fn overlapping_grants_across_a_shard_boundary_keep_the_slot_refused() {
+        const B: u64 = 0x8000;
+        let grants = [RawCap::write(B - 8, 16), RawCap::write(B - 16, 24)];
+        for first in 0..2 {
+            let core = RuntimeCore::with_shard_boundaries(vec![B]);
+            let mut rt: GuardHandle = GuardHandle::new(Arc::new(core));
+            let p = rt.principal_for_name(rt.register_module("m"), 0x9000);
+            for cap in grants {
+                rt.grant(p, cap);
+            }
+            rt.revoke(p, grants[first]);
+            rt.check_index_invariants();
+            for slot in [B, B + 4] {
+                assert_eq!(
+                    rt.check_indcall(slot, 0xf000, 0),
+                    Err(Violation::IndCallUnauthorized {
+                        slot,
+                        target: 0xf000,
+                        writer: p,
+                    }),
+                    "grant {} still covers {slot:#x}",
+                    1 - first
+                );
+            }
+            rt.revoke(p, grants[1 - first]);
+            rt.check_indcall(B, 0xf000, 0).unwrap();
+        }
+    }
+
+    /// A transfer to the range's sole holder leaves it holding the grant
+    /// and indexed, so a pointer it planted stays refused.
+    #[test]
+    fn transfer_to_the_sole_holder_keeps_it_indexed() {
+        let (mut rt, m) = rt_with_module();
+        let h = rt.principal_for_name(m, 0x9000);
+        let cap = RawCap::write(0x7000, 8);
+        rt.grant(h, cap);
+        let epoch = rt.write_epoch(h);
+        rt.transfer_cap(cap, Some(h));
+        assert!(rt.owns(h, cap));
+        assert_eq!(rt.writers_of(0x7000), vec![h]);
+        assert_eq!(rt.stats.transfer_fast, 1);
+        assert_eq!(rt.write_epoch(h), epoch, "its authority did not shrink");
+        rt.check_index_invariants();
+        assert!(matches!(
+            rt.check_indcall(0x7000, 0xf000, 0),
+            Err(Violation::IndCallUnauthorized { writer, .. }) if writer == h
+        ));
     }
 
     #[test]

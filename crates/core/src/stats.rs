@@ -105,10 +105,11 @@ impl Default for GuardCosts {
 /// [`GuardStats::merge`] folds per-thread counters into the shared
 /// core's global stats when a handle flushes or retires.
 ///
-/// Everything here is a counter. Population levels (live and
-/// ever-interned writer sets, live and retired principals) are read
-/// from their owner on demand: `RuntimeCore::index_set_count`,
-/// `index_sets_ever_interned` and `principal_gauges`.
+/// Everything here is a counter. Population levels (writer-index
+/// entries and the principals holding them, live and retired
+/// principals) are read from their owner on demand:
+/// `RuntimeCore::index_interval_count`, `index_set_count` and
+/// `principal_gauges`.
 #[derive(Debug, Default, Clone)]
 pub struct GuardStats {
     counts: [u64; 5],
@@ -132,8 +133,8 @@ pub struct GuardStats {
     pub kfree_hint_visited: u64,
     /// `transfer` actions resolved by the single-holder fast path: the
     /// reverse writer index showed at most one holder, so the grant moved
-    /// principal-to-principal with one shard splice and one epoch-bump
-    /// set instead of a revocation from each holder.
+    /// principal-to-principal with one index entry in and one out and one
+    /// epoch-bump set.
     pub transfer_fast: u64,
     /// `transfer` actions that revoked before granting: a WRITE cap with
     /// several indexed holders (each loses it), or a non-WRITE cap

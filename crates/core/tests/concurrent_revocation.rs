@@ -12,10 +12,9 @@
 //! with `std::sync::Barrier` establishing the happens-before edges the
 //! assertions need — plus unsynchronized chaos threads hammering
 //! unrelated principals through the same shard locks to keep the locks
-//! and the interner under real contention while the phased assertions
-//! run. A final pass checks the index's structural invariants and that
-//! the sharded index, the linear walk, and the capability tables agree
-//! exactly once the threads quiesce.
+//! under real contention while the phased assertions run. A final pass
+//! checks that the sharded index holds exactly the capability tables'
+//! grants and agrees with the linear walk once the threads quiesce.
 
 #![cfg(not(miri))] // spawns OS threads and relies on real scheduling
 
@@ -58,8 +57,8 @@ fn linear_walk(core: &RuntimeCore, addr: u64) -> Vec<PrincipalId> {
 /// revokes its exact coverage; the barrier makes the revoke
 /// happen-before the next batch of guards, which must all deny. Then
 /// the grant comes back and the guards must all allow again — across
-/// many rounds, with chaos threads keeping the shard locks and the
-/// interner busy the whole time.
+/// many rounds, with chaos threads keeping the shard locks busy the
+/// whole time.
 #[test]
 fn racing_revokes_never_authorize_stale_writes() {
     const ROUNDS: usize = 200;
@@ -206,11 +205,10 @@ fn shared_revoke_invalidates_every_threads_instance_cache() {
 }
 
 /// Unsynchronized chaos: every thread grants/revokes/kfrees its own
-/// region while guarding stores, all through the same shard array and
-/// interner. After quiescence the index must satisfy its structural
-/// invariants and agree exactly with the per-principal tables (the
-/// linear walk) — i.e. no race left the index over- or
-/// under-approximating the capability state.
+/// region while guarding stores, all through the same shard array.
+/// After quiescence the index must hold exactly the per-principal
+/// tables' grants and agree with the linear walk — i.e. no race left
+/// the index over- or under-approximating the capability state.
 #[test]
 fn concurrent_churn_preserves_index_table_agreement() {
     const THREADS: usize = 4;

@@ -1,9 +1,9 @@
 //! Concurrent soundness of the single-holder grant transfer.
 //!
 //! The fast path ([`RuntimeCore::transfer_write`]) moves a WRITE grant
-//! from its one indexed holder to the destination with a single shard
-//! substitution splice instead of the every-principal revoke sweep. Two
-//! invariants must survive real concurrency:
+//! from its one indexed holder to the destination — destination granted
+//! first, then the holder revoked — instead of the every-principal
+//! revoke sweep. Two invariants must survive real concurrency:
 //!
 //! - **No stale authorization.** Once a transfer completes
 //!   (happens-before established by barriers), the source principal's

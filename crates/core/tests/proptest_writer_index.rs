@@ -16,13 +16,12 @@
 //! (The paper's standalone walk structure is checked against the same
 //! kind of model in `lxfi-bench`.)
 //!
-//! Sequences include exact revokes of still-overlapped grants (the
-//! residual-coverage reinstatement path), transfers to nobody,
-//! `kfree`-style overlapping revocation, and ranges whose end arithmetic
-//! saturates near `Word::MAX`. The index's structural invariants
-//! (sorted disjoint intervals inside their shard bounds, interned
-//! non-empty refcounted sets, full within-shard coalescing) are
-//! asserted after every operation.
+//! Sequences include exact revokes of grants another grant of the same
+//! principal still overlaps, transfers to nobody, `kfree`-style
+//! overlapping revocation, and ranges whose end arithmetic saturates
+//! near `Word::MAX`. After every operation the index must hold exactly
+//! the grants in every principal's WRITE table, each in every shard it
+//! touches (`RuntimeCore::check_index_invariants`).
 //!
 //! Every sequence additionally runs under **sharded** cores built with
 //! `RuntimeCore::with_shard_boundaries`, the shape the kernel runs —

@@ -228,7 +228,8 @@ pub enum KernelError {
     /// A machine fault (oops) killed the current process.
     Oops(String),
     /// A trap was attributed to one isolated module, which has been
-    /// quarantined; the kernel keeps running. (Boxed: the fault record
+    /// quarantined — or, when the module was already dead (`id: None`),
+    /// only recorded; the kernel keeps running. (Boxed: the fault record
     /// carries strings and must not fatten every `Result` in the API.)
     ModuleFault(Box<ModuleFault>),
     /// Plain failure (bad arguments etc.).
@@ -241,7 +242,11 @@ impl std::fmt::Display for KernelError {
             KernelError::Panic(s) => write!(f, "kernel panic: {s}"),
             KernelError::Oops(s) => write!(f, "kernel oops: {s}"),
             KernelError::ModuleFault(m) => {
-                write!(f, "module fault: {} quarantined: {}", m.module, m.reason)
+                let outcome = match m.id {
+                    Some(_) => "quarantined",
+                    None => "already dead, fault only recorded",
+                };
+                write!(f, "module fault: {} {outcome}: {}", m.module, m.reason)
             }
             KernelError::Fail(s) => write!(f, "error: {s}"),
         }
@@ -588,7 +593,7 @@ impl Kernel {
         let mem = Arc::new(AddressSpace::new());
         // The shared runtime core is born sharded along the address-space
         // regions (and the first module windows) before any capability
-        // traffic, so grant/revoke splices stay bounded by the region
+        // traffic, so grant/revoke index updates stay bounded by the region
         // they touch — and so are the per-shard locks.
         let rtc = Arc::new(RuntimeCore::with_shard_boundaries(shard_boundaries()));
         let procs = ProcessTable::new(&mem, KSTATIC_BASE);
@@ -1006,5 +1011,33 @@ impl KernelCpu {
     /// cost model consumes).
     pub fn total_cycles(&self) -> u64 {
         self.cycles + self.rt.stats.total_cycles()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn module_fault_display_says_whether_the_module_was_quarantined() {
+        let fault = |id| {
+            KernelError::ModuleFault(Box::new(ModuleFault {
+                id,
+                module: "econet".into(),
+                mid: None,
+                principal: None,
+                violation: None,
+                reason: "bad call".into(),
+                oopsed: false,
+            }))
+        };
+        assert_eq!(
+            fault(Some(LoadedModuleId(3))).to_string(),
+            "module fault: econet quarantined: bad call"
+        );
+        assert_eq!(
+            fault(None).to_string(),
+            "module fault: econet already dead, fault only recorded: bad call"
+        );
     }
 }

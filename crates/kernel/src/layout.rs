@@ -69,7 +69,7 @@ pub fn slab_shard_base(i: u64) -> Word {
 /// stacks, module area, exports), plus a shard per module window for the
 /// first [`SHARDED_MODULE_WINDOWS`] modules, plus one per slab heap
 /// shard — the regions whose capability traffic is independent, so
-/// grant/revoke splices in one never move another's intervals, and
+/// grant/revoke index updates in one never move another's entries, and
 /// per-CPU slab frees never contend on another CPU's shard lock.
 pub fn shard_boundaries() -> Vec<Word> {
     let mut b = vec![

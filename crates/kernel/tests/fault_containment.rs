@@ -329,8 +329,8 @@ fn crash_cycle(k: &mut Kernel) {
 }
 
 /// The resource levels the leak gate compares (all gauges, no
-/// monotonic counters): live principals, live slab objects, interned
-/// writer sets, and writer-index intervals.
+/// monotonic counters): live principals, live slab objects, principals
+/// holding a writer-index record, and writer-index entries.
 fn gauges(k: &Kernel) -> (u64, u64, usize, usize) {
     let core = k.runtime_core();
     let (live, _retired) = core.principal_gauges();
