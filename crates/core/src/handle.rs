@@ -110,6 +110,7 @@ impl<const W: usize> GuardHandle<W> {
     }
 
     /// The current principal context.
+    #[inline]
     pub fn current(&self) -> PrincipalCtx {
         self.shadow.current()
     }
@@ -146,6 +147,11 @@ impl<const W: usize> GuardHandle<W> {
     /// revocation affecting *other* principals does not evict it. On a
     /// miss the epoch is read **before** the table probe (rule 2 of the
     /// soundness discipline).
+    ///
+    /// The hit path is `#[inline]` so it folds into the compiled
+    /// backend's block loop; the table probe is out of line (a cold
+    /// function).
+    #[inline]
     pub fn check_write(&mut self, addr: Word, len: u64) -> Result<(), Violation> {
         self.stats.record(GuardKind::MemWrite, self.costs.mem_write);
         let Some((_m, p)) = self.shadow.current() else {
@@ -170,6 +176,14 @@ impl<const W: usize> GuardHandle<W> {
             }
             self.stats.write_cache_misses += 1;
         }
+        self.check_write_miss(p, addr, len)
+    }
+
+    /// [`Self::check_write`]'s cache miss: probe `p`'s WRITE coverage and
+    /// cache the covering interval.
+    #[cold]
+    #[inline(never)]
+    fn check_write_miss(&mut self, p: PrincipalId, addr: Word, len: u64) -> Result<(), Violation> {
         // Epoch read BEFORE the table probe: a concurrent revoke removes
         // coverage first and bumps after, so a stamp taken here is never
         // newer than a bump that invalidates what the probe returns.

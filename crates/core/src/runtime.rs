@@ -212,6 +212,7 @@ impl SlotTable {
     }
 
     /// The slot of a registered principal (lock-free).
+    #[inline]
     fn get(&self, i: usize) -> &PrincipalSlot {
         &self.chunks[i / SLOT_CHUNK]
             .get()
@@ -291,6 +292,7 @@ impl RuntimeCore {
         self.kfree_cross_check.load(Ordering::Acquire)
     }
 
+    #[inline]
     fn slot(&self, p: PrincipalId) -> &PrincipalSlot {
         self.slots.get(p.0 as usize)
     }

@@ -40,6 +40,7 @@ impl ShadowStack {
     }
 
     /// The thread's current principal context.
+    #[inline]
     pub fn current(&self) -> PrincipalCtx {
         self.current
     }

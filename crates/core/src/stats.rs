@@ -149,6 +149,7 @@ impl GuardStats {
     }
 
     /// Records one guard of `kind` costing `cycles`.
+    #[inline]
     pub fn record(&mut self, kind: GuardKind, cycles: u64) {
         let i = kind.index();
         self.counts[i] += 1;

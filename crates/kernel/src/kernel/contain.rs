@@ -248,10 +248,18 @@ impl KernelCpu {
     /// principals could still free — and retire its principals, whose
     /// remaining WRITE grants stay on record so slots the module wrote
     /// stay poisoned (the window itself is scrubbed at slot *reuse*, not
-    /// here). Returns `false` if the module was already torn down.
+    /// here). Returns `false` if the module was already torn down (or
+    /// another CPU is tearing it down).
+    ///
+    /// Only the reclamation holds the load lock. The grace period waits
+    /// without it, so a CPU created while another CPU is still inside
+    /// the dying module does not wait for that CPU to leave. A thread
+    /// allocated in the window either saw the module unloaded (no stack
+    /// grant) or granted before reclamation, which then revokes it with
+    /// the other stacks — and the slot joins `free_slots` only after
+    /// reclamation, so no load reuses it early.
     pub(super) fn teardown_module(&mut self, m: &Arc<LoadedModule>) -> bool {
         let core = Arc::clone(&self.core);
-        let _load = core.load_lock.lock().expect("load lock");
         {
             let mut tab = self.core.modules.write().expect("modules lock");
             if m.unloaded.swap(true, Ordering::AcqRel) {
@@ -263,7 +271,6 @@ impl KernelCpu {
             for f in m.funcs() {
                 tab.fn_addrs.remove(&m.fn_addr(f));
             }
-            tab.free_slots.push(m.slot);
         }
         // Grace period: the function addresses are unpublished, so no
         // NEW execution can enter; wait for in-flight executions on
@@ -277,8 +284,22 @@ impl KernelCpu {
         while m.active.load(Ordering::Acquire) > own {
             std::thread::yield_now();
         }
+        let _load = core.load_lock.lock().expect("load lock");
+        self.reclaim_module(m);
+        self.core
+            .modules
+            .write()
+            .expect("modules lock")
+            .free_slots
+            .push(m.slot);
+        true
+    }
+
+    /// Teardown's reclamation half, run under the load lock after the
+    /// grace period (see [`Self::teardown_module`]).
+    fn reclaim_module(&mut self, m: &LoadedModule) {
         let Some(mid) = m.mid else {
-            return true; // stock module: no principals, nothing to reclaim
+            return; // stock module: no principals, nothing to reclaim
         };
         // CALL capabilities to the dead functions die everywhere (§3.3
         // transfer semantics applied to the whole module), in one walk
@@ -304,7 +325,6 @@ impl KernelCpu {
         // Everything left (window globals, kernel slots it was granted)
         // stays on record as the retired principals' WRITE grants.
         self.rt.retire_module(mid);
-        true
     }
 
     /// Frees live slab objects whose WRITE coverage belongs only to the

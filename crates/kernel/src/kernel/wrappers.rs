@@ -249,6 +249,7 @@ impl Env for KernelCpu {
         &self.mem
     }
 
+    #[inline]
     fn consume(&mut self, cycles: u64) -> Result<(), Trap> {
         if self.fault_inject.is_some() {
             use crate::fault_inject::FaultSite;
@@ -293,6 +294,7 @@ impl Env for KernelCpu {
         debug_assert!(self.sp <= self.stack_base + STACK_SIZE);
     }
 
+    #[inline]
     fn guard_write(&mut self, addr: Word, len: Word) -> Result<(), Trap> {
         if self.fault_inject.is_some() {
             use crate::fault_inject::FaultSite;

@@ -13,7 +13,7 @@ use std::thread;
 use lxfi_core::{RawCap, Violation};
 use lxfi_kernel::{
     FaultPlan, FaultSite, IsolationMode, Kernel, KernelCpu, KernelError, ModuleSpec, RestartPolicy,
-    SupervisedState, Supervisor, SupervisorEvent,
+    SupervisedState, Supervisor, SupervisorEvent, STACK_BASE, STACK_SIZE, STACK_STRIDE,
 };
 use lxfi_machine::builder::regs::*;
 use lxfi_machine::{ProgramBuilder, Word};
@@ -272,8 +272,6 @@ fn violation_during_teardown_is_charged_to_the_dying_module() {
     let spin = k.module_fn_addr(id, "spin").unwrap();
     let violate = k.module_fn_addr(id, "violate").unwrap();
 
-    // Every CPU exists up front: `new_cpu` takes the load lock, which
-    // A's teardown holds through the grace period.
     let (mut cpu_a, mut cpu_b, mut cpu_c) = (k.new_cpu(), k.new_cpu(), k.new_cpu());
     let b =
         thread::spawn(move || cpu_b.enter(|k| k.invoke_module_function(spin, &[release], None)));
@@ -302,6 +300,61 @@ fn violation_during_teardown_is_charged_to_the_dying_module() {
     ));
     assert!(k.panic_reason().is_none());
     assert!(core.is_retired(writer), "the teardown still completes");
+}
+
+#[test]
+fn creating_a_cpu_does_not_wait_out_a_teardown_grace_period() {
+    // CPU 1 sits inside `m`; CPU 2 quarantines `m` and waits out CPU 1
+    // in the grace period. A third CPU created meanwhile must come up
+    // while CPU 1 is still inside, and the dying module must not end up
+    // holding the new CPU's stack.
+    let mut k = Kernel::boot(IsolationMode::Lxfi);
+    let id = k.load_module(faulty_spec("m")).unwrap();
+    let mid = k.runtime_module(id).unwrap();
+    let core = k.runtime_core();
+    let release = k.kstatic_alloc(8);
+    let entered = k.module_global_addr(id, "state").unwrap();
+    let spin = k.module_fn_addr(id, "spin").unwrap();
+    let violate = k.module_fn_addr(id, "violate").unwrap();
+
+    let (mut cpu1, mut cpu2) = (k.new_cpu(), k.new_cpu());
+    let one =
+        thread::spawn(move || cpu1.enter(|k| k.invoke_module_function(spin, &[release], None)));
+    while k.mem.read_word(entered).unwrap() == 0 {
+        thread::yield_now();
+    }
+    let two = thread::spawn(move || cpu2.enter(|k| k.invoke_module_function(violate, &[], None)));
+    while k.module_is_live(id) {
+        thread::yield_now();
+    }
+    let (tx, rx) = std::sync::mpsc::channel();
+    let kcore = Arc::clone(k.kernel_core());
+    let three = thread::spawn(move || tx.send(KernelCpu::new(kcore)).is_ok());
+    let created = rx.recv_timeout(std::time::Duration::from_secs(10));
+    let one_still_inside = k.mem.read_word(release).unwrap() == 0;
+    // Let CPU 1 leave either way, so a failure below does not hang.
+    k.mem.write_word(release, 1).unwrap();
+    assert!(
+        created.is_ok() && one_still_inside,
+        "the third CPU waited for CPU 1 to leave the dying module"
+    );
+
+    assert_eq!(one.join().unwrap().unwrap(), 0, "CPU 1 drains normally");
+    assert_eq!(expect_fault(two.join().unwrap()).id, Some(id));
+    three.join().unwrap();
+    let victims = core.module_principals(mid);
+    assert!(victims.iter().all(|&p| core.is_retired(p)));
+    // The new CPU is kernel thread 3 (boot CPU, CPU 1, CPU 2 before it).
+    let stack = STACK_BASE + 3 * STACK_STRIDE;
+    assert!(k.mem.is_mapped(stack, STACK_SIZE));
+    let mut writers = Vec::new();
+    core.collect_writers(stack, STACK_SIZE, &mut writers);
+    assert!(
+        writers.iter().all(|p| !victims.contains(p)),
+        "a dead module holds the new stack: {writers:?}"
+    );
+    core.check_index_invariants();
+    assert!(k.panic_reason().is_none());
 }
 
 #[test]

@@ -14,8 +14,11 @@
 //!   interpreter — including the fuel level an extern call observes,
 //! - the rewriter's `GuardWrite`+`Store` and `GuardIndCall`+`CallPtr`
 //!   pairs are fused into single steps,
-//! - loads and stores go through a one-entry software TLB
-//!   ([`crate::mem::PageHandle`]) instead of the 4-level radix walk.
+//! - loads and stores go through a small set-associative software TLB
+//!   of [`crate::mem::PageHandle`]s (2 sets × 2 ways, set chosen by the
+//!   page number's low bit) instead of the 4-level radix walk, so a
+//!   copy loop alternating between a source page and a device page hits
+//!   on both.
 //!
 //! Blocks are plain data, not boxed closures, and every execution entry
 //! point is generic over the environment (`E: Env + ?Sized`) exactly
@@ -681,17 +684,59 @@ fn build_block(
     }
 }
 
-/// Per-run register/frame state plus the one-entry software TLB.
+/// Sets in the software TLB; a page's set is its page number modulo
+/// this.
+const TLB_SETS: usize = 2;
+/// Ways per set. A fill goes to way 0 and demotes the older entries, so
+/// the last-filled page of a set is probed first.
+const TLB_WAYS: usize = 2;
+
+/// The compiled backend's software TLB: `(page number, handle)` entries
+/// in [`TLB_SETS`] sets of [`TLB_WAYS`] ways. Every entry is dropped at
+/// each point the environment could unmap (after an extern or indirect
+/// call, after an interpreter fallback), so the stale-but-valid window
+/// documented on [`crate::mem::AddressSpace::page_handle`] is the same
+/// as for a single cached page.
+struct Tlb {
+    sets: [[Option<(u64, PageHandle)>; TLB_WAYS]; TLB_SETS],
+}
+
+impl Tlb {
+    const EMPTY: Tlb = Tlb {
+        sets: [[None; TLB_WAYS]; TLB_SETS],
+    };
+
+    #[inline(always)]
+    fn lookup(&self, page: u64) -> Option<PageHandle> {
+        let set = &self.sets[page as usize % TLB_SETS];
+        for &(p, h) in set.iter().flatten() {
+            if p == page {
+                return Some(h);
+            }
+        }
+        None
+    }
+
+    fn fill(&mut self, page: u64, h: PageHandle) {
+        let set = &mut self.sets[page as usize % TLB_SETS];
+        set.copy_within(..TLB_WAYS - 1, 1);
+        set[0] = Some((page, h));
+    }
+
+    fn flush(&mut self) {
+        *self = Tlb::EMPTY;
+    }
+}
+
+/// Per-run register/frame state plus the software TLB.
 struct ExecCtx {
     regs: [Word; NUM_REGS],
     sp: Word,
     /// Call-argument staging buffer (the compiled twin of the
     /// interpreter's scratch vector — no per-call allocation).
     scratch: Vec<Word>,
-    /// Last-touched page: (page number, handle). Dropped at every point
-    /// the environment could unmap (extern/indirect calls, interpreter
-    /// fallback) so the stale-but-valid window stays bounded.
-    tlb: Option<(u64, PageHandle)>,
+    /// Recently touched pages; see [`Tlb`] for the flush discipline.
+    tlb: Tlb,
 }
 
 impl ExecCtx {
@@ -700,7 +745,7 @@ impl ExecCtx {
             regs: [0; NUM_REGS],
             sp: 0,
             scratch: Vec::with_capacity(NUM_ARG_REGS),
-            tlb: None,
+            tlb: Tlb::EMPTY,
         }
     }
 
@@ -727,14 +772,11 @@ fn mem_read<E: Env + ?Sized>(
     let n = width.bytes() as usize;
     let off = (addr % PAGE_SIZE) as usize;
     if off % 8 + n <= 8 {
-        let page = addr / PAGE_SIZE;
-        if let Some((p, h)) = ctx.tlb {
-            if p == page {
-                // SAFETY: the handle came from this env's address space,
-                // alive for the whole run; see `ExecCtx::tlb` for the
-                // flush discipline.
-                return Ok(unsafe { h.read_in_word(off, width) });
-            }
+        if let Some(h) = ctx.tlb.lookup(addr / PAGE_SIZE) {
+            // SAFETY: the handle came from this env's address space,
+            // alive for the whole run; see `Tlb` for the flush
+            // discipline.
+            return Ok(unsafe { h.read_in_word(off, width) });
         }
         return mem_read_miss(ctx, env, addr, width);
     }
@@ -753,7 +795,7 @@ fn mem_read_miss<E: Env + ?Sized>(
         len: width.bytes(),
         write: false,
     })?;
-    ctx.tlb = Some((addr / PAGE_SIZE, h));
+    ctx.tlb.fill(addr / PAGE_SIZE, h);
     // SAFETY: freshly minted from a live address space.
     Ok(unsafe { h.read_in_word((addr % PAGE_SIZE) as usize, width) })
 }
@@ -770,13 +812,10 @@ fn mem_write<E: Env + ?Sized>(
     let n = width.bytes() as usize;
     let off = (addr % PAGE_SIZE) as usize;
     if off % 8 + n <= 8 {
-        let page = addr / PAGE_SIZE;
-        if let Some((p, h)) = ctx.tlb {
-            if p == page {
-                // SAFETY: see `mem_read`.
-                unsafe { h.write_in_word(off, val, width) };
-                return Ok(());
-            }
+        if let Some(h) = ctx.tlb.lookup(addr / PAGE_SIZE) {
+            // SAFETY: see `mem_read`.
+            unsafe { h.write_in_word(off, val, width) };
+            return Ok(());
         }
         return mem_write_miss(ctx, env, addr, val, width);
     }
@@ -796,7 +835,7 @@ fn mem_write_miss<E: Env + ?Sized>(
         len: width.bytes(),
         write: true,
     })?;
-    ctx.tlb = Some((addr / PAGE_SIZE, h));
+    ctx.tlb.fill(addr / PAGE_SIZE, h);
     // SAFETY: see `mem_read_miss`.
     unsafe { h.write_in_word((addr % PAGE_SIZE) as usize, val, width) };
     Ok(())
@@ -882,6 +921,7 @@ fn exec_step<E: Env + ?Sized>(step: &Step, ctx: &mut ExecCtx, env: &mut E) -> Re
     Ok(())
 }
 
+#[inline(always)]
 fn exec_exit(b: &BlockBody, ctx: &mut ExecCtx) -> Result<BlockExit, Trap> {
     match &b.exit {
         ExitOp::Jmp { target } => Ok(BlockExit::Goto(*target)),
@@ -1051,7 +1091,7 @@ fn exec_block<E: Env + ?Sized>(
                 // callee may itself consume, trap, or re-enter a module).
                 env.refund(rest);
                 let v = env.call_extern(*sym, &ctx.scratch)?;
-                ctx.tlb = None;
+                ctx.tlb.flush();
                 if let Some(r) = ret {
                     set_reg(&mut ctx.regs, *r, v);
                 }
@@ -1080,7 +1120,7 @@ fn exec_block<E: Env + ?Sized>(
                 ctx.stage(args);
                 env.refund(rest);
                 let v = env.call_ptr(target, *sig, &ctx.scratch)?;
-                ctx.tlb = None;
+                ctx.tlb.flush();
                 if let Some(r) = ret {
                     set_reg(&mut ctx.regs, *r, v);
                 }
@@ -1138,7 +1178,7 @@ fn exec_block_slow<E: Env + ?Sized>(
                 env.consume(costs::CALL)?;
                 ctx.stage(args);
                 let v = env.call_extern(*sym, &ctx.scratch)?;
-                ctx.tlb = None;
+                ctx.tlb.flush();
                 if let Some(r) = ret {
                     ctx.regs[*r as usize] = v;
                 }
@@ -1159,7 +1199,7 @@ fn exec_block_slow<E: Env + ?Sized>(
                 let target = ptr.get(&ctx.regs);
                 ctx.stage(args);
                 let v = env.call_ptr(target, *sig, &ctx.scratch)?;
-                ctx.tlb = None;
+                ctx.tlb.flush();
                 if let Some(r) = ret {
                     ctx.regs[*r as usize] = v;
                 }
@@ -1297,7 +1337,7 @@ pub fn run_compiled<E: Env + ?Sized>(
                         };
                         // The interpreter (or anything it called) may have
                         // remapped memory.
-                        ctx.tlb = None;
+                        ctx.tlb.flush();
                         if let Some(r) = ret {
                             ctx.regs[r as usize] = v;
                         }

@@ -339,7 +339,8 @@ impl AddressSpace {
     }
 
     /// Returns a raw handle to the mapped page containing `addr`, for use
-    /// as a software TLB entry by the compiled backend.
+    /// as an entry of the compiled backend's software TLB (a few pages
+    /// cached per run).
     ///
     /// The handle stays valid for the life of this `AddressSpace`
     /// *allocation* (pages are retired on unmap, never freed early), so a
@@ -409,7 +410,39 @@ impl AddressSpace {
     }
 
     /// Zero-fills `[addr, addr+len)`.
+    ///
+    /// A word-aligned range (start and length multiples of 8) that is
+    /// mapped throughout is checked once and cleared a page at a time
+    /// with plain atomic word stores. Any other range — unaligned, or
+    /// with an unmapped page — takes the 256-byte chunked path, which
+    /// writes the chunks before the first unmapped one and then faults
+    /// on that chunk.
     pub fn zero_range(&self, addr: Word, len: u64) -> Result<(), Trap> {
+        if (addr | len).is_multiple_of(8) && self.is_mapped(addr, len) {
+            let mut cur = addr;
+            let mut remaining = len;
+            while remaining > 0 {
+                let off = (cur & (PAGE_SIZE - 1)) as usize;
+                let n = (PAGE_SIZE - off as u64).min(remaining);
+                let Some(pg) = self.page(Self::page_of(cur)) else {
+                    // A concurrent unmap took the page after the check:
+                    // the chunked path reports the fault.
+                    return self.zero_range_chunked(cur, remaining);
+                };
+                for w in &pg.words[off / 8..(off + n as usize) / 8] {
+                    w.store(0, Ordering::Relaxed);
+                }
+                cur = cur.wrapping_add(n);
+                remaining -= n;
+            }
+            return Ok(());
+        }
+        self.zero_range_chunked(addr, len)
+    }
+
+    /// [`zero_range`](Self::zero_range)'s general path: 256-byte
+    /// [`write_bytes`](Self::write_bytes) chunks.
+    fn zero_range_chunked(&self, addr: Word, len: u64) -> Result<(), Trap> {
         const ZEROS: [u8; 256] = [0u8; 256];
         let mut cur = addr;
         let mut remaining = len;
@@ -423,9 +456,9 @@ impl AddressSpace {
     }
 }
 
-/// A raw reference to one mapped page: the compiled backend's one-entry
-/// software TLB. Obtained from [`AddressSpace::page_handle`]; see there
-/// for the validity rules.
+/// A raw reference to one mapped page: an entry of the compiled
+/// backend's software TLB. Obtained from [`AddressSpace::page_handle`];
+/// see there for the validity rules.
 ///
 /// The accessors are `unsafe` because the handle does not borrow the
 /// address space: the caller must guarantee the originating
@@ -617,6 +650,106 @@ mod tests {
         assert_eq!(a.read(0x2000 + 100, Width::B1).unwrap(), 0);
         assert_eq!(a.read(0x2000 + 799, Width::B1).unwrap(), 0);
         assert_eq!(a.read(0x2000 + 800, Width::B1).unwrap(), 0xff);
+    }
+
+    /// Base of the pages the `zero_range` comparisons map.
+    const ZBASE: Word = 0x10_0000;
+
+    /// An address space with the given pages (indices from `ZBASE`)
+    /// mapped and every byte set to 0xa5.
+    fn patterned(pages: &[u64]) -> AddressSpace {
+        let a = AddressSpace::new();
+        for &p in pages {
+            a.map_range(ZBASE + p * PAGE_SIZE, PAGE_SIZE);
+            a.write_bytes(ZBASE + p * PAGE_SIZE, &[0xa5; PAGE_SIZE as usize])
+                .unwrap();
+        }
+        a
+    }
+
+    fn dump(a: &AddressSpace, pages: &[u64]) -> Vec<u8> {
+        let mut out = vec![0u8; pages.len() * PAGE_SIZE as usize];
+        for (chunk, &p) in out.chunks_mut(PAGE_SIZE as usize).zip(pages) {
+            a.read_bytes(ZBASE + p * PAGE_SIZE, chunk).unwrap();
+        }
+        out
+    }
+
+    /// Zeroes `[addr, addr+len)` with `zero_range` and with the chunked
+    /// path on twin spaces: same result, same memory afterwards.
+    fn zero_like_chunked(pages: &[u64], addr: Word, len: u64) -> (Result<(), Trap>, Vec<u8>) {
+        let (a, b) = (patterned(pages), patterned(pages));
+        let got = a.zero_range(addr, len);
+        let want = b.zero_range_chunked(addr, len);
+        assert_eq!(format!("{got:?}"), format!("{want:?}"), "{addr:#x}+{len}");
+        let mem = dump(&a, pages);
+        assert_eq!(mem, dump(&b, pages), "{addr:#x}+{len}");
+        (got, mem)
+    }
+
+    #[test]
+    fn zero_range_aligned_matches_chunked() {
+        let (r, mem) = zero_like_chunked(&[0], ZBASE + 64, 512);
+        assert!(r.is_ok());
+        assert!(mem[..64].iter().all(|&b| b == 0xa5));
+        assert!(mem[64..576].iter().all(|&b| b == 0));
+        assert!(mem[576..].iter().all(|&b| b == 0xa5));
+        let (r, mem) = zero_like_chunked(&[0], ZBASE, PAGE_SIZE);
+        assert!(r.is_ok() && mem.iter().all(|&b| b == 0));
+        assert!(zero_like_chunked(&[0], ZBASE + 8, 0).0.is_ok());
+    }
+
+    #[test]
+    fn zero_range_unaligned_matches_chunked() {
+        for (off, len) in [(3, 700), (8, 13), (5, 8), (4091, 5), (1, 4094)] {
+            let (r, mem) = zero_like_chunked(&[0], ZBASE + off, len);
+            assert!(r.is_ok());
+            let (s, e) = (off as usize, (off + len) as usize);
+            assert!(mem[s..e].iter().all(|&b| b == 0), "{off}+{len}");
+            assert!(mem[..s].iter().chain(&mem[e..]).all(|&b| b == 0xa5));
+        }
+    }
+
+    #[test]
+    fn zero_range_page_crossing_matches_chunked() {
+        let pages = [0, 1, 2];
+        for (off, len) in [
+            (PAGE_SIZE - 256, 1024),
+            (PAGE_SIZE - 8, 8 + PAGE_SIZE + 8),
+            (0, 3 * PAGE_SIZE),
+            (PAGE_SIZE - 5, 300),
+        ] {
+            let (r, mem) = zero_like_chunked(&pages, ZBASE + off, len);
+            assert!(r.is_ok());
+            let (s, e) = (off as usize, (off + len) as usize);
+            assert!(mem[s..e].iter().all(|&b| b == 0), "{off}+{len}");
+            assert!(mem[..s].iter().chain(&mem[e..]).all(|&b| b == 0xa5));
+        }
+    }
+
+    #[test]
+    fn zero_range_partially_mapped_faults_like_chunked() {
+        // Page 1 is a hole: the chunks before it are zeroed, the chunk
+        // that reaches it faults, nothing after it is touched.
+        let pages = [0, 2];
+        let hole = ZBASE + PAGE_SIZE;
+        let (r, mem) = zero_like_chunked(&pages, hole - 512, 2 * PAGE_SIZE);
+        assert!(matches!(
+            r,
+            Err(Trap::MemFault { addr, len: 256, write: true }) if addr == hole
+        ));
+        let page0 = PAGE_SIZE as usize;
+        assert!(mem[..page0 - 512].iter().all(|&b| b == 0xa5));
+        assert!(mem[page0 - 512..page0].iter().all(|&b| b == 0));
+        assert!(mem[page0..].iter().all(|&b| b == 0xa5));
+        // Starting in the hole, or unaligned across it: same faults.
+        let (r, _) = zero_like_chunked(&pages, hole + 64, 128);
+        assert!(matches!(r, Err(Trap::MemFault { write: true, .. })));
+        let (r, _) = zero_like_chunked(&pages, hole - 13, 100);
+        assert!(matches!(r, Err(Trap::MemFault { write: true, .. })));
+        // An aligned range ending in the last mapped page before a hole
+        // still succeeds.
+        assert!(zero_like_chunked(&pages, hole - 512, 512).0.is_ok());
     }
 
     #[test]

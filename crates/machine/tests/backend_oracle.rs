@@ -5,6 +5,12 @@
 //! balance — must match exactly, across both plentiful and near-exhausted
 //! fuel budgets (the latter drives the compiled backend's per-instruction
 //! slow path and its refund protocol).
+//!
+//! The data window spans more pages than the compiled backend's software
+//! TLB holds, several of them sharing a TLB set, and the `remap` extern
+//! unmaps and remaps one of those pages: a TLB entry kept across the
+//! call would read or write the retired page, which the final-memory
+//! comparison catches.
 
 use std::sync::Arc;
 
@@ -13,15 +19,21 @@ use proptest::prelude::*;
 use lxfi_machine::builder::regs::*;
 use lxfi_machine::{
     run_compiled, run_function, AddressSpace, BinOp, CompiledProgram, Cond, Env, FuncId, GlobalId,
-    Program, ProgramBuilder, Reg, SigId, SymbolId, Trap, Width, Word,
+    Program, ProgramBuilder, Reg, SigId, SymbolId, Trap, Width, Word, PAGE_SIZE,
 };
 
 /// Base of the mapped data window generated programs address.
 const DATA: u64 = 0x10_0000;
+/// Pages in that window: more than the software TLB's four entries, so
+/// pages share sets and evict each other.
+const DATA_PAGES: u64 = 6;
 /// Size of that window (accesses are generated inside `[0, DATA_LEN)`,
 /// but register-relative addressing can still fault — both backends must
 /// then fault identically).
-const DATA_LEN: u64 = 2 * lxfi_machine::PAGE_SIZE;
+const DATA_LEN: u64 = DATA_PAGES * PAGE_SIZE;
+/// The `remap` import (the second one `build_program` declares): its
+/// first argument picks the window page to unmap and map again, zeroed.
+const REMAP_SYM: u32 = 1;
 
 /// One logged guard/extern event: `(kind, a, b)` per the field doc.
 type LogEntry = (u8, u64, u64);
@@ -115,6 +127,11 @@ impl Env for OracleEnv {
         // Externs burn fuel too, so the compiled backend's
         // refund-before-call / reconsume-after protocol is observable.
         self.consume(5)?;
+        if sym.0 == REMAP_SYM {
+            let page = DATA + args.first().map_or(0, |&a| a % DATA_PAGES) * PAGE_SIZE;
+            self.mem.unmap_range(page, PAGE_SIZE);
+            self.mem.map_range(page, PAGE_SIZE);
+        }
         Ok(sum.wrapping_mul(3).wrapping_add(sym.0 as u64))
     }
     fn call_ptr(&mut self, target: Word, _sig: SigId, args: &[Word]) -> Result<Word, Trap> {
@@ -146,7 +163,7 @@ struct GenOp {
 }
 
 fn arb_op() -> impl Strategy<Value = GenOp> {
-    (0u8..16, 0u8..6, 0u8..6, 0u8..6, -512i64..512).prop_map(|(kind, a, b, c, imm)| GenOp {
+    (0u8..17, 0u8..6, 0u8..6, 0u8..6, -512i64..512).prop_map(|(kind, a, b, c, imm)| GenOp {
         kind,
         a,
         b,
@@ -156,12 +173,15 @@ fn arb_op() -> impl Strategy<Value = GenOp> {
 }
 
 /// Builds a two-function program (`main` + a guarded-store leaf) from the
-/// generated op list. `R6` holds the data base, `R7` a bounded offset, so
-/// most memory traffic lands in the mapped window; forward-only branches
-/// keep every program terminating.
+/// generated op list. `R6` holds the data base; window accesses pick
+/// their page from the op's `c` field, so most memory traffic lands in
+/// the mapped window; forward-only branches keep every program
+/// terminating.
 fn build_program(ops: &[GenOp]) -> Program {
     let mut pb = ProgramBuilder::new("oracle");
     let helper_sym = pb.import_func("helper");
+    let remap_sym = pb.import_func("remap");
+    assert_eq!(remap_sym.0, REMAP_SYM);
     let sig = pb.sig("fnptr", 2);
     let leaf = pb.declare("leaf", 2);
     let gdata = pb.global("gdata", 64);
@@ -199,7 +219,8 @@ fn build_program(ops: &[GenOp]) -> Program {
             let ra = Reg(op.a);
             let rb = Reg(op.b);
             let rc = Reg(op.c);
-            let off = (op.imm.unsigned_abs() % 4000) as i64;
+            let page = op.c as u64 % DATA_PAGES;
+            let off = (page * PAGE_SIZE + op.imm.unsigned_abs() % 4000) as i64;
             match op.kind {
                 0 => f.mov(ra, op.imm),
                 1 => {
@@ -259,7 +280,8 @@ fn build_program(ops: &[GenOp]) -> Program {
                     pending.push((i + skip, l));
                 }
                 14 => f.nop(),
-                _ => f.sym_addr(ra, helper_sym),
+                15 => f.sym_addr(ra, helper_sym),
+                _ => f.call_extern(remap_sym, &[(page as i64).into()], None),
             }
         }
         for (_, l) in pending {
@@ -323,6 +345,35 @@ proptest! {
         let p = build_program(&ops);
         check_equivalent(&p, fuel, a0, a1);
     }
+}
+
+/// A page remapped by an extern call is never reached through a TLB
+/// entry cached before the call: every window page is stored to (filling
+/// and, pages sharing sets, evicting entries), one page is remapped, and
+/// every page, the remapped one first, is read back and stored to again.
+#[test]
+fn remapped_pages_are_never_reached_through_a_stale_tlb_entry() {
+    let mut pb = ProgramBuilder::new("remap");
+    pb.import_func("helper");
+    let remap = pb.import_func("remap");
+    pb.define("main", 2, 0, |f| {
+        f.mov(R6, DATA as i64);
+        f.mov(R2, 0i64);
+        for victim in [DATA_PAGES - 1, DATA_PAGES - 2, 0] {
+            for page in 0..DATA_PAGES {
+                f.store8(R0, R6, (page * PAGE_SIZE) as i64);
+            }
+            f.call_extern(remap, &[(victim as i64).into()], None);
+            for i in 0..DATA_PAGES {
+                let off = ((victim + i) % DATA_PAGES * PAGE_SIZE) as i64;
+                f.load8(R1, R6, off);
+                f.add(R2, R2, R1);
+                f.store8(R2, R6, off + 8);
+            }
+        }
+        f.ret(R2);
+    });
+    check_equivalent(&pb.finish(), 1_000_000, 7, 0);
 }
 
 /// The compiled backend reports meaningful counters for a program with
