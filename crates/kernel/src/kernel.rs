@@ -401,9 +401,10 @@ impl KernelCore {
     }
 
     /// Aggregated compiled-backend statistics across every loaded
-    /// module (including the kernel-thunk pseudo-module): blocks
-    /// compiled, fused guard sites, functions that fell back to the
-    /// interpreter. All-zero under [`Backend::Interp`].
+    /// module (including the kernel-thunk pseudo-module): functions and
+    /// blocks compiled and fused guard sites. `fallback_funcs` is always
+    /// 0, since a load whose program fails the structural check is
+    /// refused. All-zero under [`Backend::Interp`].
     pub fn compile_stats(&self) -> CompileStats {
         let mods = self.modules.read().expect("modules lock");
         let mut total = CompileStats::default();

@@ -12,8 +12,10 @@ use lxfi_core::iface::FnDecl;
 use lxfi_core::runtime::FnMeta;
 use lxfi_core::RawCap;
 use lxfi_machine::program::ImportKind;
+use lxfi_machine::verify::VerifyError;
 use lxfi_machine::{
-    verify_soundness, Backend, CompiledProgram, FuncId, Program, SoundnessPolicy, Word,
+    verify_program, verify_soundness, Backend, CompiledProgram, FuncId, Program, SoundnessPolicy,
+    Word,
 };
 use lxfi_rewriter::{propagate, rewrite_kernel_thunks, rewrite_module, InitGrant, InterfaceSpec};
 
@@ -35,11 +37,17 @@ fn resolve_sig_hashes(
     program.sigs.iter().map(|s| ahash(&s.name)).collect()
 }
 
+/// The load's rejection for a program that fails [`verify_program`].
+fn verify_failed(name: &str, errs: &[VerifyError]) -> KernelError {
+    KernelError::Fail(format!("verify {name}: {}", errs[0]))
+}
+
 /// The load-time checks LXFI runs on a rewritten program before either
-/// backend may execute it: prove every reachable store and kernel
-/// indirect call guard-dominated, then propagate the interface
-/// annotations (which enforces the same-annotation rule). Returns the
-/// propagated declarations.
+/// backend may execute it: the structural check, then a proof that every
+/// reachable store and kernel indirect call is guard-dominated (both in
+/// `verify_soundness`), then propagation of the interface annotations
+/// (which enforces the same-annotation rule). Returns the propagated
+/// declarations.
 fn prove_module(
     name: &str,
     program: &Program,
@@ -53,8 +61,9 @@ fn prove_module(
 /// One module image: a source program, the rewriter's output for it and
 /// that output's compiled form. The rewriter is untrusted, so reusing an
 /// image skips only the rewrite and the compile; every load still runs
-/// the structural check, the soundness proof, `propagate` and the sig
-/// check on the exact program it installs.
+/// the structural check and the soundness proof (one `verify_soundness`
+/// call), `propagate` and the sig check on the exact program it
+/// installs.
 struct ModuleImage {
     source: Program,
     program: Arc<Program>,
@@ -86,10 +95,19 @@ impl KernelCore {
     }
 
     /// The program lowered for this kernel's backend: `None` under
-    /// [`Backend::Interp`].
-    fn compile(&self, program: &Arc<Program>) -> Option<Arc<CompiledProgram>> {
-        (self.backend == Backend::Compiled)
-            .then(|| Arc::new(CompiledProgram::compile(Arc::clone(program))))
+    /// [`Backend::Interp`]. Lowering runs [`verify_program`] first, so a
+    /// program that fails it is refused here.
+    fn compile(
+        &self,
+        name: &str,
+        program: &Arc<Program>,
+    ) -> Result<Option<Arc<CompiledProgram>>, KernelError> {
+        if self.backend == Backend::Interp {
+            return Ok(None);
+        }
+        CompiledProgram::compile(Arc::clone(program))
+            .map(|cp| Some(Arc::new(cp)))
+            .map_err(|e| verify_failed(name, &e))
     }
 
     /// The interface declarations a loading module adds to the sig
@@ -181,6 +199,13 @@ impl KernelCpu {
     /// load rewrites and compiles only when the kernel holds no image of
     /// a structurally equal program under this name; the soundness
     /// proof, `propagate` and the sig check run on every load.
+    ///
+    /// [`verify_program`], the one structural check, runs on every
+    /// program a load installs: on the source unless an image is reused
+    /// (the rewriter's input, or under Stock the installed program),
+    /// inside `verify_soundness` on every rewritten program, and inside
+    /// [`CompiledProgram::compile`] on whatever it lowers. An image-hit
+    /// load therefore makes exactly one pass, on the stored rewrite.
     pub fn load_module_with_mode(
         &mut self,
         spec: ModuleSpec,
@@ -196,39 +221,40 @@ impl KernelCpu {
             init_fn,
         } = spec;
 
-        lxfi_machine::verify_program(&source)
-            .map_err(|e| KernelError::Fail(format!("verify {name}: {}", e[0])))?;
+        let hit = mode == IsolationMode::Lxfi
+            && images
+                .by_name
+                .get(&name)
+                .is_some_and(|img| img.source == source);
+        if !hit {
+            verify_program(&source).map_err(|e| verify_failed(&name, &e))?;
+        }
         let import_addrs = self.resolve_imports(&name, &source)?;
 
         let (program, compiled, decls, fresh) = match mode {
+            IsolationMode::Lxfi if hit => {
+                images.hits += 1;
+                let img = &images.by_name[&name];
+                let decls = prove_module(&name, &img.program, &iface)?;
+                (Arc::clone(&img.program), img.compiled.clone(), decls, None)
+            }
             IsolationMode::Lxfi => {
-                if images
-                    .by_name
-                    .get(&name)
-                    .is_some_and(|img| img.source == source)
-                {
-                    images.hits += 1;
-                    let img = &images.by_name[&name];
-                    let decls = prove_module(&name, &img.program, &iface)?;
-                    (Arc::clone(&img.program), img.compiled.clone(), decls, None)
-                } else {
-                    images.misses += 1;
-                    let rw = rewrite_module(&source, core.rewrite_opts);
-                    let program = Arc::new(rw.program);
-                    let decls = prove_module(&name, &program, &iface)?;
-                    let compiled = core.compile(&program);
-                    let img = ModuleImage {
-                        source,
-                        program: Arc::clone(&program),
-                        init_grants: rw.init_grants,
-                        compiled: compiled.clone(),
-                    };
-                    (program, compiled, decls, Some(img))
-                }
+                images.misses += 1;
+                let rw = rewrite_module(&source, core.rewrite_opts);
+                let program = Arc::new(rw.program);
+                let decls = prove_module(&name, &program, &iface)?;
+                let compiled = core.compile(&name, &program)?;
+                let img = ModuleImage {
+                    source,
+                    program: Arc::clone(&program),
+                    init_grants: rw.init_grants,
+                    compiled: compiled.clone(),
+                };
+                (program, compiled, decls, Some(img))
             }
             IsolationMode::Stock => {
                 let program = Arc::new(source);
-                let compiled = core.compile(&program);
+                let compiled = core.compile(&name, &program)?;
                 (program, compiled, HashMap::new(), None)
             }
         };

@@ -6,7 +6,10 @@
 //! - a hit still runs `propagate` and the sig check, so an interface
 //!   that fails either is rejected;
 //! - a rejected load leaves nothing behind: no image, no principal, no
-//!   function registration, no sig declaration.
+//!   function registration, no sig declaration;
+//! - a program that fails the structural check, such as one reading a
+//!   register past `r15`, is refused at load under both modes and both
+//!   backends instead of reaching either engine.
 
 use std::sync::Arc;
 
@@ -17,7 +20,7 @@ use lxfi_kernel::{
     FN_SPACING, MODULE_BASE, MODULE_FN_OFFSET, MODULE_STRIDE,
 };
 use lxfi_machine::builder::regs::*;
-use lxfi_machine::{Inst, Operand, ProgramBuilder, Word};
+use lxfi_machine::{Inst, Operand, ProgramBuilder, Reg, Word};
 use lxfi_modules as mods;
 use lxfi_rewriter::InterfaceSpec;
 
@@ -302,4 +305,73 @@ fn unresolved_imports_are_rejected_before_any_side_effect() {
     assert_eq!(id.0, slot, "the good load takes the same slot");
     assert!(k.sig_decl("leaky_callback").is_some());
     assert!(rtc.function_ahash(fn_addr(0)).is_some());
+}
+
+/// A module whose init function reads register `r`: as `Mov`'s source,
+/// or with `call_ptr` as the target of an indirect call.
+fn reads_register(r: Reg, call_ptr: bool) -> ModuleSpec {
+    let mut pb = ProgramBuilder::new("wild");
+    let sig = pb.sig("wild_cb", 0);
+    pb.define("wild_init", 0, 0, |f| {
+        if call_ptr {
+            f.call_ptr(r, sig, &[], None);
+        } else {
+            f.mov(R0, r);
+        }
+        f.ret(0i64);
+    });
+    ModuleSpec {
+        name: "wild".into(),
+        program: pb.finish(),
+        iface: InterfaceSpec::new(),
+        iterators: vec![],
+        init_fn: Some("wild_init".into()),
+    }
+}
+
+#[test]
+fn out_of_range_register_reads_are_refused_at_load() {
+    let fn_addr = |slot: usize| MODULE_BASE + slot as u64 * MODULE_STRIDE + MODULE_FN_OFFSET;
+    for mode in [IsolationMode::Stock, IsolationMode::Lxfi] {
+        for backend in [Backend::Interp, Backend::Compiled] {
+            let cfg = format!("{mode:?}/{backend:?}");
+            let mut k = Kernel::boot_with_backend(mode, backend);
+            let rtc = k.runtime_core();
+            let gauges = |k: &Kernel| {
+                (
+                    rtc.principal_gauges(),
+                    stats(k),
+                    k.compile_stats(),
+                    (0..4)
+                        .map(|slot| rtc.function_ahash(fn_addr(slot)))
+                        .collect::<Vec<_>>(),
+                )
+            };
+            let before = gauges(&k);
+            for call_ptr in [false, true] {
+                let why = fail_reason(k.load_module(reads_register(Reg(200), call_ptr)));
+                assert!(
+                    why.starts_with("verify wild: wild_init@0")
+                        && why.contains("r200 out of range"),
+                    "{cfg}: {why}"
+                );
+                assert_eq!(
+                    gauges(&k),
+                    before,
+                    "{cfg}: a refused load left state behind"
+                );
+                assert!(k.module_id("wild").is_none(), "{cfg}");
+            }
+            assert!(k.panic_reason().is_none(), "{cfg}");
+
+            // The same module reading `r15` loads and runs, into a slot
+            // the gauges above watched.
+            let id = k
+                .load_module(reads_register(R15, false))
+                .expect("r15 is in range");
+            assert_eq!(before.3[id.0], None, "{cfg}: slot {} was fresh", id.0);
+            assert!(rtc.function_ahash(fn_addr(id.0)).is_some(), "{cfg}");
+            assert!(k.panic_reason().is_none(), "{cfg}");
+        }
+    }
 }

@@ -32,18 +32,19 @@
 //! backends in lockstep on generated programs and asserts identical
 //! results, traps, guard logs, memory, and fuel.
 //!
-//! A function that fails the (conservative) compile-time validation —
-//! missing terminator, out-of-range register or jump target — is kept as
-//! `CompiledFunc::Fallback` and routed through the interpreter at run
-//! time, preserving its behaviour exactly.
+//! [`CompiledProgram::compile`] runs [`verify_program`] first and
+//! refuses a program that fails it, so every function it returns is
+//! compiled: there is no interpreter fallback, and the unchecked
+//! register and block indexing below relies on that check alone.
 
 use std::sync::Arc;
 
 use crate::costs;
-use crate::interp::{binop, run_function, Env};
+use crate::interp::{binop, Env};
 use crate::isa::{BinOp, Cond, Inst, Operand, Width, NUM_ARG_REGS, NUM_REGS};
 use crate::mem::{PageHandle, PAGE_SIZE};
 use crate::program::{FuncId, Function, GlobalId, Program, SigId, SymbolId};
+use crate::verify::{verify_program, VerifyError};
 use crate::{Trap, Word};
 
 /// Which execution backend a module runs under.
@@ -87,7 +88,9 @@ pub struct CompileStats {
     /// Rewriter guard sites fused into their guarded operation
     /// (`GuardWrite`+`Store`, `GuardIndCall`+`CallPtr`).
     pub fused_guard_sites: u64,
-    /// Functions that failed validation and fall back to the interpreter.
+    /// Always 0: a program that fails [`verify_program`] is refused
+    /// whole, so no function falls back to the interpreter. Kept because
+    /// benchmark reports still print it.
     pub fallback_funcs: u64,
 }
 
@@ -119,9 +122,10 @@ impl Src {
 #[inline(always)]
 fn reg(regs: &[Word; NUM_REGS], i: u8) -> Word {
     debug_assert!((i as usize) < NUM_REGS);
-    // SAFETY: `compilable` rejects (to interpreter fallback) any function
-    // referencing a register index >= NUM_REGS, so every index reaching
-    // compiled execution is in range.
+    // SAFETY: `CompiledProgram::compile` only lowers programs that pass
+    // `verify_program`, which rejects every register an instruction reads
+    // or writes at index >= NUM_REGS, so every index reaching compiled
+    // execution is in range.
     unsafe { *regs.get_unchecked(i as usize) }
 }
 
@@ -284,43 +288,31 @@ struct BlockBody {
     exit_cost: u64,
 }
 
-enum CompiledFunc {
-    Blocks {
-        blocks: Box<[BlockBody]>,
-        frame_size: u32,
-    },
-    /// Validation failed; execute through the interpreter.
-    Fallback,
+struct CompiledFunc {
+    blocks: Box<[BlockBody]>,
+    frame_size: u32,
 }
 
 /// A program lowered for the compiled backend. Compile once at module
 /// load; share (`Arc`) across every CPU that dispatches into the module.
 pub struct CompiledProgram {
-    program: Arc<Program>,
     funcs: Box<[CompiledFunc]>,
     stats: CompileStats,
 }
 
 impl CompiledProgram {
-    /// Lowers every function of `program` to basic-block closures.
-    pub fn compile(program: Arc<Program>) -> CompiledProgram {
+    /// Checks `program` with [`verify_program`] and lowers every function
+    /// to basic blocks; a program that fails the check is refused with
+    /// every problem found.
+    pub fn compile(program: Arc<Program>) -> Result<CompiledProgram, Vec<VerifyError>> {
+        verify_program(&program)?;
         let mut stats = CompileStats::default();
-        let nfuncs = program.funcs.len();
         let funcs = program
             .funcs
             .iter()
-            .map(|f| compile_func(f, nfuncs, &mut stats))
+            .map(|f| compile_func(f, &mut stats))
             .collect();
-        CompiledProgram {
-            program,
-            funcs,
-            stats,
-        }
-    }
-
-    /// The source program (shared with the interpreter fallback path).
-    pub fn program(&self) -> &Arc<Program> {
-        &self.program
+        Ok(CompiledProgram { funcs, stats })
     }
 
     /// Compilation counters.
@@ -329,61 +321,7 @@ impl CompiledProgram {
     }
 }
 
-/// Conservative validation: anything the block builder or the closures
-/// assume must hold, checked up front. A function that fails any check
-/// becomes [`CompiledFunc::Fallback`] so runtime behaviour (including the
-/// interpreter's lazy `BadRef` for a dangling `CallLocal`, or its panic
-/// on a wild register index) is preserved by simply not compiling it.
-fn compilable(f: &Function, nfuncs: usize) -> bool {
-    let n = f.insts.len();
-    if n == 0 || !f.insts[n - 1].is_terminator() {
-        return false;
-    }
-    let op_ok = |o: &Operand| match o {
-        Operand::Reg(r) => (r.0 as usize) < NUM_REGS,
-        Operand::Imm(_) => true,
-    };
-    for inst in &f.insts {
-        if let Some(t) = inst.jump_target() {
-            if t >= n {
-                return false;
-            }
-        }
-        if let Some(d) = inst.def_reg() {
-            if d.0 as usize >= NUM_REGS {
-                return false;
-            }
-        }
-        let ok = match inst {
-            Inst::Mov { src, .. } => op_ok(src),
-            Inst::Bin { lhs, rhs, .. } => op_ok(lhs) && op_ok(rhs),
-            Inst::Load { base, .. } => op_ok(base),
-            Inst::Store { src, base, .. } => op_ok(src) && op_ok(base),
-            Inst::StoreFrame { src, .. } => op_ok(src),
-            Inst::Br { lhs, rhs, .. } => op_ok(lhs) && op_ok(rhs),
-            Inst::CallLocal { func, args, .. } => {
-                (func.0 as usize) < nfuncs && args.iter().all(op_ok)
-            }
-            Inst::CallExtern { args, .. } => args.iter().all(op_ok),
-            Inst::CallPtr { ptr, args, .. } => op_ok(ptr) && args.iter().all(op_ok),
-            Inst::Ret { val: Some(v) } => op_ok(v),
-            Inst::Ret { val: None } => true,
-            Inst::GuardWrite { base, len, .. } => op_ok(base) && op_ok(len),
-            Inst::GuardIndCall { slot_base, .. } => op_ok(slot_base),
-            _ => true,
-        };
-        if !ok {
-            return false;
-        }
-    }
-    true
-}
-
-fn compile_func(f: &Function, nfuncs: usize, stats: &mut CompileStats) -> CompiledFunc {
-    if !compilable(f, nfuncs) {
-        stats.fallback_funcs += 1;
-        return CompiledFunc::Fallback;
-    }
+fn compile_func(f: &Function, stats: &mut CompileStats) -> CompiledFunc {
     let insts = &f.insts;
     let n = insts.len();
 
@@ -429,7 +367,7 @@ fn compile_func(f: &Function, nfuncs: usize, stats: &mut CompileStats) -> Compil
     }
     stats.funcs_compiled += 1;
     stats.blocks_compiled += nblocks as u64;
-    CompiledFunc::Blocks {
+    CompiledFunc {
         blocks: blocks.into_boxed_slice(),
         frame_size: f.frame_size,
     }
@@ -694,7 +632,7 @@ const TLB_WAYS: usize = 2;
 /// The compiled backend's software TLB: `(page number, handle)` entries
 /// in [`TLB_SETS`] sets of [`TLB_WAYS`] ways. Every entry is dropped at
 /// each point the environment could unmap (after an extern or indirect
-/// call, after an interpreter fallback), so the stale-but-valid window
+/// call), so the stale-but-valid window
 /// documented on [`crate::mem::AddressSpace::page_handle`] is the same
 /// as for a single cached page.
 struct Tlb {
@@ -1245,7 +1183,8 @@ fn exec_func<E: Env + ?Sized>(
         debug_assert!((block as usize) < blocks.len());
         // SAFETY: every block index — function entry 0, jump/branch
         // targets, fallthroughs, and call resume points — comes from
-        // `block_of` over targets `compilable` verified in range.
+        // `block_of` over targets `verify_program` checked in range, in
+        // functions it checked end in a terminator.
         let b = unsafe { blocks.get_unchecked(block as usize) };
         match exec_block(b, ctx, env)? {
             BlockExit::Goto(n) => block = n,
@@ -1271,21 +1210,19 @@ struct CFrame {
 
 /// Executes `func` from `cp` with `args` under the compiled backend.
 ///
-/// Drop-in replacement for [`run_function`]: identical results, traps,
-/// environment interactions, and (given an [`Env::refund`]
-/// implementation) identical fuel accounting. Functions that failed
-/// compilation route through the interpreter transparently.
+/// Drop-in replacement for [`crate::interp::run_function`]: identical
+/// results, traps, environment interactions, and (given an
+/// [`Env::refund`] implementation) identical fuel accounting.
 pub fn run_compiled<E: Env + ?Sized>(
     env: &mut E,
     cp: &CompiledProgram,
     func: FuncId,
     args: &[Word],
 ) -> Result<Word, Trap> {
-    let frame_size0 = match cp.funcs.get(func.0 as usize) {
-        None => return Err(Trap::BadRef(format!("function id {}", func.0))),
-        Some(CompiledFunc::Fallback) => return run_function(env, &cp.program, func, args),
-        Some(CompiledFunc::Blocks { frame_size, .. }) => *frame_size,
+    let Some(entry) = cp.funcs.get(func.0 as usize) else {
+        return Err(Trap::BadRef(format!("function id {}", func.0)));
     };
+    let frame_size0 = entry.frame_size;
 
     let mut ctx = ExecCtx::new();
     ctx.sp = env.push_frame(frame_size0)?;
@@ -1298,11 +1235,7 @@ pub fn run_compiled<E: Env + ?Sized>(
     let mut block = 0u32;
 
     let result = loop {
-        let blocks = match &cp.funcs[cur] {
-            CompiledFunc::Blocks { blocks, .. } => blocks,
-            CompiledFunc::Fallback => unreachable!("driver never enters fallback funcs"),
-        };
-        match exec_func(blocks, block, &mut ctx, env) {
+        match exec_func(&cp.funcs[cur].blocks, block, &mut ctx, env) {
             Ok(FuncExit::Return(v)) => {
                 env.pop_frame(cur_frame_size);
                 match frames.pop() {
@@ -1324,48 +1257,28 @@ pub fn run_compiled<E: Env + ?Sized>(
                 ret,
                 resume,
             }) => {
-                match cp.funcs.get(callee.0 as usize) {
-                    None => {
-                        // Unreachable for compiled callers (validated),
-                        // kept for parity with the interpreter's message.
-                        break Err(Trap::BadRef(format!("function id {}", callee.0)));
-                    }
-                    Some(CompiledFunc::Fallback) => {
-                        let v = match run_function(env, &cp.program, callee, &ctx.scratch) {
-                            Ok(v) => v,
-                            Err(t) => break Err(t),
-                        };
-                        // The interpreter (or anything it called) may have
-                        // remapped memory.
-                        ctx.tlb.flush();
-                        if let Some(r) = ret {
-                            ctx.regs[r as usize] = v;
-                        }
-                        block = resume;
-                    }
-                    Some(CompiledFunc::Blocks { frame_size, .. }) => {
-                        let sp = match env.push_frame(*frame_size) {
-                            Ok(sp) => sp,
-                            Err(t) => break Err(t),
-                        };
-                        frames.push(CFrame {
-                            func: cur as u32,
-                            resume,
-                            regs: ctx.regs,
-                            sp: ctx.sp,
-                            frame_size: cur_frame_size,
-                            ret_to: ret,
-                        });
-                        cur = callee.0 as usize;
-                        cur_frame_size = *frame_size;
-                        ctx.sp = sp;
-                        let mut regs = [0u64; NUM_REGS];
-                        let n = ctx.scratch.len().min(NUM_ARG_REGS);
-                        regs[..n].copy_from_slice(&ctx.scratch[..n]);
-                        ctx.regs = regs;
-                        block = 0;
-                    }
-                }
+                // `verify_program` checked every local callee exists.
+                let frame_size = cp.funcs[callee.0 as usize].frame_size;
+                let sp = match env.push_frame(frame_size) {
+                    Ok(sp) => sp,
+                    Err(t) => break Err(t),
+                };
+                frames.push(CFrame {
+                    func: cur as u32,
+                    resume,
+                    regs: ctx.regs,
+                    sp: ctx.sp,
+                    frame_size: cur_frame_size,
+                    ret_to: ret,
+                });
+                cur = callee.0 as usize;
+                cur_frame_size = frame_size;
+                ctx.sp = sp;
+                let mut regs = [0u64; NUM_REGS];
+                let n = ctx.scratch.len().min(NUM_ARG_REGS);
+                regs[..n].copy_from_slice(&ctx.scratch[..n]);
+                ctx.regs = regs;
+                block = 0;
             }
             Err(t) => break Err(t),
         }
@@ -1385,6 +1298,7 @@ mod tests {
     use super::*;
     use crate::builder::regs::*;
     use crate::builder::ProgramBuilder;
+    use crate::interp::run_function;
     use crate::mem::AddressSpace;
 
     /// Test env with exact refund and a guard log; memory lives behind an
@@ -1472,7 +1386,7 @@ mod tests {
         args: &[Word],
         prep: impl Fn(&mut CEnv),
     ) -> Result<Word, Trap> {
-        let cp = CompiledProgram::compile(Arc::new(p.clone()));
+        let cp = CompiledProgram::compile(Arc::new(p.clone())).expect("verified");
         let mut ei = CEnv::new();
         let mut ec = CEnv::new();
         prep(&mut ei);
@@ -1557,7 +1471,7 @@ mod tests {
             f.ret_void();
         });
         let p = pb.finish();
-        let cp = CompiledProgram::compile(Arc::new(p.clone()));
+        let cp = CompiledProgram::compile(Arc::new(p.clone())).expect("verified");
         assert_eq!(cp.stats().fused_guard_sites, 1);
         both(&p, f, &[0x8000], |e| e.mem.map_range(0x8000, 64)).unwrap();
         let mut e = CEnv::new();
@@ -1688,16 +1602,17 @@ mod tests {
             f.ret(R0);
         });
         let p = pb.finish();
-        let cp = CompiledProgram::compile(Arc::new(p));
+        let cp = CompiledProgram::compile(Arc::new(p)).expect("verified");
         let st = cp.stats();
         assert_eq!(st.funcs_compiled, 1);
         assert_eq!(st.fallback_funcs, 0);
         assert_eq!(st.blocks_compiled, 3, "entry, fallthrough, join");
     }
 
+    /// A program `verify_program` refuses is refused whole: no function
+    /// of it is compiled or left to the interpreter.
     #[test]
     fn empty_function_falls_back() {
-        use crate::program::Function;
         let mut pb = ProgramBuilder::new("t");
         pb.define("ok", 0, 0, |f| f.ret(0i64));
         let mut p = pb.finish();
@@ -1707,9 +1622,11 @@ mod tests {
             frame_size: 0,
             insts: vec![],
         });
-        let cp = CompiledProgram::compile(Arc::new(p));
-        assert_eq!(cp.stats().fallback_funcs, 1);
-        assert_eq!(cp.stats().funcs_compiled, 1);
+        let Err(errs) = CompiledProgram::compile(Arc::new(p)) else {
+            panic!("an empty function must be refused");
+        };
+        assert_eq!(errs.len(), 1, "{errs:?}");
+        assert_eq!(errs[0].func, "empty");
     }
 
     #[test]

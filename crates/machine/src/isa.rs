@@ -413,6 +413,48 @@ impl Inst {
             _ => None,
         }
     }
+
+    /// Calls `f` on every operand this instruction reads, registers and
+    /// immediates, in field order (call arguments after the fixed
+    /// operands).
+    pub fn for_each_operand(&self, mut f: impl FnMut(Operand)) {
+        match self {
+            Inst::Mov { src: a, .. }
+            | Inst::StoreFrame { src: a, .. }
+            | Inst::Load { base: a, .. }
+            | Inst::GuardIndCall { slot_base: a, .. }
+            | Inst::Ret { val: Some(a) } => f(*a),
+            Inst::Bin { lhs: a, rhs: b, .. }
+            | Inst::Br { lhs: a, rhs: b, .. }
+            | Inst::Store {
+                src: a, base: b, ..
+            }
+            | Inst::GuardWrite {
+                base: a, len: b, ..
+            } => {
+                f(*a);
+                f(*b);
+            }
+            Inst::CallLocal { args, .. } | Inst::CallExtern { args, .. } => {
+                args.iter().copied().for_each(f)
+            }
+            Inst::CallPtr { ptr, args, .. } => {
+                f(*ptr);
+                args.iter().copied().for_each(f);
+            }
+            // No wildcard: an instruction added later must say what it
+            // reads, or `verify_program`'s register check would miss it.
+            Inst::Ret { val: None }
+            | Inst::LoadFrame { .. }
+            | Inst::FrameAddr { .. }
+            | Inst::GlobalAddr { .. }
+            | Inst::SymAddr { .. }
+            | Inst::FuncAddr { .. }
+            | Inst::Jmp { .. }
+            | Inst::Trap { .. }
+            | Inst::Nop => {}
+        }
+    }
 }
 
 #[cfg(test)]
@@ -458,6 +500,39 @@ mod tests {
             ret: Some(Reg(0)),
         };
         assert_eq!(c.def_reg(), Some(Reg(0)));
+    }
+
+    #[test]
+    fn operand_walk_covers_reads_in_field_order() {
+        let ops = |i: &Inst| {
+            let mut v = Vec::new();
+            i.for_each_operand(|o| v.push(o));
+            v
+        };
+        let s = Inst::Store {
+            src: Operand::Imm(7),
+            base: Operand::Reg(Reg(1)),
+            off: 0,
+            width: Width::B8,
+        };
+        assert_eq!(ops(&s), [Operand::Imm(7), Operand::Reg(Reg(1))]);
+        let c = Inst::CallPtr {
+            ptr: Operand::Reg(Reg(9)),
+            sig: SigId(0),
+            args: vec![Operand::Reg(Reg(2)), Operand::Imm(3)],
+            ret: Some(Reg(0)),
+        };
+        assert_eq!(
+            ops(&c),
+            [Operand::Reg(Reg(9)), Operand::Reg(Reg(2)), Operand::Imm(3)]
+        );
+        assert!(ops(&Inst::Ret { val: None }).is_empty());
+        assert!(ops(&Inst::LoadFrame {
+            dst: Reg(0),
+            off: 0,
+            width: Width::B8
+        })
+        .is_empty());
     }
 
     #[test]

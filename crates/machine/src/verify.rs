@@ -1,12 +1,18 @@
 //! Static verification of KIR programs.
 //!
-//! Run on every program before loading: malformed module code is rejected
-//! at load time, not at run time. The checks matter for LXFI soundness:
+//! The only structural check: the kernel runs it on the exact program
+//! each load installs, so malformed module code is rejected at load
+//! time, not at run time. The checks matter for LXFI soundness:
 //! frame-relative accesses must be statically in-bounds, because the
 //! rewriter *skips* dynamic write guards for them (§8.3's elision
-//! optimization is only sound given these checks).
+//! optimization is only sound given these checks). They are also the
+//! compiled backend's memory-safety precondition:
+//! [`crate::CompiledProgram::compile`] runs them first, and its unchecked
+//! register and block indexing relies on every register an instruction
+//! reads or writes being below [`NUM_REGS`], every function ending in a
+//! terminator, and every jump target and local callee existing.
 
-use crate::isa::{Inst, NUM_REGS};
+use crate::isa::{Inst, Operand, Reg, NUM_REGS};
 use crate::program::Program;
 
 /// A static verification failure.
@@ -52,11 +58,19 @@ pub fn verify_program(p: &Program) -> Result<(), Vec<VerifyError>> {
             ));
         }
         for (i, inst) in f.insts.iter().enumerate() {
-            if let Some(r) = inst.def_reg() {
+            let mut check = |r: Reg| {
                 if r.0 as usize >= NUM_REGS {
                     errs.push(fail(Some(i), format!("register {r} out of range")));
                 }
+            };
+            if let Some(r) = inst.def_reg() {
+                check(r);
             }
+            inst.for_each_operand(|o| {
+                if let Operand::Reg(r) = o {
+                    check(r);
+                }
+            });
             if let Some(t) = inst.jump_target() {
                 if t >= f.insts.len() {
                     errs.push(fail(Some(i), format!("jump target {t} out of range")));
@@ -154,8 +168,8 @@ mod tests {
     use super::*;
     use crate::builder::regs::*;
     use crate::builder::ProgramBuilder;
-    use crate::isa::Width;
-    use crate::program::{FuncId, Function, SigAssignment, SigId};
+    use crate::isa::{BinOp, Cond, Width};
+    use crate::program::{FuncId, Function, SigAssignment, SigId, SymbolId};
 
     #[test]
     fn accepts_well_formed_program() {
@@ -191,6 +205,136 @@ mod tests {
         });
         let errs = verify_program(&p).unwrap_err();
         assert!(errs[0].msg.contains("does not end"));
+    }
+
+    #[test]
+    fn rejects_out_of_range_register_in_every_operand_position() {
+        let r = Operand::Reg;
+        let imm = Operand::Imm(0);
+        type Reads = fn(Operand) -> Inst;
+        let table: [(&str, Reads); 17] = [
+            ("Mov.src", |o| Inst::Mov { dst: R0, src: o }),
+            ("Bin.lhs", |o| Inst::Bin {
+                op: BinOp::Add,
+                dst: R0,
+                lhs: o,
+                rhs: Operand::Imm(0),
+            }),
+            ("Bin.rhs", |o| Inst::Bin {
+                op: BinOp::Add,
+                dst: R0,
+                lhs: Operand::Imm(0),
+                rhs: o,
+            }),
+            ("Load.base", |o| Inst::Load {
+                dst: R0,
+                base: o,
+                off: 0,
+                width: Width::B8,
+            }),
+            ("Store.src", |o| Inst::Store {
+                src: o,
+                base: R1.into(),
+                off: 0,
+                width: Width::B8,
+            }),
+            ("Store.base", |o| Inst::Store {
+                src: R1.into(),
+                base: o,
+                off: 0,
+                width: Width::B8,
+            }),
+            ("StoreFrame.src", |o| Inst::StoreFrame {
+                src: o,
+                off: 0,
+                width: Width::B8,
+            }),
+            ("Br.lhs", |o| Inst::Br {
+                cond: Cond::Eq,
+                lhs: o,
+                rhs: Operand::Imm(0),
+                target: 1,
+            }),
+            ("Br.rhs", |o| Inst::Br {
+                cond: Cond::Eq,
+                lhs: Operand::Imm(0),
+                rhs: o,
+                target: 1,
+            }),
+            ("CallLocal.args", |o| Inst::CallLocal {
+                func: FuncId(0),
+                args: vec![o],
+                ret: None,
+            }),
+            ("CallExtern.args", |o| Inst::CallExtern {
+                sym: SymbolId(0),
+                args: vec![o],
+                ret: None,
+            }),
+            ("CallPtr.ptr", |o| Inst::CallPtr {
+                ptr: o,
+                sig: SigId(0),
+                args: vec![],
+                ret: None,
+            }),
+            ("CallPtr.args", |o| Inst::CallPtr {
+                ptr: R1.into(),
+                sig: SigId(0),
+                args: vec![o],
+                ret: None,
+            }),
+            ("Ret.val", |o| Inst::Ret { val: Some(o) }),
+            ("GuardWrite.base", |o| Inst::GuardWrite {
+                base: o,
+                off: 0,
+                len: Operand::Imm(8),
+            }),
+            ("GuardWrite.len", |o| Inst::GuardWrite {
+                base: R1.into(),
+                off: 0,
+                len: o,
+            }),
+            ("GuardIndCall.slot_base", |o| Inst::GuardIndCall {
+                slot_base: o,
+                slot_off: 0,
+                sig: SigId(0),
+            }),
+        ];
+        let program = |inst: Inst| {
+            let mut pb = ProgramBuilder::new("regs");
+            pb.import_func("ext");
+            pb.sig("cb", 0);
+            let mut p = pb.finish();
+            p.funcs.push(Function {
+                name: "f".into(),
+                params: 0,
+                frame_size: 8,
+                insts: vec![inst, Inst::Ret { val: None }],
+            });
+            p
+        };
+        for (pos, make) in table {
+            assert!(
+                verify_program(&program(make(imm))).is_ok(),
+                "{pos} immediate"
+            );
+            assert!(
+                verify_program(&program(make(r(Reg(15))))).is_ok(),
+                "{pos} r15"
+            );
+            let errs = verify_program(&program(make(r(Reg(200))))).unwrap_err();
+            assert_eq!(errs.len(), 1, "{pos}: {errs:?}");
+            assert_eq!(errs[0].inst, Some(0), "{pos}");
+            assert_eq!(errs[0].msg, "register r200 out of range", "{pos}");
+        }
+        let def = program(Inst::Mov {
+            dst: Reg(16),
+            src: imm,
+        });
+        assert_eq!(
+            verify_program(&def).unwrap_err()[0].msg,
+            "register r16 out of range"
+        );
     }
 
     #[test]

@@ -296,12 +296,7 @@ fn build_program(ops: &[GenOp]) -> Program {
 /// every observable matches.
 fn check_equivalent(p: &Program, fuel: u64, a0: u64, a1: u64) {
     let prog = Arc::new(p.clone());
-    let cp = CompiledProgram::compile(Arc::clone(&prog));
-    assert_eq!(
-        cp.stats().fallback_funcs,
-        0,
-        "generated programs must compile"
-    );
+    let cp = CompiledProgram::compile(Arc::clone(&prog)).expect("generated programs must compile");
 
     let f = prog.func_by_name("main").unwrap();
     let mut ei = OracleEnv::new(fuel);
@@ -377,8 +372,8 @@ fn remapped_pages_are_never_reached_through_a_stale_tlb_entry() {
 }
 
 /// The compiled backend reports meaningful counters for a program with
-/// fused guard sites, and falls back per-function (not per-program) when
-/// a function is uncompilable.
+/// fused guard sites, and no function of it falls back to the
+/// interpreter.
 #[test]
 fn compile_stats_and_fallback() {
     let ops: Vec<GenOp> = (0..20)
@@ -391,7 +386,7 @@ fn compile_stats_and_fallback() {
         })
         .collect();
     let p = build_program(&ops);
-    let cp = CompiledProgram::compile(Arc::new(p));
+    let cp = CompiledProgram::compile(Arc::new(p)).expect("verified");
     let st = cp.stats();
     assert_eq!(st.funcs_compiled, 2);
     assert_eq!(st.fallback_funcs, 0);
