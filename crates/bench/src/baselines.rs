@@ -7,15 +7,20 @@
 
 use std::collections::{HashMap, HashSet};
 
-use lxfi_core::{GuardHandle, GuardKind, PrincipalId, Violation, WriteTable};
+use lxfi_core::{GuardHandle, GuardKind, IntervalTable, PrincipalId, Violation};
 use lxfi_machine::Word;
 
 const SLOT_SHIFT: u32 = 12;
 
+/// One principal's WRITE grants in their own table, as the paper's
+/// runtime keeps them: an untagged interval table. `lxfi-core` keeps
+/// every grant in its reverse writer index instead.
+pub type WriteTable = IntervalTable<()>;
+
 /// The paper's original WRITE table (§5): ranges hashed under
 /// 12-bit-masked keys, one replica per 4 KiB slot the range overlaps,
 /// each slot scanned linearly. Superseded by the interval-indexed
-/// [`WriteTable`] on the guard hot path; overflow and zero-size
+/// [`IntervalTable`] on the guard hot path; overflow and zero-size
 /// semantics match it.
 #[derive(Debug, Default, Clone)]
 pub struct LinearWriteTable {
@@ -41,7 +46,7 @@ impl LinearWriteTable {
     }
 
     /// Grants `[addr, addr+size)`; same clamping and zero-size semantics
-    /// as [`WriteTable::grant`].
+    /// as [`IntervalTable::insert`].
     pub fn grant(&mut self, addr: Word, size: u64) {
         let size = size.min(Word::MAX - addr); // end saturates at MAX
         if size == 0 || self.owns_exact(addr, size) {
@@ -166,17 +171,18 @@ impl LinearWriterIndex {
 
     /// Grants `[addr, addr+size)` to `p`.
     pub fn grant(&mut self, p: PrincipalId, addr: Word, size: u64) {
-        self.table_mut(p).grant(addr, size);
+        self.table_mut(p).insert(addr, size, ());
     }
 
     /// Revokes the exact grant `(addr, size)` from `p`.
     pub fn revoke(&mut self, p: PrincipalId, addr: Word, size: u64) -> bool {
-        self.table_mut(p).revoke(addr, size)
+        self.table_mut(p).remove(addr, size, ())
     }
 
     /// Revokes every grant of `p` intersecting `[addr, addr+size)`.
     pub fn revoke_overlapping(&mut self, p: PrincipalId, addr: Word, size: u64) -> usize {
-        self.table_mut(p).revoke_overlapping(addr, size)
+        self.table_mut(p)
+            .remove_overlapping(addr, size, |_, _, ()| true)
     }
 
     /// The global walk: every principal's table probed for overlap with
@@ -253,7 +259,7 @@ mod tests {
     #[test]
     fn linear_baseline_agrees() {
         let (p0, p1, p2) = (PrincipalId(0), PrincipalId(1), PrincipalId(2));
-        let ix = WriterIndex::new();
+        let ix = WriterIndex::with_boundaries(Vec::new());
         let mut lin = LinearWriterIndex::new();
         let ops: &[(PrincipalId, Word, u64)] = &[
             (p0, 0x1000, 0x100),

@@ -8,10 +8,10 @@ use std::hint::black_box;
 use std::sync::atomic::{fence, Ordering};
 use std::time::Instant;
 
-use lxfi_core::{GuardHandle, GuardKind, RawCap, Violation, WriteTable, ALL_GUARD_KINDS};
+use lxfi_core::{GuardHandle, GuardKind, RawCap, Violation, ALL_GUARD_KINDS};
 use lxfi_kernel::IsolationMode;
 
-use crate::baselines::{uncached_check_write, LinearWriteTable};
+use crate::baselines::{uncached_check_write, LinearWriteTable, WriteTable};
 use crate::netperf::boot_e1000;
 
 /// One Figure 13 row.
@@ -156,7 +156,7 @@ pub fn bench_tables(grants: usize) -> (LinearWriteTable, WriteTable) {
     let mut interval = WriteTable::new();
     for i in 0..grants as u64 {
         linear.grant(ARENA + i * STRIDE, 8);
-        interval.grant(ARENA + i * STRIDE, 8);
+        interval.insert(ARENA + i * STRIDE, 8, ());
     }
     (linear, interval)
 }

@@ -42,7 +42,7 @@ pub fn rotating_slot_probe(i: u64) -> u64 {
 pub fn bench_writer_indexes(principals: usize) -> (LinearWriterIndex, WriterIndex) {
     assert!(principals >= 2, "slots need two distinct writers");
     let mut linear = LinearWriterIndex::new();
-    let index = WriterIndex::new();
+    let index = WriterIndex::with_boundaries(Vec::new());
     let mut grant = |p: usize, addr: u64, size: u64| {
         linear.grant(PrincipalId(p as u32), addr, size);
         index.add(PrincipalId(p as u32), addr, size);
@@ -252,7 +252,12 @@ mod tests {
                     assert_eq!(got, want, "{s} shards, probe {probe:#x}");
                 }
             }
-            sharded.check_invariants(&churn_grants(512).collect::<Vec<_>>());
+            sharded.check_invariants();
+            for (p, a, s) in churn_grants(512) {
+                let mut holders = Vec::new();
+                sharded.collect_writers(a, s, &mut holders);
+                assert!(holders.contains(&p), "{p:?} holds ({a:#x}, {s})");
+            }
         }
     }
 

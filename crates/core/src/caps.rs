@@ -9,21 +9,20 @@
 //!   functions requiring a REF of type `t`, *without* write access;
 //! - `CALL(a)` — the principal may call or jump to address `a`.
 //!
-//! WRITE capabilities live in [`WriteTable`], a sorted interval index:
-//! grants are kept ordered by start alongside a running prefix-maximum
-//! of interval ends, so containment and overlap queries binary-search to
+//! CALL and REF capabilities live in each principal's [`CapSet`]. WRITE
+//! capabilities have one record only, the reverse writer index
+//! ([`crate::WriterIndex`]): one [`IntervalTable`] per address shard,
+//! each grant an `(addr, size, holder)` entry. The table keeps its
+//! entries ordered by start alongside a running prefix-maximum of
+//! interval ends, so containment and overlap queries binary-search to
 //! the query point and walk left only while the prefix maximum proves an
 //! interval can still reach the query — O(log n + k) where k is the
-//! number of intervals overlapping the probe (k ≤ 1 for the disjoint
-//! grants kernel modules hold in practice). The structure is
-//! [`IntervalTable`], generic over an entry tag: a `WriteTable` tags
-//! nothing, and the reverse writer index reuses it with each grant
-//! tagged by its holder.
+//! number of intervals overlapping the probe.
 //!
-//! The paper's original structure — ranges replicated into 4 KiB-masked
-//! hash slots, each slot scanned linearly (§5) — is the measured
-//! baseline in `lxfi-bench`'s `baselines` module, outside the trusted
-//! runtime.
+//! The paper's original structures — per-principal WRITE tables, ranges
+//! replicated into 4 KiB-masked hash slots, each slot scanned linearly
+//! (§5) — are the measured baselines in `lxfi-bench`'s `baselines`
+//! module, outside the trusted runtime.
 //!
 //! # Overflow discipline
 //!
@@ -100,9 +99,9 @@ impl RawCap {
 /// A sorted interval table with a prefix-maximum end index (see the
 /// module docs for the query algorithm). Each entry is a range plus a
 /// tag, kept in `(start, tag, size)` order, and an entry is present at
-/// most once. [`WriteTable`] (tag `()`) is one principal's WRITE
-/// grants; the reverse writer index keeps one table per address shard,
-/// tagged with each grant's holder ([`crate::WriterIndex`]).
+/// most once. The reverse writer index keeps one table per address
+/// shard, each WRITE grant tagged with its holder
+/// ([`crate::WriterIndex`]).
 ///
 /// # Zero-size semantics
 ///
@@ -125,9 +124,6 @@ pub struct IntervalTable<T> {
     /// `prefix_max_end[i] = max(starts[j] + sizes[j] for j <= i)`.
     prefix_max_end: Vec<Word>,
 }
-
-/// WRITE-capability table: one principal's grants.
-pub type WriteTable = IntervalTable<()>;
 
 impl<T> Default for IntervalTable<T> {
     fn default() -> Self {
@@ -246,20 +242,14 @@ impl<T: Copy + Ord> IntervalTable<T> {
         true
     }
 
-    /// True if the exact entry `(addr, size, tag)` is present.
-    pub fn contains(&self, addr: Word, size: u64, tag: T) -> bool {
-        let size = clamp_size(addr, size);
-        size != 0 && self.find(addr, size, tag).is_ok()
-    }
-
     /// Removes every entry whose range intersects `[addr, addr+size)` —
-    /// a partially intersected entry goes whole — calling
-    /// `removed(start, size, tag)` for each. Returns the number removed.
+    /// a partially intersected entry goes whole — and for which
+    /// `remove(start, size, tag)` says so. Returns the number removed.
     pub fn remove_overlapping(
         &mut self,
         addr: Word,
         size: u64,
-        mut removed: impl FnMut(Word, u64, T),
+        mut remove: impl FnMut(Word, u64, T) -> bool,
     ) -> usize {
         if size == 0 {
             return 0;
@@ -272,10 +262,11 @@ impl<T: Copy + Ord> IntervalTable<T> {
         let mut first_removed = cut;
         let mut w = 0;
         for i in 0..cut {
-            if self.starts[i] + self.sizes[i] > addr {
+            if self.starts[i] + self.sizes[i] > addr
+                && remove(self.starts[i], self.sizes[i], self.tags[i])
+            {
                 first_removed = first_removed.min(i);
-                removed(self.starts[i], self.sizes[i], self.tags[i]);
-                continue; // overlapping: drop
+                continue; // overlapping and chosen: drop
             }
             if w != i {
                 self.starts[w] = self.starts[i];
@@ -340,14 +331,19 @@ impl<T: Copy + Ord> IntervalTable<T> {
 
     /// True if some single entry covers all of `[addr, addr+len)`.
     pub fn covers(&self, addr: Word, len: u64) -> bool {
-        self.covering(addr, len).is_some() || len == 0
+        self.covering(addr, len, |_| true).is_some() || len == 0
     }
 
-    /// The `(start, end)` of a single entry covering all of
-    /// `[addr, addr+len)`, if one exists. The guard fast-path cache
-    /// stores this interval so repeated writes into the same grant skip
-    /// the search entirely.
-    pub fn covering(&self, addr: Word, len: u64) -> Option<(Word, Word)> {
+    /// The `(start, end)` of a single entry whose tag `keep` accepts and
+    /// that covers all of `[addr, addr+len)`, if one exists. The guard
+    /// fast-path cache stores this interval so repeated writes into the
+    /// same grant skip the search entirely.
+    pub fn covering(
+        &self,
+        addr: Word,
+        len: u64,
+        mut keep: impl FnMut(T) -> bool,
+    ) -> Option<(Word, Word)> {
         if len == 0 {
             return None;
         }
@@ -360,7 +356,7 @@ impl<T: Copy + Ord> IntervalTable<T> {
                 return None; // no interval at or left of i reaches end
             }
             let iv_end = self.starts[i] + self.sizes[i];
-            if iv_end >= end {
+            if iv_end >= end && keep(self.tags[i]) {
                 return Some((self.starts[i], iv_end));
             }
         }
@@ -403,41 +399,10 @@ impl<T: Copy + Ord> IntervalTable<T> {
     }
 }
 
-impl WriteTable {
-    /// Grants `[addr, addr+size)` ([`IntervalTable::insert`]).
-    pub fn grant(&mut self, addr: Word, size: u64) {
-        self.insert(addr, size, ());
-    }
-
-    /// Revokes the exact capability `(addr, size)`; returns whether it
-    /// was present ([`IntervalTable::remove`]).
-    pub fn revoke(&mut self, addr: Word, size: u64) -> bool {
-        self.remove(addr, size, ())
-    }
-
-    /// Revokes every capability whose range intersects `[addr, addr+size)`.
-    /// Returns the number of capabilities removed. Used when freeing
-    /// memory must strip *all* residual access.
-    pub fn revoke_overlapping(&mut self, addr: Word, size: u64) -> usize {
-        self.remove_overlapping(addr, size, |_, _, ()| {})
-    }
-
-    /// True if the exact capability `(addr, size)` is present.
-    pub fn owns_exact(&self, addr: Word, size: u64) -> bool {
-        self.contains(addr, size, ())
-    }
-
-    /// Iterates over live `(addr, size)` grants in address order.
-    pub fn iter(&self) -> impl Iterator<Item = (Word, u64)> + '_ {
-        self.entries().map(|(a, s, ())| (a, s))
-    }
-}
-
-/// All capabilities of one principal.
+/// One principal's CALL and REF capabilities (its WRITE grants are
+/// entries in the reverse writer index).
 #[derive(Debug, Default, Clone)]
 pub struct CapSet {
-    /// WRITE capabilities.
-    pub write: WriteTable,
     /// CALL capabilities (hashed by target address, §5).
     pub call: HashSet<Word>,
     /// REF capabilities (hashed by referred address, §5).
@@ -450,34 +415,30 @@ impl CapSet {
         Self::default()
     }
 
-    /// Grants a capability.
+    /// Grants a CALL or REF capability.
     pub fn grant(&mut self, cap: RawCap) {
         match cap.ctype {
-            CapType::Write => self.write.grant(cap.addr, cap.size),
-            CapType::Call => {
-                self.call.insert(cap.addr);
-            }
-            CapType::Ref(t) => {
-                self.refs.insert((t, cap.addr));
-            }
+            CapType::Write => unreachable!("WRITE grants live in the writer index"),
+            CapType::Call => _ = self.call.insert(cap.addr),
+            CapType::Ref(t) => _ = self.refs.insert((t, cap.addr)),
         }
     }
 
-    /// Revokes a capability; returns whether it was present.
+    /// Revokes a CALL or REF capability; returns whether it was present
+    /// (never, for WRITE).
     pub fn revoke(&mut self, cap: RawCap) -> bool {
         match cap.ctype {
-            CapType::Write => self.write.revoke(cap.addr, cap.size),
+            CapType::Write => false,
             CapType::Call => self.call.remove(&cap.addr),
             CapType::Ref(t) => self.refs.remove(&(t, cap.addr)),
         }
     }
 
-    /// Ownership test. For WRITE this is *coverage*: a single held range
-    /// must contain `[addr, addr+size)` (so a capability for a whole slab
-    /// object satisfies a check on an interior field).
+    /// Ownership test for a CALL or REF capability (never true for
+    /// WRITE).
     pub fn owns(&self, cap: RawCap) -> bool {
         match cap.ctype {
-            CapType::Write => self.write.covers(cap.addr, cap.size),
+            CapType::Write => false,
             CapType::Call => self.call.contains(&cap.addr),
             CapType::Ref(t) => self.refs.contains(&(t, cap.addr)),
         }
@@ -485,7 +446,7 @@ impl CapSet {
 
     /// Total number of capabilities (diagnostics).
     pub fn len(&self) -> usize {
-        self.write.len() + self.call.len() + self.refs.len()
+        self.call.len() + self.refs.len()
     }
 
     /// True when the set is empty.
@@ -498,10 +459,13 @@ impl CapSet {
 mod tests {
     use super::*;
 
+    /// One holder's grants: an untagged table.
+    type WriteTable = IntervalTable<()>;
+
     #[test]
     fn write_grant_covers_interior() {
         let mut t = WriteTable::new();
-        t.grant(0x1000, 256);
+        t.insert(0x1000, 256, ());
         assert!(t.covers(0x1000, 256));
         assert!(t.covers(0x1010, 16));
         assert!(t.covers(0x10ff, 1));
@@ -514,7 +478,7 @@ mod tests {
     fn write_cross_page_range_found_from_any_slot() {
         let mut t = WriteTable::new();
         // A 3-page capability: queries anywhere inside must hit.
-        t.grant(0x1800, 0x3000);
+        t.insert(0x1800, 0x3000, ());
         assert!(t.covers(0x1800, 8));
         assert!(t.covers(0x2000, 8));
         assert!(t.covers(0x3000, 8));
@@ -525,31 +489,31 @@ mod tests {
     #[test]
     fn revoke_exact_removes_all_replicas() {
         let mut t = WriteTable::new();
-        t.grant(0x1800, 0x3000);
-        assert!(t.revoke(0x1800, 0x3000));
+        t.insert(0x1800, 0x3000, ());
+        assert!(t.remove(0x1800, 0x3000, ()));
         assert!(!t.covers(0x2000, 8));
         assert_eq!(t.len(), 0);
-        assert!(!t.revoke(0x1800, 0x3000), "double revoke is false");
+        assert!(!t.remove(0x1800, 0x3000, ()), "double revoke is false");
     }
 
     #[test]
     fn grant_is_idempotent() {
         let mut t = WriteTable::new();
-        t.grant(0x1000, 64);
-        t.grant(0x1000, 64);
+        t.insert(0x1000, 64, ());
+        t.insert(0x1000, 64, ());
         assert_eq!(t.len(), 1);
-        assert!(t.revoke(0x1000, 64));
+        assert!(t.remove(0x1000, 64, ()));
         assert!(!t.covers(0x1000, 1));
     }
 
     #[test]
     fn revoke_overlapping_strips_partial_ranges() {
         let mut t = WriteTable::new();
-        t.grant(0x1000, 64);
-        t.grant(0x1040, 64);
-        t.grant(0x2000, 64);
+        t.insert(0x1000, 64, ());
+        t.insert(0x1040, 64, ());
+        t.insert(0x2000, 64, ());
         // Freeing [0x1000, 0x1080) kills the first two only.
-        assert_eq!(t.revoke_overlapping(0x1000, 0x80), 2);
+        assert_eq!(t.remove_overlapping(0x1000, 0x80, |_, _, ()| true), 2);
         assert!(!t.covers(0x1000, 1));
         assert!(!t.covers(0x1040, 1));
         assert!(t.covers(0x2000, 64));
@@ -566,18 +530,18 @@ mod tests {
         // The documented asymmetry: grant(_, 0) records nothing, yet
         // covers(_, 0) stays vacuously true and revoke(_, 0) is false.
         let mut t = WriteTable::new();
-        t.grant(0x1000, 0);
+        t.insert(0x1000, 0, ());
         assert!(t.is_empty());
         assert!(!t.overlaps(0x1000, 0));
-        assert!(!t.revoke(0x1000, 0));
+        assert!(!t.remove(0x1000, 0, ()));
         assert!(t.covers(0x1000, 0));
-        assert_eq!(t.revoke_overlapping(0x1000, 0), 0);
+        assert_eq!(t.remove_overlapping(0x1000, 0, |_, _, ()| true), 0);
     }
 
     #[test]
     fn overflow_range_rejected() {
         let mut t = WriteTable::new();
-        t.grant(u64::MAX - 8, 8);
+        t.insert(u64::MAX - 8, 8, ());
         assert!(!t.covers(u64::MAX - 4, 8), "overflowing query is false");
     }
 
@@ -585,7 +549,7 @@ mod tests {
     fn near_max_ranges_saturate_consistently() {
         let mut t = WriteTable::new();
         // Nominal end MAX+8 saturates to [MAX-8, MAX).
-        t.grant(u64::MAX - 8, 16);
+        t.insert(u64::MAX - 8, 16, ());
         assert_eq!(t.len(), 1);
         assert!(t.covers(u64::MAX - 8, 8));
         assert!(t.overlaps(u64::MAX - 1, 1));
@@ -594,28 +558,35 @@ mod tests {
             "byte MAX is unreachable under an exclusive end"
         );
         // Revoking under the same nominal size finds the clamped grant.
-        assert!(t.revoke(u64::MAX - 8, 16));
+        assert!(t.remove(u64::MAX - 8, 16, ()));
         assert!(t.is_empty());
         // A grant starting at MAX can cover nothing and records nothing.
-        t.grant(u64::MAX, 4);
+        t.insert(u64::MAX, 4, ());
         assert!(t.is_empty());
         // revoke_overlapping near the top must not overflow either.
-        t.grant(u64::MAX - 64, 64);
-        assert_eq!(t.revoke_overlapping(u64::MAX - 8, u64::MAX), 1);
+        t.insert(u64::MAX - 64, 64, ());
+        assert_eq!(
+            t.remove_overlapping(u64::MAX - 8, u64::MAX, |_, _, ()| true),
+            1
+        );
     }
 
     #[test]
     fn covering_returns_the_hit_interval() {
         let mut t = WriteTable::new();
-        t.grant(0x1000, 0x100);
-        t.grant(0x1080, 0x10);
-        assert_eq!(t.covering(0x1004, 8), Some((0x1000, 0x1100)));
+        t.insert(0x1000, 0x100, ());
+        t.insert(0x1080, 0x10, ());
+        assert_eq!(t.covering(0x1004, 8, |()| true), Some((0x1000, 0x1100)));
         // A probe inside the small grant may return either cover; both
         // returned intervals must actually cover the probe.
-        let (s, e) = t.covering(0x1084, 4).unwrap();
+        let (s, e) = t.covering(0x1084, 4, |()| true).unwrap();
         assert!(s <= 0x1084 && 0x1088 <= e);
-        assert_eq!(t.covering(0x1100, 1), None);
-        assert_eq!(t.covering(0x1004, 0), None, "zero-length has no interval");
+        assert_eq!(t.covering(0x1100, 1, |()| true), None);
+        assert_eq!(
+            t.covering(0x1004, 0, |()| true),
+            None,
+            "zero-length has no interval"
+        );
     }
 
     #[test]
@@ -623,13 +594,13 @@ mod tests {
         // A long interval "hiding" left of many short ones: the prefix
         // maximum must carry its reach across the short entries.
         let mut t = WriteTable::new();
-        t.grant(0x1000, 0x10000);
+        t.insert(0x1000, 0x10000, ());
         for i in 0..64u64 {
-            t.grant(0x2000 + i * 0x20, 0x10);
+            t.insert(0x2000 + i * 0x20, 0x10, ());
         }
         assert!(t.covers(0x9000, 8), "long grant found past short ones");
         assert!(t.covers(0x2008, 8));
-        assert!(t.revoke(0x1000, 0x10000));
+        assert!(t.remove(0x1000, 0x10000, ()));
         assert!(!t.covers(0x9000, 8));
         assert!(t.covers(0x2008, 8));
     }
@@ -663,10 +634,10 @@ mod tests {
     #[test]
     fn iter_is_deduplicated_and_ordered() {
         let mut t = WriteTable::new();
-        t.grant(0x1800, 0x3000);
-        t.grant(0x1000, 8);
-        t.grant(0x1800, 0x3000);
-        let all: Vec<_> = t.iter().collect();
+        t.insert(0x1800, 0x3000, ());
+        t.insert(0x1000, 8, ());
+        t.insert(0x1800, 0x3000, ());
+        let all: Vec<_> = t.entries().map(|(a, s, ())| (a, s)).collect();
         assert_eq!(all, vec![(0x1000, 8), (0x1800, 0x3000)]);
     }
 }

@@ -13,12 +13,12 @@
 //! The write-guard **hit path is completely lock-free**: current
 //! principal (the handle's own shadow stack), one atomic epoch load from
 //! the core, and a few compares in the private cache. Only a miss (or
-//! grant/revoke traffic, which lives on the core) takes locks — the
-//! probed principal's table mutex, one at a time.
+//! grant/revoke traffic, which lives on the core) takes a lock — the
+//! writer-index shard holding the written address.
 //!
 //! The soundness contract with revocation is the epoch protocol (see
 //! [`crate::runtime`] module docs): the handle reads the principal's
-//! atomic epoch *before* probing the tables and stamps its cache with
+//! atomic epoch *before* probing the index and stamps its cache with
 //! that pre-probe value, so a revoke that bumps the epoch after
 //! removing coverage always invalidates whatever the probe could have
 //! seen. The concurrent-revocation stress tests in
@@ -221,29 +221,29 @@ impl<const W: usize> GuardHandle<W> {
     /// declared pointer type hashes to `sig_hash`. `target` is the value
     /// currently stored in the slot.
     ///
-    /// Fast path: if the reverse writer index shows no principal holding
-    /// WRITE over any byte of the 8-byte slot, the slot's value is
-    /// kernel-authored and the call needs no capability check (charged
-    /// `ind_call_fast`). Otherwise every holder is checked (charged
-    /// `ind_call_slow`).
+    /// One writer-index query names the principals holding WRITE over
+    /// any byte of the 8-byte slot. Fast path: with none, the slot's
+    /// value is kernel-authored and the call needs no capability check
+    /// (charged `ind_call_fast`). Otherwise every holder is checked
+    /// (charged `ind_call_slow`).
     ///
-    /// Soundness of the fast path: [`RuntimeCore::grant`] indexes a WRITE
-    /// capability *before* inserting it into the principal's table, so a
-    /// module can never store to the slot before the index lists it as a
-    /// holder; a revoke unindexes under the principal's caps mutex, after
-    /// the table removal, so the index never drops a holder that can
-    /// still store. A "no holder" answer is therefore never a false
-    /// negative — the same ordering the holder collection below relies
-    /// on. A retired module's principals keep their WRITE grants on
-    /// record ([`RuntimeCore::retire_module`]) and hold no CALL
-    /// capability, so a slot a dead module wrote stays refused.
+    /// Soundness of the fast path: the writer index is the only WRITE
+    /// table, so a module's store to the slot passes its guard only
+    /// while the index lists the module's principal as a holder, and a
+    /// revoke drops the holder from the same record that stops its
+    /// guard. A "no holder" answer is therefore never a false negative.
+    /// A retired module's principals keep their WRITE grants on record
+    /// ([`RuntimeCore::retire_module`]) and hold no CALL capability, so
+    /// a slot a dead module wrote stays refused.
     pub fn check_indcall(
         &mut self,
         slot: Word,
         target: Word,
         sig_hash: u64,
     ) -> Result<(), Violation> {
-        if !self.core.index_overlaps(slot, 8) {
+        self.scratch.clear();
+        self.core.collect_writers(slot, 8, &mut self.scratch);
+        if self.scratch.is_empty() {
             let c = self.costs.ind_call_fast;
             self.stats.record(GuardKind::KernelIndCall, c);
             return Ok(());
@@ -253,8 +253,6 @@ impl<const W: usize> GuardHandle<W> {
         // First check (§4.1): every writer principal must hold a CALL
         // capability for the target. This is what rejects user-space
         // targets and un-imported kernel functions like `detach_pid`.
-        self.scratch.clear();
-        self.core.collect_writers(slot, 8, &mut self.scratch);
         for &w in &self.scratch {
             let module = self.core.principal_module(w);
             self.stats.record_indcall_module(module, c);
@@ -265,9 +263,6 @@ impl<const W: usize> GuardHandle<W> {
                     writer: w,
                 });
             }
-        }
-        if self.scratch.is_empty() {
-            return Ok(());
         }
         // Second check (§4.1): the annotations of the stored function and
         // of the function-pointer type must match, so a module cannot
@@ -326,32 +321,18 @@ impl<const W: usize> GuardHandle<W> {
         }
     }
 
-    /// See [`RuntimeCore::revoke_write_overlapping_everywhere`]. In debug
-    /// builds the holder collection is asserted against the full walk:
-    /// after the sweep no principal — collected or not — may retain an
-    /// overlapping grant.
+    /// See [`RuntimeCore::revoke_write_overlapping_everywhere`].
     pub fn revoke_write_overlapping_everywhere(&mut self, addr: Word, size: u64) {
         let sweep = self
             .core
             .revoke_write_overlapping_everywhere(addr, size, &mut self.scratch);
         self.stats.epoch_bumps += sweep.epoch_bumps;
         self.stats.kfree_hint_visited += sweep.visited;
-        #[cfg(debug_assertions)]
-        if size > 0 && self.core.kfree_cross_check_enabled() {
-            for i in 0..self.core.principal_count() {
-                debug_assert!(
-                    !self.core.write_overlaps(PrincipalId(i as u32), addr, size),
-                    "kfree sweep missed principal {i}: a grant overlapping \
-                     [{addr:#x}, +{size}) survived the sweep"
-                );
-            }
-        }
     }
 
     /// See [`RuntimeCore::revoke_write_overlapping`].
     pub fn revoke_write_overlapping(&mut self, p: PrincipalId, addr: Word, size: u64) {
-        let bumps = self.core.revoke_write_overlapping(p, addr, size);
-        self.stats.epoch_bumps += bumps;
+        self.stats.epoch_bumps += self.core.revoke_write_overlapping(p, addr, size);
     }
 
     /// Merges this thread's stats into the core's global stats and

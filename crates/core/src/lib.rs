@@ -13,10 +13,11 @@
 //!
 //! This crate implements the runtime half of the system (§5):
 //!
-//! - per-principal capability tables ([`caps`]) — WRITE ranges in a
-//!   binary-searched interval table, generic over an entry tag (the
+//! - capability representations ([`caps`]) — a binary-searched interval
+//!   table, generic over an entry tag, that holds WRITE ranges (the
 //!   paper's masked-slot hash table is a benchmark baseline in
-//!   `lxfi-bench`, outside this crate), CALL and REF sets;
+//!   `lxfi-bench`, outside this crate), and per-principal CALL and REF
+//!   sets;
 //! - compiled annotations ([`compiled`]) — names resolved to dense ids at
 //!   registration so enforcement never hashes strings;
 //! - the principal registry with pointer-naming and `lxfi_princ_alias`
@@ -24,13 +25,14 @@
 //! - per-thread shadow stacks saving return tokens and principal context
 //!   ([`shadow`]);
 //! - a reverse writer index sharded by address region
-//!   ([`writer_index`]): one `(addr, size, holder)` entry per WRITE
-//!   grant, in the same interval table tagged with the holder and kept
-//!   in lockstep with the per-principal tables. The kernel's
+//!   ([`writer_index`]), the only WRITE capability table: one `(addr,
+//!   size, holder)` entry per WRITE grant, in the interval table tagged
+//!   with the holder. A write guard's miss asks it whether a grant in
+//!   the principal's §3.1 scope covers the store; the kernel's
 //!   indirect-call guard asks it who holds WRITE over a
 //!   function-pointer slot, skipping the capability check when nobody
-//!   does, so the lookup is sublinear in the number of principals and
-//!   a grant's or revoke's index update is bounded by the shard;
+//!   does. Both lookups are sublinear in the number of principals, and
+//!   a grant's or revoke's update is bounded by the shard;
 //! - an epoch-validated per-principal write-guard cache ([`epoch_cache`])
 //!   so revocation invalidates precisely the principals whose coverage
 //!   shrank instead of the whole system's cached guard state;
@@ -53,7 +55,7 @@ pub mod shadow;
 pub mod stats;
 pub mod writer_index;
 
-pub use caps::{CapType, IntervalTable, RawCap, RefTypeId, WriteTable};
+pub use caps::{CapType, IntervalTable, RawCap, RefTypeId};
 pub use compiled::CompiledAnn;
 pub use epoch_cache::{EpochCache, DEFAULT_WAYS};
 pub use handle::GuardHandle;

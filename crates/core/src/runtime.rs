@@ -6,48 +6,55 @@
 //!
 //! The runtime is split in two:
 //!
-//! - [`RuntimeCore`] is the **shared world**: principal/module metadata
-//!   behind an `RwLock`, per-principal capability tables each behind
-//!   their own mutex (lock-free to *index* via a chunked slot table),
-//!   per-principal write epochs as atomics, the reverse writer index
+//! - [`RuntimeCore`] is the **shared world**: the module registry
+//!   (instance lists, pointer names, retirement) behind the `meta`
+//!   `RwLock`; a chunked principal slot table, lock-free to index, whose
+//!   slots hold each principal's immutable kind, module and shared and
+//!   global principals, its write epoch (an atomic) and its CALL/REF
+//!   table (behind its own `caps` mutex); the reverse writer index
 //!   ([`WriterIndex`]: per-shard locks keyed by address-region
-//!   boundaries fixed at construction), and the interned-ID tables (REF
-//!   types, iterators, constants, the function registry) behind an
-//!   `RwLock`. Everything takes `&self`;
-//!   the type is `Send + Sync` and meant to live in an `Arc`.
+//!   boundaries fixed at construction), which is the only WRITE
+//!   capability table; and the interned-ID tables (REF types,
+//!   iterators, constants, the function registry) behind `RwLock`s.
+//!   Everything takes `&self`; the type is `Send + Sync` and meant to
+//!   live in an `Arc`.
 //! - [`crate::GuardHandle`] is the **per-thread view**, and the only one:
 //!   each simulated kernel CPU and each benchmark worker owns one. It
 //!   holds its own shadow stack, kernel-stack window, epoch-validated
 //!   write-guard cache, and `GuardStats`, so concurrent guarded stores
 //!   from different threads hit their private caches without any shared
 //!   write. It `Deref`s to the core, so shared operations need no
-//!   forwarding; only grant/revoke traffic takes locks (the affected
-//!   principal's table mutex plus the affected shards).
+//!   forwarding; only grant/revoke traffic and guard misses take locks
+//!   (a WRITE grant or revoke takes only the affected shards).
 //!
 //! # Locking and soundness discipline
 //!
-//! Lock order (outer → inner): `meta` → per-principal `caps` mutex →
-//! per-shard mutex. A shard lock is a leaf: the writer index holds one
-//! at a time and calls out of none (see [`crate::writer_index`]). Every
-//! index update happens under the `caps` mutex of the principal whose
-//! grant it mirrors, so each principal's entries stay in lockstep with
-//! its WRITE table. No path takes two `caps` mutexes at once; fallback
-//! probes (instance → shared, global → union) lock one table at a time.
+//! Lock order (outer → inner): `meta` → per-principal `caps` mutex, and
+//! separately the index's `straddle` mutex → per-shard mutex. The two
+//! chains never nest: WRITE capabilities take no `caps` mutex, and no
+//! path holds a shard lock while it takes `meta` or `caps`. A shard lock
+//! is a leaf: the writer index holds one at a time and calls out of
+//! none but its own holder predicates, which read only the lock-free
+//! slot fields (see [`crate::writer_index`]). No path takes two `caps`
+//! mutexes at once; CALL/REF fallback probes (instance → shared,
+//! global → union) lock one table at a time.
 //!
 //! The write-guard soundness invariant under races — *after a revoke
 //! returns, no stale cached grant can authorize a write* — follows from
 //! three ordering rules, each enforced here:
 //!
-//! 1. a revoke removes coverage from the capability table **before**
+//! 1. a revoke removes coverage from the writer index **before**
 //!    bumping the affected epochs (so a guard that re-probes can never
 //!    re-cache the dying interval under the new epoch);
-//! 2. a guard reads the principal's epoch **before** probing the tables
+//! 2. a guard reads the principal's epoch **before** probing the index
 //!    and stamps the cache with that pre-probe value (so the stamp is
 //!    never newer than a revocation that raced the probe);
-//! 3. epoch bumps traverse the §3.1 hierarchy under the `meta` read
-//!    lock, and principal creation takes the `meta` write lock (so an
-//!    instance born before a shared-revoke's bump sweep is always
-//!    included in it).
+//! 3. a shared principal's epoch bump traverses the module's instances
+//!    under the `meta` read lock, and principal creation takes the
+//!    `meta` write lock (so an instance born before a shared-revoke's
+//!    bump sweep is always included in it). An instance's or global
+//!    principal's bump reaches only principals fixed at its creation,
+//!    read from its slot without a lock.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -126,26 +133,30 @@ pub struct FnMeta {
     pub module: Option<ModuleId>,
 }
 
-/// Immutable per-principal metadata (the mutable parts — capability
-/// table and epoch — live in the principal's [`PrincipalSlot`]).
+/// A principal's place in the §3.1 hierarchy, fixed at registration
+/// and read from its slot without a lock.
 #[derive(Debug, Clone, Copy)]
-struct PrincipalMeta {
+struct PrincipalInfo {
     module: ModuleId,
     kind: PrincipalKind,
-    /// Retired principals (their module was quarantined or unloaded)
-    /// hold no CALL or REF capabilities, are skipped by CALL/REF
-    /// revocation walks, and are never current again. Their WRITE
-    /// grants stay as past-writer records (see
-    /// [`RuntimeCore::retire_module`]). Ids are stable — slots are not
-    /// reused — so a retired id in a writer-index entry stays meaningful.
-    retired: bool,
+    /// The module's shared principal. Its global principal is always
+    /// the next id: [`RuntimeCore::register_module`] creates the two
+    /// together.
+    shared: PrincipalId,
 }
 
-/// Registry state behind the `meta` lock: who the principals and
-/// modules are, and the pointer-name maps.
+/// Registry state behind the `meta` lock: the modules with their
+/// instance lists and pointer-name maps, and which principals are
+/// retired.
 #[derive(Debug, Default)]
 struct Meta {
-    principals: Vec<PrincipalMeta>,
+    /// One flag per principal. Retired principals (their module was
+    /// quarantined or unloaded) hold no CALL or REF capabilities, are
+    /// skipped by CALL/REF revocation walks, and are never current
+    /// again. Their WRITE grants stay as past-writer records (see
+    /// [`RuntimeCore::retire_module`]). Ids are stable — slots are not
+    /// reused — so a retired id in a writer-index entry stays meaningful.
+    retired: Vec<bool>,
     modules: Vec<ModuleInfo>,
 }
 
@@ -162,22 +173,15 @@ struct Names {
     const_names: Vec<String>,
 }
 
-/// One principal's mutable state: the write epoch (atomic, read
-/// lock-free by every guard) and the capability tables (mutex, taken by
-/// grant/revoke and by guard cache misses).
-#[derive(Debug)]
+/// One principal's state: its hierarchy place (set once at
+/// registration), the write epoch (atomic, read lock-free by every
+/// guard) and the CALL/REF table (mutex, taken by CALL/REF grants,
+/// revokes and checks).
+#[derive(Debug, Default)]
 struct PrincipalSlot {
+    info: OnceLock<PrincipalInfo>,
     epoch: AtomicU64,
     caps: Mutex<CapSet>,
-}
-
-impl Default for PrincipalSlot {
-    fn default() -> Self {
-        PrincipalSlot {
-            epoch: AtomicU64::new(0),
-            caps: Mutex::new(CapSet::new()),
-        }
-    }
 }
 
 /// Principals per slot chunk.
@@ -244,14 +248,6 @@ pub struct RuntimeCore {
     /// Merged per-thread handle stats (handles flush here on drop or via
     /// [`crate::GuardHandle::flush_stats`]).
     stats: Mutex<GuardStats>,
-    /// Whether debug builds cross-check each kfree sweep with a full
-    /// principal walk. Only sound while one thread mutates
-    /// capabilities: a concurrent grant landing between the sweep and
-    /// the walk (e.g. another CPU transfer-granting a freshly
-    /// reallocated slab object at the same address) is
-    /// indistinguishable from a holder the sweep missed. The multi-CPU
-    /// kernel turns this off when its second CPU comes up.
-    kfree_cross_check: std::sync::atomic::AtomicBool,
 }
 
 impl Default for RuntimeCore {
@@ -277,24 +273,18 @@ impl RuntimeCore {
             names: RwLock::new(Names::default()),
             fns: RwLock::new(HashMap::new()),
             stats: Mutex::new(GuardStats::new()),
-            kfree_cross_check: std::sync::atomic::AtomicBool::new(true),
         }
-    }
-
-    /// Disables the debug-build kfree-sweep cross-check (see the field
-    /// docs): call before concurrent capability mutators start.
-    pub fn disable_kfree_cross_check(&self) {
-        self.kfree_cross_check.store(false, Ordering::Release);
-    }
-
-    /// Whether the debug-build kfree-sweep cross-check is active.
-    pub fn kfree_cross_check_enabled(&self) -> bool {
-        self.kfree_cross_check.load(Ordering::Acquire)
     }
 
     #[inline]
     fn slot(&self, p: PrincipalId) -> &PrincipalSlot {
         self.slots.get(p.0 as usize)
+    }
+
+    /// A registered principal's hierarchy place (lock-free).
+    #[inline]
+    fn info(&self, p: PrincipalId) -> PrincipalInfo {
+        *self.slot(p).info.get().expect("principal registered")
     }
 
     /// The current write-guard epoch of a principal. Guards read this
@@ -309,33 +299,33 @@ impl RuntimeCore {
     /// Registers a module, creating its shared and global principals.
     pub fn register_module(&self, name: &str) -> ModuleId {
         let mut meta = self.meta.write().expect("meta lock");
-        let mid = ModuleId(meta.modules.len() as u32);
-        let shared = self.new_principal_locked(&mut meta, mid, PrincipalKind::Shared);
-        let global = self.new_principal_locked(&mut meta, mid, PrincipalKind::Global);
+        let module = ModuleId(meta.modules.len() as u32);
+        let shared = PrincipalId(meta.retired.len() as u32);
+        let global = PrincipalId(shared.0 + 1);
+        for kind in [PrincipalKind::Shared, PrincipalKind::Global] {
+            let info = PrincipalInfo {
+                module,
+                kind,
+                shared,
+            };
+            self.new_principal_locked(&mut meta, info);
+        }
         meta.modules
             .push(ModuleInfo::new(name.to_string(), shared, global));
-        mid
+        module
     }
 
-    fn new_principal_locked(
-        &self,
-        meta: &mut Meta,
-        module: ModuleId,
-        kind: PrincipalKind,
-    ) -> PrincipalId {
-        let id = PrincipalId(meta.principals.len() as u32);
+    fn new_principal_locked(&self, meta: &mut Meta, info: PrincipalInfo) -> PrincipalId {
+        let id = PrincipalId(meta.retired.len() as u32);
         self.slots.ensure(id.0 as usize);
-        meta.principals.push(PrincipalMeta {
-            module,
-            kind,
-            retired: false,
-        });
+        self.slot(id).info.set(info).expect("fresh slot");
+        meta.retired.push(false);
         id
     }
 
     /// Number of registered principals.
     pub fn principal_count(&self) -> usize {
-        self.meta.read().expect("meta lock").principals.len()
+        self.meta.read().expect("meta lock").retired.len()
     }
 
     /// The name a module was registered under.
@@ -361,26 +351,37 @@ impl RuntimeCore {
         let meta = self.meta.read().expect("meta lock");
         meta.modules[mid.0 as usize]
             .all_principals()
-            .filter(|&p| !meta.principals[p.0 as usize].retired)
+            .filter(|&p| !meta.retired[p.0 as usize])
             .collect()
     }
 
-    /// The module a principal belongs to.
+    /// The module a principal belongs to (lock-free).
     pub fn principal_module(&self, p: PrincipalId) -> ModuleId {
-        self.meta.read().expect("meta lock").principals[p.0 as usize].module
+        self.info(p).module
     }
 
     // --------------------------------------------------- principal naming
 
     /// Resolves the principal named by pointer `name`, creating a fresh
     /// instance principal on first use (a module invocation with a
-    /// `principal(ptr)` annotation is the instance's birth).
+    /// `principal(ptr)` annotation is the instance's birth). A known
+    /// name resolves under the `meta` read lock; only a birth takes the
+    /// write lock.
     pub fn principal_for_name(&self, module: ModuleId, name: Word) -> PrincipalId {
-        let mut meta = self.meta.write().expect("meta lock");
-        if let Some(p) = meta.modules[module.0 as usize].lookup_name(name) {
+        let known = |meta: &Meta| meta.modules[module.0 as usize].lookup_name(name);
+        if let Some(p) = known(&self.meta.read().expect("meta lock")) {
             return p;
         }
-        let p = self.new_principal_locked(&mut meta, module, PrincipalKind::Instance);
+        let mut meta = self.meta.write().expect("meta lock");
+        if let Some(p) = known(&meta) {
+            return p; // born while this thread waited for the lock
+        }
+        let info = PrincipalInfo {
+            module,
+            kind: PrincipalKind::Instance,
+            shared: meta.modules[module.0 as usize].shared,
+        };
+        let p = self.new_principal_locked(&mut meta, info);
         let m = &mut meta.modules[module.0 as usize];
         m.instances.push(p);
         m.names.insert(name, p);
@@ -421,15 +422,15 @@ impl RuntimeCore {
 
     /// Whether a principal has been retired.
     pub fn is_retired(&self, p: PrincipalId) -> bool {
-        self.meta.read().expect("meta lock").principals[p.0 as usize].retired
+        self.meta.read().expect("meta lock").retired[p.0 as usize]
     }
 
     /// `(live, retired)` principal counts — the leak gauges module churn
     /// is regression-tested against.
     pub fn principal_gauges(&self) -> (u64, u64) {
         let meta = self.meta.read().expect("meta lock");
-        let retired = meta.principals.iter().filter(|p| p.retired).count() as u64;
-        (meta.principals.len() as u64 - retired, retired)
+        let retired = meta.retired.iter().filter(|&&r| r).count() as u64;
+        (meta.retired.len() as u64 - retired, retired)
     }
 
     /// Retires every principal of a module: CALL and REF capabilities
@@ -438,14 +439,13 @@ impl RuntimeCore {
     /// registry and pointer names are cleared, and each principal is
     /// marked retired. Returns the epoch bumps.
     ///
-    /// WRITE grants stay, in the principal's table and in the reverse
-    /// writer index: they record that the dead module may have written
-    /// those bytes since they were last zeroed (§5). A function-pointer
-    /// slot it poisoned therefore keeps a writer that holds no CALL
-    /// capability, and the indirect-call check refuses the slot
-    /// (`IndCallUnauthorized` naming the retired principal) instead of
-    /// taking the no-holder fast exit and dispatching the planted
-    /// pointer with kernel privilege. The records drain through the
+    /// WRITE grants stay in the reverse writer index: they record that
+    /// the dead module may have written those bytes since they were last
+    /// zeroed (§5). A function-pointer slot it poisoned therefore keeps
+    /// a writer that holds no CALL capability, and the indirect-call
+    /// check refuses the slot (`IndCallUnauthorized` naming the retired
+    /// principal) instead of taking the no-holder fast exit and
+    /// dispatching the planted pointer with kernel privilege. The records drain through the
     /// channels that drain any writer's, all of which ask the index for
     /// the range's holders: `kfree` sweeps, window scrubs at slot reuse,
     /// and WRITE transfers or revocations over reused memory.
@@ -457,7 +457,7 @@ impl RuntimeCore {
         let mut meta = self.meta.write().expect("meta lock");
         let victims: Vec<PrincipalId> = meta.modules[mid.0 as usize]
             .all_principals()
-            .filter(|&p| !meta.principals[p.0 as usize].retired)
+            .filter(|&p| !meta.retired[p.0 as usize])
             .collect();
         for &p in &victims {
             let slot = self.slot(p);
@@ -467,7 +467,7 @@ impl RuntimeCore {
                 caps.refs.clear();
             }
             slot.epoch.fetch_add(1, Ordering::AcqRel);
-            meta.principals[p.0 as usize].retired = true;
+            meta.retired[p.0 as usize] = true;
         }
         let m = &mut meta.modules[mid.0 as usize];
         m.instances.clear();
@@ -477,18 +477,14 @@ impl RuntimeCore {
 
     // ------------------------------------------------------- capabilities
 
-    /// Grants a capability to a principal. WRITE grants enter the
-    /// reverse writer index (§5) under the principal's table mutex, so
-    /// the index never lags the table once the call returns. Grants
-    /// never bump write epochs: added authority cannot invalidate a
-    /// cached positive guard decision.
+    /// Grants a capability to a principal. A WRITE grant is an entry in
+    /// the reverse writer index (§5), the only WRITE table, so the
+    /// indirect-call check sees the writer before the holder's guard can
+    /// authorize a store. Grants never bump write epochs: added
+    /// authority cannot invalidate a cached positive guard decision.
     pub fn grant(&self, p: PrincipalId, cap: RawCap) {
         if cap.ctype == CapType::Write {
-            let mut caps = self.slot(p).caps.lock().expect("caps lock");
-            // Index before table: an indirect call racing this grant may
-            // see the writer early (conservative), never late.
             self.index.add(p, cap.addr, cap.size);
-            caps.grant(cap);
         } else {
             self.slot(p).caps.lock().expect("caps lock").grant(cap);
         }
@@ -496,30 +492,21 @@ impl RuntimeCore {
 
     /// Revokes a capability from one principal; returns whether it was
     /// held and how many write epochs were bumped. A successful WRITE
-    /// revocation removes the grant from the table and then its entry
-    /// from the writer index, under the table's mutex, **before**
-    /// bumping the epochs of exactly the principals whose
-    /// observable coverage shrank; every other principal's guard cache
-    /// survives untouched.
+    /// revocation removes the grant's index entry **before** bumping
+    /// the epochs of exactly the principals whose observable coverage
+    /// shrank; every other principal's guard cache survives untouched.
     pub fn revoke(&self, p: PrincipalId, cap: RawCap) -> (bool, u64) {
-        let removed = {
-            let mut caps = self.slot(p).caps.lock().expect("caps lock");
-            let removed = caps.revoke(cap);
-            if removed && cap.ctype == CapType::Write {
-                self.index.remove(p, cap.addr, cap.size);
-            }
-            removed
-        };
-        let bumps = if removed && cap.ctype == CapType::Write {
-            self.bump_write_epochs(p)
-        } else {
-            0
-        };
-        (removed, bumps)
+        if cap.ctype != CapType::Write {
+            return (self.slot(p).caps.lock().expect("caps lock").revoke(cap), 0);
+        }
+        if !self.index.remove(p, cap.addr, cap.size) {
+            return (false, 0);
+        }
+        (true, self.bump_write_epochs(p))
     }
 
     /// Bumps the write epoch of `p` and of every principal whose
-    /// write-guard coverage can *observe* `p`'s WRITE table through the
+    /// write-guard coverage can *observe* `p`'s WRITE grants through the
     /// §3.1 hierarchy fallbacks:
     ///
     /// - revoking from an **instance** also invalidates the module's
@@ -529,33 +516,33 @@ impl RuntimeCore {
     /// - revoking from the **global** principal invalidates only itself
     ///   (nobody falls back to global).
     ///
-    /// Runs under the `meta` read lock so instances created concurrently
-    /// (under the write lock) are either fully born and swept, or born
-    /// after the sweep — in which case their tables were probed only
-    /// after this revocation's table update.
+    /// A shared principal's sweep of the instances runs under the `meta`
+    /// read lock, so instances created concurrently (under the write
+    /// lock) are either fully born and swept, or born after the sweep —
+    /// in which case their coverage was probed only after this
+    /// revocation's index update. The other two cases read the slot
+    /// without a lock.
     fn bump_write_epochs(&self, p: PrincipalId) -> u64 {
-        let meta = self.meta.read().expect("meta lock");
-        let pm = meta.principals[p.0 as usize];
-        let mut bumps = 0u64;
-        let mut bump = |q: PrincipalId| {
+        let info = self.info(p);
+        let global = PrincipalId(info.shared.0 + 1);
+        let bump = |q: PrincipalId| {
             self.slot(q).epoch.fetch_add(1, Ordering::AcqRel);
-            bumps += 1;
         };
         bump(p);
-        match pm.kind {
-            PrincipalKind::Global => {}
+        match info.kind {
+            PrincipalKind::Global => 1,
             PrincipalKind::Instance => {
-                bump(meta.modules[pm.module.0 as usize].global);
+                bump(global);
+                2
             }
             PrincipalKind::Shared => {
-                let m = &meta.modules[pm.module.0 as usize];
-                bump(m.global);
-                for &q in &m.instances {
-                    bump(q);
-                }
+                bump(global);
+                let meta = self.meta.read().expect("meta lock");
+                let instances = &meta.modules[info.module.0 as usize].instances;
+                instances.iter().for_each(|&q| bump(q));
+                2 + instances.len() as u64
             }
         }
-        bumps
     }
 
     /// Revokes each of `caps` — CALL or REF capabilities — from **every**
@@ -571,8 +558,8 @@ impl RuntimeCore {
             "WRITE caps go through transfer_write"
         );
         let meta = self.meta.read().expect("meta lock");
-        for (i, pm) in meta.principals.iter().enumerate() {
-            if pm.retired {
+        for (i, &retired) in meta.retired.iter().enumerate() {
+            if retired {
                 continue;
             }
             let slot = self.slot(PrincipalId(i as u32));
@@ -584,30 +571,21 @@ impl RuntimeCore {
     }
 
     /// `transfer` semantics for a WRITE capability: revoke `cap` from
-    /// everyone, then grant it to `dst` (if any). The reverse writer
-    /// index names the range's holders into `holders` (a caller-owned
-    /// buffer, cleared first), so only they are visited, in ascending id
-    /// order — never the whole principal list. The fast path is the
-    /// per-packet skb case of **at most one** holder; several holders
-    /// take the slow path through the same steps. Returns
-    /// `(fast_path_taken, epoch_bumps)`.
+    /// everyone, then grant it to `dst` (if any), in one pass over the
+    /// shards the range touches ([`WriterIndex::transfer`]). The index
+    /// names the range's writers into `holders` (a caller-owned buffer),
+    /// so only they are visited — never the whole principal list. The
+    /// fast path is the per-packet skb case of **at most one** writer;
+    /// several writers take the slow path through the same pass.
+    /// Returns `(fast_path_taken, epoch_bumps)`.
     ///
-    /// `dst` is granted, and so indexed, **before** any holder loses
-    /// `cap`: a racing indirect-call lookup may briefly see both the old
-    /// and the new holder (conservative), never neither. A holder that
-    /// is `dst` itself keeps its grant and its epochs: revoking it would
-    /// drop the entry it was just given, and its authority does not
-    /// shrink.
-    ///
-    /// Equivalence with a walk of every principal's table, retired ones
-    /// included: a principal whose table holds `cap` has `cap`'s entry in
-    /// the index ([`grant`] indexes before its table insert, and a
-    /// revocation unindexes under the table's mutex), so the collected
-    /// holders include everyone such a walk would revoke from. A grant
-    /// racing in after the collection survives either way (a walk
-    /// visits principals one at a time and can equally miss it).
-    ///
-    /// [`grant`]: RuntimeCore::grant
+    /// Each shard gains `dst`'s entry under the same lock as it loses
+    /// the old holders', so a racing indirect-call lookup sees the old
+    /// or the new holder, never neither. The holders that lost the grant
+    /// have their epochs bumped after the whole pass (rule 1). A holder
+    /// that is `dst` itself keeps its grant and its epochs: its
+    /// authority does not shrink. Bystanders with other grants over the
+    /// range keep theirs.
     pub fn transfer_write(
         &self,
         cap: RawCap,
@@ -615,83 +593,79 @@ impl RuntimeCore {
         holders: &mut Vec<PrincipalId>,
     ) -> (bool, u64) {
         debug_assert_eq!(cap.ctype, CapType::Write);
-        self.collect_holders(cap.addr, cap.size, holders);
-        if let Some(d) = dst {
-            self.grant(d, cap);
-        }
-        let bumps = holders
+        let moved = self.index.transfer(cap.addr, cap.size, dst, holders);
+        let bumps = holders[..moved]
             .iter()
-            .filter(|&&h| Some(h) != dst)
-            .map(|&h| self.revoke(h, cap).1)
+            .map(|&h| self.bump_write_epochs(h))
             .sum();
         (holders.len() <= 1, bumps)
     }
 
-    /// Replaces `holders` with the WRITE holders of `[addr, addr+size)`
-    /// in ascending id order (the order a full principal walk visits).
-    fn collect_holders(&self, addr: Word, size: u64, holders: &mut Vec<PrincipalId>) {
-        holders.clear();
-        self.index.collect_writers(addr, size, holders);
-        holders.sort_unstable();
-    }
-
     /// Revokes all WRITE capabilities overlapping `[addr, addr+size)` from
     /// every principal that holds any (used by `kfree`: freed memory must
-    /// have no outstanding capabilities). The reverse writer index names
-    /// the range's holders into `holders` (a caller-owned buffer, cleared
-    /// first), and only they are visited, in ascending id order, instead
-    /// of every principal's table; callers in debug builds assert the
-    /// result against the full walk (see
-    /// [`crate::GuardHandle::revoke_write_overlapping_everywhere`]).
+    /// have no outstanding capabilities), in one pass over the shards
+    /// the range and the removed grants touch. The removed grants'
+    /// holders are named into `holders` (a caller-owned buffer, cleared
+    /// first) and their epochs bumped after the pass.
     pub fn revoke_write_overlapping_everywhere(
         &self,
         addr: Word,
         size: u64,
         holders: &mut Vec<PrincipalId>,
     ) -> KfreeSweep {
-        // Visiting a holder only removes that holder's own coverage, so
-        // the up-front collection is exactly the set to visit.
-        self.collect_holders(addr, size, holders);
-        let mut sweep = KfreeSweep {
+        holders.clear();
+        self.index.remove_overlapping(addr, size, |p| {
+            if !holders.contains(&p) {
+                holders.push(p);
+            }
+            true
+        });
+        KfreeSweep {
+            epoch_bumps: holders.iter().map(|&p| self.bump_write_epochs(p)).sum(),
             visited: holders.len() as u64,
-            ..KfreeSweep::default()
-        };
-        for &p in holders.iter() {
-            sweep.epoch_bumps += self.revoke_write_overlapping(p, addr, size);
         }
-        sweep
     }
 
     /// Revokes all of **one** principal's WRITE coverage overlapping
     /// `[addr, addr+size)`, partially intersected grants whole (the
     /// [`RuntimeCore::revoke_write_overlapping_everywhere`] semantics
-    /// applied to a single table). Module teardown uses this to return
+    /// applied to a single holder). Module teardown uses this to return
     /// the kernel-stack grants of §3.2 before retirement keeps the rest
     /// of a dead module's coverage as past-writer records: stacks outlive
     /// the module and must not stay poisoned. Returns the epoch bumps.
     pub fn revoke_write_overlapping(&self, p: PrincipalId, addr: Word, size: u64) -> u64 {
-        let removed = (self.slot(p).caps.lock().expect("caps lock"))
-            .write
-            .remove_overlapping(addr, size, |a, s, ()| self.index.remove(p, a, s));
-        if removed > 0 {
-            self.bump_write_epochs(p)
-        } else {
-            0
+        let mut removed = false;
+        self.index.remove_overlapping(addr, size, |h| {
+            removed |= h == p;
+            h == p
+        });
+        if !removed {
+            return 0;
         }
+        self.bump_write_epochs(p)
     }
 
     /// Ownership test with the principal-hierarchy semantics of §3.1:
     /// an instance principal falls back to the module's shared principal;
     /// the global principal owns anything any principal of its module
-    /// owns. Locks one capability table at a time.
+    /// owns. WRITE is *coverage* ([`RuntimeCore::write_covering`]): one
+    /// grant must contain the whole range, so a capability for a whole
+    /// slab object satisfies a check on an interior field. CALL and REF
+    /// probes lock one table at a time; an instance's CALL probe tries
+    /// the shared table first, where a module's imports are granted at
+    /// load.
     pub fn owns(&self, p: PrincipalId, cap: RawCap) -> bool {
-        let meta = self.meta.read().expect("meta lock");
-        let pm = meta.principals[p.0 as usize];
+        if cap.ctype == CapType::Write {
+            return cap.size == 0 || self.write_covering(p, cap.addr, cap.size).is_some();
+        }
+        let info = self.info(p);
         let probe = |q: PrincipalId| self.slot(q).caps.lock().expect("caps lock").owns(cap);
-        match pm.kind {
+        match info.kind {
             PrincipalKind::Shared => probe(p),
-            PrincipalKind::Instance => probe(p) || probe(meta.modules[pm.module.0 as usize].shared),
-            PrincipalKind::Global => meta.modules[pm.module.0 as usize]
+            PrincipalKind::Instance if cap.ctype == CapType::Call => probe(info.shared) || probe(p),
+            PrincipalKind::Instance => probe(p) || probe(info.shared),
+            PrincipalKind::Global => self.meta.read().expect("meta lock").modules
+                [info.module.0 as usize]
                 .all_principals()
                 .any(probe),
         }
@@ -706,44 +680,30 @@ impl RuntimeCore {
         }
     }
 
-    /// The covering interval behind a successful WRITE ownership test,
-    /// with the principal-hierarchy fallbacks of [`RuntimeCore::owns`].
+    /// The covering interval behind a successful WRITE ownership test:
+    /// one covering query in the shard holding `addr`, whose holder
+    /// predicate is the §3.1 hierarchy — an instance matches itself or
+    /// its shared principal, a shared principal matches itself, and a
+    /// global principal matches any principal of its module.
     pub fn write_covering(&self, p: PrincipalId, addr: Word, len: u64) -> Option<(Word, Word)> {
-        let meta = self.meta.read().expect("meta lock");
-        let pm = meta.principals[p.0 as usize];
-        let probe = |q: PrincipalId| {
-            self.slot(q)
-                .caps
-                .lock()
-                .expect("caps lock")
-                .write
-                .covering(addr, len)
-        };
-        match pm.kind {
-            PrincipalKind::Shared => probe(p),
-            PrincipalKind::Instance => {
-                probe(p).or_else(|| probe(meta.modules[pm.module.0 as usize].shared))
-            }
-            PrincipalKind::Global => meta.modules[pm.module.0 as usize]
-                .all_principals()
-                .find_map(probe),
-        }
+        let info = self.info(p);
+        self.index.covering(addr, len, |h| match info.kind {
+            PrincipalKind::Shared => h == p,
+            PrincipalKind::Instance => h == p || h == info.shared,
+            PrincipalKind::Global => self.info(h).module == info.module,
+        })
     }
 
-    /// True if `p`'s own table has a grant overlapping the range (debug
-    /// hook for the kfree sweep's full-walk cross-check).
+    /// True if one of `p`'s own grants overlaps the range (diagnostics).
     pub fn write_overlaps(&self, p: PrincipalId, addr: Word, len: u64) -> bool {
-        self.slot(p)
-            .caps
-            .lock()
-            .expect("caps lock")
-            .write
-            .overlaps(addr, len)
+        let mut writers = Vec::new();
+        self.collect_writers(addr, len, &mut writers);
+        writers.contains(&p)
     }
 
     /// Number of capabilities a principal holds directly (diagnostics).
     pub fn cap_count(&self, p: PrincipalId) -> usize {
-        self.slot(p).caps.lock().expect("caps lock").len()
+        self.slot(p).caps.lock().expect("caps lock").len() + self.index.holder_entry_count(p)
     }
 
     // ---------------------------------------------------------- functions
@@ -776,17 +736,12 @@ impl RuntimeCore {
     }
 
     /// Principals (from any module) holding WRITE coverage of any byte of
-    /// the 8-byte slot at `addr` — the indirect-call slow path, answered
+    /// `[addr, addr+len)` — the indirect-call check's one query, answered
     /// by the reverse writer index in O(log entries + overlapping
     /// entries) instead of the paper's global principal-list traversal
     /// (§5). Appends the deduplicated writers to `out`.
     pub fn collect_writers(&self, addr: Word, len: u64, out: &mut Vec<PrincipalId>) {
         self.index.collect_writers(addr, len, out);
-    }
-
-    /// True if any writer-index entry overlaps `[addr, addr+len)`.
-    pub fn index_overlaps(&self, addr: Word, len: u64) -> bool {
-        self.index.overlaps(addr, len)
     }
 
     /// Principals (from any module) holding WRITE coverage of any byte of
@@ -915,20 +870,13 @@ impl RuntimeCore {
         self.index.writer_count()
     }
 
-    /// Panics unless the writer index holds exactly the grants in every
-    /// principal's WRITE table, retired principals included, each in
-    /// every shard it touches (test/proptest hook; call it while no
-    /// thread mutates capabilities).
+    /// Panics unless the writer index is well-formed: every shard in
+    /// order with exact prefix maxima, and every grant stored in each
+    /// shard it touches and no other (test/proptest hook; call it while
+    /// no thread mutates capabilities).
     #[doc(hidden)]
     pub fn check_index_invariants(&self) {
-        let meta = self.meta.read().expect("meta lock");
-        let mut grants = Vec::new();
-        for i in 0..meta.principals.len() {
-            let p = PrincipalId(i as u32);
-            let caps = self.slot(p).caps.lock().expect("caps lock");
-            grants.extend(caps.write.iter().map(|(a, s)| (p, a, s)));
-        }
-        self.index.check_invariants(&grants);
+        self.index.check_invariants();
     }
 
     // -------------------------------------------------------------- stats

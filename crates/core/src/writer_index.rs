@@ -1,23 +1,22 @@
-//! Reverse writer index (§5 scaling): address range → writer principals.
+//! Reverse writer index (§5 scaling): address range → writer principals,
+//! and the runtime's only WRITE capability table.
 //!
-//! The indirect-call slow path asks "which principals hold WRITE coverage
-//! of this function-pointer slot?". The paper answers by walking the
-//! global principal list — linear in the number of principals, and the
-//! list grows with every module instance. This module inverts the
-//! question: every WRITE grant is recorded once more, as an
-//! `(addr, size, holder)` entry exactly as the holder's [`WriteTable`]
-//! holds it, in the same sorted-interval / prefix-maximum structure
-//! ([`IntervalTable`], tagged with the holder). The lookup is a binary
-//! search plus a walk of the entries overlapping the probe —
-//! O(log entries + overlapping entries) instead of O(principals). The
-//! `kfree` sweep and WRITE transfers ask the same question of the freed
-//! or transferred range.
-//!
-//! The runtime keeps the index in lockstep with the tables: a grant
-//! inserts its entry, an exact revoke removes that entry, and an
-//! overlapping revoke removes exactly the entries the table dropped.
-//! Entries are never merged, so removing one grant never has to rebuild
-//! what the holder's other grants still cover.
+//! The paper keeps each principal's WRITE grants in its own table and
+//! answers "which principals may write this function-pointer slot?" by
+//! walking the global principal list — linear in the number of
+//! principals, and the list grows with every module instance. This
+//! module inverts the question and keeps one record: every WRITE grant
+//! is one `(addr, size, holder)` entry in a sorted-interval /
+//! prefix-maximum structure ([`IntervalTable`], tagged with the
+//! holder). "Who may write this slot" is a binary search plus a walk of
+//! the entries overlapping the probe — O(log entries + overlapping
+//! entries) instead of O(principals) — and "may `p` write this range"
+//! is a covering query over the same entries, filtered by a holder
+//! predicate that expresses the §3.1 hierarchy (see
+//! `RuntimeCore::write_covering`). The `kfree` sweep and WRITE transfers
+//! are one pass over the shards the range touches. Entries are never
+//! merged, so removing one grant never has to rebuild what the
+//! holder's other grants still cover.
 //!
 //! # Sharding and locking
 //!
@@ -27,16 +26,23 @@
 //! lifetime. An entry is stored, unclipped, in every shard its range
 //! touches, and an operation visits only the shards its range touches,
 //! so a lookup searches one shard's entries and a grant's or revoke's
-//! `Vec` insert or remove moves only that shard's tail.
+//! `Vec` insert or remove moves only that shard's tail. A covering
+//! query locks only the shard holding the probe's first byte: an entry
+//! covering the probe is stored there too.
 //!
-//! Each shard sits behind its own mutex, the only lock the index has.
-//! Every method takes `&self` and holds one shard lock at a time.
-//! [`WriterIndex::new`] makes a single shard covering the whole address
-//! space.
+//! Each shard sits behind its own mutex, and every method takes `&self`
+//! and holds one shard lock at a time, so a change to an entry stored
+//! in one shard is atomic under that shard's lock. A change to an entry
+//! stored in *several* shards is made under the index's `straddle`
+//! mutex, taken before any shard lock, so two such changes never
+//! interleave shard by shard and every entry stays present in each
+//! shard it touches. Grants, revokes and transfers whose range
+//! straddles a boundary take it up front; a sweep inside one shard
+//! takes it only when it meets an overlapping entry that straddles.
 //!
-//! The paper's traversal — per-principal [`WriteTable`]s probed one by
-//! one — is the measured baseline in `lxfi-bench`'s `baselines` module,
-//! outside the trusted runtime.
+//! The paper's traversal — per-principal tables probed one by one — is
+//! the measured baseline in `lxfi-bench`'s `baselines` module, outside
+//! the trusted runtime.
 //!
 //! # Semantics
 //!
@@ -49,19 +55,20 @@
 //!
 //! # Overflow discipline
 //!
-//! Identical to [`WriteTable`]: grant ends saturate at `Word::MAX`
+//! Identical to [`IntervalTable`]: grant ends saturate at `Word::MAX`
 //! (exclusive), zero-length ranges grant/match nothing, and query ends
 //! saturate rather than wrap.
-//!
-//! [`WriteTable`]: crate::caps::WriteTable
 
 use std::ops::Range;
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
 
 use lxfi_machine::Word;
 
 use crate::caps::IntervalTable;
 use crate::principal::PrincipalId;
+
+/// One shard's entries.
+type Shard = IntervalTable<PrincipalId>;
 
 /// The reverse writer index: address-region shards, each an
 /// [`IntervalTable`] of `(addr, size, holder)` grant entries behind its
@@ -72,35 +79,36 @@ pub struct WriterIndex {
     /// Sorted, distinct, non-zero shard split points; shard `i` covers
     /// `[boundaries[i-1], boundaries[i])` (first from 0, last to MAX).
     boundaries: Vec<Word>,
-    shards: Vec<Mutex<IntervalTable<PrincipalId>>>,
-}
-
-impl Default for WriterIndex {
-    fn default() -> Self {
-        Self::new()
-    }
+    shards: Vec<Mutex<Shard>>,
+    /// Held across every change to an entry stored in several shards.
+    straddle: Mutex<()>,
 }
 
 impl WriterIndex {
-    /// Creates an empty single-shard index (whole address space).
-    pub fn new() -> Self {
-        Self::with_boundaries(Vec::new())
-    }
-
     /// Creates an empty index sharded at the given split points
     /// (deduplicated, sorted; zeros dropped). `n` boundaries make
-    /// `n + 1` shards.
+    /// `n + 1` shards; none make one shard covering the whole address
+    /// space.
     pub fn with_boundaries(mut boundaries: Vec<Word>) -> Self {
         boundaries.retain(|&b| b > 0);
         boundaries.sort_unstable();
         boundaries.dedup();
         let shards = (0..=boundaries.len()).map(|_| Mutex::default()).collect();
-        WriterIndex { boundaries, shards }
+        WriterIndex {
+            boundaries,
+            shards,
+            straddle: Mutex::new(()),
+        }
     }
 
     /// Number of shards (`boundaries + 1`).
     pub fn shard_count(&self) -> usize {
         self.shards.len()
+    }
+
+    /// The shard holding byte `a`.
+    fn shard_of(&self, a: Word) -> usize {
+        self.boundaries.partition_point(|&b| b <= a)
     }
 
     /// The shards `[addr, addr+size)` touches, with the range's end
@@ -110,53 +118,57 @@ impl WriterIndex {
         if size == 0 {
             return 0..0;
         }
-        let shard_of = |a: Word| self.boundaries.partition_point(|&b| b <= a);
-        shard_of(addr)..shard_of(addr + size - 1) + 1
+        self.shard_of(addr)..self.shard_of(addr + size - 1) + 1
+    }
+
+    fn lock(&self, s: usize) -> MutexGuard<'_, Shard> {
+        self.shards[s].lock().expect("shard lock")
     }
 
     /// Runs `f` on every shard `[addr, addr+size)` touches, locking one
-    /// shard at a time.
-    fn for_shards(
-        &self,
-        addr: Word,
-        size: u64,
-        mut f: impl FnMut(&mut IntervalTable<PrincipalId>),
-    ) {
-        for s in self.shards_of(addr, size) {
-            f(&mut self.shards[s].lock().expect("shard lock"));
+    /// shard at a time (under `straddle` when there are several).
+    fn for_shards(&self, addr: Word, size: u64, mut f: impl FnMut(usize, &mut Shard)) {
+        let shards = self.shards_of(addr, size);
+        let _straddle = (shards.len() > 1).then(|| self.straddle.lock().expect("straddle lock"));
+        for s in shards {
+            f(s, &mut self.lock(s));
         }
     }
 
-    /// Records that `p` was granted WRITE over `[addr, addr+size)`: the
-    /// entry goes into every shard the range touches. Idempotent.
+    /// Grants `p` WRITE over `[addr, addr+size)`: the entry goes into
+    /// every shard the range touches. Idempotent.
     pub fn add(&self, p: PrincipalId, addr: Word, size: u64) {
-        self.for_shards(addr, size, |sh| sh.insert(addr, size, p));
+        self.for_shards(addr, size, |_, sh| sh.insert(addr, size, p));
     }
 
-    /// Removes the entry `(addr, size, p)` from every shard the range
-    /// touches. A no-op where `p` holds no such entry.
-    pub fn remove(&self, p: PrincipalId, addr: Word, size: u64) {
-        self.for_shards(addr, size, |sh| {
-            sh.remove(addr, size, p);
-        });
+    /// Revokes the exact grant `(addr, size, p)` from every shard the
+    /// range touches; returns whether `p` held it.
+    pub fn remove(&self, p: PrincipalId, addr: Word, size: u64) -> bool {
+        let mut held = false;
+        self.for_shards(addr, size, |_, sh| held |= sh.remove(addr, size, p));
+        held
     }
 
-    /// True if any entry overlaps `[addr, addr+len)` (query end
-    /// saturates at `Word::MAX`).
-    pub fn overlaps(&self, addr: Word, len: u64) -> bool {
-        let mut hit = false;
-        self.for_shards(addr, len, |sh| hit |= sh.overlaps(addr, len));
-        hit
+    /// The `(start, end)` of an entry whose holder `keep` accepts and
+    /// that covers all of `[addr, addr+len)`, if one exists. Locks only
+    /// the shard holding `addr`.
+    pub fn covering(
+        &self,
+        addr: Word,
+        len: u64,
+        keep: impl FnMut(PrincipalId) -> bool,
+    ) -> Option<(Word, Word)> {
+        self.lock(self.shard_of(addr)).covering(addr, len, keep)
     }
 
     /// Appends the deduplicated writer principals of `[addr, addr+len)`
     /// to `out`, ordered by the first byte of the range each one covers,
     /// ties by id. Allocation-free when `out` has room: the
-    /// indirect-call slow path reuses one buffer.
+    /// indirect-call check reuses one buffer.
     pub fn collect_writers(&self, addr: Word, len: u64, out: &mut Vec<PrincipalId>) {
-        self.for_shards(addr, len, |sh| {
+        for s in self.shards_of(addr, len) {
             let first = out.len();
-            sh.for_each_overlapping(addr, len, |start, _, p| {
+            self.lock(s).for_each_overlapping(addr, len, |start, _, p| {
                 if out.contains(&p) {
                     return;
                 }
@@ -169,48 +181,130 @@ impl WriterIndex {
                     out.push(p);
                 }
             });
+        }
+    }
+
+    /// `transfer` of the WRITE grant `(addr, size)` in one pass over the
+    /// shards it touches: each shard names its writers of the range into
+    /// `holders` (cleared first, deduplicated), gains `dst`'s entry and
+    /// loses every other holder's exact entry, under one lock. Returns
+    /// how many holders lost the grant; they are `holders[..moved]`, and
+    /// the rest are bystanders with other grants over the range. A
+    /// reader of any shard sees the old holders or `dst`, never neither.
+    pub fn transfer(
+        &self,
+        addr: Word,
+        size: u64,
+        dst: Option<PrincipalId>,
+        holders: &mut Vec<PrincipalId>,
+    ) -> usize {
+        holders.clear();
+        let mut moved = 0;
+        let first = self.shard_of(addr);
+        self.for_shards(addr, size, |s, sh| {
+            sh.for_each_overlapping(addr, size, |_, _, p| {
+                if !holders.contains(&p) {
+                    holders.push(p);
+                }
+            });
+            if let Some(d) = dst {
+                sh.insert(addr, size, d);
+            }
+            for i in 0..holders.len() {
+                // Every shard holds the exact entries; count them once.
+                if Some(holders[i]) != dst && sh.remove(addr, size, holders[i]) && s == first {
+                    holders.swap(moved, i);
+                    moved += 1;
+                }
+            }
         });
+        moved
+    }
+
+    /// Removes every entry overlapping `[addr, addr+size)` whose holder
+    /// `remove` accepts, from every shard the entry is stored in
+    /// (`remove` may be asked more than once per holder and must answer
+    /// the same). Entries stored in one shard go in one pass over the
+    /// range's shards, each under its shard's lock alone; entries stored
+    /// in several, if the pass met any, go in a second pass under the
+    /// `straddle` lock over the shards those entries span.
+    pub fn remove_overlapping(
+        &self,
+        addr: Word,
+        size: u64,
+        mut remove: impl FnMut(PrincipalId) -> bool,
+    ) {
+        let (mut lo, mut hi) = (Word::MAX, 0);
+        for s in self.shards_of(addr, size) {
+            self.lock(s).remove_overlapping(addr, size, |a, len, p| {
+                if self.shards_of(a, len).len() == 1 {
+                    return remove(p);
+                }
+                (lo, hi) = (lo.min(a), hi.max(a + len));
+                false
+            });
+        }
+        if lo < hi {
+            let _straddle = self.straddle.lock().expect("straddle lock");
+            for s in self.shards_of(lo, hi - lo) {
+                // Straddlers granted since the first pass may reach past
+                // these shards: they stay, as a grant after the sweep would.
+                self.lock(s).remove_overlapping(addr, size, |a, len, p| {
+                    lo <= a && a + len <= hi && remove(p)
+                });
+            }
+        }
+    }
+
+    /// `p`'s entries (diagnostics), each counted once however many
+    /// shards it is stored in.
+    pub fn holder_entry_count(&self, p: PrincipalId) -> usize {
+        (0..self.shards.len())
+            .map(|s| {
+                self.lock(s)
+                    .entries()
+                    .filter(|&(a, _, h)| h == p && self.shard_of(a) == s)
+                    .count()
+            })
+            .sum()
     }
 
     /// Number of entries across all shards (diagnostics). A grant
     /// spanning shard boundaries counts once per shard it touches.
     pub fn entry_count(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.lock().expect("shard lock").len())
-            .sum()
+        (0..self.shards.len()).map(|s| self.lock(s).len()).sum()
     }
 
     /// Number of distinct principals holding an entry (diagnostics).
     pub fn writer_count(&self) -> usize {
         let mut writers = Vec::new();
-        for s in &self.shards {
-            writers.extend(s.lock().expect("shard lock").entries().map(|(_, _, p)| p));
+        for s in 0..self.shards.len() {
+            writers.extend(self.lock(s).entries().map(|(_, _, p)| p));
         }
         writers.sort_unstable();
         writers.dedup();
         writers.len()
     }
 
-    /// Panics unless the index holds exactly `grants` — each
-    /// `(holder, addr, size)` in every shard its range touches and in no
-    /// other — and every shard's table is in order. Test/proptest hook.
+    /// Panics unless every shard's table is in order with exact prefix
+    /// maxima and every entry is stored in each shard its range touches
+    /// and in no other. Test/proptest hook: call it while no thread
+    /// mutates the index.
     #[doc(hidden)]
-    pub fn check_invariants(&self, grants: &[(PrincipalId, Word, u64)]) {
-        let mut want = vec![Vec::new(); self.shards.len()];
-        for &(p, a, s) in grants {
-            for sh in self.shards_of(a, s) {
-                want[sh].push((a, s.min(Word::MAX - a), p));
-            }
-        }
-        for (sh, want) in self.shards.iter().zip(&mut want) {
-            let sh = sh.lock().expect("shard lock");
-            sh.check_invariants();
-            want.sort_unstable_by_key(|&(a, s, p)| (a, p, s));
-            assert_eq!(
-                &sh.entries().collect::<Vec<_>>(),
-                want,
-                "a shard holds exactly the grants touching it"
+    pub fn check_invariants(&self) {
+        let tables: Vec<Vec<_>> = (0..self.shards.len())
+            .map(|s| {
+                let sh = self.lock(s);
+                sh.check_invariants();
+                sh.entries().collect()
+            })
+            .collect();
+        for (s, e) in (0..tables.len()).flat_map(|s| tables[s].iter().map(move |e| (s, e))) {
+            let mut touched = self.shards_of(e.0, e.1);
+            assert!(touched.contains(&s), "{e:?} stored in shard {s} it misses");
+            assert!(
+                touched.all(|t| tables[t].contains(e)),
+                "{e:?} not in every shard"
             );
         }
     }
@@ -224,7 +318,25 @@ mod tests {
     const P1: PrincipalId = PrincipalId(1);
     const P2: PrincipalId = PrincipalId(2);
 
-    /// An index and the grants it must hold, checked after every change.
+    /// Every `(holder, addr, size)` grant the index holds, sorted, each
+    /// once however many shards store it.
+    fn grants(ix: &WriterIndex) -> Vec<(PrincipalId, Word, u64)> {
+        let mut all = Vec::new();
+        for s in 0..ix.shard_count() {
+            let entries: Vec<_> = ix.lock(s).entries().collect();
+            all.extend(
+                entries
+                    .into_iter()
+                    .filter(|&(a, _, _)| ix.shard_of(a) == s)
+                    .map(|(a, s, p)| (p, a, s)),
+            );
+        }
+        all.sort_unstable();
+        all
+    }
+
+    /// An index and the grants it must hold, checked after every change:
+    /// well-formed, and holding exactly those grants.
     struct Checked {
         ix: WriterIndex,
         grants: Vec<(PrincipalId, Word, u64)>,
@@ -244,13 +356,21 @@ mod tests {
             if g.2 > 0 && !self.grants.contains(&g) {
                 self.grants.push(g);
             }
-            self.ix.check_invariants(&self.grants);
+            self.check();
         }
 
         fn remove(&mut self, p: PrincipalId, a: Word, s: u64) {
-            self.ix.remove(p, a, s);
-            self.grants.retain(|&g| g != (p, a, s.min(Word::MAX - a)));
-            self.ix.check_invariants(&self.grants);
+            let g = (p, a, s.min(Word::MAX - a));
+            assert_eq!(self.ix.remove(p, a, s), self.grants.contains(&g));
+            self.grants.retain(|&h| h != g);
+            self.check();
+        }
+
+        fn check(&self) {
+            self.ix.check_invariants();
+            let mut want = self.grants.clone();
+            want.sort_unstable();
+            assert_eq!(grants(&self.ix), want, "the index holds exactly the grants");
         }
 
         fn writers(&self, addr: Word, len: u64) -> Vec<PrincipalId> {
@@ -370,7 +490,6 @@ mod tests {
         let mut ix = Checked::new(Vec::new());
         ix.add(P0, 0x1000, 64);
         assert!(ix.writers(0x1010, 0).is_empty());
-        assert!(!ix.ix.overlaps(0x1010, 0));
     }
 
     #[test]
@@ -427,7 +546,6 @@ mod tests {
                 flat.writers(probe, 8),
                 "probe {probe:#x}"
             );
-            assert_eq!(sharded.ix.overlaps(probe, 8), flat.ix.overlaps(probe, 8));
         }
         // A wide probe spanning every shard still dedups writers, in the
         // same order as the flat index.
@@ -478,12 +596,14 @@ mod tests {
         assert_eq!(ix.ix.entry_count(), 0);
     }
 
-    // ------------------------------------------------------- lockstep
+    // ------------------------------------------------------------ model
 
-    mod lockstep {
+    mod model {
         //! Random grant / revoke / transfer / kfree sequences drive a
-        //! runtime core, sharded or not; after every operation the index
-        //! must hold exactly the grants in the principals' WRITE tables.
+        //! runtime core, sharded or not, and a model that keeps every
+        //! grant as a plain `(holder, addr, size)` list: after every
+        //! operation the index must be well-formed and hold exactly the
+        //! model's grants.
 
         use proptest::prelude::*;
 
@@ -523,21 +643,42 @@ mod tests {
             let ps: Vec<PrincipalId> = (0..NPRINC)
                 .map(|i| core.principal_for_name(m, 0x9000 + i as u64 * 8))
                 .collect();
+            let mut model: Vec<(PrincipalId, u64, u64)> = Vec::new();
             let mut holders = Vec::new();
             for op in ops {
                 match *op {
-                    Op::Grant(p, a, s) => core.grant(ps[p], RawCap::write(a, s)),
+                    Op::Grant(p, a, s) => {
+                        core.grant(ps[p], RawCap::write(a, s));
+                        if !model.contains(&(ps[p], a, s)) {
+                            model.push((ps[p], a, s));
+                        }
+                    }
                     Op::Revoke(p, a, s) => {
-                        core.revoke(ps[p], RawCap::write(a, s));
+                        let held = model.contains(&(ps[p], a, s));
+                        assert_eq!(core.revoke(ps[p], RawCap::write(a, s)).0, held);
+                        model.retain(|&g| g != (ps[p], a, s));
                     }
                     Op::Transfer(a, s, d) => {
-                        core.transfer_write(RawCap::write(a, s), d.map(|i| ps[i]), &mut holders);
+                        let d = d.map(|i| ps[i]);
+                        core.transfer_write(RawCap::write(a, s), d, &mut holders);
+                        model.retain(|&(h, x, y)| (x, y) != (a, s) || Some(h) == d);
+                        if let Some(d) = d.filter(|d| !model.contains(&(*d, a, s))) {
+                            model.push((d, a, s));
+                        }
                     }
                     Op::Kfree(a, s) => {
                         core.revoke_write_overlapping_everywhere(a, s, &mut holders);
+                        model.retain(|&(_, x, y)| x + y <= a || a + s <= x);
                     }
                 }
                 core.check_index_invariants();
+                let mut want = model.clone();
+                want.sort_unstable();
+                assert_eq!(super::grants(&core.index), want, "after {op:?}");
+                for &p in &ps {
+                    let n = model.iter().filter(|g| g.0 == p).count();
+                    assert_eq!(core.cap_count(p), n, "{p:?}'s grants after {op:?}");
+                }
             }
         }
 
@@ -545,7 +686,7 @@ mod tests {
             #![proptest_config(ProptestConfig::with_cases(96))]
 
             #[test]
-            fn runtime_ops_keep_index_in_lockstep(
+            fn runtime_ops_match_the_grant_model(
                 ops in proptest::collection::vec(arb_op(), 1..60),
                 sharded: bool,
             ) {

@@ -14,15 +14,21 @@
 //!   transfer of the same capability to nobody (a revoke from every
 //!   holder) may resolve either way,
 //!   but never to a world where the source still holds the grant, and
-//!   always to a world where the reverse index, the linear walk, and the
-//!   capability tables agree exactly.
+//!   always to a world where the writer index and each principal's
+//!   coverage agree exactly.
+//! - **Never no holder across a shard boundary.** A transfer of a range
+//!   that straddles a shard boundary moves the grant one shard at a
+//!   time. Indirect-call checks and guard misses racing it on either
+//!   side must always find the old or the new holder, and once it
+//!   returns the source's warm caches must deny on both sides.
 
 #![cfg(not(miri))] // spawns OS threads and relies on real scheduling
 
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Barrier};
 use std::thread;
 
-use lxfi_core::{GuardHandle, RawCap, RuntimeCore};
+use lxfi_core::{GuardHandle, RawCap, RuntimeCore, Violation};
 
 /// Phased fast-path check: warm the source's guard cache, transfer on
 /// another thread, and require the very next guard to deny — across
@@ -88,9 +94,9 @@ fn transfer_invalidates_hot_source_caches() {
 
 /// Barrier-phased race: every round, one thread transfers the grant to
 /// `b` while another revokes it everywhere. After both quiesce the
-/// world must be consistent — `a` never retains the grant, `b` holds it
-/// iff the index says so, and the sharded index matches the linear
-/// walk exactly.
+/// world must be consistent — `a` never retains the grant, and the
+/// index names `b` as the range's only writer exactly when `b` holds
+/// the grant.
 #[test]
 fn transfer_racing_revoke_converges() {
     const ROUNDS: usize = 200;
@@ -136,15 +142,12 @@ fn transfer_racing_revoke_converges() {
         barrier.wait(); // both finished
         assert!(!core.owns(a, cap), "source retained a transferred grant");
         let b_holds = core.owns(b, cap);
-        let indexed = writers_of(&core, cap.addr);
-        let linear = linear_writers_of(&core, cap.addr);
-        assert_eq!(indexed, linear, "index and linear walk diverged");
+        let expect = if b_holds { vec![b] } else { Vec::new() };
         assert_eq!(
-            indexed.contains(&b),
-            b_holds,
-            "index coverage must match b's table"
+            core.writers_of(cap.addr),
+            expect,
+            "writers must match b's grant"
         );
-        assert!(!indexed.contains(&a));
         core.check_index_invariants();
         // Reset for the next round.
         core.transfer_write(cap, None, &mut Vec::new());
@@ -154,16 +157,117 @@ fn transfer_racing_revoke_converges() {
     revoker.join().expect("revoker thread");
 }
 
-fn writers_of(core: &Arc<RuntimeCore>, addr: u64) -> Vec<lxfi_core::PrincipalId> {
-    let mut v = Vec::new();
-    core.collect_writers(addr, 8, &mut v);
-    v.sort_unstable();
-    v
-}
+/// Release race across a shard boundary: each round the main thread
+/// transfers a range straddling the boundary to the other principal
+/// while one thread runs indirect-call checks through slots on both
+/// sides (and one across the boundary) and another probes both
+/// principals' coverage there, as a guard miss does. Mid-transfer every
+/// slot keeps a holder, so no indirect call takes the no-holder fast
+/// exit and every miss finds the source or the destination; once the
+/// transfer returns, the source's caches, warmed on both sides, deny.
+#[test]
+fn straddling_transfer_never_reads_no_holder() {
+    const ROUNDS: usize = 200;
+    const B: u64 = 0x10_0080;
+    const TARGET: u64 = 0xdead_0000;
+    let core = Arc::new(RuntimeCore::with_shard_boundaries(vec![B]));
+    let m = core.register_module("straddle");
+    let a = core.principal_for_name(m, 0x9000);
+    let b = core.principal_for_name(m, 0x9008);
+    let cap = RawCap::write(B - 0x40, 0x80);
+    let sides = [B - 8, B];
+    core.grant(a, cap);
 
-fn linear_writers_of(core: &Arc<RuntimeCore>, addr: u64) -> Vec<lxfi_core::PrincipalId> {
-    (0..core.principal_count())
-        .map(|i| lxfi_core::PrincipalId(i as u32))
-        .filter(|&p| core.write_overlaps(p, addr, 8))
-        .collect()
+    // Both threads record what they see wrong instead of panicking, so a
+    // failure cannot strand the other side of a barrier.
+    let done = Arc::new(AtomicBool::new(false));
+    let reader = {
+        let (core, done) = (Arc::clone(&core), Arc::clone(&done));
+        thread::spawn(move || {
+            let mut h: GuardHandle = GuardHandle::new(core);
+            let (mut calls, mut wrong) = (0u64, Vec::new());
+            while !done.load(Ordering::Acquire) {
+                for slot in [B - 8, B - 4, B] {
+                    match h.check_indcall(slot, TARGET, 0) {
+                        Err(Violation::IndCallUnauthorized { writer, .. })
+                            if writer == a || writer == b => {}
+                        other => wrong.push(format!("slot {slot:#x} read {other:?}")),
+                    }
+                    calls += 1;
+                }
+            }
+            (calls, wrong)
+        })
+    };
+
+    let moved = Arc::new(AtomicUsize::new(0));
+    let barrier = Arc::new(Barrier::new(2));
+    let guards = {
+        let (core, moved, barrier) = (Arc::clone(&core), Arc::clone(&moved), Arc::clone(&barrier));
+        thread::spawn(move || {
+            let mut ha: GuardHandle = GuardHandle::new(Arc::clone(&core));
+            ha.set_current(Some((m, a)));
+            let mut hb: GuardHandle = GuardHandle::new(Arc::clone(&core));
+            hb.set_current(Some((m, b)));
+            let mut wrong = Vec::new();
+            for round in 0..ROUNDS {
+                let ((src, hsrc), (dst, hdst)) = if round % 2 == 0 {
+                    ((a, &mut ha), (b, &mut hb))
+                } else {
+                    ((b, &mut hb), (a, &mut ha))
+                };
+                for side in sides {
+                    if hsrc.check_write(side, 8).is_err() {
+                        wrong.push(format!("round {round}: source denied at {side:#x}"));
+                    }
+                }
+                barrier.wait(); // caches warm: transfer starts
+                while moved.load(Ordering::Acquire) == round {
+                    for side in sides {
+                        // Source first: once it reads no cover in this
+                        // side's shard, the destination must.
+                        let w = RawCap::write(side, 8);
+                        if !core.owns(src, w) && !core.owns(dst, w) {
+                            wrong.push(format!("round {round}: no holder at {side:#x}"));
+                        }
+                    }
+                }
+                for side in sides {
+                    if hsrc.check_write(side, 8).is_ok() {
+                        wrong.push(format!("round {round}: stale grant at {side:#x}"));
+                    }
+                    if hdst.check_write(side, 8).is_err() {
+                        wrong.push(format!("round {round}: destination denied at {side:#x}"));
+                    }
+                }
+                barrier.wait(); // checks done
+            }
+            wrong
+        })
+    };
+
+    for round in 0..ROUNDS {
+        let dst = if round % 2 == 0 { b } else { a };
+        barrier.wait();
+        let mut holders = Vec::new();
+        let (_, bumps) = core.transfer_write(cap, Some(dst), &mut holders);
+        moved.store(round + 1, Ordering::Release);
+        barrier.wait();
+        assert!(bumps > 0, "the source lost the grant");
+    }
+    let wrong = guards.join().expect("guard thread");
+    assert!(
+        wrong.is_empty(),
+        "guards: {:?}",
+        &wrong[..wrong.len().min(4)]
+    );
+    done.store(true, Ordering::Release);
+    let (calls, wrong) = reader.join().expect("indirect-call thread");
+    assert!(calls > 0);
+    assert!(
+        wrong.is_empty(),
+        "indirect calls: {:?}",
+        &wrong[..wrong.len().min(4)]
+    );
+    core.check_index_invariants();
 }

@@ -1,6 +1,6 @@
 //! Property tests for the capability tables and principal model.
 //!
-//! The WRITE table's interval index is checked against a naive
+//! The interval table behind the WRITE index is checked against a naive
 //! `Vec<(Word, u64)>` reference model under arbitrary grant/revoke
 //! sequences, including ranges whose end arithmetic saturates near
 //! `Word::MAX`; the principal hierarchy invariants of §3.1 are checked
@@ -9,8 +9,10 @@
 
 use proptest::prelude::*;
 
-use lxfi_core::caps::CapSet;
-use lxfi_core::{GuardHandle, ModuleId, PrincipalId, RawCap, Violation, WriteTable};
+use lxfi_core::{GuardHandle, IntervalTable, ModuleId, PrincipalId, RawCap, Violation};
+
+/// One holder's WRITE grants: an untagged interval table.
+type WriteTable = IntervalTable<()>;
 
 // ------------------------------------------------- WriteTable vs oracle
 
@@ -113,15 +115,15 @@ fn check_against_oracle(ops: &[WOp], probes: &[(u64, u64)]) {
     for op in ops {
         match *op {
             WOp::Grant(a, s) => {
-                t.grant(a, s);
+                t.insert(a, s, ());
                 o.grant(a, s);
             }
             WOp::Revoke(a, s) => {
-                let got = t.revoke(a, s);
+                let got = t.remove(a, s, ());
                 assert_eq!(o.revoke(a, s), got, "revoke ({:#x}, {})", a, s);
             }
             WOp::RevokeOverlapping(a, s) => {
-                let got = t.revoke_overlapping(a, s);
+                let got = t.remove_overlapping(a, s, |_, _, ()| true);
                 assert_eq!(
                     o.revoke_overlapping(a, s),
                     got,
@@ -141,22 +143,17 @@ fn check_against_oracle(ops: &[WOp], probes: &[(u64, u64)]) {
             a,
             l
         );
-        assert_eq!(
-            t.owns_exact(a, l),
-            o.owns_exact(a, l),
-            "owns_exact ({:#x}, {})",
-            a,
-            l
-        );
+        let exact = t.entries().any(|e| e == (a, l.min(u64::MAX - a), ()));
+        assert_eq!(exact, o.owns_exact(a, l), "owns_exact ({:#x}, {})", a, l);
         // covering() must return an interval that actually covers.
-        if let Some((s, e)) = t.covering(a, l) {
+        if let Some((s, e)) = t.covering(a, l, |()| true) {
             assert!(s <= a && a + l <= e, "covering ({:#x}, {})", a, l);
         } else {
             assert!(l == 0 || !o.covers(a, l));
         }
     }
     assert_eq!(t.len(), o.ranges.len());
-    let mut from_iter: Vec<_> = t.iter().collect();
+    let mut from_iter: Vec<_> = t.entries().map(|(a, s, ())| (a, s)).collect();
     let mut expect = o.ranges.clone();
     from_iter.sort_unstable();
     expect.sort_unstable();
@@ -196,7 +193,7 @@ proptest! {
     #[test]
     fn write_coverage_is_exact(addr in 0x20_0000u64..0x20_1000, size in 1u64..8192) {
         let mut t = WriteTable::new();
-        t.grant(addr, size);
+        t.insert(addr, size, ());
         for probe in [addr, addr + size / 2, addr + size - 1] {
             prop_assert!(t.covers(probe, 1));
         }
@@ -319,22 +316,26 @@ proptest! {
         }
     }
 
-    /// CapSet grant/revoke round trip for every capability kind.
+    /// Grant/revoke round trip on one principal for every capability
+    /// kind: WRITE through the writer index, CALL and REF through the
+    /// principal's own table.
     #[test]
     fn capset_roundtrip(t in 0u32..4, addr: u64, size in 1u64..4096) {
-        let mut s = CapSet::new();
+        let rt: GuardHandle = GuardHandle::new(Default::default());
+        let p = rt.principal_for_name(rt.register_module("m"), 0x9000);
         let cap = match t {
             0 => RawCap::write(addr.min(u64::MAX - size), size),
             1 => RawCap::call(addr),
             _ => RawCap::reference(lxfi_core::RefTypeId(t), addr),
         };
-        prop_assert!(!s.owns(cap));
-        s.grant(cap);
-        prop_assert!(s.owns(cap));
-        prop_assert!(s.revoke(cap));
-        prop_assert!(!s.owns(cap));
-        prop_assert!(!s.revoke(cap));
-        prop_assert!(s.is_empty());
+        prop_assert!(!rt.owns(p, cap));
+        rt.grant(p, cap);
+        prop_assert!(rt.owns(p, cap));
+        prop_assert_eq!(rt.cap_count(p), 1);
+        prop_assert!(rt.core().revoke(p, cap).0);
+        prop_assert!(!rt.owns(p, cap));
+        prop_assert!(!rt.core().revoke(p, cap).0);
+        prop_assert_eq!(rt.cap_count(p), 0);
     }
 }
 

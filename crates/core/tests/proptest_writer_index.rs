@@ -1,68 +1,90 @@
-//! Property tests for the reverse writer index (§5 scaling).
+//! Property tests for the reverse writer index (§5 scaling), the
+//! runtime's only WRITE capability table.
 //!
-//! Three opinions are formed over identical random
-//! grant/revoke/transfer sequences and must agree on `writers_of` at
-//! every probe:
+//! The live `RuntimeCore` (driven through a [`GuardHandle`]) and a naive
+//! model — one `Vec<(addr, size)>` of granted ranges per principal,
+//! probed longhand with the documented saturating semantics — run
+//! identical random grant / revoke / transfer / kfree sequences over two
+//! modules' shared, global and instance principals, and must agree on:
 //!
-//! 1. the live `RuntimeCore` (whose writer index is maintained
-//!    incrementally on every capability mutation, here driven through a
-//!    [`GuardHandle`]),
-//! 2. the global principal walk over the same core's per-principal
-//!    tables ([`linear_walk`]),
-//! 3. a naive model: one `Vec<(addr, size)>` of granted ranges per
-//!    principal, probed longhand with the documented saturating
-//!    semantics.
+//! - `writers_of` and each principal's own `write_overlaps`;
+//! - `owns(WRITE)` and `write_covering` under the §3.1 hierarchy (an
+//!   instance sees its own and its shared principal's grants, a global
+//!   principal every grant of its module), where a returned interval must
+//!   be one grant in scope that covers the probe;
+//! - the result of every exact revoke, whether each transfer took the
+//!   single-writer fast path, and exactly which write epochs each
+//!   revoke, transfer and sweep bumped.
 //!
 //! (The paper's standalone walk structure is checked against the same
 //! kind of model in `lxfi-bench`.)
 //!
 //! Sequences include exact revokes of grants another grant of the same
-//! principal still overlaps, transfers to nobody, `kfree`-style
-//! overlapping revocation, and ranges whose end arithmetic saturates
-//! near `Word::MAX`. After every operation the index must hold exactly
-//! the grants in every principal's WRITE table, each in every shard it
-//! touches (`RuntimeCore::check_index_invariants`).
+//! principal still overlaps, transfers to nobody and to a current
+//! holder, `kfree`-style overlapping revocation, and ranges whose end
+//! arithmetic saturates near `Word::MAX`. After every operation the
+//! index must be well-formed (`RuntimeCore::check_index_invariants`).
 //!
 //! Every sequence additionally runs under **sharded** cores built with
 //! `RuntimeCore::with_shard_boundaries`, the shape the kernel runs —
-//! proptest-chosen boundaries inside
-//! the op universe, a fixed list that is unsorted, duplicated, zero and
-//! not page-aligned, and fixed near-`MAX` boundaries — since
-//! shard-boundary splits must never change a `writers_of` answer.
+//! proptest-chosen boundaries inside the op universe, a fixed list that
+//! is unsorted, duplicated, zero and not page-aligned, and fixed
+//! near-`MAX` boundaries — so grants straddle shard boundaries, and
+//! boundary splits must never change an answer.
 
 use std::sync::Arc;
 
 use proptest::prelude::*;
 
-use lxfi_core::{GuardHandle, PrincipalId, RawCap, RuntimeCore};
+use lxfi_core::{GuardHandle, PrincipalId, PrincipalKind, RawCap, RuntimeCore};
 
-const NPRINC: usize = 5;
+/// Two modules' shared, global and two instance principals each.
+const NPRINC: usize = 8;
 
 #[derive(Debug, Clone)]
 enum Op {
     Grant(usize, u64, u64),
     Revoke(usize, u64, u64),
-    RevokeEverywhere(u64, u64),
+    Transfer(u64, u64, Option<usize>),
     RevokeOverlappingEverywhere(u64, u64),
 }
 
-fn arb_op() -> impl Strategy<Value = Op> {
-    // A small address universe so grants collide and overlap often, with
-    // sizes up to several pages so intervals split and merge.
+/// Ops over `addr` and `size`, with principals drawn from all eight.
+fn ops_over(
+    addr: impl Strategy<Value = u64> + Clone + 'static,
+    size: impl Strategy<Value = u64> + Clone + 'static,
+) -> impl Strategy<Value = Op> {
     let princ = 0usize..NPRINC;
-    let addr = 0x10_0000u64..0x10_2000;
-    let size = prop_oneof![1u64..64, 64u64..2000, Just(8192u64)];
+    let dst = proptest::option::of(0usize..NPRINC);
     prop_oneof![
         (princ.clone(), addr.clone(), size.clone()).prop_map(|(p, a, s)| Op::Grant(p, a, s)),
         (princ, addr.clone(), size.clone()).prop_map(|(p, a, s)| Op::Revoke(p, a, s)),
-        (addr.clone(), size.clone()).prop_map(|(a, s)| Op::RevokeEverywhere(a, s)),
+        (addr.clone(), size.clone(), dst).prop_map(|(a, s, d)| Op::Transfer(a, s, d)),
         (addr, size).prop_map(|(a, s)| Op::RevokeOverlappingEverywhere(a, s)),
     ]
 }
 
+fn arb_op() -> impl Strategy<Value = Op> {
+    // A small address universe so grants collide and overlap often, with
+    // sizes up to several pages so intervals straddle shard boundaries.
+    // Half the ops use aligned slots and a few sizes, so exact revokes
+    // and transfers hit held grants.
+    let addr = prop_oneof![
+        0x10_0000u64..0x10_2000,
+        (0u64..0x80).prop_map(|k| 0x10_0000 + k * 0x40)
+    ];
+    let size = prop_oneof![
+        1u64..64,
+        64u64..2000,
+        Just(8192u64),
+        Just(0x40),
+        Just(0x100)
+    ];
+    ops_over(addr, size)
+}
+
 /// Ops near the top of the address space, where end arithmetic saturates.
 fn arb_op_near_max() -> impl Strategy<Value = Op> {
-    let princ = 0usize..NPRINC;
     let addr = prop_oneof![
         u64::MAX - 0x1000..u64::MAX,
         Just(u64::MAX),
@@ -70,26 +92,18 @@ fn arb_op_near_max() -> impl Strategy<Value = Op> {
         Just(u64::MAX - 8),
     ];
     let size = prop_oneof![1u64..64, Just(u64::MAX), Just(u64::MAX / 2), Just(4096u64)];
-    prop_oneof![
-        (princ.clone(), addr.clone(), size.clone()).prop_map(|(p, a, s)| Op::Grant(p, a, s)),
-        (princ, addr.clone(), size.clone()).prop_map(|(p, a, s)| Op::Revoke(p, a, s)),
-        (addr.clone(), size.clone()).prop_map(|(a, s)| Op::RevokeEverywhere(a, s)),
-        (addr, size).prop_map(|(a, s)| Op::RevokeOverlappingEverywhere(a, s)),
-    ]
+    ops_over(addr, size)
 }
 
-/// The naive model: per-principal granted ranges, probed longhand.
-#[derive(Default)]
-struct Naive {
+/// The naive model: per-principal granted ranges, probed longhand, and
+/// each principal's module and kind.
+struct Model {
     ranges: Vec<Vec<(u64, u64)>>,
+    /// `(module, kind)` per principal index.
+    roles: Vec<(usize, PrincipalKind)>,
 }
 
-impl Naive {
-    fn new(n: usize) -> Self {
-        Naive {
-            ranges: vec![Vec::new(); n],
-        }
-    }
+impl Model {
     fn clamp(a: u64, s: u64) -> u64 {
         s.min(u64::MAX - a)
     }
@@ -99,45 +113,86 @@ impl Naive {
             self.ranges[p].push((a, s));
         }
     }
-    fn revoke(&mut self, p: usize, a: u64, s: u64) {
+    /// Exact revoke; whether `p` held the grant.
+    fn revoke(&mut self, p: usize, a: u64, s: u64) -> bool {
         let s = Self::clamp(a, s);
+        let before = self.ranges[p].len();
         self.ranges[p].retain(|&(x, y)| !(x == a && y == s && s > 0));
+        self.ranges[p].len() != before
     }
-    fn revoke_overlapping(&mut self, p: usize, a: u64, s: u64) {
-        if s == 0 {
-            return;
+    /// Whether `p` lost any grant.
+    fn revoke_overlapping(&mut self, p: usize, a: u64, s: u64) -> bool {
+        let before = self.ranges[p].len();
+        if s > 0 {
+            let end = a.saturating_add(s);
+            self.ranges[p].retain(|&(x, y)| !(x < end && a < x + y));
         }
-        let end = a.saturating_add(s);
-        self.ranges[p].retain(|&(x, y)| !(x < end && a < x + y));
+        self.ranges[p].len() != before
     }
-    /// Principals with a grant overlapping any byte of the 8-byte slot.
-    fn writers_of(&self, addr: u64) -> Vec<PrincipalId> {
-        let end = addr.saturating_add(8);
-        (0..self.ranges.len())
-            .filter(|&p| self.ranges[p].iter().any(|&(x, y)| x < end && addr < x + y))
-            .map(|p| PrincipalId(p as u32))
+    fn overlaps(&self, p: usize, addr: u64, len: u64) -> bool {
+        let end = addr.saturating_add(len);
+        len > 0 && self.ranges[p].iter().any(|&(x, y)| x < end && addr < x + y)
+    }
+    /// Principal indices with a grant overlapping any byte of the slot.
+    fn writers_of(&self, addr: u64) -> Vec<usize> {
+        (0..NPRINC).filter(|&p| self.overlaps(p, addr, 8)).collect()
+    }
+    /// Whose grants `p`'s WRITE checks see (§3.1).
+    fn scope(&self, p: usize) -> Vec<usize> {
+        let (m, kind) = self.roles[p];
+        let shared = (0..NPRINC).find(|&q| self.roles[q] == (m, PrincipalKind::Shared));
+        match kind {
+            PrincipalKind::Shared => vec![p],
+            PrincipalKind::Instance => vec![p, shared.expect("module has a shared principal")],
+            PrincipalKind::Global => (0..NPRINC).filter(|&q| self.roles[q].0 == m).collect(),
+        }
+    }
+    /// Grants in `p`'s scope that cover all of `[addr, addr+len)`.
+    fn covering(&self, p: usize, addr: u64, len: u64) -> Vec<(u64, u64)> {
+        let Some(end) = addr.checked_add(len).filter(|_| len > 0) else {
+            return Vec::new();
+        };
+        self.scope(p)
+            .into_iter()
+            .flat_map(|q| self.ranges[q].iter().copied())
+            .filter(|&(x, y)| x <= addr && end <= x + y)
+            .map(|(x, y)| (x, x + y))
             .collect()
     }
+    /// Epoch bumps per principal when `lost` lose WRITE coverage.
+    fn bumps(&self, lost: &[usize]) -> Vec<u64> {
+        let mut bumps = vec![0; NPRINC];
+        for &h in lost {
+            // `h` and everyone whose coverage includes `h`'s.
+            for (q, bump) in bumps.iter_mut().enumerate() {
+                *bump += u64::from(self.scope(q).contains(&h));
+            }
+        }
+        bumps
+    }
 }
 
-/// The global principal walk: writers of the 8-byte slot at `addr`.
-fn linear_walk(rt: &RuntimeCore, addr: u64) -> Vec<PrincipalId> {
-    (0..rt.principal_count() as u32)
-        .map(PrincipalId)
-        .filter(|&p| rt.write_overlaps(p, addr, 8))
-        .collect()
-}
-
-/// A runtime sharded at `boundaries`, with `NPRINC` instance principals
-/// to mutate.
-fn runtime_with_principals(boundaries: Vec<u64>) -> (GuardHandle, Vec<PrincipalId>) {
+/// A runtime sharded at `boundaries` with two modules' principals, and
+/// the model describing them.
+fn runtime_with_principals(boundaries: Vec<u64>) -> (GuardHandle, Vec<PrincipalId>, Model) {
     let rt: GuardHandle =
         GuardHandle::new(Arc::new(RuntimeCore::with_shard_boundaries(boundaries)));
-    let m = rt.register_module("pt");
-    let princs: Vec<PrincipalId> = (0..NPRINC)
-        .map(|i| rt.principal_for_name(m, 0x9000 + i as u64 * 8))
-        .collect();
-    (rt, princs)
+    let mut princs = Vec::new();
+    let mut roles = Vec::new();
+    for (mi, name) in ["pt0", "pt1"].into_iter().enumerate() {
+        let m = rt.register_module(name);
+        princs.extend([rt.shared_principal(m), rt.global_principal(m)]);
+        roles.extend([(mi, PrincipalKind::Shared), (mi, PrincipalKind::Global)]);
+        for i in 0..2 {
+            princs.push(rt.principal_for_name(m, 0x9000 + i * 8));
+            roles.push((mi, PrincipalKind::Instance));
+        }
+    }
+    let model = Model {
+        ranges: vec![Vec::new(); NPRINC],
+        roles,
+    };
+    (rt, princs, model)
 }
 
 /// Probe addresses worth checking after an op sequence: every op
@@ -148,7 +203,7 @@ fn probe_points(ops: &[Op]) -> Vec<u64> {
         let (a, s) = match *op {
             Op::Grant(_, a, s)
             | Op::Revoke(_, a, s)
-            | Op::RevokeEverywhere(a, s)
+            | Op::Transfer(a, s, _)
             | Op::RevokeOverlappingEverywhere(a, s) => (a, s),
         };
         let end = a.saturating_add(s.min(u64::MAX - a));
@@ -167,7 +222,7 @@ fn probe_points(ops: &[Op]) -> Vec<u64> {
 }
 
 /// Drives the runtime (reverse index) and the naive model through one
-/// sequence, checking them and the linear walk at every probe.
+/// sequence, checking them at every probe.
 fn check_sequence(ops: &[Op]) {
     check_sequence_sharded(ops, Vec::new());
 }
@@ -175,55 +230,88 @@ fn check_sequence(ops: &[Op]) {
 /// Like [`check_sequence`], but the runtime is built sharded at the
 /// given boundaries.
 fn check_sequence_sharded(ops: &[Op], boundaries: Vec<u64>) {
-    let (mut rt, princs) = runtime_with_principals(boundaries);
-    let mut naive = Naive::new(NPRINC);
+    let (mut rt, princs, mut model) = runtime_with_principals(boundaries);
+    let epochs =
+        |rt: &GuardHandle| -> Vec<u64> { princs.iter().map(|&p| rt.write_epoch(p)).collect() };
 
     for op in ops {
-        match *op {
+        let before = epochs(&rt);
+        let lost: Vec<usize> = match *op {
             Op::Grant(pi, a, s) => {
                 rt.grant(princs[pi], RawCap::write(a, s));
-                naive.grant(pi, a, s);
+                model.grant(pi, a, s);
+                Vec::new()
             }
             Op::Revoke(pi, a, s) => {
-                rt.revoke(princs[pi], RawCap::write(a, s));
-                naive.revoke(pi, a, s);
-            }
-            Op::RevokeEverywhere(a, s) => {
-                rt.transfer_cap(RawCap::write(a, s), None);
-                for pi in 0..NPRINC {
-                    naive.revoke(pi, a, s);
+                let held = model.revoke(pi, a, s);
+                assert_eq!(rt.revoke(princs[pi], RawCap::write(a, s)), held, "{op:?}");
+                if held {
+                    vec![pi]
+                } else {
+                    Vec::new()
                 }
+            }
+            Op::Transfer(a, s, dst) => {
+                let writers = (0..NPRINC).filter(|&p| model.overlaps(p, a, s)).count();
+                let fast = rt.stats.transfer_fast;
+                rt.transfer_cap(RawCap::write(a, s), dst.map(|d| princs[d]));
+                assert_eq!(
+                    rt.stats.transfer_fast - fast,
+                    u64::from(writers <= 1),
+                    "{op:?}"
+                );
+                let lost = (0..NPRINC)
+                    .filter(|&p| Some(p) != dst && model.revoke(p, a, s))
+                    .collect();
+                if let Some(d) = dst {
+                    model.grant(d, a, s);
+                }
+                lost
             }
             Op::RevokeOverlappingEverywhere(a, s) => {
                 rt.revoke_write_overlapping_everywhere(a, s);
-                for pi in 0..NPRINC {
-                    naive.revoke_overlapping(pi, a, s);
+                (0..NPRINC)
+                    .filter(|&p| model.revoke_overlapping(p, a, s))
+                    .collect()
+            }
+        };
+        rt.check_index_invariants();
+        let bumped: Vec<u64> = epochs(&rt)
+            .iter()
+            .zip(&before)
+            .map(|(a, b)| a - b)
+            .collect();
+        assert_eq!(bumped, model.bumps(&lost), "epoch bumps of {op:?}");
+    }
+
+    let id = |pi: usize| princs[pi];
+    for probe in probe_points(ops) {
+        let expect: Vec<PrincipalId> = model.writers_of(probe).into_iter().map(id).collect();
+        assert_eq!(rt.writers_of(probe), expect, "writers_of({probe:#x})");
+        for pi in 0..NPRINC {
+            let p = id(pi);
+            assert_eq!(
+                rt.write_overlaps(p, probe, 8),
+                model.overlaps(pi, probe, 8),
+                "write_overlaps({pi}, {probe:#x})"
+            );
+            for len in [1, 8, 64] {
+                let covers = model.covering(pi, probe, len);
+                let cap = RawCap::write(probe, len);
+                assert_eq!(rt.owns(p, cap), !covers.is_empty(), "owns({pi}, {cap:?})");
+                match rt.write_covering(p, probe, len) {
+                    Some(iv) => assert!(covers.contains(&iv), "covering({pi}, {cap:?}) {iv:x?}"),
+                    None => assert!(covers.is_empty(), "covering({pi}, {cap:?}) missed"),
                 }
             }
         }
-        rt.check_index_invariants();
-    }
-
-    // The instance principals occupy ids 2.. (after shared + global);
-    // translate the naive model's dense indices for comparison.
-    let id_of = |pi: usize| princs[pi];
-    for probe in probe_points(ops) {
-        let expect: Vec<PrincipalId> = naive
-            .writers_of(probe)
-            .iter()
-            .map(|p| id_of(p.0 as usize))
-            .collect();
-        let got = rt.writers_of(probe);
-        assert_eq!(got, expect, "index writers_of({probe:#x})");
-        let linear_rt = linear_walk(&rt, probe);
-        assert_eq!(linear_rt, expect, "runtime linear walk ({probe:#x})");
     }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// Index, linear walk, and naive model agree under random traffic.
+    /// Index and naive model agree under random traffic.
     #[test]
     fn writer_index_matches_naive_walk(ops in proptest::collection::vec(arb_op(), 1..40)) {
         check_sequence(&ops);

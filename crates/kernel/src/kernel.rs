@@ -134,9 +134,9 @@ pub(crate) struct LoadedModule {
     decls: HashMap<FuncId, Arc<FnDecl>>,
     import_addrs: Vec<Word>,
     /// Annotation hash per program `SigId`, resolved against the sig
-    /// registry whenever it changes — so the indirect-call guard indexes
-    /// an array instead of hashing a sig name per call.
-    sig_ahash: RwLock<Vec<u64>>,
+    /// registry whenever it changes — so the indirect-call guard reads
+    /// one atomic instead of hashing a sig name per call.
+    sig_ahash: Box<[AtomicU64]>,
     /// CPUs currently executing this module (exec-stack occurrences).
     /// `unload_module` waits for this to drain after unpublishing the
     /// function addresses — the RCU-style grace period that keeps a
@@ -433,11 +433,6 @@ impl KernelCore {
         let base = {
             let mut th = self.threads.lock().expect("threads lock");
             let idx = th.len();
-            if idx > 0 {
-                // Going SMP: the single-threaded kfree-sweep debug
-                // cross-check is no longer race-free (see RuntimeCore).
-                self.rtc.disable_kfree_cross_check();
-            }
             let base = STACK_BASE + idx as u64 * STACK_STRIDE;
             th.push(base);
             base

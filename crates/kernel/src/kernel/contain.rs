@@ -399,13 +399,14 @@ impl KernelCpu {
         fid: FuncId,
         args: &[Word],
     ) -> Result<Word, Trap> {
-        let compiled = m.compiled.clone();
-        let prog = Arc::clone(&m.program);
+        // One `Arc` bump keeps the code alive while `self` is borrowed
+        // for the run.
+        let code = Arc::clone(&m);
         m.active.fetch_add(1, Ordering::AcqRel);
         self.exec_stack.push(m);
-        let r = match &compiled {
+        let r = match &code.compiled {
             Some(cp) => run_compiled(self, cp, fid, args),
-            None => run_function(self, &prog, fid, args),
+            None => run_function(self, &code.program, fid, args),
         };
         let m = self.exec_stack.pop().expect("balanced exec stack");
         m.active.fetch_sub(1, Ordering::AcqRel);

@@ -5,8 +5,8 @@
 //! loaded-module accessors.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, RwLock};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::Arc;
 
 use lxfi_core::iface::FnDecl;
 use lxfi_core::runtime::FnMeta;
@@ -28,13 +28,13 @@ use crate::layout::{MODULE_BASE, MODULE_FN_OFFSET, MODULE_STRIDE, STACK_SIZE};
 /// registry — the one definition shared by module load and the
 /// registry-growth refresh, so the load-time snapshot can never diverge
 /// from the refresh path.
-fn resolve_sig_hashes(
-    sig_decls: &HashMap<String, Arc<FnDecl>>,
-    program: &Program,
+fn resolve_sig_hashes<'a>(
+    sig_decls: &'a HashMap<String, Arc<FnDecl>>,
+    program: &'a Program,
     empty_ahash: u64,
-) -> Vec<u64> {
-    let ahash = |name: &String| sig_decls.get(name).map_or(empty_ahash, |d| d.ahash);
-    program.sigs.iter().map(|s| ahash(&s.name)).collect()
+) -> impl Iterator<Item = u64> + 'a {
+    let ahash = move |name: &String| sig_decls.get(name).map_or(empty_ahash, |d| d.ahash);
+    program.sigs.iter().map(move |s| ahash(&s.name))
 }
 
 /// The load's rejection for a program that fails [`verify_program`].
@@ -175,8 +175,10 @@ impl KernelCore {
         let sig_decls = self.sig_decls.read().expect("sig lock");
         let mods = self.modules.read().expect("modules lock");
         for m in &mods.modules {
-            *m.sig_ahash.write().expect("sig_ahash lock") =
-                resolve_sig_hashes(&sig_decls, &m.program, self.empty_ahash);
+            let hashes = resolve_sig_hashes(&sig_decls, &m.program, self.empty_ahash);
+            for (slot, h) in m.sig_ahash.iter().zip(hashes) {
+                slot.store(h, Ordering::Release);
+            }
         }
     }
 }
@@ -319,7 +321,9 @@ impl KernelCpu {
             &core.sig_decls.read().expect("sig lock"),
             &program,
             core.empty_ahash,
-        );
+        )
+        .map(AtomicU64::new)
+        .collect();
         let m = Arc::new(LoadedModule {
             name,
             slot,
@@ -330,7 +334,7 @@ impl KernelCpu {
             fn_base: window + MODULE_FN_OFFSET,
             decls,
             import_addrs,
-            sig_ahash: RwLock::new(sig_ahash),
+            sig_ahash,
             active: AtomicUsize::new(0),
             unloaded: AtomicBool::new(false),
         });

@@ -20,6 +20,7 @@
 //!   each must hold CALL for the target, plus the annotation-hash match
 //!   — then dispatch.
 
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use lxfi_core::actions::{apply_actions, CallSite, Dir};
@@ -321,10 +322,9 @@ impl Env for KernelCpu {
 
     fn guard_indcall(&mut self, slot: Word, sig: SigId) -> Result<(), Trap> {
         // Hot path: the sig's annotation hash was resolved at load time
-        // (refresh_sig_hashes); one array index under the module's
-        // hash-array read lock replaces any name hashing.
+        // (refresh_sig_hashes); one atomic load replaces any name hashing.
         let m = self.exec_stack.last().expect("executing");
-        let ahash = m.sig_ahash.read().expect("sig_ahash lock")[sig.0 as usize];
+        let ahash = m.sig_ahash[sig.0 as usize].load(Ordering::Acquire);
         let target = self.mem.read_word(slot)?;
         self.rt.check_indcall(slot, target, ahash)?;
         Ok(())
@@ -361,7 +361,7 @@ impl Env for KernelCpu {
         // invoked function (§4.1, module side), against the load-time
         // resolved site hash: the sig *name* plays no role at call time.
         // Hash-only lookup: no FnMeta clone on the call hot path.
-        let site_hash = m.sig_ahash.read().expect("sig_ahash lock")[sig.0 as usize];
+        let site_hash = m.sig_ahash[sig.0 as usize].load(Ordering::Acquire);
         let fn_hash = self
             .rt
             .function_ahash(target)

@@ -309,10 +309,11 @@ fn run_workload(concurrent: bool) -> (Vec<u64>, Vec<Vec<lxfi_core::PrincipalId>>
         allocated,
         pids,
         k.rt.index_interval_count() as u64,
-        u64::from(
-            k.rt.core()
-                .index_overlaps(lxfi_kernel::HEAP_BASE, 0x10_0000),
-        ),
+        {
+            let mut heap_writers = Vec::new();
+            k.rt.collect_writers(lxfi_kernel::HEAP_BASE, 0x10_0000, &mut heap_writers);
+            u64::from(!heap_writers.is_empty())
+        },
         k.mem.read_word(ga + 8).unwrap(),
         k.mem.read_word(gb + 16).unwrap(),
     ];
