@@ -253,20 +253,12 @@ impl FnAnnotations {
     }
 
     /// Canonical textual form: `principal` first, then `pre` clauses in
-    /// source order, then `post` clauses. Identity and hashing are defined
-    /// over this string.
+    /// source order, then `post` clauses, separated by single spaces.
+    /// Identity and hashing are defined over this string; it is the
+    /// [`fmt::Display`] print, which [`crate::annotation_hash`] streams
+    /// without building the string.
     pub fn canonical(&self) -> String {
-        let mut parts = Vec::new();
-        if let Some(p) = &self.principal {
-            parts.push(format!("principal({p})"));
-        }
-        for a in &self.pre {
-            parts.push(format!("pre({a})"));
-        }
-        for a in &self.post {
-            parts.push(format!("post({a})"));
-        }
-        parts.join(" ")
+        self.to_string()
     }
 
     /// Iterates over all caplists mentioned anywhere in the annotation set
@@ -299,7 +291,20 @@ impl FnAnnotations {
 
 impl fmt::Display for FnAnnotations {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.canonical())
+        let mut sep = "";
+        if let Some(p) = &self.principal {
+            write!(f, "principal({p})")?;
+            sep = " ";
+        }
+        for a in &self.pre {
+            write!(f, "{sep}pre({a})")?;
+            sep = " ";
+        }
+        for a in &self.post {
+            write!(f, "{sep}post({a})")?;
+            sep = " ";
+        }
+        Ok(())
     }
 }
 

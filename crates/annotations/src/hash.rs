@@ -10,6 +10,8 @@
 //! The hash is FNV-1a over the canonical print — deliberately independent
 //! of Rust's `Hash` so it is stable across compiler versions and runs.
 
+use std::fmt::Write;
+
 use crate::ast::FnAnnotations;
 
 /// 64-bit FNV-1a offset basis.
@@ -17,19 +19,36 @@ const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 /// 64-bit FNV-1a prime.
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
-/// Hashes raw bytes with FNV-1a.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = FNV_OFFSET;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
+/// Folds `bytes` into the FNV-1a state `h`.
+fn fnv1a_extend(h: u64, bytes: &[u8]) -> u64 {
+    bytes
+        .iter()
+        .fold(h, |h, &b| (h ^ u64::from(b)).wrapping_mul(FNV_PRIME))
 }
 
-/// Computes the stable annotation hash (`ahash`) of an annotation set.
+/// Hashes raw bytes with FNV-1a.
+pub fn fnv1a(bytes: &[u8]) -> u64 {
+    fnv1a_extend(FNV_OFFSET, bytes)
+}
+
+/// An FNV-1a state that text is written into piece by piece; the result
+/// equals [`fnv1a`] over the concatenation.
+struct Fnv1a(u64);
+
+impl Write for Fnv1a {
+    fn write_str(&mut self, s: &str) -> std::fmt::Result {
+        self.0 = fnv1a_extend(self.0, s.as_bytes());
+        Ok(())
+    }
+}
+
+/// Computes the stable annotation hash (`ahash`) of an annotation set:
+/// FNV-1a over its canonical print, streamed from the printer behind
+/// [`FnAnnotations::canonical`] with no intermediate string.
 pub fn annotation_hash(ann: &FnAnnotations) -> u64 {
-    fnv1a(ann.canonical().as_bytes())
+    let mut h = Fnv1a(FNV_OFFSET);
+    write!(h, "{ann}").expect("hashing never fails");
+    h.0
 }
 
 #[cfg(test)]

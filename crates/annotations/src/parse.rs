@@ -25,9 +25,10 @@ impl std::fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
-#[derive(Debug, Clone, PartialEq)]
-enum Tok {
-    Ident(String),
+/// A token; identifiers borrow from the parsed text.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Tok<'a> {
+    Ident(&'a str),
     Int(i64),
     LParen,
     RParen,
@@ -35,114 +36,64 @@ enum Tok {
     Op(&'static str),
 }
 
-struct Lexer<'a> {
-    src: &'a str,
-    pos: usize,
-    toks: Vec<(usize, Tok)>,
-}
+/// Operators, two-character ones first so `<=` is not lexed as `<`.
+const OPS: [&str; 13] = [
+    "==", "!=", "<=", ">=", "&&", "||", "+", "-", "*", "/", "<", ">", "!",
+];
 
-fn lex(src: &str) -> Result<Vec<(usize, Tok)>, ParseError> {
-    let mut l = Lexer {
-        src,
-        pos: 0,
-        toks: Vec::new(),
-    };
-    let b = src.as_bytes();
-    while l.pos < b.len() {
-        let c = b[l.pos] as char;
-        let start = l.pos;
-        match c {
-            ' ' | '\t' | '\n' | '\r' => l.pos += 1,
-            '(' => {
-                l.toks.push((start, Tok::LParen));
-                l.pos += 1;
+fn lex(src: &str) -> Result<Vec<(usize, Tok<'_>)>, ParseError> {
+    let mut toks = Vec::new();
+    let mut pos = 0;
+    while let Some(&c) = src.as_bytes().get(pos) {
+        let rest = &src[pos..];
+        let run = |ok: fn(u8) -> bool| rest.bytes().take_while(|&ch| ok(ch)).count();
+        let (tok, len) = match c {
+            b' ' | b'\t' | b'\n' | b'\r' => {
+                pos += 1;
+                continue;
             }
-            ')' => {
-                l.toks.push((start, Tok::RParen));
-                l.pos += 1;
-            }
-            ',' => {
-                l.toks.push((start, Tok::Comma));
-                l.pos += 1;
-            }
-            '0'..='9' => {
-                let mut end = l.pos;
-                while end < b.len() && (b[end] as char).is_ascii_digit() {
-                    end += 1;
-                }
-                let v: i64 = l.src[l.pos..end].parse().map_err(|_| ParseError {
-                    pos: start,
+            b'(' => (Tok::LParen, 1),
+            b')' => (Tok::RParen, 1),
+            b',' => (Tok::Comma, 1),
+            b'0'..=b'9' => {
+                let n = run(|ch| ch.is_ascii_digit());
+                let v = rest[..n].parse().map_err(|_| ParseError {
+                    pos,
                     msg: "integer overflow".into(),
                 })?;
-                l.toks.push((start, Tok::Int(v)));
-                l.pos = end;
+                (Tok::Int(v), n)
             }
-            'a'..='z' | 'A'..='Z' | '_' => {
-                let mut end = l.pos;
-                while end < b.len() {
-                    let ch = b[end] as char;
-                    if ch.is_ascii_alphanumeric() || ch == '_' {
-                        end += 1;
-                    } else {
-                        break;
-                    }
+            b'a'..=b'z' | b'A'..=b'Z' | b'_' => {
+                let n = run(|ch| ch.is_ascii_alphanumeric() || ch == b'_');
+                (Tok::Ident(&rest[..n]), n)
+            }
+            _ => match OPS.into_iter().find(|op| rest.starts_with(op)) {
+                Some(op) => (Tok::Op(op), op.len()),
+                None => {
+                    return Err(ParseError {
+                        pos,
+                        msg: format!("unexpected character `{}`", c as char),
+                    })
                 }
-                l.toks
-                    .push((start, Tok::Ident(l.src[l.pos..end].to_string())));
-                l.pos = end;
-            }
-            _ => {
-                // Multi-char operators first.
-                let rest = &l.src[l.pos..];
-                let two = if rest.len() >= 2 { &rest[..2] } else { "" };
-                let op = match two {
-                    "==" => Some("=="),
-                    "!=" => Some("!="),
-                    "<=" => Some("<="),
-                    ">=" => Some(">="),
-                    "&&" => Some("&&"),
-                    "||" => Some("||"),
-                    _ => None,
-                };
-                if let Some(op) = op {
-                    l.toks.push((start, Tok::Op(op)));
-                    l.pos += 2;
-                } else {
-                    let op = match c {
-                        '+' => "+",
-                        '-' => "-",
-                        '*' => "*",
-                        '/' => "/",
-                        '<' => "<",
-                        '>' => ">",
-                        '!' => "!",
-                        _ => {
-                            return Err(ParseError {
-                                pos: start,
-                                msg: format!("unexpected character `{c}`"),
-                            })
-                        }
-                    };
-                    l.toks.push((start, Tok::Op(op)));
-                    l.pos += 1;
-                }
-            }
-        }
+            },
+        };
+        toks.push((pos, tok));
+        pos += len;
     }
-    Ok(l.toks)
+    Ok(toks)
 }
 
-struct Parser {
-    toks: Vec<(usize, Tok)>,
+struct Parser<'a> {
+    toks: Vec<(usize, Tok<'a>)>,
     i: usize,
 }
 
-impl Parser {
-    fn peek(&self) -> Option<&Tok> {
+impl<'a> Parser<'a> {
+    fn peek(&self) -> Option<&Tok<'a>> {
         self.toks.get(self.i).map(|(_, t)| t)
     }
 
-    fn peek2(&self) -> Option<&Tok> {
+    fn peek2(&self) -> Option<&Tok<'a>> {
         self.toks.get(self.i + 1).map(|(_, t)| t)
     }
 
@@ -150,8 +101,8 @@ impl Parser {
         self.toks.get(self.i).map(|(p, _)| *p).unwrap_or(usize::MAX)
     }
 
-    fn next(&mut self) -> Option<Tok> {
-        let t = self.toks.get(self.i).map(|(_, t)| t.clone());
+    fn next(&mut self) -> Option<Tok<'a>> {
+        let t = self.toks.get(self.i).map(|&(_, t)| t);
         self.i += 1;
         t
     }
@@ -163,7 +114,7 @@ impl Parser {
         })
     }
 
-    fn expect(&mut self, want: &Tok, what: &str) -> Result<(), ParseError> {
+    fn expect(&mut self, want: &Tok<'_>, what: &str) -> Result<(), ParseError> {
         match self.next() {
             Some(ref t) if t == want => Ok(()),
             other => Err(ParseError {
@@ -173,7 +124,7 @@ impl Parser {
         }
     }
 
-    fn expect_ident(&mut self) -> Result<String, ParseError> {
+    fn expect_ident(&mut self) -> Result<&'a str, ParseError> {
         match self.next() {
             Some(Tok::Ident(s)) => Ok(s),
             other => Err(ParseError {
@@ -185,78 +136,47 @@ impl Parser {
 
     // ------------------------------------------------------- expressions
 
-    fn parse_expr(&mut self) -> Result<Expr, ParseError> {
-        self.parse_or()
-    }
-
-    fn parse_or(&mut self) -> Result<Expr, ParseError> {
-        let mut lhs = self.parse_and()?;
-        while self.peek() == Some(&Tok::Op("||")) {
+    /// Parses `next`-level operands joined by any of `ops`: a
+    /// left-associative chain, or at most one operator unless `chain`.
+    fn parse_level(
+        &mut self,
+        ops: &[BinExprOp],
+        chain: bool,
+        next: fn(&mut Self) -> Result<Expr, ParseError>,
+    ) -> Result<Expr, ParseError> {
+        let mut lhs = next(self)?;
+        while let Some(&op) = ops
+            .iter()
+            .find(|op| self.peek() == Some(&Tok::Op(op.symbol())))
+        {
             self.next();
-            let rhs = self.parse_and()?;
-            lhs = Expr::Bin(BinExprOp::Or, Box::new(lhs), Box::new(rhs));
+            lhs = Expr::Bin(op, Box::new(lhs), Box::new(next(self)?));
+            if !chain {
+                break;
+            }
         }
         Ok(lhs)
+    }
+
+    fn parse_expr(&mut self) -> Result<Expr, ParseError> {
+        self.parse_level(&[BinExprOp::Or], true, Self::parse_and)
     }
 
     fn parse_and(&mut self) -> Result<Expr, ParseError> {
-        let mut lhs = self.parse_cmp()?;
-        while self.peek() == Some(&Tok::Op("&&")) {
-            self.next();
-            let rhs = self.parse_cmp()?;
-            lhs = Expr::Bin(BinExprOp::And, Box::new(lhs), Box::new(rhs));
-        }
-        Ok(lhs)
+        self.parse_level(&[BinExprOp::And], true, Self::parse_cmp)
     }
 
     fn parse_cmp(&mut self) -> Result<Expr, ParseError> {
-        let lhs = self.parse_add()?;
-        let op = match self.peek() {
-            Some(Tok::Op("==")) => Some(BinExprOp::Eq),
-            Some(Tok::Op("!=")) => Some(BinExprOp::Ne),
-            Some(Tok::Op("<")) => Some(BinExprOp::Lt),
-            Some(Tok::Op("<=")) => Some(BinExprOp::Le),
-            Some(Tok::Op(">")) => Some(BinExprOp::Gt),
-            Some(Tok::Op(">=")) => Some(BinExprOp::Ge),
-            _ => None,
-        };
-        if let Some(op) = op {
-            self.next();
-            let rhs = self.parse_add()?;
-            Ok(Expr::Bin(op, Box::new(lhs), Box::new(rhs)))
-        } else {
-            Ok(lhs)
-        }
+        use BinExprOp::*;
+        self.parse_level(&[Eq, Ne, Lt, Le, Gt, Ge], false, Self::parse_add)
     }
 
     fn parse_add(&mut self) -> Result<Expr, ParseError> {
-        let mut lhs = self.parse_mul()?;
-        loop {
-            let op = match self.peek() {
-                Some(Tok::Op("+")) => BinExprOp::Add,
-                Some(Tok::Op("-")) => BinExprOp::Sub,
-                _ => break,
-            };
-            self.next();
-            let rhs = self.parse_mul()?;
-            lhs = Expr::Bin(op, Box::new(lhs), Box::new(rhs));
-        }
-        Ok(lhs)
+        self.parse_level(&[BinExprOp::Add, BinExprOp::Sub], true, Self::parse_mul)
     }
 
     fn parse_mul(&mut self) -> Result<Expr, ParseError> {
-        let mut lhs = self.parse_unary()?;
-        loop {
-            let op = match self.peek() {
-                Some(Tok::Op("*")) => BinExprOp::Mul,
-                Some(Tok::Op("/")) => BinExprOp::Div,
-                _ => break,
-            };
-            self.next();
-            let rhs = self.parse_unary()?;
-            lhs = Expr::Bin(op, Box::new(lhs), Box::new(rhs));
-        }
-        Ok(lhs)
+        self.parse_level(&[BinExprOp::Mul, BinExprOp::Div], true, Self::parse_unary)
     }
 
     fn parse_unary(&mut self) -> Result<Expr, ParseError> {
@@ -276,8 +196,8 @@ impl Parser {
     fn parse_primary(&mut self) -> Result<Expr, ParseError> {
         match self.next() {
             Some(Tok::Int(v)) => Ok(Expr::Int(v)),
-            Some(Tok::Ident(s)) if s == "return" => Ok(Expr::Return),
-            Some(Tok::Ident(s)) => Ok(Expr::Ident(s)),
+            Some(Tok::Ident("return")) => Ok(Expr::Return),
+            Some(Tok::Ident(s)) => Ok(Expr::Ident(s.into())),
             Some(Tok::LParen) => {
                 let e = self.parse_expr()?;
                 self.expect(&Tok::RParen, ")")?;
@@ -295,16 +215,17 @@ impl Parser {
     /// Parses a type name inside `ref( ... )`: a sequence of identifiers
     /// joined by single spaces (e.g. `struct pci_dev`).
     fn parse_type_name(&mut self) -> Result<String, ParseError> {
-        let mut parts = vec![self.expect_ident()?];
+        let mut name = self.expect_ident()?.to_string();
         while let Some(Tok::Ident(_)) = self.peek() {
-            parts.push(self.expect_ident()?);
+            name.push(' ');
+            name.push_str(self.expect_ident()?);
         }
-        Ok(parts.join(" "))
+        Ok(name)
     }
 
     fn parse_caplist(&mut self) -> Result<CapList, ParseError> {
         match self.peek() {
-            Some(Tok::Ident(kw)) if kw == "write" || kw == "call" => {
+            Some(&Tok::Ident(kw)) if kw == "write" || kw == "call" => {
                 let ctype = if kw == "write" {
                     CapTypeExpr::Write
                 } else {
@@ -314,7 +235,7 @@ impl Parser {
                 self.expect(&Tok::Comma, ",")?;
                 self.parse_caplist_tail(ctype)
             }
-            Some(Tok::Ident(kw)) if kw == "ref" => {
+            Some(&Tok::Ident("ref")) => {
                 self.next();
                 self.expect(&Tok::LParen, "(")?;
                 let t = self.parse_type_name()?;
@@ -324,7 +245,7 @@ impl Parser {
             }
             Some(Tok::Ident(_)) if self.peek2() == Some(&Tok::LParen) => {
                 // Iterator function: `name(expr)`.
-                let func = self.expect_ident()?;
+                let func = self.expect_ident()?.to_string();
                 self.expect(&Tok::LParen, "(")?;
                 let arg = self.parse_expr()?;
                 self.expect(&Tok::RParen, ")")?;
@@ -347,12 +268,12 @@ impl Parser {
 
     fn parse_action(&mut self) -> Result<Action, ParseError> {
         let kw = self.expect_ident()?;
-        match kw.as_str() {
+        match kw {
             "copy" | "transfer" | "check" => {
                 self.expect(&Tok::LParen, "(")?;
                 let caps = self.parse_caplist()?;
                 self.expect(&Tok::RParen, ")")?;
-                Ok(match kw.as_str() {
+                Ok(match kw {
                     "copy" => Action::Copy(caps),
                     "transfer" => Action::Transfer(caps),
                     _ => Action::Check(caps),
@@ -371,26 +292,24 @@ impl Parser {
 
     fn parse_annotation(&mut self) -> Result<Annotation, ParseError> {
         let kw = self.expect_ident()?;
-        match kw.as_str() {
-            "pre" => {
+        match kw {
+            "pre" | "post" => {
                 self.expect(&Tok::LParen, "(")?;
                 let a = self.parse_action()?;
                 self.expect(&Tok::RParen, ")")?;
-                Ok(Annotation::Pre(a))
-            }
-            "post" => {
-                self.expect(&Tok::LParen, "(")?;
-                let a = self.parse_action()?;
-                self.expect(&Tok::RParen, ")")?;
-                Ok(Annotation::Post(a))
+                Ok(if kw == "pre" {
+                    Annotation::Pre(a)
+                } else {
+                    Annotation::Post(a)
+                })
             }
             "principal" => {
                 self.expect(&Tok::LParen, "(")?;
                 let name = self.expect_ident()?;
-                let p = match name.as_str() {
+                let p = match name {
                     "global" => PrincipalExpr::Global,
                     "shared" => PrincipalExpr::Shared,
-                    _ => PrincipalExpr::Arg(name),
+                    _ => PrincipalExpr::Arg(name.into()),
                 };
                 self.expect(&Tok::RParen, ")")?;
                 Ok(Annotation::Principal(p))
@@ -545,6 +464,14 @@ mod tests {
         assert!(parse_fn_annotations("pre(copy(write p))").is_err());
         assert!(parse_fn_annotations("pre(copy(write, p)").is_err());
         assert!(parse_fn_annotations("wibble(x)").is_err());
+    }
+
+    #[test]
+    fn rejects_non_ascii_text_with_an_error() {
+        for src in ["€", "!€", "pre(é)", "principal(x) ∧"] {
+            let err = parse_fn_annotations(src).unwrap_err();
+            assert!(err.msg.starts_with("unexpected character"), "{src}: {err}");
+        }
     }
 
     #[test]

@@ -6,6 +6,7 @@ use proptest::prelude::*;
 use lxfi_annotations::ast::{
     Action, BinExprOp, CapList, CapTypeExpr, Expr, FnAnnotations, PrincipalExpr,
 };
+use lxfi_annotations::hash::fnv1a;
 use lxfi_annotations::{annotation_hash, parse_fn_annotations};
 
 fn arb_ident() -> impl Strategy<Value = String> {
@@ -118,7 +119,33 @@ fn arb_annotations() -> impl Strategy<Value = FnAnnotations> {
         })
 }
 
+/// The canonical printer as it stood before the annotation hash began
+/// streaming it: one string per clause, joined by single spaces.
+fn reference_canonical(ann: &FnAnnotations) -> String {
+    let mut parts = Vec::new();
+    if let Some(p) = &ann.principal {
+        parts.push(format!("principal({p})"));
+    }
+    for a in &ann.pre {
+        parts.push(format!("pre({a})"));
+    }
+    for a in &ann.post {
+        parts.push(format!("post({a})"));
+    }
+    parts.join(" ")
+}
+
 proptest! {
+    /// The streamed hash is FNV-1a over the canonical print, and that
+    /// print is byte for byte the one identity was defined over.
+    #[test]
+    fn hash_is_fnv_of_the_canonical_print(ann in arb_annotations()) {
+        let text = ann.canonical();
+        prop_assert_eq!(&text, &reference_canonical(&ann));
+        prop_assert_eq!(annotation_hash(&ann), fnv1a(text.as_bytes()));
+        prop_assert_eq!(ann.to_string(), text);
+    }
+
     /// canonical → parse → canonical is a fixpoint for arbitrary ASTs.
     #[test]
     fn canonical_parse_roundtrip(ann in arb_annotations()) {

@@ -1036,4 +1036,69 @@ mod tests {
             "module fault: econet already dead, fault only recorded: bad call"
         );
     }
+
+    /// Annotation identity on every kernel export and boot-time sig
+    /// declaration: the cached hash is FNV-1a over the canonical print,
+    /// and the print parses back to the same annotation set.
+    #[test]
+    fn kernel_declarations_hash_their_canonical_print() {
+        use lxfi_annotations::annotation_hash;
+        use lxfi_annotations::hash::fnv1a;
+        let k = Kernel::boot(IsolationMode::Lxfi);
+        let exports = k.core.exports.read().expect("exports lock");
+        let sigs = k.core.sig_decls.read().expect("sig lock");
+        let decls: Vec<Arc<FnDecl>> = exports
+            .exports
+            .iter()
+            .filter_map(|e| e.decl.clone())
+            .chain(sigs.values().cloned())
+            .collect();
+        assert!(decls.len() >= 40, "{} declarations", decls.len());
+        for d in decls {
+            let text = d.ann.canonical();
+            assert_eq!(d.ahash, annotation_hash(&d.ann), "{}", d.name);
+            assert_eq!(d.ahash, fnv1a(text.as_bytes()), "{}", d.name);
+            let reparsed = parse_fn_annotations(&text).expect("canonical print parses");
+            assert_eq!(reparsed, d.ann, "{}", d.name);
+            assert_eq!(reparsed.canonical(), text, "{}", d.name);
+        }
+    }
+
+    #[test]
+    fn module_decl_equal_to_its_sig_decl_shares_the_compiled_ir() {
+        let mut k = Kernel::boot_with_backend(IsolationMode::Lxfi, Backend::Compiled);
+        let ann = || parse_fn_annotations("pre(check(write, p, 8))").unwrap();
+        let mut pb = lxfi_machine::ProgramBuilder::new("m");
+        let sig = pb.sig("cb_t", 1);
+        let same = pb.define("same", 1, 0, |f| f.ret_void());
+        let other = pb.define("other", 1, 0, |f| f.ret_void());
+        pb.assign_sig(same, sig);
+        pb.assign_sig(other, sig);
+        let mut iface = InterfaceSpec::new();
+        iface.declare_sig(FnDecl::new("cb_t", vec![Param::scalar("p")], ann()));
+        // Same annotations, other parameters: compiled on its own.
+        iface.declare_fn(FnDecl::new(
+            "other",
+            vec![Param::ptr("p", "sk_buff")],
+            ann(),
+        ));
+        let spec = ModuleSpec {
+            name: "m".into(),
+            program: pb.finish(),
+            iface,
+            iterators: Vec::new(),
+            init_fn: None,
+        };
+        let id = k.load_module(spec).expect("loads");
+        let m = k.module_at(id).expect("loaded");
+        let registered = k.sig_decl("cb_t").expect("registered");
+        let ir = |f: FuncId| m.decls[&f].compiled.clone().expect("compiled at load");
+        let reg_ir = registered
+            .compiled
+            .clone()
+            .expect("compiled at registration");
+        assert!(Arc::ptr_eq(&ir(same), &reg_ir));
+        assert!(!Arc::ptr_eq(&ir(other), &reg_ir));
+        assert_eq!(m.decls[&other].params, vec![Param::ptr("p", "sk_buff")]);
+    }
 }

@@ -271,13 +271,28 @@ impl KernelCpu {
         let sigs_inserted = !new_sigs.is_empty();
         core.insert_sig_decls(new_sigs);
         // Compile the module declarations' enforcement IR once, at load.
+        // A declaration equal to the registered declaration of a type
+        // its function is assigned to (same annotations and parameters)
+        // shares that declaration's IR: both compile against the same
+        // runtime and immutable layouts, so the IR would be the same.
+        let registered = core.sig_decls.read().expect("sig lock");
         let decls: HashMap<FuncId, Arc<FnDecl>> = decls
             .into_iter()
             .map(|(fid, mut d)| {
-                d.compile(&self.rt, &core.layouts);
+                let same = program
+                    .sig_assignments
+                    .iter()
+                    .filter(|a| a.func == fid)
+                    .filter_map(|a| registered.get(&program.sigs[a.sig.0 as usize].name))
+                    .find(|r| r.ann == d.ann && r.params == d.params);
+                match same.and_then(|r| r.compiled.clone()) {
+                    Some(ir) => d.compiled = Some(ir),
+                    None => d.compile(&self.rt, &core.layouts),
+                }
                 (fid, Arc::new(d))
             })
             .collect();
+        drop(registered);
 
         // Reuse the lowest torn-down slot if one is free (loads are
         // serialized by the load lock, so peeking without popping is

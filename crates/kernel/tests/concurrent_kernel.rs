@@ -15,18 +15,18 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Barrier};
 use std::thread;
 
-use lxfi_core::{PrincipalId, RawCap, RuntimeCore};
+use lxfi_core::{ModuleId, PrincipalId, RawCap};
 use lxfi_kernel::{IsolationMode, Kernel, KernelCpu, ModuleSpec};
 use lxfi_machine::builder::regs::*;
 use lxfi_machine::{ProgramBuilder, Word};
 use lxfi_rewriter::InterfaceSpec;
 
-/// The global principal walk: writers of the 8-byte slot at `addr`.
-fn linear_walk(rt: &RuntimeCore, addr: Word) -> Vec<PrincipalId> {
-    (0..rt.principal_count() as u32)
-        .map(PrincipalId)
-        .filter(|&p| rt.write_overlaps(p, addr, 8))
-        .collect()
+/// The writers the grant model expects: the shared principals of
+/// `mids`, in index order.
+fn shared_writers(k: &Kernel, mids: &[ModuleId]) -> Vec<PrincipalId> {
+    let mut w: Vec<_> = mids.iter().map(|&m| k.rt.shared_principal(m)).collect();
+    w.sort();
+    w
 }
 
 /// A worker module with a heap-churn loop and a global-fill loop:
@@ -205,7 +205,9 @@ fn barrier_phased_syscall_vs_load_vs_revoke() {
     // the capability tables.
     assert_eq!(k.slab().live_count(), 0, "all churned allocations freed");
     k.rt.check_index_invariants();
-    assert_eq!(k.rt.writers_of(ga), linear_walk(&k.rt, ga));
+    // The grant model: only worker a's shared principal was granted its
+    // .data at load; nothing else ever covered it.
+    assert_eq!(k.rt.writers_of(ga), shared_writers(&k, &[mid_a]));
     // The workers kept their spares (revoker always re-grants).
     assert!(core.owns(core.shared_principal(mid_a), spare_a));
 }
@@ -289,13 +291,19 @@ fn run_workload(concurrent: bool) -> (Vec<u64>, Vec<Vec<lxfi_core::PrincipalId>>
     let gb = k.module_global_addr(b, "scratch").unwrap();
     let heap_probe = lxfi_kernel::HEAP_BASE;
     let stack_probe = lxfi_kernel::STACK_BASE;
-    // Index and linear walk must agree post-quiescence at every probe.
-    for addr in [ga, gb, heap_probe, stack_probe] {
-        assert_eq!(
-            k.rt.writers_of(addr),
-            linear_walk(&k.rt, addr),
-            "index/table agreement at {addr:#x}"
-        );
+    // The index against the grant model post-quiescence: each worker's
+    // .data was granted to its shared principal alone; every module
+    // load granted the boot CPU's stack to that module's shared
+    // principal, and unloading returned it, so only the two workers
+    // remain; every churned heap object was freed.
+    let (mid_a, mid_b) = (k.runtime_module(a).unwrap(), k.runtime_module(b).unwrap());
+    for (addr, expect) in [
+        (ga, shared_writers(&k, &[mid_a])),
+        (gb, shared_writers(&k, &[mid_b])),
+        (heap_probe, Vec::new()),
+        (stack_probe, shared_writers(&k, &[mid_a, mid_b])),
+    ] {
+        assert_eq!(k.rt.writers_of(addr), expect, "writers at {addr:#x}");
     }
     // Each accessor locks; take them one statement at a time (a guard
     // temporary lives to the end of its whole statement).

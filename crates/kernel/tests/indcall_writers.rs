@@ -5,17 +5,22 @@
 //! the stored target — before and after revocations that split and
 //! merge the index's intervals through the real grant path.
 
-use lxfi_core::{PrincipalId, RawCap, RuntimeCore, Violation};
-use lxfi_kernel::{IsolationMode, Kernel, ModuleSpec};
+use lxfi_core::{PrincipalId, RawCap, Violation};
+use lxfi_kernel::{IsolationMode, Kernel, ModuleSpec, STACK_BASE, STACK_SIZE, STACK_STRIDE};
 use lxfi_machine::{ProgramBuilder, Word};
 use lxfi_rewriter::InterfaceSpec;
 
-/// The global principal walk: writers of the 8-byte slot at `addr`.
-fn linear_walk(rt: &RuntimeCore, addr: Word) -> Vec<PrincipalId> {
-    (0..rt.principal_count() as u32)
-        .map(PrincipalId)
-        .filter(|&p| rt.write_overlaps(p, addr, 8))
-        .collect()
+/// The grant model: the principals holding a listed `(principal, addr,
+/// len)` WRITE grant that overlaps the 8-byte slot at `addr`, sorted.
+fn model_writers(grants: &[(PrincipalId, Word, u64)], addr: Word) -> Vec<PrincipalId> {
+    let mut w: Vec<_> = grants
+        .iter()
+        .filter(|&&(_, a, len)| a < addr + 8 && addr < a + len)
+        .map(|&(p, ..)| p)
+        .collect();
+    w.sort();
+    w.dedup();
+    w
 }
 
 /// A minimal module with one callable function.
@@ -37,6 +42,8 @@ struct World {
     k: Kernel,
     /// Shared principals of the three modules.
     principals: Vec<lxfi_core::PrincipalId>,
+    /// The WRITE grants `boot_world` made over the slot arena.
+    grants: Vec<(PrincipalId, Word, u64)>,
     slot: u64,
     target: u64,
     ahash: u64,
@@ -73,14 +80,20 @@ fn boot_world() -> World {
     k.mem.write_word(slot, target).unwrap();
     let ahash = k.rt.function_at(target).unwrap().ahash;
 
-    k.rt.grant(principals[0], RawCap::write(slot - 16, 32));
-    k.rt.grant(principals[1], RawCap::write(slot, 8));
-    k.rt.grant(principals[2], RawCap::write(slot + 4, 28));
+    let grants = vec![
+        (principals[0], slot - 16, 32),
+        (principals[1], slot, 8),
+        (principals[2], slot + 4, 28),
+    ];
+    for &(p, addr, len) in &grants {
+        k.rt.grant(p, RawCap::write(addr, len));
+    }
     k.rt.check_index_invariants();
 
     World {
         k,
         principals,
+        grants,
         slot,
         target,
         ahash,
@@ -177,20 +190,34 @@ fn revocations_split_and_merge_through_the_grant_path() {
 
 #[test]
 fn overlapping_stack_grants_stay_consistent() {
-    // Module loading itself produces heavily overlapping WRITE grants
-    // (every module's shared principal gets the kernel stacks); the
-    // index and the linear walk must agree on those regions too.
+    // Module loading itself produces heavily overlapping WRITE grants:
+    // every module's shared principal gets every kernel stack, at load
+    // and whenever a CPU is added. The index must name exactly those
+    // holders inside each stack and no one just past it.
     let w = boot_world();
+    let _second_cpu = w.k.new_cpu();
+    let mut every_module = w.principals.clone();
+    every_module.sort();
     for t in 0..2u64 {
-        let stack_probe = 0xffff_8800_0000_0000u64 + t * 0x10000;
-        let mut a = w.k.rt.writers_of(stack_probe);
-        a.sort();
-        assert_eq!(a, linear_walk(&w.k.rt, stack_probe));
+        let base = STACK_BASE + t * STACK_STRIDE;
+        for probe in [base, base + STACK_SIZE - 8] {
+            assert_eq!(
+                w.k.rt.writers_of(probe),
+                every_module,
+                "stack {t} @ {probe:#x}"
+            );
+        }
+        assert!(
+            w.k.rt.writers_of(base + STACK_SIZE).is_empty(),
+            "past stack {t}"
+        );
     }
-    // And on the slot arena.
-    for d in [0u64, 4, 8, 16, 24] {
-        let mut a = w.k.rt.writers_of(w.slot + d);
+    assert!(w.k.rt.writers_of(STACK_BASE + 2 * STACK_STRIDE).is_empty());
+    // And on the slot arena, against the grants `boot_world` made.
+    for d in [-24i64, -16, -8, 0, 4, 8, 16, 24, 32] {
+        let probe = w.slot.wrapping_add_signed(d);
+        let mut a = w.k.rt.writers_of(probe);
         a.sort();
-        assert_eq!(a, linear_walk(&w.k.rt, w.slot + d), "probe +{d}");
+        assert_eq!(a, model_writers(&w.grants, probe), "probe {d:+}");
     }
 }

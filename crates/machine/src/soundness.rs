@@ -136,16 +136,20 @@ struct CheckedSlot {
 
 /// The per-program-point abstract state of the must-analysis. "No fact"
 /// is the safe bottom: the verifier then simply cannot prove anything.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug)]
 struct AbsState {
-    /// Disjoint, coalesced proven-writable intervals, grouped by base.
+    /// Disjoint, coalesced proven-writable intervals, sorted by
+    /// `(base, lo)`.
     write_facts: Vec<WriteFact>,
-    /// Per-register provenance: `slot_of[r] = Some(s)` means `r` still
-    /// holds the 8-byte word loaded from slot `s`.
-    slot_of: [Option<Slot>; NUM_REGS],
+    /// Per-register provenance: where bit `r` of `slot_valid` is set,
+    /// `r` still holds the 8-byte word loaded from slot `slot_of[r]`.
+    slot_of: [Slot; NUM_REGS],
+    slot_valid: u16,
     /// Slots whose `GuardIndCall` check is still valid here.
     checked_slots: Vec<CheckedSlot>,
 }
+
+const _: () = assert!(NUM_REGS <= 16, "slot_valid is a u16 mask");
 
 /// Total order on operands so fact lists can stay sorted/deduped.
 fn op_key(op: Operand) -> (u8, i64) {
@@ -155,31 +159,53 @@ fn op_key(op: Operand) -> (u8, i64) {
     }
 }
 
-impl AbsState {
-    fn empty() -> Self {
+/// The registers set in `mask`, lowest first.
+fn regs_in(mut mask: u16) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        let r = mask.trailing_zeros() as usize;
+        mask &= mask.wrapping_sub(1);
+        (r < 16).then_some(r)
+    })
+}
+
+impl Default for AbsState {
+    fn default() -> Self {
+        let nowhere = Slot {
+            base: Operand::Imm(0),
+            off: 0,
+        };
         AbsState {
             write_facts: Vec::new(),
-            slot_of: [None; NUM_REGS],
+            slot_of: [nowhere; NUM_REGS],
+            slot_valid: 0,
             checked_slots: Vec::new(),
         }
+    }
+}
+
+impl AbsState {
+    /// Makes `self` a copy of `src`, reusing `self`'s fact buffers.
+    fn assign(&mut self, src: &AbsState) {
+        self.write_facts.clone_from(&src.write_facts);
+        self.slot_of = src.slot_of;
+        self.slot_valid = src.slot_valid;
+        self.checked_slots.clone_from(&src.checked_slots);
     }
 
     /// Adds `[base+lo, base+hi)` and coalesces overlapping or adjacent
     /// same-base intervals, so union coverage is simple containment.
+    /// Same-base facts are disjoint and sorted, so the absorbed run
+    /// starts at the first one reaching `lo`, and only its last fact can
+    /// extend past `hi`; the merged fact replaces the run in place.
     fn add_write_fact(&mut self, base: Operand, lo: i128, hi: i128) {
-        let (mut lo, mut hi) = (lo, hi);
-        self.write_facts.retain(|f| {
-            if f.base == base && f.lo <= hi && lo <= f.hi {
-                lo = lo.min(f.lo);
-                hi = hi.max(f.hi);
-                false
-            } else {
-                true
-            }
-        });
-        self.write_facts.push(WriteFact { base, lo, hi });
-        self.write_facts
-            .sort_by_key(|f| (op_key(f.base), f.lo, f.hi));
+        let facts = &mut self.write_facts;
+        let start = facts.partition_point(|f| (op_key(f.base), f.hi) < (op_key(base), lo));
+        let run = facts[start..]
+            .iter()
+            .take_while(|f| f.base == base && f.lo <= hi);
+        let end = start + run.clone().count();
+        let (lo, hi) = run.fold((lo, hi), |(l, h), f| (l.min(f.lo), h.max(f.hi)));
+        facts.splice(start..end, [WriteFact { base, lo, hi }]);
     }
 
     /// Is `[base+lo, base+hi)` proven writable here?
@@ -196,10 +222,10 @@ impl AbsState {
     fn kill_reg(&mut self, r: Reg) {
         let dead = Operand::Reg(r);
         self.write_facts.retain(|f| f.base != dead);
-        self.slot_of[r.0 as usize] = None;
-        for s in self.slot_of.iter_mut() {
-            if matches!(s, Some(sl) if sl.base == dead) {
-                *s = None;
+        self.slot_valid &= !(1 << r.0);
+        for i in regs_in(self.slot_valid) {
+            if self.slot_of[i].base == dead {
+                self.slot_valid &= !(1 << i);
             }
         }
         self.checked_slots.retain(|c| c.slot.base != dead);
@@ -209,7 +235,7 @@ impl AbsState {
     /// content and checked-slot facts die. Write capabilities are table
     /// state, not memory state — those facts survive.
     fn clobber_mem(&mut self) {
-        self.slot_of = [None; NUM_REGS];
+        self.slot_valid = 0;
         self.checked_slots.clear();
     }
 
@@ -221,60 +247,66 @@ impl AbsState {
         self.clobber_mem();
     }
 
-    /// Must-analysis meet: keep only facts valid on *both* paths.
-    fn meet(&self, other: &AbsState) -> AbsState {
-        let mut out = AbsState::empty();
-        // Interval-list intersection per base (both lists are sorted
-        // and coalesced, so a nested scan suffices at these sizes).
-        for a in &self.write_facts {
-            for b in &other.write_facts {
-                if a.base == b.base {
-                    let lo = a.lo.max(b.lo);
-                    let hi = a.hi.min(b.hi);
-                    if lo < hi {
-                        out.add_write_fact(a.base, lo, hi);
-                    }
+    /// Must-analysis meet, in place: keeps only facts valid on *both*
+    /// paths and reports whether `self` lost any.
+    fn meet(&mut self, other: &AbsState) -> bool {
+        let mut changed = false;
+        if self.write_facts != other.write_facts {
+            // Intersect the two sorted, coalesced interval lists: the
+            // pieces, appended after `self`'s own, come out sorted and
+            // coalesced; then they replace them.
+            let n = self.write_facts.len();
+            let facts = &mut self.write_facts;
+            let (mut i, mut j) = (0, 0);
+            while i < n && j < other.write_facts.len() {
+                let (x, y) = (facts[i], other.write_facts[j]);
+                let (lo, hi) = (x.lo.max(y.lo), x.hi.min(y.hi));
+                if x.base == y.base && lo < hi {
+                    facts.push(WriteFact { lo, hi, ..x });
+                }
+                // Advance past whichever ends first in (base, hi) order.
+                if (op_key(x.base), x.hi) < (op_key(y.base), y.hi) {
+                    i += 1;
+                } else {
+                    j += 1;
                 }
             }
+            changed = facts[n..] != facts[..n];
+            facts.drain(..n);
         }
-        for i in 0..NUM_REGS {
-            if self.slot_of[i] == other.slot_of[i] {
-                out.slot_of[i] = self.slot_of[i];
+        let mut keep = self.slot_valid & other.slot_valid;
+        for i in regs_in(keep) {
+            if self.slot_of[i] != other.slot_of[i] {
+                keep &= !(1 << i);
             }
         }
-        out.checked_slots = self
-            .checked_slots
-            .iter()
-            .filter(|c| other.checked_slots.contains(c))
-            .copied()
-            .collect();
-        out
+        changed |= keep != self.slot_valid;
+        self.slot_valid = keep;
+        let n = self.checked_slots.len();
+        self.checked_slots
+            .retain(|c| other.checked_slots.contains(c));
+        changed | (self.checked_slots.len() != n)
     }
 
     /// Applies one instruction's transfer function.
     fn transfer(&mut self, inst: &Inst) {
         match inst {
-            Inst::Load { dst, base, off, .. } => {
-                // Capture the slot fact *before* killing dst: a load
-                // whose base is its own destination redefines the base,
-                // so the symbolic slot name would dangle.
-                let slot = if matches!(
-                    inst,
-                    Inst::Load {
-                        width: Width::B8,
-                        ..
-                    }
-                ) && *base != Operand::Reg(*dst)
-                {
-                    Some(Slot {
+            Inst::Load {
+                dst,
+                base,
+                off,
+                width,
+            } => {
+                self.kill_reg(*dst);
+                // A load whose base is its own destination redefines
+                // the base, so the symbolic slot name would dangle.
+                if *width == Width::B8 && *base != Operand::Reg(*dst) {
+                    self.slot_of[dst.0 as usize] = Slot {
                         base: *base,
                         off: *off,
-                    })
-                } else {
-                    None
-                };
-                self.kill_reg(*dst);
-                self.slot_of[dst.0 as usize] = slot;
+                    };
+                    self.slot_valid |= 1 << dst.0;
+                }
             }
             Inst::Mov { dst, .. }
             | Inst::Bin { dst, .. }
@@ -327,43 +359,68 @@ impl AbsState {
 /// following a `Jmp`/`Br`/`Ret`/`Trap`. Shared with the rewriter's
 /// hoisting pass so both sides agree on the CFG.
 pub fn block_starts(insts: &[Inst]) -> Vec<usize> {
-    let mut leader = vec![false; insts.len()];
+    let mut starts = Vec::new();
+    fill_block_starts(insts, &mut starts);
+    starts
+}
+
+/// [`block_starts`] into a reused buffer.
+fn fill_block_starts(insts: &[Inst], starts: &mut Vec<usize>) {
+    starts.clear();
     if !insts.is_empty() {
-        leader[0] = true;
+        starts.push(0);
     }
     for (i, inst) in insts.iter().enumerate() {
-        if let Some(t) = inst.jump_target() {
-            leader[t] = true;
-        }
+        starts.extend(inst.jump_target());
         let splits = inst.jump_target().is_some() || inst.is_terminator();
         if splits && i + 1 < insts.len() {
-            leader[i + 1] = true;
+            starts.push(i + 1);
         }
     }
-    (0..insts.len()).filter(|&i| leader[i]).collect()
+    starts.sort_unstable();
+    starts.dedup();
 }
 
 /// Successor *block indices* of the block `b` in the partition
 /// `starts` (with `starts[b]..end` spanning the block).
 pub fn block_succs(insts: &[Inst], starts: &[usize], b: usize) -> Vec<usize> {
-    let end = if b + 1 < starts.len() {
-        starts[b + 1]
-    } else {
-        insts.len()
-    };
+    succ_pair(insts, starts, b).into_iter().flatten().collect()
+}
+
+/// [`block_succs`] without the allocation: the jump target's block,
+/// then the fall-through block.
+fn succ_pair(insts: &[Inst], starts: &[usize], b: usize) -> [Option<usize>; 2] {
+    let end = starts.get(b + 1).copied().unwrap_or(insts.len());
     let last = &insts[end - 1];
     let block_of = |i: usize| starts.partition_point(|&s| s <= i) - 1;
-    let mut out = Vec::new();
-    if let Some(t) = last.jump_target() {
-        out.push(block_of(t));
-    }
-    if !last.is_terminator() && end < insts.len() {
-        out.push(block_of(end));
-    }
-    out
+    [
+        last.jump_target().map(block_of),
+        (!last.is_terminator() && end < insts.len()).then(|| block_of(end)),
+    ]
 }
 
 // ------------------------------------------------------- verification
+
+/// The proof's buffers: the current function's CFG skeleton and
+/// fixpoint states. Each thread keeps one and reuses it across
+/// functions and proofs, so a proof of a program of familiar size
+/// allocates nothing.
+#[derive(Default)]
+struct Solver {
+    starts: Vec<usize>,
+    succs: Vec<[Option<usize>; 2]>,
+    /// In-state per block; meaningful only where `reached` is set
+    /// (an unreached block's state is top).
+    in_state: Vec<AbsState>,
+    reached: Vec<bool>,
+    work: Vec<usize>,
+    /// The state being pushed through a block.
+    st: AbsState,
+}
+
+thread_local! {
+    static SOLVER: std::cell::RefCell<Solver> = std::cell::RefCell::default();
+}
 
 /// Proves the guard-soundness invariant for one function. `errs` grows
 /// by one entry per unprovable store / indirect call.
@@ -371,6 +428,7 @@ fn verify_function(
     f: &Function,
     policy: SoundnessPolicy,
     errs: &mut Vec<VerifyError>,
+    sv: &mut Solver,
 ) -> SoundnessReport {
     let mut report = SoundnessReport {
         funcs: 1,
@@ -382,48 +440,57 @@ fn verify_function(
         msg,
     };
 
-    let starts = block_starts(&f.insts);
+    fill_block_starts(&f.insts, &mut sv.starts);
+    let starts = &sv.starts;
     let nblocks = starts.len();
-    let block_end = |b: usize| {
-        if b + 1 < nblocks {
-            starts[b + 1]
-        } else {
-            f.insts.len()
-        }
+    let block = |b: usize| {
+        let end = starts.get(b + 1).copied().unwrap_or(f.insts.len());
+        &f.insts[starts[b]..end]
     };
+    sv.succs.clear();
+    sv.succs
+        .extend((0..nblocks).map(|b| succ_pair(&f.insts, starts, b)));
 
-    // Fixpoint: in-state per block; `None` = not yet reached (top).
-    let mut in_state: Vec<Option<AbsState>> = vec![None; nblocks];
-    if nblocks > 0 {
-        in_state[0] = Some(AbsState::empty());
+    // Fixpoint: a block is re-queued whenever its in-state shrinks.
+    // `verify_program` rejected empty functions, so block 0 exists.
+    if sv.in_state.len() < nblocks {
+        sv.in_state.resize_with(nblocks, AbsState::default);
     }
-    let mut work: Vec<usize> = if nblocks > 0 { vec![0] } else { vec![] };
-    while let Some(b) = work.pop() {
-        let mut st = in_state[b].clone().expect("queued block has a state");
-        for inst in &f.insts[starts[b]..block_end(b)] {
-            st.transfer(inst);
+    sv.reached.clear();
+    sv.reached.resize(nblocks, false);
+    sv.reached[0] = true;
+    sv.in_state[0].call_effect();
+    sv.work.clear();
+    sv.work.push(0);
+    while let Some(b) = sv.work.pop() {
+        sv.st.assign(&sv.in_state[b]);
+        for inst in block(b) {
+            sv.st.transfer(inst);
         }
-        for s in block_succs(&f.insts, &starts, b) {
-            let merged = match &in_state[s] {
-                None => st.clone(),
-                Some(old) => old.meet(&st),
+        for s in sv.succs[b].into_iter().flatten() {
+            let changed = if sv.reached[s] {
+                sv.in_state[s].meet(&sv.st)
+            } else {
+                sv.reached[s] = true;
+                sv.in_state[s].assign(&sv.st);
+                true
             };
-            if in_state[s].as_ref() != Some(&merged) {
-                in_state[s] = Some(merged);
-                work.push(s);
+            if changed && !sv.work.contains(&s) {
+                sv.work.push(s);
             }
         }
     }
 
     // Checking pass over reachable blocks with their fixpoint in-state.
-    for b in 0..nblocks {
-        let Some(mut st) = in_state[b].clone() else {
+    for (b, &start) in starts.iter().enumerate() {
+        if !sv.reached[b] {
             report.unreachable_blocks += 1;
             continue;
-        };
+        }
         report.blocks_checked += 1;
-        for i in starts[b]..block_end(b) {
-            let inst = &f.insts[i];
+        let st = &mut sv.st;
+        st.assign(&sv.in_state[b]);
+        for (i, inst) in (start..).zip(block(b)) {
             match inst {
                 Inst::Store {
                     base, off, width, ..
@@ -463,9 +530,11 @@ fn verify_function(
                 }
                 Inst::CallPtr { ptr, sig, .. } if policy.require_indcall_guards => {
                     let proven = match ptr {
-                        Operand::Reg(p) => st.slot_of[p.0 as usize].is_some_and(|slot| {
-                            st.checked_slots.contains(&CheckedSlot { slot, sig: *sig })
-                        }),
+                        Operand::Reg(p) => {
+                            let slot = st.slot_of[p.0 as usize];
+                            st.slot_valid & (1 << p.0) != 0
+                                && st.checked_slots.contains(&CheckedSlot { slot, sig: *sig })
+                        }
                         Operand::Imm(_) => false,
                     };
                     if proven {
@@ -502,9 +571,11 @@ pub fn verify_soundness(
     verify_program(p)?;
     let mut report = SoundnessReport::default();
     let mut errs = Vec::new();
-    for f in &p.funcs {
-        report.absorb(&verify_function(f, policy, &mut errs));
-    }
+    SOLVER.with_borrow_mut(|sv| {
+        for f in &p.funcs {
+            report.absorb(&verify_function(f, policy, &mut errs, sv));
+        }
+    });
     if errs.is_empty() {
         Ok(report)
     } else {

@@ -88,59 +88,75 @@ impl std::error::Error for PropagateError {}
 ///
 /// The result is order-independent: all sources are gathered first, then
 /// checked pairwise for canonical equality (§4.2: "LXFI verifies that
-/// these annotations are exactly the same").
+/// these annotations are exactly the same"). Structurally equal
+/// annotations are equal without printing either, and a source is
+/// described in words only when it is reported.
 pub fn propagate(
     program: &Program,
     spec: &InterfaceSpec,
 ) -> Result<HashMap<FuncId, FnDecl>, PropagateError> {
-    // func → [(source description, decl)]
-    let mut sources: HashMap<FuncId, Vec<(String, FnDecl)>> = HashMap::new();
-
-    for (id, f) in program.funcs.iter().enumerate() {
-        if let Some(d) = spec.fn_decls.get(&f.name) {
-            sources
-                .entry(FuncId(id as u32))
-                .or_default()
-                .push((format!("explicit annotation on `{}`", f.name), d.clone()));
-        }
-    }
-
-    let mut assignments = program.sig_assignments.clone();
-    // Deterministic order regardless of recording order.
-    assignments.sort_by_key(|a| (a.func, a.sig.0));
-    for a in &assignments {
-        let fname = &program.funcs[a.func.0 as usize].name;
-        let sname = &program.sigs[a.sig.0 as usize].name;
-        let d = spec
-            .sig_decls
-            .get(sname)
-            .ok_or_else(|| PropagateError::UnknownSig {
-                func: fname.clone(),
-                sig: sname.clone(),
-            })?;
-        sources
-            .entry(a.func)
-            .or_default()
-            .push((format!("pointer type `{sname}`"), d.clone()));
-    }
+    let fname = |func: FuncId| &program.funcs[func.0 as usize].name;
+    let sname = |sig: u32| &program.sigs[sig as usize].name;
+    // (func, None) for an explicit declaration, (func, Some(sig)) per
+    // pointer-type assignment; sorted, so the order is deterministic
+    // regardless of recording order and explicit sources come first.
+    let mut sources: Vec<(FuncId, Option<u32>)> = (0..program.funcs.len() as u32)
+        .map(FuncId)
+        .filter(|&f| spec.fn_decls.contains_key(fname(f)))
+        .map(|f| (f, None))
+        .chain(
+            program
+                .sig_assignments
+                .iter()
+                .map(|a| (a.func, Some(a.sig.0))),
+        )
+        .collect();
+    sources.sort_unstable();
+    let decls = sources
+        .iter()
+        .map(|&(func, sig)| match sig {
+            None => Ok(&spec.fn_decls[fname(func)]),
+            Some(sig) => spec
+                .sig_decls
+                .get(sname(sig))
+                .ok_or_else(|| PropagateError::UnknownSig {
+                    func: fname(func).clone(),
+                    sig: sname(sig).clone(),
+                }),
+        })
+        .collect::<Result<Vec<&FnDecl>, _>>()?;
+    let describe = |func: FuncId, sig: Option<u32>| match sig {
+        None => format!("explicit annotation on `{}`", fname(func)),
+        Some(sig) => format!("pointer type `{}`", sname(sig)),
+    };
 
     let mut out = HashMap::new();
-    for (func, srcs) in sources {
-        let fname = &program.funcs[func.0 as usize].name;
-        let (first_src, first) = &srcs[0];
-        for (src, d) in &srcs[1..] {
-            if d.ann.canonical() != first.ann.canonical() {
+    let mut i = 0;
+    while i < sources.len() {
+        let (func, first_src) = sources[i];
+        let first = decls[i];
+        let end = i + sources[i..].partition_point(|&(f, _)| f == func);
+        for j in i + 1..end {
+            let d = decls[j];
+            if d.ann != first.ann && d.ann.canonical() != first.ann.canonical() {
                 return Err(PropagateError::Conflict {
-                    func: fname.clone(),
-                    first: (first_src.clone(), first.ann.canonical()),
-                    second: (src.clone(), d.ann.canonical()),
+                    func: fname(func).clone(),
+                    first: (describe(func, first_src), first.ann.canonical()),
+                    second: (describe(func, sources[j].1), d.ann.canonical()),
                 });
             }
         }
-        // The function inherits the declaration with its own name.
-        let mut decl = first.clone();
-        decl.name = fname.clone();
+        // The function inherits the declaration with its own name; the
+        // declaration is cloned once, here.
+        let decl = FnDecl {
+            name: fname(func).clone(),
+            params: first.params.clone(),
+            ann: first.ann.clone(),
+            ahash: first.ahash,
+            compiled: first.compiled.clone(),
+        };
         out.insert(func, decl);
+        i = end;
     }
     Ok(out)
 }
@@ -148,7 +164,7 @@ pub fn propagate(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lxfi_annotations::parse_fn_annotations;
+    use lxfi_annotations::{parse_fn_annotations, Action, CapList, Expr};
     use lxfi_core::iface::Param;
     use lxfi_machine::builder::ProgramBuilder;
 
@@ -210,7 +226,26 @@ mod tests {
         spec.declare_sig(decl("tx_a", "pre(transfer(skb_caps(skb)))"));
         spec.declare_sig(decl("tx_b", "pre(copy(skb_caps(skb)))"));
         let err = propagate(&p, &spec).unwrap_err();
-        assert!(matches!(err, PropagateError::Conflict { .. }));
+        assert_eq!(
+            err,
+            PropagateError::Conflict {
+                func: "myxmit".into(),
+                first: (
+                    "pointer type `tx_a`".into(),
+                    "pre(transfer(skb_caps(skb)))".into()
+                ),
+                second: (
+                    "pointer type `tx_b`".into(),
+                    "pre(copy(skb_caps(skb)))".into()
+                ),
+            }
+        );
+        assert_eq!(
+            err.to_string(),
+            "function `myxmit` has conflicting annotations: from pointer type `tx_a` \
+             `pre(transfer(skb_caps(skb)))` vs from pointer type `tx_b` \
+             `pre(copy(skb_caps(skb)))`"
+        );
     }
 
     #[test]
@@ -223,7 +258,39 @@ mod tests {
         let mut spec = InterfaceSpec::new();
         spec.declare_sig(decl("tx_a", "pre(transfer(skb_caps(skb)))"));
         spec.declare_fn(decl("myxmit", "pre(check(write, skb, 8))"));
-        assert!(propagate(&p, &spec).is_err());
+        let err = propagate(&p, &spec).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "function `myxmit` has conflicting annotations: from explicit annotation on \
+             `myxmit` `pre(check(write, skb, 8))` vs from pointer type `tx_a` \
+             `pre(transfer(skb_caps(skb)))`"
+        );
+    }
+
+    #[test]
+    fn sources_equal_only_in_canonical_form_are_accepted() {
+        // `Ident("return")` and `Return` are different ASTs with one
+        // print; identity is the canonical print, so past the
+        // structural comparison these still agree.
+        let mut pb = ProgramBuilder::new("m");
+        let s1 = pb.sig("tx_a", 2);
+        let s2 = pb.sig("tx_b", 2);
+        let f = pb.define("myxmit", 2, 0, |f| f.ret_void());
+        pb.assign_sig(f, s1);
+        pb.assign_sig(f, s2);
+        let p = pb.finish();
+        let a = decl("tx_a", "pre(check(write, return, 8))");
+        let mut b = a.clone();
+        b.name = "tx_b".into();
+        if let Action::Check(CapList::Inline { ptr, .. }) = &mut b.ann.pre[0] {
+            *ptr = Expr::Ident("return".into());
+        }
+        assert_ne!(a.ann, b.ann);
+        assert_eq!(a.ann.canonical(), b.ann.canonical());
+        let mut spec = InterfaceSpec::new();
+        spec.declare_sig(a);
+        spec.declare_sig(b);
+        assert!(propagate(&p, &spec).is_ok());
     }
 
     #[test]
@@ -234,7 +301,17 @@ mod tests {
         pb.assign_sig(f, s1);
         let p = pb.finish();
         let err = propagate(&p, &InterfaceSpec::new()).unwrap_err();
-        assert!(matches!(err, PropagateError::UnknownSig { .. }));
+        assert_eq!(
+            err,
+            PropagateError::UnknownSig {
+                func: "g".into(),
+                sig: "mystery_t".into(),
+            }
+        );
+        assert_eq!(
+            err.to_string(),
+            "function `g` assigned to unannotated type `mystery_t`"
+        );
     }
 
     #[test]

@@ -18,123 +18,17 @@
 //!    including hoisted output, which is how the hoisting pass earns
 //!    the right to stay untrusted.
 
-use lxfi_machine::builder::regs::*;
-use lxfi_machine::builder::ProgramBuilder;
-use lxfi_machine::isa::{Cond, Inst, Operand, Reg, Width};
+mod corpus;
+
+use corpus::{
+    arb_op, build_program, corpus_mutants, corpus_program, delete_inst, diamond_program,
+    guard_sites,
+};
+use lxfi_machine::isa::Inst;
 use lxfi_machine::soundness::{verify_soundness, SoundnessPolicy};
 use lxfi_machine::Program;
 use lxfi_rewriter::{rewrite_module, RewriteOptions};
 use proptest::prelude::*;
-
-// ------------------------------------------------------------- corpus
-
-/// A program exercising every shape the module rewriter produces:
-/// merged straight-line runs, a branch diamond, a guard-hoistable
-/// loop, elided frame stores, and a fact-killing call. Every store
-/// targets a distinct range so no guard is redundant.
-fn corpus_program() -> Program {
-    let mut pb = ProgramBuilder::new("corpus");
-    let ext = pb.import_func("helper");
-    pb.define("straight", 1, 16, |f| {
-        f.store8(1i64, R0, 0); // merged run [0,24)
-        f.mov(R2, 7i64);
-        f.store8(R2, R0, 8);
-        f.store8(3i64, R0, 16);
-        f.store_frame(9i64, 0, Width::B8); // elided
-        f.call_extern(ext, &[], None); // kills facts
-        f.store8(4i64, R0, 24); // fresh guard after the call
-        f.ret_void();
-    });
-    pb.define("diamond", 2, 0, |f| {
-        let other = f.label();
-        let join = f.label();
-        f.br(Cond::Eq, R0, 0i64, other);
-        f.store8(1i64, R1, 0);
-        f.jmp(join);
-        f.bind(other);
-        f.store8(2i64, R1, 8);
-        f.bind(join);
-        f.store8(3i64, R1, 16);
-        f.ret_void();
-    });
-    pb.define("loopy", 2, 0, |f| {
-        // Bottom-tested copy loop with an invariant-base store: the
-        // rewriter hoists this guard, so the corpus also mutates a
-        // *hoisted* guard.
-        let top = f.label();
-        let done = f.label();
-        f.mov(R2, 0i64);
-        f.br(Cond::Eq, R0, 0i64, done);
-        f.bind(top);
-        f.store8(R2, R1, 32);
-        f.add(R2, R2, 1i64);
-        f.br(Cond::Lt, R2, R0, top);
-        f.bind(done);
-        f.ret_void();
-    });
-    pb.finish()
-}
-
-/// All (function, instruction) positions holding a `GuardWrite`.
-fn guard_sites(p: &Program) -> Vec<(usize, usize)> {
-    p.funcs
-        .iter()
-        .enumerate()
-        .flat_map(|(fi, f)| {
-            f.insts
-                .iter()
-                .enumerate()
-                .filter(|(_, i)| matches!(i, Inst::GuardWrite { .. }))
-                .map(move |(idx, _)| (fi, idx))
-        })
-        .collect()
-}
-
-/// Deletes instruction `idx` of function `fi`, remapping jump targets
-/// so the mutant is structurally valid and fails only for soundness.
-fn delete_inst(p: &Program, fi: usize, idx: usize) -> Program {
-    let mut m = p.clone();
-    m.funcs[fi].insts.remove(idx);
-    for inst in &mut m.funcs[fi].insts {
-        inst.map_target(|t| if t > idx { t - 1 } else { t });
-    }
-    m
-}
-
-/// Swaps the guard with the following instruction (used where that is
-/// the store it protects — the guard then runs too late).
-fn move_after_next(p: &Program, fi: usize, idx: usize) -> Program {
-    let mut m = p.clone();
-    m.funcs[fi].insts.swap(idx, idx + 1);
-    m
-}
-
-fn rebase(p: &Program, fi: usize, idx: usize) -> Program {
-    let mut m = p.clone();
-    if let Inst::GuardWrite { base, .. } = &mut m.funcs[fi].insts[idx] {
-        *base = match base {
-            Operand::Reg(r) => Operand::Reg(Reg((r.0 + 1) % 16)),
-            Operand::Imm(v) => Operand::Imm(*v + 8),
-        };
-    }
-    m
-}
-
-fn shorten(p: &Program, fi: usize, idx: usize) -> Program {
-    let mut m = p.clone();
-    if let Inst::GuardWrite { len, .. } = &mut m.funcs[fi].insts[idx] {
-        *len = Operand::Imm(1);
-    }
-    m
-}
-
-fn shift_off(p: &Program, fi: usize, idx: usize) -> Program {
-    let mut m = p.clone();
-    if let Inst::GuardWrite { off, .. } = &mut m.funcs[fi].insts[idx] {
-        *off += 4096;
-    }
-    m
-}
 
 #[test]
 fn every_corpus_mutant_is_rejected() {
@@ -148,61 +42,22 @@ fn every_corpus_mutant_is_rejected() {
     let sites = guard_sites(&rw.program);
     assert!(sites.len() >= 5, "corpus should have several guard sites");
 
-    let mut mutants = 0usize;
-    for &(fi, idx) in &sites {
-        let mut cases: Vec<(String, Program)> = vec![
-            (
-                format!("strip f{fi}@{idx}"),
-                delete_inst(&rw.program, fi, idx),
-            ),
-            (format!("rebase f{fi}@{idx}"), rebase(&rw.program, fi, idx)),
-            (
-                format!("shorten f{fi}@{idx}"),
-                shorten(&rw.program, fi, idx),
-            ),
-            (
-                format!("shift f{fi}@{idx}"),
-                shift_off(&rw.program, fi, idx),
-            ),
-        ];
-        // Move-after-store applies where the guard directly precedes
-        // its store (every non-hoisted site).
-        if matches!(rw.program.funcs[fi].insts[idx + 1], Inst::Store { .. }) {
-            cases.push((
-                format!("move f{fi}@{idx}"),
-                move_after_next(&rw.program, fi, idx),
-            ));
-        }
-        for (what, mutant) in cases {
-            mutants += 1;
-            assert!(
-                verify_soundness(&mutant, SoundnessPolicy::module()).is_err(),
-                "verifier accepted broken mutant: {what}"
-            );
-        }
+    let cases = corpus_mutants(&rw.program);
+    for (what, mutant) in &cases {
+        assert!(
+            verify_soundness(mutant, SoundnessPolicy::module()).is_err(),
+            "verifier accepted broken mutant: {what}"
+        );
     }
-    assert!(mutants >= 20, "corpus produced {mutants} mutants");
+    assert!(cases.len() >= 20, "corpus produced {} mutants", cases.len());
 }
 
 #[test]
 fn diamond_guard_on_one_arm_only_is_rejected() {
-    // The classic partial-domination case: rewriter output guards both
-    // arms; stripping one arm's guard leaves the join store provable on
-    // one path only, which the must-meet rejects.
-    let mut pb = ProgramBuilder::new("m");
-    pb.define("f", 2, 0, |f| {
-        let other = f.label();
-        let join = f.label();
-        f.br(Cond::Eq, R0, 0i64, other);
-        f.store8(1i64, R1, 0);
-        f.jmp(join);
-        f.bind(other);
-        f.store8(2i64, R1, 0); // same range: guards are mutually redundant
-        f.bind(join);
-        f.store8(3i64, R1, 0); // relies on whichever arm ran
-        f.ret_void();
-    });
-    let rw = rewrite_module(&pb.finish(), RewriteOptions::default());
+    // Rewriter output guards both arms; stripping one arm's guard
+    // leaves the join store provable on one path only, which the
+    // must-meet rejects.
+    let rw = rewrite_module(&diamond_program(), RewriteOptions::default());
     verify_soundness(&rw.program, SoundnessPolicy::module()).unwrap();
     // Strip the guard from one arm: the arm's own store loses its
     // proof, so the mutant must be rejected.
@@ -213,82 +68,6 @@ fn diamond_guard_on_one_arm_only_is_rejected() {
 }
 
 // ----------------------------------------------------------- proptest
-
-/// One generated operation; fields are interpreted per `kind` to keep
-/// the strategy flat and shrinkable (same trick as the backend oracle).
-#[derive(Debug, Clone, Copy)]
-struct GenOp {
-    kind: u8,
-    a: u8,
-    b: u8,
-    imm: i64,
-}
-
-fn arb_op() -> impl Strategy<Value = GenOp> {
-    (0u8..8, 0u8..6, 0u8..6, -64i64..64).prop_map(|(kind, a, b, imm)| GenOp { kind, a, b, imm })
-}
-
-/// Builds a structurally valid program from the op list: stores through
-/// arbitrary registers, frame stores, ALU, loads, forward branches,
-/// calls, and (kind 7) a bottom-tested counted loop with an
-/// invariant-base store — the hoisting pass's target shape.
-fn build_program(ops: &[GenOp]) -> Program {
-    let mut pb = ProgramBuilder::new("gen");
-    let ext = pb.import_func("helper");
-    pb.define("main", 2, 32, |f| {
-        let mut pending: Vec<(usize, lxfi_machine::builder::Label)> = Vec::new();
-        for (i, op) in ops.iter().enumerate() {
-            let mut due = Vec::new();
-            pending.retain(|(at, l)| {
-                if *at <= i {
-                    due.push(*l);
-                    false
-                } else {
-                    true
-                }
-            });
-            for l in due {
-                f.bind(l);
-            }
-            let ra = Reg(op.a);
-            let rb = Reg(op.b);
-            let width = match op.imm & 3 {
-                0 => Width::B1,
-                1 => Width::B2,
-                2 => Width::B4,
-                _ => Width::B8,
-            };
-            match op.kind {
-                0 => f.store(op.imm, ra, op.imm & 0xff, width),
-                1 => f.store_frame(op.imm, (op.imm.unsigned_abs() % 24) as u32, Width::B8),
-                2 => f.mov(ra, op.imm),
-                3 => f.add(ra, rb, op.imm),
-                4 => f.load(ra, rb, op.imm & 0xff, width),
-                5 => {
-                    let l = f.label();
-                    f.br(Cond::Eq, ra, op.imm, l);
-                    pending.push((i + 1 + (op.imm.unsigned_abs() as usize % 4), l));
-                }
-                6 => f.call_extern(ext, &[ra.into()], Some(rb)),
-                _ => {
-                    // Counted loop: store through rb (invariant), bump
-                    // ra, backedge. Never executed — only verified.
-                    let top = f.label();
-                    f.mov(ra, 0i64);
-                    f.bind(top);
-                    f.store8(ra, rb, op.imm & 0xff);
-                    f.add(ra, ra, 1i64);
-                    f.br(Cond::Lt, ra, 4i64, top);
-                }
-            }
-        }
-        for (_, l) in pending {
-            f.bind(l);
-        }
-        f.ret_void();
-    });
-    pb.finish()
-}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
