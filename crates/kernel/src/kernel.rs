@@ -788,36 +788,6 @@ impl KernelCpu {
         );
     }
 
-    /// Declares an annotated function-pointer type (interface annotation
-    /// on a struct field, e.g. `net_device_ops.ndo_start_xmit`).
-    pub fn define_sig(&mut self, name: &str, params: Vec<Param>, ann: &str) {
-        let mut decl = FnDecl::new(
-            name,
-            params,
-            parse_fn_annotations(ann).unwrap_or_else(|e| panic!("bad annotation on {name}: {e}")),
-        );
-        decl.compile(&self.rt, &self.core.layouts);
-        // Decide under the load lock: a concurrent define_sig or module
-        // load must never let a conflicting declaration silently replace
-        // an existing one (§4.2 exact-match-on-collision), and a load
-        // relies on the registry not changing between its check and its
-        // insert.
-        let _load = self.core.load_lock.lock().expect("load lock");
-        {
-            let mut sig_decls = self.core.sig_decls.write().expect("sig lock");
-            if let Some(prev) = sig_decls.get(name) {
-                assert_eq!(
-                    prev.ann.canonical(),
-                    decl.ann.canonical(),
-                    "conflicting sig declaration for {name}"
-                );
-                return;
-            }
-            sig_decls.insert(name.to_string(), Arc::new(decl));
-        }
-        self.core.refresh_sig_hashes();
-    }
-
     /// The annotated declaration of a function-pointer type.
     pub fn sig_decl(&self, name: &str) -> Option<Arc<FnDecl>> {
         self.core
@@ -1100,5 +1070,36 @@ mod tests {
         assert!(Arc::ptr_eq(&ir(same), &reg_ir));
         assert!(!Arc::ptr_eq(&ir(other), &reg_ir));
         assert_eq!(m.decls[&other].params, vec![Param::ptr("p", "sk_buff")]);
+    }
+
+    #[test]
+    #[should_panic(expected = "conflicting sig declaration for cb_t")]
+    fn define_sig_refuses_a_decl_equal_only_in_canonical_form() {
+        let mut k = Kernel::boot(IsolationMode::Lxfi);
+        let text = "post(if (return != 0) copy(write, p, 8))";
+        // A module registers `cb_t` first, with `return` as a name: the
+        // same print as `text`, a different AST.
+        let mut ann = parse_fn_annotations(text).unwrap();
+        let lxfi_annotations::Action::If(lxfi_annotations::Expr::Bin(_, lhs, _), _) =
+            &mut ann.post[0]
+        else {
+            unreachable!("an `if` on a comparison")
+        };
+        **lhs = lxfi_annotations::Expr::Ident("return".into());
+        let mut pb = lxfi_machine::ProgramBuilder::new("m");
+        let sig = pb.sig("cb_t", 1);
+        let f = pb.define("f", 1, 0, |f| f.ret_void());
+        pb.assign_sig(f, sig);
+        let mut iface = InterfaceSpec::new();
+        iface.declare_sig(FnDecl::new("cb_t", vec![Param::scalar("p")], ann));
+        k.load_module(ModuleSpec {
+            name: "m".into(),
+            program: pb.finish(),
+            iface,
+            iterators: Vec::new(),
+            init_fn: None,
+        })
+        .expect("loads");
+        k.define_sig("cb_t", vec![Param::scalar("p")], text);
     }
 }

@@ -8,7 +8,8 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use lxfi_core::iface::FnDecl;
+use lxfi_annotations::parse_fn_annotations;
+use lxfi_core::iface::{FnDecl, Param};
 use lxfi_core::runtime::FnMeta;
 use lxfi_core::RawCap;
 use lxfi_machine::program::ImportKind;
@@ -110,10 +111,13 @@ impl KernelCore {
             .map_err(|e| verify_failed(name, &e))
     }
 
-    /// The interface declarations a loading module adds to the sig
-    /// registry, checked exact-match on collision (§4.2): a conflict
-    /// rejects the whole load. A declaration structurally equal to the
-    /// registered one is skipped without printing either canonically.
+    /// The interface declarations a loading module or
+    /// [`KernelCpu::define_sig`] adds to the sig registry, checked
+    /// exact-match on collision (§4.2): a conflict rejects the whole
+    /// load. The one decision of sig identity: a declaration whose AST
+    /// equals the registered one is skipped, any other collision is a
+    /// conflict (the canonical print is not injective, so it decides
+    /// nothing).
     fn new_sig_decls<'a>(
         &self,
         decls: &'a HashMap<String, FnDecl>,
@@ -124,7 +128,6 @@ impl KernelCore {
             match sig_decls.get(name) {
                 None => new.push((name, d)),
                 Some(prev) if prev.ann == d.ann => {}
-                Some(prev) if prev.ann.canonical() == d.ann.canonical() => {}
                 Some(_) => {
                     return Err(KernelError::Fail(format!(
                         "sig `{name}` conflicts with an existing declaration"
@@ -184,6 +187,31 @@ impl KernelCore {
 }
 
 impl KernelCpu {
+    /// Declares an annotated function-pointer type (interface annotation
+    /// on a struct field, e.g. `net_device_ops.ndo_start_xmit`).
+    pub fn define_sig(&mut self, name: &str, params: Vec<Param>, ann: &str) {
+        let decl = FnDecl::new(
+            name,
+            params,
+            parse_fn_annotations(ann).unwrap_or_else(|e| panic!("bad annotation on {name}: {e}")),
+        );
+        let decls = HashMap::from([(name.to_string(), decl)]);
+        // Decide under the load lock: a concurrent define_sig or module
+        // load must never let a conflicting declaration silently replace
+        // an existing one (§4.2 exact-match-on-collision), and a load
+        // relies on the registry not changing between its check and its
+        // insert.
+        let _load = self.core.load_lock.lock().expect("load lock");
+        let new = self
+            .core
+            .new_sig_decls(&decls)
+            .unwrap_or_else(|e| panic!("conflicting sig declaration for {name}: {e}"));
+        if !new.is_empty() {
+            self.core.insert_sig_decls(new);
+            self.core.refresh_sig_hashes();
+        }
+    }
+
     /// Loads a module in the kernel's global mode.
     pub fn load_module(&mut self, spec: ModuleSpec) -> Result<LoadedModuleId, KernelError> {
         self.load_module_with_mode(spec, self.mode)

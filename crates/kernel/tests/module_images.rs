@@ -13,7 +13,7 @@
 
 use std::sync::Arc;
 
-use lxfi_annotations::parse_fn_annotations;
+use lxfi_annotations::{parse_fn_annotations, Action, Expr};
 use lxfi_core::iface::{FnDecl, Param};
 use lxfi_kernel::{
     Backend, FaultPlan, FaultSite, IsolationMode, Kernel, KernelError, LoadedModuleId, ModuleSpec,
@@ -201,6 +201,49 @@ fn a_hit_still_runs_the_sig_check() {
         "the registered declaration stands"
     );
     assert!(k.module_id("e1000").is_none());
+}
+
+#[test]
+fn a_sig_decl_equal_only_in_canonical_form_is_refused() {
+    let (mut k, _) = boot();
+    let rtc = k.runtime_core();
+    let registered = k.sig_decl("ndo_start_xmit").expect("registered");
+    let before = (rtc.principal_gauges().0, k.rt.index_interval_count());
+
+    // `post(if (return == -NETDEV_BUSY) ...)` with `return` as a name:
+    // the same print as the registered `Return`, a different AST that
+    // compiles to a named-constant lookup instead of the return value.
+    let mut spec = mods::e1000::spec();
+    let d = spec
+        .iface
+        .sig_decls
+        .get_mut("ndo_start_xmit")
+        .expect("declared");
+    let Action::If(Expr::Bin(_, lhs, _), _) = &mut d.ann.post[0] else {
+        panic!("ndo_start_xmit's post clause is an `if` on a comparison");
+    };
+    assert_eq!(**lhs, Expr::Return);
+    **lhs = Expr::Ident("return".into());
+    assert_ne!(d.ann, registered.ann);
+    assert_eq!(d.ann.canonical(), registered.ann.canonical());
+
+    let why = fail_reason(k.load_module(spec));
+    assert!(why.contains("sig `ndo_start_xmit` conflicts"), "{why}");
+    assert_eq!(
+        k.sig_decl("ndo_start_xmit").expect("registered").ann,
+        registered.ann,
+        "the registered declaration stands"
+    );
+    assert!(k.module_id("e1000").is_none());
+    assert_eq!(
+        (rtc.principal_gauges().0, k.rt.index_interval_count()),
+        before,
+        "a refused load leaves no principal or grant"
+    );
+    assert_eq!(stats(&k), (0, 1), "and no image");
+    k.load_module(mods::e1000::spec())
+        .expect("the shipped spec loads");
+    assert_eq!(stats(&k), (0, 2));
 }
 
 #[test]

@@ -28,6 +28,11 @@
 //! `Box<dyn Fn>`-per-block design lost more to that dispatch than block
 //! compilation bought back.
 //!
+//! Each step's semantics, and so each guard call, is written once, in
+//! `run_block`. It runs prepaid (the block's cost consumed up front) on
+//! the common path and metered (each instruction consumed before it
+//! runs) when the budget cannot cover the rest of the block.
+//!
 //! The interpreter stays the oracle: `tests/backend_oracle.rs` runs both
 //! backends in lockstep on generated programs and asserts identical
 //! results, traps, guard logs, memory, and fuel.
@@ -81,7 +86,7 @@ impl std::fmt::Display for Backend {
 /// the kernel's statistics tables.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CompileStats {
-    /// Functions lowered to block closures.
+    /// Functions lowered to basic blocks.
     pub funcs_compiled: u64,
     /// Basic blocks compiled across all functions.
     pub blocks_compiled: u64,
@@ -282,7 +287,7 @@ enum FuncExit {
 struct BlockBody {
     steps: Box<[(Step, u64)]>,
     /// Total cost of the block (all step charges + `exit_cost`), consumed
-    /// up front on the fast path.
+    /// up front by a prepaid `run_block`.
     cost: u64,
     exit: ExitOp,
     exit_cost: u64,
@@ -779,86 +784,6 @@ fn mem_write_miss<E: Env + ?Sized>(
     Ok(())
 }
 
-/// Executes one non-reentrant step. Reentrant steps (extern/indirect
-/// calls, fused guarded stores) are handled by the block loops, which
-/// own the refund protocol around them.
-#[inline]
-fn exec_step<E: Env + ?Sized>(step: &Step, ctx: &mut ExecCtx, env: &mut E) -> Result<(), Trap> {
-    match step {
-        Step::Mov { dst, src } => {
-            ctx.regs[*dst as usize] = src.get(&ctx.regs);
-        }
-        Step::Bin { op, dst, lhs, rhs } => {
-            let l = lhs.get(&ctx.regs);
-            let r = rhs.get(&ctx.regs);
-            ctx.regs[*dst as usize] = binop(*op, l, r)?;
-        }
-        Step::Load {
-            dst,
-            base,
-            off,
-            width,
-        } => {
-            let addr = base.get(&ctx.regs).wrapping_add(*off);
-            let v = mem_read(ctx, env, addr, *width)?;
-            ctx.regs[*dst as usize] = v;
-        }
-        Step::Store {
-            src,
-            base,
-            off,
-            width,
-        } => {
-            let addr = base.get(&ctx.regs).wrapping_add(*off);
-            let v = src.get(&ctx.regs);
-            mem_write(ctx, env, addr, v, *width)?;
-        }
-        Step::LoadFrame { dst, off, width } => {
-            let addr = ctx.sp + *off;
-            let v = mem_read(ctx, env, addr, *width)?;
-            ctx.regs[*dst as usize] = v;
-        }
-        Step::StoreFrame { src, off, width } => {
-            let addr = ctx.sp + *off;
-            let v = src.get(&ctx.regs);
-            mem_write(ctx, env, addr, v, *width)?;
-        }
-        Step::FrameAddr { dst, off } => {
-            ctx.regs[*dst as usize] = ctx.sp + *off;
-        }
-        Step::GlobalAddr { dst, global } => {
-            let v = env.global_addr(*global)?;
-            ctx.regs[*dst as usize] = v;
-        }
-        Step::SymAddr { dst, sym } => {
-            let v = env.sym_addr(*sym)?;
-            ctx.regs[*dst as usize] = v;
-        }
-        Step::FuncAddr { dst, func } => {
-            let v = env.func_addr(*func)?;
-            ctx.regs[*dst as usize] = v;
-        }
-        Step::Nop => {}
-        Step::GuardWrite { base, off, len } => {
-            let addr = base.get(&ctx.regs).wrapping_add(*off);
-            let l = len.get(&ctx.regs);
-            env.guard_write(addr, l)?;
-        }
-        Step::GuardIndCall {
-            slot_base,
-            slot_off,
-            sig,
-        } => {
-            let slot = slot_base.get(&ctx.regs).wrapping_add(*slot_off);
-            env.guard_indcall(slot, *sig)?;
-        }
-        Step::CallExtern { .. } | Step::CallPtr { .. } | Step::GuardedStore { .. } => {
-            unreachable!("reentrant steps handled by the block loop")
-        }
-    }
-    Ok(())
-}
-
 #[inline(always)]
 fn exec_exit(b: &BlockBody, ctx: &mut ExecCtx) -> Result<BlockExit, Trap> {
     match &b.exit {
@@ -898,15 +823,10 @@ fn exec_exit(b: &BlockBody, ctx: &mut ExecCtx) -> Result<BlockExit, Trap> {
     }
 }
 
-/// Fast path: charge the whole block once, track the unearned remainder
-/// in `rest`, and refund it at every early exit so the fuel trace is
-/// cycle-identical to the interpreter's consume-per-instruction.
-///
-/// One flat match per step — the plain arms are duplicated from
-/// [`exec_step`] rather than delegated so the common path dispatches
-/// once, not twice, and touches no `Env` method (the interpreter this
-/// backend must beat is monomorphized into its caller; every virtual
-/// call here is a cost it does not pay).
+/// Runs one block: charges the whole block once and hands it to the
+/// prepaid [`run_block`]; a budget too small for the whole block runs it
+/// metered instead, so the trap lands exactly where the interpreter's
+/// would, with the same partial side effects.
 #[inline(always)]
 fn exec_block<E: Env + ?Sized>(
     b: &BlockBody,
@@ -914,20 +834,66 @@ fn exec_block<E: Env + ?Sized>(
     env: &mut E,
 ) -> Result<BlockExit, Trap> {
     if env.consume(b.cost).is_err() {
-        // Not enough for the whole block: charge instruction by
-        // instruction so the trap lands exactly where the interpreter's
-        // would, with the same partial side effects.
-        return exec_block_slow(b, ctx, env, 0);
+        return run_block_metered(b, ctx, env, 0);
     }
-    let mut rest = b.cost;
-    let mut i = 0usize;
+    run_block::<true, E>(b, ctx, env, 0)
+}
+
+/// The metered [`run_block`], kept out of line: it runs only near fuel
+/// exhaustion.
+#[cold]
+#[inline(never)]
+fn run_block_metered<E: Env + ?Sized>(
+    b: &BlockBody,
+    ctx: &mut ExecCtx,
+    env: &mut E,
+    from: usize,
+) -> Result<BlockExit, Trap> {
+    run_block::<false, E>(b, ctx, env, from)
+}
+
+/// Runs block `b` from step `from` through its exit: the one copy of
+/// every step's semantics, in one of two fuel modes whose traces are
+/// cycle-identical to the interpreter's consume-per-instruction.
+///
+/// - `PREPAID`: [`exec_block`] already consumed `b.cost`. `rest` is the
+///   unearned remainder: each step deducts its charge before it runs,
+///   every early exit refunds `rest` (a failed fused guard also refunds
+///   its unearned store or call half), and around an extern or indirect
+///   call `rest` is handed back, so the callee observes the
+///   interpreter's fuel level, and then consumed again.
+/// - metered: each step consumes its charge before it runs; a fused
+///   step pays its guard's `ALU`, then its store's `MEM` or its call's
+///   `CALL`.
+///
+/// A prepaid run whose re-consume after a call fails continues metered
+/// at the next step. Register steps and TLB-hit loads and stores touch
+/// no `Env` method (the interpreter this backend must beat is
+/// monomorphized into its caller; every virtual call here is a cost it
+/// does not pay).
+#[inline(always)]
+fn run_block<const PREPAID: bool, E: Env + ?Sized>(
+    b: &BlockBody,
+    ctx: &mut ExecCtx,
+    env: &mut E,
+    from: usize,
+) -> Result<BlockExit, Trap> {
+    let mut rest = if PREPAID { b.cost } else { 0 };
+    let mut i = from;
     while i < b.steps.len() {
         // SAFETY: `i < b.steps.len()` by the loop condition.
         let (step, charge) = unsafe { b.steps.get_unchecked(i) };
-        rest -= charge;
-        // Every arm that can fail either diverges after doing its own
-        // refund arithmetic (the fused/reentrant steps) or falls through
-        // to the common `refund(rest)` at the bottom.
+        if PREPAID {
+            rest -= charge;
+        } else {
+            env.consume(match step {
+                Step::GuardedStore { .. } | Step::CallPtr { guard: Some(_), .. } => costs::ALU,
+                _ => *charge,
+            })?;
+        }
+        // An arm that fails after handing `rest` back (a call) or with
+        // its own refund (a fused guard) returns directly; every other
+        // failure reaches the common refund below.
         let r: Result<(), Trap> = match step {
             Step::Mov { dst, src } => {
                 let v = src.get(&ctx.regs);
@@ -937,13 +903,7 @@ fn exec_block<E: Env + ?Sized>(
             Step::Bin { op, dst, lhs, rhs } => {
                 let l = lhs.get(&ctx.regs);
                 let r = rhs.get(&ctx.regs);
-                match binop(*op, l, r) {
-                    Ok(v) => {
-                        set_reg(&mut ctx.regs, *dst, v);
-                        Ok(())
-                    }
-                    Err(t) => Err(t),
-                }
+                binop(*op, l, r).map(|v| set_reg(&mut ctx.regs, *dst, v))
             }
             Step::Load {
                 dst,
@@ -952,13 +912,7 @@ fn exec_block<E: Env + ?Sized>(
                 width,
             } => {
                 let addr = base.get(&ctx.regs).wrapping_add(*off);
-                match mem_read(ctx, env, addr, *width) {
-                    Ok(v) => {
-                        set_reg(&mut ctx.regs, *dst, v);
-                        Ok(())
-                    }
-                    Err(t) => Err(t),
-                }
+                mem_read(ctx, env, addr, *width).map(|v| set_reg(&mut ctx.regs, *dst, v))
             }
             Step::Store {
                 src,
@@ -972,13 +926,7 @@ fn exec_block<E: Env + ?Sized>(
             }
             Step::LoadFrame { dst, off, width } => {
                 let addr = ctx.sp + *off;
-                match mem_read(ctx, env, addr, *width) {
-                    Ok(v) => {
-                        set_reg(&mut ctx.regs, *dst, v);
-                        Ok(())
-                    }
-                    Err(t) => Err(t),
-                }
+                mem_read(ctx, env, addr, *width).map(|v| set_reg(&mut ctx.regs, *dst, v))
             }
             Step::StoreFrame { src, off, width } => {
                 let addr = ctx.sp + *off;
@@ -989,27 +937,16 @@ fn exec_block<E: Env + ?Sized>(
                 set_reg(&mut ctx.regs, *dst, ctx.sp + *off);
                 Ok(())
             }
-            Step::GuardedStore {
-                gbase,
-                goff,
-                glen,
-                src,
-                base,
-                off,
-                width,
-            } => {
-                let gaddr = gbase.get(&ctx.regs).wrapping_add(*goff);
-                let glen_v = glen.get(&ctx.regs);
-                if let Err(t) = env.guard_write(gaddr, glen_v) {
-                    // Only the guard's ALU was earned; refund the store's
-                    // MEM along with the suffix.
-                    env.refund(rest + costs::MEM);
-                    return Err(t);
-                }
-                let addr = base.get(&ctx.regs).wrapping_add(*off);
-                let v = src.get(&ctx.regs);
-                mem_write(ctx, env, addr, v, *width)
+            Step::GlobalAddr { dst, global } => env
+                .global_addr(*global)
+                .map(|v| set_reg(&mut ctx.regs, *dst, v)),
+            Step::SymAddr { dst, sym } => {
+                env.sym_addr(*sym).map(|v| set_reg(&mut ctx.regs, *dst, v))
             }
+            Step::FuncAddr { dst, func } => env
+                .func_addr(*func)
+                .map(|v| set_reg(&mut ctx.regs, *dst, v)),
+            Step::Nop => Ok(()),
             Step::GuardWrite { base, off, len } => {
                 let addr = base.get(&ctx.regs).wrapping_add(*off);
                 env.guard_write(addr, len.get(&ctx.regs))
@@ -1022,19 +959,42 @@ fn exec_block<E: Env + ?Sized>(
                 let slot = slot_base.get(&ctx.regs).wrapping_add(*slot_off);
                 env.guard_indcall(slot, *sig)
             }
+            Step::GuardedStore {
+                gbase,
+                goff,
+                glen,
+                src,
+                base,
+                off,
+                width,
+            } => {
+                let gaddr = gbase.get(&ctx.regs).wrapping_add(*goff);
+                if let Err(t) = env.guard_write(gaddr, glen.get(&ctx.regs)) {
+                    if PREPAID {
+                        // Only the guard's ALU was earned.
+                        env.refund(rest + costs::MEM);
+                    }
+                    return Err(t);
+                }
+                if !PREPAID {
+                    env.consume(costs::MEM)?;
+                }
+                let addr = base.get(&ctx.regs).wrapping_add(*off);
+                let v = src.get(&ctx.regs);
+                mem_write(ctx, env, addr, v, *width)
+            }
             Step::CallExtern { sym, args, ret } => {
                 ctx.stage(args);
-                // Hand back the unearned suffix so the callee observes the
-                // same fuel level it would under the interpreter (the
-                // callee may itself consume, trap, or re-enter a module).
-                env.refund(rest);
+                if PREPAID {
+                    env.refund(rest);
+                }
                 let v = env.call_extern(*sym, &ctx.scratch)?;
                 ctx.tlb.flush();
                 if let Some(r) = ret {
                     set_reg(&mut ctx.regs, *r, v);
                 }
-                if env.consume(rest).is_err() {
-                    return exec_block_slow(b, ctx, env, i + 1);
+                if PREPAID && env.consume(rest).is_err() {
+                    return run_block_metered(b, ctx, env, i + 1);
                 }
                 Ok(())
             }
@@ -1048,123 +1008,45 @@ fn exec_block<E: Env + ?Sized>(
                 if let Some((gbase, goff, gsig)) = guard {
                     let slot = gbase.get(&ctx.regs).wrapping_add(*goff);
                     if let Err(t) = env.guard_indcall(slot, *gsig) {
-                        // Only the guard's ALU was earned; the fused CALL
-                        // charge goes back too.
-                        env.refund(rest + costs::CALL);
+                        if PREPAID {
+                            // Only the guard's ALU was earned.
+                            env.refund(rest + costs::CALL);
+                        }
                         return Err(t);
+                    }
+                    if !PREPAID {
+                        env.consume(costs::CALL)?;
                     }
                 }
                 let target = ptr.get(&ctx.regs);
                 ctx.stage(args);
-                env.refund(rest);
+                if PREPAID {
+                    env.refund(rest);
+                }
                 let v = env.call_ptr(target, *sig, &ctx.scratch)?;
                 ctx.tlb.flush();
                 if let Some(r) = ret {
                     set_reg(&mut ctx.regs, *r, v);
                 }
-                if env.consume(rest).is_err() {
-                    return exec_block_slow(b, ctx, env, i + 1);
+                if PREPAID && env.consume(rest).is_err() {
+                    return run_block_metered(b, ctx, env, i + 1);
                 }
                 Ok(())
             }
-            Step::GlobalAddr { dst, global } => match env.global_addr(*global) {
-                Ok(v) => {
-                    set_reg(&mut ctx.regs, *dst, v);
-                    Ok(())
-                }
-                Err(t) => Err(t),
-            },
-            Step::SymAddr { dst, sym } => match env.sym_addr(*sym) {
-                Ok(v) => {
-                    set_reg(&mut ctx.regs, *dst, v);
-                    Ok(())
-                }
-                Err(t) => Err(t),
-            },
-            Step::FuncAddr { dst, func } => match env.func_addr(*func) {
-                Ok(v) => {
-                    set_reg(&mut ctx.regs, *dst, v);
-                    Ok(())
-                }
-                Err(t) => Err(t),
-            },
-            Step::Nop => Ok(()),
         };
         if let Err(t) = r {
-            env.refund(rest);
+            if PREPAID {
+                env.refund(rest);
+            }
             return Err(t);
         }
         i += 1;
     }
-    debug_assert_eq!(rest, b.exit_cost);
-    exec_exit(b, ctx)
-}
-
-/// Slow path: per-instruction fuel accounting from step `from` onward,
-/// exactly reproducing the interpreter near fuel exhaustion (fused steps
-/// split their charges the way the original instruction pair would).
-fn exec_block_slow<E: Env + ?Sized>(
-    b: &BlockBody,
-    ctx: &mut ExecCtx,
-    env: &mut E,
-    from: usize,
-) -> Result<BlockExit, Trap> {
-    for i in from..b.steps.len() {
-        let (step, charge) = &b.steps[i];
-        match step {
-            Step::CallExtern { sym, args, ret } => {
-                env.consume(costs::CALL)?;
-                ctx.stage(args);
-                let v = env.call_extern(*sym, &ctx.scratch)?;
-                ctx.tlb.flush();
-                if let Some(r) = ret {
-                    ctx.regs[*r as usize] = v;
-                }
-            }
-            Step::CallPtr {
-                ptr,
-                sig,
-                args,
-                ret,
-                guard,
-            } => {
-                if let Some((gbase, goff, gsig)) = guard {
-                    env.consume(costs::ALU)?;
-                    let slot = gbase.get(&ctx.regs).wrapping_add(*goff);
-                    env.guard_indcall(slot, *gsig)?;
-                }
-                env.consume(costs::CALL)?;
-                let target = ptr.get(&ctx.regs);
-                ctx.stage(args);
-                let v = env.call_ptr(target, *sig, &ctx.scratch)?;
-                ctx.tlb.flush();
-                if let Some(r) = ret {
-                    ctx.regs[*r as usize] = v;
-                }
-            }
-            Step::GuardedStore {
-                gbase,
-                goff,
-                glen,
-                src,
-                base,
-                off,
-                width,
-            } => {
-                env.consume(costs::ALU)?;
-                let gaddr = gbase.get(&ctx.regs).wrapping_add(*goff);
-                env.guard_write(gaddr, glen.get(&ctx.regs))?;
-                env.consume(costs::MEM)?;
-                let addr = base.get(&ctx.regs).wrapping_add(*off);
-                mem_write(ctx, env, addr, src.get(&ctx.regs), *width)?;
-            }
-            _ => {
-                env.consume(*charge)?;
-                exec_step(step, ctx, env)?;
-            }
-        }
+    if PREPAID {
+        debug_assert_eq!(rest, b.exit_cost);
+    } else {
+        env.consume(b.exit_cost)?;
     }
-    env.consume(b.exit_cost)?;
     exec_exit(b, ctx)
 }
 
@@ -1507,7 +1389,7 @@ mod tests {
         });
         let p = pb.finish();
         // Sweep fuel levels so the trap lands at every possible point in
-        // the block, exercising the slow path's per-step accounting.
+        // the block, exercising metered `run_block`'s per-step accounting.
         for fuel in 0..40 {
             let err = both(&p, f, &[], |e| e.fuel = fuel);
             assert!(matches!(err, Err(Trap::OutOfFuel)), "fuel={fuel}");

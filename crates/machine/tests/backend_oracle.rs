@@ -3,8 +3,8 @@
 //! lockstep against twin environments; every observable — result value,
 //! trap, guard log, extern-call log, final memory, final fuel, stack
 //! balance — must match exactly, across both plentiful and near-exhausted
-//! fuel budgets (the latter drives the compiled backend's per-instruction
-//! slow path and its refund protocol).
+//! fuel budgets (the latter drives the compiled backend's metered mode
+//! and its prepaid mode's refund protocol).
 //!
 //! The data window spans more pages than the compiled backend's software
 //! TLB holds, several of them sharing a TLB set, and the `remap` extern
@@ -329,7 +329,7 @@ proptest! {
 
     /// Near-exhausted fuel: the trap must land on the same instruction
     /// with the same partial side effects — this exercises the compiled
-    /// backend's slow path and every refund site.
+    /// backend's metered mode and every refund site.
     #[test]
     fn backends_agree_under_fuel_pressure(
         ops in proptest::collection::vec(arb_op(), 1..40),

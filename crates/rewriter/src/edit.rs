@@ -2,6 +2,18 @@
 
 use lxfi_machine::isa::Inst;
 
+/// Instruction indices that start a basic block (targets of any branch);
+/// one slot past the end, so `leaders[i + 1]` is defined for every `i`.
+pub(crate) fn block_leaders(body: &[Inst]) -> Vec<bool> {
+    let mut leaders = vec![false; body.len() + 1];
+    for inst in body {
+        if let Some(t) = inst.jump_target() {
+            leaders[t] = true;
+        }
+    }
+    leaders
+}
+
 /// Rebuilds a function body with `inserts` placed *before* the original
 /// instruction at each index, remapping all jump targets.
 ///

@@ -21,7 +21,7 @@
 use lxfi_machine::isa::{Inst, Operand, Reg};
 use lxfi_machine::program::Program;
 
-use crate::edit::insert_before;
+use crate::edit::{block_leaders, insert_before};
 
 /// Outcome of rewriting the kernel thunks.
 #[derive(Debug)]
@@ -77,16 +77,6 @@ pub fn rewrite_kernel_thunks(input: &Program) -> KernelRewriteReport {
         guarded,
         untraceable,
     }
-}
-
-fn block_leaders(body: &[Inst]) -> Vec<bool> {
-    let mut leaders = vec![false; body.len() + 1];
-    for inst in body {
-        if let Some(t) = inst.jump_target() {
-            leaders[t] = true;
-        }
-    }
-    leaders
 }
 
 /// Walks backwards from `site` looking for the load that defined `preg`,

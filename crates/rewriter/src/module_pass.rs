@@ -31,7 +31,7 @@ use lxfi_machine::isa::{Inst, Operand, Reg};
 use lxfi_machine::program::{ImportKind, Program};
 use lxfi_machine::soundness::{verify_soundness, SoundnessPolicy};
 
-use crate::edit::insert_before;
+use crate::edit::{block_leaders, insert_before};
 use crate::hoist::hoist_function;
 
 /// Options controlling the module pass.
@@ -215,17 +215,6 @@ pub fn rewrite_module(input: &Program, opts: RewriteOptions) -> ModuleRewrite {
         guards_elided,
         merge,
     }
-}
-
-/// Instruction indices that start a basic block (targets of any branch).
-fn block_leaders(body: &[Inst]) -> Vec<bool> {
-    let mut leaders = vec![false; body.len() + 1];
-    for inst in body {
-        if let Some(t) = inst.jump_target() {
-            leaders[t] = true;
-        }
-    }
-    leaders
 }
 
 /// True for pure register-ALU instructions: no memory effect, no

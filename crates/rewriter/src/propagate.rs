@@ -87,9 +87,10 @@ impl std::error::Error for PropagateError {}
 /// Computes the final annotation set for every module function.
 ///
 /// The result is order-independent: all sources are gathered first, then
-/// checked pairwise for canonical equality (§4.2: "LXFI verifies that
-/// these annotations are exactly the same"). Structurally equal
-/// annotations are equal without printing either, and a source is
+/// checked pairwise for AST equality (§4.2: "LXFI verifies that these
+/// annotations are exactly the same"). The canonical print only reports
+/// a conflict: it is not injective (`Ident("return")` and `Return` print
+/// alike but compile differently), so it never decides one. A source is
 /// described in words only when it is reported.
 pub fn propagate(
     program: &Program,
@@ -138,7 +139,7 @@ pub fn propagate(
         let end = i + sources[i..].partition_point(|&(f, _)| f == func);
         for j in i + 1..end {
             let d = decls[j];
-            if d.ann != first.ann && d.ann.canonical() != first.ann.canonical() {
+            if d.ann != first.ann {
                 return Err(PropagateError::Conflict {
                     func: fname(func).clone(),
                     first: (describe(func, first_src), first.ann.canonical()),
@@ -268,10 +269,10 @@ mod tests {
     }
 
     #[test]
-    fn sources_equal_only_in_canonical_form_are_accepted() {
+    fn sources_equal_only_in_canonical_form_are_a_conflict() {
         // `Ident("return")` and `Return` are different ASTs with one
-        // print; identity is the canonical print, so past the
-        // structural comparison these still agree.
+        // print that compile differently; identity is the AST, so they
+        // conflict.
         let mut pb = ProgramBuilder::new("m");
         let s1 = pb.sig("tx_a", 2);
         let s2 = pb.sig("tx_b", 2);
@@ -290,7 +291,10 @@ mod tests {
         let mut spec = InterfaceSpec::new();
         spec.declare_sig(a);
         spec.declare_sig(b);
-        assert!(propagate(&p, &spec).is_ok());
+        assert!(matches!(
+            propagate(&p, &spec),
+            Err(PropagateError::Conflict { func, .. }) if func == "myxmit"
+        ));
     }
 
     #[test]
