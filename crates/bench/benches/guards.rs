@@ -3,7 +3,6 @@
 //! entry+exit, capability grant/revoke).
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use lxfi_core::runtime::FnMeta;
 use lxfi_core::{GuardHandle, RawCap};
 
 fn benches(c: &mut Criterion) {
@@ -13,14 +12,7 @@ fn benches(c: &mut Criterion) {
     let p = rt.principal_for_name(m, 0x9000);
     rt.grant(p, RawCap::write(0x5000, 4096));
     rt.grant(p, RawCap::call(0xf000));
-    rt.register_function(
-        0xf000,
-        FnMeta {
-            name: "cb".into(),
-            ahash: 7,
-            module: Some(m),
-        },
-    );
+    rt.register_function(0xf000, 7);
     rt.set_current(Some((m, p)));
 
     c.bench_function("guard_mem_write", |b| {

@@ -5,7 +5,6 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use lxfi_bench::writer_index::{bench_writer_indexes, rotating_slot_probe, SLOT_BASE};
-use lxfi_core::runtime::FnMeta;
 use lxfi_core::{GuardHandle, RawCap};
 
 fn lookup_benches(c: &mut Criterion) {
@@ -52,14 +51,7 @@ fn indcall_slow_path_bench(c: &mut Criterion) {
             rt.grant(p, RawCap::call(target));
         }
     }
-    rt.register_function(
-        target,
-        FnMeta {
-            name: "cb".into(),
-            ahash: 7,
-            module: Some(m),
-        },
-    );
+    rt.register_function(target, 7);
     c.bench_function("guard_indcall_slow_512_principals", |b| {
         b.iter(|| {
             rt.check_indcall(std::hint::black_box(slot), target, 7)

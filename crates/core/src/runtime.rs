@@ -122,17 +122,6 @@ impl From<EmittedCap> for RawCap {
 pub type IteratorFn =
     Box<dyn Fn(&AddressSpace, Word, &mut Vec<EmittedCap>) -> Result<(), String> + Send + Sync>;
 
-/// Metadata for a registered function address.
-#[derive(Debug, Clone)]
-pub struct FnMeta {
-    /// Symbol name.
-    pub name: String,
-    /// Annotation hash (`ahash`).
-    pub ahash: u64,
-    /// Owning module (`None` = core kernel).
-    pub module: Option<ModuleId>,
-}
-
 /// A principal's place in the §3.1 hierarchy, fixed at registration
 /// and read from its slot without a lock.
 #[derive(Debug, Clone, Copy)]
@@ -244,7 +233,8 @@ pub struct RuntimeCore {
     /// The reverse writer index (§5), sharded once at construction.
     pub(crate) index: WriterIndex,
     names: RwLock<Names>,
-    fns: RwLock<HashMap<Word, FnMeta>>,
+    /// Annotation hash (`ahash`) per registered function address.
+    fns: RwLock<HashMap<Word, u64>>,
     /// Merged per-thread handle stats (handles flush here on drop or via
     /// [`crate::GuardHandle::flush_stats`]).
     stats: Mutex<GuardStats>,
@@ -709,8 +699,8 @@ impl RuntimeCore {
     // ---------------------------------------------------------- functions
 
     /// Registers a function address with its annotation hash.
-    pub fn register_function(&self, addr: Word, meta: FnMeta) {
-        self.fns.write().expect("fns lock").insert(addr, meta);
+    pub fn register_function(&self, addr: Word, ahash: u64) {
+        self.fns.write().expect("fns lock").insert(addr, ahash);
     }
 
     /// Unregisters a function address (module-window reuse: the dead
@@ -720,19 +710,9 @@ impl RuntimeCore {
         self.fns.write().expect("fns lock").remove(&addr);
     }
 
-    /// Looks up a registered function (cloned out of the registry).
-    pub fn function_at(&self, addr: Word) -> Option<FnMeta> {
-        self.fns.read().expect("fns lock").get(&addr).cloned()
-    }
-
-    /// The annotation hash of a registered function (the indirect-call
-    /// hot path: no clone).
+    /// The annotation hash of a registered function.
     pub fn function_ahash(&self, addr: Word) -> Option<u64> {
-        self.fns
-            .read()
-            .expect("fns lock")
-            .get(&addr)
-            .map(|m| m.ahash)
+        self.fns.read().expect("fns lock").get(&addr).copied()
     }
 
     /// Principals (from any module) holding WRITE coverage of any byte of
@@ -1354,14 +1334,7 @@ mod tests {
         let p = rt.principal_for_name(m, 0x9000);
         rt.grant(p, RawCap::write(0x7000, 8));
         rt.grant(p, RawCap::call(0xf000));
-        rt.register_function(
-            0xf000,
-            FnMeta {
-                name: "my_xmit".into(),
-                ahash: 7,
-                module: Some(m),
-            },
-        );
+        rt.register_function(0xf000, 7);
         let err = rt.check_indcall(0x7000, 0xf000, 8).unwrap_err();
         assert!(matches!(err, Violation::AnnotationMismatch { .. }));
         rt.check_indcall(0x7000, 0xf000, 7).unwrap();
@@ -1372,14 +1345,7 @@ mod tests {
         let (mut rt, m) = rt_with_module();
         let p = rt.principal_for_name(m, 0x9000);
         rt.grant(p, RawCap::write(0x7000, 8));
-        rt.register_function(
-            0xf000,
-            FnMeta {
-                name: "detach_pid".into(),
-                ahash: 7,
-                module: None,
-            },
-        );
+        rt.register_function(0xf000, 7);
         let err = rt.check_indcall(0x7000, 0xf000, 7).unwrap_err();
         assert!(matches!(err, Violation::IndCallUnauthorized { .. }));
     }

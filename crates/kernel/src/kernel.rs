@@ -33,6 +33,15 @@
 //! stack before interpretation, so unloading races safely: in-flight
 //! CPUs keep the program alive, new dispatches no longer resolve it.
 //!
+//! **One record per fact on the call path.** A module function address
+//! resolves to its module by layout arithmetic over the module vector
+//! (`layout::module_fn_slot`), live only while the entry is not marked
+//! unloaded. A function-pointer type's declaration lives in one
+//! write-once sig entry that the registry and every module naming the
+//! type share, so a declaration made after a module loaded governs its
+//! call sites at once. The runtime's function registry holds each
+//! function's annotation hash and nothing else.
+//!
 //! **Where each concern lives.** This file holds the types, the shared
 //! core, boot, export and user-space registration, and fault-injection
 //! hooks; `KernelCpu`'s methods are split by concern into child modules:
@@ -53,11 +62,10 @@ mod wrappers;
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, RwLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, RwLock};
 
 use lxfi_annotations::parse_fn_annotations;
 use lxfi_core::iface::{FnDecl, Param, TypeLayouts};
-use lxfi_core::runtime::FnMeta;
 use lxfi_core::{GuardHandle, PrincipalId, RawCap, RuntimeCore, Violation};
 use lxfi_machine::{
     AddressSpace, Backend, CompileStats, CompiledProgram, FuncId, Program, Trap, Word,
@@ -109,10 +117,17 @@ pub struct ModuleSpec {
 /// here typically sets `uid = 0`).
 pub type UserFn = Arc<dyn Fn(&mut KernelCpu) + Send + Sync>;
 
-/// One loaded module: immutable after load except the per-`SigId`
-/// annotation-hash array (refreshed when the sig registry grows) and the
-/// unload flag. Shared as an `Arc` so executing CPUs never hold a
-/// registry lock while interpreting.
+/// The sig registry's record of one function-pointer type: empty until
+/// the type is declared, then set once (under the load lock) by the
+/// first declaration, from a module load or [`KernelCpu::define_sig`].
+/// Shared by the registry and every module whose program names the
+/// type, so a late declaration reaches their call sites at once.
+type SigEntry = Arc<OnceLock<Arc<FnDecl>>>;
+
+/// One loaded module: immutable after load except the unload flag and
+/// the active count (its sig entries are shared with the registry).
+/// Shared as an `Arc` so executing CPUs never hold a registry lock while
+/// interpreting.
 pub(crate) struct LoadedModule {
     name: String,
     /// Index of this module in the registry vector (its window slot).
@@ -130,18 +145,16 @@ pub(crate) struct LoadedModule {
     /// this field, so a kernel never pays compilation it won't use.
     compiled: Option<Arc<CompiledProgram>>,
     global_addrs: Vec<Word>,
-    fn_base: Word,
     decls: HashMap<FuncId, Arc<FnDecl>>,
     import_addrs: Vec<Word>,
-    /// Annotation hash per program `SigId`, resolved against the sig
-    /// registry whenever it changes — so the indirect-call guard reads
-    /// one atomic instead of hashing a sig name per call.
-    sig_ahash: Box<[AtomicU64]>,
+    /// The sig registry entry of each program `SigId`, so an
+    /// indirect-call check indexes by `SigId` instead of hashing a sig
+    /// name per call.
+    sigs: Box<[SigEntry]>,
     /// CPUs currently executing this module (exec-stack occurrences).
-    /// `unload_module` waits for this to drain after unpublishing the
-    /// function addresses — the RCU-style grace period that keeps a
-    /// racing unload from revoking a running execution's capabilities
-    /// out from under it.
+    /// `unload_module` waits for this to drain after setting `unloaded`
+    /// — the RCU-style grace period that keeps a racing unload from
+    /// revoking a running execution's capabilities out from under it.
     active: std::sync::atomic::AtomicUsize,
     /// Set by `unload_module`; in-flight executions finish on their
     /// cloned `Arc`, new dispatches no longer resolve the module.
@@ -154,10 +167,9 @@ impl LoadedModule {
         (0..self.program.funcs.len() as u32).map(FuncId)
     }
 
-    /// The address of one of the module's functions (one `FN_SPACING`
-    /// slot each, from the window's function area).
+    /// The address of one of the module's functions.
     fn fn_addr(&self, f: FuncId) -> Word {
-        self.fn_base + u64::from(f.0) * FN_SPACING
+        module_fn_addr(self.slot, f.0)
     }
 }
 
@@ -262,14 +274,13 @@ struct ExportTable {
     by_name: HashMap<String, usize>,
 }
 
-/// The loaded-module registry: the module vector, the name index, and
-/// the function-address map, mutated together under one write lock so a
-/// resolved `fn_addrs` entry always points at a present module.
+/// The loaded-module registry: the module vector (indexed by window
+/// slot, so a function address names its entry by arithmetic) and the
+/// name index, mutated together under one write lock.
 #[derive(Default)]
 struct ModuleTable {
     modules: Vec<Arc<LoadedModule>>,
     by_name: HashMap<String, usize>,
-    fn_addrs: HashMap<Word, (usize, FuncId)>,
     /// Slots of torn-down modules, reusable by the next load (lowest
     /// first). The dead `Arc` stays in `modules` until then so indices
     /// remain stable; the window is scrubbed at reuse, not teardown —
@@ -298,17 +309,17 @@ pub struct KernelCore {
     /// on/off) across otherwise identical kernels.
     pub rewrite_opts: RewriteOptions,
     layouts: TypeLayouts,
-    /// Hash of the empty annotation set (the default for unannotated
-    /// functions and unknown sigs), computed once at boot.
-    empty_ahash: u64,
     /// Shared declaration for unannotated module functions invoked
     /// directly by the kernel (e.g. `module_init`): empty annotations,
     /// compiled once at boot so the per-call fallback is an Arc clone.
+    /// Its `ahash` is the empty set's (see [`Self::ahash`]).
     unannotated_decl: Arc<FnDecl>,
 
     exports: RwLock<ExportTable>,
     kdata: RwLock<HashMap<String, (Word, u64)>>,
-    sig_decls: RwLock<HashMap<String, Arc<FnDecl>>>,
+    /// The sig registry: one entry per type name a declaration or a
+    /// loaded program named.
+    sig_decls: RwLock<HashMap<String, SigEntry>>,
     modules: RwLock<ModuleTable>,
     /// Set once by `load_kernel_thunks`: the thunk pseudo-module and its
     /// name → function-id map, so per-packet thunk dispatch costs one
@@ -469,16 +480,27 @@ impl KernelCore {
         tab.exports.get(idx).cloned()
     }
 
-    /// Resolves a function address to its module, taking an execution
-    /// reference (module "get") **under the registry read lock** — so
-    /// `unload_module`'s unpublish (under the write lock) strictly
-    /// orders with every resolution: after unpublish, every live
-    /// dispatcher is already counted in `active` and the grace period
-    /// waits it out.
+    /// Resolves a function address to its live module by inverting
+    /// `LoadedModule::fn_addr`, taking an execution reference (module
+    /// "get") **under the registry read lock** — so teardown's unpublish
+    /// (setting `unloaded` under the write lock) strictly orders with
+    /// every resolution: after unpublish, every live dispatcher is
+    /// already counted in `active` and the grace period waits it out.
     fn module_of_fn(&self, addr: Word) -> Option<(ModuleRef, FuncId)> {
+        let (slot, f) = module_fn_slot(addr)?;
         let tab = self.modules.read().expect("modules lock");
-        let &(midx, fid) = tab.fn_addrs.get(&addr)?;
-        Some((ModuleRef::acquire(&tab.modules[midx]), fid))
+        let m = tab.modules.get(slot)?;
+        if m.unloaded.load(Ordering::Acquire) || f as usize >= m.program.funcs.len() {
+            return None;
+        }
+        Some((ModuleRef::acquire(m), FuncId(f)))
+    }
+
+    /// The annotation hash of an optional declaration: an export's, a
+    /// module function's, or a sig entry's (what an indirect call
+    /// through the type must match). Without one it is the empty set's.
+    fn ahash(&self, decl: Option<&Arc<FnDecl>>) -> u64 {
+        decl.map_or(self.unannotated_decl.ahash, |d| d.ahash)
     }
 }
 
@@ -606,7 +628,6 @@ impl Kernel {
             mode,
             backend,
             layouts,
-            empty_ahash: lxfi_annotations::annotation_hash(&Default::default()),
             unannotated_decl,
             exports: RwLock::new(ExportTable::default()),
             kdata: RwLock::new(HashMap::new()),
@@ -762,7 +783,7 @@ impl KernelCpu {
             d.compile(&self.rt, &self.core.layouts);
             Arc::new(d)
         });
-        let ahash = decl.as_ref().map_or(self.core.empty_ahash, |d| d.ahash);
+        let ahash = self.core.ahash(decl.as_ref());
         let addr = {
             let mut tab = self.core.exports.write().expect("exports lock");
             let idx = tab.exports.len();
@@ -778,24 +799,13 @@ impl KernelCpu {
             }));
             export_fn_addr(idx)
         };
-        self.rt.register_function(
-            addr,
-            FnMeta {
-                name: name.to_string(),
-                ahash,
-                module: None,
-            },
-        );
+        self.rt.register_function(addr, ahash);
     }
 
     /// The annotated declaration of a function-pointer type.
     pub fn sig_decl(&self, name: &str) -> Option<Arc<FnDecl>> {
-        self.core
-            .sig_decls
-            .read()
-            .expect("sig lock")
-            .get(name)
-            .cloned()
+        let sigs = self.core.sig_decls.read().expect("sig lock");
+        sigs.get(name)?.get().cloned()
     }
 
     /// Exports a kernel data symbol of `size` bytes; returns its address.
@@ -1021,7 +1031,7 @@ mod tests {
             .exports
             .iter()
             .filter_map(|e| e.decl.clone())
-            .chain(sigs.values().cloned())
+            .chain(sigs.values().filter_map(|e| e.get().cloned()))
             .collect();
         assert!(decls.len() >= 40, "{} declarations", decls.len());
         for d in decls {

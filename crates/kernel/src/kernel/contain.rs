@@ -241,7 +241,8 @@ impl KernelCpu {
     }
 
     /// The shared teardown quarantine and [`KernelCpu::unload_module`]
-    /// both run: unpublish the module's name and function addresses,
+    /// both run: unpublish the module's name and function addresses (by
+    /// marking its entry unloaded),
     /// wait out the RCU grace period, then reclaim every resource the
     /// module pinned — CALL capabilities to its functions, the
     /// kernel-stack WRITE grants of §3.2, slab objects only its
@@ -268,11 +269,9 @@ impl KernelCpu {
             if tab.by_name.get(&m.name) == Some(&m.slot) {
                 tab.by_name.remove(&m.name);
             }
-            for f in m.funcs() {
-                tab.fn_addrs.remove(&m.fn_addr(f));
-            }
         }
-        // Grace period: the function addresses are unpublished, so no
+        // Grace period: the entry is marked unloaded under the write
+        // lock, so no function address resolves to it any more and no
         // NEW execution can enter; wait for in-flight executions on
         // other CPUs to drain before revoking the capabilities they are
         // actively using — otherwise a benign racing invocation would

@@ -5,12 +5,11 @@
 //! loaded-module accessors.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use lxfi_annotations::parse_fn_annotations;
 use lxfi_core::iface::{FnDecl, Param};
-use lxfi_core::runtime::FnMeta;
 use lxfi_core::RawCap;
 use lxfi_machine::program::ImportKind;
 use lxfi_machine::verify::VerifyError;
@@ -22,21 +21,9 @@ use lxfi_rewriter::{propagate, rewrite_kernel_thunks, rewrite_module, InitGrant,
 
 use super::{
     IsolationMode, KernelCore, KernelCpu, KernelError, LoadedModule, LoadedModuleId, ModuleSpec,
+    SigEntry,
 };
-use crate::layout::{MODULE_BASE, MODULE_FN_OFFSET, MODULE_STRIDE, STACK_SIZE};
-
-/// Resolves a program's per-`SigId` annotation hashes against the sig
-/// registry — the one definition shared by module load and the
-/// registry-growth refresh, so the load-time snapshot can never diverge
-/// from the refresh path.
-fn resolve_sig_hashes<'a>(
-    sig_decls: &'a HashMap<String, Arc<FnDecl>>,
-    program: &'a Program,
-    empty_ahash: u64,
-) -> impl Iterator<Item = u64> + 'a {
-    let ahash = move |name: &String| sig_decls.get(name).map_or(empty_ahash, |d| d.ahash);
-    program.sigs.iter().map(move |s| ahash(&s.name))
-}
+use crate::layout::{MODULE_BASE, MODULE_STRIDE, STACK_SIZE};
 
 /// The load's rejection for a program that fails [`verify_program`].
 fn verify_failed(name: &str, errs: &[VerifyError]) -> KernelError {
@@ -125,7 +112,7 @@ impl KernelCore {
         let sig_decls = self.sig_decls.read().expect("sig lock");
         let mut new = Vec::new();
         for (name, d) in decls {
-            match sig_decls.get(name) {
+            match sig_decls.get(name).and_then(|e| e.get()) {
                 None => new.push((name, d)),
                 Some(prev) if prev.ann == d.ann => {}
                 Some(_) => {
@@ -138,8 +125,9 @@ impl KernelCore {
         Ok(new)
     }
 
-    /// Compiles and registers the declarations [`Self::new_sig_decls`]
-    /// admitted.
+    /// Compiles the declarations [`Self::new_sig_decls`] admitted and
+    /// sets their entries, which every module naming the type shares.
+    /// Callers hold the load lock, so each entry is still unset here.
     fn insert_sig_decls(&self, decls: Vec<(&String, &FnDecl)>) {
         if decls.is_empty() {
             return;
@@ -148,19 +136,29 @@ impl KernelCore {
         for (name, d) in decls {
             let mut compiled = d.clone();
             compiled.compile(&self.rtc, &self.layouts);
-            sig_decls.insert(name.clone(), Arc::new(compiled));
+            let entry = sig_decls.entry(name.clone()).or_default();
+            assert!(
+                entry.set(Arc::new(compiled)).is_ok(),
+                "sig {name} set twice"
+            );
         }
     }
 
-    /// The load's commit point: module vector, name index, and
-    /// function-address map change together under one write lock, so a
-    /// concurrent dispatch either sees the whole module or none of it.
-    /// A `reused` slot leaves the free list here.
+    /// The registry entries of `program`'s sig table, by `SigId`; a type
+    /// nobody has declared yet gets an empty entry a later declaration
+    /// sets.
+    fn sig_entries(&self, program: &Program) -> Box<[SigEntry]> {
+        let mut sig_decls = self.sig_decls.write().expect("sig lock");
+        let mut entry = |name: &String| Arc::clone(sig_decls.entry(name.clone()).or_default());
+        program.sigs.iter().map(|s| entry(&s.name)).collect()
+    }
+
+    /// The load's commit point: module vector and name index change
+    /// together under one write lock, so a concurrent dispatch either
+    /// resolves the whole module or none of it. A `reused` slot leaves
+    /// the free list here.
     fn publish(&self, m: &Arc<LoadedModule>, reused: bool) {
         let mut tab = self.modules.write().expect("modules lock");
-        for f in m.funcs() {
-            tab.fn_addrs.insert(m.fn_addr(f), (m.slot, f));
-        }
         tab.by_name.insert(m.name.clone(), m.slot);
         if reused {
             tab.free_slots.retain(|&s| s != m.slot);
@@ -168,20 +166,6 @@ impl KernelCore {
         } else {
             debug_assert_eq!(tab.modules.len(), m.slot, "loads are serialized");
             tab.modules.push(Arc::clone(m));
-        }
-    }
-
-    /// Re-resolves every loaded module's per-`SigId` annotation hashes
-    /// against the sig registry. Called whenever the registry gains an
-    /// entry, so the indirect-call guards stay array-indexed.
-    pub(super) fn refresh_sig_hashes(&self) {
-        let sig_decls = self.sig_decls.read().expect("sig lock");
-        let mods = self.modules.read().expect("modules lock");
-        for m in &mods.modules {
-            let hashes = resolve_sig_hashes(&sig_decls, &m.program, self.empty_ahash);
-            for (slot, h) in m.sig_ahash.iter().zip(hashes) {
-                slot.store(h, Ordering::Release);
-            }
         }
     }
 }
@@ -206,10 +190,7 @@ impl KernelCpu {
             .core
             .new_sig_decls(&decls)
             .unwrap_or_else(|e| panic!("conflicting sig declaration for {name}: {e}"));
-        if !new.is_empty() {
-            self.core.insert_sig_decls(new);
-            self.core.refresh_sig_hashes();
-        }
+        self.core.insert_sig_decls(new);
     }
 
     /// Loads a module in the kernel's global mode.
@@ -220,8 +201,8 @@ impl KernelCpu {
     /// Loads a module with an explicit mode. Whole loads are serialized
     /// by the core's load lock; dispatch on other CPUs proceeds
     /// concurrently against the registries' read locks and observes the
-    /// module only after its commit point (name + function addresses
-    /// inserted together).
+    /// module only after its commit point (module vector and name index
+    /// updated together).
     ///
     /// Every check that can reject the load runs before its first side
     /// effect, so a rejected load leaves no principal, function
@@ -296,14 +277,13 @@ impl KernelCpu {
         if let Some(img) = fresh {
             images.by_name.insert(name.clone(), img);
         }
-        let sigs_inserted = !new_sigs.is_empty();
         core.insert_sig_decls(new_sigs);
+        let sigs = core.sig_entries(&program);
         // Compile the module declarations' enforcement IR once, at load.
         // A declaration equal to the registered declaration of a type
         // its function is assigned to (same annotations and parameters)
         // shares that declaration's IR: both compile against the same
         // runtime and immutable layouts, so the IR would be the same.
-        let registered = core.sig_decls.read().expect("sig lock");
         let decls: HashMap<FuncId, Arc<FnDecl>> = decls
             .into_iter()
             .map(|(fid, mut d)| {
@@ -311,7 +291,7 @@ impl KernelCpu {
                     .sig_assignments
                     .iter()
                     .filter(|a| a.func == fid)
-                    .filter_map(|a| registered.get(&program.sigs[a.sig.0 as usize].name))
+                    .filter_map(|a| sigs[a.sig.0 as usize].get())
                     .find(|r| r.ann == d.ann && r.params == d.params);
                 match same.and_then(|r| r.compiled.clone()) {
                     Some(ir) => d.compiled = Some(ir),
@@ -320,7 +300,6 @@ impl KernelCpu {
                 (fid, Arc::new(d))
             })
             .collect();
-        drop(registered);
 
         // Reuse the lowest torn-down slot if one is free (loads are
         // serialized by the load lock, so peeking without popping is
@@ -358,15 +337,7 @@ impl KernelCpu {
         }
 
         // The module is built here but dispatchable only from `publish`
-        // below. Its per-SigId annotation hashes are resolved now:
-        // a concurrent indirect call must find the array populated.
-        let sig_ahash = resolve_sig_hashes(
-            &core.sig_decls.read().expect("sig lock"),
-            &program,
-            core.empty_ahash,
-        )
-        .map(AtomicU64::new)
-        .collect();
+        // below.
         let m = Arc::new(LoadedModule {
             name,
             slot,
@@ -374,10 +345,9 @@ impl KernelCpu {
             program,
             compiled,
             global_addrs,
-            fn_base: window + MODULE_FN_OFFSET,
             decls,
             import_addrs,
-            sig_ahash,
+            sigs,
             active: AtomicUsize::new(0),
             unloaded: AtomicBool::new(false),
         });
@@ -392,14 +362,8 @@ impl KernelCpu {
                 .expect("reloc target mapped");
         }
         for f in m.funcs() {
-            self.rt.register_function(
-                m.fn_addr(f),
-                FnMeta {
-                    name: format!("{}::{}", m.name, m.program.funcs[f.0 as usize].name),
-                    ahash: m.decls.get(&f).map_or(core.empty_ahash, |d| d.ahash),
-                    module: mid,
-                },
-            );
+            self.rt
+                .register_function(m.fn_addr(f), core.ahash(m.decls.get(&f)));
         }
 
         // Initial capability grants to the shared principal (§3.2, §4.2).
@@ -447,12 +411,6 @@ impl KernelCpu {
         }
 
         core.publish(&m, reused);
-        // Declarations this load added may concern earlier modules' call
-        // sites too; refresh every module's per-SigId hash array (before
-        // module_init runs and can take indirect calls).
-        if sigs_inserted {
-            core.refresh_sig_hashes();
-        }
 
         drop(images);
         if let Some(init) = &init_fn {

@@ -20,7 +20,6 @@
 //!   each must hold CALL for the target, plus the annotation-hash match
 //!   — then dispatch.
 
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use lxfi_core::actions::{apply_actions, CallSite, Dir};
@@ -232,13 +231,10 @@ impl KernelCpu {
             });
         }
         if self.mode == IsolationMode::Lxfi {
-            let ahash = self
-                .core
-                .sig_decls
-                .read()
-                .expect("sig lock")
-                .get(sig_name)
-                .map_or(self.core.empty_ahash, |d| d.ahash);
+            let ahash = {
+                let sigs = self.core.sig_decls.read().expect("sig lock");
+                self.core.ahash(sigs.get(sig_name).and_then(|e| e.get()))
+            };
             self.rt.check_indcall(slot, target, ahash)?;
         }
         self.invoke_module_function(target, args, None)
@@ -321,10 +317,10 @@ impl Env for KernelCpu {
     }
 
     fn guard_indcall(&mut self, slot: Word, sig: SigId) -> Result<(), Trap> {
-        // Hot path: the sig's annotation hash was resolved at load time
-        // (refresh_sig_hashes); one atomic load replaces any name hashing.
+        // Hot path: the module holds the sig's registry entry by
+        // `SigId`; no sig name is hashed per call.
         let m = self.exec_stack.last().expect("executing");
-        let ahash = m.sig_ahash[sig.0 as usize].load(Ordering::Acquire);
+        let ahash = self.core.ahash(m.sigs[sig.0 as usize].get());
         let target = self.mem.read_word(slot)?;
         self.rt.check_indcall(slot, target, ahash)?;
         Ok(())
@@ -358,10 +354,10 @@ impl Env for KernelCpu {
         // The module may only call targets it holds CALL for.
         self.rt.check_call(target)?;
         // Annotation match between the call site's pointer type and the
-        // invoked function (§4.1, module side), against the load-time
-        // resolved site hash: the sig *name* plays no role at call time.
-        // Hash-only lookup: no FnMeta clone on the call hot path.
-        let site_hash = m.sig_ahash[sig.0 as usize].load(Ordering::Acquire);
+        // invoked function (§4.1, module side), through the module's
+        // entry for the site's type: the sig *name* plays no role at
+        // call time.
+        let site_hash = self.core.ahash(m.sigs[sig.0 as usize].get());
         let fn_hash = self
             .rt
             .function_ahash(target)

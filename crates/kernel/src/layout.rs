@@ -38,6 +38,28 @@ pub const MODULE_FN_OFFSET: u64 = 0x00f0_0000;
 /// Spacing between module function addresses.
 pub const FN_SPACING: u64 = 16;
 
+/// The address of function `idx` of the module in window `slot`: one
+/// [`FN_SPACING`] slot each, from the window's function area.
+pub fn module_fn_addr(slot: usize, idx: u32) -> Word {
+    MODULE_BASE + slot as u64 * MODULE_STRIDE + MODULE_FN_OFFSET + u64::from(idx) * FN_SPACING
+}
+
+/// The inverse of [`module_fn_addr`]: `None` for an address on no
+/// function slot. Whether that window holds a live module with that
+/// many functions is the module table's call.
+pub fn module_fn_slot(addr: Word) -> Option<(usize, u32)> {
+    if !(MODULE_BASE..EXPORT_BASE).contains(&addr) {
+        return None;
+    }
+    let off = addr - MODULE_BASE;
+    let in_area = (off % MODULE_STRIDE).checked_sub(MODULE_FN_OFFSET)?;
+    if !in_area.is_multiple_of(FN_SPACING) {
+        return None;
+    }
+    let (slot, idx) = (off / MODULE_STRIDE, in_area / FN_SPACING);
+    Some((slot as usize, idx as u32))
+}
+
 /// Base of kernel exported-function addresses.
 pub const EXPORT_BASE: Word = 0xffff_ffff_8000_0000;
 
@@ -122,6 +144,33 @@ mod tests {
         assert!(MODULE_BASE > STACK_BASE + 1024 * STACK_STRIDE);
         assert!(STACK_BASE > HEAP_BASE);
         assert!(EXPORT_BASE > MODULE_BASE + 256 * MODULE_STRIDE);
+    }
+
+    #[test]
+    fn module_fn_slot_inverts_function_addresses_only() {
+        // The last function slot of a window ends where the next begins.
+        let last = ((MODULE_STRIDE - MODULE_FN_OFFSET) / FN_SPACING - 1) as u32;
+        assert_eq!(
+            module_fn_addr(2, last) + FN_SPACING,
+            MODULE_BASE + 3 * MODULE_STRIDE
+        );
+        for (slot, idx) in [(0, 0), (3, 7), (255, 40), (2, last)] {
+            let a = module_fn_addr(slot, idx);
+            assert_eq!(module_fn_slot(a), Some((slot, idx)));
+            assert_eq!(module_fn_slot(a + 8), None, "misaligned");
+            let window = MODULE_BASE + slot as u64 * MODULE_STRIDE;
+            assert_eq!(module_fn_slot(window), None, "globals");
+        }
+        // Below the module area, and the export region with its spacing.
+        for a in [
+            0,
+            HEAP_BASE,
+            MODULE_BASE - FN_SPACING,
+            EXPORT_BASE,
+            EXPORT_BASE + 16,
+        ] {
+            assert_eq!(module_fn_slot(a), None, "{a:#x}");
+        }
     }
 
     #[test]

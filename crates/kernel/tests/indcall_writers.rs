@@ -78,7 +78,7 @@ fn boot_world() -> World {
         .module_fn_addr(k.module_id("alpha").unwrap(), "cb")
         .unwrap();
     k.mem.write_word(slot, target).unwrap();
-    let ahash = k.rt.function_at(target).unwrap().ahash;
+    let ahash = k.rt.function_ahash(target).unwrap();
 
     let grants = vec![
         (principals[0], slot - 16, 32),

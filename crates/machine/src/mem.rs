@@ -361,20 +361,13 @@ impl AddressSpace {
         let n = width.bytes() as usize;
         let off = (addr & (PAGE_SIZE - 1)) as usize;
         // Fast path: the access sits inside one aligned word of one page.
-        if off + n <= PAGE_SIZE as usize && (off % 8) + n <= 8 {
+        if (off % 8) + n <= 8 {
             let pg = self.page(Self::page_of(addr)).ok_or(Trap::MemFault {
                 addr,
                 len: n as u64,
                 write: false,
             })?;
-            let w = pg.words[off / 8].load(Ordering::Relaxed);
-            let shift = (off % 8) * 8;
-            let mask = if n == 8 {
-                u64::MAX
-            } else {
-                (1u64 << (n * 8)) - 1
-            };
-            return Ok((w >> shift) & mask);
+            return Ok(word_read(pg, off, width));
         }
         let mut buf = [0u8; 8];
         self.read_bytes(addr, &mut buf[..n])?;
@@ -385,14 +378,14 @@ impl AddressSpace {
     pub fn write(&self, addr: Word, val: Word, width: Width) -> Result<(), Trap> {
         let n = width.bytes() as usize;
         let off = (addr & (PAGE_SIZE - 1)) as usize;
-        // Fast path: an aligned full-word store is a single atomic store.
-        if n == 8 && off.is_multiple_of(8) {
+        // Fast path: the access sits inside one aligned word of one page.
+        if (off % 8) + n <= 8 {
             let pg = self.page(Self::page_of(addr)).ok_or(Trap::MemFault {
                 addr,
-                len: 8,
+                len: n as u64,
                 write: true,
             })?;
-            pg.words[off / 8].store(val, Ordering::Relaxed);
+            word_write(pg, off, val, width);
             return Ok(());
         }
         let bytes = val.to_le_bytes();
@@ -491,21 +484,13 @@ impl PageHandle {
         debug_assert!(off % 8 + width.bytes() as usize <= 8 && off < PAGE_SIZE as usize);
         // SAFETY: caller keeps the address space alive; retired pages
         // remain valid allocations until it drops.
-        let pg = unsafe { &*self.pg };
-        let w = pg.words[off / 8].load(Ordering::Relaxed);
-        let n = width.bytes() as usize;
-        let shift = (off % 8) * 8;
-        if n == 8 {
-            w
-        } else {
-            (w >> shift) & ((1u64 << (n * 8)) - 1)
-        }
+        word_read(unsafe { &*self.pg }, off, width)
     }
 
     /// Writes a `width`-sized value at byte offset `off` (same in-word
-    /// bounds as [`read_in_word`](Self::read_in_word)). Full-word stores
-    /// are single atomic stores; sub-word stores merge with a CAS loop,
-    /// exactly like [`AddressSpace::write`].
+    /// bounds as [`read_in_word`](Self::read_in_word)), exactly like
+    /// [`AddressSpace::write`]: full-word stores are single atomic
+    /// stores, sub-word stores merge with a CAS loop.
     ///
     /// # Safety
     ///
@@ -515,22 +500,43 @@ impl PageHandle {
     pub unsafe fn write_in_word(&self, off: usize, val: Word, width: Width) {
         debug_assert!(off % 8 + width.bytes() as usize <= 8 && off < PAGE_SIZE as usize);
         // SAFETY: see `read_in_word`.
-        let pg = unsafe { &*self.pg };
-        let word = &pg.words[off / 8];
-        let n = width.bytes() as usize;
-        if n == 8 {
-            word.store(val, Ordering::Relaxed);
-            return;
-        }
-        let shift = (off % 8) * 8;
-        let mask = (1u64 << (n * 8)) - 1;
-        let mut cur = word.load(Ordering::Relaxed);
-        loop {
-            let merged = (cur & !(mask << shift)) | ((val & mask) << shift);
-            match word.compare_exchange_weak(cur, merged, Ordering::Relaxed, Ordering::Relaxed) {
-                Ok(_) => break,
-                Err(now) => cur = now,
-            }
+        word_write(unsafe { &*self.pg }, off, val, width)
+    }
+}
+
+/// Reads the zero-extended `width`-sized value at byte offset `off` of
+/// `pg`, which must lie within one aligned word (`(off % 8) +
+/// width.bytes() <= 8`): the in-word access both [`AddressSpace::read`]
+/// and [`PageHandle::read_in_word`] make.
+#[inline(always)]
+fn word_read(pg: &Page, off: usize, width: Width) -> Word {
+    let w = pg.words[off / 8].load(Ordering::Relaxed);
+    let n = width.bytes() as usize;
+    if n == 8 {
+        return w;
+    }
+    (w >> ((off % 8) * 8)) & ((1u64 << (n * 8)) - 1)
+}
+
+/// Writes `val` truncated to `width` at byte offset `off` of `pg`
+/// (in-word, as for [`word_read`]): a full word is one atomic store, a
+/// sub-word value merges into its word with a CAS loop.
+#[inline(always)]
+fn word_write(pg: &Page, off: usize, val: Word, width: Width) {
+    let word = &pg.words[off / 8];
+    let n = width.bytes() as usize;
+    if n == 8 {
+        word.store(val, Ordering::Relaxed);
+        return;
+    }
+    let shift = (off % 8) * 8;
+    let mask = (1u64 << (n * 8)) - 1;
+    let mut cur = word.load(Ordering::Relaxed);
+    loop {
+        let merged = (cur & !(mask << shift)) | ((val & mask) << shift);
+        match word.compare_exchange_weak(cur, merged, Ordering::Relaxed, Ordering::Relaxed) {
+            Ok(_) => break,
+            Err(now) => cur = now,
         }
     }
 }
@@ -606,6 +612,34 @@ mod tests {
         assert_eq!(a.read(0x4010, Width::B4).unwrap(), 0x1234_5678);
         assert_eq!(a.read(0x4010, Width::B2).unwrap(), 0x5678);
         assert_eq!(a.read(0x4011, Width::B1).unwrap(), 0x56);
+    }
+
+    #[test]
+    fn in_word_stores_merge_and_fault_like_byte_stores() {
+        const V: u64 = 0x0102_0304_0506_0708;
+        let fault = |r: Result<(), Trap>| match r {
+            Err(Trap::MemFault { addr, len, write }) => (addr, len, write),
+            other => panic!("expected a fault, got {other:?}"),
+        };
+        let a = AddressSpace::new();
+        a.map_range(0x3000, 16);
+        for width in [Width::B1, Width::B2, Width::B4, Width::B8] {
+            let n = width.bytes();
+            let mask = u64::MAX >> (64 - 8 * n);
+            for off in (0..=8 - n).step_by(n as usize) {
+                a.write_word(0x3000, u64::MAX).unwrap();
+                a.write(0x3000 + off, V, width).unwrap();
+                let shift = off * 8;
+                let want = !(mask << shift) | ((V & mask) << shift);
+                assert_eq!(a.read_word(0x3000).unwrap(), want, "{n} bytes at +{off}");
+                assert_eq!(a.read(0x3000 + off, width).unwrap(), V & mask);
+            }
+            // An unmapped in-word store faults with the byte path's values.
+            let addr = 0x9000 + 8 - n;
+            let by_bytes = fault(a.write_bytes(addr, &V.to_le_bytes()[..n as usize]));
+            assert_eq!(fault(a.write(addr, V, width)), by_bytes);
+            assert_eq!(by_bytes, (addr, n, true));
+        }
     }
 
     #[test]
