@@ -323,7 +323,8 @@ mod tests {
             &mut rt,
             [false, false, true, false, true, true, false, false],
         );
-        rt.transfer_cap(RawCap::write(0x2000, 0x100), None);
+        rt.transfer_cap(RawCap::write(0x2000, 0x100), None, None)
+            .unwrap();
         check(
             &mut rt,
             [false, false, false, false, true, true, false, false],

@@ -23,6 +23,7 @@ use crate::compiled::{
 };
 use crate::handle::GuardHandle;
 use crate::iface::{FnDecl, TypeLayouts};
+use crate::principal::PrincipalId;
 use crate::runtime::{EmittedCap, RuntimeCore};
 use crate::shadow::PrincipalCtx;
 use crate::stats::GuardKind;
@@ -110,8 +111,8 @@ fn apply_one(
             let (src, dst) = endpoints(site, dir);
             for_each_cap(rt, mem, vals, caps, |rt, cap| {
                 record_action(rt);
-                require_owned(rt, src, cap)?;
-                if let Some((_, p)) = dst {
+                rt.require_owned(principal(src), cap)?;
+                if let Some(p) = principal(dst) {
                     rt.grant(p, cap);
                 }
                 Ok(())
@@ -121,18 +122,17 @@ fn apply_one(
             let (src, dst) = endpoints(site, dir);
             for_each_cap(rt, mem, vals, caps, |rt, cap| {
                 record_action(rt);
-                require_owned(rt, src, cap)?;
-                // Transfer revokes the capability from ALL principals so no
-                // copies survive (§3.3), then grants the destination. WRITE
-                // caps with a single holder take the fast path.
-                rt.transfer_cap(cap, dst.map(|(_, p)| p));
-                Ok(())
+                // Transfer checks the source owns the capability, revokes
+                // it from ALL principals so no copies survive (§3.3), then
+                // grants the destination; a WRITE cap does all three in
+                // one locked pass over the writer index.
+                rt.transfer_cap(cap, principal(src), principal(dst))
             })
         }
         // All checks are pre: the caller must own the capability.
         CAction::Check(caps) => for_each_cap(rt, mem, vals, caps, |rt, cap| {
             record_action(rt);
-            require_owned(rt, site.caller, cap)
+            rt.require_owned(principal(site.caller), cap)
         }),
     }
 }
@@ -168,27 +168,9 @@ fn endpoints(site: &CallSite<'_>, dir: Dir) -> (PrincipalCtx, PrincipalCtx) {
     }
 }
 
-fn require_owned(rt: &RuntimeCore, ctx: PrincipalCtx, cap: RawCap) -> Result<(), Violation> {
-    if rt.ctx_owns(ctx, cap) {
-        return Ok(());
-    }
-    let (_, p) = ctx.expect("kernel owns everything, so ctx is a module");
-    Err(match cap.ctype {
-        crate::caps::CapType::Write => Violation::MissingWrite {
-            principal: p,
-            addr: cap.addr,
-            len: cap.size,
-        },
-        crate::caps::CapType::Call => Violation::MissingCall {
-            principal: p,
-            target: cap.addr,
-        },
-        crate::caps::CapType::Ref(t) => Violation::MissingRef {
-            principal: p,
-            rtype: rt.ref_type_name(t),
-            value: cap.addr,
-        },
-    })
+/// The principal of a context (`None` = the core kernel).
+fn principal(ctx: PrincipalCtx) -> Option<PrincipalId> {
+    ctx.map(|(_, p)| p)
 }
 
 /// Resolves a compiled caplist to concrete capabilities, appended to

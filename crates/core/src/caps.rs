@@ -33,9 +33,9 @@
 //! queries whose end would overflow return `false`. No path panics in
 //! debug builds for ranges near `Word::MAX`.
 
-use std::collections::HashSet;
-
 use lxfi_machine::Word;
+
+use crate::inthash::IntSet;
 
 /// Interned REF type (e.g. `struct pci_dev`, or a synthetic type like
 /// `io_port` per Guideline 3).
@@ -404,9 +404,9 @@ impl<T: Copy + Ord> IntervalTable<T> {
 #[derive(Debug, Default, Clone)]
 pub struct CapSet {
     /// CALL capabilities (hashed by target address, §5).
-    pub call: HashSet<Word>,
+    pub call: IntSet<Word>,
     /// REF capabilities (hashed by referred address, §5).
-    pub refs: HashSet<(RefTypeId, Word)>,
+    pub refs: IntSet<(RefTypeId, Word)>,
 }
 
 impl CapSet {

@@ -24,6 +24,13 @@
 //! seen. The concurrent-revocation stress tests in
 //! `tests/concurrent_revocation.rs` race exactly this path.
 //!
+//! CALL checks, naming a known principal and the ind-call check's
+//! annotation-hash lookup also answer from small per-thread caches of
+//! answers the core only withdraws by bumping its *recall epoch* (a CALL
+//! removal, a module's retirement, a function's (un)registration), so
+//! the steady state takes neither a `caps` mutex nor a registry read
+//! lock for them.
+//!
 //! The handle also meters the capability mutations its thread performs
 //! (`revoke`, `transfer_cap`, the `kfree` sweep, module retirement):
 //! each wraps the core operation of the same name and charges the epoch
@@ -44,6 +51,62 @@ use crate::shadow::{PrincipalCtx, ShadowStack};
 use crate::stats::{GuardCosts, GuardKind, GuardStats};
 use crate::Violation;
 
+/// A handle's small cache of answers the core can only withdraw by
+/// bumping its recall epoch (see [`RuntimeCore::recall_epoch`]): up to
+/// `N` `key → value` pairs, all valid while the epoch still reads
+/// `epoch`. A full cache replaces round-robin.
+#[derive(Debug)]
+struct RecallCache<K, V, const N: usize> {
+    epoch: u64,
+    len: usize,
+    next: usize,
+    entries: [(K, V); N],
+}
+
+impl<K: Copy + Default + Eq, V: Copy + Default, const N: usize> Default for RecallCache<K, V, N> {
+    fn default() -> Self {
+        RecallCache {
+            epoch: 0,
+            len: 0,
+            next: 0,
+            entries: [Default::default(); N],
+        }
+    }
+}
+
+impl<K: Copy + Default + Eq, V: Copy + Default, const N: usize> RecallCache<K, V, N> {
+    fn get(&self, epoch: u64, key: K) -> Option<V> {
+        if self.epoch != epoch {
+            return None;
+        }
+        self.entries[..self.len]
+            .iter()
+            .find(|e| e.0 == key)
+            .map(|e| e.1)
+    }
+
+    fn insert(&mut self, epoch: u64, key: K, value: V) {
+        if self.epoch != epoch {
+            (self.epoch, self.len, self.next) = (epoch, 0, 0);
+        }
+        let i = if self.len < N {
+            self.len += 1;
+            self.len - 1
+        } else {
+            self.next = (self.next + 1) % N;
+            self.next
+        };
+        self.entries[i] = (key, value);
+    }
+}
+
+/// Positive CALL decisions a handle remembers: `(principal, target)`.
+const CALL_CACHE_WAYS: usize = 16;
+/// Pointer names a handle remembers: `(module, name) → principal`.
+const NAME_CACHE_WAYS: usize = 8;
+/// Annotation hashes a handle remembers: `function address → ahash`.
+const FN_CACHE_WAYS: usize = 8;
+
 /// A per-thread guard executor over a shared [`RuntimeCore`]. See the
 /// module docs; construct one per thread with [`GuardHandle::new`].
 pub struct GuardHandle<const W: usize = DEFAULT_WAYS> {
@@ -51,6 +114,11 @@ pub struct GuardHandle<const W: usize = DEFAULT_WAYS> {
     shadow: ShadowStack,
     kstack: Option<(Word, u64)>,
     cache: EpochCache<W>,
+    /// Recall-epoch caches: CALL decisions, principal names, function
+    /// annotation hashes.
+    calls: RecallCache<(u32, Word), (), CALL_CACHE_WAYS>,
+    names: RecallCache<(u32, Word), u32, NAME_CACHE_WAYS>,
+    fn_hashes: RecallCache<Word, u64, FN_CACHE_WAYS>,
     /// Reusable writer buffer for the indirect-call slow path, the
     /// kfree sweep and WRITE transfers.
     scratch: Vec<PrincipalId>,
@@ -80,6 +148,9 @@ impl<const W: usize> GuardHandle<W> {
             shadow: ShadowStack::new(),
             kstack: None,
             cache: EpochCache::new(),
+            calls: RecallCache::default(),
+            names: RecallCache::default(),
+            fn_hashes: RecallCache::default(),
             scratch: Vec::new(),
             caps_scratch: Vec::new(),
             stats: GuardStats::new(),
@@ -201,12 +272,14 @@ impl<const W: usize> GuardHandle<W> {
     }
 
     /// Module-level CALL guard: the current principal must hold a CALL
-    /// capability for `target`.
+    /// capability for `target`. Repeated checks are answered from this
+    /// thread's cached positive decisions until a CALL capability is
+    /// removed anywhere (see the private `owns_call`).
     pub fn check_call(&mut self, target: Word) -> Result<(), Violation> {
         let Some((_m, p)) = self.shadow.current() else {
             return Ok(());
         };
-        if self.core.owns(p, RawCap::call(target)) {
+        if self.owns_call(p, target) {
             Ok(())
         } else {
             Err(Violation::MissingCall {
@@ -214,6 +287,52 @@ impl<const W: usize> GuardHandle<W> {
                 target,
             })
         }
+    }
+
+    /// Whether `p` holds CALL for `target` (the §3.1 hierarchy
+    /// included), answered from this thread's cached positive decisions
+    /// while the core's recall epoch has not moved. The epoch is read
+    /// **before** the `caps` probe and stamps what the probe finds, so a
+    /// CALL removal racing the probe, which bumps the epoch after
+    /// removing, invalidates the entry (rules 1 and 2 of the runtime's
+    /// soundness discipline, applied to CALL).
+    fn owns_call(&mut self, p: PrincipalId, target: Word) -> bool {
+        let epoch = self.core.recall_epoch();
+        if self.calls.get(epoch, (p.0, target)).is_some() {
+            return true;
+        }
+        let owned = self.core.owns(p, RawCap::call(target));
+        if owned {
+            self.calls.insert(epoch, (p.0, target), ());
+        }
+        owned
+    }
+
+    /// [`RuntimeCore::principal_for_name`] through this thread's cache:
+    /// a name's principal changes only when its module retires, which
+    /// bumps the recall epoch, so a cached answer stamped with the
+    /// epoch read before the lookup stays right until then.
+    pub fn principal_named(&mut self, module: ModuleId, name: Word) -> PrincipalId {
+        let epoch = self.core.recall_epoch();
+        if let Some(p) = self.names.get(epoch, (module.0, name)) {
+            return PrincipalId(p);
+        }
+        let p = self.core.principal_for_name(module, name);
+        self.names.insert(epoch, (module.0, name), p.0);
+        p
+    }
+
+    /// [`RuntimeCore::function_ahash`] through this thread's cache: a
+    /// registered hash changes only when its address is unregistered or
+    /// re-registered, which bumps the recall epoch.
+    fn fn_hash(&mut self, target: Word) -> Option<u64> {
+        let epoch = self.core.recall_epoch();
+        if let Some(h) = self.fn_hashes.get(epoch, target) {
+            return Some(h);
+        }
+        let h = self.core.function_ahash(target)?;
+        self.fn_hashes.insert(epoch, target, h);
+        Some(h)
     }
 
     /// `lxfi_check_indcall(pptr, ahash)` (§4.1): validates a kernel
@@ -253,10 +372,11 @@ impl<const W: usize> GuardHandle<W> {
         // First check (§4.1): every writer principal must hold a CALL
         // capability for the target. This is what rejects user-space
         // targets and un-imported kernel functions like `detach_pid`.
-        for &w in &self.scratch {
+        for i in 0..self.scratch.len() {
+            let w = self.scratch[i];
             let module = self.core.principal_module(w);
             self.stats.record_indcall_module(module, c);
-            if !self.core.owns(w, RawCap::call(target)) {
+            if !self.owns_call(w, target) {
                 return Err(Violation::IndCallUnauthorized {
                     slot,
                     target,
@@ -268,8 +388,7 @@ impl<const W: usize> GuardHandle<W> {
         // of the function-pointer type must match, so a module cannot
         // launder a function through a differently-annotated slot.
         let fn_hash = self
-            .core
-            .function_ahash(target)
+            .fn_hash(target)
             .ok_or(Violation::NotAFunction { target })?;
         if fn_hash != sig_hash {
             return Err(Violation::AnnotationMismatch { sig_hash, fn_hash });
@@ -293,19 +412,26 @@ impl<const W: usize> GuardHandle<W> {
         self.stats.epoch_bumps += self.core.retire_module(mid);
     }
 
-    /// Moves `cap` from whoever holds it to `dst` (annotation `transfer`
-    /// semantics: revoke everywhere, then grant to the destination).
+    /// Moves `cap` from `src` and whoever else holds it to `dst`
+    /// (annotation `transfer` semantics: `src` must own `cap`, then it is
+    /// revoked everywhere and granted to the destination). `src = None`
+    /// is the core kernel, which owns everything. A source lacking `cap`
+    /// gets the matching `Missing*` violation and nothing moves.
     ///
     /// WRITE capabilities take [`RuntimeCore::transfer_write`], which
-    /// asks the reverse index for the range's holders and grants the
-    /// destination before revoking `cap` from each of them. At most one
-    /// holder is the common per-packet case (counted in
-    /// [`GuardStats::transfer_fast`]). The multi-holder case and every
-    /// non-WRITE cap, which takes the full revoke-then-grant walk, count
-    /// in [`GuardStats::transfer_slow`].
-    pub fn transfer_cap(&mut self, cap: RawCap, dst: Option<PrincipalId>) {
+    /// checks the source's coverage and moves the grant in one locked
+    /// pass over the range's shards. At most one holder is the common
+    /// per-packet case (counted in [`GuardStats::transfer_fast`]). The
+    /// multi-holder case and every non-WRITE cap, which takes the full
+    /// revoke-then-grant walk, count in [`GuardStats::transfer_slow`].
+    pub fn transfer_cap(
+        &mut self,
+        cap: RawCap,
+        src: Option<PrincipalId>,
+        dst: Option<PrincipalId>,
+    ) -> Result<(), Violation> {
         if cap.ctype == CapType::Write {
-            let (fast, bumps) = self.core.transfer_write(cap, dst, &mut self.scratch);
+            let (fast, bumps) = self.core.transfer_write(cap, src, dst, &mut self.scratch)?;
             self.stats.epoch_bumps += bumps;
             if fast {
                 self.stats.transfer_fast += 1;
@@ -313,12 +439,14 @@ impl<const W: usize> GuardHandle<W> {
                 self.stats.transfer_slow += 1;
             }
         } else {
+            self.core.require_owned(src, cap)?;
             self.stats.transfer_slow += 1;
             self.core.revoke_everywhere(&[cap]);
             if let Some(d) = dst {
                 self.core.grant(d, cap);
             }
         }
+        Ok(())
     }
 
     /// See [`RuntimeCore::revoke_write_overlapping_everywhere`].
@@ -372,6 +500,102 @@ mod tests {
         assert_eq!(h.stats.write_cache_hits, 1);
         h.check_write(0x5000, 8).unwrap();
         assert_eq!(h.stats.write_cache_hits, 2);
+    }
+
+    /// Every way a CALL capability leaves a principal — a revoke, a
+    /// revoke-everywhere walk (a CALL transfer), its module's retirement
+    /// — denies the next check of a handle whose cached decision was
+    /// hot, on that handle and on another one.
+    #[test]
+    fn call_removals_deny_cached_call_decisions() {
+        type Remove = fn(&RuntimeCore, ModuleId, PrincipalId, Word);
+        let removals: [(&str, Remove); 3] = [
+            ("revoke", |c, _, p, t| {
+                assert!(c.revoke(p, RawCap::call(t)).0)
+            }),
+            ("everywhere", |c, _, _, t| {
+                c.revoke_everywhere(&[RawCap::call(t)])
+            }),
+            ("retire", |c, m, _, _| _ = c.retire_module(m)),
+        ];
+        for (how, remove) in removals {
+            let (core, m) = world();
+            let p = core.principal_for_name(m, 0x9000);
+            let (t, other) = (0xffff_ffff_8000_0010, 0xffff_ffff_8000_0020);
+            core.grant(p, RawCap::call(t));
+            core.grant(p, RawCap::call(other));
+            let mut hs: [GuardHandle; 2] = [0, 1].map(|_| GuardHandle::new(Arc::clone(&core)));
+            for h in &mut hs {
+                h.set_current(Some((m, p)));
+                h.check_call(t).unwrap();
+                h.check_call(t).unwrap(); // from the cache
+            }
+            remove(&core, m, p, t);
+            for h in &mut hs {
+                assert_eq!(
+                    h.check_call(t),
+                    Err(Violation::MissingCall {
+                        principal: p,
+                        target: t,
+                    }),
+                    "{how}"
+                );
+            }
+            // The bump dropped the other cached decision too; it still
+            // holds unless the module retired.
+            assert_eq!(hs[0].check_call(other).is_ok(), how != "retire", "{how}");
+        }
+    }
+
+    /// A retired module's names resolve to fresh principals, through a
+    /// handle that cached them, and an unregistered function's hash is
+    /// gone for it.
+    #[test]
+    fn retirement_and_unregistering_recall_cached_answers() {
+        let (core, m) = world();
+        let mut h: GuardHandle = GuardHandle::new(Arc::clone(&core));
+        let p = h.principal_named(m, 0x9000);
+        assert_eq!(h.principal_named(m, 0x9000), p);
+        assert_eq!(core.principal_for_name(m, 0x9000), p);
+        core.retire_module(m);
+        let q = h.principal_named(m, 0x9000);
+        assert_ne!(q, p, "a retired module's name binds a new principal");
+        assert_eq!(core.principal_for_name(m, 0x9000), q);
+
+        core.register_function(0xf000, 7);
+        assert_eq!(h.fn_hash(0xf000), Some(7));
+        core.unregister_function(0xf000);
+        assert_eq!(h.fn_hash(0xf000), None);
+        core.register_function(0xf000, 8);
+        assert_eq!(h.fn_hash(0xf000), Some(8));
+        core.register_function(0xf000, 9);
+        assert_eq!(h.fn_hash(0xf000), Some(9), "re-registering recalls too");
+    }
+
+    #[test]
+    fn call_cache_replaces_round_robin_when_full() {
+        let (core, m) = world();
+        let p = core.principal_for_name(m, 0x9000);
+        let targets: Vec<Word> = (0..CALL_CACHE_WAYS as u64 + 3)
+            .map(|i| 0xffff_ffff_8000_0000 + i * 16)
+            .collect();
+        for &t in &targets {
+            core.grant(p, RawCap::call(t));
+        }
+        let mut h: GuardHandle = GuardHandle::new(Arc::clone(&core));
+        h.set_current(Some((m, p)));
+        for &t in targets.iter().chain(&targets) {
+            h.check_call(t).unwrap();
+        }
+        assert_eq!(h.calls.len, CALL_CACHE_WAYS);
+        let epoch = core.recall_epoch();
+        let cached = targets
+            .iter()
+            .filter(|&&t| h.calls.get(epoch, (p.0, t)).is_some())
+            .count();
+        assert_eq!(cached, CALL_CACHE_WAYS);
+        // Never a decision for a target the principal lacks.
+        assert!(h.check_call(0xffff_ffff_8000_1000).is_err());
     }
 
     #[test]

@@ -45,10 +45,12 @@
 
 pub mod actions;
 pub mod caps;
+pub mod chunked;
 pub mod compiled;
 pub mod epoch_cache;
 pub mod handle;
 pub mod iface;
+pub mod inthash;
 pub mod principal;
 pub mod runtime;
 pub mod shadow;

@@ -12,9 +12,9 @@
 //! for one NIC); `lxfi_princ_alias` binds a new name to an existing
 //! principal.
 
-use std::collections::HashMap;
-
 use lxfi_machine::Word;
+
+use crate::inthash::IntMap;
 
 /// Identifies a loaded module within the runtime.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -48,7 +48,7 @@ pub struct ModuleInfo {
     pub instances: Vec<PrincipalId>,
     /// Pointer-name → principal map (§3.3). Multiple names may alias one
     /// principal.
-    pub names: HashMap<Word, PrincipalId>,
+    pub names: IntMap<Word, PrincipalId>,
 }
 
 impl ModuleInfo {
@@ -59,7 +59,7 @@ impl ModuleInfo {
             shared,
             global,
             instances: Vec::new(),
-            names: HashMap::new(),
+            names: IntMap::default(),
         }
     }
 

@@ -55,16 +55,30 @@
 //!    bump sweep is always included in it). An instance's or global
 //!    principal's bump reaches only principals fixed at its creation,
 //!    read from its slot without a lock.
+//!
+//! Three more answers a handle caches follow rules 1 and 2 with one
+//! epoch for the whole core instead of one per principal, the **recall
+//! epoch**: CALL decisions, the principal a pointer name resolves to,
+//! and a function's annotation hash. Each can only be withdrawn by a
+//! CALL removal (a revoke, a revoke-everywhere walk), a module's
+//! retirement (which also clears its names) or a function's
+//! unregistration or re-registration, and each of those bumps the
+//! recall epoch after its change. A handle reads the epoch before it
+//! probes and stamps what it caches with that value (see
+//! [`crate::GuardHandle::check_call`]). These changes are rare (module
+//! teardown and window reuse, explicit revokes), so one epoch costs
+//! little; grants, new names and new functions never bump it.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock, RwLock};
+use std::sync::{Mutex, OnceLock, RwLock};
 
 use lxfi_machine::{AddressSpace, Word};
 
 use crate::caps::{CapSet, CapType, RawCap, RefTypeId};
+use crate::chunked::ChunkedTable;
+use crate::inthash::IntMap;
 use crate::principal::{ModuleId, ModuleInfo, PrincipalId, PrincipalKind};
-use crate::shadow::PrincipalCtx;
 use crate::stats::GuardStats;
 use crate::writer_index::WriterIndex;
 use crate::Violation;
@@ -154,7 +168,7 @@ struct Meta {
 struct Names {
     ref_types: Vec<String>,
     ref_type_ids: HashMap<String, RefTypeId>,
-    iterators: Vec<Option<Arc<IteratorFn>>>,
+    iterators: Vec<Option<IteratorFn>>,
     iterator_ids: HashMap<String, IteratorId>,
     iterator_names: Vec<String>,
     const_values: Vec<Option<i64>>,
@@ -179,40 +193,6 @@ const SLOT_CHUNK: usize = 64;
 /// lookup never takes a lock).
 const MAX_PRINCIPALS: usize = 1 << 16;
 
-/// A chunked, append-only principal-slot table: indexing is two atomic
-/// loads (`OnceLock::get`), so the guard hot path reaches a principal's
-/// epoch without any lock while registration (under the `meta` write
-/// lock) initializes chunks on demand.
-struct SlotTable {
-    chunks: Box<[OnceLock<Box<[PrincipalSlot; SLOT_CHUNK]>>]>,
-}
-
-impl SlotTable {
-    fn new() -> Self {
-        SlotTable {
-            chunks: (0..MAX_PRINCIPALS / SLOT_CHUNK)
-                .map(|_| OnceLock::new())
-                .collect::<Vec<_>>()
-                .into_boxed_slice(),
-        }
-    }
-
-    /// Makes sure the chunk holding principal `i` exists.
-    fn ensure(&self, i: usize) {
-        assert!(i < MAX_PRINCIPALS, "principal limit ({MAX_PRINCIPALS})");
-        self.chunks[i / SLOT_CHUNK]
-            .get_or_init(|| Box::new(std::array::from_fn(|_| PrincipalSlot::default())));
-    }
-
-    /// The slot of a registered principal (lock-free).
-    #[inline]
-    fn get(&self, i: usize) -> &PrincipalSlot {
-        &self.chunks[i / SLOT_CHUNK]
-            .get()
-            .expect("principal registered")[i % SLOT_CHUNK]
-    }
-}
-
 /// Result of a `kfree`-style sweep
 /// ([`RuntimeCore::revoke_write_overlapping_everywhere`]).
 #[derive(Debug, Clone, Copy, Default)]
@@ -225,16 +205,21 @@ pub struct KfreeSweep {
 
 /// The shared, thread-safe half of the runtime. See the module docs for
 /// the state split and the locking discipline. All methods take
-/// `&self`; wrap it in an [`Arc`] and hand [`crate::GuardHandle`]s to
+/// `&self`; wrap it in an [`Arc`](std::sync::Arc) and hand [`crate::GuardHandle`]s to
 /// worker threads.
 pub struct RuntimeCore {
     meta: RwLock<Meta>,
-    slots: SlotTable,
+    /// The principal slots, indexed by id: the guard hot path reaches a
+    /// principal's epoch without any lock, while registration (under
+    /// the `meta` write lock) allocates chunks on demand.
+    slots: ChunkedTable<PrincipalSlot, SLOT_CHUNK>,
     /// The reverse writer index (§5), sharded once at construction.
     pub(crate) index: WriterIndex,
     names: RwLock<Names>,
     /// Annotation hash (`ahash`) per registered function address.
-    fns: RwLock<HashMap<Word, u64>>,
+    fns: RwLock<IntMap<Word, u64>>,
+    /// The recall epoch (see the module docs).
+    recall_epoch: AtomicU64,
     /// Merged per-thread handle stats (handles flush here on drop or via
     /// [`crate::GuardHandle::flush_stats`]).
     stats: Mutex<GuardStats>,
@@ -258,23 +243,38 @@ impl RuntimeCore {
     pub fn with_shard_boundaries(boundaries: Vec<Word>) -> Self {
         RuntimeCore {
             meta: RwLock::new(Meta::default()),
-            slots: SlotTable::new(),
+            slots: ChunkedTable::new(MAX_PRINCIPALS),
             index: WriterIndex::with_boundaries(boundaries),
             names: RwLock::new(Names::default()),
-            fns: RwLock::new(HashMap::new()),
+            fns: RwLock::default(),
+            recall_epoch: AtomicU64::new(0),
             stats: Mutex::new(GuardStats::new()),
         }
     }
 
     #[inline]
     fn slot(&self, p: PrincipalId) -> &PrincipalSlot {
-        self.slots.get(p.0 as usize)
+        self.slots.get(p.0 as usize).expect("principal registered")
     }
 
     /// A registered principal's hierarchy place (lock-free).
     #[inline]
     fn info(&self, p: PrincipalId) -> PrincipalInfo {
         *self.slot(p).info.get().expect("principal registered")
+    }
+
+    /// The core's recall epoch (see the module docs). Handles read it
+    /// lock-free before consulting their cached CALL decisions, names
+    /// and annotation hashes.
+    #[inline]
+    pub fn recall_epoch(&self) -> u64 {
+        self.recall_epoch.load(Ordering::Acquire)
+    }
+
+    /// Invalidates every handle's recall-epoch caches; called after a
+    /// CALL removal, a retirement or a function (un)registration.
+    fn bump_recall_epoch(&self) {
+        self.recall_epoch.fetch_add(1, Ordering::AcqRel);
     }
 
     /// The current write-guard epoch of a principal. Guards read this
@@ -307,8 +307,11 @@ impl RuntimeCore {
 
     fn new_principal_locked(&self, meta: &mut Meta, info: PrincipalInfo) -> PrincipalId {
         let id = PrincipalId(meta.retired.len() as u32);
-        self.slots.ensure(id.0 as usize);
-        self.slot(id).info.set(info).expect("fresh slot");
+        self.slots
+            .slot(id.0 as usize)
+            .info
+            .set(info)
+            .expect("fresh slot");
         meta.retired.push(false);
         id
     }
@@ -426,8 +429,10 @@ impl RuntimeCore {
     /// Retires every principal of a module: CALL and REF capabilities
     /// are discarded, each principal's write epoch is bumped once (so no
     /// cached positive guard decision survives), the module's instance
-    /// registry and pointer names are cleared, and each principal is
-    /// marked retired. Returns the epoch bumps.
+    /// registry and pointer names are cleared, each principal is marked
+    /// retired, and the recall epoch is bumped (so no handle keeps a
+    /// cached CALL decision or name of the module). Returns the write
+    /// epoch bumps.
     ///
     /// WRITE grants stay in the reverse writer index: they record that
     /// the dead module may have written those bytes since they were last
@@ -462,6 +467,7 @@ impl RuntimeCore {
         let m = &mut meta.modules[mid.0 as usize];
         m.instances.clear();
         m.names.clear();
+        self.bump_recall_epoch();
         victims.len() as u64
     }
 
@@ -487,7 +493,11 @@ impl RuntimeCore {
     /// shrank; every other principal's guard cache survives untouched.
     pub fn revoke(&self, p: PrincipalId, cap: RawCap) -> (bool, u64) {
         if cap.ctype != CapType::Write {
-            return (self.slot(p).caps.lock().expect("caps lock").revoke(cap), 0);
+            let removed = self.slot(p).caps.lock().expect("caps lock").revoke(cap);
+            if removed && cap.ctype == CapType::Call {
+                self.bump_recall_epoch();
+            }
+            return (removed, 0);
         }
         if !self.index.remove(p, cap.addr, cap.size) {
             return (false, 0);
@@ -539,7 +549,8 @@ impl RuntimeCore {
     /// principal in the system, in one walk of the live principals:
     /// `transfer` semantics (§3.3), no stale copies survive. Retired
     /// principals hold neither kind and are skipped. Neither kind feeds
-    /// a write guard, so no epoch moves. A WRITE capability is revoked
+    /// a write guard, so no write epoch moves; CALL caps bump the recall
+    /// epoch after the walk. A WRITE capability is revoked
     /// from everyone by [`RuntimeCore::transfer_write`] with no
     /// destination, which asks the reverse writer index for its holders.
     pub fn revoke_everywhere(&self, caps: &[RawCap]) {
@@ -558,16 +569,27 @@ impl RuntimeCore {
                 table.revoke(cap);
             }
         }
+        if caps.iter().any(|c| c.ctype == CapType::Call) {
+            self.bump_recall_epoch();
+        }
     }
 
-    /// `transfer` semantics for a WRITE capability: revoke `cap` from
-    /// everyone, then grant it to `dst` (if any), in one pass over the
-    /// shards the range touches ([`WriterIndex::transfer`]). The index
-    /// names the range's writers into `holders` (a caller-owned buffer),
-    /// so only they are visited — never the whole principal list. The
-    /// fast path is the per-packet skb case of **at most one** writer;
-    /// several writers take the slow path through the same pass.
-    /// Returns `(fast_path_taken, epoch_bumps)`.
+    /// `transfer` semantics for a WRITE capability: check that `src`
+    /// owns `cap` (`None`, the core kernel, owns everything), revoke it
+    /// from everyone, then grant it to `dst` (if any), all in one pass
+    /// over the shards the range touches ([`WriterIndex::transfer`]).
+    /// The ownership test is [`RuntimeCore::owns`]'s covering query,
+    /// made under the lock of the shard holding `cap.addr` before
+    /// anything moves, so no second lookup precedes the pass and no
+    /// revocation can slip between the check and the move. A source
+    /// that does not cover the range gets `MissingWrite` naming it, and
+    /// no grant, holder or epoch changes.
+    ///
+    /// The index names the range's writers into `holders` (a
+    /// caller-owned buffer), so only they are visited — never the whole
+    /// principal list. The fast path is the per-packet skb case of **at
+    /// most one** writer; several writers take the slow path through the
+    /// same pass. Returns `(fast_path_taken, epoch_bumps)`.
     ///
     /// Each shard gains `dst`'s entry under the same lock as it loses
     /// the old holders', so a racing indirect-call lookup sees the old
@@ -579,16 +601,21 @@ impl RuntimeCore {
     pub fn transfer_write(
         &self,
         cap: RawCap,
+        src: Option<PrincipalId>,
         dst: Option<PrincipalId>,
         holders: &mut Vec<PrincipalId>,
-    ) -> (bool, u64) {
+    ) -> Result<(bool, u64), Violation> {
         debug_assert_eq!(cap.ctype, CapType::Write);
-        let moved = self.index.transfer(cap.addr, cap.size, dst, holders);
+        let covers = src.map(|p| self.write_scope(p));
+        let moved = self
+            .index
+            .transfer(cap.addr, cap.size, covers, dst, holders)
+            .ok_or_else(|| self.missing(src.expect("only a source can lack a grant"), cap))?;
         let bumps = holders[..moved]
             .iter()
             .map(|&h| self.bump_write_epochs(h))
             .sum();
-        (holders.len() <= 1, bumps)
+        Ok((holders.len() <= 1, bumps))
     }
 
     /// Revokes all WRITE capabilities overlapping `[addr, addr+size)` from
@@ -661,12 +688,32 @@ impl RuntimeCore {
         }
     }
 
-    /// Ownership test for an optional principal context (`None` = the
-    /// trusted core kernel, which owns everything).
-    pub fn ctx_owns(&self, ctx: PrincipalCtx, cap: RawCap) -> bool {
-        match ctx {
-            None => true,
-            Some((_, p)) => self.owns(p, cap),
+    /// `Ok` if `src` owns `cap` (`None`, the core kernel, owns
+    /// everything), else the violation naming what `src` lacks.
+    pub fn require_owned(&self, src: Option<PrincipalId>, cap: RawCap) -> Result<(), Violation> {
+        match src {
+            Some(p) if !self.owns(p, cap) => Err(self.missing(p, cap)),
+            _ => Ok(()),
+        }
+    }
+
+    /// The violation for `p` lacking `cap`.
+    fn missing(&self, p: PrincipalId, cap: RawCap) -> Violation {
+        match cap.ctype {
+            CapType::Write => Violation::MissingWrite {
+                principal: p,
+                addr: cap.addr,
+                len: cap.size,
+            },
+            CapType::Call => Violation::MissingCall {
+                principal: p,
+                target: cap.addr,
+            },
+            CapType::Ref(t) => Violation::MissingRef {
+                principal: p,
+                rtype: self.ref_type_name(t),
+                value: cap.addr,
+            },
         }
     }
 
@@ -676,12 +723,19 @@ impl RuntimeCore {
     /// its shared principal, a shared principal matches itself, and a
     /// global principal matches any principal of its module.
     pub fn write_covering(&self, p: PrincipalId, addr: Word, len: u64) -> Option<(Word, Word)> {
+        self.index.covering(addr, len, self.write_scope(p))
+    }
+
+    /// Which grant holders' WRITE entries count as `p`'s under the §3.1
+    /// hierarchy (see [`RuntimeCore::write_covering`]). Reads only
+    /// lock-free slot fields, so it may run under a shard lock.
+    fn write_scope(&self, p: PrincipalId) -> impl Fn(PrincipalId) -> bool + '_ {
         let info = self.info(p);
-        self.index.covering(addr, len, |h| match info.kind {
+        move |h| match info.kind {
             PrincipalKind::Shared => h == p,
             PrincipalKind::Instance => h == p || h == info.shared,
             PrincipalKind::Global => self.info(h).module == info.module,
-        })
+        }
     }
 
     /// True if one of `p`'s own grants overlaps the range (diagnostics).
@@ -699,15 +753,21 @@ impl RuntimeCore {
     // ---------------------------------------------------------- functions
 
     /// Registers a function address with its annotation hash.
+    /// Replacing a different hash bumps the recall epoch.
     pub fn register_function(&self, addr: Word, ahash: u64) {
-        self.fns.write().expect("fns lock").insert(addr, ahash);
+        let old = self.fns.write().expect("fns lock").insert(addr, ahash);
+        if old.is_some_and(|h| h != ahash) {
+            self.bump_recall_epoch();
+        }
     }
 
     /// Unregisters a function address (module-window reuse: the dead
     /// tenant's annotation hashes must not answer for the new one's
     /// addresses).
     pub fn unregister_function(&self, addr: Word) {
-        self.fns.write().expect("fns lock").remove(&addr);
+        if self.fns.write().expect("fns lock").remove(&addr).is_some() {
+            self.bump_recall_epoch();
+        }
     }
 
     /// The annotation hash of a registered function.
@@ -777,14 +837,16 @@ impl RuntimeCore {
     /// id compiled annotations reference it by.
     pub fn register_iterator(&self, name: &str, f: IteratorFn) -> IteratorId {
         let id = self.iterator_id(name);
-        self.names.write().expect("names lock").iterators[id.0 as usize] = Some(Arc::new(f));
+        self.names.write().expect("names lock").iterators[id.0 as usize] = Some(f);
         id
     }
 
     /// Runs a registered iterator by interned id (the enforcement path —
     /// no name lookup), appending what it emits to `out` (the caller's
-    /// reusable buffer). The iterator function is cloned out of the
-    /// registry (an `Arc` bump) so no lock is held while it walks memory.
+    /// reusable buffer). The iterator runs under the `names` read lock,
+    /// which only an interning or a registration ever waits on: an
+    /// iterator walks simulated memory and calls back into no runtime
+    /// table.
     pub fn run_iterator_id(
         &self,
         id: IteratorId,
@@ -792,13 +854,15 @@ impl RuntimeCore {
         arg: Word,
         out: &mut Vec<EmittedCap>,
     ) -> Result<(), Violation> {
-        let f = self.names.read().expect("names lock").iterators[id.0 as usize]
-            .clone()
+        let names = self.names.read().expect("names lock");
+        let i = id.0 as usize;
+        let f = names.iterators[i]
+            .as_ref()
             .ok_or_else(|| Violation::UnknownIterator {
-                name: self.iterator_name(id),
+                name: names.iterator_names[i].clone(),
             })?;
         f(mem, arg, out).map_err(|why| Violation::IteratorFailed {
-            name: self.iterator_name(id),
+            name: names.iterator_names[i].clone(),
             why,
         })
     }
@@ -879,6 +943,8 @@ impl RuntimeCore {
 
 #[cfg(test)]
 mod tests {
+    use std::sync::Arc;
+
     use super::*;
     use crate::stats::GuardKind;
     use crate::GuardHandle;
@@ -1014,8 +1080,10 @@ mod tests {
 
         let heir = rt.shared_principal(rt.register_module("heir"));
         rt.revoke_write_overlapping_everywhere(slots[0], 8);
-        rt.transfer_cap(RawCap::write(slots[1], 8), Some(heir));
-        rt.transfer_cap(RawCap::write(slots[2], 8), None);
+        rt.transfer_cap(RawCap::write(slots[1], 8), None, Some(heir))
+            .unwrap();
+        rt.transfer_cap(RawCap::write(slots[2], 8), None, None)
+            .unwrap();
         assert!(rt.writers_of(slots[0]).is_empty());
         assert_eq!(rt.writers_of(slots[1]), vec![heir]);
         assert!(rt.writers_of(slots[2]).is_empty());
@@ -1035,7 +1103,7 @@ mod tests {
         let cap = RawCap::write(0x5000, 64);
         rt.grant(a, cap);
         rt.grant(b, cap);
-        rt.transfer_cap(cap, None);
+        rt.transfer_cap(cap, None, None).unwrap();
         assert!(!rt.owns(a, cap));
         assert!(!rt.owns(b, cap));
 
@@ -1050,7 +1118,7 @@ mod tests {
         rt.grant(c, other);
         let c_epoch = rt.write_epoch(c);
         rt.stats.reset();
-        rt.transfer_cap(cap, Some(d));
+        rt.transfer_cap(cap, None, Some(d)).unwrap();
         assert!(!rt.owns(a, cap));
         assert!(!rt.owns(b, cap));
         assert!(rt.owns(c, other), "bystander keeps its own grant");
@@ -1138,7 +1206,7 @@ mod tests {
         rt.grant(a, cap);
         rt.set_current(Some((m, a)));
         rt.check_write(0x5000, 8).unwrap();
-        rt.transfer_cap(cap, None);
+        rt.transfer_cap(cap, None, None).unwrap();
         assert!(rt.check_write(0x5000, 8).is_err());
     }
 
@@ -1277,7 +1345,7 @@ mod tests {
         let cap = RawCap::write(0x7000, 8);
         rt.grant(h, cap);
         let epoch = rt.write_epoch(h);
-        rt.transfer_cap(cap, Some(h));
+        rt.transfer_cap(cap, None, Some(h)).unwrap();
         assert!(rt.owns(h, cap));
         assert_eq!(rt.writers_of(0x7000), vec![h]);
         assert_eq!(rt.stats.transfer_fast, 1);

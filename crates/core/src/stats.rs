@@ -6,8 +6,7 @@
 //! "Time per guard (ns)"), with one simulated cycle = 1 ns, so the
 //! regenerated table is directly comparable in shape.
 
-use std::collections::HashMap;
-
+use crate::inthash::IntMap;
 use crate::principal::ModuleId;
 
 /// The guard kinds reported in Figure 13.
@@ -114,7 +113,7 @@ impl Default for GuardCosts {
 pub struct GuardStats {
     counts: [u64; 5],
     cycles: [u64; 5],
-    indcall_by_module: HashMap<ModuleId, (u64, u64)>,
+    indcall_by_module: IntMap<ModuleId, (u64, u64)>,
     /// Mem-write checks answered by the epoch-validated write-guard
     /// cache (a subset of the `MemWrite` count; benches and the CI perf
     /// gate report the hit rate).

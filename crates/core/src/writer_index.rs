@@ -26,9 +26,10 @@
 //! lifetime. An entry is stored, unclipped, in every shard its range
 //! touches, and an operation visits only the shards its range touches,
 //! so a lookup searches one shard's entries and a grant's or revoke's
-//! `Vec` insert or remove moves only that shard's tail. A covering
-//! query locks only the shard holding the probe's first byte: an entry
-//! covering the probe is stored there too.
+//! `Vec` insert or remove moves only that shard's tail. A range that
+//! ends in its first shard is routed with one binary search over the
+//! split points. A covering query locks only the shard holding the
+//! probe's first byte: an entry covering the probe is stored there too.
 //!
 //! Each shard sits behind its own mutex, and every method takes `&self`
 //! and holds one shard lock at a time, so a change to an entry stored
@@ -106,19 +107,47 @@ impl WriterIndex {
         self.shards.len()
     }
 
-    /// The shard holding byte `a`.
-    fn shard_of(&self, a: Word) -> usize {
+    /// The shard holding byte `a` (public for the routing oracle, like
+    /// [`WriterIndex::shards_of`] and [`WriterIndex::only_in`]).
+    #[doc(hidden)]
+    pub fn shard_of(&self, a: Word) -> usize {
         self.boundaries.partition_point(|&b| b <= a)
     }
 
+    /// The first byte of shard `s`.
+    fn shard_start(&self, s: usize) -> Word {
+        s.checked_sub(1).map_or(0, |i| self.boundaries[i])
+    }
+
+    /// One past the last byte of shard `s` a range can end in
+    /// (`Word::MAX` for the last shard: range ends saturate there).
+    fn shard_end(&self, s: usize) -> Word {
+        self.boundaries.get(s).copied().unwrap_or(Word::MAX)
+    }
+
     /// The shards `[addr, addr+size)` touches, with the range's end
-    /// clamped at `Word::MAX` (empty for an empty range).
-    fn shards_of(&self, addr: Word, size: u64) -> Range<usize> {
+    /// clamped at `Word::MAX` (empty for an empty range). A range that
+    /// ends in its first shard, as nearly every one does, is routed by
+    /// one search.
+    #[doc(hidden)]
+    pub fn shards_of(&self, addr: Word, size: u64) -> Range<usize> {
         let size = size.min(Word::MAX - addr);
         if size == 0 {
             return 0..0;
         }
-        self.shard_of(addr)..self.shard_of(addr + size - 1) + 1
+        let first = self.shard_of(addr);
+        let last = addr + size - 1;
+        if last < self.shard_end(first) {
+            return first..first + 1;
+        }
+        first..self.shard_of(last) + 1
+    }
+
+    /// Whether the entry `[a, a+len)` stored in shard `s` is stored in
+    /// no other shard: a bounds compare, no routing.
+    #[doc(hidden)]
+    pub fn only_in(&self, s: usize, a: Word, len: u64) -> bool {
+        self.shard_start(s) <= a && a + len <= self.shard_end(s)
     }
 
     fn lock(&self, s: usize) -> MutexGuard<'_, Shard> {
@@ -126,13 +155,44 @@ impl WriterIndex {
     }
 
     /// Runs `f` on every shard `[addr, addr+size)` touches, locking one
-    /// shard at a time (under `straddle` when there are several).
-    fn for_shards(&self, addr: Word, size: u64, mut f: impl FnMut(usize, &mut Shard)) {
+    /// shard at a time (under `straddle` when there are several); `f`
+    /// learns whether its shard is the range's first.
+    fn for_shards(&self, addr: Word, size: u64, f: impl FnMut(bool, &mut Shard)) {
+        self.checked_pass(addr, size, None::<fn(PrincipalId) -> bool>, f);
+    }
+
+    /// [`WriterIndex::for_shards`], first checking, with `src_covers`,
+    /// that an entry whose holder it accepts covers all of the range
+    /// (the [`covering`](Self::covering) test, made under the lock of
+    /// the shard holding `addr` before `f` runs anywhere). Returns
+    /// `false`, with `f` run nowhere, if none does. A covering entry
+    /// that spans shards can only change under the `straddle` lock the
+    /// pass then holds, so it cannot vanish mid-pass.
+    fn checked_pass(
+        &self,
+        addr: Word,
+        size: u64,
+        mut src_covers: Option<impl FnMut(PrincipalId) -> bool>,
+        mut f: impl FnMut(bool, &mut Shard),
+    ) -> bool {
         let shards = self.shards_of(addr, size);
+        if shards.is_empty() {
+            // Only an empty range is covered; a non-empty one here
+            // starts at `Word::MAX`.
+            return size == 0 || src_covers.is_none();
+        }
+        let first = shards.start;
         let _straddle = (shards.len() > 1).then(|| self.straddle.lock().expect("straddle lock"));
         for s in shards {
-            f(s, &mut self.lock(s));
+            let mut sh = self.lock(s);
+            if let Some(keep) = src_covers.take() {
+                if sh.covering(addr, size, keep).is_none() {
+                    return false;
+                }
+            }
+            f(s == first, &mut sh);
         }
+        true
     }
 
     /// Grants `p` WRITE over `[addr, addr+size)`: the entry goes into
@@ -191,17 +251,24 @@ impl WriterIndex {
     /// how many holders lost the grant; they are `holders[..moved]`, and
     /// the rest are bystanders with other grants over the range. A
     /// reader of any shard sees the old holders or `dst`, never neither.
+    ///
+    /// With `src_covers`, the pass first checks, under the lock of the
+    /// shard holding `addr`, that an entry whose holder it accepts covers
+    /// all of the range (the [`covering`](Self::covering) test), and
+    /// returns `None` with nothing changed if none does. A covering
+    /// entry that spans shards can only change under the `straddle` lock
+    /// this pass holds, so the source cannot lose it mid-transfer.
     pub fn transfer(
         &self,
         addr: Word,
         size: u64,
+        src_covers: Option<impl FnMut(PrincipalId) -> bool>,
         dst: Option<PrincipalId>,
         holders: &mut Vec<PrincipalId>,
-    ) -> usize {
+    ) -> Option<usize> {
         holders.clear();
         let mut moved = 0;
-        let first = self.shard_of(addr);
-        self.for_shards(addr, size, |s, sh| {
+        let covered = self.checked_pass(addr, size, src_covers, |first, sh| {
             sh.for_each_overlapping(addr, size, |_, _, p| {
                 if !holders.contains(&p) {
                     holders.push(p);
@@ -212,13 +279,13 @@ impl WriterIndex {
             }
             for i in 0..holders.len() {
                 // Every shard holds the exact entries; count them once.
-                if Some(holders[i]) != dst && sh.remove(addr, size, holders[i]) && s == first {
+                if Some(holders[i]) != dst && sh.remove(addr, size, holders[i]) && first {
                     holders.swap(moved, i);
                     moved += 1;
                 }
             }
         });
-        moved
+        covered.then_some(moved)
     }
 
     /// Removes every entry overlapping `[addr, addr+size)` whose holder
@@ -237,7 +304,7 @@ impl WriterIndex {
         let (mut lo, mut hi) = (Word::MAX, 0);
         for s in self.shards_of(addr, size) {
             self.lock(s).remove_overlapping(addr, size, |a, len, p| {
-                if self.shards_of(a, len).len() == 1 {
+                if self.only_in(s, a, len) {
                     return remove(p);
                 }
                 (lo, hi) = (lo.min(a), hi.max(a + len));
@@ -263,7 +330,7 @@ impl WriterIndex {
             .map(|s| {
                 self.lock(s)
                     .entries()
-                    .filter(|&(a, _, h)| h == p && self.shard_of(a) == s)
+                    .filter(|&(a, _, h)| h == p && a >= self.shard_start(s))
                     .count()
             })
             .sum()
@@ -660,7 +727,8 @@ mod tests {
                     }
                     Op::Transfer(a, s, d) => {
                         let d = d.map(|i| ps[i]);
-                        core.transfer_write(RawCap::write(a, s), d, &mut holders);
+                        core.transfer_write(RawCap::write(a, s), None, d, &mut holders)
+                            .expect("the kernel owns everything");
                         model.retain(|&(h, x, y)| (x, y) != (a, s) || Some(h) == d);
                         if let Some(d) = d.filter(|d| !model.contains(&(*d, a, s))) {
                             model.push((d, a, s));

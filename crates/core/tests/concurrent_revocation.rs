@@ -337,3 +337,54 @@ fn indcall_never_misses_a_surviving_writer_during_revoke() {
     churner.join().unwrap();
     core.check_index_invariants();
 }
+
+/// The same bar for CALL decisions, which handles cache under the
+/// core's CALL epoch: each round a checker thread keeps checking CALL
+/// for a target (warming and re-filling its cache) while the main
+/// thread revokes it, then re-grants it. Once the revoke has returned,
+/// the checker's next check must deny, however its cache raced the
+/// revoke; once the grant has returned, it must pass again.
+#[test]
+fn call_revoke_racing_checks_never_leaves_a_stale_decision() {
+    const ROUNDS: usize = 300;
+    const TARGET: u64 = 0xffff_ffff_8000_0040;
+    let (core, m, ps) = world(1);
+    let p = ps[0];
+    core.grant(p, RawCap::call(TARGET));
+    let barrier = Arc::new(Barrier::new(2));
+    let revoked = Arc::new(AtomicBool::new(false));
+    let checker = {
+        let (core, barrier, revoked) = (
+            Arc::clone(&core),
+            Arc::clone(&barrier),
+            Arc::clone(&revoked),
+        );
+        thread::spawn(move || {
+            let mut h: GuardHandle = GuardHandle::new(core);
+            h.set_current(Some((m, p)));
+            for round in 0..ROUNDS {
+                h.check_call(TARGET).expect("granted at round start");
+                barrier.wait(); // the revoke may start
+                while !revoked.load(Ordering::Acquire) {
+                    let _ = h.check_call(TARGET);
+                }
+                assert!(
+                    h.check_call(TARGET).is_err(),
+                    "round {round}: a cached CALL outlived its revoke"
+                );
+                barrier.wait(); // re-grant may start
+                barrier.wait(); // re-granted
+            }
+        })
+    };
+    for _ in 0..ROUNDS {
+        barrier.wait();
+        assert!(core.revoke(p, RawCap::call(TARGET)).0);
+        revoked.store(true, Ordering::Release);
+        barrier.wait();
+        revoked.store(false, Ordering::Release);
+        core.grant(p, RawCap::call(TARGET));
+        barrier.wait();
+    }
+    checker.join().expect("checker thread");
+}

@@ -16,6 +16,12 @@
 //!   but never to a world where the source still holds the grant, and
 //!   always to a world where the writer index and each principal's
 //!   coverage agree exactly.
+//! - **A checked transfer moves only what its source still holds.** A
+//!   transfer from a principal racing a revoke of that principal's
+//!   grant either moves the grant (and the revoke finds nothing) or
+//!   fails `MissingWrite` (and the revoke took it), never both: the
+//!   source's coverage is checked in the same locked pass that moves
+//!   the grant.
 //! - **Never no holder across a shard boundary.** A transfer of a range
 //!   that straddles a shard boundary moves the grant one shard at a
 //!   time. Indirect-call checks and guard misses racing it on either
@@ -55,7 +61,9 @@ fn transfer_invalidates_hot_source_caches() {
                 barrier.wait(); // caches are hot
                 let (src, dst) = if round % 2 == 0 { (a, b) } else { (b, a) };
                 let _ = src;
-                let (was_fast, bumps) = core.transfer_write(cap, Some(dst), &mut holders);
+                let (was_fast, bumps) = core
+                    .transfer_write(cap, None, Some(dst), &mut holders)
+                    .unwrap();
                 assert!(bumps > 0, "moving a held grant must bump epochs");
                 fast += u64::from(was_fast);
                 barrier.wait(); // transfer is visible
@@ -116,7 +124,8 @@ fn transfer_racing_revoke_converges() {
             let mut holders = Vec::new();
             for _ in 0..ROUNDS {
                 barrier.wait(); // setup done: a holds the grant
-                core.transfer_write(cap, Some(b), &mut holders);
+                core.transfer_write(cap, None, Some(b), &mut holders)
+                    .unwrap();
                 barrier.wait(); // both ops done
                 barrier.wait(); // assertions done
             }
@@ -129,7 +138,7 @@ fn transfer_racing_revoke_converges() {
             let mut holders = Vec::new();
             for _ in 0..ROUNDS {
                 barrier.wait();
-                core.transfer_write(cap, None, &mut holders);
+                core.transfer_write(cap, None, None, &mut holders).unwrap();
                 barrier.wait();
                 barrier.wait();
             }
@@ -150,7 +159,91 @@ fn transfer_racing_revoke_converges() {
         );
         core.check_index_invariants();
         // Reset for the next round.
-        core.transfer_write(cap, None, &mut Vec::new());
+        core.transfer_write(cap, None, None, &mut Vec::new())
+            .unwrap();
+        barrier.wait();
+    }
+    xfer.join().expect("transfer thread");
+    revoker.join().expect("revoker thread");
+}
+
+/// Barrier-phased race between a checked transfer from `a` to `b` and
+/// a revoke of `a`'s grant, on a range inside one shard (even rounds)
+/// and one straddling a boundary (odd rounds). Exactly one of them
+/// wins: a transfer that checked `a`'s coverage and then moved the
+/// grant after the revoke took it would leave `b` holding a grant `a`
+/// no longer had.
+#[test]
+fn checked_transfer_racing_source_revoke_has_one_winner() {
+    const ROUNDS: usize = 200;
+    const B: u64 = 0x10_0080;
+    let core = Arc::new(RuntimeCore::with_shard_boundaries(vec![B]));
+    let m = core.register_module("checked");
+    let a = core.principal_for_name(m, 0x9000);
+    let b = core.principal_for_name(m, 0x9008);
+    let cap_of = |round: usize| {
+        if round.is_multiple_of(2) {
+            RawCap::write(0x10_0000, 0x40)
+        } else {
+            RawCap::write(B - 0x40, 0x80)
+        }
+    };
+
+    let barrier = Arc::new(Barrier::new(3));
+    let moved = Arc::new(AtomicBool::new(false));
+    let revoked = Arc::new(AtomicBool::new(false));
+    let xfer = {
+        let (core, barrier, moved) = (Arc::clone(&core), Arc::clone(&barrier), Arc::clone(&moved));
+        thread::spawn(move || {
+            let mut holders = Vec::new();
+            for round in 0..ROUNDS {
+                let cap = cap_of(round);
+                barrier.wait();
+                let r = core.transfer_write(cap, Some(a), Some(b), &mut holders);
+                if let Err(e) = &r {
+                    assert_eq!(
+                        *e,
+                        Violation::MissingWrite {
+                            principal: a,
+                            addr: cap.addr,
+                            len: cap.size,
+                        }
+                    );
+                }
+                moved.store(r.is_ok(), Ordering::SeqCst);
+                barrier.wait();
+                barrier.wait();
+            }
+        })
+    };
+    let revoker = {
+        let (core, barrier, revoked) = (
+            Arc::clone(&core),
+            Arc::clone(&barrier),
+            Arc::clone(&revoked),
+        );
+        thread::spawn(move || {
+            for round in 0..ROUNDS {
+                barrier.wait();
+                revoked.store(core.revoke(a, cap_of(round)).0, Ordering::SeqCst);
+                barrier.wait();
+                barrier.wait();
+            }
+        })
+    };
+
+    for round in 0..ROUNDS {
+        let cap = cap_of(round);
+        core.grant(a, cap);
+        barrier.wait();
+        barrier.wait();
+        let (moved, revoked) = (moved.load(Ordering::SeqCst), revoked.load(Ordering::SeqCst));
+        assert_ne!(moved, revoked, "round {round}: exactly one op wins");
+        assert!(!core.owns(a, cap), "a keeps nothing");
+        assert_eq!(core.owns(b, cap), moved, "b holds the grant iff it moved");
+        core.check_index_invariants();
+        core.transfer_write(cap, None, None, &mut Vec::new())
+            .unwrap();
         barrier.wait();
     }
     xfer.join().expect("transfer thread");
@@ -250,7 +343,9 @@ fn straddling_transfer_never_reads_no_holder() {
         let dst = if round % 2 == 0 { b } else { a };
         barrier.wait();
         let mut holders = Vec::new();
-        let (_, bumps) = core.transfer_write(cap, Some(dst), &mut holders);
+        let (_, bumps) = core
+            .transfer_write(cap, None, Some(dst), &mut holders)
+            .unwrap();
         moved.store(round + 1, Ordering::Release);
         barrier.wait();
         assert!(bumps > 0, "the source lost the grant");

@@ -162,7 +162,9 @@ fn check_sequence(ops: &[Op]) {
                 naive.revoke(pi, a, s);
             }
             Op::Transfer(a, s) => {
-                handles[NHANDLES].transfer_cap(RawCap::write(a, s), None);
+                handles[NHANDLES]
+                    .transfer_cap(RawCap::write(a, s), None, None)
+                    .expect("the kernel owns everything");
                 for pi in 0..NSLOTS {
                     naive.revoke(pi, a, s);
                 }

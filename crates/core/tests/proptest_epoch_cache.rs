@@ -191,7 +191,9 @@ fn check_sequence(ops: &[Op]) {
                 naive.revoke(pi, a, s);
             }
             Op::Transfer(a, s) => {
-                cached.transfer_cap(RawCap::write(a, s), None);
+                cached
+                    .transfer_cap(RawCap::write(a, s), None, None)
+                    .unwrap();
                 for pi in 0..NSLOTS {
                     naive.revoke(pi, a, s);
                 }

@@ -14,7 +14,12 @@
 //!   be one grant in scope that covers the probe;
 //! - the result of every exact revoke, whether each transfer took the
 //!   single-writer fast path, and exactly which write epochs each
-//!   revoke, transfer and sweep bumped.
+//!   revoke, transfer and sweep bumped;
+//! - the checked transfer: a transfer whose source (the kernel, an
+//!   arbitrary principal, or one whose scope covers the range) does not
+//!   own the range under the §3.1 hierarchy fails with `MissingWrite`
+//!   naming it and changes no grant and no epoch;
+//! - after every operation, each principal's grant count.
 //!
 //! (The paper's standalone walk structure is checked against the same
 //! kind of model in `lxfi-bench`.)
@@ -36,7 +41,7 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 
-use lxfi_core::{GuardHandle, PrincipalId, PrincipalKind, RawCap, RuntimeCore};
+use lxfi_core::{GuardHandle, PrincipalId, PrincipalKind, RawCap, RuntimeCore, Violation};
 
 /// Two modules' shared, global and two instance principals each.
 const NPRINC: usize = 8;
@@ -45,8 +50,29 @@ const NPRINC: usize = 8;
 enum Op {
     Grant(usize, u64, u64),
     Revoke(usize, u64, u64),
-    Transfer(u64, u64, Option<usize>),
+    /// Range, source, destination.
+    Transfer(u64, u64, Src, Option<usize>),
     RevokeOverlappingEverywhere(u64, u64),
+}
+
+/// A transfer's source.
+#[derive(Debug, Clone, Copy)]
+enum Src {
+    /// The core kernel, which owns everything.
+    Kernel,
+    /// Principal `i`, covering the range or not.
+    Any(usize),
+    /// The `i`-th (mod their number) principal whose scope covers the
+    /// range when the transfer runs; the kernel if none does.
+    Covering(usize),
+}
+
+fn arb_src() -> impl Strategy<Value = Src> {
+    prop_oneof![
+        Just(Src::Kernel),
+        (0usize..NPRINC).prop_map(Src::Any),
+        (0usize..NPRINC).prop_map(Src::Covering),
+    ]
 }
 
 /// Ops over `addr` and `size`, with principals drawn from all eight.
@@ -59,7 +85,8 @@ fn ops_over(
     prop_oneof![
         (princ.clone(), addr.clone(), size.clone()).prop_map(|(p, a, s)| Op::Grant(p, a, s)),
         (princ, addr.clone(), size.clone()).prop_map(|(p, a, s)| Op::Revoke(p, a, s)),
-        (addr.clone(), size.clone(), dst).prop_map(|(a, s, d)| Op::Transfer(a, s, d)),
+        (addr.clone(), size.clone(), arb_src(), dst)
+            .prop_map(|(a, s, src, d)| Op::Transfer(a, s, src, d)),
         (addr, size).prop_map(|(a, s)| Op::RevokeOverlappingEverywhere(a, s)),
     ]
 }
@@ -159,6 +186,30 @@ impl Model {
             .map(|(x, y)| (x, x + y))
             .collect()
     }
+    /// Whether `p` owns WRITE over `[addr, addr+len)` (an empty range is
+    /// owned by everyone).
+    fn owns(&self, p: usize, addr: u64, len: u64) -> bool {
+        len == 0 || !self.covering(p, addr, len).is_empty()
+    }
+    /// The principal index a transfer comes from (`None`: the kernel).
+    fn source(&self, src: Src, addr: u64, len: u64) -> Option<usize> {
+        match src {
+            Src::Kernel => None,
+            Src::Any(i) => Some(i),
+            Src::Covering(i) => {
+                let owners: Vec<usize> = (0..NPRINC).filter(|&p| self.owns(p, addr, len)).collect();
+                (!owners.is_empty()).then(|| owners[i % owners.len()])
+            }
+        }
+    }
+    /// The violation a transfer from `i` lacking the range gets.
+    fn missing(&self, princs: &[PrincipalId], i: usize, addr: u64, len: u64) -> Violation {
+        Violation::MissingWrite {
+            principal: princs[i],
+            addr,
+            len,
+        }
+    }
     /// Epoch bumps per principal when `lost` lose WRITE coverage.
     fn bumps(&self, lost: &[usize]) -> Vec<u64> {
         let mut bumps = vec![0; NPRINC];
@@ -203,7 +254,7 @@ fn probe_points(ops: &[Op]) -> Vec<u64> {
         let (a, s) = match *op {
             Op::Grant(_, a, s)
             | Op::Revoke(_, a, s)
-            | Op::Transfer(a, s, _)
+            | Op::Transfer(a, s, _, _)
             | Op::RevokeOverlappingEverywhere(a, s) => (a, s),
         };
         let end = a.saturating_add(s.min(u64::MAX - a));
@@ -251,22 +302,32 @@ fn check_sequence_sharded(ops: &[Op], boundaries: Vec<u64>) {
                     Vec::new()
                 }
             }
-            Op::Transfer(a, s, dst) => {
-                let writers = (0..NPRINC).filter(|&p| model.overlaps(p, a, s)).count();
-                let fast = rt.stats.transfer_fast;
-                rt.transfer_cap(RawCap::write(a, s), dst.map(|d| princs[d]));
-                assert_eq!(
-                    rt.stats.transfer_fast - fast,
-                    u64::from(writers <= 1),
-                    "{op:?}"
-                );
-                let lost = (0..NPRINC)
-                    .filter(|&p| Some(p) != dst && model.revoke(p, a, s))
-                    .collect();
-                if let Some(d) = dst {
-                    model.grant(d, a, s);
+            Op::Transfer(a, s, src, dst) => {
+                let src = model.source(src, a, s);
+                let cap = RawCap::write(a, s);
+                let (fast, slow) = (rt.stats.transfer_fast, rt.stats.transfer_slow);
+                let r = rt.transfer_cap(cap, src.map(|i| princs[i]), dst.map(|d| princs[d]));
+                if let Some(i) = src.filter(|&i| !model.owns(i, a, s)) {
+                    assert_eq!(r, Err(model.missing(&princs, i, a, s)), "{op:?}");
+                    assert_eq!(rt.stats.transfer_fast, fast, "{op:?}");
+                    assert_eq!(rt.stats.transfer_slow, slow, "{op:?}");
+                    Vec::new()
+                } else {
+                    assert_eq!(r, Ok(()), "{op:?} from {src:?}");
+                    let writers = (0..NPRINC).filter(|&p| model.overlaps(p, a, s)).count();
+                    assert_eq!(
+                        rt.stats.transfer_fast - fast,
+                        u64::from(writers <= 1),
+                        "{op:?}"
+                    );
+                    let lost = (0..NPRINC)
+                        .filter(|&p| Some(p) != dst && model.revoke(p, a, s))
+                        .collect();
+                    if let Some(d) = dst {
+                        model.grant(d, a, s);
+                    }
+                    lost
                 }
-                lost
             }
             Op::RevokeOverlappingEverywhere(a, s) => {
                 rt.revoke_write_overlapping_everywhere(a, s);
@@ -282,6 +343,13 @@ fn check_sequence_sharded(ops: &[Op], boundaries: Vec<u64>) {
             .map(|(a, b)| a - b)
             .collect();
         assert_eq!(bumped, model.bumps(&lost), "epoch bumps of {op:?}");
+        for (pi, &p) in princs.iter().enumerate() {
+            assert_eq!(
+                rt.cap_count(p),
+                model.ranges[pi].len(),
+                "{pi}'s grants after {op:?}"
+            );
+        }
     }
 
     let id = |pi: usize| princs[pi];

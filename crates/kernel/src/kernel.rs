@@ -65,7 +65,9 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, RwLock};
 
 use lxfi_annotations::parse_fn_annotations;
+use lxfi_core::chunked::ChunkedTable;
 use lxfi_core::iface::{FnDecl, Param, TypeLayouts};
+use lxfi_core::inthash::IntMap;
 use lxfi_core::{GuardHandle, PrincipalId, RawCap, RuntimeCore, Violation};
 use lxfi_machine::{
     AddressSpace, Backend, CompileStats, CompiledProgram, FuncId, Program, Trap, Word,
@@ -145,7 +147,7 @@ pub(crate) struct LoadedModule {
     /// this field, so a kernel never pays compilation it won't use.
     compiled: Option<Arc<CompiledProgram>>,
     global_addrs: Vec<Word>,
-    decls: HashMap<FuncId, Arc<FnDecl>>,
+    decls: IntMap<FuncId, Arc<FnDecl>>,
     import_addrs: Vec<Word>,
     /// The sig registry entry of each program `SigId`, so an
     /// indirect-call check indexes by `SigId` instead of hashing a sig
@@ -267,11 +269,62 @@ impl std::fmt::Display for KernelError {
 
 impl std::error::Error for KernelError {}
 
-/// The exported-symbol registry (behind one `RwLock` in the core).
-#[derive(Default)]
+/// The kernel-thunk pseudo-module, resolved once at boot so thunk
+/// dispatch takes no registry lock and scans no names: the module
+/// handle, its name → function-id map, and the function ids of the
+/// thunks every packet runs, which need no name lookup at all.
+struct Thunks {
+    module: Arc<LoadedModule>,
+    by_name: HashMap<String, FuncId>,
+    /// `dev_queue_xmit`, the TX entry of every sent packet.
+    dev_queue_xmit: FuncId,
+}
+
+/// Export slots per table chunk, and the cap on exports.
+const EXPORT_CHUNK: usize = 64;
+const MAX_EXPORTS: usize = 1 << 12;
+
+/// The exported-symbol registry. Exports are never removed, so each
+/// one's slot is written once at registration and read without a lock
+/// from then on: a [`ChunkedTable`] in registration order, which an
+/// export's address names by arithmetic. Registration and name lookups
+/// take the `by_name` lock.
 struct ExportTable {
-    exports: Vec<Arc<Export>>,
-    by_name: HashMap<String, usize>,
+    slots: ChunkedTable<OnceLock<Arc<Export>>, EXPORT_CHUNK>,
+    by_name: Mutex<HashMap<String, usize>>,
+}
+
+impl ExportTable {
+    fn new() -> Self {
+        ExportTable {
+            slots: ChunkedTable::new(MAX_EXPORTS),
+            by_name: Mutex::default(),
+        }
+    }
+
+    /// The export registered at index `idx` (lock-free).
+    fn get(&self, idx: usize) -> Option<&Arc<Export>> {
+        self.slots.get(idx)?.get()
+    }
+
+    /// Registers `export`; returns its index.
+    fn push(&self, export: Export) -> usize {
+        let mut names = self.by_name.lock().expect("export names lock");
+        let idx = names.len();
+        assert!(
+            names.insert(export.name.clone(), idx).is_none(),
+            "duplicate export {}",
+            export.name
+        );
+        assert!(self.slots.slot(idx).set(Arc::new(export)).is_ok());
+        idx
+    }
+
+    /// The index of the export registered under `name`.
+    fn index_of(&self, name: &str) -> Option<usize> {
+        let names = self.by_name.lock().expect("export names lock");
+        names.get(name).copied()
+    }
 }
 
 /// The loaded-module registry: the module vector (indexed by window
@@ -315,17 +368,14 @@ pub struct KernelCore {
     /// Its `ahash` is the empty set's (see [`Self::ahash`]).
     unannotated_decl: Arc<FnDecl>,
 
-    exports: RwLock<ExportTable>,
+    exports: ExportTable,
     kdata: RwLock<HashMap<String, (Word, u64)>>,
     /// The sig registry: one entry per type name a declaration or a
     /// loaded program named.
     sig_decls: RwLock<HashMap<String, SigEntry>>,
     modules: RwLock<ModuleTable>,
-    /// Set once by `load_kernel_thunks`: the thunk pseudo-module and its
-    /// name → function-id map, so per-packet thunk dispatch costs one
-    /// `Arc` clone and one hash lookup instead of a registry read lock
-    /// plus a linear name scan.
-    thunks: std::sync::OnceLock<(Arc<LoadedModule>, HashMap<String, FuncId>)>,
+    /// Set once by `load_kernel_thunks` (see [`Thunks`]).
+    thunks: OnceLock<Thunks>,
     /// Serializes whole module load/unload transactions (loads are rare;
     /// dispatch only takes the registries' read locks), and guards the
     /// module-image table the loads share.
@@ -334,6 +384,9 @@ pub struct KernelCore {
     slab: ShardedSlab,
     procs: Mutex<ProcessTable>,
     panic: Mutex<Option<(String, Option<Violation>)>>,
+    /// Whether `panic` holds a reason: the lock-free probe every `enter`
+    /// takes before it would lock `panic`.
+    panicked: AtomicBool,
     /// Contained module faults, oldest first (the supervisor's and the
     /// tests' event source). Kernel-wide: any CPU's quarantine appends.
     faults: Mutex<Vec<ModuleFault>>,
@@ -467,7 +520,8 @@ impl KernelCore {
         (ThreadId(idx), base)
     }
 
-    /// The export registered at `addr`, if any.
+    /// The export registered at `addr`, if any (lock-free; the `Arc`
+    /// lets the caller hold it across a `&mut` call).
     fn export_at(&self, addr: Word) -> Option<Arc<Export>> {
         if addr < EXPORT_BASE {
             return None;
@@ -476,8 +530,7 @@ impl KernelCore {
         if addr != export_fn_addr(idx) {
             return None;
         }
-        let tab = self.exports.read().expect("exports lock");
-        tab.exports.get(idx).cloned()
+        self.exports.get(idx).cloned()
     }
 
     /// Resolves a function address to its live module by inverting
@@ -494,6 +547,14 @@ impl KernelCore {
             return None;
         }
         Some((ModuleRef::acquire(m), FuncId(f)))
+    }
+
+    /// The kernel thunk every transmitted packet runs (`dev_queue_xmit`).
+    pub(crate) fn xmit_thunk(&self) -> FuncId {
+        self.thunks
+            .get()
+            .expect("thunks loaded at boot")
+            .dev_queue_xmit
     }
 
     /// The annotation hash of an optional declaration: an export's, a
@@ -629,16 +690,17 @@ impl Kernel {
             backend,
             layouts,
             unannotated_decl,
-            exports: RwLock::new(ExportTable::default()),
+            exports: ExportTable::new(),
             kdata: RwLock::new(HashMap::new()),
             sig_decls: RwLock::new(HashMap::new()),
             rewrite_opts,
             modules: RwLock::new(ModuleTable::default()),
-            thunks: std::sync::OnceLock::new(),
+            thunks: OnceLock::new(),
             load_lock: Mutex::new(Default::default()),
             slab: ShardedSlab::new(),
             procs: Mutex::new(procs),
             panic: Mutex::new(None),
+            panicked: AtomicBool::new(false),
             faults: Mutex::new(Vec::new()),
             user_fns: RwLock::new(HashMap::new()),
             kdata_next: AtomicU64::new(KDATA_BASE),
@@ -784,21 +846,12 @@ impl KernelCpu {
             Arc::new(d)
         });
         let ahash = self.core.ahash(decl.as_ref());
-        let addr = {
-            let mut tab = self.core.exports.write().expect("exports lock");
-            let idx = tab.exports.len();
-            assert!(
-                tab.by_name.insert(name.to_string(), idx).is_none(),
-                "duplicate export {name}"
-            );
-            tab.exports.push(Arc::new(Export {
-                name: name.to_string(),
-                decl,
-                imp,
-                runtime_call,
-            }));
-            export_fn_addr(idx)
-        };
+        let addr = export_fn_addr(self.core.exports.push(Export {
+            name: name.to_string(),
+            decl,
+            imp,
+            runtime_call,
+        }));
         self.rt.register_function(addr, ahash);
     }
 
@@ -825,13 +878,7 @@ impl KernelCpu {
 
     /// Address of an exported kernel function.
     pub fn export_addr(&self, name: &str) -> Option<Word> {
-        self.core
-            .exports
-            .read()
-            .expect("exports lock")
-            .by_name
-            .get(name)
-            .map(|&i| export_fn_addr(i))
+        self.core.exports.index_of(name).map(export_fn_addr)
     }
 
     /// Allocates zeroed kernel-static memory (ops tables, device structs).
@@ -1025,11 +1072,9 @@ mod tests {
         use lxfi_annotations::annotation_hash;
         use lxfi_annotations::hash::fnv1a;
         let k = Kernel::boot(IsolationMode::Lxfi);
-        let exports = k.core.exports.read().expect("exports lock");
         let sigs = k.core.sig_decls.read().expect("sig lock");
-        let decls: Vec<Arc<FnDecl>> = exports
-            .exports
-            .iter()
+        let decls: Vec<Arc<FnDecl>> = (0..MAX_EXPORTS)
+            .map_while(|i| k.core.exports.get(i))
             .filter_map(|e| e.decl.clone())
             .chain(sigs.values().filter_map(|e| e.get().cloned()))
             .collect();

@@ -59,6 +59,7 @@ impl KernelCpu {
     /// Clears panic state (tests that probe multiple violations).
     pub fn clear_panic(&mut self) {
         *self.core.panic.lock().expect("panic lock") = None;
+        self.core.panicked.store(false, Ordering::Release);
     }
 
     // ------------------------------------------------------ fault domain
@@ -110,8 +111,12 @@ impl KernelCpu {
         &mut self,
         f: impl FnOnce(&mut Self) -> Result<R, Trap>,
     ) -> Result<R, KernelError> {
-        if let Some((p, _)) = &*self.core.panic.lock().expect("panic lock") {
-            return Err(KernelError::Panic(p.clone()));
+        // One atomic load while the kernel runs; the reason is read under
+        // the lock only once a panic is recorded.
+        if self.core.panicked.load(Ordering::Acquire) {
+            if let Some((p, _)) = &*self.core.panic.lock().expect("panic lock") {
+                return Err(KernelError::Panic(p.clone()));
+            }
         }
         self.pending_fault = None;
         match f(self) {
@@ -220,6 +225,7 @@ impl KernelCpu {
         // No module to blame: the kernel's own invariants are at stake.
         if is_policy {
             *self.core.panic.lock().expect("panic lock") = Some((msg.clone(), violation));
+            self.core.panicked.store(true, Ordering::Release);
             KernelError::Panic(msg)
         } else {
             self.oops();
@@ -394,18 +400,15 @@ impl KernelCpu {
     /// [`lxfi_machine::Backend::Interp`] pays nothing.
     pub(super) fn exec_module(
         &mut self,
-        m: Arc<LoadedModule>,
+        m: &Arc<LoadedModule>,
         fid: FuncId,
         args: &[Word],
     ) -> Result<Word, Trap> {
-        // One `Arc` bump keeps the code alive while `self` is borrowed
-        // for the run.
-        let code = Arc::clone(&m);
         m.active.fetch_add(1, Ordering::AcqRel);
-        self.exec_stack.push(m);
-        let r = match &code.compiled {
+        self.exec_stack.push(Arc::clone(m));
+        let r = match &m.compiled {
             Some(cp) => run_compiled(self, cp, fid, args),
-            None => run_function(self, &code.program, fid, args),
+            None => run_function(self, &m.program, fid, args),
         };
         let m = self.exec_stack.pop().expect("balanced exec stack");
         m.active.fetch_sub(1, Ordering::AcqRel);

@@ -10,6 +10,7 @@ use std::sync::Arc;
 
 use lxfi_annotations::parse_fn_annotations;
 use lxfi_core::iface::{FnDecl, Param};
+use lxfi_core::inthash::IntMap;
 use lxfi_core::RawCap;
 use lxfi_machine::program::ImportKind;
 use lxfi_machine::verify::VerifyError;
@@ -21,7 +22,7 @@ use lxfi_rewriter::{propagate, rewrite_kernel_thunks, rewrite_module, InitGrant,
 
 use super::{
     IsolationMode, KernelCore, KernelCpu, KernelError, LoadedModule, LoadedModuleId, ModuleSpec,
-    SigEntry,
+    SigEntry, Thunks,
 };
 use crate::layout::{MODULE_BASE, MODULE_STRIDE, STACK_SIZE};
 
@@ -284,7 +285,7 @@ impl KernelCpu {
         // its function is assigned to (same annotations and parameters)
         // shares that declaration's IR: both compile against the same
         // runtime and immutable layouts, so the IR would be the same.
-        let decls: HashMap<FuncId, Arc<FnDecl>> = decls
+        let decls: IntMap<FuncId, Arc<FnDecl>> = decls
             .into_iter()
             .map(|(fid, mut d)| {
                 let same = program
@@ -529,12 +530,17 @@ impl KernelCpu {
         // Pre-resolve the per-packet thunk dispatch path: cache the
         // module handle and its name → id map so run_kernel_thunk never
         // takes the registry lock or scans names again.
-        let m = self.module_arc(id);
-        let by_name = m
+        let module = self.module_arc(id);
+        let by_name: HashMap<String, FuncId> = module
             .funcs()
-            .map(|f| (m.program.funcs[f.0 as usize].name.clone(), f))
+            .map(|f| (module.program.funcs[f.0 as usize].name.clone(), f))
             .collect();
-        let _ = self.core.thunks.set((m, by_name));
+        let dev_queue_xmit = by_name["dev_queue_xmit"];
+        let _ = self.core.thunks.set(Thunks {
+            module,
+            by_name,
+            dev_queue_xmit,
+        });
     }
 
     /// Loaded-module lookup by name.

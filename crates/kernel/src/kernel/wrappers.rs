@@ -29,7 +29,7 @@ use lxfi_core::{PrincipalId, Violation};
 use lxfi_machine::program::ImportKind;
 use lxfi_machine::{AddressSpace, Env, FuncId, GlobalId, SigId, SymbolId, Trap, Word};
 
-use super::{IsolationMode, KernelCpu, LoadedModule, ModuleRef};
+use super::{IsolationMode, KernelCpu, ModuleRef};
 use crate::exports::Export;
 use crate::layout::{is_user_addr, KDATA_BASE, STACK_SIZE};
 
@@ -39,15 +39,26 @@ impl KernelCpu {
     pub fn run_kernel_thunk(&mut self, func: &str, args: &[Word]) -> Result<Word, Trap> {
         // Thunk dispatch is per-packet on the netperf path; the cache set
         // at boot replaces a registry read lock plus a linear name scan
-        // with one Arc clone and one hash lookup.
-        let (m, fid) = {
-            let (m, by_name) = self.core.thunks.get().expect("thunks loaded at boot");
-            let fid = *by_name
-                .get(func)
-                .ok_or_else(|| Trap::BadRef(format!("thunk {func}")))?;
-            (Arc::clone(m), fid)
-        };
-        self.exec_module(m, fid, args)
+        // with one hash lookup.
+        let thunks = self.core.thunks.get().expect("thunks loaded at boot");
+        let fid = *thunks
+            .by_name
+            .get(func)
+            .ok_or_else(|| Trap::BadRef(format!("thunk {func}")))?;
+        self.run_thunk(fid, args)
+    }
+
+    /// Runs the kernel thunk `fid` (resolved at boot, no name lookup).
+    pub(crate) fn run_thunk(&mut self, fid: FuncId, args: &[Word]) -> Result<Word, Trap> {
+        let m = Arc::clone(
+            &self
+                .core
+                .thunks
+                .get()
+                .expect("thunks loaded at boot")
+                .module,
+        );
+        self.exec_module(&m, fid, args)
     }
 
     /// Invokes a function address on behalf of the kernel (or, when
@@ -76,7 +87,8 @@ impl KernelCpu {
         caller: Option<PrincipalCtx>,
     ) -> Result<Word, Trap> {
         // `mref` stays alive for the whole invocation, holding the
-        // module's active count up (the unload grace period).
+        // module's active count up (the unload grace period); the
+        // declaration and the code are borrowed from it.
         let Some((mref, fid)) = resolved else {
             // Not module code: kernel export or user address.
             if let Some(export) = self.core.export_at(target) {
@@ -87,21 +99,23 @@ impl KernelCpu {
             }
             return Err(Trap::BadRef(format!("call target {target:#x}")));
         };
-        let m: Arc<LoadedModule> = Arc::clone(&mref);
-        let Some(mid) = m.mid else {
-            return self.exec_module(m, fid, args);
+        let Some(mid) = mref.mid else {
+            return self.exec_module(&mref, fid, args);
         };
         // Unannotated module functions (e.g. module_init) run as the
         // shared principal with no capability actions, via the
         // boot-compiled shared empty declaration.
-        let decl = m
-            .decls
-            .get(&fid)
-            .cloned()
-            .unwrap_or_else(|| Arc::clone(&self.core.unannotated_decl));
-        let callee = Some((mid, self.select_principal(mid, &decl, args)?));
-        self.wrapped(&decl, args, caller.flatten(), Some(callee), |k| {
-            k.exec_module(m, fid, args)
+        let unannotated;
+        let decl: &FnDecl = match mref.decls.get(&fid) {
+            Some(d) => d,
+            None => {
+                unannotated = Arc::clone(&self.core.unannotated_decl);
+                &unannotated
+            }
+        };
+        let callee = Some((mid, self.select_principal(mid, decl, args)?));
+        self.wrapped(decl, args, caller.flatten(), Some(callee), |k| {
+            k.exec_module(&mref, fid, args)
         })
     }
 
@@ -200,7 +214,7 @@ impl KernelCpu {
             Some(CPrincipal::Global) => self.rt.global_principal(mid),
             Some(CPrincipal::Arg(i)) => {
                 let ptr = args.get(*i as usize).copied().unwrap_or(0);
-                self.rt.principal_for_name(mid, ptr)
+                self.rt.principal_named(mid, ptr)
             }
             Some(CPrincipal::UnknownArg(name)) => {
                 return Err(Trap::from(Violation::BadExpression {
@@ -327,17 +341,16 @@ impl Env for KernelCpu {
     }
 
     fn call_extern(&mut self, sym: SymbolId, args: &[Word]) -> Result<Word, Trap> {
-        let m = Arc::clone(self.exec_stack.last().expect("executing"));
+        let m = self.exec_stack.last().expect("executing");
         let import = &m.program.imports[sym.0 as usize];
         if import.kind != ImportKind::Func {
             return Err(Trap::BadRef(format!("calling data import {}", import.name)));
         }
-        let target = m.import_addrs[sym.0 as usize];
-        let export = self
-            .core
-            .export_at(target)
-            .ok_or_else(|| Trap::BadRef(format!("extern {}", import.name)))?;
-        if m.mid.is_none() {
+        let (target, stock) = (m.import_addrs[sym.0 as usize], m.mid.is_none());
+        let Some(export) = self.core.export_at(target) else {
+            return Err(Trap::BadRef(format!("extern {}", import.name)));
+        };
+        if stock {
             return (export.imp)(self, args);
         }
         // CALL capability for the export's wrapper (granted at module
@@ -347,7 +360,7 @@ impl Env for KernelCpu {
     }
 
     fn call_ptr(&mut self, target: Word, sig: SigId, args: &[Word]) -> Result<Word, Trap> {
-        let m = Arc::clone(self.exec_stack.last().expect("executing"));
+        let m = self.exec_stack.last().expect("executing");
         if m.mid.is_none() {
             return self.invoke_module_function(target, args, None);
         }

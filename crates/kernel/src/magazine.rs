@@ -157,7 +157,9 @@ impl ShardedSlab {
             .sum()
     }
 
-    /// Snapshot of live allocations across all shards.
+    /// Snapshot of live allocations across all shards, in ascending
+    /// address order (shard `i` lies below shard `i + 1`, and each
+    /// shard's snapshot is sorted).
     pub fn live_objects(&self) -> Vec<(Word, u64, u64)> {
         self.shards
             .iter()

@@ -413,7 +413,8 @@ impl KernelCpu {
         self.consume(NET_TX_BASE_COST)?;
         let skb =
             alloc_skb_raw(self, len).ok_or_else(|| Trap::BadRef(format!("alloc_skb({len})")))?;
-        self.run_kernel_thunk("dev_queue_xmit", &[skb, dev])
+        let xmit = self.xmit_thunk();
+        self.run_thunk(xmit, &[skb, dev])
     }
 
     /// Binds a probed NAPI device's RX ring: records the MMIO window

@@ -7,8 +7,8 @@
 //! groom places a `shmid_kernel` object directly after the under-sized
 //! BCM buffer and overflows into it.
 
+use lxfi_core::inthash::IntMap;
 use lxfi_machine::{AddressSpace, Word, PAGE_SIZE};
-use std::collections::BTreeMap;
 
 /// Size classes, ascending.
 pub const SIZE_CLASSES: [u64; 8] = [32, 64, 128, 256, 512, 1024, 2048, 4096];
@@ -28,9 +28,10 @@ pub struct Slab {
     next_page: Word,
     pages: Vec<SlabPage>,
     /// Live allocations, indexed by address: `addr -> (requested size,
-    /// class)`. A map (not a scan list) so `kfree` of one object among
-    /// tens of thousands is a lookup, not a walk.
-    live: BTreeMap<Word, (u64, u64)>,
+    /// class)`. A hash map (not a scan list) so `kfree` of one object
+    /// among tens of thousands is one lookup, not a walk; only
+    /// [`Slab::live_objects`] needs address order, and sorts.
+    live: IntMap<Word, (u64, u64)>,
     /// Total bytes handed out (diagnostics).
     pub allocated: u64,
 }
@@ -41,7 +42,7 @@ impl Slab {
         Slab {
             next_page: base,
             pages: Vec::new(),
-            live: BTreeMap::new(),
+            live: IntMap::default(),
             allocated: 0,
         }
     }
@@ -177,10 +178,13 @@ impl Slab {
     }
 
     /// Snapshot of the live allocations as `(addr, requested size,
-    /// class)` — module teardown scans it for objects only the dead
-    /// module's principals could still free.
+    /// class)`, in ascending address order — module teardown sweeps
+    /// them in that order for objects only the dead module's principals
+    /// could still free.
     pub fn live_objects(&self) -> Vec<(Word, u64, u64)> {
-        self.live.iter().map(|(&a, &(s, c))| (a, s, c)).collect()
+        let mut objects: Vec<_> = self.live.iter().map(|(&a, &(s, c))| (a, s, c)).collect();
+        objects.sort_unstable_by_key(|&(a, _, _)| a);
+        objects
     }
 }
 
@@ -243,6 +247,28 @@ mod tests {
             addrs.push((a, class));
         }
         assert_eq!(s.live_count(), 9);
+    }
+
+    #[test]
+    fn live_objects_come_in_address_order() {
+        // Teardown sweeps a dead module's objects in this order, so the
+        // order pins which object of a class is freed (and reused) first.
+        let (mut s, m) = setup();
+        let mut want = Vec::new();
+        for size in [64u64, 4096, 32, 64, 2048, 100, 32, 512, 64, 4096] {
+            let a = s.kmalloc(&m, size).unwrap();
+            want.push((a, size, Slab::class_for(size).unwrap()));
+        }
+        let freed = want.remove(3);
+        s.kfree(freed.0).unwrap();
+        want.push((s.kmalloc(&m, 1000).unwrap(), 1000, 1024));
+        want.sort_unstable();
+        let got = s.live_objects();
+        assert!(
+            got.windows(2).all(|w| w[0].0 < w[1].0),
+            "ascending: {got:x?}"
+        );
+        assert_eq!(got, want);
     }
 
     #[test]
