@@ -6,19 +6,27 @@
 //! and lowers each block to a pre-resolved step list (`BlockBody`)
 //! that [`run_compiled`] threads through directly —
 //!
-//! - operands are resolved to `Src` (register index or immediate, the
-//!   `i64 → u64` cast and `off as u64` folded in),
+//! - operands are resolved to `Src`, a register index plus an immediate
+//!   read without a branch as `regs[reg] + imm` (the `i64 → u64` cast
+//!   and `off as u64` folded in); an immediate reads an always-zero
+//!   register one past `R15`,
 //! - fuel is charged once per block from a precomputed block cost, with
 //!   the unearned suffix refunded (`Env::refund`) whenever the block
 //!   exits early, so fuel accounting is cycle-identical to the
 //!   interpreter — including the fuel level an extern call observes,
 //! - the rewriter's `GuardWrite`+`Store` and `GuardIndCall`+`CallPtr`
-//!   pairs are fused into single steps,
+//!   pairs are fused into single steps, and an `Add` is a step of its
+//!   own rather than a `Bin` that dispatches on its operator again,
 //! - loads and stores go through a small set-associative software TLB
 //!   of [`crate::mem::PageHandle`]s (2 sets × 2 ways, set chosen by the
 //!   page number's low bit) instead of the 4-level radix walk, so a
 //!   copy loop alternating between a source page and a device page hits
-//!   on both.
+//!   on both. Its page-number tags sit in an array of their own, so a
+//!   probe is one compare per way and a flush clears the tags alone.
+//!
+//! On hostbench `tx_bulk` this step loop is most of the host time: a
+//! sampling profile on a 2-vCPU Xeon puts about 70% of it in
+//! `run_compiled` itself, ahead of the guards and the kernel services.
 //!
 //! Blocks are plain data, not boxed closures, and every execution entry
 //! point is generic over the environment (`E: Env + ?Sized`) exactly
@@ -99,45 +107,61 @@ pub struct CompileStats {
     pub fallback_funcs: u64,
 }
 
-/// A pre-resolved operand: register index or immediate (already cast to
-/// the unsigned word the interpreter's `eval` would produce).
+/// Index of the compiled register file's always-zero register, one past
+/// the architectural registers: every immediate operand reads it.
+const ZERO_REG: u8 = NUM_REGS as u8;
+
+/// The compiled register file: `R0..R15` plus the zero register at
+/// [`ZERO_REG`], which [`set_reg`] never writes.
+type Regs = [Word; NUM_REGS + 1];
+
+/// A pre-resolved operand, read without a branch as `regs[reg] + imm`.
+/// A register operand has `imm == 0`; an immediate reads [`ZERO_REG`]
+/// and carries its value (already cast to the unsigned word the
+/// interpreter's `eval` would produce) in `imm`.
 #[derive(Clone, Copy)]
-enum Src {
-    Reg(u8),
-    Imm(u64),
+struct Src {
+    reg: u8,
+    imm: u64,
 }
 
 impl Src {
+    /// The operand that reads 0: a `Ret` without a value returns it.
+    const ZERO: Src = Src {
+        reg: ZERO_REG,
+        imm: 0,
+    };
+
     fn from_op(op: Operand) -> Src {
         match op {
-            Operand::Reg(r) => Src::Reg(r.0),
-            Operand::Imm(v) => Src::Imm(v as u64),
+            Operand::Reg(r) => Src { reg: r.0, imm: 0 },
+            Operand::Imm(v) => Src {
+                reg: ZERO_REG,
+                imm: v as u64,
+            },
         }
     }
 
     #[inline(always)]
-    fn get(self, regs: &[Word; NUM_REGS]) -> Word {
-        match self {
-            Src::Reg(r) => reg(regs, r),
-            Src::Imm(v) => v,
-        }
+    fn get(self, regs: &Regs) -> Word {
+        debug_assert!(self.reg <= ZERO_REG);
+        // SAFETY: `CompiledProgram::compile` only lowers programs that
+        // pass `verify_program`, which rejects every register an
+        // instruction reads at index >= NUM_REGS; the only other index
+        // `from_op` and `ZERO` produce is `ZERO_REG == NUM_REGS`, the last
+        // word of `Regs`.
+        let r = unsafe { *regs.get_unchecked(self.reg as usize) };
+        r.wrapping_add(self.imm)
     }
 }
 
 #[inline(always)]
-fn reg(regs: &[Word; NUM_REGS], i: u8) -> Word {
-    debug_assert!((i as usize) < NUM_REGS);
-    // SAFETY: `CompiledProgram::compile` only lowers programs that pass
-    // `verify_program`, which rejects every register an instruction reads
-    // or writes at index >= NUM_REGS, so every index reaching compiled
-    // execution is in range.
-    unsafe { *regs.get_unchecked(i as usize) }
-}
-
-#[inline(always)]
-fn set_reg(regs: &mut [Word; NUM_REGS], i: u8, v: Word) {
-    debug_assert!((i as usize) < NUM_REGS);
-    // SAFETY: as in [`reg`].
+fn set_reg(regs: &mut Regs, i: u8, v: Word) {
+    debug_assert!(i < ZERO_REG);
+    // SAFETY: every destination is an instruction's `dst` or `ret`
+    // register, which `verify_program` checked is below NUM_REGS. So the
+    // write is in range and never reaches `ZERO_REG`, which therefore
+    // reads 0 for the whole run.
     unsafe { *regs.get_unchecked_mut(i as usize) = v }
 }
 
@@ -150,6 +174,14 @@ enum Step {
     },
     Bin {
         op: BinOp,
+        dst: u8,
+        lhs: Src,
+        rhs: Src,
+    },
+    /// `Bin` with [`BinOp::Add`], the index and address arithmetic of
+    /// every copy loop: its own step, so it skips `binop`'s second
+    /// dispatch.
+    Add {
         dst: u8,
         lhs: Src,
         rhs: Src,
@@ -243,8 +275,9 @@ enum ExitOp {
         then_b: u32,
         else_b: u32,
     },
+    /// `val` is [`Src::ZERO`] for a `Ret` without a value.
     Ret {
-        val: Option<Src>,
+        val: Src,
     },
     Trap {
         code: u64,
@@ -384,6 +417,16 @@ fn convert_plain(inst: &Inst) -> Step {
             dst: dst.0,
             src: Src::from_op(*src),
         },
+        Inst::Bin {
+            op: BinOp::Add,
+            dst,
+            lhs,
+            rhs,
+        } => Step::Add {
+            dst: dst.0,
+            lhs: Src::from_op(*lhs),
+            rhs: Src::from_op(*rhs),
+        },
         Inst::Bin { op, dst, lhs, rhs } => Step::Bin {
             op: *op,
             dst: dst.0,
@@ -522,7 +565,7 @@ fn build_block(
             Inst::Ret { val } => {
                 exit = Some((
                     ExitOp::Ret {
-                        val: val.map(Src::from_op),
+                        val: val.map_or(Src::ZERO, Src::from_op),
                     },
                     costs::RET,
                 ));
@@ -634,46 +677,59 @@ const TLB_SETS: usize = 2;
 /// the last-filled page of a set is probed first.
 const TLB_WAYS: usize = 2;
 
-/// The compiled backend's software TLB: `(page number, handle)` entries
-/// in [`TLB_SETS`] sets of [`TLB_WAYS`] ways. Every entry is dropped at
-/// each point the environment could unmap (after an extern or indirect
-/// call), so the stale-but-valid window
-/// documented on [`crate::mem::AddressSpace::page_handle`] is the same
-/// as for a single cached page.
+/// The tag of an empty TLB way. No page number equals it: a page number
+/// is `addr / PAGE_SIZE < 2^52`.
+const EMPTY_TAG: u64 = u64::MAX;
+
+/// The compiled backend's software TLB: [`TLB_SETS`] sets of
+/// [`TLB_WAYS`] ways, with the page-number tags and the page handles in
+/// two parallel arrays. A probe is one compare per way; an empty way
+/// holds [`EMPTY_TAG`] and a never-dereferenced
+/// [`PageHandle::DANGLING`]. Every entry is dropped at each point the
+/// environment could unmap (after an extern or indirect call), so the
+/// stale-but-valid window documented on
+/// [`crate::mem::AddressSpace::page_handle`] is the same as for a single
+/// cached page.
 struct Tlb {
-    sets: [[Option<(u64, PageHandle)>; TLB_WAYS]; TLB_SETS],
+    tags: [[u64; TLB_WAYS]; TLB_SETS],
+    pages: [[PageHandle; TLB_WAYS]; TLB_SETS],
 }
 
 impl Tlb {
     const EMPTY: Tlb = Tlb {
-        sets: [[None; TLB_WAYS]; TLB_SETS],
+        tags: [[EMPTY_TAG; TLB_WAYS]; TLB_SETS],
+        pages: [[PageHandle::DANGLING; TLB_WAYS]; TLB_SETS],
     };
 
     #[inline(always)]
     fn lookup(&self, page: u64) -> Option<PageHandle> {
-        let set = &self.sets[page as usize % TLB_SETS];
-        for &(p, h) in set.iter().flatten() {
-            if p == page {
-                return Some(h);
+        let set = page as usize % TLB_SETS;
+        for way in 0..TLB_WAYS {
+            if self.tags[set][way] == page {
+                return Some(self.pages[set][way]);
             }
         }
         None
     }
 
     fn fill(&mut self, page: u64, h: PageHandle) {
-        let set = &mut self.sets[page as usize % TLB_SETS];
-        set.copy_within(..TLB_WAYS - 1, 1);
-        set[0] = Some((page, h));
+        let set = page as usize % TLB_SETS;
+        self.tags[set].copy_within(..TLB_WAYS - 1, 1);
+        self.pages[set].copy_within(..TLB_WAYS - 1, 1);
+        self.tags[set][0] = page;
+        self.pages[set][0] = h;
     }
 
+    /// Empties every way. Only the tags are cleared: a stale handle is
+    /// never read once its tag is [`EMPTY_TAG`].
     fn flush(&mut self) {
-        *self = Tlb::EMPTY;
+        self.tags = Tlb::EMPTY.tags;
     }
 }
 
 /// Per-run register/frame state plus the software TLB.
 struct ExecCtx {
-    regs: [Word; NUM_REGS],
+    regs: Regs,
     sp: Word,
     /// Call-argument staging buffer (the compiled twin of the
     /// interpreter's scratch vector — no per-call allocation).
@@ -685,7 +741,7 @@ struct ExecCtx {
 impl ExecCtx {
     fn new() -> ExecCtx {
         ExecCtx {
-            regs: [0; NUM_REGS],
+            regs: [0; NUM_REGS + 1],
             sp: 0,
             scratch: Vec::with_capacity(NUM_ARG_REGS),
             tlb: Tlb::EMPTY,
@@ -803,9 +859,7 @@ fn exec_exit(b: &BlockBody, ctx: &mut ExecCtx) -> Result<BlockExit, Trap> {
                 *else_b
             }))
         }
-        ExitOp::Ret { val } => Ok(BlockExit::Return(
-            val.map(|v| v.get(&ctx.regs)).unwrap_or(0),
-        )),
+        ExitOp::Ret { val } => Ok(BlockExit::Return(val.get(&ctx.regs))),
         ExitOp::Trap { code } => Err(Trap::Bug(*code)),
         ExitOp::CallLocal {
             func,
@@ -904,6 +958,11 @@ fn run_block<const PREPAID: bool, E: Env + ?Sized>(
                 let l = lhs.get(&ctx.regs);
                 let r = rhs.get(&ctx.regs);
                 binop(*op, l, r).map(|v| set_reg(&mut ctx.regs, *dst, v))
+            }
+            Step::Add { dst, lhs, rhs } => {
+                let v = lhs.get(&ctx.regs).wrapping_add(rhs.get(&ctx.regs));
+                set_reg(&mut ctx.regs, *dst, v);
+                Ok(())
             }
             Step::Load {
                 dst,
@@ -1082,7 +1141,7 @@ fn exec_func<E: Env + ?Sized>(
 struct CFrame {
     func: u32,
     resume: u32,
-    regs: [Word; NUM_REGS],
+    regs: Regs,
     sp: Word,
     frame_size: u32,
     /// Register in *this* (the caller's) frame receiving the callee's
@@ -1156,7 +1215,7 @@ pub fn run_compiled<E: Env + ?Sized>(
                 cur = callee.0 as usize;
                 cur_frame_size = frame_size;
                 ctx.sp = sp;
-                let mut regs = [0u64; NUM_REGS];
+                let mut regs: Regs = [0; NUM_REGS + 1];
                 let n = ctx.scratch.len().min(NUM_ARG_REGS);
                 regs[..n].copy_from_slice(&ctx.scratch[..n]);
                 ctx.regs = regs;
@@ -1491,10 +1550,88 @@ mod tests {
         assert_eq!(st.blocks_compiled, 3, "entry, fallthrough, join");
     }
 
+    /// Right after a flush no way matches: unmapped page 0 and a page
+    /// near the top of the address space fault instead of reaching an
+    /// empty way's dangling handle.
+    #[test]
+    fn unmapped_pages_fault_right_after_a_flush() {
+        let mut tlb = Tlb::EMPTY;
+        let e = CEnv::new();
+        tlb.fill(0, e.mem.page_handle(e.stack_base).unwrap());
+        tlb.flush();
+        assert!(tlb.lookup(0).is_none());
+        assert!(tlb.lookup(u64::MAX / PAGE_SIZE).is_none());
+
+        let mut pb = ProgramBuilder::new("t");
+        let s = pb.import_func("ext");
+        let f = pb.define("f", 1, 16, |f| {
+            // Fill the TLB from the stack page, flush it with the call,
+            // then touch the unmapped address in R0.
+            f.store_frame(1i64, 0, Width::B8);
+            f.call_extern(s, &[], None);
+            f.load8(R1, R0, 0);
+            f.ret(R1);
+        });
+        let p = pb.finish();
+        for addr in [0, 8, u64::MAX - 7, u64::MAX - PAGE_SIZE + 1] {
+            let err = both(&p, f, &[addr], |_| {}).unwrap_err();
+            assert!(
+                matches!(err, Trap::MemFault { addr: a, write: false, .. } if a == addr),
+                "{addr:#x}: {err:?}"
+            );
+        }
+    }
+
+    /// Three pages sharing a set: the last filled is probed first, the
+    /// one before it second, and the oldest is evicted.
+    #[test]
+    fn tlb_set_keeps_the_two_latest_pages() {
+        let mem = AddressSpace::new();
+        let mut tlb = Tlb::EMPTY;
+        for pg in [1u64, 3, 5] {
+            mem.map_range(pg * PAGE_SIZE, PAGE_SIZE);
+            mem.write_word(pg * PAGE_SIZE, pg).unwrap();
+            tlb.fill(pg, mem.page_handle(pg * PAGE_SIZE).unwrap());
+        }
+        assert_eq!(tlb.tags[1], [5, 3]);
+        assert_eq!(tlb.tags[0], [EMPTY_TAG; TLB_WAYS]);
+        for pg in [5, 3] {
+            let h = tlb.lookup(pg).expect("resident");
+            // SAFETY: `mem` outlives the handle.
+            assert_eq!(unsafe { h.read_in_word(0, Width::B8) }, pg);
+        }
+        assert!(tlb.lookup(1).is_none(), "the oldest page is evicted");
+    }
+
+    /// The zero register that immediates read stays 0 after writes to
+    /// the last architectural register and across a local call's return.
+    #[test]
+    fn zero_register_survives_r15_writes_and_calls() {
+        let mut pb = ProgramBuilder::new("t");
+        let callee = pb.declare("callee", 1);
+        pb.define("callee", 1, 0, |f| {
+            f.mov(R15, -1i64);
+            f.add(R15, R15, R0);
+            f.ret(R15);
+        });
+        let f = pb.define("f", 1, 0, |f| {
+            f.mov(R15, 0x1234i64);
+            f.add(R1, R15, 1i64);
+            f.call_local(callee, &[R0.into()], Some(R15));
+            f.add(R2, 0i64, 7i64);
+            f.add(R0, R1, R2);
+            f.add(R0, R0, R15);
+            f.ret(R0);
+        });
+        let p = pb.finish();
+        // R1 = 0x1235, R2 = 7, R15 = 10 - 1.
+        assert_eq!(both(&p, f, &[10], |_| {}).unwrap(), 0x1235 + 7 + 9);
+    }
+
     /// A program `verify_program` refuses is refused whole: no function
     /// of it is compiled or left to the interpreter.
     #[test]
-    fn empty_function_falls_back() {
+    fn program_failing_verify_is_refused_whole() {
         let mut pb = ProgramBuilder::new("t");
         pb.define("ok", 0, 0, |f| f.ret(0i64));
         let mut p = pb.finish();

@@ -471,6 +471,12 @@ unsafe impl Send for PageHandle {}
 unsafe impl Sync for PageHandle {}
 
 impl PageHandle {
+    /// A handle to no page, held by an empty software-TLB way. It is
+    /// never dereferenced: an empty way's tag matches no page number.
+    pub(crate) const DANGLING: PageHandle = PageHandle {
+        pg: std::ptr::dangling(),
+    };
+
     /// Reads a zero-extended `width`-sized value at byte offset `off`,
     /// which must lie within one aligned word: `(off % 8) + width.bytes()
     /// <= 8` and `off < PAGE_SIZE`.

@@ -18,8 +18,9 @@ use proptest::prelude::*;
 
 use lxfi_machine::builder::regs::*;
 use lxfi_machine::{
-    run_compiled, run_function, AddressSpace, BinOp, CompiledProgram, Cond, Env, FuncId, GlobalId,
-    Program, ProgramBuilder, Reg, SigId, SymbolId, Trap, Width, Word, PAGE_SIZE,
+    run_compiled, run_function, AddressSpace, BinOp, CompiledProgram, Cond, Env, FuncId,
+    FunctionBuilder, GlobalId, Operand, Program, ProgramBuilder, Reg, SigId, SymbolId, Trap, Width,
+    Word, PAGE_SIZE,
 };
 
 /// Base of the mapped data window generated programs address.
@@ -152,7 +153,9 @@ impl Env for OracleEnv {
 }
 
 /// One generated operation. Fields are interpreted per `kind` — this
-/// keeps the proptest strategy flat and shrinkable.
+/// keeps the proptest strategy flat and shrinkable. `a`, `b` and `c`
+/// name registers from the whole `R0..R15`; bit `n` of `imms` makes the
+/// op's `n`th operand position an immediate instead of a register.
 #[derive(Debug, Clone, Copy)]
 struct GenOp {
     kind: u8,
@@ -160,23 +163,57 @@ struct GenOp {
     b: u8,
     c: u8,
     imm: i64,
+    imms: u8,
 }
 
 fn arb_op() -> impl Strategy<Value = GenOp> {
-    (0u8..17, 0u8..6, 0u8..6, 0u8..6, -512i64..512).prop_map(|(kind, a, b, c, imm)| GenOp {
-        kind,
-        a,
-        b,
-        c,
-        imm,
-    })
+    (
+        (0u8..17, 0u8..16, 0u8..16, 0u8..16),
+        (-512i64..512, any::<u8>()),
+    )
+        .prop_map(|((kind, a, b, c), (imm, imms))| GenOp {
+            kind,
+            a,
+            b,
+            c,
+            imm,
+            imms,
+        })
+}
+
+impl GenOp {
+    /// Operand position `pos`: register `r`, or the immediate `imm` when
+    /// bit `pos` of `imms` is set.
+    fn opnd(&self, pos: u8, r: u8, imm: i64) -> Operand {
+        if self.imms & (1 << pos) != 0 {
+            Operand::Imm(imm)
+        } else {
+            Reg(r).into()
+        }
+    }
+
+    /// Base operand of a window access (operand position 0): the
+    /// absolute window address as an immediate, or register `r` loaded
+    /// with it just before. With bits 6 and 7 of `imms` both set, `r` is
+    /// used as it stands, so the access may fault — identically on both
+    /// backends.
+    fn window_base(&self, f: &mut FunctionBuilder, r: u8) -> Operand {
+        if self.imms & 1 != 0 {
+            return Operand::Imm(DATA as i64);
+        }
+        if self.imms & 0xc0 != 0xc0 {
+            f.mov(Reg(r), DATA as i64);
+        }
+        Reg(r).into()
+    }
 }
 
 /// Builds a two-function program (`main` + a guarded-store leaf) from the
-/// generated op list. `R6` holds the data base; window accesses pick
-/// their page from the op's `c` field, so most memory traffic lands in
-/// the mapped window; forward-only branches keep every program
-/// terminating.
+/// generated op list. Window accesses pick their page from the op's `c`
+/// field and address it from an immediate window base or a register just
+/// loaded with it, so most memory traffic lands in the mapped window;
+/// forward-only branches keep every program terminating. `main` returns
+/// a register, an immediate or nothing, chosen by the last op.
 fn build_program(ops: &[GenOp]) -> Program {
     let mut pb = ProgramBuilder::new("oracle");
     let helper_sym = pb.import_func("helper");
@@ -200,7 +237,6 @@ fn build_program(ops: &[GenOp]) -> Program {
     });
 
     pb.define("main", 2, 32, |f| {
-        f.mov(R6, DATA as i64);
         // Pending forward-branch labels: (bind_after_op_index, label).
         let mut pending: Vec<(usize, lxfi_machine::builder::Label)> = Vec::new();
         for (i, op) in ops.iter().enumerate() {
@@ -216,13 +252,15 @@ fn build_program(ops: &[GenOp]) -> Program {
             for l in due {
                 f.bind(l);
             }
-            let ra = Reg(op.a);
-            let rb = Reg(op.b);
-            let rc = Reg(op.c);
-            let page = op.c as u64 % DATA_PAGES;
+            let (a, b, c) = (op.a, op.b, op.c);
+            let ra = Reg(a);
+            let rc = Reg(c);
+            let page = c as u64 % DATA_PAGES;
             let off = (page * PAGE_SIZE + op.imm.unsigned_abs() % 4000) as i64;
+            let widths = [Width::B1, Width::B2, Width::B4, Width::B8];
+            let width = widths[(a % 4) as usize];
             match op.kind {
-                0 => f.mov(ra, op.imm),
+                0 => f.mov(ra, op.opnd(0, b, op.imm)),
                 1 => {
                     let bins = [
                         BinOp::Add,
@@ -236,47 +274,62 @@ fn build_program(ops: &[GenOp]) -> Program {
                         BinOp::Div,
                         BinOp::Rem,
                     ];
-                    f.bin(bins[(op.imm.unsigned_abs() % 10) as usize], ra, rb, rc);
+                    let bin = bins[(op.imm.unsigned_abs() % 10) as usize];
+                    let lhs = op.opnd(0, b, op.imm);
+                    let rhs = op.opnd(1, c, op.imm >> 4);
+                    f.bin(bin, ra, lhs, rhs);
                 }
                 2 => {
-                    let widths = [Width::B1, Width::B2, Width::B4, Width::B8];
-                    f.load(ra, R6, off, widths[(op.a % 4) as usize]);
+                    let base = op.window_base(f, b);
+                    f.load(ra, base, off, width);
                 }
                 3 => {
-                    let widths = [Width::B1, Width::B2, Width::B4, Width::B8];
-                    f.store(rb, R6, off, widths[(op.a % 4) as usize]);
+                    let base = op.window_base(f, b);
+                    f.store(op.opnd(1, c, op.imm), base, off, width);
                 }
                 // Fused shape: guard + adjacent store, as the rewriter
                 // emits it.
                 4 => {
-                    f.guard_write(R6, off, 8i64);
-                    f.store8(rb, R6, off);
+                    let base = op.window_base(f, a);
+                    f.guard_write(base, off, op.opnd(1, c, 8));
+                    f.store8(op.opnd(2, b, op.imm), base, off);
                 }
                 // Guard *not* followed by a store: must stay unfused.
-                5 => f.guard_write(R6, off, rb),
-                6 => f.store_frame(rb, (op.a as u32 % 3) * 8, Width::B8),
-                7 => f.load_frame(ra, (op.a as u32 % 3) * 8, Width::B8),
-                8 => f.frame_addr(ra, (op.b as u32 % 3) * 8),
+                5 => {
+                    let base = op.window_base(f, a);
+                    f.guard_write(base, off, op.opnd(1, b, op.imm));
+                }
+                6 => f.store_frame(op.opnd(0, b, op.imm), (a as u32 % 3) * 8, Width::B8),
+                7 => f.load_frame(ra, (a as u32 % 3) * 8, Width::B8),
+                8 => f.frame_addr(ra, (b as u32 % 3) * 8),
                 9 => f.global_addr(ra, gdata),
                 10 => {
-                    let args: Vec<lxfi_machine::Operand> = [ra, rb, rc]
-                        [..(op.a % 4).min(3) as usize]
+                    let args: Vec<Operand> = [a, b, c]
                         .iter()
-                        .map(|&r| r.into())
+                        .enumerate()
+                        .take((a % 4) as usize)
+                        .map(|(pos, &r)| op.opnd(pos as u8, r, op.imm + pos as i64))
                         .collect();
                     f.call_extern(helper_sym, &args, Some(rc));
                 }
                 // Fused shape: ind-call guard + adjacent CallPtr.
                 11 => {
-                    f.guard_indcall(R6, off, sig);
-                    f.call_ptr(ra, sig, &[rb.into()], Some(rc));
+                    let slot = op.window_base(f, c);
+                    f.guard_indcall(slot, off, sig);
+                    let target = op.opnd(1, a, 0xf000_0000 + op.imm);
+                    f.call_ptr(target, sig, &[op.opnd(2, b, op.imm)], Some(rc));
                 }
-                12 => f.call_local(leaf, &[ra.into(), rb.into()], Some(rc)),
+                12 => {
+                    let args = [op.opnd(0, a, op.imm), op.opnd(1, b, op.imm >> 2)];
+                    f.call_local(leaf, &args, Some(rc));
+                }
                 13 => {
                     let conds = [Cond::Eq, Cond::Ne, Cond::Ult, Cond::Ule];
                     let skip = 1 + (op.imm.unsigned_abs() % 5) as usize;
                     let l = f.label();
-                    f.br(conds[(op.a % 4) as usize], rb, rc, l);
+                    let lhs = op.opnd(0, b, op.imm);
+                    let rhs = op.opnd(1, c, op.imm >> 3);
+                    f.br(conds[(a % 4) as usize], lhs, rhs, l);
                     pending.push((i + skip, l));
                 }
                 14 => f.nop(),
@@ -287,7 +340,11 @@ fn build_program(ops: &[GenOp]) -> Program {
         for (_, l) in pending {
             f.bind(l);
         }
-        f.ret(R0);
+        match ops.last() {
+            Some(op) if op.imms & 0x40 != 0 => f.ret_void(),
+            Some(op) => f.ret(op.opnd(0, op.a, op.imm)),
+            None => f.ret(R0),
+        }
     });
     pb.finish()
 }
@@ -383,6 +440,7 @@ fn compile_stats_and_fallback() {
             b: ((i + 1) % 6) as u8,
             c: ((i + 2) % 6) as u8,
             imm: i as i64 * 37,
+            imms: 0,
         })
         .collect();
     let p = build_program(&ops);
